@@ -15,7 +15,13 @@ from pathlib import Path
 import pytest
 
 import imcalc
-from imcalc.cli import main
+from imcalc.algebroid import CheckReport, Violation, check_morphism_to_line
+from imcalc.cli import load_algebroid, load_candidate, main
+from imcalc.errors import OracleDisagreement
+from imcalc.fixtures import poisson_im_form
+from imcalc.imforms import oracle_equivalence
+from imcalc.multivec import oracle_equivalence_dual
+from imcalc.poly import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "fixtures"
@@ -162,6 +168,50 @@ def test_samples_file_flag(tmp_path):
                             "--samples", str(samples)])
     assert code == 0
     assert json.loads(out)["verdicts"]["LAGRANGIAN"] == "pass"
+
+
+# oracle keys of the three corpus documents whose oracle compares routes
+ORACLE_KEYS = {
+    "so3_poisson_im2.json": {"im_conditions", "morphism"},
+    "so3_coboundary_mv2.json": {"derivation", "morphism"},
+    "so3_poisson_weil2.json": {"dh_vanishing", "im_conditions", "morphism"},
+}
+
+
+@pytest.fixture
+def failing_morphism(monkeypatch):
+    """Make the morphism route fail on valid data: `check_morphism_to_line`
+    is replaced, wherever an `imcalc` module binds it, by a stand-in that
+    reports one MORPHISM violation.  The routes of every oracle then
+    disagree, which is the defect path."""
+    def stand_in(algebroid, functional):
+        return CheckReport.collect([Violation(
+            "MORPHISM", algebroid.frame_names[:2], Polynomial.const(algebroid.base_chart, 1))])
+
+    for name, module in list(sys.modules.items()):
+        if name == "imcalc" or name.startswith("imcalc."):
+            if vars(module).get("check_morphism_to_line") is check_morphism_to_line:
+                monkeypatch.setattr(module, "check_morphism_to_line", stand_in)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_KEYS))
+def test_oracle_disagreement_exits_3_with_report(failing_morphism, name):
+    code, out, err = run_cli(["--input", str(CORPUS / name)])
+    assert code == 3, err
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["oracle"]["agree"] is False
+    assert set(report["oracle"]) == ORACLE_KEYS[name] | {"agree"}
+    assert report["verdicts"]["MORPHISM"] == "fail"
+
+
+def test_library_oracles_raise_on_disagreement(failing_morphism):
+    with pytest.raises(OracleDisagreement):
+        oracle_equivalence(poisson_im_form(), 2)
+    doc = json.loads((CORPUS / "so3_coboundary_mv2.json").read_text())
+    algebroid = load_algebroid(doc)
+    with pytest.raises(OracleDisagreement):
+        oracle_equivalence_dual(load_candidate(doc, algebroid), algebroid, 2)
 
 
 # What the wrapper that an installer writes for a console script does: load
