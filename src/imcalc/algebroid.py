@@ -7,7 +7,8 @@ axiom checker, the two direct-sum prolongation constructions (tangent side
 over the k-fold tangent chart, cotangent side over the k-fold dual chart) and
 the fiberwise-linear morphism-to-the-line checker all operate on this one
 representation, so the same `check_morphism_to_line` serves both main
-equivalence oracles.
+equivalence oracles.  `run_oracle` is the one pipeline every oracle runs
+its independent routes through.
 
 Structure functions are stored sparsely for pairs a < b only; brackets of
 frame sections in either order are served with the sign folded in.
@@ -18,14 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .errors import AlgebroidError, AxiomError
-from .forms import (
-    VectorField,
-    _acc,
-    _merge_sorted,
-    graded_bracket,
-    sort_indices,
-)
+from .errors import AlgebroidError, AxiomError, OracleDisagreement
+from .forms import Alternating, VectorField, _acc, graded_bracket
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_DUAL, ROLE_TANGENT
 
 
@@ -51,6 +46,14 @@ class CheckReport:
     def collect(cls, violations: Iterable[Violation], notes: Iterable[str] = ()) -> "CheckReport":
         vs = tuple(violations)
         return cls(passed=not vs, violations=vs, notes=tuple(notes))
+
+
+def component_violations(tag: str, witness: tuple, table: Alternating, caveat=None):
+    """One violation per nonzero component of a residual form or section,
+    its witness extended by the component's label (dx1^dx2, e1^e2; 1 in
+    degree 0)."""
+    for idx in sorted(table.coeffs):
+        yield Violation(tag, witness + (table.label(idx) or "1",), table.coeffs[idx], caveat)
 
 
 class LieAlgebroid:
@@ -151,12 +154,6 @@ class LieAlgebroid:
             return tuple(self.structure.get((a, b), {}).items())
         return tuple((c, -p) for c, p in self.structure.get((b, a), {}).items())
 
-    def structure_coeff(self, a: int, b: int, c: int) -> Polynomial:
-        for d, p in self.bracket_frame_row(a, b):
-            if d == c:
-                return p
-        return Polynomial.zero(self.base_chart)
-
     def anchor_field(self, a: int) -> VectorField:
         return VectorField.from_components(self.base_chart, list(self.anchor[a]))
 
@@ -172,39 +169,33 @@ class LieAlgebroid:
                 f"frame {list(self.frame_names)})")
 
 
-class Section:
+class Section(Alternating):
     """Element of a wedge power of the section module, in frame components.
 
-    Degree 0 is a scalar (component at the empty tuple), degree 1 a plain
-    section u = u^a e_a, degree p an antisymmetric table over strictly
-    increasing frame index tuples.
+    An alternating table over frame indices: its chart is the base chart and
+    its indices run below the rank.  Degree 0 is a scalar (component at the
+    empty tuple), degree 1 a plain section u = u^a e_a.  The inherited
+    `zero` and `from_terms` take the algebroid in place of the chart.
     """
 
-    __slots__ = ("algebroid", "degree", "comps")
+    __slots__ = ("algebroid",)
+    _GLYPH = "{}"
 
     def __init__(self, algebroid: LieAlgebroid, degree: int, comps: Mapping | None = None):
-        table: dict = {}
-        if comps:
-            for idx, p in comps.items():
-                idx = tuple(idx)
-                if len(idx) != degree or any(not 0 <= i < algebroid.rank for i in idx):
-                    raise AlgebroidError(f"bad component index {idx} for degree {degree}")
-                if any(a >= b for a, b in zip(idx, idx[1:])):
-                    raise AlgebroidError(f"component index {idx} is not strictly increasing")
-                if p.chart != algebroid.base_chart:
-                    raise ChartError("section components must live on the base chart")
-                if not p.is_zero():
-                    table[idx] = p
         object.__setattr__(self, "algebroid", algebroid)
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "comps", table)
+        super().__init__(algebroid.base_chart, degree, comps)
 
-    def __setattr__(self, *_):
-        raise AttributeError("Section is immutable")
+    def _index_bound(self, chart: Chart) -> int:
+        return self.algebroid.rank
 
-    @classmethod
-    def zero(cls, algebroid: LieAlgebroid, degree: int) -> "Section":
-        return cls(algebroid, degree)
+    def _index_names(self) -> tuple:
+        return self.algebroid.frame_names
+
+    def _like(self, coeffs: dict, degree: int | None = None, kind=None,
+              chart: Chart | None = None) -> "Section":
+        out = super()._like(coeffs, degree, kind, chart)
+        object.__setattr__(out, "algebroid", self.algebroid)
+        return out
 
     @classmethod
     def function(cls, algebroid: LieAlgebroid, poly: Polynomial) -> "Section":
@@ -221,90 +212,19 @@ class Section:
             raise AlgebroidError("need one component per frame section")
         return cls(algebroid, 1, {(a,): p for a, p in enumerate(comps) if not p.is_zero()})
 
-    @classmethod
-    def from_terms(cls, algebroid: LieAlgebroid, degree: int, items: Iterable) -> "Section":
-        table: dict = {}
-        for idx, poly in items:
-            srt = sort_indices(tuple(idx))
-            if srt is None:
-                continue
-            key, sign = srt
-            _acc(table, key, poly if sign == 1 else -poly)
-        return cls(algebroid, degree, table)
-
-    def component(self, idx) -> Polynomial:
-        srt = sort_indices(tuple(idx))
-        if srt is None:
-            return Polynomial.zero(self.algebroid.base_chart)
-        key, sign = srt
-        p = self.comps.get(key)
-        if p is None:
-            return Polynomial.zero(self.algebroid.base_chart)
-        return p if sign == 1 else -p
-
-    def scalar(self) -> Polynomial:
-        if self.degree != 0:
-            raise AlgebroidError("scalar() only in degree 0")
-        return self.comps.get((), Polynomial.zero(self.algebroid.base_chart))
-
-    def _mate(self, other: "Section") -> None:
+    def _check_mate(self, other) -> None:
+        if not isinstance(other, Section):
+            raise TypeError(f"cannot combine Section with {type(other).__name__}")
         if self.algebroid is not other.algebroid and self.algebroid != other.algebroid:
             raise AlgebroidError("sections belong to different algebroids")
-
-    def __add__(self, other: "Section") -> "Section":
-        self._mate(other)
-        if self.degree != other.degree:
-            raise AlgebroidError("degree mismatch in sum")
-        table = dict(self.comps)
-        for k, p in other.comps.items():
-            _acc(table, k, p)
-        return Section(self.algebroid, self.degree, table)
-
-    def __neg__(self) -> "Section":
-        return Section(self.algebroid, self.degree, {k: -p for k, p in self.comps.items()})
-
-    def __sub__(self, other: "Section") -> "Section":
-        return self + (-other)
-
-    def scale(self, factor) -> "Section":
-        return Section(self.algebroid, self.degree,
-                       {k: p * factor for k, p in self.comps.items()})
-
-    def wedge(self, other: "Section") -> "Section":
-        self._mate(other)
-        table: dict = {}
-        for i1, p1 in self.comps.items():
-            for i2, p2 in other.comps.items():
-                merged = _merge_sorted(i1, i2)
-                if merged is None:
-                    continue
-                key, sign = merged
-                _acc(table, key, p1 * p2 if sign == 1 else -(p1 * p2))
-        return Section(self.algebroid, self.degree + other.degree, table)
-
-    def is_zero(self) -> bool:
-        return not self.comps
 
     def __eq__(self, other):
         if not isinstance(other, Section):
             return NotImplemented
         return (self.algebroid == other.algebroid and self.degree == other.degree
-                and self.comps == other.comps)
+                and self.coeffs == other.coeffs)
 
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.comps)))
-
-    def __str__(self):
-        if not self.comps:
-            return "0"
-        names = self.algebroid.frame_names
-        pieces = []
-        for idx in sorted(self.comps):
-            tag = "^".join(names[i] for i in idx)
-            pieces.append(f"({self.comps[idx]}) {tag}" if tag else f"({self.comps[idx]})")
-        return " + ".join(pieces)
-
-    __repr__ = __str__
+    __hash__ = Alternating.__hash__
 
 
 def bracket_sections(algebroid: LieAlgebroid, u: Section, v: Section) -> Section:
@@ -316,16 +236,16 @@ def bracket_sections(algebroid: LieAlgebroid, u: Section, v: Section) -> Section
     """
     if u.degree != 1 or v.degree != 1:
         raise AlgebroidError("bracket_sections needs degree-1 sections")
-    u._mate(v)
+    u._check_mate(v)
     out: dict = {}
-    for (a,), ua in u.comps.items():
-        for (b,), vb in v.comps.items():
+    for (a,), ua in u.coeffs.items():
+        for (b,), vb in v.coeffs.items():
             for c, w in algebroid.bracket_frame_row(a, b):
                 _acc(out, (c,), ua * vb * w)
-        for (c,), vc in v.comps.items():
+        for (c,), vc in v.coeffs.items():
             _acc(out, (c,), ua * algebroid.anchor_derivation(a, vc))
-    for (b,), vb in v.comps.items():
-        for (c,), uc in u.comps.items():
+    for (b,), vb in v.coeffs.items():
+        for (c,), uc in u.coeffs.items():
             _acc(out, (c,), -(vb * algebroid.anchor_derivation(b, uc)))
     return Section(algebroid, 1, out)
 
@@ -338,11 +258,11 @@ def section_bracket(u: Section, v: Section) -> Section:
     reduces to `bracket_sections`, on (section, scalar) to the anchor
     derivative.
     """
-    u._mate(v)
+    u._check_mate(v)
     algebroid = u.algebroid
-    table = graded_bracket(u.comps, u.degree, v.comps, v.degree,
+    table = graded_bracket(u.coeffs, u.degree, v.coeffs, v.degree,
                            algebroid.bracket_frame_row, algebroid.anchor_derivation)
-    return Section(algebroid, max(u.degree + v.degree - 1, 0), table)
+    return u._like(table, max(u.degree + v.degree - 1, 0))
 
 
 def anchor_apply(algebroid: LieAlgebroid, u: Section) -> VectorField:
@@ -350,7 +270,7 @@ def anchor_apply(algebroid: LieAlgebroid, u: Section) -> VectorField:
     if u.degree != 1:
         raise AlgebroidError("anchor_apply needs a degree-1 section")
     comps = [Polynomial.zero(algebroid.base_chart) for _ in range(algebroid.base_chart.dim)]
-    for (a,), ua in u.comps.items():
+    for (a,), ua in u.coeffs.items():
         for j, p in enumerate(algebroid.anchor[a]):
             comps[j] = comps[j] + ua * p
     return VectorField.from_components(algebroid.base_chart, comps)
@@ -395,6 +315,13 @@ def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
                         violations.append(
                             Violation("AXIOM_JACOBI", (a + 1, b + 1, c + 1, e + 1), acc[e]))
     return CheckReport.collect(violations)
+
+
+def axiom_gate(algebroid: LieAlgebroid):
+    """Axiom violations for unchecked algebroids; empty for validated ones."""
+    if algebroid.checked:
+        return ()
+    return check_axioms(algebroid).violations
 
 
 @dataclass(frozen=True)
@@ -451,6 +378,47 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
                     (algebroid.frame_names[i], algebroid.frame_names[j]),
                     res))
     return CheckReport.collect(violations)
+
+
+# ---------------------------------------------------------------------------
+# the oracle pipeline
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class OracleOutcome:
+    """The axiom report, and per route its report and verdict."""
+
+    axioms: CheckReport
+    reports: Mapping   # route name -> CheckReport
+    verdicts: Mapping  # route name -> bool
+
+    @property
+    def agree(self) -> bool:
+        return len(set(self.verdicts.values())) <= 1
+
+
+def run_oracle(algebroid: LieAlgebroid, routes: Mapping) -> OracleOutcome:
+    """Run independent routes to one verdict and require that they agree.
+
+    `routes` maps a route name to a callable returning that route's
+    CheckReport; they run in order.  A route's verdict is whether its report
+    passed.  The route named "morphism" certifies a morphism of Lie
+    algebroids, so its verdict also needs the axioms, which `axiom_gate`
+    checks on unchecked algebroids.  The routes decide one theorem, so
+    differing verdicts raise OracleDisagreement, a defect in one of the code
+    paths; the exception carries the outcome.
+    """
+    axioms = CheckReport.collect(axiom_gate(algebroid))
+    reports = {name: route() for name, route in routes.items()}
+    verdicts = {name: report.passed and (name != "morphism" or axioms.passed)
+                for name, report in reports.items()}
+    outcome = OracleOutcome(axioms, reports, verdicts)
+    if not outcome.agree:
+        shown = ", ".join(f"{name} {verdict}" for name, verdict in verdicts.items())
+        raise OracleDisagreement(
+            f"route verdicts disagree ({shown}): one of the independent code paths is wrong",
+            outcome)
+    return outcome
 
 
 # ---------------------------------------------------------------------------

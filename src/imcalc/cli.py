@@ -15,36 +15,12 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebroid import (
-    CheckReport,
-    LieAlgebroid,
-    check_axioms,
-    check_morphism_to_line,
-    cotangent_prolongation,
-    tangent_prolongation,
-)
+from .algebroid import CheckReport, LieAlgebroid, run_oracle
 from .errors import AlgebroidError, CrossCheckError, OracleDisagreement
 from .forms import DifferentialForm
-from .imforms import (
-    IMForm,
-    check_im_form,
-    check_lagrangian,
-    dirac_candidate,
-)
-from .linforms import (
-    BundleForms,
-    NotLinearError,
-    decompose,
-    form_frame_functional,
-    linear_form,
-    total_chart_of,
-)
-from .multivec import (
-    LinearMultivector,
-    check_gerstenhaber_derivation,
-    derivation_from_linear,
-    multivector_frame_functional,
-)
+from .imforms import IMForm, check_lagrangian, dirac_candidate, im_routes
+from .linforms import BundleForms, NotLinearError, decompose, total_chart_of
+from .multivec import LinearMultivector, derivation_routes
 from .poly import Chart, ChartError, ParseError, Polynomial, base_chart, parse
 from .weil import cochain_from_bundle_forms, horizontal_vanishing_report
 
@@ -54,6 +30,14 @@ EXIT_INPUT = 2
 EXIT_DEFECT = 3
 
 MODES = ("im-form", "multivector", "weil", "axioms")
+
+# the verdict tags each oracle route reports
+ROUTE_TAGS = {
+    "im_conditions": ("IM1", "IM2", "IM3"),
+    "derivation": ("R1", "R2", "R3"),
+    "dh_vanishing": ("DH0", "DH1", "DH2"),
+    "morphism": ("MORPHISM",),
+}
 
 
 class InputError(ValueError):
@@ -85,14 +69,17 @@ def load_algebroid(doc: dict) -> LieAlgebroid:
     except ChartError as exc:
         raise InputError(str(exc)) from exc
     anchor_rows = doc.get("anchor", [])
-    _require(len(anchor_rows) == rank, "'anchor' must have one row per frame section")
+    _require(isinstance(anchor_rows, list) and len(anchor_rows) == rank,
+             "'anchor' must have one row per frame section")
     anchor = []
     for row in anchor_rows:
         _require(isinstance(row, list) and len(row) == chart.dim,
                  "each anchor row needs one expression per base coordinate")
         anchor.append([_parse_expr(e, chart) for e in row])
+    entries = doc.get("structure", [])
+    _require(isinstance(entries, list), "'structure' must be a list of [a, b, c, expression]")
     structure: dict = {}
-    for entry in doc.get("structure", []):
+    for entry in entries:
         _require(isinstance(entry, list) and len(entry) == 4,
                  "'structure' entries are [a, b, c, expression] with 1-based indices")
         a, b, c, expr = entry
@@ -111,7 +98,7 @@ def load_algebroid(doc: dict) -> LieAlgebroid:
 
 
 def load_form(doc, chart: Chart, degree: int) -> DifferentialForm:
-    _require(isinstance(doc, dict) and "terms" in doc,
+    _require(isinstance(doc, dict) and isinstance(doc.get("terms"), list),
              "forms are {'degree': d, 'terms': [[[i, ...], 'expr'], ...]}")
     _require(doc.get("degree") == degree, f"expected a degree-{degree} form")
     items = []
@@ -125,6 +112,24 @@ def load_form(doc, chart: Chart, degree: int) -> DifferentialForm:
                  f"form term indices {idx} out of range")
         items.append((tuple(i - 1 for i in idx), _parse_expr(expr, chart)))
     return DifferentialForm.from_terms(chart, degree, items)
+
+
+def _load_index_table(candidate: dict, key: str, bound: int, algebroid: LieAlgebroid) -> dict:
+    """A multivector table: entries [[b, ...], i, expr], the b frame indices
+    and i at most `bound`, all 1-based; keyed by 0-based ((b, ...), i)."""
+    entries = candidate.get(key, [])
+    _require(isinstance(entries, list), f"'{key}' must be a list of entries")
+    table = {}
+    for entry in entries:
+        _require(isinstance(entry, list) and len(entry) == 3,
+                 f"'{key}' entries are [[b, ...], i, expr] with 1-based indices")
+        b_list, i, expr = entry
+        _require(isinstance(b_list, list) and all(isinstance(b, int) for b in b_list)
+                 and isinstance(i, int), f"{key} indices must be an integer list and an integer")
+        _require(all(1 <= b <= algebroid.rank for b in b_list) and 1 <= i <= bound,
+                 f"{key} entry {entry[:2]} out of range")
+        table[(tuple(b - 1 for b in b_list), i - 1)] = _parse_expr(expr, algebroid.base_chart)
+    return table
 
 
 def load_candidate(doc: dict, algebroid: LieAlgebroid):
@@ -148,34 +153,15 @@ def load_candidate(doc: dict, algebroid: LieAlgebroid):
         nu = tuple(load_form(d, chart, k) for d in nu_docs)
         return IMForm(algebroid, BundleForms(k, mu, nu))
     if kind == "multivector":
-        fiber = {}
-        for entry in candidate.get("fiber", []):
-            _require(isinstance(entry, list) and len(entry) == 3,
-                     "'fiber' entries are [[b, ...], d, expr] with 1-based indices")
-            b_list, d, expr = entry
-            _require(all(isinstance(i, int) for i in b_list) and isinstance(d, int),
-                     "fiber indices must be integers")
-            _require(all(1 <= b <= algebroid.rank for b in b_list) and 1 <= d <= algebroid.rank,
-                     f"fiber entry {entry[:2]} out of range")
-            fiber[(tuple(b - 1 for b in b_list), d - 1)] = _parse_expr(expr, chart)
-        mixed = {}
-        for entry in candidate.get("mixed", []):
-            _require(isinstance(entry, list) and len(entry) == 3,
-                     "'mixed' entries are [[b, ...], j, expr] with 1-based indices")
-            b_list, j, expr = entry
-            _require(all(isinstance(i, int) for i in b_list) and isinstance(j, int),
-                     "mixed indices must be integers")
-            _require(all(1 <= b <= algebroid.rank for b in b_list) and 1 <= j <= chart.dim,
-                     f"mixed entry {entry[:2]} out of range")
-            mixed[(tuple(b - 1 for b in b_list), j - 1)] = _parse_expr(expr, chart)
+        fiber = _load_index_table(candidate, "fiber", algebroid.rank, algebroid)
+        mixed = _load_index_table(candidate, "mixed", chart.dim, algebroid)
         try:
             return LinearMultivector(algebroid, k, fiber, mixed)
         except (AlgebroidError, ChartError) as exc:
             raise InputError(str(exc)) from exc
     if kind == "weil":
-        tc = total_chart_of(algebroid)
         form_doc = {"degree": k, "terms": candidate.get("form", [])}
-        return ("weil", load_form(form_doc, tc.chart, k), tc)
+        return load_form(form_doc, total_chart_of(algebroid).chart, k)
     raise InputError(f"unknown candidate type {kind!r}")
 
 
@@ -194,6 +180,7 @@ def _load_samples(doc: dict, args, chart: Chart):
         raw = doc["options"]["samples"]
     if raw is None:
         return None
+    _require(isinstance(raw, list), "sample points are a list of rational lists")
     points = []
     for row in raw:
         _require(isinstance(row, list) and len(row) == chart.dim,
@@ -206,6 +193,28 @@ def _load_samples(doc: dict, args, chart: Chart):
     return points
 
 
+def _routes(mode: str, candidate, algebroid: LieAlgebroid, k) -> dict:
+    """The oracle routes of a mode, the direct-condition route first."""
+    if mode == "im-form":
+        _require(isinstance(candidate, IMForm), "mode im-form needs an im-form candidate")
+        _require(candidate.k == k, f"candidate k={candidate.k} but k={k} selected")
+        return im_routes(candidate, k)
+    if mode == "multivector":
+        _require(isinstance(candidate, LinearMultivector),
+                 "mode multivector needs a multivector candidate")
+        _require(candidate.k == k, f"candidate k={candidate.k} but k={k} selected")
+        return derivation_routes(candidate, algebroid, k)
+    if mode == "weil":
+        _require(isinstance(candidate, DifferentialForm), "mode weil needs a weil candidate")
+        _require(candidate.degree == k, f"candidate k={candidate.degree} but k={k} selected")
+        bundle_forms = decompose(candidate, total_chart_of(algebroid))
+        return {"dh_vanishing": lambda: horizontal_vanishing_report(
+                    cochain_from_bundle_forms(algebroid, bundle_forms)),
+                **im_routes(IMForm(algebroid, bundle_forms), k)}
+    # mode "axioms" runs no candidate suite; a present candidate is ignored
+    return {}
+
+
 def run_document(doc: dict, args) -> tuple:
     """Returns (report_dict, exit_code)."""
     _require(isinstance(doc, dict), "input must be a JSON object")
@@ -215,91 +224,35 @@ def run_document(doc: dict, args) -> tuple:
     _require(mode in MODES, f"unknown mode {mode!r}")
     oracle_raw = args.oracle or options.get("oracle", "on")
     _require(oracle_raw in ("on", "off"), "--oracle takes 'on' or 'off'")
-    run_oracle = oracle_raw == "on"
+    oracle_on = oracle_raw == "on"
 
     algebroid = load_algebroid(doc)
     candidate = load_candidate(doc, algebroid)
     k = args.k or options.get("k")
     if k is None and candidate is not None and mode != "axioms":
-        k = candidate.k if isinstance(candidate, (IMForm, LinearMultivector)) \
-            else candidate[1].degree
+        k = candidate.degree if isinstance(candidate, DifferentialForm) else candidate.k
+
+    routes = _routes(mode, candidate, algebroid, k)
+    if not oracle_on:
+        # without the oracle only the direct conditions are checked
+        routes = dict(list(routes.items())[:1])
+    try:
+        outcome = run_oracle(algebroid, routes)
+    except OracleDisagreement as exc:
+        outcome = exc.outcome
+    oracle_ran = len(routes) > 1
 
     verdict_tags = ["AXIOM_ANCHOR", "AXIOM_JACOBI"]
     bag: dict = {}
-    axiom_report = check_axioms(algebroid)
-    _merge_report(bag, axiom_report)
-    oracle_block = None
-    defect = False
-
+    _merge_report(bag, outcome.axioms)
+    for name, report in outcome.reports.items():
+        verdict_tags += ROUTE_TAGS[name]
+        _merge_report(bag, report)
     if mode == "im-form":
-        _require(isinstance(candidate, IMForm), "mode im-form needs an im-form candidate")
-        _require(candidate.k == k, f"candidate k={candidate.k} but k={k} selected")
-        verdict_tags += ["IM1", "IM2", "IM3"]
-        im_report = check_im_form(candidate)
-        _merge_report(bag, im_report)
-        if run_oracle:
-            verdict_tags.append("MORPHISM")
-            form = linear_form(candidate.forms, total_chart_of(algebroid))
-            prol = tangent_prolongation(algebroid, k)
-            functional = form_frame_functional(form, algebroid, k, prol)
-            morph_report = check_morphism_to_line(prol, functional)
-            _merge_report(bag, morph_report)
-            route1 = im_report.passed
-            route2 = axiom_report.passed and morph_report.passed
-            oracle_block = {"im_conditions": route1, "morphism": route2,
-                            "agree": route1 == route2}
-            defect = route1 != route2
         samples = _load_samples(doc, args, algebroid.base_chart)
         if samples is not None and k == 2:
             verdict_tags += ["ISOTROPY", "LAGRANGIAN"]
             _merge_report(bag, check_lagrangian(dirac_candidate(candidate), samples))
-    elif mode == "multivector":
-        _require(isinstance(candidate, LinearMultivector),
-                 "mode multivector needs a multivector candidate")
-        _require(candidate.k == k, f"candidate k={candidate.k} but k={k} selected")
-        verdict_tags += ["R1", "R2", "R3"]
-        deriv_report = check_gerstenhaber_derivation(
-            algebroid, derivation_from_linear(candidate))
-        _merge_report(bag, deriv_report)
-        if run_oracle:
-            verdict_tags.append("MORPHISM")
-            prol = cotangent_prolongation(algebroid, k)
-            functional = multivector_frame_functional(candidate, algebroid, k, prol)
-            morph_report = check_morphism_to_line(prol, functional)
-            _merge_report(bag, morph_report)
-            route1 = deriv_report.passed
-            route2 = axiom_report.passed and morph_report.passed
-            oracle_block = {"derivation": route1, "morphism": route2,
-                            "agree": route1 == route2}
-            defect = route1 != route2
-    elif mode == "weil":
-        _require(isinstance(candidate, tuple) and candidate[0] == "weil",
-                 "mode weil needs a weil candidate")
-        _, form, tc = candidate
-        _require(form.degree == k, f"candidate k={form.degree} but k={k} selected")
-        try:
-            bundle_forms = decompose(form, tc)
-        except NotLinearError as exc:
-            raise InputError(str(exc)) from exc
-        verdict_tags += ["DH0", "DH1", "DH2"]
-        dh_report = horizontal_vanishing_report(
-            cochain_from_bundle_forms(algebroid, bundle_forms))
-        _merge_report(bag, dh_report)
-        if run_oracle:
-            verdict_tags += ["IM1", "IM2", "IM3", "MORPHISM"]
-            im_report = check_im_form(IMForm(algebroid, bundle_forms))
-            _merge_report(bag, im_report)
-            prol = tangent_prolongation(algebroid, k)
-            functional = form_frame_functional(form, algebroid, k, prol)
-            morph_report = check_morphism_to_line(prol, functional)
-            _merge_report(bag, morph_report)
-            routes = {"dh_vanishing": dh_report.passed,
-                      "im_conditions": im_report.passed,
-                      "morphism": axiom_report.passed and morph_report.passed}
-            oracle_block = dict(routes)
-            oracle_block["agree"] = len(set(routes.values())) == 1
-            defect = not oracle_block["agree"]
-    # mode "axioms" runs no candidate suite; a present candidate is ignored
 
     witnesses = [
         {"condition": cond, "witness": list(w), "residual": res}
@@ -307,12 +260,12 @@ def run_document(doc: dict, args) -> tuple:
     ]
     failed_tags = {w["condition"] for w in witnesses}
     verdicts = {tag: ("fail" if tag in failed_tags else "pass") for tag in verdict_tags}
-    if oracle_block is not None and "MORPHISM" in verdicts:
+    if "morphism" in outcome.verdicts:
         # "morphism" means morphism of Lie algebroids: on data that fails the
         # axioms the verdict is fail even when every frame residual vanishes
         # (the axiom witnesses then carry the explanation)
-        verdicts["MORPHISM"] = "pass" if oracle_block["morphism"] else "fail"
-    passed = all(v == "pass" for v in verdicts.values()) and not defect
+        verdicts["MORPHISM"] = "pass" if outcome.verdicts["morphism"] else "fail"
+    passed = all(v == "pass" for v in verdicts.values()) and outcome.agree
     report = {
         "mode": mode,
         "k": k,
@@ -320,9 +273,9 @@ def run_document(doc: dict, args) -> tuple:
         "witnesses": witnesses,
         "passed": passed,
     }
-    if oracle_block is not None:
-        report["oracle"] = oracle_block
-    if defect:
+    if oracle_ran:
+        report["oracle"] = dict(outcome.verdicts, agree=outcome.agree)
+    if not outcome.agree:
         return report, EXIT_DEFECT
     return report, EXIT_PASS if passed else EXIT_FAIL
 
@@ -370,7 +323,7 @@ def main(argv=None) -> int:
     except (ParseError, NotLinearError, AlgebroidError, ChartError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (OracleDisagreement, CrossCheckError) as exc:
+    except CrossCheckError as exc:
         print(f"internal defect: {exc}", file=sys.stderr)
         return EXIT_DEFECT
 

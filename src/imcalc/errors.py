@@ -28,5 +28,10 @@ class OracleDisagreement(RuntimeError):
     """The two sides of a theorem oracle returned different verdicts.
 
     The underlying equivalence is a proved theorem, so disagreement certifies
-    a bug in one of two independent code paths.
+    a bug in one of the independent code paths.  `outcome` holds the
+    reports and verdicts of the routes (an `algebroid.OracleOutcome`).
     """
+
+    def __init__(self, message: str, outcome=None):
+        super().__init__(message)
+        self.outcome = outcome

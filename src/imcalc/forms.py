@@ -42,12 +42,6 @@ def sort_indices(indices: Sequence[int]):
     return tuple(idx), sign
 
 
-def _merge_sorted(t1, t2):
-    """Merge two strictly increasing tuples; (merged, sign) or None on overlap."""
-    merged = t1 + t2
-    return sort_indices(merged)
-
-
 def _acc(table: dict, key, poly: Polynomial) -> None:
     if poly.is_zero():
         return
@@ -60,21 +54,26 @@ def _acc(table: dict, key, poly: Polynomial) -> None:
 
 
 class Alternating:
-    """Shared canonical storage for forms and multivectors."""
+    """Shared canonical storage for forms, multivectors and wedge sections.
+
+    Indices count chart coordinates here; `algebroid.Section` counts frame
+    sections instead and carries its algebroid.
+    """
 
     __slots__ = ("chart", "degree", "coeffs")
 
     def __init__(self, chart: Chart, degree: int, coeffs=None):
         if degree < 0:
             raise ValueError("degree must be non-negative")
+        bound = self._index_bound(chart)
         table = {}
         if coeffs:
             for idx, poly in coeffs.items():
                 idx = tuple(idx)
                 if len(idx) != degree:
                     raise ValueError(f"index tuple {idx} has wrong length for degree {degree}")
-                if any(i < 0 or i >= chart.dim for i in idx):
-                    raise ChartError(f"index tuple {idx} outside chart {chart.name!r}")
+                if any(i < 0 or i >= bound for i in idx):
+                    raise ChartError(f"index tuple {idx} out of range on chart {chart.name!r}")
                 if any(a >= b for a, b in zip(idx, idx[1:])):
                     raise ValueError(f"index tuple {idx} is not strictly increasing")
                 if poly.chart != chart:
@@ -88,6 +87,27 @@ class Alternating:
     def __setattr__(self, *_):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
+    def _index_bound(self, chart: Chart) -> int:
+        return chart.dim
+
+    def _index_names(self) -> tuple:
+        return self.chart.names
+
+    def _like(self, coeffs: dict, degree: int | None = None, kind=None,
+              chart: Chart | None = None):
+        """A value of this type (or `kind`) over this chart (or `chart`) and
+        degree (or `degree`) whose table `coeffs` is already canonical."""
+        kind = kind or type(self)
+        out = kind.__new__(kind)
+        object.__setattr__(out, "chart", self.chart if chart is None else chart)
+        object.__setattr__(out, "degree", self.degree if degree is None else degree)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
+    @classmethod
+    def zero(cls, chart: Chart, degree: int):
+        return cls(chart, degree)
+
     @classmethod
     def from_terms(cls, chart: Chart, degree: int, items: Iterable):
         """Build from (index_tuple, Polynomial) pairs in any index order."""
@@ -98,18 +118,7 @@ class Alternating:
                 continue
             key, sign = srt
             _acc(table, key, poly if sign == 1 else -poly)
-        out = cls.__new__(cls)
-        object.__setattr__(out, "chart", chart)
-        object.__setattr__(out, "degree", degree)
-        object.__setattr__(out, "coeffs", table)
-        return out
-
-    def _like(self, coeffs: dict):
-        out = type(self).__new__(type(self))
-        object.__setattr__(out, "chart", self.chart)
-        object.__setattr__(out, "degree", self.degree)
-        object.__setattr__(out, "coeffs", coeffs)
-        return out
+        return cls.zero(chart, degree)._like(table)
 
     def _check_mate(self, other):
         # forms combine with forms, multivectors with multivectors; a
@@ -146,6 +155,24 @@ class Alternating:
             _acc(table, k, p * factor)
         return self._like(table)
 
+    def wedge(self, other):
+        """Wedge product of two forms, two multivectors or two sections."""
+        a, b = self, other
+        if type(a) is VectorField:
+            a = Multivector(a.chart, 1, a.coeffs)
+        if type(b) is VectorField:
+            b = Multivector(b.chart, 1, b.coeffs)
+        a._check_mate(b)
+        table: dict = {}
+        for i1, p1 in a.coeffs.items():
+            for i2, p2 in b.coeffs.items():
+                merged = sort_indices(i1 + i2)
+                if merged is None:
+                    continue
+                key, sign = merged
+                _acc(table, key, p1 * p2 if sign == 1 else -(p1 * p2))
+        return a._like(table, a.degree + b.degree)
+
     def coeff(self, idx) -> Polynomial:
         srt = sort_indices(tuple(idx))
         if srt is None:
@@ -156,22 +183,29 @@ class Alternating:
             return Polynomial.zero(self.chart)
         return p if sign == 1 else -p
 
+    def scalar(self) -> Polynomial:
+        """The underlying Polynomial of a degree-0 value."""
+        if self.degree != 0:
+            raise ValueError("scalar() is only defined in degree 0")
+        return self.coeffs.get((), Polynomial.zero(self.chart))
+
     def is_zero(self) -> bool:
         return not self.coeffs
 
     def promote(self, new_chart: Chart):
         """Reinterpret on a larger chart (indices remapped by coordinate name)."""
         remap = [new_chart.index(c.name) for c in self.chart.coords]
-        out = type(self).__new__(type(self))
         table: dict = {}
         for idx, p in self.coeffs.items():
             key, sign = sort_indices(tuple(remap[i] for i in idx))
             q = p.promote(new_chart)
             _acc(table, key, q if sign == 1 else -q)
-        object.__setattr__(out, "chart", new_chart)
-        object.__setattr__(out, "degree", self.degree)
-        object.__setattr__(out, "coeffs", table)
-        return out
+        return self._like(table, chart=new_chart)
+
+    def label(self, idx) -> str:
+        """The wedge of the glyphs of a component index, e.g. dx1^dx2."""
+        names = self._index_names()
+        return "^".join(self._GLYPH.format(names[i]) for i in idx)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -188,10 +222,9 @@ class Alternating:
     def __str__(self):
         if not self.coeffs:
             return "0"
-        glyph = self._GLYPH
         pieces = []
         for idx in sorted(self.coeffs):
-            names = "^".join(glyph.format(self.chart.names[i]) for i in idx)
+            names = self.label(idx)
             pieces.append(f"({self.coeffs[idx]}) {names}" if names else f"({self.coeffs[idx]})")
         return " + ".join(pieces)
 
@@ -203,31 +236,12 @@ class DifferentialForm(Alternating):
     _GLYPH = "d{}"
 
     @classmethod
-    def zero(cls, chart: Chart, degree: int) -> "DifferentialForm":
-        return cls(chart, degree)
-
-    @classmethod
     def function(cls, poly: Polynomial) -> "DifferentialForm":
         return cls(poly.chart, 0, {(): poly})
-
-    def scalar(self) -> Polynomial:
-        """The underlying Polynomial of a degree-0 form."""
-        if self.degree != 0:
-            raise ValueError("scalar() is only defined in degree 0")
-        return self.coeffs.get((), Polynomial.zero(self.chart))
 
 
 class Multivector(Alternating):
     _GLYPH = "@{}"
-
-    @classmethod
-    def zero(cls, chart: Chart, degree: int) -> "Multivector":
-        return cls(chart, degree)
-
-    def scalar(self) -> Polynomial:
-        if self.degree != 0:
-            raise ValueError("scalar() is only defined in degree 0")
-        return self.coeffs.get((), Polynomial.zero(self.chart))
 
 
 class VectorField(Multivector):
@@ -263,33 +277,10 @@ def as_vector_field(mv: Multivector) -> VectorField:
     """View a degree-1 multivector as a VectorField."""
     if mv.degree != 1:
         raise ValueError("only degree-1 multivectors are vector fields")
-    out = VectorField.__new__(VectorField)
-    object.__setattr__(out, "chart", mv.chart)
-    object.__setattr__(out, "degree", 1)
-    object.__setattr__(out, "coeffs", dict(mv.coeffs))
-    return out
+    return mv._like(dict(mv.coeffs), kind=VectorField)
 
 
-def wedge(a, b):
-    """Wedge product of two forms or two multivectors on one chart."""
-    if type(a) is VectorField:
-        a = Multivector(a.chart, 1, a.coeffs)
-    if type(b) is VectorField:
-        b = Multivector(b.chart, 1, b.coeffs)
-    a._check_mate(b)
-    table: dict = {}
-    for i1, p1 in a.coeffs.items():
-        for i2, p2 in b.coeffs.items():
-            merged = _merge_sorted(i1, i2)
-            if merged is None:
-                continue
-            key, sign = merged
-            _acc(table, key, p1 * p2 if sign == 1 else -(p1 * p2))
-    out = type(a).__new__(type(a))
-    object.__setattr__(out, "chart", a.chart)
-    object.__setattr__(out, "degree", a.degree + b.degree)
-    object.__setattr__(out, "coeffs", table)
-    return out
+wedge = Alternating.wedge
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
@@ -301,16 +292,12 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
             dp = p.diff(name)
             if dp.is_zero():
                 continue
-            merged = _merge_sorted((j,), idx)
+            merged = sort_indices((j,) + idx)
             if merged is None:
                 continue
             key, sign = merged
             _acc(table, key, dp if sign == 1 else -dp)
-    out = DifferentialForm.__new__(DifferentialForm)
-    object.__setattr__(out, "chart", chart)
-    object.__setattr__(out, "degree", a.degree + 1)
-    object.__setattr__(out, "coeffs", table)
-    return out
+    return a._like(table, a.degree + 1)
 
 
 def _contract_table(components: dict, table: dict, degree: int) -> dict:
@@ -334,12 +321,7 @@ def contract(x: VectorField, a: DifferentialForm) -> DifferentialForm:
     if a.degree == 0:
         return DifferentialForm(a.chart, 0)
     comps = {i: p for (i,), p in x.coeffs.items()}
-    table = _contract_table(comps, a.coeffs, a.degree)
-    out = DifferentialForm.__new__(DifferentialForm)
-    object.__setattr__(out, "chart", a.chart)
-    object.__setattr__(out, "degree", a.degree - 1)
-    object.__setattr__(out, "coeffs", table)
-    return out
+    return a._like(_contract_table(comps, a.coeffs, a.degree), a.degree - 1)
 
 
 def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
@@ -351,12 +333,7 @@ def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
     if p.degree == 0:
         return Multivector(p.chart, 0)
     comps = {i: q for (i,), q in alpha.coeffs.items()}
-    table = _contract_table(comps, p.coeffs, p.degree)
-    out = Multivector.__new__(Multivector)
-    object.__setattr__(out, "chart", p.chart)
-    object.__setattr__(out, "degree", p.degree - 1)
-    object.__setattr__(out, "coeffs", table)
-    return out
+    return p._like(_contract_table(comps, p.coeffs, p.degree), p.degree - 1, Multivector)
 
 
 def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm,
@@ -369,14 +346,6 @@ def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm,
     for l in range(r, m + 1):
         a = contract(fields[l - 1], a)
     return a
-
-
-def evaluate_form(a: DifferentialForm, vectors: Sequence[VectorField]) -> Polynomial:
-    """Full contraction a(U_1, ..., U_k) as a Polynomial (i_{U_k}...i_{U_1} a)."""
-    if len(vectors) != a.degree:
-        raise ValueError("need exactly degree-many vectors")
-    result = iterated_contract(list(vectors), a)
-    return result.scalar()
 
 
 def evaluate_multivector(p: Multivector, covectors: Sequence[DifferentialForm]) -> Polynomial:
@@ -414,6 +383,20 @@ def det_of_components(vectors: Sequence[Mapping], idx, target: Chart) -> Polynom
     return total
 
 
+def contract_at_point(table: Alternating, fiber_point: Mapping, base: Chart, chart: Chart,
+                      vectors: Sequence[Mapping]) -> Polynomial:
+    """Contract a total-chart form or multivector, its coefficients evaluated
+    at `fiber_point` down to `base`, against vectors or covectors given as
+    maps from total-chart positions to components on `chart`."""
+    total = Polynomial.zero(chart)
+    for idx, poly in table.coeffs.items():
+        coeff = poly.partial_eval(fiber_point, base).promote(chart)
+        if coeff.is_zero():
+            continue
+        total = total + coeff * det_of_components(vectors, idx, chart)
+    return total
+
+
 def lie_derivative(x: VectorField, a):
     """Lie derivative along a vector field.
 
@@ -440,23 +423,11 @@ FrameBracket = Callable[[int, int], Iterable]  # (a, b) -> iterable of (c, Polyn
 CoeffAction = Callable[[int, Polynomial], Polynomial]  # (a, f) -> derivative of f
 
 
-def _wedge_left(index: int, table: dict) -> dict:
-    """e_index ^ table."""
+def _wedge_frame(head: tuple, table: dict, tail: tuple) -> dict:
+    """e_head ^ table ^ e_tail."""
     out: dict = {}
     for key, p in table.items():
-        merged = _merge_sorted((index,), key)
-        if merged is None:
-            continue
-        k2, sign = merged
-        _acc(out, k2, p if sign == 1 else -p)
-    return out
-
-
-def _wedge_right(table: dict, rest) -> dict:
-    """table ^ e_rest."""
-    out: dict = {}
-    for key, p in table.items():
-        merged = _merge_sorted(key, tuple(rest))
+        merged = sort_indices(head + key + tail)
         if merged is None:
             continue
         k2, sign = merged
@@ -502,8 +473,8 @@ def _bracket_pure(t_tuple, v_table: dict, q: int, fb: FrameBracket, act: CoeffAc
                     _acc(out, key, coeff if sign == 1 else -coeff)
         return out
     head, rest = t_tuple[0], t_tuple[1:]
-    part1 = _wedge_left(head, _bracket_pure(rest, v_table, q, fb, act))
-    part2 = _wedge_right(_bracket_pure((head,), v_table, q, fb, act), rest)
+    part1 = _wedge_frame((head,), _bracket_pure(rest, v_table, q, fb, act), ())
+    part2 = _wedge_frame((), _bracket_pure((head,), v_table, q, fb, act), rest)
     sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
     out = part1
     for key, poly in part2.items():
@@ -529,7 +500,7 @@ def graded_bracket(p_table: dict, p: int, q_table: dict, q: int,
         for s_tuple, g in q_table.items():
             for key, poly in _wedge_act(s_tuple, f, act).items():
                 _acc(q_on_f, key, g * poly)
-        for key, poly in _wedge_right(q_on_f, t_tuple).items():
+        for key, poly in _wedge_frame((), q_on_f, t_tuple).items():
             _acc(out, key, -poly if sign == 1 else poly)
     return out
 
@@ -554,9 +525,4 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
         return f.diff(names[a])
 
     table = graded_bracket(p.coeffs, p.degree, q.coeffs, q.degree, fb, act)
-    degree = max(p.degree + q.degree - 1, 0)
-    out = Multivector.__new__(Multivector)
-    object.__setattr__(out, "chart", chart)
-    object.__setattr__(out, "degree", degree)
-    object.__setattr__(out, "coeffs", table)
-    return out
+    return p._like(table, max(p.degree + q.degree - 1, 0), Multivector)

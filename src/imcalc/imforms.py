@@ -29,11 +29,13 @@ from .algebroid import (
     CheckReport,
     LieAlgebroid,
     Violation,
-    check_axioms,
+    axiom_gate,
     check_morphism_to_line,
+    component_violations,
+    run_oracle,
     tangent_prolongation,
 )
-from .errors import AlgebroidError, CrossCheckError, OracleDisagreement
+from .errors import AlgebroidError, CrossCheckError
 from .forms import (
     DifferentialForm,
     VectorField,
@@ -63,23 +65,6 @@ class IMForm:
     @property
     def k(self) -> int:
         return self.forms.k
-
-
-def _component_label(chart: Chart, idx) -> str:
-    return "^".join(f"d{chart.names[i]}" for i in idx) if idx else "1"
-
-
-def _form_violations(tag: str, witness, form: DifferentialForm, caveat=None):
-    for idx in sorted(form.coeffs):
-        yield Violation(tag, witness + (_component_label(form.chart, idx),),
-                        form.coeffs[idx], caveat)
-
-
-def axiom_gate(algebroid: LieAlgebroid):
-    """Axiom violations for unchecked algebroids; empty for validated ones."""
-    if algebroid.checked:
-        return ()
-    return check_axioms(algebroid).violations
 
 
 def _bracket_image(im: IMForm, maps: Sequence[DifferentialForm], a: int, b: int,
@@ -138,7 +123,7 @@ def check_im_form(im: IMForm) -> CheckReport:
         for b in range(a, r):
             res = im_residual_1(im, a, b)
             if not res.is_zero():
-                im1.extend(_form_violations(
+                im1.extend(component_violations(
                     "IM1", (A.frame_names[a], A.frame_names[b]), res))
     caveat = None
     if im1:
@@ -152,14 +137,14 @@ def check_im_form(im: IMForm) -> CheckReport:
             res = im_residual_2(im, a, b)
             if not res.is_zero():
                 im23_clean = False
-                violations.extend(_form_violations(
+                violations.extend(component_violations(
                     "IM2", (A.frame_names[a], A.frame_names[b]), res, caveat))
     for a in range(r):
         for b in range(a + 1, r):
             res = im_residual_3(im, a, b)
             if not res.is_zero():
                 im23_clean = False
-                violations.extend(_form_violations(
+                violations.extend(component_violations(
                     "IM3", (A.frame_names[a], A.frame_names[b]), res, caveat))
 
     if not violations and im23_clean:
@@ -250,32 +235,35 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
     return im
 
 
-def oracle_equivalence(im: IMForm, k: int,
-                       prolongation: LieAlgebroid | None = None) -> tuple:
-    """Both verdicts of the main equivalence: (IM conditions, morphism).
+def im_routes(im: IMForm, k: int, prolongation: LieAlgebroid | None = None) -> dict:
+    """The two routes of the main equivalence, for `run_oracle`.
 
     Route one is `check_im_form`; route two builds the linear form of the
     candidate, evaluates its fiberwise functional on the tangent prolongation
-    frame and checks the morphism condition there.  Both verdicts gate on the
-    algebroid axioms.  The theorem makes the booleans equal; inequality
-    raises OracleDisagreement (a defect in one of two independent paths).
+    frame and checks the morphism condition there.
     """
     if k != im.k:
         raise AlgebroidError(f"candidate has k={im.k}, oracle called with k={k}")
     A = im.algebroid
-    gate_ok = not axiom_gate(A)
-    im_report = check_im_form(im)
-    form = linear_form(im.forms, total_chart_of(A))
-    prol = prolongation if prolongation is not None else tangent_prolongation(A, k)
-    functional = form_frame_functional(form, A, k, prol)
-    morph_report = check_morphism_to_line(prol, functional)
-    route1 = im_report.passed
-    route2 = gate_ok and morph_report.passed
-    if route1 != route2:
-        raise OracleDisagreement(
-            f"IM verdict {route1} but morphism verdict {route2}: "
-            "one of two independent code paths is wrong")
-    return route1, route2
+
+    def morphism() -> CheckReport:
+        form = linear_form(im.forms, total_chart_of(A))
+        prol = prolongation if prolongation is not None else tangent_prolongation(A, k)
+        return check_morphism_to_line(prol, form_frame_functional(form, A, k, prol))
+
+    return {"im_conditions": lambda: check_im_form(im), "morphism": morphism}
+
+
+def oracle_equivalence(im: IMForm, k: int,
+                       prolongation: LieAlgebroid | None = None) -> tuple:
+    """Both verdicts of the main equivalence: (IM conditions, morphism).
+
+    The routes are those of `im_routes`, both gated on the algebroid axioms.
+    The theorem makes the booleans equal; inequality raises
+    OracleDisagreement (a defect in one of two independent paths).
+    """
+    verdicts = run_oracle(im.algebroid, im_routes(im, k, prolongation)).verdicts
+    return verdicts["im_conditions"], verdicts["morphism"]
 
 
 # ---------------------------------------------------------------------------
@@ -440,25 +428,3 @@ def graph_closure_residuals(candidate: DiracCandidate):
             for c in range(n):
                 residual = residual - candidate.vectors[c].scale(gamma.coeff((c,)))
             yield (a, b), as_vector_field(residual)
-
-
-def span_membership_at_points(candidate: DiracCandidate, pair_vec: VectorField,
-                              pair_cov: DifferentialForm, points) -> CheckReport:
-    """Exact linear-solve membership of a (vector, covector) pair in the
-    generator span at each sample point."""
-    A = candidate.algebroid
-    chart = A.base_chart
-    n = chart.dim
-    violations = []
-    for pt_no, point in enumerate(points):
-        rows = []
-        for a in range(candidate.rank):
-            rows.append([candidate.vectors[a].component(j).eval(point) for j in range(n)]
-                        + [candidate.covectors[a].coeff((j,)).eval(point) for j in range(n)])
-        target = ([pair_vec.component(j).eval(point) for j in range(n)]
-                  + [pair_cov.coeff((j,)).eval(point) for j in range(n)])
-        base_rank = _rational_rank(rows)
-        if _rational_rank(rows + [target]) != base_rank:
-            violations.append(Violation(
-                "SPAN", (f"point#{pt_no}",), Polynomial.const(chart, 1)))
-    return CheckReport.collect(violations)

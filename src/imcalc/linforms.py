@@ -40,7 +40,7 @@ from .forms import (
     DifferentialForm,
     VectorField,
     contract,
-    det_of_components,
+    contract_at_point,
     exterior_derivative,
     iterated_contract,
 )
@@ -368,25 +368,14 @@ def _cross_check_form_values(form, algebroid, k, tc, chart, values) -> None:
             for l in range(1, k + 1):
                 du = {fiber_pos[a]: 1} if l == n else {}
                 vectors.append(dotted_vector(l, du))
-            direct = _contract_at(form, fiber_zero, base, chart, vectors)
+            direct = contract_at_point(form, fiber_zero, base, chart, vectors)
             if direct != values[core_frame_name(frame, n)]:
                 raise CrossCheckError(
                     f"frame value mismatch on {core_frame_name(frame, n)}")
         point = dict(fiber_zero)
         point[tc.fiber_names[a]] = 1
         vectors = [dotted_vector(l, {}) for l in range(1, k + 1)]
-        direct = _contract_at(form, point, base, chart, vectors)
+        direct = contract_at_point(form, point, base, chart, vectors)
         if direct != values[linear_frame_name(frame)]:
             raise CrossCheckError(f"frame value mismatch on {linear_frame_name(frame)}")
 
-
-def _contract_at(form, fiber_point, base, chart, vectors) -> Polynomial:
-    """Contract a total-chart form, coefficients evaluated along the fibers,
-    against vectors given as maps from total-chart positions to components."""
-    total = Polynomial.zero(chart)
-    for idx, poly in form.coeffs.items():
-        coeff = poly.partial_eval(fiber_point, base).promote(chart)
-        if coeff.is_zero():
-            continue
-        total = total + coeff * det_of_components(vectors, idx, chart)
-    return total

@@ -22,17 +22,18 @@ from .algebroid import (
     FiberFunctional,
     LieAlgebroid,
     Section,
-    Violation,
+    axiom_gate,
     check_morphism_to_line,
+    component_violations,
     cotangent_prolongation,
     dual_copy_name,
     dual_core_frame_name,
     dual_linear_frame_name,
+    run_oracle,
     section_bracket,
 )
-from .errors import AlgebroidError, CrossCheckError, OracleDisagreement
-from .forms import Multivector, det_of_components
-from .imforms import axiom_gate
+from .errors import AlgebroidError, CrossCheckError
+from .forms import Multivector, contract_at_point, det_of_components
 from .linforms import TotalChart, total_chart_of
 from .poly import Chart, ChartError, Polynomial
 
@@ -192,7 +193,7 @@ class Derivation:
         """Extension to arbitrary wedge sections by the graded Leibniz rule."""
         A = self.algebroid
         out = Section.zero(A, w.degree + self.k - 1)
-        for idx, poly in w.comps.items():
+        for idx, poly in w.coeffs.items():
             pure = Section(A, len(idx), {idx: Polynomial.const(A.base_chart, 1)})
             out = out + self._apply_pure(idx).scale(poly)
             out = out + self.scalar_action(poly).wedge(pure)
@@ -234,11 +235,11 @@ def linear_from_derivation(d: Derivation) -> LinearMultivector:
     A = d.algebroid
     fiber = {}
     for a in range(A.rank):
-        for b_tuple, poly in d.frame_action(a).comps.items():
+        for b_tuple, poly in d.frame_action(a).coeffs.items():
             fiber[(b_tuple, a)] = -poly
     mixed = {}
     for j in range(A.base_chart.dim):
-        for b_tuple, poly in d.coord_action(j).comps.items():
+        for b_tuple, poly in d.coord_action(j).coeffs.items():
             mixed[(b_tuple, j)] = poly
     return LinearMultivector(A, d.k, fiber, mixed)
 
@@ -270,11 +271,6 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     k = d.k
     sign = -1 if (k - 1) % 2 else 1
 
-    def section_violations(tag, witness, res: Section):
-        for idx in sorted(res.comps):
-            label = "^".join(A.frame_names[i] for i in idx) if idx else "1"
-            yield Violation(tag, witness + (label,), res.comps[idx])
-
     for i in range(chart.dim):
         xi = Section.function(A, Polynomial.variable(chart, names[i]))
         for j in range(i + 1, chart.dim):
@@ -282,7 +278,7 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
             res = (section_bracket(d.coord_action(i), xj)
                    + section_bracket(xi, d.coord_action(j)).scale(sign))
             if not res.is_zero():
-                violations.extend(section_violations("R1", (names[i], names[j]), res))
+                violations.extend(component_violations("R1", (names[i], names[j]), res))
 
     for i in range(chart.dim):
         xi = Section.function(A, Polynomial.variable(chart, names[i]))
@@ -293,7 +289,7 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
             res = (lhs - section_bracket(d.coord_action(i), eb)
                    - section_bracket(xi, d.frame_action(b)).scale(sign))
             if not res.is_zero():
-                violations.extend(section_violations(
+                violations.extend(component_violations(
                     "R2", (names[i], A.frame_names[b]), res))
 
     for a in range(A.rank):
@@ -307,7 +303,7 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
             res = (lhs - section_bracket(d.frame_action(a), eb)
                    - section_bracket(ea, d.frame_action(b)))
             if not res.is_zero():
-                violations.extend(section_violations(
+                violations.extend(component_violations(
                     "R3", (A.frame_names[a], A.frame_names[b]), res))
     return CheckReport.collect(violations, notes)
 
@@ -321,7 +317,7 @@ def _dual_pairing(section: Section, xi_rows: Sequence[Sequence[Polynomial]],
     """Pair a wedge section against a list of dual-fiber coordinate rows:
     the determinant convention, sum over components of the section."""
     total = Polynomial.zero(chart)
-    for b_tuple, poly in section.comps.items():
+    for b_tuple, poly in section.coeffs.items():
         vectors = [{b: row[b] for b in b_tuple} for row in xi_rows]
         det = det_of_components(vectors, b_tuple, chart)
         total = total + poly.promote(chart) * det
@@ -386,20 +382,11 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
             comps[pos] = Polynomial.const(chart, value)
         return comps
 
-    def contract_at(fiber_point, covectors) -> Polynomial:
-        total = Polynomial.zero(chart)
-        for idx, poly in field.coeffs.items():
-            coeff = poly.partial_eval(fiber_point, base).promote(chart)
-            if coeff.is_zero():
-                continue
-            total = total + coeff * det_of_components(covectors, idx, chart)
-        return total
-
     for m in range(1, k + 1):
         for j, name in enumerate(base.names):
             covs = [dual_covector(n, {tc.chart.index(base.names[j]): 1} if n == m else {})
                     for n in range(1, k + 1)]
-            direct = contract_at(zeros, covs)
+            direct = contract_at_point(field, zeros, base, chart, covs)
             if direct != values[dual_core_frame_name(name, m)]:
                 raise CrossCheckError(
                     f"frame value mismatch on {dual_core_frame_name(name, m)}")
@@ -407,30 +394,34 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
         point = dict(zeros)
         point[tc.fiber_names[a]] = 1
         covs = [dual_covector(n, {}) for n in range(1, k + 1)]
-        direct = contract_at(point, covs)
+        direct = contract_at_point(field, point, base, chart, covs)
         if direct != values[dual_linear_frame_name(name)]:
             raise CrossCheckError(
                 f"frame value mismatch on {dual_linear_frame_name(name)}")
+
+
+def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
+                      prolongation: LieAlgebroid | None = None) -> dict:
+    """The two routes of the dual equivalence, for `run_oracle`.
+
+    Route one checks the reduced generator conditions of the derivation;
+    route two checks the morphism condition of the induced functional on the
+    cotangent prolongation.
+    """
+    def morphism() -> CheckReport:
+        prol = prolongation if prolongation is not None else cotangent_prolongation(algebroid, k)
+        return check_morphism_to_line(prol, multivector_frame_functional(p, algebroid, k, prol))
+
+    return {"derivation": lambda: check_gerstenhaber_derivation(algebroid, derivation_from_linear(p)),
+            "morphism": morphism}
 
 
 def oracle_equivalence_dual(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
                             prolongation: LieAlgebroid | None = None) -> tuple:
     """Both verdicts of the dual equivalence: (bracket derivation, morphism).
 
-    Route one checks the reduced generator conditions of the derivation;
-    route two checks the morphism condition of the induced functional on the
-    cotangent prolongation.  Verdicts gate on the algebroid axioms and must
-    agree; disagreement raises OracleDisagreement.
+    The routes are those of `derivation_routes`, both gated on the algebroid
+    axioms; they must agree, and disagreement raises OracleDisagreement.
     """
-    A = algebroid
-    gate_ok = not axiom_gate(A)
-    d = derivation_from_linear(p)
-    route1 = check_gerstenhaber_derivation(A, d).passed
-    prol = prolongation if prolongation is not None else cotangent_prolongation(A, k)
-    functional = multivector_frame_functional(p, A, k, prol)
-    route2 = gate_ok and check_morphism_to_line(prol, functional).passed
-    if route1 != route2:
-        raise OracleDisagreement(
-            f"derivation verdict {route1} but morphism verdict {route2}: "
-            "one of two independent code paths is wrong")
-    return route1, route2
+    verdicts = run_oracle(algebroid, derivation_routes(p, algebroid, k, prolongation)).verdicts
+    return verdicts["derivation"], verdicts["morphism"]

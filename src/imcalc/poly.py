@@ -88,9 +88,6 @@ class Chart:
         except KeyError:
             raise ChartError(f"unknown coordinate {name!r} on chart {self.name!r}") from None
 
-    def base_indices(self) -> tuple:
-        return tuple(i for i, c in enumerate(self.coords) if c.role == ROLE_BASE)
-
 
 def base_chart(name: str, coord_names: Iterable[str]) -> Chart:
     """Chart consisting of base coordinates only."""
@@ -238,15 +235,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def total_degree(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=-1)
-
-    def degree_in(self, indices: Iterable[int]) -> int:
-        """Max combined degree in the given coordinate positions (-1 if zero)."""
-        idx = tuple(indices)
-        return max((sum(e[i] for i in idx) for e in self.terms), default=-1)
 
     # -- calculus ----------------------------------------------------------
 

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .algebroid import CheckReport, LieAlgebroid, Violation
+from .algebroid import CheckReport, LieAlgebroid, axiom_gate, component_violations, run_oracle
 from .errors import AlgebroidError
 from .forms import DifferentialForm, contract, exterior_derivative, lie_derivative, wedge
-from .imforms import axiom_gate
+from .imforms import IMForm, check_im_form
 from .linforms import BundleForms, decompose, total_chart_of
 from .poly import ChartError, Polynomial
 
@@ -63,24 +63,10 @@ class WeilCochain1:
         df = exterior_derivative(DifferentialForm.function(f))
         return self.value0(a).scale(f) - wedge(df, self.value1(a))
 
-    def __add__(self, other: "WeilCochain1") -> "WeilCochain1":
-        if self.algebroid != other.algebroid or self.k != other.k:
-            raise AlgebroidError("cochain mismatch in sum")
-        return WeilCochain1(
-            self.algebroid, self.k,
-            {n: self.comp0[n] + other.comp0[n] for n in self.comp0},
-            {n: self.comp1[n] + other.comp1[n] for n in self.comp1})
-
     def __neg__(self) -> "WeilCochain1":
         return WeilCochain1(self.algebroid, self.k,
                             {n: -f for n, f in self.comp0.items()},
                             {n: -f for n, f in self.comp1.items()})
-
-    def __eq__(self, other):
-        if not isinstance(other, WeilCochain1):
-            return NotImplemented
-        return (self.algebroid == other.algebroid and self.k == other.k
-                and self.comp0 == other.comp0 and self.comp1 == other.comp1)
 
     def is_zero(self) -> bool:
         return (all(f.is_zero() for f in self.comp0.values())
@@ -197,13 +183,6 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     return WeilCochain2Parts(A, w.k, comp0, comp1, comp2)
 
 
-def _form_violations(tag, witness, form):
-    chart = form.chart
-    for idx in sorted(form.coeffs):
-        label = "^".join(f"d{chart.names[i]}" for i in idx) if idx else "1"
-        yield Violation(tag, witness + (label,), form.coeffs[idx])
-
-
 def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
     """Does the horizontal differential vanish as a degree-(2,k) cochain?
 
@@ -223,10 +202,10 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
     names = A.frame_names
     for (a, b), form in sorted(dh.comp0.items()):
         if not form.is_zero():
-            violations.extend(_form_violations("DH0", (names[a], names[b]), form))
+            violations.extend(component_violations("DH0", (names[a], names[b]), form))
     for (a, b), form in sorted(dh.comp1.items()):
         if not form.is_zero():
-            violations.extend(_form_violations("DH1", (names[a], names[b]), form))
+            violations.extend(component_violations("DH1", (names[a], names[b]), form))
     for a in range(A.rank):
         for b in range(a, A.rank):
             if a == b:
@@ -234,7 +213,7 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
             else:
                 res = -(contract(rho[a], w.value1(b)) + contract(rho[b], w.value1(a)))
             if not res.is_zero():
-                violations.extend(_form_violations("DH2", (names[a], names[b]), res))
+                violations.extend(component_violations("DH2", (names[a], names[b]), res))
     return CheckReport.collect(violations, notes)
 
 
@@ -245,11 +224,10 @@ def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -
     vertical differential of the form's pure-pairing part, unconditionally;
     (b) the IM verdict of the decomposition agrees with vanishing of the
     horizontal differential of the image.  Since (b) compares two
-    independently computed booleans whose equality is a theorem, a mismatch
-    is reported as an AGREEMENT violation (and is always a library defect).
+    independently computed booleans whose equality is a theorem, `run_oracle`
+    raises OracleDisagreement on a mismatch (always a library defect); the
+    report carries the violations of (a).
     """
-    from .imforms import IMForm, check_im_form  # local import to avoid a cycle
-
     A = algebroid
     tc = total_chart_of(A)
     bf = decompose(form, tc)
@@ -260,13 +238,11 @@ def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -
     for a, name in enumerate(A.frame_names):
         diff0 = lhs.value0(a) - rhs.value0(a)
         diff1 = lhs.value1(a) - rhs.value1(a)
-        violations.extend(_form_violations("PSI_D0", (name,), diff0))
-        violations.extend(_form_violations("PSI_D1", (name,), diff1))
+        violations.extend(component_violations("PSI_D0", (name,), diff0))
+        violations.extend(component_violations("PSI_D1", (name,), diff1))
 
-    im_passed = check_im_form(IMForm(A, bf)).passed
-    dh_vanishes = horizontal_vanishing_report(cochain_from_bundle_forms(A, bf)).passed
-    if im_passed != dh_vanishes:
-        violations.append(Violation(
-            "AGREEMENT", (f"im={im_passed}", f"dh={dh_vanishes}"),
-            Polynomial.const(A.base_chart, 1)))
+    run_oracle(A, {
+        "im_conditions": lambda: check_im_form(IMForm(A, bf)),
+        "dh_vanishing": lambda: horizontal_vanishing_report(cochain_from_bundle_forms(A, bf)),
+    })
     return CheckReport.collect(violations)

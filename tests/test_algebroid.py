@@ -225,13 +225,13 @@ def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
     v = Section.from_components(algebroid, v_coeffs)
     w = bracket_sections(algebroid, u, v)
     value_w = Polynomial.zero(chart)
-    for (c,), coeff in w.comps.items():
+    for (c,), coeff in w.coeffs.items():
         value_w = value_w + coeff * functional.value(c)
     value_u = Polynomial.zero(chart)
-    for (c,), coeff in u.comps.items():
+    for (c,), coeff in u.coeffs.items():
         value_u = value_u + coeff * functional.value(c)
     value_v = Polynomial.zero(chart)
-    for (c,), coeff in v.comps.items():
+    for (c,), coeff in v.coeffs.items():
         value_v = value_v + coeff * functional.value(c)
     rho_u = anchor_apply(algebroid, u)
     rho_v = anchor_apply(algebroid, v)

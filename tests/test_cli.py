@@ -149,6 +149,37 @@ def test_unreadable_and_malformed_json(tmp_path):
     assert code == 2
 
 
+def _set(path, value):
+    def mutate(doc):
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return mutate
+
+
+WRONG_TYPES = {
+    "anchor": ("so3_axioms.json", _set(["anchor"], 5)),
+    "structure": ("so3_axioms.json", _set(["structure"], 5)),
+    "form_terms": ("so3_poisson_im2.json", _set(["candidate", "mu", 0, "terms"], 3)),
+    "fiber_indices": ("so3_coboundary_mv2.json", _set(["candidate", "fiber", 0, 0], 1)),
+    "samples": ("so3_poisson_im2.json", _set(["options", "samples"], 3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_typed_fields_are_input_errors(tmp_path, case):
+    source, mutate = WRONG_TYPES[case]
+    doc = json.loads((CORPUS / source).read_text())
+    mutate(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(["--input", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_samples_enable_rank_checks(tmp_path):
     doc = json.loads((CORPUS / "so3_poisson_im2.json").read_text())
     doc["options"]["samples"] = [["1", "0", "0"], ["1/2", "-1", "2"]]

@@ -324,7 +324,7 @@ def test_pairing_identities(rng):
         def pair_with_wedge(section, xi_list):
             # <section, xi^1 ^ ... ^ xi^l> via the determinant convention
             total = Polynomial.zero(chart)
-            for b_tuple, poly in section.comps.items():
+            for b_tuple, poly in section.coeffs.items():
                 rows = [{b: xi[b] for b in b_tuple} for xi in xi_list]
                 total = total + poly * det_of_components(rows, b_tuple, chart)
             return total

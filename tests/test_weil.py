@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_poly
-from imcalc.errors import AlgebroidError
+import imcalc.weil
+from imcalc.algebroid import CheckReport, Violation
+from imcalc.errors import AlgebroidError, OracleDisagreement
 from imcalc.fixtures import (
     broken_poisson_im_form,
     poisson_im_form,
@@ -146,6 +148,19 @@ def test_correspondence_fixture_reports():
     tcb = total_chart_of(bad.algebroid)
     # both routes fail on the broken fixture, so the agreement still holds
     assert check_weil_correspondence(linear_form(bad.forms, tcb), bad.algebroid).passed
+
+
+def test_correspondence_raises_when_routes_disagree(monkeypatch):
+    """With a horizontal differential that never vanishes, the DH route fails
+    where the IM route passes; the correspondence raises rather than
+    reporting the disagreement."""
+    good = poisson_im_form()
+    A = good.algebroid
+    failing = CheckReport.collect([Violation(
+        "DH2", A.frame_names[:2], Polynomial.const(A.base_chart, 1))])
+    monkeypatch.setattr(imcalc.weil, "horizontal_vanishing_report", lambda w: failing)
+    with pytest.raises(OracleDisagreement):
+        check_weil_correspondence(linear_form(good.forms, total_chart_of(A)), A)
 
 
 def test_triple_agreement_random(rng):
