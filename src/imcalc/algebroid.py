@@ -159,10 +159,8 @@ class LieAlgebroid:
 
     def anchor_derivation(self, a: int, f: Polynomial) -> Polynomial:
         """Directional derivative of a scalar along the anchor of frame a."""
-        out = Polynomial.zero(self.base_chart)
-        for name, comp in self._anchor_sparse[a]:
-            out = out + comp * f.diff(name)
-        return out
+        return Polynomial.sum_of_products(
+            self.base_chart, ((comp, f.diff(name)) for name, comp in self._anchor_sparse[a]))
 
     def __repr__(self):
         return (f"LieAlgebroid(rank {self.rank} over {self.base_chart.name!r}, "

@@ -4,12 +4,21 @@ A chart is an ordered list of named coordinates; a polynomial on a chart is a
 dictionary mapping dense exponent tuples (one non-negative integer per chart
 coordinate) to nonzero rational coefficients:
 
-    x1^2*x2 - 1/2  on chart (x1, x2)  ->  {(2, 1): Fraction(1), (0, 0): Fraction(-1, 2)}
+    x1^2*x2 - 1/2  on chart (x1, x2)  ->  {(2, 1): 1, (0, 0): Fraction(-1, 2)}
 
-Coefficients are `fractions.Fraction`, never floats: every identity check in
-this library reduces to "this polynomial is identically zero", which the
-canonical term map certifies exactly.  The zero polynomial is the empty map,
-and two polynomials are equal iff chart and term maps are equal.
+Coefficients are exact rationals, never floats, stored canonically: an `int`
+exactly when the value is integral, a `fractions.Fraction` with denominator
+above 1 otherwise.  Integer arithmetic is several times cheaper than
+`Fraction` arithmetic, and `int` and `Fraction` values compare and hash
+alike, so the choice never shows in equality, hashing or printing; `eval`
+returns a `Fraction` either way.  Every identity check in this library
+reduces to "this polynomial is identically zero", which the canonical term
+map certifies exactly.  The zero polynomial is the empty map, and two
+polynomials are equal iff chart and term maps are equal.
+
+Sums are collected in place in one term map (`_accumulate`): `+`, `*` and
+`Polynomial.sum_of_products` all feed it, so a sum of n products copies no
+intermediate term map.
 
 Charts carry a role per coordinate (base / fiber / tangent copy / dual copy)
 so that total spaces of bundles and direct-sum prolongation charts can do
@@ -20,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 Rational = Fraction
@@ -94,13 +104,50 @@ def base_chart(name: str, coord_names: Iterable[str]) -> Chart:
     return Chart(name, tuple(Coord(n) for n in coord_names))
 
 
+def _same(a: Chart, b: Chart) -> bool:
+    return a is b or a == b
+
+
+def _coeff(value):
+    """Canonical coefficient: an int when integral, otherwise a Fraction."""
+    if type(value) is int:
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _accumulate(terms: dict, items) -> None:
+    """Add (exponents, nonzero coefficient) pairs into a term map, in place.
+
+    Stored coefficients stay canonical: a Fraction sum whose denominator
+    cancels is stored as its numerator, and a sum that cancels is removed.
+    """
+    get = terms.get
+    for e, c in items:
+        s = get(e, 0) + c
+        if type(s) is not int and s.denominator == 1:
+            s = s.numerator
+        if s:
+            terms[e] = s
+        else:
+            del terms[e]
+
+
+def _products(left: dict, right: dict):
+    """The term pairs of a product of two term maps, not yet collected."""
+    for e1, c1 in left.items():
+        for e2, c2 in right.items():
+            yield tuple(map(add, e1, e2)), c1 * c2
+
+
 class Polynomial:
     """Immutable exact polynomial on a fixed chart.
 
     Supports +, -, *, ** with other polynomials on the same chart and with
     plain ints / Fractions.  `diff`, `eval`, `partial_eval`, `promote` and
     `substitute` cover the calculus and chart-morphism needs of the form and
-    algebroid layers.
+    algebroid layers; `sum_of_products` collects a sum of products in one
+    term map.
     """
 
     __slots__ = ("chart", "terms")
@@ -110,8 +157,8 @@ class Polynomial:
         if terms:
             width = chart.dim
             for exps, coeff in terms.items():
-                coeff = Fraction(coeff)
-                if coeff == 0:
+                coeff = _coeff(coeff)
+                if not coeff:
                     continue
                 exps = tuple(exps)
                 if len(exps) != width or any(e < 0 for e in exps):
@@ -119,8 +166,8 @@ class Polynomial:
                         f"exponent vector {exps} does not fit chart {chart.name!r} (dim {width})"
                     )
                 clean[exps] = coeff
-        object.__setattr__(self, "chart", chart)
-        object.__setattr__(self, "terms", clean)
+        _set_chart(self, chart)
+        _set_terms(self, clean)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
@@ -133,23 +180,35 @@ class Polynomial:
 
     @classmethod
     def const(cls, chart: Chart, value) -> "Polynomial":
-        value = Fraction(value)
-        if value == 0:
+        value = _coeff(value)
+        if not value:
             return cls(chart)
-        return cls(chart, {(0,) * chart.dim: value})
+        return _make(chart, {(0,) * chart.dim: value})
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "Polynomial":
         i = chart.index(name)
         exps = [0] * chart.dim
         exps[i] = 1
-        return cls(chart, {tuple(exps): Fraction(1)})
+        return _make(chart, {tuple(exps): 1})
+
+    @classmethod
+    def sum_of_products(cls, chart: Chart, pairs: Iterable) -> "Polynomial":
+        """The sum of p * q over the (p, q) pairs, all polynomials on `chart`."""
+        terms: dict = {}
+        for p, q in pairs:
+            if not (_same(p.chart, chart) and _same(q.chart, chart)):
+                raise ChartError(
+                    f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
+                )
+            _accumulate(terms, _products(p.terms, q.terms))
+        return _make(chart, terms)
 
     # -- ring structure ----------------------------------------------------
 
     def _coerce(self, other) -> "Polynomial":
         if isinstance(other, Polynomial):
-            if other.chart != self.chart:
+            if not _same(other.chart, self.chart):
                 raise ChartError(
                     f"chart mismatch: {self.chart.name!r} vs {other.chart.name!r}"
                 )
@@ -159,24 +218,13 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         terms = dict(self.terms)
-        for e, c in other.terms.items():
-            s = terms.get(e, Fraction(0)) + c
-            if s == 0:
-                terms.pop(e, None)
-            else:
-                terms[e] = s
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "chart", self.chart)
-        object.__setattr__(out, "terms", terms)
-        return out
+        _accumulate(terms, other.terms.items())
+        return _make(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "chart", self.chart)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
-        return out
+        return _make(self.chart, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -186,28 +234,16 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
-            if c == 0:
+            c = _coeff(other)
+            if not c:
                 return Polynomial(self.chart)
-            terms = {e: v * c for e, v in self.terms.items()}
-            out = Polynomial.__new__(Polynomial)
-            object.__setattr__(out, "chart", self.chart)
-            object.__setattr__(out, "terms", terms)
-            return out
+            terms = {}
+            _accumulate(terms, ((e, v * c) for e, v in self.terms.items()))
+            return _make(self.chart, terms)
         other = self._coerce(other)
         terms: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        out = Polynomial.__new__(Polynomial)
-        object.__setattr__(out, "chart", self.chart)
-        object.__setattr__(out, "terms", terms)
-        return out
+        _accumulate(terms, _products(self.terms, other.terms))
+        return _make(self.chart, terms)
 
     __rmul__ = __mul__
 
@@ -244,26 +280,28 @@ class Polynomial:
         terms: dict = {}
         for e, c in self.terms.items():
             k = e[i]
-            if k == 0:
-                continue
-            e2 = e[:i] + (k - 1,) + e[i + 1:]
-            terms[e2] = terms.get(e2, Fraction(0)) + c * k
-        return Polynomial(self.chart, terms)
+            if k:
+                # distinct terms stay distinct, so nothing collects or cancels
+                c = c * k
+                if type(c) is not int and c.denominator == 1:
+                    c = c.numerator
+                terms[e[:i] + (k - 1,) + e[i + 1:]] = c
+        return _make(self.chart, terms)
 
     def eval(self, point: Mapping) -> Fraction:
         """Exact evaluation; `point` must assign a rational to every coordinate."""
         missing = [n for n in self.chart.names if n not in point]
         if missing:
             raise ChartError(f"point is missing coordinates {missing}")
-        values = [Fraction(point[n]) for n in self.chart.names]
-        total = Fraction(0)
+        values = [_coeff(point[n]) for n in self.chart.names]
+        total = 0
         for e, c in self.terms.items():
             term = c
             for v, k in zip(values, e):
                 if k:
                     term *= v ** k
             total += term
-        return total
+        return Fraction(total)
 
     def partial_eval(self, assign: Mapping, new_chart: Chart) -> "Polynomial":
         """Evaluate some coordinates at rationals and re-express on `new_chart`.
@@ -275,26 +313,25 @@ class Polynomial:
         fixed = {}
         for i, c in enumerate(self.chart.coords):
             if c.name in assign:
-                fixed[i] = Fraction(assign[c.name])
+                fixed[i] = _coeff(assign[c.name])
             else:
                 pos[i] = new_chart.index(c.name)
+
+        def images():
+            for e, coeff in self.terms.items():
+                for i, v in fixed.items():
+                    if e[i]:
+                        coeff = coeff * v ** e[i]
+                if not coeff:
+                    continue
+                e2 = [0] * new_chart.dim
+                for i, j in pos.items():
+                    e2[j] = e[i]
+                yield tuple(e2), coeff
+
         terms: dict = {}
-        for e, coeff in self.terms.items():
-            for i, v in fixed.items():
-                if e[i]:
-                    coeff = coeff * v ** e[i]
-            if coeff == 0:
-                continue
-            e2 = [0] * new_chart.dim
-            for i, j in pos.items():
-                e2[j] = e[i]
-            key = tuple(e2)
-            s = terms.get(key, Fraction(0)) + coeff
-            if s == 0:
-                terms.pop(key, None)
-            else:
-                terms[key] = s
-        return Polynomial(new_chart, terms)
+        _accumulate(terms, images())
+        return _make(new_chart, terms)
 
     def promote(self, new_chart: Chart) -> "Polynomial":
         """Reinterpret on a larger chart containing all of this chart's names."""
@@ -334,6 +371,18 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.chart.name!r}, {format_polynomial(self)!r})"
+
+
+_set_chart = Polynomial.chart.__set__
+_set_terms = Polynomial.terms.__set__
+
+
+def _make(chart: Chart, terms: dict) -> Polynomial:
+    """A Polynomial over a term map that is already canonical, not copied."""
+    out = object.__new__(Polynomial)
+    _set_chart(out, chart)
+    _set_terms(out, terms)
+    return out
 
 
 def _format_monomial(chart: Chart, exps: Exponents) -> str:

@@ -63,6 +63,24 @@ def test_diff_unknown_coordinate():
         parse("x1", CH2).diff("zz")
 
 
+def test_integral_coefficients_are_ints():
+    p = parse("1/3*x1 + 2/3*x1 + 1/2*x2", CH2)
+    assert p.terms == {(1, 0): 1, (0, 1): Fraction(1, 2)}
+    assert type(p.terms[(1, 0)]) is int
+    assert type((p * 2).terms[(0, 1)]) is int
+    assert type(Polynomial(CH2, {(0, 0): Fraction(4, 2)}).terms[(0, 0)]) is int
+    assert type(p.eval({"x1": 1, "x2": 2})) is Fraction
+
+
+def test_sum_of_products_checks_charts():
+    p = parse("x1 + x2", CH2)
+    q = parse("x3", CH3)
+    with pytest.raises(ChartError):
+        Polynomial.sum_of_products(CH2, [(p, p), (q, q)])
+    with pytest.raises(ChartError):
+        Polynomial.sum_of_products(CH3, [(p, p)])
+
+
 def test_eval_examples():
     assert parse("x1^2*x2", CH2).eval({"x1": 2, "x2": 3}) == 12
     assert Polynomial.zero(CH2).eval({"x1": 7, "x2": -1}) == 0

@@ -77,10 +77,13 @@ def sympy_terms(expr, symbols) -> dict:
 
 
 def assert_matches(p: Polynomial, expr, symbols=None) -> None:
-    """`p` has exactly the terms of the sympy expression `expr`."""
+    """`p` has exactly the terms of the sympy expression `expr`, and every
+    stored coefficient is an int exactly when it is integral."""
     if symbols is None:
         symbols = SYMBOLS[p.chart.dim]
     assert p.terms == sympy_terms(expr, symbols)
+    for c in p.terms.values():
+        assert type(c) is int or (type(c) is Fraction and c.denominator != 1), repr(c)
 
 
 @SETTINGS
@@ -180,3 +183,13 @@ def test_format_parse_roundtrip(p):
     text = format_polynomial(p)
     assert parse(text, p.chart) == p
     assert_matches(parse(text, p.chart), sympy.sympify(text.replace("^", "**")))
+
+
+@SETTINGS
+@given(polys(4))
+def test_sum_of_products(ps):
+    a, b, c, d = ps
+    out = Polynomial.sum_of_products(a.chart, [(a, b), (c, d)])
+    assert_matches(out, to_sympy(a) * to_sympy(b) + to_sympy(c) * to_sympy(d))
+    assert Polynomial.sum_of_products(a.chart, [(a, b), (-a, b)]).is_zero()
+    assert Polynomial.sum_of_products(a.chart, []).is_zero()
