@@ -49,6 +49,13 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
+def _degree(value, field: str) -> int:
+    """A degree k read from the document: an int >= 1, and not a bool."""
+    _require(type(value) is int and value >= 1,
+             f"{field} must be an integer >= 1, got {value!r}")
+    return value
+
+
 def _parse_expr(text, chart: Chart) -> Polynomial:
     _require(isinstance(text, str), f"expected an expression string, got {text!r}")
     try:
@@ -139,8 +146,7 @@ def load_candidate(doc: dict, algebroid: LieAlgebroid):
     _require(isinstance(candidate, dict) and "type" in candidate,
              "'candidate' must be an object with a 'type'")
     kind = candidate["type"]
-    k = candidate.get("k")
-    _require(isinstance(k, int) and k >= 1, "candidate needs an integer k >= 1")
+    k = _degree(candidate.get("k"), "candidate.k")
     chart = algebroid.base_chart
     if kind == "im-form":
         mu_docs = candidate.get("mu")
@@ -218,19 +224,25 @@ def _routes(mode: str, candidate, algebroid: LieAlgebroid, k) -> dict:
 def run_document(doc: dict, args) -> tuple:
     """Returns (report_dict, exit_code)."""
     _require(isinstance(doc, dict), "input must be a JSON object")
-    options = doc.get("options") or {}
+    options = doc.get("options", {})
     _require(isinstance(options, dict), "'options' must be an object")
-    mode = args.mode or options.get("mode") or "axioms"
-    _require(mode in MODES, f"unknown mode {mode!r}")
+    # only an absent mode defaults; a present one must name a suite
+    mode = args.mode if args.mode is not None else options.get("mode", "axioms")
+    _require(mode in MODES, f"unknown mode {mode!r}; options.mode is one of {', '.join(MODES)}")
     oracle_raw = args.oracle or options.get("oracle", "on")
     _require(oracle_raw in ("on", "off"), "--oracle takes 'on' or 'off'")
     oracle_on = oracle_raw == "on"
 
     algebroid = load_algebroid(doc)
     candidate = load_candidate(doc, algebroid)
-    k = args.k or options.get("k")
-    if k is None and candidate is not None and mode != "axioms":
+    if args.k is not None:
+        k = _degree(args.k, "--k")
+    elif "k" in options:
+        k = _degree(options["k"], "options.k")
+    elif candidate is not None and mode != "axioms":
         k = candidate.degree if isinstance(candidate, DifferentialForm) else candidate.k
+    else:
+        k = None
 
     routes = _routes(mode, candidate, algebroid, k)
     if not oracle_on:

@@ -180,6 +180,50 @@ def test_wrong_typed_fields_are_input_errors(tmp_path, case):
     assert err.startswith("error: ")
 
 
+def _run_mutated(tmp_path, source, mutate, *flags):
+    doc = json.loads((CORPUS / source).read_text())
+    mutate(doc)
+    bad = tmp_path / "doc.json"
+    bad.write_text(json.dumps(doc))
+    return run_cli(["--input", str(bad), *flags])
+
+
+@pytest.mark.parametrize("mode", ["", [], 0], ids=["empty_string", "empty_list", "zero"])
+def test_present_mode_must_name_a_suite(tmp_path, mode):
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json",
+                                  _set(["options", "mode"], mode))
+    assert code == 2
+    assert out == ""
+    assert "options.mode" in err
+
+
+def test_absent_mode_defaults_to_axioms(tmp_path):
+    code, out, _ = _run_mutated(tmp_path, "so3_poisson_im2.json",
+                                lambda doc: doc["options"].pop("mode"))
+    assert code == 0
+    assert json.loads(out)["mode"] == "axioms"
+
+
+BAD_DEGREES = {
+    "options_k_string": (["options", "k"], "2", (), "options.k"),
+    "options_k_bool": (["options", "k"], True, (), "options.k"),
+    "options_k_zero": (["options", "k"], 0, (), "options.k"),
+    "candidate_k_bool": (["candidate", "k"], True, (), "candidate.k"),
+    "candidate_k_string": (["candidate", "k"], "2", (), "candidate.k"),
+    "flag_k_zero": (["options", "k"], 2, ("--k", "0"), "--k"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_DEGREES))
+def test_degree_must_be_a_positive_int(tmp_path, case):
+    path, value, flags, field = BAD_DEGREES[case]
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", _set(path, value), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert field in err
+
+
 def test_samples_enable_rank_checks(tmp_path):
     doc = json.loads((CORPUS / "so3_poisson_im2.json").read_text())
     doc["options"]["samples"] = [["1", "0", "0"], ["1/2", "-1", "2"]]
