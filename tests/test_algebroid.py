@@ -19,8 +19,10 @@ from imcalc.algebroid import (
 )
 from imcalc.errors import AlgebroidError, AxiomError
 from imcalc.fixtures import (
+    bivector,
     broken_jacobi_algebroid,
     broken_koszul_algebroid,
+    koszul_algebroid,
     koszul_so3_algebroid,
     so3_algebroid,
     tangent_algebroid,
@@ -182,6 +184,35 @@ def test_prolongation_closure_random(rng):
         k = rng.choice([1, 2, 3])
         assert check_axioms(tangent_prolongation(algebroid, k)).passed
         assert check_axioms(cotangent_prolongation(algebroid, k)).passed
+
+
+def _log_canonical(n: int) -> LieAlgebroid:
+    """Koszul algebroid of {x_i, x_j} = c_ij x_i x_j, Poisson for every c."""
+    chart = base_chart("M", [f"x{i + 1}" for i in range(n)])
+    weights = {(0, 1): "3", (0, 2): "-1/2", (1, 2): "2"}
+    return koszul_algebroid(bivector(chart, {
+        (i, j): f"{weights[(i, j)]}*x{i + 1}*x{j + 1}"
+        for i in range(n) for j in range(i + 1, n)}))
+
+
+CLOSURE_BASES = {
+    "so3": so3_algebroid,
+    "tangent": tangent_algebroid,
+    "koszul_so3": koszul_so3_algebroid,
+    "log_canonical_2": lambda: _log_canonical(2),
+    "log_canonical_3": lambda: _log_canonical(3),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("prolong", [tangent_prolongation, cotangent_prolongation],
+                         ids=["tangent", "cotangent"])
+@pytest.mark.parametrize("base", sorted(CLOSURE_BASES))
+def test_prolongation_is_a_lie_algebroid(base, prolong, k):
+    # prolongations inherit `checked` from their base; verify it is earned
+    algebroid = CLOSURE_BASES[base]()
+    assert check_axioms(algebroid).passed
+    assert check_axioms(prolong(algebroid, k)).passed
 
 
 def test_prolongations_of_broken_data_fail_axioms():
