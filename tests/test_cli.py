@@ -164,6 +164,7 @@ WRONG_TYPES = {
     "form_terms": ("so3_poisson_im2.json", _set(["candidate", "mu", 0, "terms"], 3)),
     "fiber_indices": ("so3_coboundary_mv2.json", _set(["candidate", "fiber", 0, 0], 1)),
     "samples": ("so3_poisson_im2.json", _set(["options", "samples"], 3)),
+    "options": ("so3_poisson_im2.json", _set(["options"], [])),
 }
 
 
