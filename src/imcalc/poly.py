@@ -105,6 +105,8 @@ def base_chart(name: str, coord_names: Iterable[str]) -> Chart:
 
 
 def _same(a: Chart, b: Chart) -> bool:
+    """Chart equality, identity first: the dataclass `==` compares field
+    tuples, and nearly every operand pair shares one chart object."""
     return a is b or a == b
 
 

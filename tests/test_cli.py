@@ -168,25 +168,20 @@ WRONG_TYPES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
-def test_wrong_typed_fields_are_input_errors(tmp_path, case):
-    source, mutate = WRONG_TYPES[case]
+def _run_mutated(tmp_path, source, mutate, *flags):
     doc = json.loads((CORPUS / source).read_text())
     mutate(doc)
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(["--input", str(bad)])
+    return run_cli(["--input", str(bad), *flags])
+
+
+@pytest.mark.parametrize("case", sorted(WRONG_TYPES))
+def test_wrong_typed_fields_are_input_errors(tmp_path, case):
+    code, out, err = _run_mutated(tmp_path, *WRONG_TYPES[case])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-
-
-def _run_mutated(tmp_path, source, mutate, *flags):
-    doc = json.loads((CORPUS / source).read_text())
-    mutate(doc)
-    bad = tmp_path / "doc.json"
-    bad.write_text(json.dumps(doc))
-    return run_cli(["--input", str(bad), *flags])
 
 
 @pytest.mark.parametrize("mode", ["", [], 0], ids=["empty_string", "empty_list", "zero"])

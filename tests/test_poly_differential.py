@@ -37,11 +37,15 @@ def _terms(dim: int, max_size: int = 5):
 
 
 @st.composite
-def polys(draw, count: int = 1):
+def polys(draw, count: int):
     """`count` polynomials on one chart of 1-4 coordinates."""
     dim = draw(st.integers(min_value=1, max_value=4))
     chart = CHARTS[dim]
     return tuple(Polynomial(chart, draw(_terms(dim))) for _ in range(count))
+
+
+def poly():
+    return polys(1).map(lambda ps: ps[0])
 
 
 def rat(x):
@@ -103,17 +107,15 @@ def test_ring_operations(pq, scalar):
 
 
 @SETTINGS
-@given(polys(1), st.integers(min_value=0, max_value=4))
+@given(poly(), st.integers(min_value=0, max_value=4))
 def test_power(p, n):
-    (p,) = p
     assert_matches(p ** n, to_sympy(p) ** n)
 
 
 @SETTINGS
-@given(polys(1), st.data())
+@given(poly(), st.data())
 def test_sums_that_cancel(p, data):
     """A sum cancelling on some terms, and rational sums landing on integers."""
-    (p,) = p
     cancel = {e: -c for e, c in p.terms.items() if data.draw(st.booleans())}
     shift = {e: data.draw(integral) - c for e, c in p.terms.items()
              if Fraction(c).denominator != 1}
@@ -128,18 +130,16 @@ def test_sums_that_cancel(p, data):
 
 
 @SETTINGS
-@given(polys(1), st.data())
+@given(poly(), st.data())
 def test_diff(p, data):
-    (p,) = p
     symbols = SYMBOLS[p.chart.dim]
     i = data.draw(st.integers(min_value=0, max_value=p.chart.dim - 1))
     assert_matches(p.diff(p.chart.names[i]), sympy.diff(to_sympy(p), symbols[i]))
 
 
 @SETTINGS
-@given(polys(1), st.data())
+@given(poly(), st.data())
 def test_eval(p, data):
-    (p,) = p
     point = {n: data.draw(coefficients) for n in p.chart.names}
     value = p.eval(point)
     assert isinstance(value, Fraction)
@@ -149,9 +149,8 @@ def test_eval(p, data):
 
 
 @SETTINGS
-@given(polys(1), st.data())
+@given(poly(), st.data())
 def test_partial_eval(p, data):
-    (p,) = p
     names = p.chart.names
     fixed = data.draw(st.lists(st.sampled_from(names), unique=True))
     assign = {n: data.draw(coefficients) for n in fixed}
@@ -165,9 +164,8 @@ def test_partial_eval(p, data):
 
 
 @SETTINGS
-@given(polys(1), st.data())
+@given(poly(), st.data())
 def test_substitute(p, data):
-    (p,) = p
     names = p.chart.names
     images = {n: Polynomial(TARGET, data.draw(_terms(2, max_size=3))) for n in names}
     out = p.substitute(images, TARGET)
@@ -177,9 +175,8 @@ def test_substitute(p, data):
 
 
 @SETTINGS
-@given(polys(1))
+@given(poly())
 def test_format_parse_roundtrip(p):
-    (p,) = p
     text = format_polynomial(p)
     assert parse(text, p.chart) == p
     assert_matches(parse(text, p.chart), sympy.sympify(text.replace("^", "**")))
