@@ -1,10 +1,28 @@
 """Exact multivariate polynomial arithmetic over named coordinate charts.
 
 A chart is an ordered list of named coordinates; a polynomial on a chart is a
-dictionary mapping dense exponent tuples (one non-negative integer per chart
-coordinate) to nonzero rational coefficients:
+dictionary from monomials to nonzero rational coefficients.  A monomial is
+stored as one packed int: the exponent of coordinate i sits in bits
+[16*i, 16*i + 16) (`SLOT_BITS`), so on chart (x1, x2)
 
-    x1^2*x2 - 1/2  on chart (x1, x2)  ->  {(2, 1): 1, (0, 0): Fraction(-1, 2)}
+    x1^2*x2 - 1/2  ->  {2 + (1 << 16): 1, 0: Fraction(-1, 2)}
+
+The product of two monomials is then the sum of their keys, and a key hashes
+and compares as one int instead of a tuple.  This is the packed layout of
+fast sparse polynomial arithmetic (M. Monagan and R. Pearce, "Sparse
+polynomial multiplication and division in Maple 14", 2009; "POLY: a new
+polynomial data structure for Maple 17", 2013).  The top bit of every slot is
+a guard bit, so an exponent is at most `EXPONENT_LIMIT` = 2^15 - 1.  Every
+stored key has its guard bits clear, so the sum of two stored keys never
+carries into a neighbouring slot; a product whose result has a guard bit set
+raises `ChartError` instead of storing a monomial of the wrong coordinate.
+The parser checks a power against that limit, and against a budget on the
+number of terms it can expand to (`POWER_TERM_BUDGET`), before expanding it.
+
+`Polynomial(chart, terms)` takes the readable form, a map from exponent
+tuples (one non-negative int per chart coordinate) to coefficients, and
+`Polynomial.terms` is a read-only view in that form: `{(2, 1): 1, (0, 0):
+Fraction(-1, 2)}` above.  Code in this module works on the packed map.
 
 Coefficients are exact rationals, never floats, stored canonically: an `int`
 exactly when the value is integral, a `fractions.Fraction` with denominator
@@ -27,13 +45,24 @@ their double-vector-bundle bookkeeping by name.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Mapping
+from functools import reduce
+from math import comb
+from operator import or_
+from typing import Iterable
 
 Rational = Fraction
-Exponents = tuple  # one int per chart coordinate
+
+#: bits per coordinate in a packed monomial; the top one is the guard bit
+SLOT_BITS = 16
+SLOT_MASK = (1 << SLOT_BITS) - 1
+#: the largest exponent of one coordinate
+EXPONENT_LIMIT = (1 << (SLOT_BITS - 1)) - 1
+#: the most terms a parsed power `base^N` may expand to, by the multinomial
+#: bound C(N + t - 1, t - 1) on a base of t terms
+POWER_TERM_BUDGET = 20_000
 
 #: roles a chart coordinate can play
 ROLE_BASE = "base"
@@ -82,7 +111,11 @@ class Chart:
                 raise ChartError("base coordinates must be listed first")
             if c.role != ROLE_BASE:
                 seen_nonbase = True
-        object.__setattr__(self, "_index", {c.name: i for i, c in enumerate(self.coords)})
+        shifts = tuple(SLOT_BITS * i for i in range(len(names)))
+        object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
+        object.__setattr__(self, "_shifts", shifts)
+        object.__setattr__(self, "_guard", sum(1 << (s + SLOT_BITS - 1) for s in shifts))
 
     @property
     def dim(self) -> int:
@@ -90,13 +123,28 @@ class Chart:
 
     @property
     def names(self) -> tuple:
-        return tuple(c.name for c in self.coords)
+        return self._names
 
     def index(self, name: str) -> int:
         try:
             return self._index[name]
         except KeyError:
             raise ChartError(f"unknown coordinate {name!r} on chart {self.name!r}") from None
+
+    def pack(self, exps) -> int:
+        """The packed monomial key of an exponent vector on this chart."""
+        exps = tuple(exps)
+        if len(exps) != len(self._shifts) or not all(
+                isinstance(k, int) and 0 <= k <= EXPONENT_LIMIT for k in exps):
+            raise ChartError(
+                f"exponent vector {exps} does not fit chart {self.name!r} "
+                f"(dim {self.dim}, exponents 0..{EXPONENT_LIMIT})"
+            )
+        return sum(k << s for k, s in zip(exps, self._shifts))
+
+    def unpack(self, key: int) -> tuple:
+        """The exponent vector of a packed monomial key."""
+        return tuple((key >> s) & SLOT_MASK for s in self._shifts)
 
 
 def base_chart(name: str, coord_names: Iterable[str]) -> Chart:
@@ -119,7 +167,7 @@ def _coeff(value):
 
 
 def _accumulate(terms: dict, items) -> None:
-    """Add (exponents, nonzero coefficient) pairs into a term map, in place.
+    """Add (key, nonzero coefficient) pairs into a term map, in place.
 
     Stored coefficients stay canonical: a Fraction sum whose denominator
     cancels is stored as its numerator, and a sum that cancels is removed.
@@ -139,7 +187,54 @@ def _products(left: dict, right: dict):
     """The term pairs of a product of two term maps, not yet collected."""
     for e1, c1 in left.items():
         for e2, c2 in right.items():
-            yield tuple(map(add, e1, e2)), c1 * c2
+            yield e1 + e2, c1 * c2
+
+
+def _check_guard(chart: Chart, terms: dict) -> None:
+    """Raise if a key of a product's term map has a guard bit set.
+
+    The keys of both factors have their guard bits clear, so each slot of a
+    sum of two keys holds the exact exponent sum without carrying; a set
+    guard bit marks an exponent above the limit.
+    """
+    over = reduce(or_, terms, 0) & chart._guard
+    if over:
+        name = chart.names[(over & -over).bit_length() // SLOT_BITS - 1]
+        raise ChartError(
+            f"exponent of {name} above {EXPONENT_LIMIT} in a product on chart {chart.name!r}"
+        )
+
+
+class TermsView(Mapping):
+    """Read-only view of a packed term map, keyed by exponent tuples."""
+
+    __slots__ = ("_packed", "_chart")
+
+    def __init__(self, packed: dict, chart: Chart):
+        self._packed = packed
+        self._chart = chart
+
+    def __len__(self) -> int:
+        return len(self._packed)
+
+    def __iter__(self):
+        return map(self._chart.unpack, self._packed)
+
+    def __getitem__(self, exps):
+        try:
+            key = self._chart.pack(exps)
+        except (ChartError, TypeError):
+            raise KeyError(exps) from None
+        return self._packed[key]
+
+    def items(self):
+        return dict(zip(self, self._packed.values())).items()
+
+    def values(self):
+        return self._packed.values()
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 class Polynomial:
@@ -149,30 +244,27 @@ class Polynomial:
     plain ints / Fractions.  `diff`, `eval`, `partial_eval`, `promote` and
     `substitute` cover the calculus and chart-morphism needs of the form and
     algebroid layers; `sum_of_products` collects a sum of products in one
-    term map.
+    term map.  `terms` maps exponent tuples to coefficients.
     """
 
-    __slots__ = ("chart", "terms")
+    __slots__ = ("chart", "_terms")
 
     def __init__(self, chart: Chart, terms: Mapping | None = None):
         clean = {}
         if terms:
-            width = chart.dim
             for exps, coeff in terms.items():
                 coeff = _coeff(coeff)
-                if not coeff:
-                    continue
-                exps = tuple(exps)
-                if len(exps) != width or any(e < 0 for e in exps):
-                    raise ChartError(
-                        f"exponent vector {exps} does not fit chart {chart.name!r} (dim {width})"
-                    )
-                clean[exps] = coeff
+                if coeff:
+                    clean[chart.pack(exps)] = coeff
         _set_chart(self, chart)
         _set_terms(self, clean)
 
     def __setattr__(self, *_):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> TermsView:
+        return TermsView(self._terms, self.chart)
 
     # -- constructors ------------------------------------------------------
 
@@ -185,14 +277,11 @@ class Polynomial:
         value = _coeff(value)
         if not value:
             return cls(chart)
-        return _make(chart, {(0,) * chart.dim: value})
+        return _make(chart, {0: value})
 
     @classmethod
     def variable(cls, chart: Chart, name: str) -> "Polynomial":
-        i = chart.index(name)
-        exps = [0] * chart.dim
-        exps[i] = 1
-        return _make(chart, {tuple(exps): 1})
+        return _make(chart, {1 << chart._shifts[chart.index(name)]: 1})
 
     @classmethod
     def sum_of_products(cls, chart: Chart, pairs: Iterable) -> "Polynomial":
@@ -203,7 +292,8 @@ class Polynomial:
                 raise ChartError(
                     f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
                 )
-            _accumulate(terms, _products(p.terms, q.terms))
+            _accumulate(terms, _products(p._terms, q._terms))
+        _check_guard(chart, terms)
         return _make(chart, terms)
 
     # -- ring structure ----------------------------------------------------
@@ -219,14 +309,14 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        terms = dict(self.terms)
-        _accumulate(terms, other.terms.items())
+        terms = dict(self._terms)
+        _accumulate(terms, other._terms.items())
         return _make(self.chart, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return _make(self.chart, {e: -c for e, c in self.terms.items()})
+        return _make(self.chart, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -240,11 +330,12 @@ class Polynomial:
             if not c:
                 return Polynomial(self.chart)
             terms = {}
-            _accumulate(terms, ((e, v * c) for e, v in self.terms.items()))
+            _accumulate(terms, ((e, v * c) for e, v in self._terms.items()))
             return _make(self.chart, terms)
         other = self._coerce(other)
         terms: dict = {}
-        _accumulate(terms, _products(self.terms, other.terms))
+        _accumulate(terms, _products(self._terms, other._terms))
+        _check_guard(self.chart, terms)
         return _make(self.chart, terms)
 
     __rmul__ = __mul__
@@ -266,28 +357,29 @@ class Polynomial:
             other = Polynomial.const(self.chart, other)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.chart == other.chart and self.terms == other.terms
+        return self.chart == other.chart and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.chart, frozenset(self.terms.items())))
+        return hash((self.chart, frozenset(self._terms.items())))
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     # -- calculus ----------------------------------------------------------
 
     def diff(self, coord: str) -> "Polynomial":
         """Exact formal partial derivative with respect to a chart coordinate."""
-        i = self.chart.index(coord)
+        s = self.chart._shifts[self.chart.index(coord)]
+        one = 1 << s
         terms: dict = {}
-        for e, c in self.terms.items():
-            k = e[i]
+        for e, c in self._terms.items():
+            k = (e >> s) & SLOT_MASK
             if k:
                 # distinct terms stay distinct, so nothing collects or cancels
                 c = c * k
                 if type(c) is not int and c.denominator == 1:
                     c = c.numerator
-                terms[e[:i] + (k - 1,) + e[i + 1:]] = c
+                terms[e - one] = c
         return _make(self.chart, terms)
 
     def eval(self, point: Mapping) -> Fraction:
@@ -296,10 +388,11 @@ class Polynomial:
         if missing:
             raise ChartError(f"point is missing coordinates {missing}")
         values = [_coeff(point[n]) for n in self.chart.names]
+        unpack = self.chart.unpack
         total = 0
-        for e, c in self.terms.items():
+        for e, c in self._terms.items():
             term = c
-            for v, k in zip(values, e):
+            for v, k in zip(values, unpack(e)):
                 if k:
                     term *= v ** k
             total += term
@@ -311,25 +404,22 @@ class Polynomial:
         Every coordinate of self's chart must either appear in `assign` or
         exist (by name) on `new_chart`.
         """
-        pos = {}
-        fixed = {}
-        for i, c in enumerate(self.chart.coords):
+        moves = []   # (shift on self's chart, shift on new_chart)
+        fixed = []   # (shift on self's chart, value)
+        for c, s in zip(self.chart.coords, self.chart._shifts):
             if c.name in assign:
-                fixed[i] = _coeff(assign[c.name])
+                fixed.append((s, _coeff(assign[c.name])))
             else:
-                pos[i] = new_chart.index(c.name)
+                moves.append((s, new_chart._shifts[new_chart.index(c.name)]))
 
         def images():
-            for e, coeff in self.terms.items():
-                for i, v in fixed.items():
-                    if e[i]:
-                        coeff = coeff * v ** e[i]
-                if not coeff:
-                    continue
-                e2 = [0] * new_chart.dim
-                for i, j in pos.items():
-                    e2[j] = e[i]
-                yield tuple(e2), coeff
+            for e, coeff in self._terms.items():
+                for s, v in fixed:
+                    k = (e >> s) & SLOT_MASK
+                    if k:
+                        coeff = coeff * v ** k
+                if coeff:
+                    yield sum(((e >> s) & SLOT_MASK) << t for s, t in moves), coeff
 
         terms: dict = {}
         _accumulate(terms, images())
@@ -337,8 +427,13 @@ class Polynomial:
 
     def promote(self, new_chart: Chart) -> "Polynomial":
         """Reinterpret on a larger chart containing all of this chart's names."""
-        if new_chart == self.chart:
+        if _same(new_chart, self.chart):
             return self
+        names = self.chart.names
+        if new_chart.names[:len(names)] == names:
+            # same slots for every coordinate, so the same keys; term maps
+            # are never mutated once built, so the map is shared
+            return _make(new_chart, self._terms)
         return self.partial_eval({}, new_chart)
 
     def substitute(self, mapping: Mapping, new_chart: Chart) -> "Polynomial":
@@ -358,9 +453,9 @@ class Polynomial:
             else:
                 images.append(Polynomial.variable(new_chart, c.name))
         total = Polynomial.zero(new_chart)
-        for e, coeff in self.terms.items():
+        for e, coeff in self._terms.items():
             term = Polynomial.const(new_chart, coeff)
-            for img, k in zip(images, e):
+            for img, k in zip(images, self.chart.unpack(e)):
                 if k:
                     term = term * img ** k
             total = total + term
@@ -376,18 +471,19 @@ class Polynomial:
 
 
 _set_chart = Polynomial.chart.__set__
-_set_terms = Polynomial.terms.__set__
+_set_terms = Polynomial._terms.__set__
 
 
 def _make(chart: Chart, terms: dict) -> Polynomial:
-    """A Polynomial over a term map that is already canonical, not copied."""
+    """A Polynomial over a packed term map that is already canonical, not
+    copied."""
     out = object.__new__(Polynomial)
     _set_chart(out, chart)
     _set_terms(out, terms)
     return out
 
 
-def _format_monomial(chart: Chart, exps: Exponents) -> str:
+def _format_monomial(chart: Chart, exps: tuple) -> str:
     parts = []
     for name, k in zip(chart.names, exps):
         if k == 1:
@@ -403,12 +499,13 @@ def format_polynomial(p: Polynomial) -> str:
     Terms are ordered by descending total degree, then descending exponent
     tuple, so identical polynomials always print identically.
     """
-    if not p.terms:
+    if not p._terms:
         return "0"
-    order = sorted(p.terms, key=lambda e: (-sum(e), tuple(-x for x in e)))
+    unpack = p.chart.unpack
+    order = sorted(((unpack(e), c) for e, c in p._terms.items()),
+                   key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
     pieces = []
-    for pos, e in enumerate(order):
-        c = p.terms[e]
+    for pos, (e, c) in enumerate(order):
         mono = _format_monomial(p.chart, e)
         mag = abs(c)
         if mono and mag == 1:
@@ -484,8 +581,13 @@ class _Parser:
     def term(self) -> Polynomial:
         result = self.factor()
         while self.peek() == "*":
+            start = self.pos
             self.pos += 1
-            result = result * self.factor()
+            right = self.factor()
+            try:
+                result = result * right
+            except ChartError as exc:
+                raise ParseError(str(exc), start) from None
         return result
 
     def factor(self) -> Polynomial:
@@ -497,7 +599,8 @@ class _Parser:
             digits = self._digits()
             if digits is None:
                 raise ParseError("expected unsigned integer exponent", start)
-            return result ** int(digits)
+            n = _power_budget(result, digits, start)
+            return result ** n
         return result
 
     def _digits(self) -> str | None:
@@ -546,6 +649,24 @@ class _Parser:
                 raise ParseError(f"unknown coordinate {name!r}", start)
             return Polynomial.variable(self.chart, name)
         raise ParseError("expected rational, coordinate or '('", self.pos)
+
+
+def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
+    """The exponent N of `base^N`, once the power is known to fit: N times
+    the base's largest exponent (at least 1) is at most `EXPONENT_LIMIT`,
+    and the expansion has at most `POWER_TERM_BUDGET` terms."""
+    top = max((max(base.chart.unpack(e), default=0) for e in base._terms), default=0)
+    digits = digits.lstrip("0")
+    # a longer digit string is above the limit, and int() refuses very long ones
+    n = int(digits or "0") if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT + 1
+    if n * max(top, 1) > EXPONENT_LIMIT:
+        raise ParseError(f"power exceeds the exponent limit {EXPONENT_LIMIT}", offset)
+    t = len(base._terms)
+    if t and comb(n + t - 1, t - 1) > POWER_TERM_BUDGET:
+        raise ParseError(
+            f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
+            f"above the budget of {POWER_TERM_BUDGET}", offset)
+    return n
 
 
 def parse(text: str, chart: Chart) -> Polynomial:

@@ -200,6 +200,35 @@ def test_absent_mode_defaults_to_axioms(tmp_path):
     assert json.loads(out)["mode"] == "axioms"
 
 
+OVER_EXPONENT_LIMIT = {
+    # (path, expression, text the message must carry)
+    "product": (["anchor", 0, 0], "x1^20000*x1^20000", "x1^20000*x1^20000"),
+    "power": (["anchor", 0, 0], "(x1^2)^20000", "(x1^2)^20000"),
+    "power_terms": (["anchor", 0, 0], "(x1+x2+x3+1)^60", "(x1+x2+x3+1)^60"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVER_EXPONENT_LIMIT))
+def test_exponent_limit_is_an_input_error(tmp_path, case):
+    path, expr, named = OVER_EXPONENT_LIMIT[case]
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", _set(path, expr))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and named in err and "at byte" in err
+
+
+def test_exponent_overflow_in_the_checks_is_an_input_error(tmp_path):
+    # each expression fits, but the anchor-compatibility check multiplies them
+    def mutate(doc):
+        doc["anchor"][2][0] = "x1^20000"
+        doc["structure"][0][3] = "x1^20000"
+
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", mutate)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: exponent of x1 above 32767")
+
+
 BAD_DEGREES = {
     "options_k_string": (["options", "k"], "2", (), "options.k"),
     "options_k_bool": (["options", "k"], True, (), "options.k"),

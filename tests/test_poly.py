@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from imcalc.poly import (
+    EXPONENT_LIMIT,
     Chart,
     ChartError,
     Coord,
@@ -79,6 +80,74 @@ def test_sum_of_products_checks_charts():
         Polynomial.sum_of_products(CH2, [(p, p), (q, q)])
     with pytest.raises(ChartError):
         Polynomial.sum_of_products(CH3, [(p, p)])
+
+
+def test_exponent_limit():
+    assert EXPONENT_LIMIT == 2 ** 15 - 1
+    p = Polynomial(CH2, {(EXPONENT_LIMIT, 0): 1})
+    assert p.terms == {(EXPONENT_LIMIT, 0): 1}
+    assert p == parse(f"x1^{EXPONENT_LIMIT}", CH2)
+    for exps in [(EXPONENT_LIMIT + 1, 0), (0, EXPONENT_LIMIT + 1), (-1, 0), (1,), (1, 0, 0)]:
+        with pytest.raises(ChartError):
+            Polynomial(CH2, {exps: 1})
+
+
+def test_product_past_the_guard_bit_raises():
+    # x1^(2^15) sets x1's guard bit; x1^(2^16) would carry into x2's slot
+    half = parse("x1^16384", CH2)
+    with pytest.raises(ChartError, match="exponent of x1"):
+        half * half
+    with pytest.raises(ChartError, match="exponent of x1"):
+        Polynomial.sum_of_products(CH2, [(half, half)])
+    with pytest.raises(ChartError):
+        half ** 2
+    top = parse(f"x1^{EXPONENT_LIMIT}", CH2)
+    with pytest.raises(ChartError):
+        top * parse("x1 + x2", CH2)
+    x2 = parse("x2", CH2)
+    for p in (parse("x1^16383", CH2) ** 2, top * parse("1", CH2)):
+        assert p != x2 and p.diff("x2").is_zero()
+
+
+def test_terms_view():
+    p = parse("x1^2*x2 + 3*x2^4 - 1/2", CH2)
+    assert p.terms == {(2, 1): 1, (0, 4): 3, (0, 0): Fraction(-1, 2)}
+    assert len(p.terms) == 3
+    assert sorted(p.terms) == [(0, 0), (0, 4), (2, 1)]
+    assert p.terms[(0, 4)] == 3 and (0, 4) in p.terms
+    assert (1, 1) not in p.terms and (5,) not in p.terms and (-1, 0) not in p.terms
+    assert dict(p.terms.items()) == {(2, 1): 1, (0, 4): 3, (0, 0): Fraction(-1, 2)}
+    assert sorted(p.terms.values()) == [Fraction(-1, 2), 1, 3]
+    with pytest.raises(TypeError):
+        p.terms[(1, 1)] = 2
+    with pytest.raises(AttributeError):
+        p.terms = {}
+
+
+def test_chart_moves_agree_with_substitute():
+    p = parse("x1^3*x2 - 2*x2^2*x1 + 5/3*x2 + 7", CH2)
+    prefix = base_chart("N", ["x1", "x2", "u"])
+    by_name = {n: parse(n, prefix) for n in CH2.names}
+    assert p.promote(prefix) == p.substitute(by_name, prefix)
+    assert p.promote(prefix).terms == {e + (0,): c for e, c in p.terms.items()}
+    permuted = base_chart("P", ["u", "x2", "x1"])
+    by_name = {n: parse(n, permuted) for n in CH2.names}
+    assert p.partial_eval({}, permuted) == p.substitute(by_name, permuted)
+    assert p.promote(permuted) == p.substitute(by_name, permuted)
+    fixed = p.partial_eval({"x1": Fraction(1, 2)}, permuted)
+    assert fixed == p.substitute({"x1": parse("1/2", permuted), "x2": by_name["x2"]}, permuted)
+
+
+def test_power_budget():
+    ch4 = base_chart("M", ["x1", "x2", "x3", "x4"])
+    assert len(parse("(x1+x2+x3+x4+1)^20", ch4).terms) == 10626
+    for text, offset in [("(x1+x2+x3+x4+1)^30", 16), ("x1 + (x2^2)^ 16384", 13),
+                         ("2^40000", 2), ("x1^" + "9" * 5000, 3)]:
+        with pytest.raises(ParseError) as err:
+            parse(text, ch4)
+        assert err.value.offset == offset
+    assert parse("x1^00032767", ch4) == parse(f"x1^{EXPONENT_LIMIT}", ch4)
+    assert parse("(x2^2)^16383", ch4).terms == {(0, 32766, 0, 0): 1}
 
 
 def test_eval_examples():

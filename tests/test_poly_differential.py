@@ -3,8 +3,9 @@
 Every verdict of the library is an exact zero test in `Polynomial`, so the
 kernel's arithmetic is compared term by term with an independent
 implementation on Hypothesis-drawn polynomials: charts of 1-4 coordinates,
-integral and non-integral rational coefficients, sums that cancel to zero and
-rational sums whose denominators cancel to 1.
+integral and non-integral rational coefficients, sums that cancel to zero,
+rational sums whose denominators cancel to 1, and exponents near the
+per-coordinate limit of the packed monomial keys.
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from imcalc.poly import Polynomial, base_chart, format_polynomial, parse
+from imcalc.poly import (
+    EXPONENT_LIMIT, ChartError, Polynomial, base_chart, format_polynomial, parse,
+)
 
 sympy = pytest.importorskip("sympy")
 
@@ -190,3 +193,44 @@ def test_sum_of_products(ps):
     assert_matches(out, to_sympy(a) * to_sympy(b) + to_sympy(c) * to_sympy(d))
     assert Polynomial.sum_of_products(a.chart, [(a, b), (-a, b)]).is_zero()
     assert Polynomial.sum_of_products(a.chart, []).is_zero()
+
+
+NEAR_LIMIT = st.one_of(
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=EXPONENT_LIMIT // 2 - 2, max_value=EXPONENT_LIMIT // 2 + 2),
+    st.integers(min_value=EXPONENT_LIMIT - 2, max_value=EXPONENT_LIMIT),
+)
+
+
+@st.composite
+def near_limit_polys(draw, count: int):
+    """`count` polynomials on one chart whose exponents lie near 0, near half
+    the limit and near the limit, so that some products pass the limit."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    exps = st.tuples(*[NEAR_LIMIT] * dim)
+    return tuple(Polynomial(CHARTS[dim], draw(st.dictionaries(exps, coefficients, max_size=4)))
+                 for _ in range(count))
+
+
+def ring_terms(expr, symbols) -> dict:
+    """The term map of a sympy expression, computed in sympy's sparse
+    polynomial ring (`sympy.Poly` is dense, and slow at these degrees)."""
+    ring = sympy.ring(symbols, sympy.QQ)[0]
+    return {e: Fraction(int(c.numerator), int(c.denominator)) for e, c in ring(expr).items()}
+
+
+@SETTINGS
+@given(near_limit_polys(2), st.data())
+def test_product_and_diff_near_the_exponent_limit(pq, data):
+    p, q = pq
+    symbols = SYMBOLS[p.chart.dim]
+    product = ring_terms(to_sympy(p) * to_sympy(q), symbols)
+    if any(k > EXPONENT_LIMIT for e in product for k in e):
+        with pytest.raises(ChartError):
+            p * q
+    else:
+        assert (p * q).terms == product
+    i = data.draw(st.integers(min_value=0, max_value=p.chart.dim - 1))
+    partial = p.diff(p.chart.names[i])
+    assert partial.terms == ring_terms(sympy.diff(to_sympy(p), symbols[i]), symbols)
+    assert all(type(c) is int or c.denominator != 1 for c in partial.terms.values())
