@@ -69,7 +69,7 @@ class LieAlgebroid:
     """
 
     __slots__ = ("base_chart", "rank", "frame_names", "anchor", "structure",
-                 "checked", "_anchor_sparse")
+                 "checked", "_anchor_sparse", "_axiom_report")
 
     def __init__(self, base_chart: Chart, rank: int, frame_names: Sequence[str],
                  anchor: Sequence[Sequence[Polynomial]],
@@ -114,6 +114,9 @@ class LieAlgebroid:
             tuple((base_chart.names[j], p) for j, p in enumerate(row) if not p.is_zero())
             for row in rows
         ))
+        # filled by the first `axiom_gate` on an unchecked algebroid; the
+        # data above never changes, so neither does the report
+        object.__setattr__(self, "_axiom_report", None)
         if _inherit_checked is not None:
             # prolongations of validated algebroids inherit the flag; the
             # closure property is covered by the test suite rather than
@@ -316,10 +319,16 @@ def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
 
 
 def axiom_gate(algebroid: LieAlgebroid):
-    """Axiom violations for unchecked algebroids; empty for validated ones."""
+    """Axiom violations for unchecked algebroids; empty for validated ones.
+
+    The report of an unchecked algebroid is computed once and kept on it, so
+    the oracle pipeline and each route it runs share one axiom check.
+    """
     if algebroid.checked:
         return ()
-    return check_axioms(algebroid).violations
+    if algebroid._axiom_report is None:
+        object.__setattr__(algebroid, "_axiom_report", check_axioms(algebroid))
+    return algebroid._axiom_report.violations
 
 
 @dataclass(frozen=True)
@@ -357,24 +366,40 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     linearity over the frame coefficients.  Vanishing on frame pairs settles
     the condition for all sections: expanding sections in the frame, the
     derivative terms produced by the Leibniz rule on either side cancel.
+
+    Each partial derivative of a frame value is taken at most once per call:
+    `partials[j]` maps a coordinate to dF(e_j)/dx, filled as pairs need it
+    and dropped after row j of the pair loop, its last use.
     """
     if functional.algebroid != algebroid:
         raise AlgebroidError("functional is attached to a different algebroid")
     violations = []
     r = algebroid.rank
+    chart = algebroid.base_chart
+    values = [functional.value(a) for a in range(r)]
+    partials = [{} for _ in range(r)]
+
+    def partial(j: int, name: str) -> Polynomial:
+        table = partials[j]
+        dp = table.get(name)
+        if dp is None:
+            dp = table[name] = values[j].diff(name)
+        return dp
+
+    anchor = algebroid._anchor_sparse
+    minus_anchor = [tuple((name, -comp) for name, comp in row) for row in anchor]
     for i in range(r):
-        fi = functional.value(i)
         for j in range(i + 1, r):
-            fj = functional.value(j)
-            res = (-algebroid.anchor_derivation(i, fj)
-                   + algebroid.anchor_derivation(j, fi))
-            for c, w in algebroid.bracket_frame_row(i, j):
-                res = res + w * functional.value(c)
+            pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
+            pairs += [(comp, partial(j, name)) for name, comp in minus_anchor[i]]
+            pairs += [(comp, partial(i, name)) for name, comp in anchor[j]]
+            res = Polynomial.sum_of_products(chart, pairs)
             if not res.is_zero():
                 violations.append(Violation(
                     "MORPHISM",
                     (algebroid.frame_names[i], algebroid.frame_names[j]),
                     res))
+        partials[i] = None
     return CheckReport.collect(violations)
 
 

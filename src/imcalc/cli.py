@@ -216,7 +216,7 @@ def _routes(mode: str, candidate, algebroid: LieAlgebroid, k) -> dict:
         bundle_forms = decompose(candidate, total_chart_of(algebroid))
         return {"dh_vanishing": lambda: horizontal_vanishing_report(
                     cochain_from_bundle_forms(algebroid, bundle_forms)),
-                **im_routes(IMForm(algebroid, bundle_forms), k)}
+                **im_routes(IMForm(algebroid, bundle_forms), k, form=candidate)}
     # mode "axioms" runs no candidate suite; a present candidate is ignored
     return {}
 

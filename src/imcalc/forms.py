@@ -383,18 +383,25 @@ def det_of_components(vectors: Sequence[Mapping], idx, target: Chart) -> Polynom
     return total
 
 
-def contract_at_point(table: Alternating, fiber_point: Mapping, base: Chart, chart: Chart,
-                      vectors: Sequence[Mapping]) -> Polynomial:
-    """Contract a total-chart form or multivector, its coefficients evaluated
-    at `fiber_point` down to `base`, against vectors or covectors given as
-    maps from total-chart positions to components on `chart`."""
-    total = Polynomial.zero(chart)
+def fiber_restriction(table: Alternating, fiber_point: Mapping, base: Chart,
+                      chart: Chart) -> dict:
+    """The coefficients of a total-chart form or multivector evaluated at
+    `fiber_point` down to `base` and promoted to `chart`, by index; zero
+    coefficients are left out."""
+    out = {}
     for idx, poly in table.coeffs.items():
         coeff = poly.partial_eval(fiber_point, base).promote(chart)
-        if coeff.is_zero():
-            continue
-        total = total + coeff * det_of_components(vectors, idx, chart)
-    return total
+        if not coeff.is_zero():
+            out[idx] = coeff
+    return out
+
+
+def contract_at_point(coeffs: Mapping, chart: Chart, vectors: Sequence[Mapping]) -> Polynomial:
+    """Contract coefficients restricted to a fiber point (`fiber_restriction`)
+    against vectors or covectors given as maps from total-chart positions to
+    components on `chart`."""
+    return Polynomial.sum_of_products(
+        chart, ((coeff, det_of_components(vectors, idx, chart)) for idx, coeff in coeffs.items()))
 
 
 def lie_derivative(x: VectorField, a):

@@ -67,36 +67,76 @@ class IMForm:
         return self.forms.k
 
 
-def _bracket_image(im: IMForm, maps: Sequence[DifferentialForm], a: int, b: int,
-                   degree: int) -> DifferentialForm:
-    """maps([e_a, e_b]) for a bundle map given by frame values."""
-    out = DifferentialForm(im.algebroid.base_chart, degree)
-    for c, w in im.algebroid.bracket_frame_row(a, b):
-        out = out + maps[c].scale(w)
-    return out
+class _Operators:
+    """The Cartan operators on the frame images of one IM candidate, each
+    computed at most once while one check runs.
+
+    For kind "mu" or "nu" and frame indices a, b the table holds d of the
+    image of e_b, its contraction i_{rho(a)}, the contraction i_{rho(a)} of
+    its d, and its Lie derivative L_{rho(a)}, assembled from those two by
+    Cartan's formula L = i d + d i (the d i term is absent on functions).
+    A table belongs to one call and is dropped with it.
+    """
+
+    def __init__(self, im: IMForm):
+        A = im.algebroid
+        self.im = im
+        self.rho = [A.anchor_field(a) for a in range(A.rank)]
+        self.maps = {"mu": im.forms.mu, "nu": im.forms.nu}
+        self.memo: dict = {}
+
+    def _entry(self, key: tuple, compute) -> DifferentialForm:
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = compute()
+        return value
+
+    def d(self, kind: str, b: int) -> DifferentialForm:
+        return self._entry(("d", kind, b), lambda: exterior_derivative(self.maps[kind][b]))
+
+    def i(self, kind: str, a: int, b: int) -> DifferentialForm:
+        return self._entry(("i", kind, a, b), lambda: contract(self.rho[a], self.maps[kind][b]))
+
+    def i_d(self, kind: str, a: int, b: int) -> DifferentialForm:
+        return self._entry(("i_d", kind, a, b), lambda: contract(self.rho[a], self.d(kind, b)))
+
+    def lie(self, kind: str, a: int, b: int) -> DifferentialForm:
+        def compute():
+            out = self.i_d(kind, a, b)
+            if self.maps[kind][b].degree > 0:
+                out = out + exterior_derivative(self.i(kind, a, b))
+            return out
+        return self._entry(("lie", kind, a, b), compute)
+
+    def drop(self, kind: str) -> None:
+        """Forget the entries of one kind once no later condition uses them."""
+        self.memo = {key: v for key, v in self.memo.items() if key[1] != kind}
+
+    def bracket_image(self, kind: str, a: int, b: int) -> DifferentialForm:
+        """The image of [e_a, e_b] under the bundle map `kind`."""
+        A = self.im.algebroid
+        maps = self.maps[kind]
+        out = DifferentialForm(A.base_chart, maps[a].degree)
+        for c, w in A.bracket_frame_row(a, b):
+            out = out + maps[c].scale(w)
+        return out
 
 
-def im_residual_1(im: IMForm, a: int, b: int) -> DifferentialForm:
-    rho_a = im.algebroid.anchor_field(a)
-    rho_b = im.algebroid.anchor_field(b)
-    return contract(rho_a, im.forms.mu[b]) + contract(rho_b, im.forms.mu[a])
+def im_residual_1(ops: _Operators, a: int, b: int) -> DifferentialForm:
+    return ops.i("mu", a, b) + ops.i("mu", b, a)
 
 
-def im_residual_2(im: IMForm, a: int, b: int) -> DifferentialForm:
-    rho_a = im.algebroid.anchor_field(a)
-    rho_b = im.algebroid.anchor_field(b)
-    return (_bracket_image(im, im.forms.mu, a, b, im.k - 1)
-            - lie_derivative(rho_a, im.forms.mu[b])
-            + contract(rho_b, exterior_derivative(im.forms.mu[a]))
-            + contract(rho_b, im.forms.nu[a]))
+def im_residual_2(ops: _Operators, a: int, b: int) -> DifferentialForm:
+    return (ops.bracket_image("mu", a, b)
+            - ops.lie("mu", a, b)
+            + ops.i_d("mu", b, a)
+            + ops.i("nu", b, a))
 
 
-def im_residual_3(im: IMForm, a: int, b: int) -> DifferentialForm:
-    rho_a = im.algebroid.anchor_field(a)
-    rho_b = im.algebroid.anchor_field(b)
-    return (_bracket_image(im, im.forms.nu, a, b, im.k)
-            - lie_derivative(rho_a, im.forms.nu[b])
-            + contract(rho_b, exterior_derivative(im.forms.nu[a])))
+def im_residual_3(ops: _Operators, a: int, b: int) -> DifferentialForm:
+    return (ops.bracket_image("nu", a, b)
+            - ops.lie("nu", a, b)
+            + ops.i_d("nu", b, a))
 
 
 def check_im_form(im: IMForm) -> CheckReport:
@@ -109,7 +149,8 @@ def check_im_form(im: IMForm) -> CheckReport:
     general sections is only valid once IM1 holds, so IM2/IM3 violations are
     flagged when IM1 failed.  When all three pass, the two derived identities
     for nu (antisymmetry under the anchor and the cyclic Lie-derivative
-    identity) are asserted as consistency checks.
+    identity) are asserted as consistency checks.  All conditions share one
+    operator table; its mu entries are dropped after IM2, their last use.
     """
     A = im.algebroid
     r = A.rank
@@ -117,11 +158,12 @@ def check_im_form(im: IMForm) -> CheckReport:
     notes = []
     if violations:
         notes.append("algebroid axioms fail; IM verdicts reported on non-Lie data")
+    ops = _Operators(im)
 
     im1 = []
     for a in range(r):
         for b in range(a, r):
-            res = im_residual_1(im, a, b)
+            res = im_residual_1(ops, a, b)
             if not res.is_zero():
                 im1.extend(component_violations(
                     "IM1", (A.frame_names[a], A.frame_names[b]), res))
@@ -134,25 +176,26 @@ def check_im_form(im: IMForm) -> CheckReport:
     im23_clean = True
     for a in range(r):
         for b in range(r):
-            res = im_residual_2(im, a, b)
+            res = im_residual_2(ops, a, b)
             if not res.is_zero():
                 im23_clean = False
                 violations.extend(component_violations(
                     "IM2", (A.frame_names[a], A.frame_names[b]), res, caveat))
+    ops.drop("mu")
     for a in range(r):
         for b in range(a + 1, r):
-            res = im_residual_3(im, a, b)
+            res = im_residual_3(ops, a, b)
             if not res.is_zero():
                 im23_clean = False
                 violations.extend(component_violations(
                     "IM3", (A.frame_names[a], A.frame_names[b]), res, caveat))
 
     if not violations and im23_clean:
-        _assert_nu_identities(im)
+        _assert_nu_identities(ops)
     return CheckReport.collect(violations, notes)
 
 
-def _assert_nu_identities(im: IMForm) -> None:
+def _assert_nu_identities(ops: _Operators) -> None:
     """The nu identities implied by IM1-IM3; failure is a library defect.
 
     Antisymmetry of nu under the anchor holds on pairs.  The cyclic
@@ -166,12 +209,13 @@ def _assert_nu_identities(im: IMForm) -> None:
     algebroid of 3-space with nu(u) = -(contraction of u in d eta),
     eta = x1^2 dx2^dx3, the uncorrected cyclic sum equals 4 dx1.
     """
+    im = ops.im
     A = im.algebroid
     r = A.rank
-    rho = [A.anchor_field(a) for a in range(r)]
+    rho = ops.rho
     for a in range(r):
         for b in range(a, r):
-            res = contract(rho[a], im.forms.nu[b]) + contract(rho[b], im.forms.nu[a])
+            res = ops.i("nu", a, b) + ops.i("nu", b, a)
             if not res.is_zero():
                 raise CrossCheckError(f"derived nu antisymmetry fails on pair {(a, b)}")
     for a in range(r):
@@ -179,10 +223,9 @@ def _assert_nu_identities(im: IMForm) -> None:
             for c in range(b + 1, r):
                 total = DifferentialForm(A.base_chart, im.k - 1)
                 for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner = (lie_derivative(rho[v], im.forms.nu[u])
-                             - lie_derivative(rho[u], im.forms.nu[v]))
+                    inner = ops.lie("nu", v, u) - ops.lie("nu", u, v)
                     total = total + contract(rho[w], inner)
-                triple = contract(rho[c], contract(rho[b], im.forms.nu[a]))
+                triple = contract(rho[c], ops.i("nu", b, a))
                 if im.k >= 2:
                     total = total + exterior_derivative(triple).scale(Fraction(2))
                 elif not triple.is_zero():
@@ -228,28 +271,33 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
                 f"for frame section {algebroid.frame_names[a]}")
         nu.append(-contract(rho, phi))
     im = IMForm(algebroid, BundleForms(k, tuple(mu), tuple(nu)))
+    ops = _Operators(im)
     for a in range(algebroid.rank):
         for b in range(a + 1, algebroid.rank):
-            if not im_residual_3(im, a, b).is_zero():
+            if not im_residual_3(ops, a, b).is_zero():
                 raise CrossCheckError("relative construction failed its own IM3 guarantee")
     return im
 
 
-def im_routes(im: IMForm, k: int, prolongation: LieAlgebroid | None = None) -> dict:
+def im_routes(im: IMForm, k: int, prolongation: LieAlgebroid | None = None,
+              form: DifferentialForm | None = None) -> dict:
     """The two routes of the main equivalence, for `run_oracle`.
 
-    Route one is `check_im_form`; route two builds the linear form of the
+    Route one is `check_im_form`; route two takes the linear form of the
     candidate, evaluates its fiberwise functional on the tangent prolongation
-    frame and checks the morphism condition there.
+    frame and checks the morphism condition there.  `form` is that linear
+    form when the caller already holds it, as Weil mode does (its candidate
+    is the linear form and `im.forms` its decomposition); otherwise the
+    route builds it from `im.forms`.
     """
     if k != im.k:
         raise AlgebroidError(f"candidate has k={im.k}, oracle called with k={k}")
     A = im.algebroid
 
     def morphism() -> CheckReport:
-        form = linear_form(im.forms, total_chart_of(A))
+        linear = form if form is not None else linear_form(im.forms, total_chart_of(A))
         prol = prolongation if prolongation is not None else tangent_prolongation(A, k)
-        return check_morphism_to_line(prol, form_frame_functional(form, A, k, prol))
+        return check_morphism_to_line(prol, form_frame_functional(linear, A, k, prol, im.forms))
 
     return {"im_conditions": lambda: check_im_form(im), "morphism": morphism}
 

@@ -42,6 +42,7 @@ from .forms import (
     contract,
     contract_at_point,
     exterior_derivative,
+    fiber_restriction,
     iterated_contract,
 )
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER
@@ -305,22 +306,27 @@ def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
 # ---------------------------------------------------------------------------
 
 def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: int,
-                          prolongation: LieAlgebroid | None = None) -> FiberFunctional:
+                          prolongation: LieAlgebroid | None = None,
+                          bundle_forms: BundleForms | None = None) -> FiberFunctional:
     """Values of the induced fiberwise-linear functional on the distinguished
     frame of the k-fold tangent prolongation.
 
     Core value (a, n): (-1)^(n-1) times mu(e_a) contracted with every
     tautological dotted field except the n-th; linear value a: d mu(e_a) +
-    nu(e_a) contracted with all of them.  The same values are recomputed by
-    contracting the form directly against the explicit coordinate tangent
-    vectors of the frame sections; disagreement raises CrossCheckError.
+    nu(e_a) contracted with all of them.  (mu, nu) is `bundle_forms` when
+    the caller already holds the decomposition of `form`, else
+    `decompose(form)`.  The same values are recomputed by contracting the
+    form directly against the explicit coordinate tangent vectors of the
+    frame sections; disagreement raises CrossCheckError, also when
+    `bundle_forms` is not the decomposition of `form`.
     """
     tc = total_chart_of(algebroid)
     if form.chart != tc.chart:
         raise ChartError("form must live on the algebroid's total chart")
     if form.degree != k:
         raise AlgebroidError(f"form degree {form.degree} does not match k={k}")
-    bundle_forms = decompose(form, tc)
+    if bundle_forms is None:
+        bundle_forms = decompose(form, tc)
     prol = prolongation if prolongation is not None else tangent_prolongation(algebroid, k)
     chart = prol.base_chart
     base = algebroid.base_chart
@@ -348,34 +354,30 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
 
 
 def _cross_check_form_values(form, algebroid, k, tc, chart, values) -> None:
-    """Contract the form against the explicit frame tangent vectors."""
-    base = algebroid.base_chart
-    names = base.names
-    fiber_zero = {n: 0 for n in tc.fiber_names}
+    """Contract the form against the explicit frame tangent vectors.
 
-    def dotted_vector(l: int, du: Mapping) -> dict:
-        comps = {}
-        for j, n in enumerate(names):
-            comps[tc.chart.index(n)] = Polynomial.variable(chart, tangent_copy_name(n, l))
-        for pos, value in du.items():
-            comps[pos] = Polynomial.const(chart, value)
-        return comps
+    The form's coefficients are restricted to each fiber point once: the
+    zero point, shared by every core value, and the point u_a = 1 of each
+    linear value a.
+    """
+    base = algebroid.base_chart
+    fiber_zero = {n: 0 for n in tc.fiber_names}
+    fiber_pos = tc.fiber_positions()
+    dotted = [{tc.chart.index(n): Polynomial.variable(chart, tangent_copy_name(n, l))
+               for n in base.names} for l in range(1, k + 1)]
+    at_zero = fiber_restriction(form, fiber_zero, base, chart)
 
     for a, frame in enumerate(algebroid.frame_names):
-        fiber_pos = tc.fiber_positions()
         for n in range(1, k + 1):
-            vectors = []
-            for l in range(1, k + 1):
-                du = {fiber_pos[a]: 1} if l == n else {}
-                vectors.append(dotted_vector(l, du))
-            direct = contract_at_point(form, fiber_zero, base, chart, vectors)
+            # the n-th tangent vector also moves one unit along the fiber of e_a
+            vectors = list(dotted)
+            vectors[n - 1] = {**dotted[n - 1], fiber_pos[a]: Polynomial.const(chart, 1)}
+            direct = contract_at_point(at_zero, chart, vectors)
             if direct != values[core_frame_name(frame, n)]:
                 raise CrossCheckError(
                     f"frame value mismatch on {core_frame_name(frame, n)}")
         point = dict(fiber_zero)
         point[tc.fiber_names[a]] = 1
-        vectors = [dotted_vector(l, {}) for l in range(1, k + 1)]
-        direct = contract_at_point(form, point, base, chart, vectors)
+        direct = contract_at_point(fiber_restriction(form, point, base, chart), chart, dotted)
         if direct != values[linear_frame_name(frame)]:
             raise CrossCheckError(f"frame value mismatch on {linear_frame_name(frame)}")
-

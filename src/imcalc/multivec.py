@@ -33,7 +33,7 @@ from .algebroid import (
     section_bracket,
 )
 from .errors import AlgebroidError, CrossCheckError
-from .forms import Multivector, contract_at_point, det_of_components
+from .forms import Multivector, contract_at_point, det_of_components, fiber_restriction
 from .linforms import TotalChart, total_chart_of
 from .poly import Chart, ChartError, Polynomial
 
@@ -365,7 +365,12 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, 
 
 
 def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
-    """Contract the multivector directly against the explicit frame covectors."""
+    """Contract the multivector directly against the explicit frame covectors.
+
+    The multivector's coefficients are restricted to each fiber point once:
+    the zero point, shared by every core value, and the point u_a = 1 of
+    each linear value a.
+    """
     A = algebroid
     tc = total_chart_of(A)
     chart = prol.base_chart
@@ -373,28 +378,23 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
     field = p.to_multivector(tc)
     fiber_pos = tc.fiber_positions()
     zeros = {n: 0 for n in tc.fiber_names}
-
-    def dual_covector(n: int, dx: Mapping) -> dict:
-        comps = {}
-        for d in range(A.rank):
-            comps[fiber_pos[d]] = Polynomial.variable(chart, dual_copy_name(n, d + 1))
-        for pos, value in dx.items():
-            comps[pos] = Polynomial.const(chart, value)
-        return comps
+    dual = [{fiber_pos[d]: Polynomial.variable(chart, dual_copy_name(n, d + 1))
+             for d in range(A.rank)} for n in range(1, k + 1)]
+    at_zero = fiber_restriction(field, zeros, base, chart)
 
     for m in range(1, k + 1):
         for j, name in enumerate(base.names):
-            covs = [dual_covector(n, {tc.chart.index(base.names[j]): 1} if n == m else {})
-                    for n in range(1, k + 1)]
-            direct = contract_at_point(field, zeros, base, chart, covs)
+            # the m-th covector also has a unit dx_j component
+            covs = list(dual)
+            covs[m - 1] = {**dual[m - 1], tc.chart.index(name): Polynomial.const(chart, 1)}
+            direct = contract_at_point(at_zero, chart, covs)
             if direct != values[dual_core_frame_name(name, m)]:
                 raise CrossCheckError(
                     f"frame value mismatch on {dual_core_frame_name(name, m)}")
     for a, name in enumerate(A.frame_names):
         point = dict(zeros)
         point[tc.fiber_names[a]] = 1
-        covs = [dual_covector(n, {}) for n in range(1, k + 1)]
-        direct = contract_at_point(field, point, base, chart, covs)
+        direct = contract_at_point(fiber_restriction(field, point, base, chart), chart, dual)
         if direct != values[dual_linear_frame_name(name)]:
             raise CrossCheckError(
                 f"frame value mismatch on {dual_linear_frame_name(name)}")

@@ -18,6 +18,9 @@ carries into a neighbouring slot; a product whose result has a guard bit set
 raises `ChartError` instead of storing a monomial of the wrong coordinate.
 The parser checks a power against that limit, and against a budget on the
 number of terms it can expand to (`POWER_TERM_BUDGET`), before expanding it.
+It refuses a product whose factors have more term pairs than
+`PRODUCT_PAIR_BUDGET` before multiplying them, and an integer literal of more
+than `LITERAL_DIGIT_LIMIT` digits before converting it.
 
 `Polynomial(chart, terms)` takes the readable form, a map from exponent
 tuples (one non-negative int per chart coordinate) to coefficients, and
@@ -63,6 +66,12 @@ EXPONENT_LIMIT = (1 << (SLOT_BITS - 1)) - 1
 #: the most terms a parsed power `base^N` may expand to, by the multinomial
 #: bound C(N + t - 1, t - 1) on a base of t terms
 POWER_TERM_BUDGET = 20_000
+#: the most term pairs (t1 * t2 for factors of t1 and t2 terms) one parsed
+#: product may multiply
+PRODUCT_PAIR_BUDGET = 250_000
+#: the most digits of an integer literal; CPython's default limit on
+#: converting a decimal string to an int, held on every interpreter
+LITERAL_DIGIT_LIMIT = 4300
 
 #: roles a chart coordinate can play
 ROLE_BASE = "base"
@@ -584,6 +593,11 @@ class _Parser:
             start = self.pos
             self.pos += 1
             right = self.factor()
+            pairs = len(result._terms) * len(right._terms)
+            if pairs > PRODUCT_PAIR_BUDGET:
+                raise ParseError(
+                    f"product of {len(result._terms)} and {len(right._terms)} terms has "
+                    f"{pairs} term pairs, above the budget of {PRODUCT_PAIR_BUDGET}", start)
             try:
                 result = result * right
             except ChartError as exc:
@@ -624,18 +638,20 @@ class _Parser:
             if negative:
                 self.pos += 1
                 self.skip_ws()
+            num_start = self.pos
             num = self._digits()
             if num is None:
                 raise ParseError("expected digits after '-'", self.pos)
-            value = Fraction(int(num))
+            value = Fraction(_literal(num, num_start))
             if self.peek() == "/":
                 self.pos += 1
                 self.skip_ws()
                 den_start = self.pos
                 den = self._digits()
-                if den is None or int(den) == 0:
+                den = 0 if den is None else _literal(den, den_start)
+                if den == 0:
                     raise ParseError("expected positive denominator", den_start)
-                value = Fraction(int(num), int(den))
+                value = value / den
             if negative:
                 value = -value
             return Polynomial.const(self.chart, value)
@@ -649,6 +665,15 @@ class _Parser:
                 raise ParseError(f"unknown coordinate {name!r}", start)
             return Polynomial.variable(self.chart, name)
         raise ParseError("expected rational, coordinate or '('", self.pos)
+
+
+def _literal(digits: str, offset: int) -> int:
+    """The value of an integer literal of at most `LITERAL_DIGIT_LIMIT` digits."""
+    if len(digits) > LITERAL_DIGIT_LIMIT:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits, above the limit of "
+            f"{LITERAL_DIGIT_LIMIT}", offset)
+    return int(digits)
 
 
 def _power_budget(base: Polynomial, digits: str, offset: int) -> int:

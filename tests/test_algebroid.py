@@ -9,6 +9,7 @@ from imcalc.algebroid import (
     FiberFunctional,
     LieAlgebroid,
     Section,
+    Violation,
     anchor_apply,
     bracket_sections,
     check_axioms,
@@ -291,6 +292,39 @@ def test_frame_pair_sufficiency(rng):
             failing_seen += 1
             assert any(not r.is_zero() for r in residuals)
     assert failing_seen >= 10  # random tables essentially never satisfy the condition
+
+
+def reference_morphism_violations(algebroid, functional) -> list:
+    """The violations of `check_morphism_to_line`, each pair's residual built
+    from `anchor_derivation` with nothing shared between pairs."""
+    out = []
+    values = [functional.value(a) for a in range(algebroid.rank)]
+    for i in range(algebroid.rank):
+        for j in range(i + 1, algebroid.rank):
+            res = (-algebroid.anchor_derivation(i, values[j])
+                   + algebroid.anchor_derivation(j, values[i]))
+            for c, w in algebroid.bracket_frame_row(i, j):
+                res = res + w * values[c]
+            if not res.is_zero():
+                out.append(Violation(
+                    "MORPHISM", (algebroid.frame_names[i], algebroid.frame_names[j]), res))
+    return out
+
+
+@pytest.mark.parametrize("prolong", [tangent_prolongation, cotangent_prolongation],
+                         ids=["tangent", "cotangent"])
+def test_morphism_checker_matches_anchor_derivation_reference(rng, prolong):
+    for _ in range(6):
+        prol = prolong(rnd_algebroid(rng), rng.choice([1, 2]))
+        chart = prol.base_chart
+        # some frame values zero, so some pairs pass while others fail
+        values = {n: rnd_poly(rng, chart, 2) if rng.random() < 0.7 else Polynomial.zero(chart)
+                  for n in prol.frame_names}
+        functional = FiberFunctional(prol, values)
+        expected = reference_morphism_violations(prol, functional)
+        report = check_morphism_to_line(prol, functional)
+        assert report.violations == tuple(expected)
+        assert report.passed == (not expected)
 
 
 def test_morphism_report_is_frame_ordered():

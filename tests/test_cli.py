@@ -200,17 +200,21 @@ def test_absent_mode_defaults_to_axioms(tmp_path):
     assert json.loads(out)["mode"] == "axioms"
 
 
-OVER_EXPONENT_LIMIT = {
+CUBED = "*".join(["(x1+x2+x3+1)^12"] * 3)
+
+OVER_INPUT_LIMITS = {
     # (path, expression, text the message must carry)
     "product": (["anchor", 0, 0], "x1^20000*x1^20000", "x1^20000*x1^20000"),
     "power": (["anchor", 0, 0], "(x1^2)^20000", "(x1^2)^20000"),
     "power_terms": (["anchor", 0, 0], "(x1+x2+x3+1)^60", "(x1+x2+x3+1)^60"),
+    "product_pairs": (["anchor", 0, 0], CUBED, "term pairs"),
+    "long_literal": (["anchor", 0, 0], "1" * 5000, "5000 digits"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(OVER_EXPONENT_LIMIT))
+@pytest.mark.parametrize("case", sorted(OVER_INPUT_LIMITS))
 def test_exponent_limit_is_an_input_error(tmp_path, case):
-    path, expr, named = OVER_EXPONENT_LIMIT[case]
+    path, expr, named = OVER_INPUT_LIMITS[case]
     code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", _set(path, expr))
     assert code == 2
     assert out == ""

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
+from imcalc.algebroid import Violation
 from imcalc.errors import AlgebroidError
 from imcalc.fixtures import (
     broken_poisson_im_form,
@@ -26,6 +27,7 @@ from imcalc.forms import (
     VectorField,
     contract,
     exterior_derivative,
+    lie_derivative,
     schouten,
 )
 from imcalc.imforms import (
@@ -163,6 +165,66 @@ def test_oracle_random_candidates(rng):
         assert verdicts[0] == verdicts[1]
         seen[verdicts[0]] += 1
     assert seen[True] >= 3 and seen[False] >= 3
+
+
+def reference_im_violations(im: IMForm) -> list:
+    """The IM violations of `check_im_form`, in its order, with every residual
+    assembled per frame pair from `contract`, `lie_derivative` and
+    `exterior_derivative` (no operator is shared between pairs)."""
+    A = im.algebroid
+    r = A.rank
+    k = im.k
+    mu, nu = im.forms.mu, im.forms.nu
+
+    def rho(a):
+        return A.anchor_field(a)
+
+    def image(maps, a, b, degree):
+        out = DifferentialForm(A.base_chart, degree)
+        for c, w in A.bracket_frame_row(a, b):
+            out = out + maps[c].scale(w)
+        return out
+
+    def rows(tag, pairs, residual, caveat):
+        out = []
+        for a, b in pairs:
+            res = residual(a, b)
+            for idx in sorted(res.coeffs):
+                out.append(Violation(tag, (A.frame_names[a], A.frame_names[b],
+                                           res.label(idx) or "1"), res.coeffs[idx], caveat))
+        return out
+
+    im1 = rows("IM1", [(a, b) for a in range(r) for b in range(a, r)],
+               lambda a, b: contract(rho(a), mu[b]) + contract(rho(b), mu[a]), None)
+    caveat = "frame-reduction not certified (IM1 fails)" if im1 else None
+    im2 = rows("IM2", product(range(r), repeat=2),
+               lambda a, b: (image(mu, a, b, k - 1) - lie_derivative(rho(a), mu[b])
+                             + contract(rho(b), exterior_derivative(mu[a]))
+                             + contract(rho(b), nu[a])), caveat)
+    im3 = rows("IM3", [(a, b) for a in range(r) for b in range(a + 1, r)],
+               lambda a, b: (image(nu, a, b, k) - lie_derivative(rho(a), nu[b])
+                             + contract(rho(b), exterior_derivative(nu[a]))), caveat)
+    return im1 + im2 + im3
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_im_checker_matches_per_pair_reference(rng, k):
+    failing = 0
+    for _ in range(10):
+        algebroid = rnd_algebroid(rng)
+        while algebroid.base_chart.dim < k - 1:
+            # mu would vanish on a smaller base
+            algebroid = rnd_algebroid(rng)
+        if rng.random() < 0.25:
+            im = im_form_from_base_form(algebroid, rnd_form(rng, algebroid.base_chart, k))
+        else:
+            im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
+        report = check_im_form(im)
+        expected = reference_im_violations(im)
+        assert report.violations == tuple(expected)
+        assert report.passed == (not expected)
+        failing += not report.passed
+    assert failing >= 4
 
 
 def test_nu_identities_hold_on_passing_candidates(rng):

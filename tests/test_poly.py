@@ -8,8 +8,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from imcalc import poly
 from imcalc.poly import (
     EXPONENT_LIMIT,
+    LITERAL_DIGIT_LIMIT,
     Chart,
     ChartError,
     Coord,
@@ -148,6 +150,32 @@ def test_power_budget():
         assert err.value.offset == offset
     assert parse("x1^00032767", ch4) == parse(f"x1^{EXPONENT_LIMIT}", ch4)
     assert parse("(x2^2)^16383", ch4).terms == {(0, 32766, 0, 0): 1}
+
+
+def test_product_budget(monkeypatch):
+    ch4 = base_chart("M", ["x1", "x2", "x3", "x4"])
+    # each factor (1,820 terms) is under the power budget; their product is not
+    cubed = "*".join(["(x1+x2+x3+x4+1)^12"] * 3)
+    with pytest.raises(ParseError) as err:
+        parse(cubed, ch4)
+    assert err.value.offset == 18
+    assert "3312400 term pairs" in str(err.value)
+    # the largest product a benchmark document writes has 36 x 15 term pairs
+    assert len(parse("(1 + x1 + 2*x2)^7*(x1 - x2 + 3)^4", ch4).terms) == 78
+    monkeypatch.setattr(poly, "PRODUCT_PAIR_BUDGET", 6)
+    assert len(parse("(x1+x2) * (x1+x2+x3)", ch4).terms) == 5
+    with pytest.raises(ParseError) as err:
+        parse("x1 * (x1+x2) * (x1+x2+x3+x4)", ch4)
+    assert err.value.offset == 13
+
+
+def test_literal_digit_limit():
+    assert parse("1" * LITERAL_DIGIT_LIMIT, CH2) == Polynomial.const(CH2, int("1" * LITERAL_DIGIT_LIMIT))
+    for text, offset in [("1" * (LITERAL_DIGIT_LIMIT + 1), 0), ("x1 - " + "9" * 5000, 5),
+                         ("x1 + 1/" + "1" * 5000, 7), ("0" * 5000 + "1", 0)]:
+        with pytest.raises(ParseError) as err:
+            parse(text, CH2)
+        assert err.value.offset == offset
 
 
 def test_eval_examples():

@@ -1,0 +1,160 @@
+"""Each checker computes a derivative or a fiber restriction once per call,
+and `verify` checks the axioms and decomposes a candidate once per document.
+
+The kernel calls are counted by wrapping them with monkeypatch; a counter
+keeps every argument it saw alive, so `id` stays unique for the count.
+"""
+
+from __future__ import annotations
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from conftest import rnd_algebroid, rnd_bundle_forms, rnd_linear_multivector, rnd_poly
+from imcalc import forms, imforms, linforms, multivec
+from imcalc import cli
+from imcalc.algebroid import (
+    FiberFunctional,
+    check_axioms,
+    check_morphism_to_line,
+    cotangent_prolongation,
+    tangent_prolongation,
+)
+from imcalc.fixtures import koszul_so3_algebroid
+from imcalc.imforms import IMForm, check_im_form, im_form_from_base_form
+from imcalc.linforms import decompose, form_frame_functional, linear_form, total_chart_of
+from imcalc.multivec import multivector_frame_functional
+from imcalc.poly import Polynomial
+
+
+class CallCounter:
+    """Counts calls by a key; holds each keyed object so ids are not reused."""
+
+    def __init__(self):
+        self.counts = Counter()
+        self.kept = []
+        self.on = True
+
+    def record(self, obj, *rest):
+        if self.on:
+            self.kept.append(obj)
+            self.counts[(id(obj),) + rest] += 1
+
+    def wrap(self, fn, key):
+        def counted(*args, **kwargs):
+            self.record(*key(*args, **kwargs))
+            return fn(*args, **kwargs)
+        return counted
+
+
+@pytest.mark.parametrize("prolong", [tangent_prolongation, cotangent_prolongation],
+                         ids=["tangent", "cotangent"])
+def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, prolong):
+    cases = []
+    for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng), rnd_algebroid(rng)):
+        prol = prolong(algebroid, 2)
+        values = {n: rnd_poly(rng, prol.base_chart, 2) for n in prol.frame_names}
+        cases.append((prol, FiberFunctional(prol, values)))
+    counter = CallCounter()
+    monkeypatch.setattr(Polynomial, "diff",
+                        counter.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
+    for prol, functional in cases:
+        check_morphism_to_line(prol, functional)
+    assert counter.counts, "the check took no partial derivative"
+    assert max(counter.counts.values()) == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_im_check_takes_d_of_each_frame_image_once(rng, monkeypatch, k):
+    algebroid = koszul_so3_algebroid()
+    eta = forms.DifferentialForm(algebroid.base_chart, k,
+                                 {tuple(range(k)): rnd_poly(rng, algebroid.base_chart, 2)})
+    candidates = [im_form_from_base_form(algebroid, eta),   # passes: the nu identities run
+                  IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))]
+    counter = CallCounter()
+    counted = counter.wrap(forms.exterior_derivative, lambda a: (a,))
+    for module in (forms, imforms):
+        monkeypatch.setattr(module, "exterior_derivative", counted)
+    for im, passes in zip(candidates, (True, False)):
+        counter.counts.clear()
+        assert check_im_form(im).passed == passes
+        for image in im.forms.mu + im.forms.nu:
+            assert counter.counts[(id(image),)] == 1
+
+
+def _counting_cross_check(monkeypatch, module, name):
+    """Count `partial_eval` calls, by polynomial and point, inside one
+    cross-check function only."""
+    counter = CallCounter()
+    counter.on = False
+    monkeypatch.setattr(Polynomial, "partial_eval", counter.wrap(
+        Polynomial.partial_eval,
+        lambda p, assign, chart: (p, tuple(sorted(assign.items())), chart)))
+    inner = getattr(module, name)
+
+    def counted(*args):
+        counter.on = True
+        try:
+            return inner(*args)
+        finally:
+            counter.on = False
+
+    monkeypatch.setattr(module, name, counted)
+    return counter
+
+
+def _points(counter) -> set:
+    return {key[1] for key in counter.counts}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
+    counter = _counting_cross_check(monkeypatch, linforms, "_cross_check_form_values")
+    algebroid = koszul_so3_algebroid()
+    form = linear_form(rnd_bundle_forms(rng, algebroid, k), total_chart_of(algebroid))
+    form_frame_functional(form, algebroid, k)
+    assert max(counter.counts.values()) == 1
+    # the zero point and one unit point per frame section
+    assert len(_points(counter)) == algebroid.rank + 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multivector_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
+    counter = _counting_cross_check(monkeypatch, multivec, "_cross_check_multivector_values")
+    algebroid = koszul_so3_algebroid()
+    multivector_frame_functional(rnd_linear_multivector(rng, algebroid, k), algebroid, k)
+    assert max(counter.counts.values()) == 1
+    assert len(_points(counter)) == algebroid.rank + 1
+
+
+def _count_everywhere(monkeypatch, *functions) -> Counter:
+    """Count calls of each function by name, wherever an `imcalc` module
+    binds it."""
+    counts = Counter()
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name == "imcalc" or name.startswith("imcalc.")) \
+                    and vars(module).get(fn.__name__) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("so3_poisson_weil2.json", {"check_axioms": 1, "decompose": 1, "linear_form": 1}),
+    ("so3_poisson_im2.json", {"check_axioms": 1, "linear_form": 1}),
+    ("so3_coboundary_mv2.json", {"check_axioms": 1}),
+])
+def test_one_axiom_check_and_decomposition_per_document(monkeypatch, capsys, name, expected):
+    counts = _count_everywhere(monkeypatch, check_axioms, decompose, linear_form)
+    assert cli.main(["--input", str(CORPUS / name)]) == 0
+    assert dict(counts) == expected
