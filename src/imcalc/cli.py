@@ -21,7 +21,9 @@ from .forms import DifferentialForm
 from .imforms import IMForm, check_lagrangian, dirac_candidate, im_routes
 from .linforms import BundleForms, NotLinearError, decompose, total_chart_of
 from .multivec import LinearMultivector, derivation_routes
-from .poly import Chart, ChartError, ParseError, Polynomial, base_chart, parse
+from .poly import (
+    LITERAL_DIGIT_LIMIT, Chart, ChartError, ParseError, Polynomial, base_chart, parse,
+)
 from .weil import cochain_from_bundle_forms, horizontal_vanishing_report
 
 EXIT_PASS = 0
@@ -49,10 +51,14 @@ def _require(condition: bool, message: str) -> None:
         raise InputError(message)
 
 
-def _degree(value, field: str) -> int:
-    """A degree k read from the document: an int >= 1, and not a bool."""
-    _require(type(value) is int and value >= 1,
-             f"{field} must be an integer >= 1, got {value!r}")
+def _degree(value, field: str, algebroid: LieAlgebroid) -> int:
+    """A degree k read from the document: an int, not a bool, from 1 to the
+    dimension of the total space (base dimension + rank); every candidate
+    of a higher degree is zero."""
+    top = algebroid.base_chart.dim + algebroid.rank
+    _require(type(value) is int and 1 <= value <= top,
+             f"{field} must be an integer from 1 to {top} (base dimension + rank), "
+             f"got {value!r}")
     return value
 
 
@@ -146,7 +152,7 @@ def load_candidate(doc: dict, algebroid: LieAlgebroid):
     _require(isinstance(candidate, dict) and "type" in candidate,
              "'candidate' must be an object with a 'type'")
     kind = candidate["type"]
-    k = _degree(candidate.get("k"), "candidate.k")
+    k = _degree(candidate.get("k"), "candidate.k", algebroid)
     chart = algebroid.base_chart
     if kind == "im-form":
         mu_docs = candidate.get("mu")
@@ -188,15 +194,30 @@ def _load_samples(doc: dict, args, chart: Chart):
         return None
     _require(isinstance(raw, list), "sample points are a list of rational lists")
     points = []
-    for row in raw:
+    for number, row in enumerate(raw, 1):
         _require(isinstance(row, list) and len(row) == chart.dim,
                  "sample points need one rational per base coordinate")
-        try:
-            values = [Fraction(str(v)) for v in row]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise InputError(f"bad sample point {row}: {exc}") from exc
-        points.append(dict(zip(chart.names, values)))
+        points.append({name: _sample_value(v, number, name)
+                       for name, v in zip(chart.names, row)})
     return points
+
+
+def _sample_value(value, number: int, name: str) -> Fraction:
+    """One coordinate of sample point `number`, refused before it is
+    converted when it would cost without bound: exponent notation
+    ("1e999999999" is 11 bytes), or a numerator or denominator of more than
+    `LITERAL_DIGIT_LIMIT` digits."""
+    text = str(value)
+    where = f"sample point {number}, coordinate {name}"
+    _require("e" not in text.lower(), f"{where}: exponent notation is not accepted")
+    for part in text.partition("/")[::2]:
+        digits = sum(ch.isdigit() for ch in part)
+        _require(digits <= LITERAL_DIGIT_LIMIT,
+                 f"{where}: {digits} digits, above the limit of {LITERAL_DIGIT_LIMIT}")
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InputError(f"{where}: bad rational {text!r}: {exc}") from exc
 
 
 def _routes(mode: str, candidate, algebroid: LieAlgebroid, k) -> dict:
@@ -236,15 +257,16 @@ def run_document(doc: dict, args) -> tuple:
     algebroid = load_algebroid(doc)
     candidate = load_candidate(doc, algebroid)
     if args.k is not None:
-        k = _degree(args.k, "--k")
+        k = _degree(args.k, "--k", algebroid)
     elif "k" in options:
-        k = _degree(options["k"], "options.k")
+        k = _degree(options["k"], "options.k", algebroid)
     elif candidate is not None and mode != "axioms":
         k = candidate.degree if isinstance(candidate, DifferentialForm) else candidate.k
     else:
         k = None
 
     routes = _routes(mode, candidate, algebroid, k)
+    samples = _load_samples(doc, args, algebroid.base_chart) if mode == "im-form" else None
     if not oracle_on:
         # without the oracle only the direct conditions are checked
         routes = dict(list(routes.items())[:1])
@@ -260,11 +282,9 @@ def run_document(doc: dict, args) -> tuple:
     for name, report in outcome.reports.items():
         verdict_tags += ROUTE_TAGS[name]
         _merge_report(bag, report)
-    if mode == "im-form":
-        samples = _load_samples(doc, args, algebroid.base_chart)
-        if samples is not None and k == 2:
-            verdict_tags += ["ISOTROPY", "LAGRANGIAN"]
-            _merge_report(bag, check_lagrangian(dirac_candidate(candidate), samples))
+    if samples is not None and k == 2:
+        verdict_tags += ["ISOTROPY", "LAGRANGIAN"]
+        _merge_report(bag, check_lagrangian(dirac_candidate(candidate), samples))
 
     witnesses = [
         {"condition": cond, "witness": list(w), "residual": res}

@@ -37,9 +37,13 @@ reduces to "this polynomial is identically zero", which the canonical term
 map certifies exactly.  The zero polynomial is the empty map, and two
 polynomials are equal iff chart and term maps are equal.
 
-Sums are collected in place in one term map (`_accumulate`): `+`, `*` and
-`Polynomial.sum_of_products` all feed it, so a sum of n products copies no
-intermediate term map.
+Products are collected in one flat loop (`Polynomial.sum_of_products`, which
+`*` also calls): each term pair adds its coefficient product into one term
+map, and the map is made canonical once per call, not once per pair, so a
+sum of n products copies no intermediate term map.  `eval` brings every term
+over one integer denominator, the product of q_i^D_i over the coordinates
+(p_i/q_i the value of coordinate i, D_i the top degree in it), so it sums
+ints and builds one `Fraction`.
 
 Charts carry a role per coordinate (base / fiber / tangent copy / dual copy)
 so that total spaces of bundles and direct-sum prolongation charts can do
@@ -52,7 +56,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb
+from math import comb, lcm
 from operator import or_
 from typing import Iterable
 
@@ -192,11 +196,11 @@ def _accumulate(terms: dict, items) -> None:
             del terms[e]
 
 
-def _products(left: dict, right: dict):
-    """The term pairs of a product of two term maps, not yet collected."""
-    for e1, c1 in left.items():
-        for e2, c2 in right.items():
-            yield e1 + e2, c1 * c2
+def _canonical(terms: dict) -> dict:
+    """A collected term map made canonical: zero sums dropped, and an
+    integral Fraction stored as its numerator."""
+    return {e: c if type(c) is int or c.denominator != 1 else c.numerator
+            for e, c in terms.items() if c}
 
 
 def _check_guard(chart: Chart, terms: dict) -> None:
@@ -296,12 +300,18 @@ class Polynomial:
     def sum_of_products(cls, chart: Chart, pairs: Iterable) -> "Polynomial":
         """The sum of p * q over the (p, q) pairs, all polynomials on `chart`."""
         terms: dict = {}
+        get = terms.get
         for p, q in pairs:
             if not (_same(p.chart, chart) and _same(q.chart, chart)):
                 raise ChartError(
                     f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
                 )
-            _accumulate(terms, _products(p._terms, q._terms))
+            right = tuple(q._terms.items())
+            for e1, c1 in p._terms.items():
+                for e2, c2 in right:
+                    e = e1 + e2
+                    terms[e] = get(e, 0) + c1 * c2
+        terms = _canonical(terms)
         _check_guard(chart, terms)
         return _make(chart, terms)
 
@@ -338,14 +348,8 @@ class Polynomial:
             c = _coeff(other)
             if not c:
                 return Polynomial(self.chart)
-            terms = {}
-            _accumulate(terms, ((e, v * c) for e, v in self._terms.items()))
-            return _make(self.chart, terms)
-        other = self._coerce(other)
-        terms: dict = {}
-        _accumulate(terms, _products(self._terms, other._terms))
-        _check_guard(self.chart, terms)
-        return _make(self.chart, terms)
+            return _make(self.chart, _canonical({e: v * c for e, v in self._terms.items()}))
+        return Polynomial.sum_of_products(self.chart, ((self, self._coerce(other)),))
 
     __rmul__ = __mul__
 
@@ -396,16 +400,25 @@ class Polynomial:
         missing = [n for n in self.chart.names if n not in point]
         if missing:
             raise ChartError(f"point is missing coordinates {missing}")
-        values = [_coeff(point[n]) for n in self.chart.names]
-        unpack = self.chart.unpack
+        terms = self._terms
+        # every coefficient times `scale` is an int
+        scale = lcm(*(c.denominator for c in terms.values()))
+        den = scale
+        tables = []  # (shift, [p^k * q^(D-k) for k in 0..D]) per coordinate of degree D > 0
+        for n, s in zip(self.chart.names, self.chart._shifts):
+            top = max(((e >> s) & SLOT_MASK for e in terms), default=0)
+            if top:
+                v = Fraction(point[n])
+                p, q = v.numerator, v.denominator
+                tables.append((s, [p ** k * q ** (top - k) for k in range(top + 1)]))
+                den *= q ** top
         total = 0
-        for e, c in self._terms.items():
-            term = c
-            for v, k in zip(values, unpack(e)):
-                if k:
-                    term *= v ** k
+        for e, c in terms.items():
+            term = c if scale == 1 else c.numerator * (scale // c.denominator)
+            for s, table in tables:
+                term *= table[(e >> s) & SLOT_MASK]
             total += term
-        return Fraction(total)
+        return Fraction(total, den)
 
     def partial_eval(self, assign: Mapping, new_chart: Chart) -> "Polynomial":
         """Evaluate some coordinates at rationals and re-express on `new_chart`.

@@ -240,6 +240,10 @@ BAD_DEGREES = {
     "candidate_k_bool": (["candidate", "k"], True, (), "candidate.k"),
     "candidate_k_string": (["candidate", "k"], "2", (), "candidate.k"),
     "flag_k_zero": (["options", "k"], 2, ("--k", "0"), "--k"),
+    # so3 has base dimension 3 and rank 3, so k is at most 6
+    "candidate_k_above_total_dim": (["candidate", "k"], 200, (), "candidate.k"),
+    "options_k_above_total_dim": (["options", "k"], 7, (), "options.k"),
+    "flag_k_above_total_dim": (["options", "k"], 2, ("--k", "7"), "--k"),
 }
 
 
@@ -251,6 +255,40 @@ def test_degree_must_be_a_positive_int(tmp_path, case):
     assert out == ""
     assert err.startswith("error: ")
     assert field in err
+
+
+def test_degree_at_total_dim_is_accepted(tmp_path):
+    """k = base dimension + rank is the largest degree accepted; every form
+    of that degree on the so3 data is zero, so the zero candidate passes."""
+    def mutate(doc):
+        candidate = doc["candidate"]
+        candidate["k"] = 6
+        candidate["mu"] = [{"degree": 5, "terms": []}] * 3
+        candidate["nu"] = [{"degree": 6, "terms": []}] * 3
+        doc["options"].pop("k", None)
+
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", mutate)
+    assert code == 0, err
+    assert json.loads(out)["k"] == 6
+
+
+UNBOUNDED_SAMPLES = {
+    # (second point's value for x2, text the message must carry)
+    "exponent": ("1e999999999", "exponent notation"),
+    "exponent_upper": ("1E5", "exponent notation"),
+    "long_numerator": ("7" * 4301 + "/3", "4301 digits"),
+    "long_denominator": ("3/" + "7" * 4301, "4301 digits"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNBOUNDED_SAMPLES))
+def test_unbounded_sample_values_are_input_errors(tmp_path, case):
+    value, named = UNBOUNDED_SAMPLES[case]
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", _set(
+        ["options", "samples"], [["1", "0", "0"], ["1/2", value, "2"]]))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: sample point 2, coordinate x2") and named in err
 
 
 def test_samples_enable_rank_checks(tmp_path):

@@ -4,8 +4,9 @@ Every verdict of the library is an exact zero test in `Polynomial`, so the
 kernel's arithmetic is compared term by term with an independent
 implementation on Hypothesis-drawn polynomials: charts of 1-4 coordinates,
 integral and non-integral rational coefficients, sums that cancel to zero,
-rational sums whose denominators cancel to 1, and exponents near the
-per-coordinate limit of the packed monomial keys.
+rational sums whose denominators cancel to 1, exponents near the
+per-coordinate limit of the packed monomial keys, and evaluation at zero,
+negative and large-denominator points.
 """
 
 from __future__ import annotations
@@ -140,10 +141,27 @@ def test_diff(p, data):
     assert_matches(p.diff(p.chart.names[i]), sympy.diff(to_sympy(p), symbols[i]))
 
 
+# evaluation points: zero, negative, and numerators and denominators far
+# beyond one machine word, besides the small rationals of `coefficients`
+large_denominator = st.builds(Fraction, st.integers(min_value=-10**40, max_value=10**40),
+                              st.integers(min_value=10**20, max_value=10**40))
+point_values = st.one_of(coefficients, st.just(0), st.integers(max_value=-1), large_denominator)
+
+
+@st.composite
+def eval_polys(draw):
+    """A polynomial of `poly`, or a constant or zero polynomial."""
+    p = draw(poly())
+    kind = draw(st.sampled_from(["poly", "constant", "zero"]))
+    if kind == "constant":
+        return Polynomial.const(p.chart, draw(coefficients))
+    return Polynomial.zero(p.chart) if kind == "zero" else p
+
+
 @SETTINGS
-@given(poly(), st.data())
+@given(eval_polys(), st.data())
 def test_eval(p, data):
-    point = {n: data.draw(coefficients) for n in p.chart.names}
+    point = {n: data.draw(point_values) for n in p.chart.names}
     value = p.eval(point)
     assert isinstance(value, Fraction)
     subs = {s: rat(point[n]) for s, n in zip(SYMBOLS[p.chart.dim], p.chart.names)}
@@ -193,6 +211,14 @@ def test_sum_of_products(ps):
     assert_matches(out, to_sympy(a) * to_sympy(b) + to_sympy(c) * to_sympy(d))
     assert Polynomial.sum_of_products(a.chart, [(a, b), (-a, b)]).is_zero()
     assert Polynomial.sum_of_products(a.chart, []).is_zero()
+    # each running sum passes through zero and comes back
+    assert_matches(Polynomial.sum_of_products(a.chart, [(a, b), (-a, b), (a, b)]),
+                   to_sympy(a) * to_sympy(b))
+    # Fraction products of different pairs that sum to the terms of a * b
+    thirds = Polynomial.sum_of_products(
+        a.chart, [(a * Fraction(1, 3), b), (a * Fraction(2, 3), b)])
+    assert_matches(thirds, to_sympy(a) * to_sympy(b))
+    assert thirds == a * b
 
 
 NEAR_LIMIT = st.one_of(
