@@ -186,8 +186,11 @@ def _merge_report(bag: dict, report: CheckReport) -> None:
 def _load_samples(doc: dict, args, chart: Chart):
     raw = None
     if args.samples:
-        with open(args.samples, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+        try:
+            with open(args.samples, "r", encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot read samples: {exc}") from exc
     elif isinstance(doc.get("options"), dict) and "samples" in doc["options"]:
         raw = doc["options"]["samples"]
     if raw is None:
@@ -203,17 +206,26 @@ def _load_samples(doc: dict, args, chart: Chart):
 
 
 def _sample_value(value, number: int, name: str) -> Fraction:
-    """One coordinate of sample point `number`, refused before it is
-    converted when it would cost without bound: exponent notation
-    ("1e999999999" is 11 bytes), or a numerator or denominator of more than
-    `LITERAL_DIGIT_LIMIT` digits."""
-    text = str(value)
+    """One coordinate of sample point `number`.
+
+    A string is refused before it is converted when it would cost without
+    bound: exponent notation ("1e999999999" is 11 bytes), or a numerator or
+    denominator of more than `LITERAL_DIGIT_LIMIT` digits.  A JSON int is
+    held to the same digit limit; a JSON float's exponent is bounded, so it
+    is read as the decimal of its shortest repr (0.00001 as "1e-05", which
+    is 1/100000).
+    """
     where = f"sample point {number}, coordinate {name}"
-    _require("e" not in text.lower(), f"{where}: exponent notation is not accepted")
-    for part in text.partition("/")[::2]:
-        digits = sum(ch.isdigit() for ch in part)
-        _require(digits <= LITERAL_DIGIT_LIMIT,
-                 f"{where}: {digits} digits, above the limit of {LITERAL_DIGIT_LIMIT}")
+    if isinstance(value, str):
+        _require("e" not in value.lower(), f"{where}: exponent notation is not accepted")
+        for part in value.partition("/")[::2]:
+            digits = sum(ch.isdigit() for ch in part)
+            _require(digits <= LITERAL_DIGIT_LIMIT,
+                     f"{where}: {digits} digits, above the limit of {LITERAL_DIGIT_LIMIT}")
+    elif type(value) is int:
+        _require(abs(value) < 10 ** LITERAL_DIGIT_LIMIT,
+                 f"{where}: more than {LITERAL_DIGIT_LIMIT} digits")
+    text = str(value)
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -343,7 +355,9 @@ def main(argv=None) -> int:
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
+        # ValueError besides JSONDecodeError: an int literal of more than
+        # 4300 digits, or bytes that are not UTF-8
         print(f"error: cannot read input: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -40,10 +40,13 @@ polynomials are equal iff chart and term maps are equal.
 Products are collected in one flat loop (`Polynomial.sum_of_products`, which
 `*` also calls): each term pair adds its coefficient product into one term
 map, and the map is made canonical once per call, not once per pair, so a
-sum of n products copies no intermediate term map.  `eval` brings every term
-over one integer denominator, the product of q_i^D_i over the coordinates
-(p_i/q_i the value of coordinate i, D_i the top degree in it), so it sums
-ints and builds one `Fraction`.
+sum of n products copies no intermediate term map.  `partial_eval` collects
+the same way; `+` cleans only the keys of its right operand in place, since
+`total = total + term` adds a short map into a long one.  `eval` brings every
+term over one integer denominator, the product of q_i^D_i over the
+coordinates (p_i/q_i the value of coordinate i, D_i the top degree in it), so
+it sums ints and builds one `Fraction`; its power tables hold one entry per
+exponent that occurs.
 
 Charts carry a role per coordinate (base / fiber / tangent copy / dual copy)
 so that total spaces of bundles and direct-sum prolongation charts can do
@@ -179,26 +182,11 @@ def _coeff(value):
     return value.numerator if value.denominator == 1 else value
 
 
-def _accumulate(terms: dict, items) -> None:
-    """Add (key, nonzero coefficient) pairs into a term map, in place.
-
-    Stored coefficients stay canonical: a Fraction sum whose denominator
-    cancels is stored as its numerator, and a sum that cancels is removed.
-    """
-    get = terms.get
-    for e, c in items:
-        s = get(e, 0) + c
-        if type(s) is not int and s.denominator == 1:
-            s = s.numerator
-        if s:
-            terms[e] = s
-        else:
-            del terms[e]
-
-
 def _canonical(terms: dict) -> dict:
     """A collected term map made canonical: zero sums dropped, and an
-    integral Fraction stored as its numerator."""
+    integral Fraction stored as its numerator.  Maps are collected with a
+    flat `terms[e] = get(e, 0) + c` loop and cleaned once here, not once per
+    added term."""
     return {e: c if type(c) is int or c.denominator != 1 else c.numerator
             for e, c in terms.items() if c}
 
@@ -329,7 +317,18 @@ class Polynomial:
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
         terms = dict(self._terms)
-        _accumulate(terms, other._terms.items())
+        get = terms.get
+        # only the keys of `other` can change, so they are cleaned in place;
+        # `_canonical` would copy all of self, the long map of
+        # `total = total + term`
+        for e, c in other._terms.items():
+            s = get(e, 0) + c
+            if type(s) is not int and s.denominator == 1:
+                s = s.numerator
+            if s:
+                terms[e] = s
+            else:
+                del terms[e]
         return _make(self.chart, terms)
 
     __radd__ = __add__
@@ -404,13 +403,16 @@ class Polynomial:
         # every coefficient times `scale` is an int
         scale = lcm(*(c.denominator for c in terms.values()))
         den = scale
-        tables = []  # (shift, [p^k * q^(D-k) for k in 0..D]) per coordinate of degree D > 0
+        # (shift, {k: p^k * q^(D-k)}) per coordinate of degree D > 0, over the
+        # exponents k that occur, so a sparse x1^D costs one entry, not D + 1
+        tables = []
         for n, s in zip(self.chart.names, self.chart._shifts):
-            top = max(((e >> s) & SLOT_MASK for e in terms), default=0)
+            used = {(e >> s) & SLOT_MASK for e in terms}
+            top = max(used, default=0)
             if top:
                 v = Fraction(point[n])
                 p, q = v.numerator, v.denominator
-                tables.append((s, [p ** k * q ** (top - k) for k in range(top + 1)]))
+                tables.append((s, {k: p ** k * q ** (top - k) for k in used}))
                 den *= q ** top
         total = 0
         for e, c in terms.items():
@@ -434,18 +436,17 @@ class Polynomial:
             else:
                 moves.append((s, new_chart._shifts[new_chart.index(c.name)]))
 
-        def images():
-            for e, coeff in self._terms.items():
-                for s, v in fixed:
-                    k = (e >> s) & SLOT_MASK
-                    if k:
-                        coeff = coeff * v ** k
-                if coeff:
-                    yield sum(((e >> s) & SLOT_MASK) << t for s, t in moves), coeff
-
         terms: dict = {}
-        _accumulate(terms, images())
-        return _make(new_chart, terms)
+        get = terms.get
+        for e, coeff in self._terms.items():
+            for s, v in fixed:
+                k = (e >> s) & SLOT_MASK
+                if k:
+                    coeff = coeff * v ** k
+            if coeff:
+                e = sum(((e >> s) & SLOT_MASK) << t for s, t in moves)
+                terms[e] = get(e, 0) + coeff
+        return _make(new_chart, _canonical(terms))
 
     def promote(self, new_chart: Chart) -> "Polynomial":
         """Reinterpret on a larger chart containing all of this chart's names."""

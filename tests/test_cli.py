@@ -16,7 +16,7 @@ import pytest
 
 import imcalc
 from imcalc.algebroid import CheckReport, Violation, check_morphism_to_line
-from imcalc.cli import load_algebroid, load_candidate, main
+from imcalc.cli import InputError, _sample_value, load_algebroid, load_candidate, main
 from imcalc.errors import OracleDisagreement
 from imcalc.fixtures import poisson_im_form
 from imcalc.imforms import oracle_equivalence
@@ -147,6 +147,15 @@ def test_unreadable_and_malformed_json(tmp_path):
     bad.write_text("{not json")
     code, _, err = run_cli(["--input", str(bad)])
     assert code == 2
+    # json refuses an int literal of more than 4300 digits with a plain
+    # ValueError, not a JSONDecodeError
+    bad.write_text('{"k": 1' + "0" * 5000 + "}")
+    code, out, err = run_cli(["--input", str(bad)])
+    assert (code, out) == (2, "") and err.startswith("error: cannot read input")
+    for samples in (tmp_path / "missing_points.json", bad):
+        code, out, err = run_cli(["--input", str(CORPUS / "so3_poisson_im2.json"),
+                                  "--samples", str(samples)])
+        assert (code, out) == (2, "") and err.startswith("error: cannot read samples"), err
 
 
 def _set(path, value):
@@ -289,6 +298,30 @@ def test_unbounded_sample_values_are_input_errors(tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: sample point 2, coordinate x2") and named in err
+
+
+def test_json_number_samples_read_as_their_decimals(tmp_path):
+    """A JSON int or float sample is read as the decimal it prints as, also
+    in exponent notation (0.00001 prints as 1e-05): the notation check
+    holds strings only, since a float's exponent is bounded."""
+    numbers = _run_mutated(tmp_path, "so3_poisson_im2.json", _set(
+        ["options", "samples"], [[1, 0, 0], [0.00001, -1, 2.5]]))
+    strings = _run_mutated(tmp_path, "so3_poisson_im2.json", _set(
+        ["options", "samples"], [["1", "0", "0"], ["1/100000", "-1", "5/2"]]))
+    assert numbers[0] == 0, numbers[2]
+    assert numbers == strings
+
+
+@pytest.mark.parametrize("value, named", [
+    (10 ** 4300, "more than 4300 digits"),
+    (-10 ** 4300, "more than 4300 digits"),
+    (True, "bad rational"),
+    (None, "bad rational"),
+], ids=["long_int", "long_negative_int", "bool", "null"])
+def test_non_string_sample_values_are_input_errors(value, named):
+    with pytest.raises(InputError, match=named):
+        _sample_value(value, 1, "x1")
+    assert _sample_value(10 ** 4300 - 1, 1, "x1") == 10 ** 4300 - 1
 
 
 def test_samples_enable_rank_checks(tmp_path):

@@ -184,6 +184,18 @@ def test_eval_examples():
     assert parse("x1 - 1/2", CH2).eval({"x1": Fraction(1, 2), "x2": 0}) == 0
 
 
+def test_eval_sparse_high_degree():
+    """A few terms of degree near the exponent limit at a non-integer point
+    cost a few powers, one per exponent that occurs, not one per degree up
+    to the top one."""
+    top = EXPONENT_LIMIT
+    p = parse(f"x1^{top} - 3*x1^{top - 1}*x2^{top} + 1/2", CH2)
+    x1, x2 = Fraction(1000, 999), Fraction(-7, 3)
+    value = p.eval({"x1": x1, "x2": x2})
+    assert type(value) is Fraction
+    assert value == x1 ** top - 3 * x1 ** (top - 1) * x2 ** top + Fraction(1, 2)
+
+
 def test_eval_missing_coordinate():
     with pytest.raises(ChartError):
         parse("x1", CH2).eval({"x1": 1})
