@@ -4,12 +4,14 @@ frame values on the tangent prolongation."""
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from conftest import rnd_form
+from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
 from imcalc.algebroid import tangent_prolongation
+from imcalc.errors import CrossCheckError
 from imcalc.fixtures import exact_im_form, koszul_so3_algebroid, tangent_algebroid
 from imcalc.forms import (
     DifferentialForm,
@@ -21,6 +23,7 @@ from imcalc.forms import (
 from imcalc.linforms import (
     BundleForms,
     NotLinearError,
+    _cross_check_form_values,
     decompose,
     fiber_contraction,
     fiber_pairing_form,
@@ -299,3 +302,16 @@ def test_frame_values_dual_route_random(rng):
                          tuple(rnd_form(rng, chart, k) for _ in range(3)))
         prol = tangent_prolongation(algebroid, k)
         form_frame_functional(linear_form(bf, tc), algebroid, k, prol)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_form_cross_check_raises_on_each_wrong_value(rng, k):
+    for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng)):
+        tc = total_chart_of(algebroid)
+        form = linear_form(rnd_bundle_forms(rng, algebroid, k), tc)
+        functional = form_frame_functional(form, algebroid, k)
+        chart = functional.algebroid.base_chart
+        for name, value in functional.values.items():
+            wrong = {**functional.values, name: value + 1}
+            with pytest.raises(CrossCheckError, match=f"on {re.escape(name)}$"):
+                _cross_check_form_values(form, algebroid, k, tc, chart, wrong)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ from conftest import (
     rnd_section,
 )
 from imcalc.algebroid import Section, cotangent_prolongation, section_bracket
-from imcalc.errors import AlgebroidError
+from imcalc.errors import AlgebroidError, CrossCheckError
 from imcalc.fixtures import (
     koszul_so3_algebroid,
     so3_algebroid,
@@ -26,6 +27,7 @@ from imcalc.linforms import total_chart_of
 from imcalc.multivec import (
     Derivation,
     LinearMultivector,
+    _cross_check_multivector_values,
     check_gerstenhaber_derivation,
     derivation_from_linear,
     gerstenhaber_bracket,
@@ -250,6 +252,21 @@ def test_frame_functional_dual_route_random(rng):
         prol = cotangent_prolongation(algebroid, k)
         functional = multivector_frame_functional(p, algebroid, k, prol)
         assert set(functional.values) == set(prol.frame_names)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multivector_cross_check_raises_on_each_wrong_value(rng, k):
+    algebroid = rnd_algebroid(rng)
+    while algebroid.base_chart.dim == 0:   # core values need a base coordinate
+        algebroid = rnd_algebroid(rng)
+    for algebroid in (koszul_so3_algebroid(), algebroid):
+        p = rnd_linear_multivector(rng, algebroid, k)
+        functional = multivector_frame_functional(p, algebroid, k)
+        prol = functional.algebroid
+        for name, value in functional.values.items():
+            wrong = {**functional.values, name: value + 1}
+            with pytest.raises(CrossCheckError, match=f"on {re.escape(name)}$"):
+                _cross_check_multivector_values(p, algebroid, k, prol, wrong)
 
 
 def test_dual_oracle_fixtures(rng):
