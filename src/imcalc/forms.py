@@ -20,7 +20,6 @@ Gerstenhaber bracket on wedge powers of sections.
 
 from __future__ import annotations
 
-from itertools import permutations
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .poly import Chart, ChartError, Polynomial
@@ -357,30 +356,60 @@ def evaluate_multivector(p: Multivector, covectors: Sequence[DifferentialForm]) 
     return p.scalar()
 
 
-def det_of_components(vectors: Sequence[Mapping], idx, target: Chart) -> Polynomial:
-    """Determinant of the matrix vectors[s][idx[t]] of Polynomial components.
+class Minors:
+    """The minors of a fixed list of rows, each expanded at most once.
 
-    `vectors` maps coordinate positions to components; missing entries count
-    as zero.  Used to contract forms/multivectors against explicit vector or
-    covector tuples.
+    A row maps positions to Polynomial components on `chart`; a missing
+    position is a zero entry.  `minors(ids, cols)` is the determinant of the
+    matrix rows[ids[s]].get(cols[t]), expanded along its first row; its
+    sub-minors come from the same table.  A table belongs to the call that
+    built it and is dropped with it.
     """
-    k = len(idx)
-    if k == 0:
-        return Polynomial.const(target, 1)
-    total = Polynomial.zero(target)
-    for perm in permutations(range(k)):
-        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
-        term = None
-        for row, col in enumerate(perm):
-            comp = vectors[row].get(idx[col])
-            if comp is None or comp.is_zero():
-                term = None
-                break
-            term = comp if term is None else term * comp
-        if term is None:
-            continue
-        total = total + term if inversions % 2 == 0 else total - term
-    return total
+
+    def __init__(self, rows: Sequence[Mapping], chart: Chart):
+        self.rows = rows
+        self.chart = chart
+        self.table: dict = {}
+
+    def minors(self, ids: tuple, cols: tuple) -> Polynomial:
+        """The minor over the ascending row ids `ids` and the columns `cols`."""
+        key = (ids, cols)
+        value = self.table.get(key)
+        if value is None:
+            value = self.table[key] = self._expand(ids, cols)
+        return value
+
+    def _expand(self, ids: tuple, cols: tuple) -> Polynomial:
+        if not ids:
+            return Polynomial.const(self.chart, 1)
+        row, rest = self.rows[ids[0]], ids[1:]
+        pairs = []
+        for t, col in enumerate(cols):
+            comp = row.get(col)
+            if comp is None:
+                continue
+            sub = self.minors(rest, cols[:t] + cols[t + 1:])
+            if not sub.is_zero():
+                pairs.append((comp, sub if t % 2 == 0 else -sub))
+        return Polynomial.sum_of_products(self.chart, pairs)
+
+    def contract(self, coeffs: Mapping, ids: tuple, unit=None) -> Polynomial:
+        """Contract coefficients {index tuple: Polynomial on chart} against
+        the rows `ids`: the sum of coeff * minors(ids, index).
+
+        `unit` = (row, col) adds 1 at `col` to that row of `ids`.  By
+        linearity in that row, the minor of the augmented rows is the minor
+        of the plain ones plus the signed minor without that row and column,
+        so every minor stays a minor of the shared rows.
+        """
+        pairs = []
+        for idx, coeff in coeffs.items():
+            pairs.append((coeff, self.minors(ids, idx)))
+            if unit is not None and unit[1] in idx:
+                s, t = ids.index(unit[0]), idx.index(unit[1])
+                sub = self.minors(ids[:s] + ids[s + 1:], idx[:t] + idx[t + 1:])
+                pairs.append((coeff, sub if (s + t) % 2 == 0 else -sub))
+        return Polynomial.sum_of_products(self.chart, pairs)
 
 
 def fiber_restriction(table: Alternating, fiber_point: Mapping, base: Chart,
@@ -394,14 +423,6 @@ def fiber_restriction(table: Alternating, fiber_point: Mapping, base: Chart,
         if not coeff.is_zero():
             out[idx] = coeff
     return out
-
-
-def contract_at_point(coeffs: Mapping, chart: Chart, vectors: Sequence[Mapping]) -> Polynomial:
-    """Contract coefficients restricted to a fiber point (`fiber_restriction`)
-    against vectors or covectors given as maps from total-chart positions to
-    components on `chart`."""
-    return Polynomial.sum_of_products(
-        chart, ((coeff, det_of_components(vectors, idx, chart)) for idx, coeff in coeffs.items()))
 
 
 def lie_derivative(x: VectorField, a):

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
 from typing import Mapping, Sequence
 
 from .algebroid import (
@@ -38,9 +37,9 @@ from .algebroid import (
 from .errors import AlgebroidError, CrossCheckError
 from .forms import (
     DifferentialForm,
+    Minors,
     VectorField,
     contract,
-    contract_at_point,
     exterior_derivative,
     fiber_restriction,
     iterated_contract,
@@ -263,21 +262,12 @@ def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
     lifted = tangent_lift(alpha, base)
     point = dict(x)
     point.update({f"{n}_dot": xdot[n] for n in names})
-    lhs = Fraction(0)
-    for idx, poly in lifted.coeffs.items():
-        value = poly.eval(point)
-        if value == 0:
-            continue
-        for perm in permutations(range(k)):
-            inv = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
-            term = value
-            for row, col in enumerate(perm):
-                cname = tc.chart.names[idx[col]]
-                if cname.endswith("_dot"):
-                    term *= Fraction(dxdot[row][cname[:-4]])
-                else:
-                    term *= Fraction(dx[row][cname])
-            lhs += term if inv % 2 == 0 else -term
+    # the l-th tangent vector of the tangent space has components dx[l]
+    # along the base and dxdot[l] along the dotted coordinates
+    rows = [{i: Polynomial.const(tc.chart, dxdot[l][name[:-4]] if name.endswith("_dot")
+                                 else dx[l][name])
+             for i, name in enumerate(tc.chart.names)} for l in range(k)]
+    lhs = Minors(rows, tc.chart).contract(lifted.coeffs, tuple(range(k))).eval(point)
 
     sum_chart = Chart(f"{base.name}|sum{k}", tuple(
         list(base.coords)
@@ -356,28 +346,29 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
 def _cross_check_form_values(form, algebroid, k, tc, chart, values) -> None:
     """Contract the form against the explicit frame tangent vectors.
 
-    The form's coefficients are restricted to each fiber point once: the
-    zero point, shared by every core value, and the point u_a = 1 of each
-    linear value a.
+    The tangent vectors of a core value (a, n) are the dotted rows, the n-th
+    of them also moving one unit along the fiber of e_a; `Minors.contract`
+    takes that unit by linearity, so every value reads minors of the dotted
+    rows from one table.  The form's coefficients are restricted to each
+    fiber point once: the zero point, shared by every core value, and the
+    point u_a = 1 of each linear value a.
     """
     base = algebroid.base_chart
     fiber_zero = {n: 0 for n in tc.fiber_names}
     fiber_pos = tc.fiber_positions()
-    dotted = [{tc.chart.index(n): Polynomial.variable(chart, tangent_copy_name(n, l))
-               for n in base.names} for l in range(1, k + 1)]
+    dotted = Minors([{tc.chart.index(n): Polynomial.variable(chart, tangent_copy_name(n, l))
+                      for n in base.names} for l in range(1, k + 1)], chart)
+    rows = tuple(range(k))
     at_zero = fiber_restriction(form, fiber_zero, base, chart)
 
     for a, frame in enumerate(algebroid.frame_names):
         for n in range(1, k + 1):
-            # the n-th tangent vector also moves one unit along the fiber of e_a
-            vectors = list(dotted)
-            vectors[n - 1] = {**dotted[n - 1], fiber_pos[a]: Polynomial.const(chart, 1)}
-            direct = contract_at_point(at_zero, chart, vectors)
+            direct = dotted.contract(at_zero, rows, unit=(n - 1, fiber_pos[a]))
             if direct != values[core_frame_name(frame, n)]:
                 raise CrossCheckError(
                     f"frame value mismatch on {core_frame_name(frame, n)}")
         point = dict(fiber_zero)
         point[tc.fiber_names[a]] = 1
-        direct = contract_at_point(fiber_restriction(form, point, base, chart), chart, dotted)
+        direct = dotted.contract(fiber_restriction(form, point, base, chart), rows)
         if direct != values[linear_frame_name(frame)]:
             raise CrossCheckError(f"frame value mismatch on {linear_frame_name(frame)}")

@@ -15,7 +15,7 @@ computed independently and compared by `oracle_equivalence_dual`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .algebroid import (
     CheckReport,
@@ -33,9 +33,9 @@ from .algebroid import (
     section_bracket,
 )
 from .errors import AlgebroidError, CrossCheckError
-from .forms import Multivector, contract_at_point, det_of_components, fiber_restriction
+from .forms import Minors, Multivector, fiber_restriction, graded_bracket
 from .linforms import TotalChart, total_chart_of
-from .poly import Chart, ChartError, Polynomial
+from .poly import ChartError, Polynomial
 
 
 def is_linear_multivector(p: Multivector, tc: TotalChart) -> bool:
@@ -258,6 +258,11 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     pairs, R3 over frame pairs a < b; together with the exterior-algebra
     Leibniz rules these imply the derivation property on all wedge sections.
     Includes the axiom gate for unchecked algebroids.
+
+    The brackets act on coefficients through one partials table:
+    `partials[id(f)]` holds f and its partials by coordinate, filled as the
+    brackets need them, so each coefficient is differentiated at most once
+    per call (holding f keeps its id unique while the table lives).
     """
     A = algebroid
     if d.algebroid != A:
@@ -270,38 +275,57 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     names = chart.names
     k = d.k
     sign = -1 if (k - 1) % 2 else 1
+    anchor = [[(name, comp) for name, comp in zip(names, row) if not comp.is_zero()]
+              for row in A.anchor]
+    partials: dict = {}
+
+    def partial(f: Polynomial, name: str) -> Polynomial:
+        entry = partials.get(id(f))
+        if entry is None:
+            entry = partials[id(f)] = (f, {})
+        dp = entry[1].get(name)
+        if dp is None:
+            dp = entry[1][name] = f.diff(name)
+        return dp
+
+    def act(a: int, f: Polynomial) -> Polynomial:
+        return Polynomial.sum_of_products(
+            chart, ((comp, partial(f, name)) for name, comp in anchor[a]))
+
+    def bracket(u: Section, v: Section) -> Section:
+        """`section_bracket`, acting on coefficients through `partials`."""
+        table = graded_bracket(u.coeffs, u.degree, v.coeffs, v.degree,
+                               A.bracket_frame_row, act)
+        return u._like(table, max(u.degree + v.degree - 1, 0))
+
+    xs = [Section.function(A, Polynomial.variable(chart, name)) for name in names]
+    es = [Section.frame(A, b) for b in range(A.rank)]
 
     for i in range(chart.dim):
-        xi = Section.function(A, Polynomial.variable(chart, names[i]))
         for j in range(i + 1, chart.dim):
-            xj = Section.function(A, Polynomial.variable(chart, names[j]))
-            res = (section_bracket(d.coord_action(i), xj)
-                   + section_bracket(xi, d.coord_action(j)).scale(sign))
+            res = (bracket(d.coord_action(i), xs[j])
+                   + bracket(xs[i], d.coord_action(j)).scale(sign))
             if not res.is_zero():
                 violations.extend(component_violations("R1", (names[i], names[j]), res))
 
     for i in range(chart.dim):
-        xi = Section.function(A, Polynomial.variable(chart, names[i]))
         for b in range(A.rank):
-            eb = Section.frame(A, b)
             # delta[x_i, e_b] = -delta(rho_b^i), by the scalar action rule
             lhs = -(d.scalar_action(A.anchor[b][i]))
-            res = (lhs - section_bracket(d.coord_action(i), eb)
-                   - section_bracket(xi, d.frame_action(b)).scale(sign))
+            res = (lhs - bracket(d.coord_action(i), es[b])
+                   - bracket(xs[i], d.frame_action(b)).scale(sign))
             if not res.is_zero():
                 violations.extend(component_violations(
                     "R2", (names[i], A.frame_names[b]), res))
 
     for a in range(A.rank):
-        ea = Section.frame(A, a)
         for b in range(a + 1, A.rank):
-            eb = Section.frame(A, b)
             lhs = Section.zero(A, k)
             for c, w in A.bracket_frame_row(a, b):
-                lhs = lhs + d.scalar_action(w).wedge(Section.frame(A, c))
+                lhs = lhs + d.scalar_action(w).wedge(es[c])
                 lhs = lhs + d.frame_action(c).scale(w)
-            res = (lhs - section_bracket(d.frame_action(a), eb)
-                   - section_bracket(ea, d.frame_action(b)))
+            res = (lhs - bracket(d.frame_action(a), es[b])
+                   - bracket(es[a], d.frame_action(b)))
             if not res.is_zero():
                 violations.extend(component_violations(
                     "R3", (A.frame_names[a], A.frame_names[b]), res))
@@ -311,18 +335,6 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
 # ---------------------------------------------------------------------------
 # frame values on the cotangent prolongation
 # ---------------------------------------------------------------------------
-
-def _dual_pairing(section: Section, xi_rows: Sequence[Sequence[Polynomial]],
-                  chart: Chart) -> Polynomial:
-    """Pair a wedge section against a list of dual-fiber coordinate rows:
-    the determinant convention, sum over components of the section."""
-    total = Polynomial.zero(chart)
-    for b_tuple, poly in section.coeffs.items():
-        vectors = [{b: row[b] for b in b_tuple} for row in xi_rows]
-        det = det_of_components(vectors, b_tuple, chart)
-        total = total + poly.promote(chart) * det
-    return total
-
 
 def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
                                  prolongation: LieAlgebroid | None = None) -> FiberFunctional:
@@ -346,19 +358,24 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, 
     base = A.base_chart
     r = A.rank
 
-    xi_rows = [[Polynomial.variable(chart, dual_copy_name(n, b + 1)) for b in range(r)]
-               for n in range(1, k + 1)]
+    # the dual copies as rows over frame indices, a table of this call only
+    xi = Minors([{b: Polynomial.variable(chart, dual_copy_name(n, b + 1)) for b in range(r)}
+                 for n in range(1, k + 1)], chart)
+
+    def pairing(section: Section, ids: tuple) -> Polynomial:
+        """Pair a wedge section against the dual copies `ids` by the
+        determinant convention."""
+        return xi.contract({b_tuple: poly.promote(chart)
+                            for b_tuple, poly in section.coeffs.items()}, ids)
 
     values: dict = {}
     for m in range(1, k + 1):
-        rows = xi_rows[:m - 1] + xi_rows[m:]
-        sign = 1 if (k - m) % 2 == 0 else -1
+        ids = tuple(l for l in range(k) if l != m - 1)
         for j, name in enumerate(base.names):
-            val = _dual_pairing(d.coord_action(j), rows, chart)
-            values[dual_core_frame_name(name, m)] = val * sign
+            val = pairing(d.coord_action(j), ids)
+            values[dual_core_frame_name(name, m)] = val if (k - m) % 2 == 0 else -val
     for a, name in enumerate(A.frame_names):
-        val = _dual_pairing(d.frame_action(a), xi_rows, chart)
-        values[dual_linear_frame_name(name)] = -val
+        values[dual_linear_frame_name(name)] = -pairing(d.frame_action(a), tuple(range(k)))
 
     _cross_check_multivector_values(p, A, k, prol, values)
     return FiberFunctional(prol, values)
@@ -367,6 +384,9 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, 
 def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
     """Contract the multivector directly against the explicit frame covectors.
 
+    The covectors of a core value (j, m) are the dual rows, the m-th of them
+    also with a unit dx_j component; `Minors.contract` takes that unit by
+    linearity, so every value reads minors of the dual rows from one table.
     The multivector's coefficients are restricted to each fiber point once:
     the zero point, shared by every core value, and the point u_a = 1 of
     each linear value a.
@@ -378,23 +398,21 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
     field = p.to_multivector(tc)
     fiber_pos = tc.fiber_positions()
     zeros = {n: 0 for n in tc.fiber_names}
-    dual = [{fiber_pos[d]: Polynomial.variable(chart, dual_copy_name(n, d + 1))
-             for d in range(A.rank)} for n in range(1, k + 1)]
+    dual = Minors([{fiber_pos[d]: Polynomial.variable(chart, dual_copy_name(n, d + 1))
+                    for d in range(A.rank)} for n in range(1, k + 1)], chart)
+    rows = tuple(range(k))
     at_zero = fiber_restriction(field, zeros, base, chart)
 
     for m in range(1, k + 1):
         for j, name in enumerate(base.names):
-            # the m-th covector also has a unit dx_j component
-            covs = list(dual)
-            covs[m - 1] = {**dual[m - 1], tc.chart.index(name): Polynomial.const(chart, 1)}
-            direct = contract_at_point(at_zero, chart, covs)
+            direct = dual.contract(at_zero, rows, unit=(m - 1, tc.chart.index(name)))
             if direct != values[dual_core_frame_name(name, m)]:
                 raise CrossCheckError(
                     f"frame value mismatch on {dual_core_frame_name(name, m)}")
     for a, name in enumerate(A.frame_names):
         point = dict(zeros)
         point[tc.fiber_names[a]] = 1
-        direct = contract_at_point(fiber_restriction(field, point, base, chart), chart, dual)
+        direct = dual.contract(fiber_restriction(field, point, base, chart), rows)
         if direct != values[dual_linear_frame_name(name)]:
             raise CrossCheckError(
                 f"frame value mismatch on {dual_linear_frame_name(name)}")

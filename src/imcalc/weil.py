@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .algebroid import CheckReport, LieAlgebroid, axiom_gate, component_violations, run_oracle
 from .errors import AlgebroidError
-from .forms import DifferentialForm, contract, exterior_derivative, lie_derivative, wedge
+from .forms import DifferentialForm, contract, exterior_derivative, wedge
 from .imforms import IMForm, check_im_form
 from .linforms import BundleForms, decompose, total_chart_of
 from .poly import ChartError, Polynomial
@@ -148,10 +148,22 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     comp0(e_a), with the bracket image expanded through the compatibility
     rule; comp1(a)(b): L_{rho_a} comp1(e_b) - comp1([e_a, e_b]) + i_{rho_b}
     comp0(e_a); comp2(a): -i_{rho_a} comp1(e_a).
+
+    d of each frame value is taken once, and each L_{rho_a} is assembled
+    from it by Cartan's formula L = i d + d i (the d i term is absent on
+    functions).
     """
     A = w.algebroid
     r = A.rank
     rho = [A.anchor_field(a) for a in range(r)]
+    d0 = [exterior_derivative(w.value0(b)) for b in range(r)]
+    d1 = [exterior_derivative(w.value1(b)) for b in range(r)]
+
+    def lie(a: int, form: DifferentialForm, d_form: DifferentialForm) -> DifferentialForm:
+        out = contract(rho[a], d_form)
+        if form.degree > 0:
+            out = out + exterior_derivative(contract(rho[a], form))
+        return out
 
     def comp0_bracket(a: int, b: int) -> DifferentialForm:
         out = DifferentialForm(A.base_chart, w.k)
@@ -169,12 +181,12 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     for a in range(r):
         for b in range(a + 1, r):
             comp0[(a, b)] = (-comp0_bracket(a, b)
-                             + lie_derivative(rho[a], w.value0(b))
-                             - lie_derivative(rho[b], w.value0(a)))
+                             + lie(a, w.value0(b), d0[b])
+                             - lie(b, w.value0(a), d0[a]))
     comp1 = {}
     for a in range(r):
         for b in range(r):
-            comp1[(a, b)] = (lie_derivative(rho[a], w.value1(b))
+            comp1[(a, b)] = (lie(a, w.value1(b), d1[b])
                              - comp1_bracket(a, b)
                              + contract(rho[b], w.value0(a)))
     comp2 = {}

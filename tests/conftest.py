@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -70,6 +71,28 @@ def rnd_section(rng, algebroid: LieAlgebroid, degree: int, max_deg=1) -> Section
         if rng.random() < 0.8:
             table[idx] = rnd_poly(rng, algebroid.base_chart, max_deg)
     return Section(algebroid, degree, table)
+
+
+def det_of_components(vectors: Sequence[Mapping], idx, target: Chart) -> Polynomial:
+    """Determinant of the matrix vectors[s][idx[t]] of Polynomial components,
+    expanded over permutations: the reference for `forms.Minors`.
+
+    `vectors` maps coordinate positions to components; missing entries count
+    as zero.
+    """
+    k = len(idx)
+    total = Polynomial.zero(target)
+    for perm in permutations(range(k)):
+        inversions = sum(1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j])
+        term = Polynomial.const(target, 1)
+        for row, col in enumerate(perm):
+            comp = vectors[row].get(idx[col])
+            if comp is None:
+                break
+            term = term * comp
+        else:
+            total = total + term if inversions % 2 == 0 else total - term
+    return total
 
 
 def rnd_point(rng, chart: Chart, span=6):

@@ -7,10 +7,12 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import rnd_form, rnd_multivector, rnd_poly, rnd_vector_field
+from conftest import det_of_components, rnd_form, rnd_multivector, rnd_poly, rnd_vector_field
 from imcalc.forms import (
     DifferentialForm,
+    Minors,
     Multivector,
     VectorField,
     as_vector_field,
@@ -302,3 +304,56 @@ def test_chart_mismatch_rejected():
         wedge(dx(CH2, 0), dx(other, 0))
     with pytest.raises(ChartError):
         contract(VectorField.coordinate(other, "y1"), dx(CH2, 0))
+
+
+# -- minors against the permutation expansion ---------------------------------
+
+MINOR_SETTINGS = settings(max_examples=40, deadline=None)
+
+entries = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          st.integers(-3, 3), max_size=3).map(lambda t: Polynomial(CH2, t))
+
+
+@st.composite
+def sparse_rows(draw):
+    """1-4 rows over up to k + 2 columns, with missing entries and some
+    columns that no row covers."""
+    k = draw(st.integers(min_value=1, max_value=4))
+    width = draw(st.integers(min_value=k, max_value=k + 2))
+    uncovered = draw(st.sets(st.integers(0, width - 1), max_size=2))
+    rows = [{col: draw(entries) for col in range(width)
+             if col not in uncovered and draw(st.booleans())} for _ in range(k)]
+    return rows, width
+
+
+@MINOR_SETTINGS
+@given(sparse_rows())
+def test_minors_match_permutation_expansion(rows_width):
+    rows, width = rows_width
+    table = Minors(rows, CH2)
+    for size in range(len(rows) + 1):
+        for ids in combinations(range(len(rows)), size):
+            for cols in combinations(range(width), size):
+                expected = det_of_components([rows[i] for i in ids], cols, CH2)
+                assert table.minors(ids, cols) == expected
+
+
+@MINOR_SETTINGS
+@given(sparse_rows(), st.data())
+def test_unit_row_contraction_matches_augmented_rows(rows_width, data):
+    rows, width = rows_width
+    ids = tuple(sorted(data.draw(st.sets(st.integers(0, len(rows) - 1), min_size=1))))
+    row = data.draw(st.sampled_from(ids))
+    col = data.draw(st.integers(0, width - 1))
+    coeffs = {idx: data.draw(entries) for idx in combinations(range(width), len(ids))
+              if data.draw(st.booleans())}
+    augmented = [dict(r) for r in rows]
+    augmented[row][col] = augmented[row].get(col, Polynomial.zero(CH2)) + 1
+    expected = Polynomial.zero(CH2)
+    plain = Polynomial.zero(CH2)
+    for idx, coeff in coeffs.items():
+        expected = expected + coeff * det_of_components([augmented[i] for i in ids], idx, CH2)
+        plain = plain + coeff * det_of_components([rows[i] for i in ids], idx, CH2)
+    minors = Minors(rows, CH2)
+    assert minors.contract(coeffs, ids, unit=(row, col)) == expected
+    assert minors.contract(coeffs, ids) == plain

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     coboundary_derivation,
+    det_of_components,
     rnd_algebroid,
     rnd_linear_multivector,
     rnd_poly,
@@ -21,7 +22,7 @@ from imcalc.fixtures import (
     so3_algebroid,
     tangent_algebroid,
 )
-from imcalc.forms import (DifferentialForm, Multivector, det_of_components,
+from imcalc.forms import (DifferentialForm, Multivector,
                           evaluate_multivector, exterior_derivative)
 from imcalc.linforms import total_chart_of
 from imcalc.multivec import (

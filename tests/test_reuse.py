@@ -1,5 +1,6 @@
-"""Each checker computes a derivative or a fiber restriction once per call,
-and `verify` checks the axioms and decomposes a candidate once per document.
+"""Each checker computes a derivative, a fiber restriction or a minor once
+per call, and `verify` checks the axioms and decomposes a candidate once per
+document.
 
 The kernel calls are counted by wrapping them with monkeypatch; a counter
 keeps every argument it saw alive, so `id` stays unique for the count.
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_linear_multivector, rnd_poly
-from imcalc import forms, imforms, linforms, multivec
+from imcalc import forms, imforms, linforms, multivec, weil
 from imcalc import cli
 from imcalc.algebroid import (
     FiberFunctional,
@@ -25,8 +26,13 @@ from imcalc.algebroid import (
 )
 from imcalc.fixtures import koszul_so3_algebroid
 from imcalc.imforms import IMForm, check_im_form, im_form_from_base_form
+from imcalc.weil import cochain_from_bundle_forms, horizontal_differential
 from imcalc.linforms import decompose, form_frame_functional, linear_form, total_chart_of
-from imcalc.multivec import multivector_frame_functional
+from imcalc.multivec import (
+    check_gerstenhaber_derivation,
+    derivation_from_linear,
+    multivector_frame_functional,
+)
 from imcalc.poly import Polynomial
 
 
@@ -83,6 +89,81 @@ def test_im_check_takes_d_of_each_frame_image_once(rng, monkeypatch, k):
         assert check_im_form(im).passed == passes
         for image in im.forms.mu + im.forms.nu:
             assert counter.counts[(id(image),)] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_derivation_check_differentiates_each_polynomial_once(rng, monkeypatch, k):
+    cases = []
+    for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng), rnd_algebroid(rng)):
+        check_axioms(algebroid)
+        cases.append((algebroid, derivation_from_linear(rnd_linear_multivector(rng, algebroid, k))))
+    counter = CallCounter()
+    monkeypatch.setattr(Polynomial, "diff",
+                        counter.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
+    seen = 0
+    for algebroid, d in cases:
+        counter.counts.clear()
+        check_gerstenhaber_derivation(algebroid, d)
+        assert max(counter.counts.values(), default=1) == 1
+        seen += len(counter.counts)
+    assert seen, "the checks took no partial derivative"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_horizontal_differential_takes_d_of_each_form_once(rng, monkeypatch, k):
+    algebroid = koszul_so3_algebroid()
+    w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, k))
+    counter = CallCounter()
+    counted = counter.wrap(forms.exterior_derivative, lambda a: (a,))
+    for module in (forms, weil):
+        monkeypatch.setattr(module, "exterior_derivative", counted)
+    horizontal_differential(w)
+    assert max(counter.counts.values()) == 1
+    for a in range(algebroid.rank):
+        assert counter.counts[(id(w.value0(a)),)] == counter.counts[(id(w.value1(a)),)] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_frame_functionals_expand_each_minor_once(rng, monkeypatch, k):
+    """Every (rows, columns) minor is expanded once per table, a new call
+    expands its minors afresh, and a cross-check reads only tables it built."""
+    expanded = CallCounter()
+    monkeypatch.setattr(forms.Minors, "_expand", expanded.wrap(
+        forms.Minors._expand, lambda table, ids, cols: (table, ids, cols)))
+    read = {"route": set(), "check": set()}
+    phase = ["route"]
+    contract = forms.Minors.contract
+
+    def counted_contract(table, *args, **kwargs):
+        read[phase[0]].add(id(table))
+        return contract(table, *args, **kwargs)
+
+    monkeypatch.setattr(forms.Minors, "contract", counted_contract)
+    for module, name in ((linforms, "_cross_check_form_values"),
+                         (multivec, "_cross_check_multivector_values")):
+        def in_check(*args, _inner=getattr(module, name)):
+            phase[0] = "check"
+            try:
+                return _inner(*args)
+            finally:
+                phase[0] = "route"
+        monkeypatch.setattr(module, name, in_check)
+
+    algebroid = koszul_so3_algebroid()
+    form = linear_form(rnd_bundle_forms(rng, algebroid, k), total_chart_of(algebroid))
+    p = rnd_linear_multivector(rng, algebroid, k)
+    for call in (lambda: form_frame_functional(form, algebroid, k),
+                 lambda: multivector_frame_functional(p, algebroid, k)):
+        runs = []
+        for _ in range(2):
+            expanded.counts.clear()
+            call()
+            assert expanded.counts and max(expanded.counts.values()) == 1
+            runs.append(dict(expanded.counts))
+        first, second = ({key[1:] for key in run} for run in runs)
+        assert first == second
+        assert not {key[0] for key in runs[0]} & {key[0] for key in runs[1]}
+    assert read["check"] and not read["route"] & read["check"]
 
 
 def _counting_cross_check(monkeypatch, module, name):
