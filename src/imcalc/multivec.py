@@ -259,10 +259,10 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     Leibniz rules these imply the derivation property on all wedge sections.
     Includes the axiom gate for unchecked algebroids.
 
-    The brackets act on coefficients through one partials table:
-    `partials[id(f)]` holds f and its partials by coordinate, filled as the
-    brackets need them, so each coefficient is differentiated at most once
-    per call (holding f keeps its id unique while the table lives).
+    The brackets act on coefficients through one partials table, filled as
+    they need it, so each coefficient is differentiated at most once per
+    call; an entry holds its polynomial, which keeps the id in its key unique
+    while the table lives.
     """
     A = algebroid
     if d.algebroid != A:
@@ -277,20 +277,16 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     sign = -1 if (k - 1) % 2 else 1
     anchor = [[(name, comp) for name, comp in zip(names, row) if not comp.is_zero()]
               for row in A.anchor]
-    partials: dict = {}
-
-    def partial(f: Polynomial, name: str) -> Polynomial:
-        entry = partials.get(id(f))
-        if entry is None:
-            entry = partials[id(f)] = (f, {})
-        dp = entry[1].get(name)
-        if dp is None:
-            dp = entry[1][name] = f.diff(name)
-        return dp
+    partials: dict = {}   # (id(f), coordinate) -> (f, df/dx)
 
     def act(a: int, f: Polynomial) -> Polynomial:
-        return Polynomial.sum_of_products(
-            chart, ((comp, partial(f, name)) for name, comp in anchor[a]))
+        pairs = []
+        for name, comp in anchor[a]:
+            entry = partials.get((id(f), name))
+            if entry is None:
+                entry = partials[id(f), name] = (f, f.diff(name))
+            pairs.append((comp, entry[1]))
+        return Polynomial.sum_of_products(chart, pairs)
 
     def bracket(u: Section, v: Section) -> Section:
         """`section_bracket`, acting on coefficients through `partials`."""
@@ -358,13 +354,12 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, 
     base = A.base_chart
     r = A.rank
 
-    # the dual copies as rows over frame indices, a table of this call only
+    # the dual copies as rows over frame indices, in a table of this call
     xi = Minors([{b: Polynomial.variable(chart, dual_copy_name(n, b + 1)) for b in range(r)}
                  for n in range(1, k + 1)], chart)
 
     def pairing(section: Section, ids: tuple) -> Polynomial:
-        """Pair a wedge section against the dual copies `ids` by the
-        determinant convention."""
+        # the determinant convention, against the dual copies `ids`
         return xi.contract({b_tuple: poly.promote(chart)
                             for b_tuple, poly in section.coeffs.items()}, ids)
 
