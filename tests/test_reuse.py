@@ -26,7 +26,6 @@ from imcalc.algebroid import (
 )
 from imcalc.fixtures import koszul_so3_algebroid
 from imcalc.imforms import IMForm, check_im_form, im_form_from_base_form
-from imcalc.weil import cochain_from_bundle_forms, horizontal_differential
 from imcalc.linforms import decompose, form_frame_functional, linear_form, total_chart_of
 from imcalc.multivec import (
     check_gerstenhaber_derivation,
@@ -34,6 +33,7 @@ from imcalc.multivec import (
     multivector_frame_functional,
 )
 from imcalc.poly import Polynomial
+from imcalc.weil import cochain_from_bundle_forms, horizontal_differential
 
 
 class CallCounter:
@@ -135,7 +135,7 @@ def test_frame_functionals_expand_each_minor_once(rng, monkeypatch, k):
     contract = forms.Minors.contract
 
     def counted_contract(table, *args, **kwargs):
-        read[phase[0]].add(id(table))
+        read[phase[0]].add(table)
         return contract(table, *args, **kwargs)
 
     monkeypatch.setattr(forms.Minors, "contract", counted_contract)
