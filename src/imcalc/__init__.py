@@ -41,11 +41,9 @@ from .imforms import (
     check_im_form,
     check_lagrangian,
     dirac_candidate,
-    graph_closure_residuals,
     im_form_from_base_form,
     im_form_relative,
     oracle_equivalence,
-    twisted_bracket,
 )
 from .linforms import (
     BundleForms,
@@ -57,7 +55,6 @@ from .linforms import (
     form_frame_functional,
     is_linear,
     linear_form,
-    tangent_lift,
     tangent_total_chart,
     total_chart,
     total_chart_of,
@@ -79,7 +76,6 @@ from .poly import (
     Coord,
     ParseError,
     Polynomial,
-    Rational,
     base_chart,
     format_polynomial,
     parse,
@@ -93,7 +89,6 @@ from .weil import (
     horizontal_differential,
     horizontal_vanishing_report,
     linear_form_to_cochain,
-    vertical_differential,
 )
 
 __version__ = "0.1.0"

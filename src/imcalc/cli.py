@@ -71,9 +71,11 @@ def _parse_expr(text, chart: Chart) -> Polynomial:
 
 
 def load_algebroid(doc: dict) -> LieAlgebroid:
-    _require(isinstance(doc.get("base"), list), "document needs a 'base' coordinate list")
-    _require(isinstance(doc.get("rank"), int), "document needs an integer 'rank'")
-    _require(isinstance(doc.get("frame"), list), "document needs a 'frame' name list")
+    _require(isinstance(doc.get("base"), list) and all(isinstance(n, str) for n in doc["base"]),
+             "document needs a 'base' list of coordinate name strings")
+    _require(type(doc.get("rank")) is int, "document needs an integer 'rank'")
+    _require(isinstance(doc.get("frame"), list) and all(isinstance(n, str) for n in doc["frame"]),
+             "document needs a 'frame' list of name strings")
     rank = doc["rank"]
     frame = doc["frame"]
     _require(len(frame) == rank, "'frame' must list rank-many names")
@@ -96,7 +98,7 @@ def load_algebroid(doc: dict) -> LieAlgebroid:
         _require(isinstance(entry, list) and len(entry) == 4,
                  "'structure' entries are [a, b, c, expression] with 1-based indices")
         a, b, c, expr = entry
-        _require(all(isinstance(i, int) for i in (a, b, c)),
+        _require(all(type(i) is int for i in (a, b, c)),
                  "structure indices must be integers")
         _require(1 <= a < b <= rank and 1 <= c <= rank,
                  f"structure indices {entry[:3]} out of range (need 1 <= a < b <= rank)")
@@ -118,7 +120,7 @@ def load_form(doc, chart: Chart, degree: int) -> DifferentialForm:
     for entry in doc["terms"]:
         _require(isinstance(entry, list) and len(entry) == 2, "form terms are [indices, expr]")
         idx, expr = entry
-        _require(isinstance(idx, list) and all(isinstance(i, int) for i in idx),
+        _require(isinstance(idx, list) and all(type(i) is int for i in idx),
                  "form term indices must be integer lists")
         _require(len(idx) == degree, f"form term {idx} must have {degree} indices")
         _require(all(1 <= i <= chart.dim for i in idx),
@@ -129,7 +131,8 @@ def load_form(doc, chart: Chart, degree: int) -> DifferentialForm:
 
 def _load_index_table(candidate: dict, key: str, bound: int, algebroid: LieAlgebroid) -> dict:
     """A multivector table: entries [[b, ...], i, expr], the b frame indices
-    and i at most `bound`, all 1-based; keyed by 0-based ((b, ...), i)."""
+    and i at most `bound`, all 1-based; keyed by 0-based ((b, ...), i).
+    Repeated entries are summed, as repeated form terms are."""
     entries = candidate.get(key, [])
     _require(isinstance(entries, list), f"'{key}' must be a list of entries")
     table = {}
@@ -137,11 +140,13 @@ def _load_index_table(candidate: dict, key: str, bound: int, algebroid: LieAlgeb
         _require(isinstance(entry, list) and len(entry) == 3,
                  f"'{key}' entries are [[b, ...], i, expr] with 1-based indices")
         b_list, i, expr = entry
-        _require(isinstance(b_list, list) and all(isinstance(b, int) for b in b_list)
-                 and isinstance(i, int), f"{key} indices must be an integer list and an integer")
+        _require(isinstance(b_list, list) and all(type(b) is int for b in b_list)
+                 and type(i) is int, f"{key} indices must be an integer list and an integer")
         _require(all(1 <= b <= algebroid.rank for b in b_list) and 1 <= i <= bound,
                  f"{key} entry {entry[:2]} out of range")
-        table[(tuple(b - 1 for b in b_list), i - 1)] = _parse_expr(expr, algebroid.base_chart)
+        index = (tuple(b - 1 for b in b_list), i - 1)
+        poly = _parse_expr(expr, algebroid.base_chart)
+        table[index] = table[index] + poly if index in table else poly
     return table
 
 

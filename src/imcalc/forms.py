@@ -412,19 +412,6 @@ class Minors:
         return Polynomial.sum_of_products(self.chart, pairs)
 
 
-def fiber_restriction(table: Alternating, fiber_point: Mapping, base: Chart,
-                      chart: Chart) -> dict:
-    """The coefficients of a total-chart form or multivector evaluated at
-    `fiber_point` down to `base` and promoted to `chart`, by index; zero
-    coefficients are left out."""
-    out = {}
-    for idx, poly in table.coeffs.items():
-        coeff = poly.partial_eval(fiber_point, base).promote(chart)
-        if not coeff.is_zero():
-            out[idx] = coeff
-    return out
-
-
 def lie_derivative(x: VectorField, a):
     """Lie derivative along a vector field.
 

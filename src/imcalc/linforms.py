@@ -36,12 +36,12 @@ from .algebroid import (
 )
 from .errors import AlgebroidError, CrossCheckError
 from .forms import (
+    Alternating,
     DifferentialForm,
     Minors,
     VectorField,
     contract,
     exterior_derivative,
-    fiber_restriction,
     iterated_contract,
 )
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER
@@ -66,6 +66,18 @@ class TotalChart:
 
     def fiber_positions(self) -> tuple:
         return tuple(self.chart.index(n) for n in self.fiber_names)
+
+    def at_zero(self, poly: Polynomial) -> Polynomial:
+        """`poly` on the zero section, as a polynomial on the base chart."""
+        return poly.partial_eval(dict.fromkeys(self.fiber_names, 0), self.base_chart)
+
+    def fiber_partials(self, poly: Polynomial):
+        """(d, the u_d-partial of `poly` on the zero section) for each
+        fiber coordinate u_d with a nonzero partial."""
+        for d, name in enumerate(self.fiber_names):
+            part = poly.diff(name)
+            if not part.is_zero():
+                yield d, self.at_zero(part)
 
 
 def total_chart(base: Chart, frame_names: Sequence[str], prefix: str = "u") -> TotalChart:
@@ -137,25 +149,34 @@ def linear_form(bundle_forms: BundleForms, tc: TotalChart) -> DifferentialForm:
             + fiber_pairing_form(bundle_forms.nu, tc))
 
 
-def is_linear(form: DifferentialForm, tc: TotalChart) -> bool:
-    """Coordinate-shape test for linearity.
+def linear_shape(table: Alternating, tc: TotalChart, once) -> bool:
+    """The coordinate shape of linearity, shared by forms and multivectors.
 
-    Each stored term must be (a) fiber-differential-free with a coefficient
-    homogeneous of fiber-degree one, or (b) carry exactly one fiber
-    differential with a fiber-independent coefficient.
+    Each stored term must carry no index in `once` and a coefficient
+    homogeneous of fiber-degree one, or exactly one index in `once` and a
+    fiber-independent coefficient.  For a form `once` is the fiber positions
+    (its fiber differentials), for a multivector the base positions.
     """
-    if form.chart != tc.chart:
-        raise ChartError("form does not live on the given total chart")
-    fiber_pos = set(tc.fiber_positions())
-    for idx, poly in form.coeffs.items():
-        n_du = sum(1 for i in idx if i in fiber_pos)
-        if n_du >= 2:
+    once = set(once)
+    fiber_pos = tc.fiber_positions()
+    for idx, poly in table.coeffs.items():
+        hits = sum(1 for i in idx if i in once)
+        if hits >= 2:
             return False
-        want = 1 if n_du == 0 else 0
         for exps in poly.terms:
-            if sum(exps[i] for i in fiber_pos) != want:
+            if sum(exps[i] for i in fiber_pos) != 1 - hits:
                 return False
     return True
+
+
+def is_linear(form: DifferentialForm, tc: TotalChart) -> bool:
+    """Coordinate-shape test for linearity: each stored term is
+    fiber-differential-free with a coefficient homogeneous of fiber-degree
+    one, or carries exactly one fiber differential with a fiber-independent
+    coefficient."""
+    if form.chart != tc.chart:
+        raise ChartError("form does not live on the given total chart")
+    return linear_shape(form, tc, tc.fiber_positions())
 
 
 def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
@@ -169,8 +190,7 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
         raise NotLinearError("decompose needs a linear form")
     k = form.degree
     base = tc.base_chart
-    fiber_pos = tc.fiber_positions()
-    pos_to_frame = {p: d for d, p in enumerate(fiber_pos)}
+    pos_to_frame = {p: d for d, p in enumerate(tc.fiber_positions())}
     sign = 1 if (k - 1) % 2 == 0 else -1
 
     mu_tables: list = [dict() for _ in range(tc.rank)]
@@ -178,11 +198,9 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
         du = [i for i in idx if i in pos_to_frame]
         if len(du) != 1:
             continue
-        d = pos_to_frame[du[0]]
         base_idx = tuple(i for i in idx if i not in pos_to_frame)
         # fiber coordinates sort after base ones, so no reordering sign
-        coeff = poly.partial_eval({n: 0 for n in tc.fiber_names}, base)
-        mu_tables[d][base_idx] = coeff * sign
+        mu_tables[pos_to_frame[du[0]]][base_idx] = tc.at_zero(poly) * sign
     mu = tuple(DifferentialForm(base, k - 1, t) for t in mu_tables)
 
     remainder = form - exterior_derivative(fiber_pairing_form(mu, tc))
@@ -190,10 +208,8 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
     for idx, poly in remainder.coeffs.items():
         if any(i in pos_to_frame for i in idx):
             raise CrossCheckError("decompose remainder is not a pure pairing form")
-        for d, name in enumerate(tc.fiber_names):
-            part = poly.diff(name)
-            if not part.is_zero():
-                nu_tables[d][idx] = part.partial_eval({n: 0 for n in tc.fiber_names}, base)
+        for d, part in tc.fiber_partials(poly):
+            nu_tables[d][idx] = part
     nu = tuple(DifferentialForm(base, k, t) for t in nu_tables)
 
     result = BundleForms(k, mu, nu)
@@ -344,31 +360,47 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
 
 
 def _cross_check_form_values(form, algebroid, k, tc, chart, values) -> None:
-    """Contract the form against the explicit frame tangent vectors.
-
-    The tangent vectors of a core value (a, n) are the dotted rows, the n-th
-    of them also moving one unit along the fiber of e_a; `Minors.contract`
-    takes that unit by linearity, so every value reads minors of the dotted
-    rows from one table.  The form's coefficients are restricted to each
-    fiber point once: the zero point, shared by every core value, and the
-    point u_a = 1 of each linear value a.
-    """
-    base = algebroid.base_chart
-    fiber_zero = {n: 0 for n in tc.fiber_names}
+    """Contract the form against the explicit frame tangent vectors: the
+    dotted rows, the n-th of them also moving one unit along the fiber of
+    e_a for the core value (a, n)."""
     fiber_pos = tc.fiber_positions()
     dotted = Minors([{tc.chart.index(n): Polynomial.variable(chart, tangent_copy_name(n, l))
-                      for n in base.names} for l in range(1, k + 1)], chart)
-    rows = tuple(range(k))
-    at_zero = fiber_restriction(form, fiber_zero, base, chart)
+                      for n in algebroid.base_chart.names} for l in range(1, k + 1)], chart)
+    cores = [(core_frame_name(frame, n), (n - 1, fiber_pos[a]))
+             for a, frame in enumerate(algebroid.frame_names) for n in range(1, k + 1)]
+    cross_check_frame_values(form, tc, dotted, cores,
+                             [linear_frame_name(f) for f in algebroid.frame_names], values)
 
-    for a, frame in enumerate(algebroid.frame_names):
-        for n in range(1, k + 1):
-            direct = dotted.contract(at_zero, rows, unit=(n - 1, fiber_pos[a]))
-            if direct != values[core_frame_name(frame, n)]:
-                raise CrossCheckError(
-                    f"frame value mismatch on {core_frame_name(frame, n)}")
-        point = dict(fiber_zero)
-        point[tc.fiber_names[a]] = 1
-        direct = dotted.contract(fiber_restriction(form, point, base, chart), rows)
-        if direct != values[linear_frame_name(frame)]:
-            raise CrossCheckError(f"frame value mismatch on {linear_frame_name(frame)}")
+
+def cross_check_frame_values(table: Alternating, tc: TotalChart, rows: Minors,
+                             cores, linears, values: Mapping) -> None:
+    """Contract a linear form or multivector on `tc` directly against the
+    frame vectors `rows`, and raise CrossCheckError on the first frame value
+    that differs from `values`.
+
+    A core value (name, unit) reads the rows with `unit` = (row, column)
+    added, which `Minors.contract` takes by linearity, against the
+    coefficients at the zero fiber point; the a-th name of `linears` reads
+    the plain rows against the coefficients at u_a = 1.  Each coefficient is
+    restricted to each of these points once.
+    """
+    ids = tuple(range(len(rows.rows)))
+    zero = dict.fromkeys(tc.fiber_names, 0)
+
+    def restrict(point: dict) -> dict:
+        out = {}
+        for idx, poly in table.coeffs.items():
+            coeff = poly.partial_eval(point, tc.base_chart).promote(rows.chart)
+            if not coeff.is_zero():
+                out[idx] = coeff
+        return out
+
+    def check(name: str, coeffs: dict, unit=None) -> None:
+        if rows.contract(coeffs, ids, unit) != values[name]:
+            raise CrossCheckError(f"frame value mismatch on {name}")
+
+    at_zero = restrict(zero)
+    for name, unit in cores:
+        check(name, at_zero, unit)
+    for name, u in zip(linears, tc.fiber_names):
+        check(name, restrict({**zero, u: 1}))

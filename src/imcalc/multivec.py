@@ -32,9 +32,9 @@ from .algebroid import (
     run_oracle,
     section_bracket,
 )
-from .errors import AlgebroidError, CrossCheckError
-from .forms import Minors, Multivector, fiber_restriction, graded_bracket
-from .linforms import TotalChart, total_chart_of
+from .errors import AlgebroidError
+from .forms import Minors, Multivector, graded_bracket
+from .linforms import TotalChart, cross_check_frame_values, linear_shape, total_chart_of
 from .poly import ChartError, Polynomial
 
 
@@ -44,16 +44,7 @@ def is_linear_multivector(p: Multivector, tc: TotalChart) -> bool:
     coefficient."""
     if p.chart != tc.chart:
         raise ChartError("multivector does not live on the given total chart")
-    fiber_pos = set(tc.fiber_positions())
-    for idx, poly in p.coeffs.items():
-        n_base = sum(1 for i in idx if i not in fiber_pos)
-        if n_base >= 2:
-            return False
-        want = 1 if n_base == 0 else 0
-        for exps in poly.terms:
-            if sum(exps[i] for i in fiber_pos) != want:
-                return False
-    return True
+    return linear_shape(p, tc, range(tc.base_chart.dim))
 
 
 @dataclass(frozen=True)
@@ -74,30 +65,20 @@ class LinearMultivector:
 
     def __post_init__(self):
         A = self.algebroid
-        fiber = {}
-        for (b_tuple, d), poly in self.fiber.items():
-            b_tuple = tuple(b_tuple)
-            if len(b_tuple) != self.k or any(x >= y for x, y in zip(b_tuple, b_tuple[1:])):
-                raise AlgebroidError(f"bad fiber wedge index {b_tuple}")
-            if not (0 <= d < A.rank) or any(not 0 <= b < A.rank for b in b_tuple):
-                raise AlgebroidError("fiber table index out of range")
-            if poly.chart != A.base_chart:
-                raise ChartError("fiber coefficients must live on the base chart")
-            if not poly.is_zero():
-                fiber[(b_tuple, d)] = poly
-        mixed = {}
-        for (b_tuple, j), poly in self.mixed.items():
-            b_tuple = tuple(b_tuple)
-            if len(b_tuple) != self.k - 1 or any(x >= y for x, y in zip(b_tuple, b_tuple[1:])):
-                raise AlgebroidError(f"bad mixed wedge index {b_tuple}")
-            if not (0 <= j < A.base_chart.dim) or any(not 0 <= b < A.rank for b in b_tuple):
-                raise AlgebroidError("mixed table index out of range")
-            if poly.chart != A.base_chart:
-                raise ChartError("mixed coefficients must live on the base chart")
-            if not poly.is_zero():
-                mixed[(b_tuple, j)] = poly
-        object.__setattr__(self, "fiber", fiber)
-        object.__setattr__(self, "mixed", mixed)
+        for kind, length, bound in (("fiber", self.k, A.rank),
+                                    ("mixed", self.k - 1, A.base_chart.dim)):
+            table = {}
+            for (b_tuple, i), poly in getattr(self, kind).items():
+                b_tuple = tuple(b_tuple)
+                if len(b_tuple) != length or any(x >= y for x, y in zip(b_tuple, b_tuple[1:])):
+                    raise AlgebroidError(f"bad {kind} wedge index {b_tuple}")
+                if not (0 <= i < bound) or any(not 0 <= b < A.rank for b in b_tuple):
+                    raise AlgebroidError(f"{kind} table index out of range")
+                if poly.chart != A.base_chart:
+                    raise ChartError(f"{kind} coefficients must live on the base chart")
+                if not poly.is_zero():
+                    table[(b_tuple, i)] = poly
+            object.__setattr__(self, kind, table)
 
     def to_multivector(self, tc: TotalChart) -> Multivector:
         """The actual k-vector field on the total chart."""
@@ -124,10 +105,7 @@ class LinearMultivector:
         tc = tc if tc is not None else total_chart_of(algebroid)
         if not is_linear_multivector(p, tc):
             raise AlgebroidError("multivector does not have the linear shape")
-        base = algebroid.base_chart
-        fiber_pos = tc.fiber_positions()
-        pos_to_frame = {pos: d for d, pos in enumerate(fiber_pos)}
-        zeros = {n: 0 for n in tc.fiber_names}
+        pos_to_frame = {pos: d for d, pos in enumerate(tc.fiber_positions())}
         sign = 1 if (p.degree - 1) % 2 == 0 else -1
         fiber: dict = {}
         mixed: dict = {}
@@ -135,14 +113,11 @@ class LinearMultivector:
             base_part = [i for i in idx if i not in pos_to_frame]
             if not base_part:
                 b_tuple = tuple(pos_to_frame[i] for i in idx)
-                for d, name in enumerate(tc.fiber_names):
-                    part = poly.diff(name)
-                    if not part.is_zero():
-                        fiber[(b_tuple, d)] = part.partial_eval(zeros, base)
+                for d, part in tc.fiber_partials(poly):
+                    fiber[(b_tuple, d)] = part
             else:
-                j = base_part[0]
                 b_tuple = tuple(pos_to_frame[i] for i in idx if i in pos_to_frame)
-                mixed[(b_tuple, j)] = poly.partial_eval(zeros, base) * sign
+                mixed[(b_tuple, base_part[0])] = tc.at_zero(poly) * sign
         return cls(algebroid, p.degree, fiber, mixed)
 
 
@@ -377,40 +352,19 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, 
 
 
 def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
-    """Contract the multivector directly against the explicit frame covectors.
-
-    The covectors of a core value (j, m) are the dual rows, the m-th of them
-    also with a unit dx_j component; `Minors.contract` takes that unit by
-    linearity, so every value reads minors of the dual rows from one table.
-    The multivector's coefficients are restricted to each fiber point once:
-    the zero point, shared by every core value, and the point u_a = 1 of
-    each linear value a.
-    """
+    """Contract the multivector against the explicit frame covectors: the
+    dual rows, the m-th of them also with a unit dx_j component for the core
+    value (j, m)."""
     A = algebroid
     tc = total_chart_of(A)
     chart = prol.base_chart
-    base = A.base_chart
-    field = p.to_multivector(tc)
     fiber_pos = tc.fiber_positions()
-    zeros = {n: 0 for n in tc.fiber_names}
     dual = Minors([{fiber_pos[d]: Polynomial.variable(chart, dual_copy_name(n, d + 1))
                     for d in range(A.rank)} for n in range(1, k + 1)], chart)
-    rows = tuple(range(k))
-    at_zero = fiber_restriction(field, zeros, base, chart)
-
-    for m in range(1, k + 1):
-        for j, name in enumerate(base.names):
-            direct = dual.contract(at_zero, rows, unit=(m - 1, tc.chart.index(name)))
-            if direct != values[dual_core_frame_name(name, m)]:
-                raise CrossCheckError(
-                    f"frame value mismatch on {dual_core_frame_name(name, m)}")
-    for a, name in enumerate(A.frame_names):
-        point = dict(zeros)
-        point[tc.fiber_names[a]] = 1
-        direct = dual.contract(fiber_restriction(field, point, base, chart), rows)
-        if direct != values[dual_linear_frame_name(name)]:
-            raise CrossCheckError(
-                f"frame value mismatch on {dual_linear_frame_name(name)}")
+    cores = [(dual_core_frame_name(name, m), (m - 1, tc.chart.index(name)))
+             for m in range(1, k + 1) for name in A.base_chart.names]
+    cross_check_frame_values(p.to_multivector(tc), tc, dual, cores,
+                             [dual_linear_frame_name(n) for n in A.frame_names], values)
 
 
 def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int,

@@ -63,8 +63,6 @@ from math import comb, lcm
 from operator import or_
 from typing import Iterable
 
-Rational = Fraction
-
 #: bits per coordinate in a packed monomial; the top one is the guard bit
 SLOT_BITS = 16
 SLOT_MASK = (1 << SLOT_BITS) - 1

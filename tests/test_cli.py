@@ -167,6 +167,16 @@ def _set(path, value):
     return mutate
 
 
+def _rank_true(doc):
+    # a one-section algebroid, so that only the bool is wrong
+    doc.update(rank=True, frame=doc["frame"][:1], anchor=doc["anchor"][:1], structure=[])
+
+
+def _int_base(doc):
+    # the anchor names no coordinate, so that only the names are wrong
+    doc.update(base=[1, 2], anchor=[["0", "0"]] * doc["rank"])
+
+
 WRONG_TYPES = {
     "anchor": ("so3_axioms.json", _set(["anchor"], 5)),
     "structure": ("so3_axioms.json", _set(["structure"], 5)),
@@ -174,6 +184,15 @@ WRONG_TYPES = {
     "fiber_indices": ("so3_coboundary_mv2.json", _set(["candidate", "fiber", 0, 0], 1)),
     "samples": ("so3_poisson_im2.json", _set(["options", "samples"], 3)),
     "options": ("so3_poisson_im2.json", _set(["options"], [])),
+    # JSON true is a Python int; each of these would read as 1
+    "rank_true": ("so3_axioms.json", _rank_true),
+    "structure_index_true": ("so3_axioms.json", _set(["structure", 0, 0], True)),
+    "form_index_true": ("so3_poisson_im2.json",
+                        _set(["candidate", "mu", 0, "terms", 0, 0, 0], True)),
+    "fiber_index_true": ("so3_coboundary_mv2.json",
+                         _set(["candidate", "fiber", 0, 0, 0], True)),
+    "frame_names": ("so3_axioms.json", _set(["frame"], [1, 2, 3])),
+    "base_names": ("so3_axioms.json", _int_base),
 }
 
 
@@ -191,6 +210,40 @@ def test_wrong_typed_fields_are_input_errors(tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def _mixed_candidate(doc):
+    # a linear vector field on the so3 Poisson algebroid, by its mixed table
+    doc["candidate"] = {"type": "multivector", "k": 1, "fiber": [], "mixed": [[[], 1, "x2"]]}
+    doc["options"] = {"mode": "multivector"}
+
+
+REPEATED = {
+    # (source, preparation, the first entry's expression doubled)
+    "fiber": ("so3_coboundary_mv2.json", lambda doc: None, "-2"),
+    "mixed": ("so3_poisson_im2.json", _mixed_candidate, "2*x2"),
+}
+
+
+@pytest.mark.parametrize("report", ["json", "text"])
+@pytest.mark.parametrize("table", sorted(REPEATED))
+def test_repeated_multivector_entries_are_summed(tmp_path, table, report):
+    source, prepare, doubled_expr = REPEATED[table]
+
+    def run(change):
+        def mutate(doc):
+            prepare(doc)
+            change(doc["candidate"][table])
+        return _run_mutated(tmp_path, source, mutate, "--report", report)
+
+    def set_doubled(entries):
+        entries[0][2] = doubled_expr
+
+    single = run(lambda entries: None)
+    assert run(lambda entries: entries.append(entries[0][:2] + ["0"])) == single
+    doubled = run(lambda entries: entries.append(entries[0]))
+    assert doubled == run(set_doubled)
+    assert doubled != single
 
 
 @pytest.mark.parametrize("mode", ["", [], 0], ids=["empty_string", "empty_list", "zero"])

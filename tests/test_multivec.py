@@ -15,7 +15,7 @@ from conftest import (
     rnd_poly,
     rnd_section,
 )
-from imcalc.algebroid import Section, cotangent_prolongation, section_bracket
+from imcalc.algebroid import LieAlgebroid, Section, cotangent_prolongation, section_bracket
 from imcalc.errors import AlgebroidError, CrossCheckError
 from imcalc.fixtures import (
     koszul_so3_algebroid,
@@ -37,7 +37,7 @@ from imcalc.multivec import (
     multivector_frame_functional,
     oracle_equivalence_dual,
 )
-from imcalc.poly import Polynomial, base_chart, parse
+from imcalc.poly import ChartError, Polynomial, base_chart, parse
 
 
 def test_shape_examples():
@@ -376,11 +376,37 @@ def test_pairing_identities(rng):
 
 
 def test_candidate_validation():
+    """Each refusal of a candidate table, on both the fiber and the mixed
+    table, with its message."""
+    chart = base_chart("R", ("x1", "x2"))
+    zero = Polynomial.zero(chart)
+    # base dimension 2 and rank 3, so the two tables' index bounds differ
+    algebroid = LieAlgebroid(chart, 3, ("e1", "e2", "e3"), [[zero, zero]] * 3, {})
+    one = Polynomial.const(chart, 1)
+    elsewhere = Polynomial.const(total_chart_of(algebroid).chart, 1)
+    refusals = [
+        # (table, key, coefficient, error, message), for k = 2
+        ("fiber", ((0, 0), 1), one, AlgebroidError, "bad fiber wedge index (0, 0)"),
+        ("fiber", ((1, 0), 1), one, AlgebroidError, "bad fiber wedge index (1, 0)"),
+        ("fiber", ((0,), 1), one, AlgebroidError, "bad fiber wedge index (0,)"),
+        ("mixed", ((0, 1), 1), one, AlgebroidError, "bad mixed wedge index (0, 1)"),
+        ("mixed", ((), 1), one, AlgebroidError, "bad mixed wedge index ()"),
+        ("fiber", ((0, 1), 3), one, AlgebroidError, "fiber table index out of range"),
+        ("fiber", ((0, 3), 1), one, AlgebroidError, "fiber table index out of range"),
+        ("mixed", ((0,), 2), one, AlgebroidError, "mixed table index out of range"),
+        ("mixed", ((3,), 0), one, AlgebroidError, "mixed table index out of range"),
+        ("fiber", ((0, 1), 1), elsewhere, ChartError,
+         "fiber coefficients must live on the base chart"),
+        ("mixed", ((0,), 1), elsewhere, ChartError,
+         "mixed coefficients must live on the base chart"),
+    ]
+    for table, key, coeff, error, message in refusals:
+        tables = {"fiber": {}, "mixed": {}}
+        tables[table][key] = coeff
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            LinearMultivector(algebroid, 2, tables["fiber"], tables["mixed"])
+    top = LinearMultivector(algebroid, 2, {((1, 2), 2): one}, {((2,), 1): one})
+    assert (top.fiber, top.mixed) == ({((1, 2), 2): one}, {((2,), 1): one})
     so3 = so3_algebroid()
-    one = Polynomial.const(so3.base_chart, 1)
-    with pytest.raises(AlgebroidError):
-        LinearMultivector(so3, 2, {((0, 0), 1): one}, {})
-    with pytest.raises(AlgebroidError):
-        LinearMultivector(so3, 2, {((0, 1), 5): one}, {})
     with pytest.raises(AlgebroidError):
         Derivation(so3, 2, {}, {"e1": Section.zero(so3, 2)})
