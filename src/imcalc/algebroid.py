@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebroidError, AxiomError, OracleDisagreement
-from .forms import Alternating, VectorField, _acc, graded_bracket
+from .forms import Alternating, VectorField, collect, graded_bracket
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_DUAL, ROLE_TANGENT
 
 
@@ -238,17 +238,21 @@ def bracket_sections(algebroid: LieAlgebroid, u: Section, v: Section) -> Section
     if u.degree != 1 or v.degree != 1:
         raise AlgebroidError("bracket_sections needs degree-1 sections")
     u._check_mate(v)
-    out: dict = {}
+    groups: dict = {}
     for (a,), ua in u.coeffs.items():
         for (b,), vb in v.coeffs.items():
-            for c, w in algebroid.bracket_frame_row(a, b):
-                _acc(out, (c,), ua * vb * w)
+            row = algebroid.bracket_frame_row(a, b)
+            if row:
+                uv = ua * vb
+                for c, w in row:
+                    groups.setdefault((c,), []).append((uv, w))
         for (c,), vc in v.coeffs.items():
-            _acc(out, (c,), ua * algebroid.anchor_derivation(a, vc))
+            groups.setdefault((c,), []).append((ua, algebroid.anchor_derivation(a, vc)))
     for (b,), vb in v.coeffs.items():
+        minus_vb = -vb
         for (c,), uc in u.coeffs.items():
-            _acc(out, (c,), -(vb * algebroid.anchor_derivation(b, uc)))
-    return Section(algebroid, 1, out)
+            groups.setdefault((c,), []).append((minus_vb, algebroid.anchor_derivation(b, uc)))
+    return Section(algebroid, 1, collect(groups))
 
 
 def section_bracket(u: Section, v: Section) -> Section:
@@ -270,11 +274,12 @@ def anchor_apply(algebroid: LieAlgebroid, u: Section) -> VectorField:
     """Image of a degree-1 section under the anchor, as a chart vector field."""
     if u.degree != 1:
         raise AlgebroidError("anchor_apply needs a degree-1 section")
-    comps = [Polynomial.zero(algebroid.base_chart) for _ in range(algebroid.base_chart.dim)]
+    groups: dict = {}
     for (a,), ua in u.coeffs.items():
         for j, p in enumerate(algebroid.anchor[a]):
-            comps[j] = comps[j] + ua * p
-    return VectorField.from_components(algebroid.base_chart, comps)
+            if not p.is_zero():
+                groups.setdefault((j,), []).append((ua, p))
+    return VectorField(algebroid.base_chart, collect(groups))
 
 
 def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
@@ -289,32 +294,36 @@ def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
     violations = []
     chart = algebroid.base_chart
     r = algebroid.rank
+    anchor = algebroid.anchor
+    sparse = algebroid._anchor_sparse
+    minus_sparse = [tuple((name, -comp) for name, comp in row) for row in sparse]
     for a in range(r):
         for b in range(a + 1, r):
-            row = dict(algebroid.bracket_frame_row(a, b))
+            # minus the bracket: [e_b, e_a] = -[e_a, e_b]
+            row = algebroid.bracket_frame_row(b, a)
             for j, name in enumerate(chart.names):
-                res = (algebroid.anchor_derivation(a, algebroid.anchor[b][j])
-                       - algebroid.anchor_derivation(b, algebroid.anchor[a][j]))
-                for c, w in row.items():
-                    res = res - w * algebroid.anchor[c][j]
+                pairs = [(comp, anchor[b][j].diff(x)) for x, comp in sparse[a]]
+                pairs += [(comp, anchor[a][j].diff(x)) for x, comp in minus_sparse[b]]
+                pairs += [(w, anchor[c][j]) for c, w in row]
+                res = Polynomial.sum_of_products(chart, pairs)
                 if not res.is_zero():
                     violations.append(Violation("AXIOM_ANCHOR", (a + 1, b + 1, name), res))
     for a in range(r):
         for b in range(a + 1, r):
             for c in range(b + 1, r):
-                acc: dict = {}
+                groups: dict = {}
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
                     # [e_x, [e_y, e_z]] with [e_y, e_z] = sum_d w_d e_d
                     for d, w in algebroid.bracket_frame_row(y, z):
-                        dw = algebroid.anchor_derivation(x, w)
-                        if not dw.is_zero():
-                            acc[d] = acc.get(d, Polynomial.zero(chart)) + dw
+                        if sparse[x]:
+                            groups.setdefault(d, []).extend(
+                                (comp, w.diff(name)) for name, comp in sparse[x])
                         for e, w2 in algebroid.bracket_frame_row(x, d):
-                            acc[e] = acc.get(e, Polynomial.zero(chart)) + w * w2
-                for e in sorted(acc):
-                    if not acc[e].is_zero():
-                        violations.append(
-                            Violation("AXIOM_JACOBI", (a + 1, b + 1, c + 1, e + 1), acc[e]))
+                            groups.setdefault(e, []).append((w, w2))
+                table = collect(groups)
+                for e in sorted(table):
+                    violations.append(
+                        Violation("AXIOM_JACOBI", (a + 1, b + 1, c + 1, e + 1), table[e]))
     return CheckReport.collect(violations)
 
 
@@ -518,62 +527,47 @@ def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     dotted = [[Polynomial.variable(chart, tangent_copy_name(base.names[i], n))
                for i in range(n_base)] for n in range(1, k + 1)]
 
+    def dotted_derivative(f: Polynomial) -> list:
+        """sum_i xdot_n^i df/dx^i on the prolongation chart, for n = 1..k."""
+        parts = [(f.diff(name).promote(chart), i) for i, name in enumerate(base.names)]
+        return [Polynomial.sum_of_products(chart, [(p, row[i]) for p, i in parts])
+                for row in dotted]
+
+    def tangent_col(j: int, n: int) -> int:
+        return chart.index(tangent_copy_name(base.names[j], n))
+
     rows = []
     for n in range(1, k + 1):
         for a in range(r):
             row = [zero] * chart.dim
             for j in range(n_base):
-                row[chart.index(tangent_copy_name(base.names[j], n))] = anchor_prom[a][j]
+                row[tangent_col(j, n)] = anchor_prom[a][j]
             rows.append(row)
     for a in range(r):
-        row = [zero] * chart.dim
+        row = anchor_prom[a] + [zero] * (chart.dim - n_base)
         for j in range(n_base):
-            row[j] = anchor_prom[a][j]
-        for n in range(1, k + 1):
-            for j in range(n_base):
-                w = zero
-                for i in range(n_base):
-                    dpart = algebroid.anchor[a][j].diff(base.names[i])
-                    if not dpart.is_zero():
-                        w = w + dotted[n - 1][i] * dpart.promote(chart)
-                if not w.is_zero():
-                    col = chart.index(tangent_copy_name(base.names[j], n))
-                    row[col] = row[col] + w
+            for n, w in enumerate(dotted_derivative(algebroid.anchor[a][j]), start=1):
+                row[tangent_col(j, n)] = w
         rows.append(row)
 
     structure: dict = {}
     for a in range(r):
         for b in range(r):
-            crow = algebroid.bracket_frame_row(a, b)
-            if not crow:
-                continue
-            # [T e_a, core e_(b, m)] = C_ab^d core e_(d, m)
+            # [T e_a, core e_(b, m)] = C_ab^d core e_(d, m); cores precede
+            # linear sections, so store [core, linear] = [e_b, e_a] on cores
+            minus_row = algebroid.bracket_frame_row(b, a)
             for m in range(1, k + 1):
-                i, j = core_idx(b, m), lin_idx(a)
-                # cores precede linear sections, so store [core, linear] = -[linear, core]
-                entries = structure.setdefault((i, j), {})
-                for d, w in crow:
-                    tgt = core_idx(d, m)
-                    entries[tgt] = entries.get(tgt, zero) - w.promote(chart)
+                structure[(core_idx(b, m), lin_idx(a))] = {
+                    core_idx(d, m): w.promote(chart) for d, w in minus_row}
     for a in range(r):
         for b in range(a + 1, r):
-            crow = algebroid.bracket_frame_row(a, b)
-            if not crow:
-                continue
-            entries = structure.setdefault((lin_idx(a), lin_idx(b)), {})
-            for d, w in crow:
-                entries[lin_idx(d)] = entries.get(lin_idx(d), zero) + w.promote(chart)
-                for n in range(1, k + 1):
-                    corr = zero
-                    for i in range(n_base):
-                        dw = w.diff(base.names[i])
-                        if not dw.is_zero():
-                            corr = corr + dotted[n - 1][i] * dw.promote(chart)
-                    if not corr.is_zero():
-                        key = core_idx(d, n)
-                        entries[key] = entries.get(key, zero) + corr
+            entries = structure[(lin_idx(a), lin_idx(b))] = {}
+            for d, w in algebroid.bracket_frame_row(a, b):
+                entries[lin_idx(d)] = w.promote(chart)
+                for n, corr in enumerate(dotted_derivative(w), start=1):
+                    entries[core_idx(d, n)] = corr
 
-    return LieAlgebroid(chart, (k + 1) * r, frame, rows, _clean_structure(structure),
+    return LieAlgebroid(chart, (k + 1) * r, frame, rows, structure,
                         _inherit_checked=algebroid.checked)
 
 
@@ -611,61 +605,36 @@ def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
         for i in range(n_base):
             row = [zero] * chart.dim
             for d in range(r):
-                p = algebroid.anchor[d][i]
-                if not p.is_zero():
-                    row[chart.index(dual_copy_name(n, d + 1))] = p.promote(chart)
+                row[chart.index(dual_copy_name(n, d + 1))] = algebroid.anchor[d][i].promote(chart)
             rows.append(row)
     for a in range(r):
-        row = [zero] * chart.dim
-        for j in range(n_base):
-            row[j] = algebroid.anchor[a][j].promote(chart)
+        row = [p.promote(chart) for p in algebroid.anchor[a]] + [zero] * (chart.dim - n_base)
         for n in range(1, k + 1):
             for b in range(r):
-                w = zero
-                for c, coeff in algebroid.bracket_frame_row(a, b):
-                    w = w + coeff.promote(chart) * xi[n - 1][c]
-                if not w.is_zero():
-                    row[chart.index(dual_copy_name(n, b + 1))] = w
+                row[chart.index(dual_copy_name(n, b + 1))] = Polynomial.sum_of_products(
+                    chart, [(w.promote(chart), xi[n - 1][c])
+                            for c, w in algebroid.bracket_frame_row(a, b)])
         rows.append(row)
 
     structure: dict = {}
     for a in range(r):
         # [linear e_a, core dx_(j, m)] = d(rho_a^j)/dx^i core dx_(i, m)
         for j in range(n_base):
-            coeffs = [algebroid.anchor[a][j].diff(base.names[i]) for i in range(n_base)]
-            if all(c.is_zero() for c in coeffs):
-                continue
+            minus = [(-algebroid.anchor[a][j].diff(name)).promote(chart) for name in base.names]
             for m in range(1, k + 1):
-                key = (core_idx(j, m), lin_idx(a))
-                entries = structure.setdefault(key, {})
-                for i, c in enumerate(coeffs):
-                    if not c.is_zero():
-                        tgt = core_idx(i, m)
-                        entries[tgt] = entries.get(tgt, zero) - c.promote(chart)
+                structure[(core_idx(j, m), lin_idx(a))] = {
+                    core_idx(i, m): c for i, c in enumerate(minus)}
     for a in range(r):
         for b in range(a + 1, r):
             crow = algebroid.bracket_frame_row(a, b)
-            if not crow:
-                continue
-            entries = structure.setdefault((lin_idx(a), lin_idx(b)), {})
+            groups: dict = {}
             for d, w in crow:
-                entries[lin_idx(d)] = entries.get(lin_idx(d), zero) + w.promote(chart)
-                for i in range(n_base):
-                    dw = w.diff(base.names[i])
-                    if dw.is_zero():
-                        continue
+                for i, name in enumerate(base.names):
+                    minus_dw = (-w.diff(name)).promote(chart)
                     for n in range(1, k + 1):
-                        tgt = core_idx(i, n)
-                        entries[tgt] = entries.get(tgt, zero) - dw.promote(chart) * xi[n - 1][d]
+                        groups.setdefault(core_idx(i, n), []).append((minus_dw, xi[n - 1][d]))
+            structure[(lin_idx(a), lin_idx(b))] = {
+                lin_idx(d): w.promote(chart) for d, w in crow} | collect(groups)
 
-    return LieAlgebroid(chart, k * n_base + r, frame, rows, _clean_structure(structure),
+    return LieAlgebroid(chart, k * n_base + r, frame, rows, structure,
                         _inherit_checked=algebroid.checked)
-
-
-def _clean_structure(structure: dict) -> dict:
-    out = {}
-    for key, entries in structure.items():
-        row = {c: p for c, p in entries.items() if not p.is_zero()}
-        if row:
-            out[key] = row
-    return out

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
@@ -32,6 +33,12 @@ EXIT_INPUT = 2
 EXIT_DEFECT = 3
 
 MODES = ("im-form", "multivector", "weil", "axioms")
+
+#: the largest rank and base dimension a document may declare; the axiom
+#: check alone grows with the cube of the rank
+DIMENSION_LIMIT = 32
+#: the coordinate rule of the expression grammar, which frame names follow too
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # the verdict tags each oracle route reports
 ROUTE_TAGS = {
@@ -70,17 +77,29 @@ def _parse_expr(text, chart: Chart) -> Polynomial:
         raise InputError(f"bad expression {text!r}: {exc}") from exc
 
 
+def _names(doc: dict, field: str) -> list:
+    """The name list `field`, each name matching `NAME`, at most
+    `DIMENSION_LIMIT` long."""
+    names = doc.get(field)
+    _require(isinstance(names, list) and all(isinstance(n, str) for n in names),
+             f"document needs a '{field}' list of name strings")
+    for pos, name in enumerate(names, start=1):
+        _require(NAME.fullmatch(name) is not None,
+                 f"'{field}' name {pos} is {name!r}; names match {NAME.pattern}")
+    _require(len(names) <= DIMENSION_LIMIT,
+             f"'{field}' lists {len(names)} names, above the limit of {DIMENSION_LIMIT}")
+    return names
+
+
 def load_algebroid(doc: dict) -> LieAlgebroid:
-    _require(isinstance(doc.get("base"), list) and all(isinstance(n, str) for n in doc["base"]),
-             "document needs a 'base' list of coordinate name strings")
-    _require(type(doc.get("rank")) is int, "document needs an integer 'rank'")
-    _require(isinstance(doc.get("frame"), list) and all(isinstance(n, str) for n in doc["frame"]),
-             "document needs a 'frame' list of name strings")
-    rank = doc["rank"]
-    frame = doc["frame"]
+    base = _names(doc, "base")
+    rank = doc.get("rank")
+    _require(type(rank) is int, "document needs an integer 'rank'")
+    _require(rank <= DIMENSION_LIMIT, f"'rank' is {rank}, above the limit of {DIMENSION_LIMIT}")
+    frame = _names(doc, "frame")
     _require(len(frame) == rank, "'frame' must list rank-many names")
     try:
-        chart = base_chart("M", doc["base"])
+        chart = base_chart("M", base)
     except ChartError as exc:
         raise InputError(str(exc)) from exc
     anchor_rows = doc.get("anchor", [])

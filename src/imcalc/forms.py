@@ -16,6 +16,13 @@ bracket and a derivation action on coefficients by
 
 to arbitrary wedge degrees; the algebroid layer reuses the engine for the
 Gerstenhaber bracket on wedge powers of sections.
+
+One accumulation rule builds every output coefficient: an operation groups
+(Polynomial, weight) pairs by output key and `collect`s each key with one
+`Polynomial.sum_of_products`, not one product and one add per term.  A
+weight is a Polynomial factor or an int such as a sign, which scales the
+terms of the pair's polynomial in the same term map, so a signed sum makes
+no negated copy.  `linear_combination` applies the rule to whole values.
 """
 
 from __future__ import annotations
@@ -41,15 +48,19 @@ def sort_indices(indices: Sequence[int]):
     return tuple(idx), sign
 
 
-def _acc(table: dict, key, poly: Polynomial) -> None:
-    if poly.is_zero():
-        return
-    cur = table.get(key)
-    s = poly if cur is None else cur + poly
-    if s.is_zero():
-        table.pop(key, None)
-    else:
-        table[key] = s
+def collect(groups: Mapping) -> dict:
+    """The table {key: the sum of the products in groups[key]}, one
+    `Polynomial.sum_of_products` per key, with zero sums dropped.
+
+    Each group is a nonempty list of (Polynomial, weight) pairs, the weight
+    a Polynomial on the same chart or an int such as a sign.
+    """
+    out = {}
+    for key, pairs in groups.items():
+        p = Polynomial.sum_of_products(pairs[0][0].chart, pairs)
+        if not p.is_zero():
+            out[key] = p
+    return out
 
 
 class Alternating:
@@ -78,7 +89,7 @@ class Alternating:
                 if poly.chart != chart:
                     raise ChartError("coefficient lives on the wrong chart")
                 if not poly.is_zero():
-                    _acc(table, idx, poly)
+                    table[idx] = poly
         object.__setattr__(self, "chart", chart)
         object.__setattr__(self, "degree", degree)
         object.__setattr__(self, "coeffs", table)
@@ -110,14 +121,12 @@ class Alternating:
     @classmethod
     def from_terms(cls, chart: Chart, degree: int, items: Iterable):
         """Build from (index_tuple, Polynomial) pairs in any index order."""
-        table: dict = {}
+        groups: dict = {}
         for idx, poly in items:
             srt = sort_indices(tuple(idx))
-            if srt is None:
-                continue
-            key, sign = srt
-            _acc(table, key, poly if sign == 1 else -poly)
-        return cls.zero(chart, degree)._like(table)
+            if srt is not None:
+                groups.setdefault(srt[0], []).append((poly, srt[1]))
+        return cls.zero(chart, degree)._like(collect(groups))
 
     def _check_mate(self, other):
         # forms combine with forms, multivectors with multivectors; a
@@ -136,7 +145,10 @@ class Alternating:
             raise ValueError("degree mismatch in sum")
         table = dict(self.coeffs)
         for k, p in other.coeffs.items():
-            _acc(table, k, p)
+            cur = table.pop(k, None)
+            s = p if cur is None else cur + p
+            if not s.is_zero():
+                table[k] = s
         return self._like(table)
 
     def __neg__(self):
@@ -149,10 +161,9 @@ class Alternating:
         """Multiply every coefficient by a Polynomial or rational."""
         if isinstance(factor, Polynomial) and factor.chart != self.chart:
             raise ChartError("scale factor lives on the wrong chart")
-        table: dict = {}
-        for k, p in self.coeffs.items():
-            _acc(table, k, p * factor)
-        return self._like(table)
+        # distinct keys stay distinct, so each coefficient is one product
+        return self._like({k: q for k, p in self.coeffs.items()
+                           if not (q := p * factor).is_zero()})
 
     def wedge(self, other):
         """Wedge product of two forms, two multivectors or two sections."""
@@ -162,15 +173,13 @@ class Alternating:
         if type(b) is VectorField:
             b = Multivector(b.chart, 1, b.coeffs)
         a._check_mate(b)
-        table: dict = {}
+        groups: dict = {}
         for i1, p1 in a.coeffs.items():
             for i2, p2 in b.coeffs.items():
                 merged = sort_indices(i1 + i2)
-                if merged is None:
-                    continue
-                key, sign = merged
-                _acc(table, key, p1 * p2 if sign == 1 else -(p1 * p2))
-        return a._like(table, a.degree + b.degree)
+                if merged is not None:
+                    groups.setdefault(merged[0], []).append((p1 if merged[1] > 0 else -p1, p2))
+        return a._like(collect(groups), a.degree + b.degree)
 
     def coeff(self, idx) -> Polynomial:
         srt = sort_indices(tuple(idx))
@@ -196,9 +205,10 @@ class Alternating:
         remap = [new_chart.index(c.name) for c in self.chart.coords]
         table: dict = {}
         for idx, p in self.coeffs.items():
+            # distinct names have distinct indices, so keys stay distinct
             key, sign = sort_indices(tuple(remap[i] for i in idx))
             q = p.promote(new_chart)
-            _acc(table, key, q if sign == 1 else -q)
+            table[key] = q if sign == 1 else -q
         return self._like(table, chart=new_chart)
 
     def label(self, idx) -> str:
@@ -266,10 +276,9 @@ class VectorField(Multivector):
         """Directional derivative of a scalar."""
         if f.chart != self.chart:
             raise ChartError("chart mismatch")
-        out = Polynomial.zero(self.chart)
-        for (i,), comp in self.coeffs.items():
-            out = out + comp * f.diff(self.chart.names[i])
-        return out
+        names = self.chart.names
+        return Polynomial.sum_of_products(
+            self.chart, ((comp, f.diff(names[i])) for (i,), comp in self.coeffs.items()))
 
 
 def as_vector_field(mv: Multivector) -> VectorField:
@@ -282,35 +291,52 @@ def as_vector_field(mv: Multivector) -> VectorField:
 wedge = Alternating.wedge
 
 
+def linear_combination(terms: Sequence):
+    """The sum of w * x over a nonempty list of (x, w) pairs: x values of
+    one type, chart and degree, w Polynomial or int weights.  Every output
+    coefficient is one `collect`ed sum.
+    """
+    like = terms[0][0]
+    groups: dict = {}
+    for x, w in terms:
+        like._check_mate(x)
+        if x.degree != like.degree:
+            raise ValueError("degree mismatch in sum")
+        for key, p in x.coeffs.items():
+            groups.setdefault(key, []).append((p, w))
+    return like._like(collect(groups))
+
+
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """de Rham differential; satisfies d(d(a)) = 0."""
-    table: dict = {}
-    chart = a.chart
+    groups: dict = {}
     for idx, p in a.coeffs.items():
-        for j, name in enumerate(chart.names):
+        for j, name in enumerate(a.chart.names):
+            if j in idx:
+                continue
             dp = p.diff(name)
-            if dp.is_zero():
-                continue
-            merged = sort_indices((j,) + idx)
-            if merged is None:
-                continue
-            key, sign = merged
-            _acc(table, key, dp if sign == 1 else -dp)
-    return a._like(table, a.degree + 1)
+            if not dp.is_zero():
+                key, sign = sort_indices((j,) + idx)
+                groups.setdefault(key, []).append((dp, sign))
+    return a._like(collect(groups), a.degree + 1)
 
 
-def _contract_table(components: dict, table: dict, degree: int) -> dict:
-    """Contract {index: Polynomial} components into an alternating table."""
-    out: dict = {}
+def _contract_table(components: dict, table: dict) -> dict:
+    """Contract {index: Polynomial} components into an alternating table,
+    negating each component at most once."""
+    negated: dict = {}
+    groups: dict = {}
     for idx, p in table.items():
         for pos, i in enumerate(idx):
             comp = components.get(i)
             if comp is None:
                 continue
-            rest = idx[:pos] + idx[pos + 1:]
-            term = comp * p
-            _acc(out, rest, term if pos % 2 == 0 else -term)
-    return out
+            if pos % 2:
+                comp = negated.get(i)
+                if comp is None:
+                    comp = negated[i] = -components[i]
+            groups.setdefault(idx[:pos] + idx[pos + 1:], []).append((comp, p))
+    return collect(groups)
 
 
 def contract(x: VectorField, a: DifferentialForm) -> DifferentialForm:
@@ -320,7 +346,7 @@ def contract(x: VectorField, a: DifferentialForm) -> DifferentialForm:
     if a.degree == 0:
         return DifferentialForm(a.chart, 0)
     comps = {i: p for (i,), p in x.coeffs.items()}
-    return a._like(_contract_table(comps, a.coeffs, a.degree), a.degree - 1)
+    return a._like(_contract_table(comps, a.coeffs), a.degree - 1)
 
 
 def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
@@ -332,7 +358,7 @@ def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
     if p.degree == 0:
         return Multivector(p.chart, 0)
     comps = {i: q for (i,), q in alpha.coeffs.items()}
-    return p._like(_contract_table(comps, p.coeffs, p.degree), p.degree - 1, Multivector)
+    return p._like(_contract_table(comps, p.coeffs), p.degree - 1, Multivector)
 
 
 def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm,
@@ -422,9 +448,9 @@ def lie_derivative(x: VectorField, a):
         if x.chart != a.chart:
             raise ChartError("chart mismatch")
         out = contract(x, exterior_derivative(a))
-        if a.degree > 0:
-            out = out + exterior_derivative(contract(x, a))
-        return out
+        if a.degree == 0:
+            return out
+        return linear_combination([(out, 1), (exterior_derivative(contract(x, a)), 1)])
     if isinstance(a, Multivector):
         return schouten(x, a)
     raise TypeError("lie_derivative expects a DifferentialForm or Multivector")
@@ -438,29 +464,12 @@ FrameBracket = Callable[[int, int], Iterable]  # (a, b) -> iterable of (c, Polyn
 CoeffAction = Callable[[int, Polynomial], Polynomial]  # (a, f) -> derivative of f
 
 
-def _wedge_frame(head: tuple, table: dict, tail: tuple) -> dict:
-    """e_head ^ table ^ e_tail."""
-    out: dict = {}
+def _wedge_frame(head: tuple, table: dict, tail: tuple, weight: int, groups: dict) -> None:
+    """Add weight * (e_head ^ table ^ e_tail) to the pairs of `groups`."""
     for key, p in table.items():
         merged = sort_indices(head + key + tail)
-        if merged is None:
-            continue
-        k2, sign = merged
-        _acc(out, k2, p if sign == 1 else -p)
-    return out
-
-
-def _wedge_act(s_tuple, f: Polynomial, act: CoeffAction) -> dict:
-    """[e_S, f] = sum_j (-1)^(q-j) act(s_j, f) e_{S minus s_j}  (1-based j)."""
-    q = len(s_tuple)
-    out: dict = {}
-    for j, s in enumerate(s_tuple, start=1):
-        df = act(s, f)
-        if df.is_zero():
-            continue
-        rest = s_tuple[:j - 1] + s_tuple[j:]
-        _acc(out, rest, df if (q - j) % 2 == 0 else -df)
-    return out
+        if merged is not None:
+            groups.setdefault(merged[0], []).append((p, weight * merged[1]))
 
 
 def _bracket_pure(t_tuple, v_table: dict, q: int, fb: FrameBracket, act: CoeffAction) -> dict:
@@ -468,33 +477,24 @@ def _bracket_pure(t_tuple, v_table: dict, q: int, fb: FrameBracket, act: CoeffAc
     p = len(t_tuple)
     if p == 0:
         return {}
+    groups: dict = {}
     if p == 1:
         a = t_tuple[0]
-        out: dict = {}
         for s_tuple, g in v_table.items():
-            if q == 0:
-                _acc(out, (), act(a, g))
-                continue
-            _acc(out, s_tuple, act(a, g))
+            dg = act(a, g)
+            if not dg.is_zero():
+                groups.setdefault(s_tuple, []).append((dg, 1))
             for pos, s in enumerate(s_tuple):
                 for c, w in fb(a, s):
-                    coeff = g * w
-                    if coeff.is_zero():
-                        continue
                     srt = sort_indices(s_tuple[:pos] + (c,) + s_tuple[pos + 1:])
-                    if srt is None:
-                        continue
-                    key, sign = srt
-                    _acc(out, key, coeff if sign == 1 else -coeff)
-        return out
+                    if srt is not None:
+                        groups.setdefault(srt[0], []).append((g if srt[1] > 0 else -g, w))
+        return collect(groups)
     head, rest = t_tuple[0], t_tuple[1:]
-    part1 = _wedge_frame((head,), _bracket_pure(rest, v_table, q, fb, act), ())
-    part2 = _wedge_frame((), _bracket_pure((head,), v_table, q, fb, act), rest)
     sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
-    out = part1
-    for key, poly in part2.items():
-        _acc(out, key, poly if sign == 1 else -poly)
-    return out
+    _wedge_frame((head,), _bracket_pure(rest, v_table, q, fb, act), (), 1, groups)
+    _wedge_frame((), _bracket_pure((head,), v_table, q, fb, act), rest, sign, groups)
+    return collect(groups)
 
 
 def graded_bracket(p_table: dict, p: int, q_table: dict, q: int,
@@ -505,19 +505,23 @@ def graded_bracket(p_table: dict, p: int, q_table: dict, q: int,
     `act` of coefficients; the result table has degree p + q - 1 (empty when
     that is negative, i.e. for two degree-0 inputs).
     """
-    out: dict = {}
+    groups: dict = {}
     sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
     for t_tuple, f in p_table.items():
-        # [f e_T, Q] = f [e_T, Q] - (-1)^((p-1)(q-1)) [Q, f] ^ e_T
+        # [f e_T, Q] = f [e_T, Q] - (-1)^((p-1)(q-1)) [Q, f] ^ e_T, where
+        # [g e_S, f] = sum_j (-1)^(q-j) g act(s_j, f) e_{S minus s_j}  (1-based j)
         for key, poly in _bracket_pure(t_tuple, q_table, q, fb, act).items():
-            _acc(out, key, f * poly)
-        q_on_f: dict = {}
+            groups.setdefault(key, []).append((f, poly))
         for s_tuple, g in q_table.items():
-            for key, poly in _wedge_act(s_tuple, f, act).items():
-                _acc(q_on_f, key, g * poly)
-        for key, poly in _wedge_frame((), q_on_f, t_tuple).items():
-            _acc(out, key, -poly if sign == 1 else poly)
-    return out
+            for j, s in enumerate(s_tuple, start=1):
+                merged = sort_indices(s_tuple[:j - 1] + s_tuple[j:] + t_tuple)
+                if merged is None:
+                    continue
+                df = act(s, f)
+                if not df.is_zero():
+                    positive = -sign * merged[1] * (-1) ** (q - j) > 0
+                    groups.setdefault(merged[0], []).append((df, g if positive else -g))
+    return collect(groups)
 
 
 def schouten(p: Multivector, q: Multivector) -> Multivector:

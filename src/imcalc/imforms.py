@@ -43,6 +43,7 @@ from .forms import (
     contract,
     exterior_derivative,
     lie_derivative,
+    linear_combination,
 )
 from .linforms import BundleForms, form_frame_functional, linear_form, total_chart_of
 from .poly import Chart, Polynomial
@@ -73,9 +74,11 @@ class _Operators:
 
     For kind "mu" or "nu" and frame indices a, b the table holds d of the
     image of e_b, its contraction i_{rho(a)}, the contraction i_{rho(a)} of
-    its d, and its Lie derivative L_{rho(a)}, assembled from those two by
-    Cartan's formula L = i d + d i (the d i term is absent on functions).
-    A table belongs to one call and is dropped with it.
+    its d, and the d of its contraction.  The Lie derivative L_{rho(a)}
+    enters a sum as the two terms of Cartan's formula L = i d + d i (the
+    d i term is absent on functions), and each residual is one
+    `linear_combination` of table entries.  A table belongs to one call and
+    is dropped with it.
     """
 
     def __init__(self, im: IMForm):
@@ -100,43 +103,39 @@ class _Operators:
     def i_d(self, kind: str, a: int, b: int) -> DifferentialForm:
         return self._entry(("i_d", kind, a, b), lambda: contract(self.rho[a], self.d(kind, b)))
 
-    def lie(self, kind: str, a: int, b: int) -> DifferentialForm:
-        def compute():
-            out = self.i_d(kind, a, b)
-            if self.maps[kind][b].degree > 0:
-                out = out + exterior_derivative(self.i(kind, a, b))
-            return out
-        return self._entry(("lie", kind, a, b), compute)
+    def d_i(self, kind: str, a: int, b: int) -> DifferentialForm:
+        return self._entry(("d_i", kind, a, b), lambda: exterior_derivative(self.i(kind, a, b)))
+
+    def lie(self, kind: str, a: int, b: int, weight: int) -> list:
+        """weight * L_{rho(a)} of the image of e_b, as (form, weight) terms."""
+        terms = [(self.i_d(kind, a, b), weight)]
+        if self.maps[kind][b].degree > 0:
+            terms.append((self.d_i(kind, a, b), weight))
+        return terms
 
     def drop(self, kind: str) -> None:
         """Forget the entries of one kind once no later condition uses them."""
         self.memo = {key: v for key, v in self.memo.items() if key[1] != kind}
 
-    def bracket_image(self, kind: str, a: int, b: int) -> DifferentialForm:
-        """The image of [e_a, e_b] under the bundle map `kind`."""
-        A = self.im.algebroid
+    def bracket_image(self, kind: str, a: int, b: int) -> list:
+        """The image of [e_a, e_b] under the bundle map `kind`, as (form,
+        weight) terms."""
         maps = self.maps[kind]
-        out = DifferentialForm(A.base_chart, maps[a].degree)
-        for c, w in A.bracket_frame_row(a, b):
-            out = out + maps[c].scale(w)
-        return out
+        return [(maps[c], w) for c, w in self.im.algebroid.bracket_frame_row(a, b)]
 
 
 def im_residual_1(ops: _Operators, a: int, b: int) -> DifferentialForm:
-    return ops.i("mu", a, b) + ops.i("mu", b, a)
+    return linear_combination([(ops.i("mu", a, b), 1), (ops.i("mu", b, a), 1)])
 
 
 def im_residual_2(ops: _Operators, a: int, b: int) -> DifferentialForm:
-    return (ops.bracket_image("mu", a, b)
-            - ops.lie("mu", a, b)
-            + ops.i_d("mu", b, a)
-            + ops.i("nu", b, a))
+    return linear_combination(ops.bracket_image("mu", a, b) + ops.lie("mu", a, b, -1)
+                              + [(ops.i_d("mu", b, a), 1), (ops.i("nu", b, a), 1)])
 
 
 def im_residual_3(ops: _Operators, a: int, b: int) -> DifferentialForm:
-    return (ops.bracket_image("nu", a, b)
-            - ops.lie("nu", a, b)
-            + ops.i_d("nu", b, a))
+    return linear_combination(ops.bracket_image("nu", a, b) + ops.lie("nu", a, b, -1)
+                              + [(ops.i_d("nu", b, a), 1)])
 
 
 def check_im_form(im: IMForm) -> CheckReport:
@@ -215,21 +214,21 @@ def _assert_nu_identities(ops: _Operators) -> None:
     rho = ops.rho
     for a in range(r):
         for b in range(a, r):
-            res = ops.i("nu", a, b) + ops.i("nu", b, a)
-            if not res.is_zero():
+            if not linear_combination([(ops.i("nu", a, b), 1), (ops.i("nu", b, a), 1)]).is_zero():
                 raise CrossCheckError(f"derived nu antisymmetry fails on pair {(a, b)}")
     for a in range(r):
         for b in range(a + 1, r):
             for c in range(b + 1, r):
-                total = DifferentialForm(A.base_chart, im.k - 1)
+                terms = []
                 for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner = ops.lie("nu", v, u) - ops.lie("nu", u, v)
-                    total = total + contract(rho[w], inner)
+                    inner = linear_combination(ops.lie("nu", v, u, 1) + ops.lie("nu", u, v, -1))
+                    terms.append((contract(rho[w], inner), 1))
                 triple = contract(rho[c], ops.i("nu", b, a))
                 if im.k >= 2:
-                    total = total + exterior_derivative(triple).scale(Fraction(2))
+                    terms.append((exterior_derivative(triple), 2))
                 elif not triple.is_zero():
                     raise CrossCheckError("degree bookkeeping broke in the nu identity")
+                total = linear_combination(terms)
                 if not total.is_zero():
                     raise CrossCheckError(f"derived cyclic nu identity fails on {(a, b, c)}")
 

@@ -40,7 +40,9 @@ polynomials are equal iff chart and term maps are equal.
 Products are collected in one flat loop (`Polynomial.sum_of_products`, which
 `*` also calls): each term pair adds its coefficient product into one term
 map, and the map is made canonical once per call, not once per pair, so a
-sum of n products copies no intermediate term map.  `partial_eval` collects
+sum of n products copies no intermediate term map.  A pair's second member
+may be an int weight, as in `(p, -1)`: it adds c * w per term of p into the
+same map, so signed sums need no negated copy and no constant factor.  `partial_eval` collects
 the same way; `+` cleans only the keys of its right operand in place, since
 `total = total + term` adds a short map into a long one.  `eval` brings every
 term over one integer denominator, the product of q_i^D_i over the
@@ -284,10 +286,17 @@ class Polynomial:
 
     @classmethod
     def sum_of_products(cls, chart: Chart, pairs: Iterable) -> "Polynomial":
-        """The sum of p * q over the (p, q) pairs, all polynomials on `chart`."""
+        """The sum of p * q over the (p, q) pairs: p a polynomial on `chart`,
+        q one too or an int weight, whose pair adds c * q per term of p."""
         terms: dict = {}
         get = terms.get
         for p, q in pairs:
+            if type(q) is int:
+                if not _same(p.chart, chart):
+                    raise ChartError(f"chart mismatch: {chart.name!r} vs {p.chart.name!r}")
+                for e, c in p._terms.items():
+                    terms[e] = get(e, 0) + c * q
+                continue
             if not (_same(p.chart, chart) and _same(q.chart, chart)):
                 raise ChartError(
                     f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"

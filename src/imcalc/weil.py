@@ -23,7 +23,7 @@ from typing import Mapping, Sequence
 
 from .algebroid import CheckReport, LieAlgebroid, axiom_gate, component_violations, run_oracle
 from .errors import AlgebroidError
-from .forms import DifferentialForm, contract, exterior_derivative, wedge
+from .forms import DifferentialForm, contract, exterior_derivative, linear_combination, wedge
 from .imforms import IMForm, check_im_form
 from .linforms import BundleForms, decompose, total_chart_of
 from .poly import ChartError, Polynomial
@@ -149,9 +149,9 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     rule; comp1(a)(b): L_{rho_a} comp1(e_b) - comp1([e_a, e_b]) + i_{rho_b}
     comp0(e_a); comp2(a): -i_{rho_a} comp1(e_a).
 
-    d of each frame value is taken once, and each L_{rho_a} is assembled
-    from it by Cartan's formula L = i d + d i (the d i term is absent on
-    functions).
+    d of each frame value is taken once, and each L_{rho_a} enters its sum
+    as the terms of Cartan's formula L = i d + d i (the d i term is absent
+    on functions); each component is one `linear_combination`.
     """
     A = w.algebroid
     r = A.rank
@@ -159,36 +159,25 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     d0 = [exterior_derivative(w.value0(b)) for b in range(r)]
     d1 = [exterior_derivative(w.value1(b)) for b in range(r)]
 
-    def lie(a: int, form: DifferentialForm, d_form: DifferentialForm) -> DifferentialForm:
-        out = contract(rho[a], d_form)
+    def lie(a: int, form: DifferentialForm, d_form: DifferentialForm, weight: int) -> list:
+        terms = [(contract(rho[a], d_form), weight)]
         if form.degree > 0:
-            out = out + exterior_derivative(contract(rho[a], form))
-        return out
+            terms.append((exterior_derivative(contract(rho[a], form)), weight))
+        return terms
 
-    def comp0_bracket(a: int, b: int) -> DifferentialForm:
-        out = DifferentialForm(A.base_chart, w.k)
-        for c, coeff in A.bracket_frame_row(a, b):
-            out = out + w.value0_scaled(coeff, c)
-        return out
-
-    def comp1_bracket(a: int, b: int) -> DifferentialForm:
-        out = DifferentialForm(A.base_chart, w.k - 1)
-        for c, coeff in A.bracket_frame_row(a, b):
-            out = out + w.value1(c).scale(coeff)
-        return out
-
+    # minus the image of [e_a, e_b] is the image of [e_b, e_a]
     comp0 = {}
     for a in range(r):
         for b in range(a + 1, r):
-            comp0[(a, b)] = (-comp0_bracket(a, b)
-                             + lie(a, w.value0(b), d0[b])
-                             - lie(b, w.value0(a), d0[a]))
+            terms = [(w.value0_scaled(coeff, c), 1) for c, coeff in A.bracket_frame_row(b, a)]
+            comp0[(a, b)] = linear_combination(terms + lie(a, w.value0(b), d0[b], 1)
+                                               + lie(b, w.value0(a), d0[a], -1))
     comp1 = {}
     for a in range(r):
         for b in range(r):
-            comp1[(a, b)] = (lie(a, w.value1(b), d1[b])
-                             - comp1_bracket(a, b)
-                             + contract(rho[b], w.value0(a)))
+            terms = [(w.value1(c), coeff) for c, coeff in A.bracket_frame_row(b, a)]
+            comp1[(a, b)] = linear_combination(terms + lie(a, w.value1(b), d1[b], 1)
+                                               + [(contract(rho[b], w.value0(a)), 1)])
     comp2 = {}
     for a in range(r):
         comp2[a] = -contract(rho[a], w.value1(a))

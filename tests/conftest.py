@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 import pytest
 
 from imcalc.algebroid import LieAlgebroid, Section, section_bracket
-from imcalc.forms import DifferentialForm, Multivector, VectorField
+from imcalc.forms import DifferentialForm, Multivector, VectorField, sort_indices
 from imcalc.fixtures import koszul_algebroid, so3_algebroid
 from imcalc.linforms import BundleForms
 from imcalc.multivec import Derivation, LinearMultivector
@@ -93,6 +93,110 @@ def det_of_components(vectors: Sequence[Mapping], idx, target: Chart) -> Polynom
         else:
             total = total + term if inversions % 2 == 0 else total - term
     return total
+
+
+# -- per-term references for the collected form operations ---------------------
+#
+# Each operation below adds its terms one at a time, one product and one
+# Polynomial add per term, as the form layer did before it collected every
+# output coefficient with one `sum_of_products`: the references for
+# `forms.contract`, `forms.exterior_derivative`, `forms.wedge` and
+# `forms.graded_bracket`.
+
+def acc_term(table: dict, key, poly: Polynomial) -> None:
+    """Add one term into an alternating table, dropping a zero sum."""
+    if poly.is_zero():
+        return
+    cur = table.get(key)
+    s = poly if cur is None else cur + poly
+    if s.is_zero():
+        table.pop(key, None)
+    else:
+        table[key] = s
+
+
+def contract_reference(components: Mapping, table: Mapping) -> dict:
+    """Contract {index: Polynomial} components into an alternating table."""
+    out: dict = {}
+    for idx, p in table.items():
+        for pos, i in enumerate(idx):
+            comp = components.get(i)
+            if comp is not None:
+                term = comp * p
+                acc_term(out, idx[:pos] + idx[pos + 1:], term if pos % 2 == 0 else -term)
+    return out
+
+
+def exterior_derivative_reference(table: Mapping, chart: Chart) -> dict:
+    out: dict = {}
+    for idx, p in table.items():
+        for j, name in enumerate(chart.names):
+            dp = p.diff(name)
+            merged = sort_indices((j,) + idx)
+            if merged is not None:
+                acc_term(out, merged[0], dp if merged[1] == 1 else -dp)
+    return out
+
+
+def wedge_reference(a: Mapping, b: Mapping) -> dict:
+    out: dict = {}
+    for i1, p1 in a.items():
+        for i2, p2 in b.items():
+            merged = sort_indices(i1 + i2)
+            if merged is not None:
+                acc_term(out, merged[0], p1 * p2 if merged[1] == 1 else -(p1 * p2))
+    return out
+
+
+def _wedge_frame_reference(head: tuple, table: Mapping, tail: tuple) -> dict:
+    out: dict = {}
+    for key, p in table.items():
+        merged = sort_indices(head + key + tail)
+        if merged is not None:
+            acc_term(out, merged[0], p if merged[1] == 1 else -p)
+    return out
+
+
+def _bracket_pure_reference(t_tuple, v_table: Mapping, q: int, fb, act) -> dict:
+    """[e_T, V] for a degree-q table V."""
+    p = len(t_tuple)
+    out: dict = {}
+    if p == 1:
+        a = t_tuple[0]
+        for s_tuple, g in v_table.items():
+            acc_term(out, s_tuple, act(a, g))
+            for pos, s in enumerate(s_tuple):
+                for c, w in fb(a, s):
+                    merged = sort_indices(s_tuple[:pos] + (c,) + s_tuple[pos + 1:])
+                    if merged is not None:
+                        acc_term(out, merged[0], g * w if merged[1] == 1 else -(g * w))
+    elif p > 1:
+        head, rest = (t_tuple[0],), t_tuple[1:]
+        out = _wedge_frame_reference(head, _bracket_pure_reference(rest, v_table, q, fb, act), ())
+        part2 = _wedge_frame_reference((), _bracket_pure_reference(head, v_table, q, fb, act), rest)
+        sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
+        for key, poly in part2.items():
+            acc_term(out, key, poly if sign == 1 else -poly)
+    return out
+
+
+def graded_bracket_reference(p_table: Mapping, p: int, q_table: Mapping, q: int, fb, act) -> dict:
+    """[P, Q] by [f e_T, Q] = f [e_T, Q] - (-1)^((p-1)(q-1)) [Q, f] ^ e_T,
+    with [e_S, f] = sum_j (-1)^(q-j) act(s_j, f) e_{S minus s_j}."""
+    out: dict = {}
+    sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
+    for t_tuple, f in p_table.items():
+        for key, poly in _bracket_pure_reference(t_tuple, q_table, q, fb, act).items():
+            acc_term(out, key, f * poly)
+        q_on_f: dict = {}
+        for s_tuple, g in q_table.items():
+            for j, s in enumerate(s_tuple, start=1):
+                df = act(s, f)
+                rest = s_tuple[:j - 1] + s_tuple[j:]
+                acc_term(q_on_f, rest, g * df if (q - j) % 2 == 0 else -(g * df))
+        for key, poly in _wedge_frame_reference((), q_on_f, t_tuple).items():
+            acc_term(out, key, -poly if sign == 1 else poly)
+    return out
 
 
 def rnd_point(rng, chart: Chart, span=6):

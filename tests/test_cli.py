@@ -16,7 +16,9 @@ import pytest
 
 import imcalc
 from imcalc.algebroid import CheckReport, Violation, check_morphism_to_line
-from imcalc.cli import InputError, _sample_value, load_algebroid, load_candidate, main
+from imcalc.cli import (
+    DIMENSION_LIMIT, InputError, _sample_value, load_algebroid, load_candidate, main,
+)
 from imcalc.errors import OracleDisagreement
 from imcalc.fixtures import poisson_im_form
 from imcalc.imforms import oracle_equivalence
@@ -172,9 +174,11 @@ def _rank_true(doc):
     doc.update(rank=True, frame=doc["frame"][:1], anchor=doc["anchor"][:1], structure=[])
 
 
-def _int_base(doc):
-    # the anchor names no coordinate, so that only the names are wrong
-    doc.update(base=[1, 2], anchor=[["0", "0"]] * doc["rank"])
+def _base(names):
+    def mutate(doc):
+        # the anchor names no coordinate, so that only the names are wrong
+        doc.update(base=names, anchor=[["0"] * len(names)] * doc["rank"])
+    return mutate
 
 
 WRONG_TYPES = {
@@ -192,7 +196,14 @@ WRONG_TYPES = {
     "fiber_index_true": ("so3_coboundary_mv2.json",
                          _set(["candidate", "fiber", 0, 0, 0], True)),
     "frame_names": ("so3_axioms.json", _set(["frame"], [1, 2, 3])),
-    "base_names": ("so3_axioms.json", _int_base),
+    "base_names": ("so3_axioms.json", _base([1, 2])),
+    # names no expression could refer to, each printed as a witness label
+    "frame_empty_name": ("so3_poisson_im2.json", _set(["frame", 0], "")),
+    "frame_spaced_name": ("so3_poisson_im2.json", _set(["frame", 0], "e 1")),
+    "frame_digit_first": ("so3_poisson_im2.json", _set(["frame", 2], "3e")),
+    "base_empty_name": ("so3_axioms.json", _base(["x1", ""])),
+    "base_spaced_name": ("so3_axioms.json", _base(["x1", "x 2"])),
+    "base_sign_name": ("so3_axioms.json", _base(["x-1"])),
 }
 
 
@@ -210,6 +221,42 @@ def test_wrong_typed_fields_are_input_errors(tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, position, name", [
+    ("frame", 1, ""), ("frame", 3, "e 3"), ("base", 2, "x2\n"), ("base", 1, "1x"),
+])
+def test_bad_names_are_refused_by_field_and_position(tmp_path, field, position, name):
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json",
+                                  _set([field, position - 1], name))
+    assert (code, out) == (2, "")
+    assert f"'{field}' name {position} is {name!r}" in err
+
+
+def _sized(rank: int, dim: int):
+    """An axioms-only document of the given rank and base dimension, with a
+    zero anchor and no structure functions."""
+    return {"base": [f"x{i}" for i in range(1, dim + 1)], "rank": rank,
+            "frame": [f"e{i}" for i in range(1, rank + 1)],
+            "anchor": [["0"] * dim for _ in range(rank)], "structure": []}
+
+
+@pytest.mark.parametrize("rank, dim, field", [
+    (DIMENSION_LIMIT + 1, 0, "'rank'"), (200, 0, "'rank'"), (1, DIMENSION_LIMIT + 1, "'base'"),
+])
+def test_oversized_rank_or_base_is_refused(tmp_path, rank, dim, field):
+    doc = tmp_path / "big.json"
+    doc.write_text(json.dumps(_sized(rank, dim)))
+    code, out, err = run_cli(["--input", str(doc)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {field}") and str(DIMENSION_LIMIT) in err
+
+
+def test_rank_and_base_at_the_limit_are_accepted(tmp_path):
+    doc = tmp_path / "limit.json"
+    doc.write_text(json.dumps(_sized(DIMENSION_LIMIT, DIMENSION_LIMIT)))
+    code, out, err = run_cli(["--input", str(doc)])
+    assert (code, err) == (0, "")
 
 
 def _mixed_candidate(doc):

@@ -3,13 +3,26 @@ operator identities, and the Schouten bracket against independent oracles."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import det_of_components, rnd_form, rnd_multivector, rnd_poly, rnd_vector_field
+from conftest import (
+    contract_reference,
+    det_of_components,
+    exterior_derivative_reference,
+    graded_bracket_reference,
+    rnd_algebroid,
+    rnd_form,
+    rnd_multivector,
+    rnd_poly,
+    rnd_section,
+    rnd_vector_field,
+    wedge_reference,
+)
 from imcalc.forms import (
     DifferentialForm,
     Minors,
@@ -19,6 +32,7 @@ from imcalc.forms import (
     contract,
     contract_covector,
     exterior_derivative,
+    graded_bracket,
     iterated_contract,
     lie_derivative,
     schouten,
@@ -357,3 +371,114 @@ def test_unit_row_contraction_matches_augmented_rows(rows_width, data):
     minors = Minors(rows, CH2)
     assert minors.contract(coeffs, ids, unit=(row, col)) == expected
     assert minors.contract(coeffs, ids) == plain
+
+
+# -- collected operators against their per-term references ---------------------
+
+COLLECT_SETTINGS = settings(max_examples=60, deadline=None)
+CHARTS = {n: base_chart("M", [f"x{i}" for i in range(1, n + 1)]) for n in range(1, 5)}
+
+
+@st.composite
+def sparse_tables(draw, chart, degree: int) -> dict:
+    """A sparse alternating table whose coefficients have at most two terms
+    of degree at most 1 per coordinate, with coefficients in -2..2, so that
+    terms from different index tuples often meet on one key and cancel."""
+    coeff = st.dictionaries(st.tuples(*[st.integers(0, 1)] * chart.dim),
+                            st.integers(-2, 2), min_size=1, max_size=2)
+    table = {}
+    for idx in combinations(range(chart.dim), degree):
+        if draw(st.booleans()):
+            p = Polynomial(chart, draw(coeff))
+            if not p.is_zero():
+                table[idx] = p
+    return table
+
+
+@st.composite
+def forms_on_a_chart(draw, *degrees):
+    """A chart of 1-4 coordinates and one sparse table per requested degree
+    (None draws a degree from 0 to the dimension)."""
+    chart = CHARTS[draw(st.integers(1, 4))]
+    tables = [draw(sparse_tables(chart, d if d is not None else draw(st.integers(0, chart.dim))))
+              for d in degrees]
+    return chart, tables
+
+
+def _degree(table: dict, default: int = 0) -> int:
+    return len(next(iter(table))) if table else default
+
+
+@COLLECT_SETTINGS
+@given(forms_on_a_chart(1, None))
+def test_contract_matches_per_term_reference(case):
+    chart, (field, table) = case
+    degree = _degree(table, 1)
+    x = VectorField(chart, field)
+    a = DifferentialForm(chart, degree, table)
+    comps = {i: p for (i,), p in field.items()}
+    assert contract(x, a).coeffs == (contract_reference(comps, table) if degree else {})
+    # contracting twice with one field cancels every term
+    assert contract(x, contract(x, a)).is_zero()
+    alpha = DifferentialForm(chart, 1, field)
+    p = Multivector(chart, degree, table)
+    expected = contract_reference(comps, table) if degree else {}
+    assert contract_covector(alpha, p).coeffs == expected
+
+
+@COLLECT_SETTINGS
+@given(forms_on_a_chart(None))
+def test_exterior_derivative_matches_per_term_reference(case):
+    chart, (table,) = case
+    a = DifferentialForm(chart, _degree(table), table)
+    da = exterior_derivative(a)
+    assert da.coeffs == exterior_derivative_reference(table, chart)
+    # d d = 0: every term of d(d a) cancels against another
+    assert exterior_derivative(da).is_zero()
+    assert exterior_derivative_reference(da.coeffs, chart) == {}
+
+
+@COLLECT_SETTINGS
+@given(forms_on_a_chart(None, None, 1))
+def test_wedge_matches_per_term_reference(case):
+    chart, (t1, t2, t3) = case
+    a = DifferentialForm(chart, _degree(t1), t1)
+    b = DifferentialForm(chart, _degree(t2), t2)
+    assert wedge(a, b).coeffs == wedge_reference(t1, t2)
+    # a 1-form wedged with itself cancels term by term
+    c = DifferentialForm(chart, 1, t3)
+    assert wedge(c, c).is_zero() and wedge_reference(t3, t3) == {}
+
+
+@COLLECT_SETTINGS
+@given(forms_on_a_chart(None, None, 1))
+def test_schouten_matches_per_term_reference(case):
+    chart, (t1, t2, t3) = case
+    p, q = _degree(t1), _degree(t2)
+
+    def fb(a, b):
+        return ()
+
+    def act(a, f):
+        return f.diff(chart.names[a])
+
+    assert graded_bracket(t1, p, t2, q, fb, act) == graded_bracket_reference(t1, p, t2, q, fb, act)
+    # [X, X] = 0 for a vector field X
+    assert graded_bracket(t3, 1, t3, 1, fb, act) == {}
+    assert schouten(Multivector(chart, 1, t3), Multivector(chart, 1, t3)).is_zero()
+
+
+@COLLECT_SETTINGS
+@given(st.integers(0, 2**32), st.integers(0, 3), st.integers(0, 3))
+def test_gerstenhaber_bracket_matches_per_term_reference(seed, p, q):
+    rng = random.Random(seed)
+    algebroid = rnd_algebroid(rng)
+    p, q = min(p, algebroid.rank), min(q, algebroid.rank)
+    u = rnd_section(rng, algebroid, p)
+    v = rnd_section(rng, algebroid, q)
+    fb, act = algebroid.bracket_frame_row, algebroid.anchor_derivation
+    assert (graded_bracket(u.coeffs, p, v.coeffs, q, fb, act)
+            == graded_bracket_reference(u.coeffs, p, v.coeffs, q, fb, act))
+    # graded antisymmetry makes [u, u] vanish for a section of odd degree
+    if p % 2:
+        assert graded_bracket(u.coeffs, p, u.coeffs, p, fb, act) == {}

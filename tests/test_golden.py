@@ -5,6 +5,12 @@
 the stderr of the one malformed document (every other run writes nothing to
 stderr).  A change to any of them is a change of the report format and must
 regenerate the files on purpose.
+
+`tests/golden/ladder/` pins two larger documents the same way: the broken IM
+and the multivector document of the n = 4, k = 3 rung of the benchmark's
+oracle ladder (`perfbench.workloads.oracle_ladder_documents`, seed 57),
+committed with their reports, so that witness residuals on data beyond the
+hand-written fixtures are guarded too.
 """
 
 from __future__ import annotations
@@ -22,7 +28,17 @@ ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
+LADDER = GOLDEN / "ladder"
+LADDER_EXIT_CODES = json.loads((LADDER / "exit_codes.json").read_text())
 SUFFIX = {"json": "json", "text": "txt"}
+
+
+def _verify(document: Path, report: str) -> tuple:
+    out = io.StringIO()
+    err = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["--input", str(document), "--report", report])
+    return code, out.getvalue().encode(), err.getvalue().encode()
 
 
 def test_golden_covers_the_corpus():
@@ -32,11 +48,23 @@ def test_golden_covers_the_corpus():
 @pytest.mark.parametrize("report", sorted(SUFFIX))
 @pytest.mark.parametrize("stem", sorted(EXIT_CODES))
 def test_corpus_report_matches_golden(stem, report):
-    out = io.StringIO()
-    err = io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
-        code = main(["--input", str(CORPUS / f"{stem}.json"), "--report", report])
+    code, out, err = _verify(CORPUS / f"{stem}.json", report)
     assert code == EXIT_CODES[stem][report]
-    assert out.getvalue().encode() == (GOLDEN / f"{stem}.report.{SUFFIX[report]}").read_bytes()
+    assert out == (GOLDEN / f"{stem}.report.{SUFFIX[report]}").read_bytes()
     stderr = GOLDEN / f"{stem}.stderr"
-    assert err.getvalue().encode() == (stderr.read_bytes() if stderr.exists() else b"")
+    assert err == (stderr.read_bytes() if stderr.exists() else b"")
+
+
+def test_ladder_golden_covers_its_documents():
+    documents = sorted(p.stem for p in LADDER.glob("*.json")
+                       if "." not in p.stem and p.stem != "exit_codes")
+    assert documents == sorted(LADDER_EXIT_CODES) == ["n4_k3_im_broken", "n4_k3_mv"]
+
+
+@pytest.mark.parametrize("report", sorted(SUFFIX))
+@pytest.mark.parametrize("stem", sorted(LADDER_EXIT_CODES))
+def test_ladder_report_matches_golden(stem, report):
+    code, out, err = _verify(LADDER / f"{stem}.json", report)
+    assert code == LADDER_EXIT_CODES[stem][report]
+    assert out == (LADDER / f"{stem}.report.{SUFFIX[report]}").read_bytes()
+    assert err == b""

@@ -4,9 +4,10 @@ Every verdict of the library is an exact zero test in `Polynomial`, so the
 kernel's arithmetic is compared term by term with an independent
 implementation on Hypothesis-drawn polynomials: charts of 1-4 coordinates,
 integral and non-integral rational coefficients, sums that cancel to zero,
-rational sums whose denominators cancel to 1, exponents near the
-per-coordinate limit of the packed monomial keys, and evaluation at zero,
-negative and large-denominator points.
+sums of products mixed with int-weighted terms, rational sums whose
+denominators cancel to 1, exponents near the per-coordinate limit of the
+packed monomial keys, and evaluation at zero, negative and
+large-denominator points.
 """
 
 from __future__ import annotations
@@ -219,6 +220,50 @@ def test_sum_of_products(ps):
         a.chart, [(a * Fraction(1, 3), b), (a * Fraction(2, 3), b)])
     assert_matches(thirds, to_sympy(a) * to_sympy(b))
     assert thirds == a * b
+
+
+weights = st.one_of(st.just(0), st.integers(min_value=-3, max_value=3),
+                    st.integers(min_value=-10**20, max_value=10**20))
+
+
+@SETTINGS
+@given(polys(3), st.lists(st.tuples(st.integers(0, 2), st.one_of(st.none(), weights)),
+                          max_size=6))
+def test_sum_of_products_with_int_weights(ps, picks):
+    """Pairs (p, w) with an int weight w add w * p; they mix freely with
+    polynomial pairs, and a zero weight adds nothing."""
+    chart = ps[0].chart
+    pairs = []
+    expected = sympy.Integer(0)
+    for i, w in picks:
+        p, q = ps[i], ps[(i + 1) % 3]
+        if w is None:
+            pairs.append((p, q))
+            expected += to_sympy(p) * to_sympy(q)
+        else:
+            pairs.append((p, w))
+            expected += to_sympy(p) * w
+    assert_matches(Polynomial.sum_of_products(chart, pairs), expected)
+    a = ps[0]
+    assert Polynomial.sum_of_products(chart, [(a, 0)]).is_zero()
+    assert Polynomial.sum_of_products(chart, [(a, 1), (a, -1)]).is_zero()
+    assert Polynomial.sum_of_products(chart, [(a, -1)]) == -a
+    # an int weight and the constant polynomial of the same value agree
+    assert_matches(Polynomial.sum_of_products(chart, [(a, 3), (ps[1], ps[2])]),
+                   3 * to_sympy(a) + to_sympy(ps[1]) * to_sympy(ps[2]))
+    assert (Polynomial.sum_of_products(chart, [(a, -2)])
+            == Polynomial.sum_of_products(chart, [(a, Polynomial.const(chart, -2))]))
+
+
+def test_sum_of_products_int_weight_checks_the_chart():
+    p = Polynomial.variable(CHARTS[2], "x1")
+    with pytest.raises(ChartError):
+        Polynomial.sum_of_products(CHARTS[3], [(p, 1)])
+    with pytest.raises(ChartError):
+        Polynomial.sum_of_products(CHARTS[3], [(Polynomial.variable(CHARTS[3], "x1"), 2), (p, -1)])
+    # a zero weight does not excuse a polynomial on another chart
+    with pytest.raises(ChartError):
+        Polynomial.sum_of_products(CHARTS[3], [(p, 0)])
 
 
 NEAR_LIMIT = st.one_of(

@@ -1,6 +1,7 @@
 """Each checker computes a derivative, a fiber restriction or a minor once
-per call, and `verify` checks the axioms and decomposes a candidate once per
-document.
+per call, each form operation builds an output coefficient with one
+`sum_of_products`, and `verify` checks the axioms and decomposes a candidate
+once per document.
 
 The kernel calls are counted by wrapping them with monkeypatch; a counter
 keeps every argument it saw alive, so `id` stays unique for the count.
@@ -14,7 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import rnd_algebroid, rnd_bundle_forms, rnd_linear_multivector, rnd_poly
+from conftest import (
+    rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_linear_multivector, rnd_poly, rnd_vector_field,
+)
 from imcalc import forms, imforms, linforms, multivec, weil
 from imcalc import cli
 from imcalc.algebroid import (
@@ -25,14 +28,14 @@ from imcalc.algebroid import (
     tangent_prolongation,
 )
 from imcalc.fixtures import koszul_so3_algebroid
-from imcalc.imforms import IMForm, check_im_form, im_form_from_base_form
+from imcalc.imforms import IMForm, _Operators, check_im_form, im_form_from_base_form, im_residual_2
 from imcalc.linforms import decompose, form_frame_functional, linear_form, total_chart_of
 from imcalc.multivec import (
     check_gerstenhaber_derivation,
     derivation_from_linear,
     multivector_frame_functional,
 )
-from imcalc.poly import Polynomial
+from imcalc.poly import Polynomial, base_chart
 from imcalc.weil import cochain_from_bundle_forms, horizontal_differential
 
 
@@ -71,6 +74,66 @@ def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, p
         check_morphism_to_line(prol, functional)
     assert counter.counts, "the check took no partial derivative"
     assert max(counter.counts.values()) == 1
+
+
+def _count_kernel(monkeypatch) -> Counter:
+    """Count `sum_of_products` and `Polynomial.__add__` calls."""
+    counts = Counter()
+    collect = Polynomial.sum_of_products.__func__
+    add = Polynomial.__add__
+
+    def counted_collect(cls, chart, pairs):
+        counts["sum_of_products"] += 1
+        return collect(cls, chart, pairs)
+
+    def counted_add(self, other):
+        counts["add"] += 1
+        return add(self, other)
+
+    monkeypatch.setattr(Polynomial, "sum_of_products", classmethod(counted_collect))
+    monkeypatch.setattr(Polynomial, "__add__", counted_add)
+    return counts
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_contract_and_d_collect_each_output_key_once(rng, monkeypatch, degree):
+    chart = base_chart("M", ["x1", "x2", "x3", "x4"])
+    cases = [(rnd_vector_field(rng, chart), rnd_form(rng, chart, degree, density=0.9))
+             for _ in range(6)]
+    counts = _count_kernel(monkeypatch)
+    for x, a in cases:
+        # every key one term reaches, whether or not its sum cancels
+        keys = {idx[:pos] + idx[pos + 1:] for idx in a.coeffs for pos in range(len(idx))
+                if (idx[pos],) in x.coeffs}
+        counts.clear()
+        forms.contract(x, a)
+        assert dict(counts) == ({"sum_of_products": len(keys)} if keys else {})
+        keys = {tuple(sorted(idx + (j,))) for idx, p in a.coeffs.items()
+                for j, name in enumerate(chart.names)
+                if j not in idx and not p.diff(name).is_zero()}
+        counts.clear()
+        forms.exterior_derivative(a)
+        assert dict(counts) == ({"sum_of_products": len(keys)} if keys else {})
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_im_residual_collects_each_output_key_once(rng, monkeypatch, k):
+    algebroid = koszul_so3_algebroid()
+    ops = _Operators(IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k)))
+    pairs = [(a, b) for a in range(algebroid.rank) for b in range(algebroid.rank)]
+    for a, b in pairs:
+        im_residual_2(ops, a, b)   # fills the operator table
+    counts = _count_kernel(monkeypatch)
+    seen = 0
+    for a, b in pairs:
+        terms = (ops.bracket_image("mu", a, b) + ops.lie("mu", a, b, -1)
+                 + [(ops.i_d("mu", b, a), 1), (ops.i("nu", b, a), 1)])
+        keys = {key for form, _ in terms for key in form.coeffs}
+        counts.clear()
+        im_residual_2(ops, a, b)
+        assert dict(counts) == ({"sum_of_products": len(keys)} if keys else {})
+        seen += len(keys)
+    assert seen, "no residual had a term"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
