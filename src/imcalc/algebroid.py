@@ -69,7 +69,7 @@ class LieAlgebroid:
     """
 
     __slots__ = ("base_chart", "rank", "frame_names", "anchor", "structure",
-                 "checked", "_anchor_sparse", "_axiom_report")
+                 "checked", "_anchor_sparse", "_axiom_report", "_copy_layout")
 
     def __init__(self, base_chart: Chart, rank: int, frame_names: Sequence[str],
                  anchor: Sequence[Sequence[Polynomial]],
@@ -117,6 +117,8 @@ class LieAlgebroid:
         # filled by the first `axiom_gate` on an unchecked algebroid; the
         # data above never changes, so neither does the report
         object.__setattr__(self, "_axiom_report", None)
+        # a `CopyLayout`, set by the prolongations on the algebroid they build
+        object.__setattr__(self, "_copy_layout", None)
         if _inherit_checked is not None:
             # prolongations of validated algebroids inherit the flag; the
             # closure property is covered by the test suite rather than
@@ -142,12 +144,6 @@ class LieAlgebroid:
 
     def __hash__(self):
         return hash((self.base_chart, self.rank, self.frame_names))
-
-    def frame_index(self, name: str) -> int:
-        try:
-            return self.frame_names.index(name)
-        except ValueError:
-            raise AlgebroidError(f"unknown frame section {name!r}") from None
 
     def bracket_frame_row(self, a: int, b: int):
         """[e_a, e_b] as (index, coefficient) pairs, any argument order."""
@@ -371,10 +367,24 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     """Check the Lie-algebroid-morphism condition of a fiberwise-linear map.
 
     For each unordered frame pair (U, V) the residual is
-    F([U, V]) - rho(U) F(V) + rho(V) F(U), with F extended to the bracket by
-    linearity over the frame coefficients.  Vanishing on frame pairs settles
-    the condition for all sections: expanding sections in the frame, the
-    derivative terms produced by the Leibniz rule on either side cancel.
+    R(U, V) = F([U, V]) - rho(U) F(V) + rho(V) F(U), with F extended to the
+    bracket by linearity over the frame coefficients.  Vanishing on frame
+    pairs settles the condition for all sections: expanding sections in the
+    frame, the derivative terms produced by the Leibniz rule on either side
+    cancel.
+
+    On a prolongation with k >= 2 copies, a permutation s of the copies maps
+    the anchor and the brackets to themselves (`CopyLayout`).  When the
+    values also satisfy F(tU) = -t*F(U) exactly for the k - 1 adjacent
+    transpositions t, as the functional of an alternating k-form or k-vector
+    does, then R(sU, sV) = sgn(s) s*R(U, V) for every s.  The check then
+    computes one residual per orbit of pairs, at its representative (l_a,
+    l_b), (c1_a, l_b), (c1_a, c1_b) or (c1_a, c2_b) with a <= b (c_m a core
+    of copy m, l a linear section), and moves a nonzero one to the rest of
+    its orbit by relabelling copies; the sign rule holds exactly, so every
+    verdict still rests on an exact zero test.  Otherwise, and on any other
+    algebroid, every pair is its own orbit.  Violations come in frame-pair
+    order either way.
 
     Each partial derivative of a frame value is taken at most once per call:
     `partials[j]` maps a coordinate to dF(e_j)/dx, filled as pairs need it
@@ -385,6 +395,7 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     violations = []
     r = algebroid.rank
     chart = algebroid.base_chart
+    names = algebroid.frame_names
     values = [functional.value(a) for a in range(r)]
     partials = [{} for _ in range(r)]
 
@@ -395,19 +406,30 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
             dp = table[name] = values[j].diff(name)
         return dp
 
+    layout = algebroid._copy_layout
+    reduced = layout is not None and layout.k >= 2 and layout.anti_invariant(values)
     anchor = algebroid._anchor_sparse
-    minus_anchor = [tuple((name, -comp) for name, comp in row) for row in anchor]
+    found = {}  # the nonzero residuals of the pairs computed
     for i in range(r):
+        minus_anchor = None
         for j in range(i + 1, r):
-            pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
-            pairs += [(comp, partial(j, name)) for name, comp in minus_anchor[i]]
-            pairs += [(comp, partial(i, name)) for name, comp in anchor[j]]
-            res = Polynomial.sum_of_products(chart, pairs)
-            if not res.is_zero():
-                violations.append(Violation(
-                    "MORPHISM",
-                    (algebroid.frame_names[i], algebroid.frame_names[j]),
-                    res))
+            source = layout.orbit_source(i, j) if reduced else None
+            if source is None:
+                if minus_anchor is None:
+                    minus_anchor = [(name, -comp) for name, comp in anchor[i]]
+                pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
+                pairs += [(comp, partial(j, name)) for name, comp in minus_anchor]
+                pairs += [(comp, partial(i, name)) for name, comp in anchor[j]]
+                res = Polynomial.sum_of_products(chart, pairs)
+                if res.is_zero():
+                    continue
+                found[i, j] = res
+            else:
+                rep, perm, sign = source
+                if rep not in found:
+                    continue
+                res = layout.relabel(found[rep], perm, sign)
+            violations.append(Violation("MORPHISM", (names[i], names[j]), res))
         partials[i] = None
     return CheckReport.collect(violations)
 
@@ -457,6 +479,85 @@ def run_oracle(algebroid: LieAlgebroid, routes: Mapping) -> OracleOutcome:
 # prolongations
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class CopyLayout:
+    """Where the k copies of a prolongation sit in its frame and its chart.
+
+    Frame index m*frame_block + a, for m < k, is core a of copy m + 1; the
+    linear sections follow from k*frame_block on.  Chart position
+    base_dim + m*chart_block + i is coordinate i of copy m + 1.  A copy
+    permutation `perm` (copy m + 1 goes to copy perm[m] + 1) moves cores,
+    chart coordinates and monomials by copy and fixes everything else; the
+    prolongations build the same data in every copy, so it maps their
+    anchor and brackets to themselves.
+    """
+
+    k: int
+    frame_block: int
+    chart_block: int
+    base_dim: int
+
+    def frame_image(self, index: int, perm: tuple) -> int:
+        if index >= self.k * self.frame_block:
+            return index
+        m, a = divmod(index, self.frame_block)
+        return perm[m] * self.frame_block + a
+
+    def relabel(self, poly: Polynomial, perm: tuple, sign: int = 1) -> Polynomial:
+        """sign * perm*(poly): each copy's block of packed slots moved."""
+        return poly.permute_blocks(self.base_dim, self.chart_block, perm, sign)
+
+    def _sending(self, targets: tuple) -> tuple:
+        """(perm, sgn(perm)) for a copy permutation that takes copy m to
+        targets[m] for m < len(targets), by at most len(targets)
+        transpositions."""
+        perm = list(range(self.k))
+        sign = 1
+        for m, t in enumerate(targets):
+            x = perm.index(t)
+            if x != m:
+                perm[m], perm[x] = t, perm[m]
+                sign = -sign
+        return tuple(perm), sign
+
+    def anti_invariant(self, values: Sequence[Polynomial]) -> bool:
+        """Whether F(tU) = -t*F(U) for every frame index U and every
+        adjacent transposition t, F(U) being values[U]."""
+        ids = tuple(range(self.k))
+        for m in range(self.k - 1):
+            tau = ids[:m] + (m + 1, m) + ids[m + 2:]
+            for u, value in enumerate(values):
+                if values[self.frame_image(u, tau)] != self.relabel(value, tau, -1):
+                    return False
+        return True
+
+    def orbit_source(self, i: int, j: int):
+        """None when frame pair i < j represents its copy-permutation orbit;
+        otherwise (representative, perm, sign), the residual of (i, j) being
+        sign * perm* of the representative's."""
+        B = self.frame_block
+        cores = self.k * B
+        if i >= cores:
+            return None  # (l_a, l_b), fixed by every permutation
+        p, a = divmod(i, B)
+        if j >= cores:
+            rep, targets = (a, j), (p,)
+        else:
+            q, b = divmod(j, B)
+            if p == q:
+                rep, targets = (a, b), (p,)
+            elif a <= b:
+                rep, targets = (a, B + b), (p, q)
+            else:
+                # R(c_a^p, c_b^q) = -R(c_b^q, c_a^p), in the orbit of (c1_b, c2_a)
+                perm, sign = self._sending((q, p))
+                return (b, B + a), perm, -sign
+        if rep == (i, j):
+            return None
+        perm, sign = self._sending(targets)
+        return rep, perm, sign
+
+
 def tangent_copy_name(coord: str, n: int) -> str:
     return f"{coord}_dot{n}"
 
@@ -504,6 +605,13 @@ def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     and pick up the dotted derivative correction in every copy.  Brackets:
     cores commute, linear-core reproduces the structure functions on cores,
     linear-linear adds the dotted derivative of the structure functions.
+
+    Every copy is built alike, so a permutation s of the k copies, moving
+    core (a, m) to (a, s(m)) and dotted copy m to s(m), maps the anchor and
+    the brackets to themselves.  The returned algebroid records where the
+    copies sit (`CopyLayout`, frame block r, chart block n), so that
+    `check_morphism_to_line` can check one frame pair per orbit of these
+    permutations.
     """
     if k < 1:
         raise AlgebroidError("prolongation degree k must be >= 1")
@@ -567,8 +675,10 @@ def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
                 for n, corr in enumerate(dotted_derivative(w), start=1):
                     entries[core_idx(d, n)] = corr
 
-    return LieAlgebroid(chart, (k + 1) * r, frame, rows, structure,
-                        _inherit_checked=algebroid.checked)
+    out = LieAlgebroid(chart, (k + 1) * r, frame, rows, structure,
+                       _inherit_checked=algebroid.checked)
+    object.__setattr__(out, "_copy_layout", CopyLayout(k, r, n_base, n_base))
+    return out
 
 
 def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
@@ -578,6 +688,11 @@ def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     coordinate)) followed by the diagonal linear ones.  The anchor routes the
     columns of the base anchor into the dual copies for cores and acts by the
     coadjoint-type expression on linear sections.
+
+    As on the tangent side, permuting the k copies of cores and of dual
+    coordinates together maps the anchor and the brackets to themselves; the
+    returned algebroid records its `CopyLayout` (frame block n, chart block
+    r) for the orbit reduction of `check_morphism_to_line`.
     """
     if k < 1:
         raise AlgebroidError("prolongation degree k must be >= 1")
@@ -636,5 +751,7 @@ def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
             structure[(lin_idx(a), lin_idx(b))] = {
                 lin_idx(d): w.promote(chart) for d, w in crow} | collect(groups)
 
-    return LieAlgebroid(chart, k * n_base + r, frame, rows, structure,
-                        _inherit_checked=algebroid.checked)
+    out = LieAlgebroid(chart, k * n_base + r, frame, rows, structure,
+                       _inherit_checked=algebroid.checked)
+    object.__setattr__(out, "_copy_layout", CopyLayout(k, n_base, r, n_base))
+    return out

@@ -466,6 +466,28 @@ class Polynomial:
             return _make(new_chart, self._terms)
         return self.partial_eval({}, new_chart)
 
+    def permute_blocks(self, start: int, width: int, perm: tuple, sign: int = 1) -> "Polynomial":
+        """`sign` (1 or -1) times this polynomial with its coordinate blocks
+        moved.
+
+        Block m holds the `width` coordinates from position start + m*width
+        on; its exponents move to block perm[m].  A block is a contiguous
+        run of packed slots, so each moved block costs one shift and one
+        mask per key, and blocks with perm[m] == m stay in place.
+        """
+        bits = SLOT_BITS * width
+        mask = (1 << bits) - 1
+        moves = [(SLOT_BITS * start + bits * m, SLOT_BITS * start + bits * t)
+                 for m, t in enumerate(perm) if m != t]
+        keep = ~reduce(or_, (mask << s for s, _ in moves), 0)
+        terms = {}
+        for e, c in self._terms.items():
+            out = e & keep
+            for s, t in moves:
+                out |= ((e >> s) & mask) << t
+            terms[out] = c if sign == 1 else -c
+        return _make(self.chart, terms)
+
     def substitute(self, mapping: Mapping, new_chart: Chart) -> "Polynomial":
         """Composite with a polynomial chart map.
 

@@ -13,7 +13,7 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from imcalc.algebroid import LieAlgebroid, Section, section_bracket
+from imcalc.algebroid import LieAlgebroid, Section, Violation, section_bracket
 from imcalc.forms import DifferentialForm, Multivector, VectorField, sort_indices
 from imcalc.fixtures import koszul_algebroid, so3_algebroid
 from imcalc.linforms import BundleForms
@@ -196,6 +196,29 @@ def graded_bracket_reference(p_table: Mapping, p: int, q_table: Mapping, q: int,
                 acc_term(q_on_f, rest, g * df if (q - j) % 2 == 0 else -(g * df))
         for key, poly in _wedge_frame_reference((), q_on_f, t_tuple).items():
             acc_term(out, key, -poly if sign == 1 else poly)
+    return out
+
+
+def frame_index(algebroid: LieAlgebroid, name: str) -> int:
+    """The position of a frame section, by name."""
+    return algebroid.frame_names.index(name)
+
+
+def reference_morphism_violations(algebroid: LieAlgebroid, functional) -> list:
+    """The violations of `check_morphism_to_line`, from every frame pair in
+    turn, each pair's residual built from `anchor_derivation` with nothing
+    shared between pairs."""
+    out = []
+    values = [functional.value(a) for a in range(algebroid.rank)]
+    for i in range(algebroid.rank):
+        for j in range(i + 1, algebroid.rank):
+            res = (-algebroid.anchor_derivation(i, values[j])
+                   + algebroid.anchor_derivation(j, values[i]))
+            for c, w in algebroid.bracket_frame_row(i, j):
+                res = res + w * values[c]
+            if not res.is_zero():
+                out.append(Violation(
+                    "MORPHISM", (algebroid.frame_names[i], algebroid.frame_names[j]), res))
     return out
 
 

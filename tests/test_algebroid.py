@@ -2,9 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+from itertools import combinations, permutations
 
-from conftest import rnd_algebroid, rnd_poly, rnd_section
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import (
+    coboundary_derivation,
+    frame_index,
+    reference_morphism_violations,
+    rnd_algebroid,
+    rnd_bundle_forms,
+    rnd_form,
+    rnd_linear_multivector,
+    rnd_poly,
+    rnd_section,
+)
 from imcalc.algebroid import (
     FiberFunctional,
     LieAlgebroid,
@@ -30,6 +44,9 @@ from imcalc.fixtures import (
     trivial_cotangent_algebroid,
 )
 from imcalc.forms import VectorField
+from imcalc.imforms import im_form_from_base_form
+from imcalc.linforms import BundleForms, form_frame_functional, linear_form, total_chart_of
+from imcalc.multivec import linear_from_derivation, multivector_frame_functional
 from imcalc.poly import Polynomial, base_chart, parse
 
 
@@ -132,10 +149,10 @@ def test_tangent_prolongation_point_base():
     assert prol.rank == 9
     assert all(p.is_zero() for row in prol.anchor for p in row)
     # [(Te_a)^2, (Te_b)^2] = C_ab^d (Te_d)^2 and [(Te_a)^2, e_hat(b, m)] = C_ab^d e_hat(d, m)
-    t1, t2 = prol.frame_index("Te1"), prol.frame_index("Te2")
+    t1, t2 = frame_index(prol, "Te1"), frame_index(prol, "Te2")
     row = dict(prol.bracket_frame_row(t1, t2))
-    assert list(row) == [prol.frame_index("Te3")]
-    h21 = prol.frame_index("e2_hat1")
+    assert list(row) == [frame_index(prol, "Te3")]
+    h21 = frame_index(prol, "e2_hat1")
     row = dict(prol.bracket_frame_row(t1, h21))
     assert {prol.frame_names[c]: str(p) for c, p in row.items()} == {"e3_hat1": "1"}
 
@@ -190,7 +207,8 @@ def test_prolongation_closure_random(rng):
 def _log_canonical(n: int) -> LieAlgebroid:
     """Koszul algebroid of {x_i, x_j} = c_ij x_i x_j, Poisson for every c."""
     chart = base_chart("M", [f"x{i + 1}" for i in range(n)])
-    weights = {(0, 1): "3", (0, 2): "-1/2", (1, 2): "2"}
+    weights = {(0, 1): "3", (0, 2): "-1/2", (1, 2): "2",
+               (0, 3): "1", (1, 3): "-3", (2, 3): "1/3"}
     return koszul_algebroid(bivector(chart, {
         (i, j): f"{weights[(i, j)]}*x{i + 1}*x{j + 1}"
         for i in range(n) for j in range(i + 1, n)}))
@@ -214,6 +232,56 @@ def test_prolongation_is_a_lie_algebroid(base, prolong, k):
     algebroid = CLOSURE_BASES[base]()
     assert check_axioms(algebroid).passed
     assert check_axioms(prolong(algebroid, k)).passed
+
+
+def copy_permutations(k: int) -> list:
+    """Every permutation of k <= 3 copies; the adjacent transpositions,
+    which generate the rest, for larger k."""
+    if k <= 3:
+        return list(permutations(range(k)))
+    ids = tuple(range(k))
+    return [ids[:m] + (m + 1, m) + ids[m + 2:] for m in range(k - 1)]
+
+
+EQUIVARIANCE_BASES = {
+    "so3": so3_algebroid,
+    "broken_jacobi": broken_jacobi_algebroid,
+    "koszul_so3": koszul_so3_algebroid,
+    "broken_koszul": broken_koszul_algebroid,
+}
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("prolong", [tangent_prolongation, cotangent_prolongation],
+                         ids=["tangent", "cotangent"])
+@pytest.mark.parametrize("base", sorted(EQUIVARIANCE_BASES))
+def test_prolongation_is_copy_permutation_equivariant(base, prolong, k):
+    """Relabelling copies maps the anchor rows and the structure table of a
+    prolongation onto those of the permuted frame, exactly; the morphism
+    check's orbit reduction rests on this."""
+    prol = prolong(EQUIVARIANCE_BASES[base](), k)
+    layout = prol._copy_layout
+    chart = prol.base_chart
+    zero = Polynomial.zero(chart)
+    copy_columns = {m: [j for j, c in enumerate(chart.coords) if c.copy == m]
+                    for m in range(1, k + 1)}
+    for perm in copy_permutations(k):
+        image = [layout.frame_image(u, perm) for u in range(prol.rank)]
+        assert sorted(image) == list(range(prol.rank))
+        # coordinate t of copy m goes to coordinate t of copy perm[m - 1] + 1,
+        # read from the chart's own copy indices
+        columns = list(range(chart.dim))
+        for m in range(1, k + 1):
+            for j, target in zip(copy_columns[m], copy_columns[perm[m - 1] + 1]):
+                columns[j] = target
+        for u in range(prol.rank):
+            row = [zero] * chart.dim
+            for j, p in enumerate(prol.anchor[u]):
+                row[columns[j]] = layout.relabel(p, perm)
+            assert tuple(row) == prol.anchor[image[u]]
+        for u, v in combinations(range(prol.rank), 2):
+            moved = {image[c]: layout.relabel(w, perm) for c, w in prol.bracket_frame_row(u, v)}
+            assert dict(prol.bracket_frame_row(image[u], image[v])) == moved
 
 
 def test_prolongations_of_broken_data_fail_axioms():
@@ -294,28 +362,11 @@ def test_frame_pair_sufficiency(rng):
     assert failing_seen >= 10  # random tables essentially never satisfy the condition
 
 
-def reference_morphism_violations(algebroid, functional) -> list:
-    """The violations of `check_morphism_to_line`, each pair's residual built
-    from `anchor_derivation` with nothing shared between pairs."""
-    out = []
-    values = [functional.value(a) for a in range(algebroid.rank)]
-    for i in range(algebroid.rank):
-        for j in range(i + 1, algebroid.rank):
-            res = (-algebroid.anchor_derivation(i, values[j])
-                   + algebroid.anchor_derivation(j, values[i]))
-            for c, w in algebroid.bracket_frame_row(i, j):
-                res = res + w * values[c]
-            if not res.is_zero():
-                out.append(Violation(
-                    "MORPHISM", (algebroid.frame_names[i], algebroid.frame_names[j]), res))
-    return out
-
-
 @pytest.mark.parametrize("prolong", [tangent_prolongation, cotangent_prolongation],
                          ids=["tangent", "cotangent"])
 def test_morphism_checker_matches_anchor_derivation_reference(rng, prolong):
     for _ in range(6):
-        prol = prolong(rnd_algebroid(rng), rng.choice([1, 2]))
+        prol = prolong(rnd_algebroid(rng), rng.choice([1, 2, 3]))
         chart = prol.base_chart
         # some frame values zero, so some pairs pass while others fail
         values = {n: rnd_poly(rng, chart, 2) if rng.random() < 0.7 else Polynomial.zero(chart)
@@ -335,3 +386,93 @@ def test_morphism_report_is_frame_ordered():
     witnesses = [v.witness for v in report.violations]
     assert witnesses == sorted(witnesses, key=lambda w: (w[0], w[1]))
     assert not report.passed
+
+
+# -- the orbit reduction against the full pair loop ----------------------------
+
+def form_functional(rng, algebroid, k, kind, prol):
+    """The frame functional of an exact, broken or random IM candidate."""
+    chart = algebroid.base_chart
+    if kind == "random":
+        bundle_forms = rnd_bundle_forms(rng, algebroid, k)
+    else:
+        bundle_forms = im_form_from_base_form(algebroid, rnd_form(rng, chart, k)).forms
+        if kind == "broken":
+            mu = bundle_forms.mu
+            bundle_forms = BundleForms(k, (mu[0] + rnd_form(rng, chart, k - 1),) + mu[1:],
+                                       bundle_forms.nu)
+    form = linear_form(bundle_forms, total_chart_of(algebroid))
+    return form_frame_functional(form, algebroid, k, prol, bundle_forms)
+
+
+def multivector_functional(rng, algebroid, k, kind, prol):
+    """The frame functional of a coboundary or random linear multivector."""
+    if kind == "coboundary":
+        p = linear_from_derivation(coboundary_derivation(rng, algebroid, k))
+    else:
+        p = rnd_linear_multivector(rng, algebroid, k)
+    return multivector_frame_functional(p, algebroid, k, prol)
+
+
+FUNCTIONALS = [(tangent_prolongation, form_functional, kind)
+               for kind in ("exact", "broken", "random")]
+FUNCTIONALS += [(cotangent_prolongation, multivector_functional, kind)
+                for kind in ("coboundary", "random")]
+ORBIT_BASES = [rnd_algebroid, lambda _: koszul_so3_algebroid(), lambda _: _log_canonical(3)]
+
+
+def assert_reduced_matches_reference(prol, functional):
+    values = [functional.value(a) for a in range(prol.rank)]
+    assert prol._copy_layout.anti_invariant(values)
+    report = check_morphism_to_line(prol, functional)
+    assert report.violations == tuple(reference_morphism_violations(prol, functional))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([2, 3]),
+       base=st.sampled_from(range(len(ORBIT_BASES))),
+       case=st.sampled_from(range(len(FUNCTIONALS))))
+def test_orbit_reduction_matches_full_pair_loop(seed, k, base, case):
+    """A form or multivector functional is anti-invariant under the copy
+    permutations, so the check computes one pair per orbit; its violations
+    (order, witness and residual) are the full loop's."""
+    rng = random.Random(seed)
+    algebroid = ORBIT_BASES[base](rng)
+    prolong, build, kind = FUNCTIONALS[case]
+    prol = prolong(algebroid, k)
+    assert_reduced_matches_reference(prol, build(rng, algebroid, k, kind, prol))
+
+
+@pytest.mark.parametrize("prolong, build, kind", [
+    (tangent_prolongation, form_functional, "broken"),
+    (cotangent_prolongation, multivector_functional, "random"),
+], ids=["broken_form", "random_multivector"])
+def test_orbit_reduction_matches_full_pair_loop_n4_k4(rng, prolong, build, kind):
+    algebroid = _log_canonical(4)
+    prol = prolong(algebroid, 4)
+    functional = build(rng, algebroid, 4, kind, prol)
+    assert_reduced_matches_reference(prol, functional)
+    assert not check_morphism_to_line(prol, functional).passed
+
+
+def test_functional_that_is_not_anti_invariant_takes_the_full_loop(rng, monkeypatch):
+    algebroid = koszul_so3_algebroid()
+    prol = tangent_prolongation(algebroid, 3)
+    functional = form_functional(rng, algebroid, 3, "broken", prol)
+    # alter the cores of copy 2 only
+    values = {name: value + 1 if name.endswith("_hat2") else value
+              for name, value in functional.values.items()}
+    altered = FiberFunctional(prol, values)
+    assert not prol._copy_layout.anti_invariant([altered.value(a) for a in range(prol.rank)])
+    expected = tuple(reference_morphism_violations(prol, altered))
+    calls = []
+    collect = Polynomial.sum_of_products.__func__
+
+    def counted(cls, chart, pairs):
+        calls.append(1)
+        return collect(cls, chart, pairs)
+
+    monkeypatch.setattr(Polynomial, "sum_of_products", classmethod(counted))
+    report = check_morphism_to_line(prol, altered)
+    assert len(calls) == prol.rank * (prol.rank - 1) // 2
+    assert report.violations == expected and expected

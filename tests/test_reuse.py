@@ -9,6 +9,7 @@ keeps every argument it saw alive, so `id` stays unique for the count.
 
 from __future__ import annotations
 
+import json
 import sys
 from collections import Counter
 from pathlib import Path
@@ -74,6 +75,31 @@ def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, p
         check_morphism_to_line(prol, functional)
     assert counter.counts, "the check took no partial derivative"
     assert max(counter.counts.values()) == 1
+
+
+LADDER = Path(__file__).resolve().parent / "golden" / "ladder"
+
+
+@pytest.mark.parametrize("name", ["n4_k3_im_broken.json", "n4_k3_mv.json"])
+def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, name):
+    """At n = 4, k = 3 the prolongation has rank 16, so 120 frame pairs fall
+    into 38 copy-permutation orbits, and one `sum_of_products` per orbit
+    builds its representative's residual."""
+    doc = json.loads((LADDER / name).read_text())
+    algebroid = cli.load_algebroid(doc)
+    candidate = cli.load_candidate(doc, algebroid)
+    k = candidate.k
+    if isinstance(candidate, IMForm):
+        prol = tangent_prolongation(algebroid, k)
+        form = linear_form(candidate.forms, total_chart_of(algebroid))
+        functional = form_frame_functional(form, algebroid, k, prol, candidate.forms)
+    else:
+        prol = cotangent_prolongation(algebroid, k)
+        functional = multivector_frame_functional(candidate, algebroid, k, prol)
+    assert prol.rank * (prol.rank - 1) // 2 == 120
+    counts = _count_kernel(monkeypatch)
+    check_morphism_to_line(prol, functional)
+    assert counts["sum_of_products"] == 38
 
 
 def _count_kernel(monkeypatch) -> Counter:
