@@ -3,9 +3,9 @@
 A Lie algebroid over a chart is encoded by its rank, a frame of section
 names, an anchor matrix (one polynomial row per frame section, one column per
 chart coordinate) and an antisymmetric table of structure functions.  The
-axiom checker, the two direct-sum prolongation constructions (tangent side
-over the k-fold tangent chart, cotangent side over the k-fold dual chart) and
-the fiberwise-linear morphism-to-the-line checker all operate on this one
+axiom checker, the one builder of both direct-sum prolongations (tangent
+side over the k-fold tangent chart, cotangent side over the k-fold dual
+chart) and the fiberwise-linear morphism-to-the-line checker all use this one
 representation, so the same `check_morphism_to_line` serves both main
 equivalence oracles.  `run_oracle` is the one pipeline every oracle runs
 its independent routes through.
@@ -73,8 +73,7 @@ class LieAlgebroid:
 
     def __init__(self, base_chart: Chart, rank: int, frame_names: Sequence[str],
                  anchor: Sequence[Sequence[Polynomial]],
-                 structure: Mapping, unchecked: bool = False,
-                 _inherit_checked: bool | None = None):
+                 structure: Mapping, unchecked: bool = False):
         frame_names = tuple(frame_names)
         if len(frame_names) != rank or len(set(frame_names)) != rank:
             raise AlgebroidError("need rank-many distinct frame names")
@@ -117,14 +116,9 @@ class LieAlgebroid:
         # filled by the first `axiom_gate` on an unchecked algebroid; the
         # data above never changes, so neither does the report
         object.__setattr__(self, "_axiom_report", None)
-        # a `CopyLayout`, set by the prolongations on the algebroid they build
+        # a `CopyLayout`, set by `_prolongation` on the algebroid it builds
         object.__setattr__(self, "_copy_layout", None)
-        if _inherit_checked is not None:
-            # prolongations of validated algebroids inherit the flag; the
-            # closure property is covered by the test suite rather than
-            # re-verified on every construction
-            object.__setattr__(self, "checked", _inherit_checked)
-        elif unchecked:
+        if unchecked:
             object.__setattr__(self, "checked", False)
         else:
             report = check_axioms(self)
@@ -481,15 +475,12 @@ def run_oracle(algebroid: LieAlgebroid, routes: Mapping) -> OracleOutcome:
 
 @dataclass(frozen=True)
 class CopyLayout:
-    """Where the k copies of a prolongation sit in its frame and its chart.
-
-    Frame index m*frame_block + a, for m < k, is core a of copy m + 1; the
-    linear sections follow from k*frame_block on.  Chart position
-    base_dim + m*chart_block + i is coordinate i of copy m + 1.  A copy
-    permutation `perm` (copy m + 1 goes to copy perm[m] + 1) moves cores,
-    chart coordinates and monomials by copy and fixes everything else; the
-    prolongations build the same data in every copy, so it maps their
-    anchor and brackets to themselves.
+    """Where `_prolongation` put the k copies: frame_block cores per copy
+    ahead of the linear sections, chart_block coordinates per copy after the
+    base_dim base ones, copy by copy.  A copy permutation `perm` (copy m + 1
+    goes to copy perm[m] + 1) moves cores, chart coordinates and monomials by
+    copy and fixes everything else; it maps the anchor and the brackets of a
+    prolongation to themselves.
     """
 
     k: int
@@ -522,11 +513,16 @@ class CopyLayout:
 
     def anti_invariant(self, values: Sequence[Polynomial]) -> bool:
         """Whether F(tU) = -t*F(U) for every frame index U and every
-        adjacent transposition t, F(U) being values[U]."""
+        adjacent transposition t, F(U) being values[U].  Swapping copies m
+        and m + 1 is an involution, so the cores of copy m + 1 are skipped:
+        their test is that of their images in copy m."""
         ids = tuple(range(self.k))
+        B = self.frame_block
         for m in range(self.k - 1):
             tau = ids[:m] + (m + 1, m) + ids[m + 2:]
             for u, value in enumerate(values):
+                if (m + 1) * B <= u < (m + 2) * B:
+                    continue
                 if values[self.frame_image(u, tau)] != self.relabel(value, tau, -1):
                     return False
         return True
@@ -582,176 +578,136 @@ def dual_linear_frame_name(frame: str) -> str:
     return f"{frame}_L"
 
 
-def tangent_sum_chart(base: Chart, k: int) -> Chart:
-    """Chart of the k-fold tangent sum: base coordinates plus k dotted copies."""
-    extra = [Coord(tangent_copy_name(c.name, n), ROLE_TANGENT, n)
-             for n in range(1, k + 1) for c in base.coords]
-    return Chart(f"{base.name}|T{k}", base.coords + tuple(extra))
+def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: int,
+                  copy_coord, core_name, linear_name, P, q, G, h) -> LieAlgebroid:
+    """The prolongation with k copies of one side's base-level tables.
 
+    The one placement rule: copy m = 1..k holds `block` chart coordinates
+    y_m^l (named copy_coord(m, l)) at positions n + (m-1)*block + l, after
+    the n base ones, and len(P) cores (named core_name(m, c)) at frame
+    indices (m-1)*len(P) + c, ahead of the linear sections (named by
+    `linear_name`).  The result records it as its `CopyLayout`.  `block` is
+    passed, since the tables are empty at rank 0 and on a point base.
 
-def dual_sum_chart(base: Chart, rank: int, k: int) -> Chart:
-    """Chart of the k-fold dual sum: base coordinates plus k dual-fiber copies."""
-    extra = [Coord(dual_copy_name(n, d + 1), ROLE_DUAL, n)
-             for n in range(1, k + 1) for d in range(rank)]
-    return Chart(f"{base.name}|T*{k}", base.coords + tuple(extra))
+    Each table entry is a base polynomial, the same in every copy m:
+    - P[c][l]: the anchor of core c along y_m^l of its own copy;
+    - q[a][l]: (l', p) pairs, the anchor of linear a along y_m^l being
+      sum p y_m^l' (along the base it is the base anchor);
+    - G[a][c]: (c', p) pairs, [core c, linear a] = sum p core c' in the copy;
+    - h[a, b], a < b: maps core c to (l, p) pairs, [linear a, linear b]
+      being the base bracket on linear sections plus sum p y_m^l core c.
+    Cores commute, so permuting the copies maps the anchor and the brackets
+    to themselves.  A validated base gives a validated result, which the
+    test suite covers rather than each construction.
+    """
+    if k < 1:
+        raise AlgebroidError("prolongation degree k must be >= 1")
+    base = algebroid.base_chart
+    n = base.dim
+    B = len(P)
+    lin = k * B
+    copies = range(k)
+    chart = Chart(f"{base.name}|{tag}{k}", base.coords + tuple(
+        Coord(copy_coord(m + 1, l), role, m + 1) for m in copies for l in range(block)))
+    frame = [core_name(m + 1, c) for m in copies for c in range(B)]
+    frame += [linear_name(name) for name in algebroid.frame_names]
+
+    def core(m: int, c: int) -> int:
+        return m * B + c
+
+    def col(m: int, l: int) -> int:
+        return n + m * block + l
+
+    zero = Polynomial.zero(chart)
+    y = [[Polynomial.variable(chart, chart.names[col(m, l)]) for l in range(block)]
+         for m in copies]
+
+    def per_copy(pairs) -> list:
+        """sum p y_m^l over the (l, p) pairs, for each copy m."""
+        pairs = [(p.promote(chart), l) for l, p in pairs]
+        return [Polynomial.sum_of_products(chart, [(p, ym[l]) for p, l in pairs]) for ym in y]
+
+    rows = []
+    for m in copies:
+        for c_row in P:
+            row = [zero] * chart.dim
+            for l, p in enumerate(c_row):
+                row[col(m, l)] = p.promote(chart)
+            rows.append(row)
+    for a, base_row in enumerate(algebroid.anchor):
+        row = [p.promote(chart) for p in base_row] + [zero] * (k * block)
+        for l, pairs in enumerate(q[a]):
+            for m, w in enumerate(per_copy(pairs)):
+                row[col(m, l)] = w
+        rows.append(row)
+
+    structure: dict = {}
+    for a, a_rows in enumerate(G):
+        for c, pairs in enumerate(a_rows):
+            pairs = [(c2, p.promote(chart)) for c2, p in pairs]
+            for m in copies:
+                structure[(core(m, c), lin + a)] = {core(m, c2): p for c2, p in pairs}
+    for (a, b), corrections in h.items():
+        entries = structure[(lin + a, lin + b)] = {
+            lin + d: w.promote(chart) for d, w in algebroid.bracket_frame_row(a, b)}
+        for c, pairs in corrections.items():
+            for m, w in enumerate(per_copy(pairs)):
+                entries[core(m, c)] = w
+
+    out = LieAlgebroid(chart, lin + algebroid.rank, frame, rows, structure, unchecked=True)
+    object.__setattr__(out, "checked", algebroid.checked)
+    object.__setattr__(out, "_copy_layout", CopyLayout(k, B, block, n))
+    return out
 
 
 def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     """The induced algebroid on the k-fold tangent sum of the total space.
 
-    Frame: core sections (one per frame section and copy, ordered by (copy,
-    section)) followed by the diagonal linear ones.  Anchor: cores push the
-    anchor into the matching dotted copy; linear sections keep the base part
-    and pick up the dotted derivative correction in every copy.  Brackets:
-    cores commute, linear-core reproduces the structure functions on cores,
-    linear-linear adds the dotted derivative of the structure functions.
-
-    Every copy is built alike, so a permutation s of the k copies, moving
-    core (a, m) to (a, s(m)) and dotted copy m to s(m), maps the anchor and
-    the brackets to themselves.  The returned algebroid records where the
-    copies sit (`CopyLayout`, frame block r, chart block n), so that
-    `check_morphism_to_line` can check one frame pair per orbit of these
-    permutations.
+    Copy m holds the dotted coordinates y_m = xdot_m (n of them) and a core
+    per frame section (r of them).  The `_prolongation` tables:
+    P[a][j] = rho_a^j, q[a][j][l] = d_l rho_a^j (the dotted derivative),
+    G[a][b] = C_ba^d (structure functions on cores), h[a, b][d][l] =
+    d_l C_ab^d.
     """
-    if k < 1:
-        raise AlgebroidError("prolongation degree k must be >= 1")
-    base = algebroid.base_chart
-    chart = tangent_sum_chart(base, k)
-    r = algebroid.rank
-    n_base = base.dim
-    zero = Polynomial.zero(chart)
+    names = algebroid.base_chart.names
+    frame = algebroid.frame_names
+    rows = range(algebroid.rank)
 
-    frame = [core_frame_name(name, n)
-             for n in range(1, k + 1) for name in algebroid.frame_names]
-    frame += [linear_frame_name(name) for name in algebroid.frame_names]
+    def partials(f: Polynomial) -> list:
+        return [(l, f.diff(x)) for l, x in enumerate(names)]
 
-    def core_idx(a: int, n: int) -> int:
-        return (n - 1) * r + a
-
-    def lin_idx(a: int) -> int:
-        return k * r + a
-
-    anchor_prom = [[p.promote(chart) for p in row] for row in algebroid.anchor]
-    dotted = [[Polynomial.variable(chart, tangent_copy_name(base.names[i], n))
-               for i in range(n_base)] for n in range(1, k + 1)]
-
-    def dotted_derivative(f: Polynomial) -> list:
-        """sum_i xdot_n^i df/dx^i on the prolongation chart, for n = 1..k."""
-        parts = [(f.diff(name).promote(chart), i) for i, name in enumerate(base.names)]
-        return [Polynomial.sum_of_products(chart, [(p, row[i]) for p, i in parts])
-                for row in dotted]
-
-    def tangent_col(j: int, n: int) -> int:
-        return chart.index(tangent_copy_name(base.names[j], n))
-
-    rows = []
-    for n in range(1, k + 1):
-        for a in range(r):
-            row = [zero] * chart.dim
-            for j in range(n_base):
-                row[tangent_col(j, n)] = anchor_prom[a][j]
-            rows.append(row)
-    for a in range(r):
-        row = anchor_prom[a] + [zero] * (chart.dim - n_base)
-        for j in range(n_base):
-            for n, w in enumerate(dotted_derivative(algebroid.anchor[a][j]), start=1):
-                row[tangent_col(j, n)] = w
-        rows.append(row)
-
-    structure: dict = {}
-    for a in range(r):
-        for b in range(r):
-            # [T e_a, core e_(b, m)] = C_ab^d core e_(d, m); cores precede
-            # linear sections, so store [core, linear] = [e_b, e_a] on cores
-            minus_row = algebroid.bracket_frame_row(b, a)
-            for m in range(1, k + 1):
-                structure[(core_idx(b, m), lin_idx(a))] = {
-                    core_idx(d, m): w.promote(chart) for d, w in minus_row}
-    for a in range(r):
-        for b in range(a + 1, r):
-            entries = structure[(lin_idx(a), lin_idx(b))] = {}
-            for d, w in algebroid.bracket_frame_row(a, b):
-                entries[lin_idx(d)] = w.promote(chart)
-                for n, corr in enumerate(dotted_derivative(w), start=1):
-                    entries[core_idx(d, n)] = corr
-
-    out = LieAlgebroid(chart, (k + 1) * r, frame, rows, structure,
-                       _inherit_checked=algebroid.checked)
-    object.__setattr__(out, "_copy_layout", CopyLayout(k, r, n_base, n_base))
-    return out
+    return _prolongation(
+        algebroid, k, "T", ROLE_TANGENT, len(names),
+        lambda m, l: tangent_copy_name(names[l], m),
+        lambda m, a: core_frame_name(frame[a], m),
+        linear_frame_name,
+        P=algebroid.anchor,
+        q=[[partials(p) for p in row] for row in algebroid.anchor],
+        G=[[algebroid.bracket_frame_row(b, a) for b in rows] for a in rows],
+        h={(a, b): {d: partials(w) for d, w in algebroid.bracket_frame_row(a, b)}
+           for a in rows for b in rows if a < b})
 
 
 def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     """The induced algebroid on the k-fold cotangent sum of the total space.
 
-    Frame: core sections (one per base coordinate and copy, ordered by (copy,
-    coordinate)) followed by the diagonal linear ones.  The anchor routes the
-    columns of the base anchor into the dual copies for cores and acts by the
-    coadjoint-type expression on linear sections.
-
-    As on the tangent side, permuting the k copies of cores and of dual
-    coordinates together maps the anchor and the brackets to themselves; the
-    returned algebroid records its `CopyLayout` (frame block n, chart block
-    r) for the orbit reduction of `check_morphism_to_line`.
+    Copy m holds the dual coordinates y_m = xi_m (r of them) and a core per
+    base coordinate (n of them).  The `_prolongation` tables:
+    P[i][d] = rho_d^i (the anchor columns), q[a][b][c] = C_ab^c (the
+    coadjoint-type action), G[a][j][i] = -d_i rho_a^j, h[a, b][i][d] =
+    -d_i C_ab^d.
     """
-    if k < 1:
-        raise AlgebroidError("prolongation degree k must be >= 1")
-    base = algebroid.base_chart
-    r = algebroid.rank
-    n_base = base.dim
-    chart = dual_sum_chart(base, r, k)
-    zero = Polynomial.zero(chart)
-
-    frame = [dual_core_frame_name(base.names[i], n)
-             for n in range(1, k + 1) for i in range(n_base)]
-    frame += [dual_linear_frame_name(name) for name in algebroid.frame_names]
-
-    def core_idx(i: int, n: int) -> int:
-        return (n - 1) * n_base + i
-
-    def lin_idx(a: int) -> int:
-        return k * n_base + a
-
-    xi = [[Polynomial.variable(chart, dual_copy_name(n, d + 1))
-           for d in range(r)] for n in range(1, k + 1)]
-
-    rows = []
-    for n in range(1, k + 1):
-        for i in range(n_base):
-            row = [zero] * chart.dim
-            for d in range(r):
-                row[chart.index(dual_copy_name(n, d + 1))] = algebroid.anchor[d][i].promote(chart)
-            rows.append(row)
-    for a in range(r):
-        row = [p.promote(chart) for p in algebroid.anchor[a]] + [zero] * (chart.dim - n_base)
-        for n in range(1, k + 1):
-            for b in range(r):
-                row[chart.index(dual_copy_name(n, b + 1))] = Polynomial.sum_of_products(
-                    chart, [(w.promote(chart), xi[n - 1][c])
-                            for c, w in algebroid.bracket_frame_row(a, b)])
-        rows.append(row)
-
-    structure: dict = {}
-    for a in range(r):
-        # [linear e_a, core dx_(j, m)] = d(rho_a^j)/dx^i core dx_(i, m)
-        for j in range(n_base):
-            minus = [(-algebroid.anchor[a][j].diff(name)).promote(chart) for name in base.names]
-            for m in range(1, k + 1):
-                structure[(core_idx(j, m), lin_idx(a))] = {
-                    core_idx(i, m): c for i, c in enumerate(minus)}
-    for a in range(r):
-        for b in range(a + 1, r):
-            crow = algebroid.bracket_frame_row(a, b)
-            groups: dict = {}
-            for d, w in crow:
-                for i, name in enumerate(base.names):
-                    minus_dw = (-w.diff(name)).promote(chart)
-                    for n in range(1, k + 1):
-                        groups.setdefault(core_idx(i, n), []).append((minus_dw, xi[n - 1][d]))
-            structure[(lin_idx(a), lin_idx(b))] = {
-                lin_idx(d): w.promote(chart) for d, w in crow} | collect(groups)
-
-    out = LieAlgebroid(chart, k * n_base + r, frame, rows, structure,
-                       _inherit_checked=algebroid.checked)
-    object.__setattr__(out, "_copy_layout", CopyLayout(k, n_base, r, n_base))
-    return out
+    names = algebroid.base_chart.names
+    anchor = algebroid.anchor
+    rows = range(algebroid.rank)
+    return _prolongation(
+        algebroid, k, "T*", ROLE_DUAL, algebroid.rank,
+        lambda m, d: dual_copy_name(m, d + 1),
+        lambda m, i: dual_core_frame_name(names[i], m),
+        dual_linear_frame_name,
+        P=[[row[i] for row in anchor] for i in range(len(names))],
+        q=[[algebroid.bracket_frame_row(a, b) for b in rows] for a in rows],
+        G=[[[(i, -p.diff(x)) for i, x in enumerate(names)] for p in row] for row in anchor],
+        h={(a, b): {i: [(d, -w.diff(x)) for d, w in algebroid.bracket_frame_row(a, b)]
+                    for i, x in enumerate(names)}
+           for a in rows for b in rows if a < b})

@@ -33,7 +33,6 @@ from .algebroid import (
     check_morphism_to_line,
     component_violations,
     run_oracle,
-    tangent_prolongation,
 )
 from .errors import AlgebroidError, CrossCheckError
 from .forms import (
@@ -278,8 +277,7 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
     return im
 
 
-def im_routes(im: IMForm, k: int, prolongation: LieAlgebroid | None = None,
-              form: DifferentialForm | None = None) -> dict:
+def im_routes(im: IMForm, k: int, form: DifferentialForm | None = None) -> dict:
     """The two routes of the main equivalence, for `run_oracle`.
 
     Route one is `check_im_form`; route two takes the linear form of the
@@ -295,21 +293,20 @@ def im_routes(im: IMForm, k: int, prolongation: LieAlgebroid | None = None,
 
     def morphism() -> CheckReport:
         linear = form if form is not None else linear_form(im.forms, total_chart_of(A))
-        prol = prolongation if prolongation is not None else tangent_prolongation(A, k)
-        return check_morphism_to_line(prol, form_frame_functional(linear, A, k, prol, im.forms))
+        functional = form_frame_functional(linear, A, k, im.forms)
+        return check_morphism_to_line(functional.algebroid, functional)
 
     return {"im_conditions": lambda: check_im_form(im), "morphism": morphism}
 
 
-def oracle_equivalence(im: IMForm, k: int,
-                       prolongation: LieAlgebroid | None = None) -> tuple:
+def oracle_equivalence(im: IMForm, k: int) -> tuple:
     """Both verdicts of the main equivalence: (IM conditions, morphism).
 
     The routes are those of `im_routes`, both gated on the algebroid axioms.
     The theorem makes the booleans equal; inequality raises
     OracleDisagreement (a defect in one of two independent paths).
     """
-    verdicts = run_oracle(im.algebroid, im_routes(im, k, prolongation)).verdicts
+    verdicts = run_oracle(im.algebroid, im_routes(im, k)).verdicts
     return verdicts["im_conditions"], verdicts["morphism"]
 
 

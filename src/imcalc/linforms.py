@@ -128,12 +128,13 @@ class BundleForms:
         return len(self.mu)
 
 
-def fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChart) -> DifferentialForm:
-    """The form sum_d u^d * maps[d]: the fiberwise pairing of a bundle map
-    into forms with the tautological fiber point.  No fiber differentials."""
+def fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChart,
+                       degree: int) -> DifferentialForm:
+    """The degree-`degree` form sum_d u^d * maps[d], pairing a bundle map into
+    forms with the tautological fiber point; no fiber differentials.  `maps`
+    is empty at rank 0, so the caller, who knows k, gives the degree."""
     if len(maps) != tc.rank:
         raise AlgebroidError("need one form per frame section")
-    degree = maps[0].degree if maps else 0
     total = DifferentialForm(tc.chart, degree)
     for name, form in zip(tc.fiber_names, maps):
         if form.degree != degree:
@@ -145,8 +146,8 @@ def fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChart) -> Diff
 
 def linear_form(bundle_forms: BundleForms, tc: TotalChart) -> DifferentialForm:
     """The linear k-form d(pairing of mu) + pairing of nu."""
-    return (exterior_derivative(fiber_pairing_form(bundle_forms.mu, tc))
-            + fiber_pairing_form(bundle_forms.nu, tc))
+    mu, nu, k = bundle_forms.mu, bundle_forms.nu, bundle_forms.k
+    return exterior_derivative(fiber_pairing_form(mu, tc, k - 1)) + fiber_pairing_form(nu, tc, k)
 
 
 def linear_shape(table: Alternating, tc: TotalChart, once) -> bool:
@@ -203,7 +204,7 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
         mu_tables[pos_to_frame[du[0]]][base_idx] = tc.at_zero(poly) * sign
     mu = tuple(DifferentialForm(base, k - 1, t) for t in mu_tables)
 
-    remainder = form - exterior_derivative(fiber_pairing_form(mu, tc))
+    remainder = form - exterior_derivative(fiber_pairing_form(mu, tc, k - 1))
     nu_tables: list = [dict() for _ in range(tc.rank)]
     for idx, poly in remainder.coeffs.items():
         if any(i in pos_to_frame for i in idx):
@@ -234,7 +235,7 @@ def fiber_contraction(beta: DifferentialForm, base: Chart) -> DifferentialForm:
         raise ChartError("form does not live on the given base chart")
     tc = tangent_total_chart(base)
     maps = [contract(VectorField.coordinate(base, n), beta) for n in base.names]
-    return fiber_pairing_form(maps, tc)
+    return fiber_pairing_form(maps, tc, beta.degree - 1)
 
 
 def tangent_lift(alpha: DifferentialForm, base: Chart) -> DifferentialForm:
@@ -312,10 +313,9 @@ def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
 # ---------------------------------------------------------------------------
 
 def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: int,
-                          prolongation: LieAlgebroid | None = None,
                           bundle_forms: BundleForms | None = None) -> FiberFunctional:
     """Values of the induced fiberwise-linear functional on the distinguished
-    frame of the k-fold tangent prolongation.
+    frame of the k-fold tangent prolongation, which it builds and attaches.
 
     Core value (a, n): (-1)^(n-1) times mu(e_a) contracted with every
     tautological dotted field except the n-th; linear value a: d mu(e_a) +
@@ -333,7 +333,7 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
         raise AlgebroidError(f"form degree {form.degree} does not match k={k}")
     if bundle_forms is None:
         bundle_forms = decompose(form, tc)
-    prol = prolongation if prolongation is not None else tangent_prolongation(algebroid, k)
+    prol = tangent_prolongation(algebroid, k)
     chart = prol.base_chart
     base = algebroid.base_chart
     names = base.names

@@ -250,13 +250,11 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     names = chart.names
     k = d.k
     sign = -1 if (k - 1) % 2 else 1
-    anchor = [[(name, comp) for name, comp in zip(names, row) if not comp.is_zero()]
-              for row in A.anchor]
     partials: dict = {}   # (id(f), coordinate) -> (f, df/dx)
 
     def act(a: int, f: Polynomial) -> Polynomial:
         pairs = []
-        for name, comp in anchor[a]:
+        for name, comp in A._anchor_sparse[a]:
             entry = partials.get((id(f), name))
             if entry is None:
                 entry = partials[id(f), name] = (f, f.diff(name))
@@ -307,10 +305,10 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
 # frame values on the cotangent prolongation
 # ---------------------------------------------------------------------------
 
-def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
-                                 prolongation: LieAlgebroid | None = None) -> FiberFunctional:
-    """Values of the induced fiberwise functional on the cotangent
-    prolongation frame.
+def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid,
+                                 k: int) -> FiberFunctional:
+    """Values of the induced fiberwise functional on the frame of the k-fold
+    cotangent prolongation, which it builds and attaches.
 
     Core value (coordinate j, copy m): (-1)^(k-m) times the pairing of the
     coordinate action with the dual copies omitting the m-th; linear value a:
@@ -324,7 +322,7 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid, 
     if p.algebroid != A:
         raise AlgebroidError("candidate attached to a different algebroid")
     d = derivation_from_linear(p)
-    prol = prolongation if prolongation is not None else cotangent_prolongation(A, k)
+    prol = cotangent_prolongation(A, k)
     chart = prol.base_chart
     base = A.base_chart
     r = A.rank
@@ -367,8 +365,7 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
                              [dual_linear_frame_name(n) for n in A.frame_names], values)
 
 
-def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
-                      prolongation: LieAlgebroid | None = None) -> dict:
+def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int) -> dict:
     """The two routes of the dual equivalence, for `run_oracle`.
 
     Route one checks the reduced generator conditions of the derivation;
@@ -376,19 +373,18 @@ def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
     cotangent prolongation.
     """
     def morphism() -> CheckReport:
-        prol = prolongation if prolongation is not None else cotangent_prolongation(algebroid, k)
-        return check_morphism_to_line(prol, multivector_frame_functional(p, algebroid, k, prol))
+        functional = multivector_frame_functional(p, algebroid, k)
+        return check_morphism_to_line(functional.algebroid, functional)
 
     return {"derivation": lambda: check_gerstenhaber_derivation(algebroid, derivation_from_linear(p)),
             "morphism": morphism}
 
 
-def oracle_equivalence_dual(p: LinearMultivector, algebroid: LieAlgebroid, k: int,
-                            prolongation: LieAlgebroid | None = None) -> tuple:
+def oracle_equivalence_dual(p: LinearMultivector, algebroid: LieAlgebroid, k: int) -> tuple:
     """Both verdicts of the dual equivalence: (bracket derivation, morphism).
 
     The routes are those of `derivation_routes`, both gated on the algebroid
     axioms; they must agree, and disagreement raises OracleDisagreement.
     """
-    verdicts = run_oracle(algebroid, derivation_routes(p, algebroid, k, prolongation)).verdicts
+    verdicts = run_oracle(algebroid, derivation_routes(p, algebroid, k)).verdicts
     return verdicts["derivation"], verdicts["morphism"]

@@ -136,10 +136,9 @@ def test_criterion_04_main_theorem_oracle():
 
     rng = random.Random(104)
     fixtures = passing_fixtures()
-    prols: dict = {}
     outcomes = {True: 0, False: 0}
     for case in range(50):
-        name, algebroid = fixtures[rng.randrange(len(fixtures))]
+        _, algebroid = fixtures[rng.randrange(len(fixtures))]
         k = rng.choice([1, 2, 3])
         if case % 3 == 0:
             im = im_form_from_base_form(algebroid, rnd_form(rng, algebroid.base_chart, k))
@@ -151,8 +150,7 @@ def test_criterion_04_main_theorem_oracle():
                 tuple(rnd_form(rng, algebroid.base_chart, k, max_deg=1)
                       for _ in range(algebroid.rank)))
             im = IMForm(algebroid, bf)
-        prol = prols.setdefault((name, k), tangent_prolongation(algebroid, k))
-        verdicts = oracle_equivalence(im, k, prol)  # raises on disagreement
+        verdicts = oracle_equivalence(im, k)  # raises on disagreement
         assert verdicts[0] == verdicts[1]
         outcomes[verdicts[0]] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
@@ -195,7 +193,7 @@ def test_criterion_06_decomposition_roundtrip():
         rank = rng.choice([1, 2, 3])
         tc1 = total_chart(plane, tuple(f"e{i + 1}" for i in range(rank)))
         mu = tuple(rnd_form(rng, plane, 1) for _ in range(rank))
-        lam = fiber_pairing_form(mu, tc1)
+        lam = fiber_pairing_form(mu, tc1, 1)
         mapping = {}
         for j in range(2):
             total = Polynomial.zero(tc1.chart)
@@ -272,18 +270,16 @@ def test_criterion_08_dual_theorem_oracle():
     rng = random.Random(108)
     fixtures = [("F1", so3_algebroid()), ("F2", tangent_algebroid()),
                 ("F3", koszul_so3_algebroid())]
-    prols: dict = {}
     outcomes = {True: 0, False: 0}
     from conftest import coboundary_derivation, rnd_linear_multivector
     for case in range(50):
-        name, algebroid = fixtures[rng.randrange(len(fixtures))]
+        _, algebroid = fixtures[rng.randrange(len(fixtures))]
         k = rng.choice([1, 2, 3])
         if case % 3 == 0 and k <= algebroid.rank:
             p = linear_from_derivation(coboundary_derivation(rng, algebroid, k))
         else:
             p = rnd_linear_multivector(rng, algebroid, k)
-        prol = prols.setdefault((name, k), cotangent_prolongation(algebroid, k))
-        verdicts = oracle_equivalence_dual(p, algebroid, k, prol)
+        verdicts = oracle_equivalence_dual(p, algebroid, k)
         assert verdicts[0] == verdicts[1]
         outcomes[verdicts[0]] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
@@ -305,10 +301,9 @@ def test_criterion_09_weil_triple_agreement():
 
     rng = random.Random(109)
     fixtures = passing_fixtures()
-    prols: dict = {}
     agreements = 0
     for case in range(50):
-        name, algebroid = fixtures[rng.randrange(len(fixtures))]
+        _, algebroid = fixtures[rng.randrange(len(fixtures))]
         k = rng.choice([1, 2])
         if case % 3 == 0:
             bf = im_form_from_base_form(
@@ -324,8 +319,7 @@ def test_criterion_09_weil_triple_agreement():
         im_ok = check_im_form(im).passed
         dh_ok = horizontal_vanishing_report(
             cochain_from_bundle_forms(algebroid, bf)).passed
-        prol = prols.setdefault((name, k), tangent_prolongation(algebroid, k))
-        morph = oracle_equivalence(im, k, prol)
+        morph = oracle_equivalence(im, k)
         assert im_ok == dh_ok == morph[0] == morph[1]
         agreements += 1
 

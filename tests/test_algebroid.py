@@ -390,7 +390,7 @@ def test_morphism_report_is_frame_ordered():
 
 # -- the orbit reduction against the full pair loop ----------------------------
 
-def form_functional(rng, algebroid, k, kind, prol):
+def form_functional(rng, algebroid, k, kind):
     """The frame functional of an exact, broken or random IM candidate."""
     chart = algebroid.base_chart
     if kind == "random":
@@ -402,26 +402,25 @@ def form_functional(rng, algebroid, k, kind, prol):
             bundle_forms = BundleForms(k, (mu[0] + rnd_form(rng, chart, k - 1),) + mu[1:],
                                        bundle_forms.nu)
     form = linear_form(bundle_forms, total_chart_of(algebroid))
-    return form_frame_functional(form, algebroid, k, prol, bundle_forms)
+    return form_frame_functional(form, algebroid, k, bundle_forms)
 
 
-def multivector_functional(rng, algebroid, k, kind, prol):
+def multivector_functional(rng, algebroid, k, kind):
     """The frame functional of a coboundary or random linear multivector."""
     if kind == "coboundary":
         p = linear_from_derivation(coboundary_derivation(rng, algebroid, k))
     else:
         p = rnd_linear_multivector(rng, algebroid, k)
-    return multivector_frame_functional(p, algebroid, k, prol)
+    return multivector_frame_functional(p, algebroid, k)
 
 
-FUNCTIONALS = [(tangent_prolongation, form_functional, kind)
-               for kind in ("exact", "broken", "random")]
-FUNCTIONALS += [(cotangent_prolongation, multivector_functional, kind)
-                for kind in ("coboundary", "random")]
+FUNCTIONALS = [(form_functional, kind) for kind in ("exact", "broken", "random")]
+FUNCTIONALS += [(multivector_functional, kind) for kind in ("coboundary", "random")]
 ORBIT_BASES = [rnd_algebroid, lambda _: koszul_so3_algebroid(), lambda _: _log_canonical(3)]
 
 
-def assert_reduced_matches_reference(prol, functional):
+def assert_reduced_matches_reference(functional):
+    prol = functional.algebroid
     values = [functional.value(a) for a in range(prol.rank)]
     assert prol._copy_layout.anti_invariant(values)
     report = check_morphism_to_line(prol, functional)
@@ -438,29 +437,39 @@ def test_orbit_reduction_matches_full_pair_loop(seed, k, base, case):
     (order, witness and residual) are the full loop's."""
     rng = random.Random(seed)
     algebroid = ORBIT_BASES[base](rng)
-    prolong, build, kind = FUNCTIONALS[case]
-    prol = prolong(algebroid, k)
-    assert_reduced_matches_reference(prol, build(rng, algebroid, k, kind, prol))
+    build, kind = FUNCTIONALS[case]
+    assert_reduced_matches_reference(build(rng, algebroid, k, kind))
 
 
-@pytest.mark.parametrize("prolong, build, kind", [
-    (tangent_prolongation, form_functional, "broken"),
-    (cotangent_prolongation, multivector_functional, "random"),
+@pytest.mark.parametrize("build, kind", [
+    (form_functional, "broken"),
+    (multivector_functional, "random"),
 ], ids=["broken_form", "random_multivector"])
-def test_orbit_reduction_matches_full_pair_loop_n4_k4(rng, prolong, build, kind):
-    algebroid = _log_canonical(4)
-    prol = prolong(algebroid, 4)
-    functional = build(rng, algebroid, 4, kind, prol)
-    assert_reduced_matches_reference(prol, functional)
-    assert not check_morphism_to_line(prol, functional).passed
+def test_orbit_reduction_matches_full_pair_loop_n4_k4(rng, build, kind):
+    functional = build(rng, _log_canonical(4), 4, kind)
+    assert_reduced_matches_reference(functional)
+    assert not check_morphism_to_line(functional.algebroid, functional).passed
 
 
-def test_functional_that_is_not_anti_invariant_takes_the_full_loop(rng, monkeypatch):
+# which frame values of the k = 3 functional get 1 added
+ALTERATIONS = {
+    "copy1_cores": lambda name: name.endswith("_hat1"),
+    "copy2_cores": lambda name: name.endswith("_hat2"),
+    "copy3_cores": lambda name: name.endswith("_hat3"),
+    "linear_values": lambda name: name.startswith("T"),
+}
+
+
+@pytest.mark.parametrize("alteration", sorted(ALTERATIONS))
+def test_functional_that_is_not_anti_invariant_takes_the_full_loop(rng, monkeypatch, alteration):
+    """Altered cores of the first, a middle or the last copy, or altered
+    linear values, each break anti-invariance under some adjacent swap, so
+    every pair is computed."""
     algebroid = koszul_so3_algebroid()
-    prol = tangent_prolongation(algebroid, 3)
-    functional = form_functional(rng, algebroid, 3, "broken", prol)
-    # alter the cores of copy 2 only
-    values = {name: value + 1 if name.endswith("_hat2") else value
+    functional = form_functional(rng, algebroid, 3, "broken")
+    prol = functional.algebroid
+    altered_name = ALTERATIONS[alteration]
+    values = {name: value + 1 if altered_name(name) else value
               for name, value in functional.values.items()}
     altered = FiberFunctional(prol, values)
     assert not prol._copy_layout.anti_invariant([altered.value(a) for a in range(prol.rank)])

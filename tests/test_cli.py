@@ -381,6 +381,40 @@ def test_degree_at_total_dim_is_accepted(tmp_path):
     assert json.loads(out)["k"] == 6
 
 
+def _degenerate(n: int, r: int, mode: str, k: int) -> dict:
+    """Zero data of base dimension n and rank r, with the zero candidate of
+    `mode` in degree k (none in axioms mode)."""
+    doc = _sized(r, n)
+    doc["options"] = {"mode": mode, "k": k}
+    if mode == "im-form":
+        doc["candidate"] = {"type": mode, "k": k,
+                            "mu": [{"degree": k - 1, "terms": []}] * r,
+                            "nu": [{"degree": k, "terms": []}] * r}
+    elif mode == "multivector":
+        doc["candidate"] = {"type": mode, "k": k, "fiber": [], "mixed": []}
+    elif mode == "weil":
+        doc["candidate"] = {"type": mode, "k": k, "form": []}
+    return doc
+
+
+DEGENERATE = [(n, r, mode, k)
+              for n, r in ((2, 0), (0, 2), (0, 0), (1, 0), (0, 1), (3, 0))
+              for mode in ("im-form", "multivector", "weil", "axioms")
+              for k in range(1, n + r + 2)]
+
+
+@pytest.mark.parametrize("n, r, mode, k", DEGENERATE,
+                         ids=[f"n{n}_r{r}_{mode}_k{k}" for n, r, mode, k in DEGENERATE])
+def test_degenerate_shapes_verify_without_raising(tmp_path, n, r, mode, k):
+    """Rank 0, a point base, or both: every prolongation has an empty core
+    or copy block.  Each degree up to the total dimension verifies the zero
+    candidate (exit 0); the next is refused as input (exit 2)."""
+    doc = tmp_path / "degenerate.json"
+    doc.write_text(json.dumps(_degenerate(n, r, mode, k)))
+    code, _, err = run_cli(["--input", str(doc)])
+    assert code == (0 if k <= n + r else 2), err
+
+
 UNBOUNDED_SAMPLES = {
     # (second point's value for x2, text the message must carry)
     "exponent": ("1e999999999", "exponent notation"),

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
-from imcalc.algebroid import tangent_prolongation
 from imcalc.errors import CrossCheckError
 from imcalc.fixtures import exact_im_form, koszul_so3_algebroid, tangent_algebroid
 from imcalc.forms import (
@@ -65,14 +64,25 @@ def pullback(form: DifferentialForm, mapping, source):
 def test_pairing_form_single_term():
     tc = total_chart(CH2, ("e1",))
     mu = (DifferentialForm(CH2, 1, {(0,): Polynomial.const(CH2, 1)}),)
-    lam = fiber_pairing_form(mu, tc)
+    lam = fiber_pairing_form(mu, tc, 1)
     assert lam.coeffs == {(0,): parse("u1", tc.chart)}
 
 
 def test_pairing_form_zero():
     tc = total_chart(CH2, ("e1", "e2"))
     zero = (DifferentialForm(CH2, 1), DifferentialForm(CH2, 1))
-    assert fiber_pairing_form(zero, tc).is_zero()
+    assert fiber_pairing_form(zero, tc, 1).is_zero()
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_rank_zero_forms_keep_their_degree(k):
+    """At rank 0 the bundle maps are empty, so the pairing form takes its
+    degree from the caller; the zero linear k-form decomposes."""
+    tc = total_chart(CH2, ())
+    assert fiber_pairing_form((), tc, k).degree == k
+    zero = linear_form(BundleForms(k, (), ()), tc)
+    assert zero.degree == k and zero.is_zero()
+    assert decompose(zero, tc) == BundleForms(k, (), ())
 
 
 def test_tautological_property_k1(rng):
@@ -85,7 +95,7 @@ def test_tautological_property_k1(rng):
         rank = rng.choice([1, 2])
         tc = total_chart(CH2, tuple(f"e{i + 1}" for i in range(rank)))
         mu = tuple(rnd_form(rng, CH2, 1) for _ in range(rank))
-        lam = fiber_pairing_form(mu, tc)
+        lam = fiber_pairing_form(mu, tc, 1)
         mapping = {}
         for j, xname in enumerate(CH2.names):
             total = Polynomial.zero(tc.chart)
@@ -123,7 +133,7 @@ def test_decompose_pure_cases(rng):
         assert got.mu == mu
         assert all(n.is_zero() for n in got.nu)
         nu = tuple(rnd_form(rng, chart, k) for _ in range(2))
-        pure = fiber_pairing_form(nu, tc)
+        pure = fiber_pairing_form(nu, tc, k)
         got = decompose(pure, tc)
         assert all(m.is_zero() for m in got.mu)
         assert got.nu == nu
@@ -164,7 +174,7 @@ def test_closed_linear_two_form_is_canonical_pullback(rng):
     for _ in range(10):
         tc = total_chart(CH2, ("e1", "e2"))
         mu = tuple(rnd_form(rng, CH2, 1) for _ in range(2))
-        closed = exterior_derivative(fiber_pairing_form(mu, tc))
+        closed = exterior_derivative(fiber_pairing_form(mu, tc, 1))
         got = decompose(closed, tc)
         assert got.mu == mu and all(n.is_zero() for n in got.nu)
         mapping = {}
@@ -262,7 +272,7 @@ def test_frame_values_pure_pairing_k1():
     tc = total_chart_of(algebroid)
     chart = algebroid.base_chart
     nu = tuple(rnd_form(random.Random(3), chart, 1) for _ in range(2))
-    form = fiber_pairing_form(nu, tc)
+    form = fiber_pairing_form(nu, tc, 1)
     functional = form_frame_functional(form, algebroid, 1)
     prol = functional.algebroid
     big = prol.base_chart
@@ -300,8 +310,7 @@ def test_frame_values_dual_route_random(rng):
         bf = BundleForms(k,
                          tuple(rnd_form(rng, chart, k - 1) for _ in range(3)),
                          tuple(rnd_form(rng, chart, k) for _ in range(3)))
-        prol = tangent_prolongation(algebroid, k)
-        form_frame_functional(linear_form(bf, tc), algebroid, k, prol)
+        form_frame_functional(linear_form(bf, tc), algebroid, k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -250,9 +250,9 @@ def test_frame_functional_dual_route_random(rng):
         algebroid = rnd_algebroid(rng)
         k = rng.choice([1, 2])
         p = rnd_linear_multivector(rng, algebroid, k)
-        prol = cotangent_prolongation(algebroid, k)
-        functional = multivector_frame_functional(p, algebroid, k, prol)
-        assert set(functional.values) == set(prol.frame_names)
+        functional = multivector_frame_functional(p, algebroid, k)
+        assert functional.algebroid == cotangent_prolongation(algebroid, k)
+        assert set(functional.values) == set(functional.algebroid.frame_names)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

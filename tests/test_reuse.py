@@ -90,12 +90,11 @@ def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, name):
     candidate = cli.load_candidate(doc, algebroid)
     k = candidate.k
     if isinstance(candidate, IMForm):
-        prol = tangent_prolongation(algebroid, k)
         form = linear_form(candidate.forms, total_chart_of(algebroid))
-        functional = form_frame_functional(form, algebroid, k, prol, candidate.forms)
+        functional = form_frame_functional(form, algebroid, k, candidate.forms)
     else:
-        prol = cotangent_prolongation(algebroid, k)
-        functional = multivector_frame_functional(candidate, algebroid, k, prol)
+        functional = multivector_frame_functional(candidate, algebroid, k)
+    prol = functional.algebroid
     assert prol.rank * (prol.rank - 1) // 2 == 120
     counts = _count_kernel(monkeypatch)
     check_morphism_to_line(prol, functional)
@@ -327,4 +326,18 @@ CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
 def test_one_axiom_check_and_decomposition_per_document(monkeypatch, capsys, name, expected):
     counts = _count_everywhere(monkeypatch, check_axioms, decompose, linear_form)
     assert cli.main(["--input", str(CORPUS / name)]) == 0
+    assert dict(counts) == expected
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("n4_k3_im_broken", {"tangent_prolongation": 1}),
+    ("n4_k3_mv", {"cotangent_prolongation": 1}),
+])
+def test_one_prolongation_per_document(monkeypatch, capsys, name, expected):
+    """The morphism route builds its prolongation inside the frame
+    functional and checks the functional on it, so no route builds one
+    twice."""
+    exit_code = json.loads((LADDER / "exit_codes.json").read_text())[name]["json"]
+    counts = _count_everywhere(monkeypatch, tangent_prolongation, cotangent_prolongation)
+    assert cli.main(["--input", str(LADDER / f"{name}.json")]) == exit_code
     assert dict(counts) == expected
