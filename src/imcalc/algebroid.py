@@ -494,6 +494,12 @@ class CopyLayout:
         m, a = divmod(index, self.frame_block)
         return perm[m] * self.frame_block + a
 
+    def variables(self, chart: Chart) -> list:
+        """The copy coordinates as Polynomials on the prolongation chart:
+        entry [m][l] is y_(m+1)^l, at position base_dim + m*chart_block + l."""
+        return [[Polynomial.variable(chart, chart.names[self.base_dim + m * self.chart_block + l])
+                 for l in range(self.chart_block)] for m in range(self.k)]
+
     def relabel(self, poly: Polynomial, perm: tuple, sign: int = 1) -> Polynomial:
         """sign * perm*(poly): each copy's block of packed slots moved."""
         return poly.permute_blocks(self.base_dim, self.chart_block, perm, sign)
@@ -612,6 +618,8 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: i
     frame = [core_name(m + 1, c) for m in copies for c in range(B)]
     frame += [linear_name(name) for name in algebroid.frame_names]
 
+    layout = CopyLayout(k, B, block, n)
+
     def core(m: int, c: int) -> int:
         return m * B + c
 
@@ -619,8 +627,7 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: i
         return n + m * block + l
 
     zero = Polynomial.zero(chart)
-    y = [[Polynomial.variable(chart, chart.names[col(m, l)]) for l in range(block)]
-         for m in copies]
+    y = layout.variables(chart)
 
     def per_copy(pairs) -> list:
         """sum p y_m^l over the (l, p) pairs, for each copy m."""
@@ -656,7 +663,7 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: i
 
     out = LieAlgebroid(chart, lin + algebroid.rank, frame, rows, structure, unchecked=True)
     object.__setattr__(out, "checked", algebroid.checked)
-    object.__setattr__(out, "_copy_layout", CopyLayout(k, B, block, n))
+    object.__setattr__(out, "_copy_layout", layout)
     return out
 
 

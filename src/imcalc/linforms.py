@@ -335,13 +335,11 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
         bundle_forms = decompose(form, tc)
     prol = tangent_prolongation(algebroid, k)
     chart = prol.base_chart
-    base = algebroid.base_chart
-    names = base.names
 
-    taut = [VectorField(chart, {
-        (chart.index(n),): Polynomial.variable(chart, tangent_copy_name(n, l))
-        for n in names})
-        for l in range(1, k + 1)]
+    # the dotted coordinates of each copy, along the base coordinates, which
+    # come first on the chart
+    taut = [VectorField(chart, {(i,): x for i, x in enumerate(dotted)})
+            for dotted in prol._copy_layout.variables(chart)]
 
     values: dict = {}
     for a, frame in enumerate(algebroid.frame_names):
@@ -355,17 +353,18 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
         full = exterior_derivative(bundle_forms.mu[a]) + bundle_forms.nu[a]
         values[linear_frame_name(frame)] = iterated_contract(taut, full.promote(chart)).scalar()
 
-    _cross_check_form_values(form, algebroid, k, tc, chart, values)
+    _cross_check_form_values(form, algebroid, k, tc, prol, values)
     return FiberFunctional(prol, values)
 
 
-def _cross_check_form_values(form, algebroid, k, tc, chart, values) -> None:
+def _cross_check_form_values(form, algebroid, k, tc, prol, values) -> None:
     """Contract the form against the explicit frame tangent vectors: the
     dotted rows, the n-th of them also moving one unit along the fiber of
     e_a for the core value (a, n)."""
     fiber_pos = tc.fiber_positions()
-    dotted = Minors([{tc.chart.index(n): Polynomial.variable(chart, tangent_copy_name(n, l))
-                      for n in algebroid.base_chart.names} for l in range(1, k + 1)], chart)
+    chart = prol.base_chart
+    dotted = Minors([{tc.chart.index(n): y[i] for i, n in enumerate(algebroid.base_chart.names)}
+                     for y in prol._copy_layout.variables(chart)], chart)
     cores = [(core_frame_name(frame, n), (n - 1, fiber_pos[a]))
              for a, frame in enumerate(algebroid.frame_names) for n in range(1, k + 1)]
     cross_check_frame_values(form, tc, dotted, cores,

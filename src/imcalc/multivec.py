@@ -26,7 +26,6 @@ from .algebroid import (
     check_morphism_to_line,
     component_violations,
     cotangent_prolongation,
-    dual_copy_name,
     dual_core_frame_name,
     dual_linear_frame_name,
     run_oracle,
@@ -325,11 +324,9 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid,
     prol = cotangent_prolongation(A, k)
     chart = prol.base_chart
     base = A.base_chart
-    r = A.rank
 
     # the dual copies as rows over frame indices, in a table of this call
-    xi = Minors([{b: Polynomial.variable(chart, dual_copy_name(n, b + 1)) for b in range(r)}
-                 for n in range(1, k + 1)], chart)
+    xi = Minors([dict(enumerate(y)) for y in prol._copy_layout.variables(chart)], chart)
 
     def pairing(section: Section, ids: tuple) -> Polynomial:
         # the determinant convention, against the dual copies `ids`
@@ -357,8 +354,8 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
     tc = total_chart_of(A)
     chart = prol.base_chart
     fiber_pos = tc.fiber_positions()
-    dual = Minors([{fiber_pos[d]: Polynomial.variable(chart, dual_copy_name(n, d + 1))
-                    for d in range(A.rank)} for n in range(1, k + 1)], chart)
+    dual = Minors([{fiber_pos[d]: xi_d for d, xi_d in enumerate(y)}
+                   for y in prol._copy_layout.variables(chart)], chart)
     cores = [(dual_core_frame_name(name, m), (m - 1, tc.chart.index(name)))
              for m in range(1, k + 1) for name in A.base_chart.names]
     cross_check_frame_values(p.to_multivector(tc), tc, dual, cores,

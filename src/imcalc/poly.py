@@ -19,8 +19,13 @@ raises `ChartError` instead of storing a monomial of the wrong coordinate.
 The parser checks a power against that limit, and against a budget on the
 number of terms it can expand to (`POWER_TERM_BUDGET`), before expanding it.
 It refuses a product whose factors have more term pairs than
-`PRODUCT_PAIR_BUDGET` before multiplying them, and an integer literal of more
-than `LITERAL_DIGIT_LIMIT` digits before converting it.
+`PRODUCT_PAIR_BUDGET` before multiplying them, an integer literal of more
+than `LITERAL_DIGIT_LIMIT` digits before converting it, and a power ^N, N >= 2,
+of a rational or other one-term base whose coefficient would get a numerator
+or denominator of more than `LITERAL_DIGIT_LIMIT` digits.  It reads each
+expression as one list of tokens, and a term that is a rational times powers
+of coordinates becomes one (coefficient, packed key) pair, added straight
+into the expression's term map.
 
 `Polynomial(chart, terms)` takes the readable form, a map from exponent
 tuples (one non-negative int per chart coordinate) to coefficients, and
@@ -57,6 +62,7 @@ their double-vector-bundle bookkeeping by name.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -546,10 +552,13 @@ def _format_monomial(chart: Chart, exps: tuple) -> str:
 
 
 def format_polynomial(p: Polynomial) -> str:
-    """Canonical expanded string; `parse(format_polynomial(p), chart) == p`.
+    """Canonical expanded string; `parse(format_polynomial(p), chart) == p`
+    when every coefficient's numerator and denominator have at most
+    `LITERAL_DIGIT_LIMIT` digits, the most the parser reads.
 
     Terms are ordered by descending total degree, then descending exponent
-    tuple, so identical polynomials always print identically.
+    tuple, so identical polynomials always print identically.  Coefficients
+    of any size print in full (`_decimal`).
     """
     if not p._terms:
         return "0"
@@ -559,13 +568,13 @@ def format_polynomial(p: Polynomial) -> str:
     pieces = []
     for pos, (e, c) in enumerate(order):
         mono = _format_monomial(p.chart, e)
-        mag = abs(c)
-        if mono and mag == 1:
+        mag = _decimal(abs(c))
+        if mono and mag == "1":
             body = mono
         elif mono:
             body = f"{mag}*{mono}"
         else:
-            body = str(mag)
+            body = mag
         if pos == 0:
             # a leading negative folds the sign into an explicit rational
             # factor so the printed form stays inside the expression grammar
@@ -577,12 +586,38 @@ def format_polynomial(p: Polynomial) -> str:
     return " ".join(pieces)
 
 
+#: digits per chunk of `_decimal`, under CPython's int-to-str digit limit
+_DECIMAL_CHUNK = 4000
+
+
+def _decimal(value) -> str:
+    """The decimal text of a non-negative int or Fraction of any size.
+
+    `str` of an int of more than 4,300 digits raises under CPython's default
+    conversion limit; a larger value is split into chunks of
+    `_DECIMAL_CHUNK` digits by divmod, each short enough to convert.
+    """
+    if type(value) is not int:
+        return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+    if value.bit_length() <= 3 * _DECIMAL_CHUNK:
+        return str(value)  # below 8^chunk, so at most chunk digits
+    high, low = divmod(value, 10 ** _DECIMAL_CHUNK)
+    return _decimal(high) + str(low).zfill(_DECIMAL_CHUNK) if high else str(low)
+
+
 class ParseError(ValueError):
     """Expression rejected; `offset` is the byte position of the failure."""
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (at byte {offset})")
         self.offset = offset
+
+
+#: one token after insignificant whitespace: a run of ASCII digits, an ASCII
+#: coordinate name, or any other single character
+_TOKEN = re.compile(r"\s*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|\S)")
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 
 
 class _Parser:
@@ -594,147 +629,201 @@ class _Parser:
         atom     := rational | coordname | '(' expr ')'
         rational := int ('/' uint)?
 
-    Whitespace is insignificant.  Coordinate names are [A-Za-z_][A-Za-z0-9_]*.
+    Whitespace is insignificant.  Digits are ASCII, and coordinate names are
+    [A-Za-z_][A-Za-z0-9_]*.  The text is split into `_TOKEN`s once.  A term
+    whose factors are rationals, coordinates or their powers stays one
+    (coefficient, packed key) pair, added straight into its expression's
+    term map, which is made canonical once; only a term with a parenthesized
+    factor multiplies Polynomials.
     """
 
     def __init__(self, text: str, chart: Chart):
         self.text = text
         self.chart = chart
-        self.pos = 0
+        self.tokens = _TOKEN.findall(text)
+        self.tokens.append("")  # the end of the text
+        self.i = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self) -> str:
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def error(self, message: str, i: int) -> ParseError:
+        """A ParseError at the start of token i, or at the end of the text."""
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        return ParseError(message, starts[i] if i < len(starts) else len(self.text))
 
     def parse(self) -> Polynomial:
         result = self.expr()
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        tok = self.tokens[self.i]
+        if tok:
+            raise self.error(f"unexpected {tok[0]!r}", self.i)
         return result
 
     def expr(self) -> Polynomial:
-        result = self.term()
+        terms: dict = {}
+        get = terms.get
+        sign = 1
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                result = result + self.term()
-            elif ch == "-":
-                self.pos += 1
-                result = result - self.term()
+            coeff, key, product = self.term()
+            if product is not None:
+                for e, c in product._terms.items():
+                    terms[e] = get(e, 0) + sign * c
+            elif coeff:
+                terms[key] = get(key, 0) + sign * coeff
+            op = self.tokens[self.i]
+            if op == "+":
+                sign = 1
+            elif op == "-":
+                sign = -1
             else:
-                return result
+                return _make(self.chart, _canonical(terms))
+            self.i += 1
 
-    def term(self) -> Polynomial:
-        result = self.factor()
-        while self.peek() == "*":
-            start = self.pos
-            self.pos += 1
-            right = self.factor()
-            pairs = len(result._terms) * len(right._terms)
-            if pairs > PRODUCT_PAIR_BUDGET:
-                raise ParseError(
-                    f"product of {len(result._terms)} and {len(right._terms)} terms has "
-                    f"{pairs} term pairs, above the budget of {PRODUCT_PAIR_BUDGET}", start)
+    def term(self) -> tuple:
+        """(coefficient, packed key, None) for a product of rationals,
+        coordinates and their powers; (_, _, product) once a factor is
+        parenthesized.  A product of monomials raises at the '*' where its
+        key first passes the exponent limit, as long as it is nonzero."""
+        tokens = self.tokens
+        chart = self.chart
+        coeff, key, product = self.factor()
+        while tokens[self.i] == "*":
+            star = self.i
+            self.i += 1
+            c, k, right = self.factor()
             try:
-                result = result * right
+                if product is None and right is None:
+                    if coeff and c:
+                        key += k
+                        if key & chart._guard:
+                            _check_guard(chart, (key,))
+                    coeff *= c
+                    continue
+                if product is None:
+                    product = _monomial(chart, coeff, key)
+                if right is None:
+                    right = _monomial(chart, c, k)
+                pairs = len(product._terms) * len(right._terms)
+                if pairs > PRODUCT_PAIR_BUDGET:
+                    raise self.error(
+                        f"product of {len(product._terms)} and {len(right._terms)} terms has "
+                        f"{pairs} term pairs, above the budget of {PRODUCT_PAIR_BUDGET}", star)
+                product = product * right
             except ChartError as exc:
-                raise ParseError(str(exc), start) from None
-        return result
+                raise self.error(str(exc), star) from None
+        return coeff, key, product
 
-    def factor(self) -> Polynomial:
-        result = self.atom()
-        if self.peek() == "^":
-            self.pos += 1
-            self.skip_ws()
-            start = self.pos
-            digits = self._digits()
-            if digits is None:
-                raise ParseError("expected unsigned integer exponent", start)
-            n = _power_budget(result, digits, start)
-            return result ** n
-        return result
-
-    def _digits(self) -> str | None:
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        return self.text[start:self.pos] if self.pos > start else None
-
-    def atom(self) -> Polynomial:
-        ch = self.peek()
-        start = self.pos
-        if ch == "(":
-            self.pos += 1
+    def factor(self) -> tuple:
+        """(coefficient, packed key, None) for a rational, a coordinate or a
+        power of one; (None, None, polynomial) for a parenthesized
+        expression or a power of one."""
+        tokens = self.tokens
+        i = self.i
+        tok = tokens[i]
+        self.i = i + 1
+        first = tok[:1]
+        if first in _NAME_START:
+            index = self.chart._index.get(tok)
+            if index is None:
+                raise self.error(f"unknown coordinate {tok!r}", i)
+            key = 1 << self.chart._shifts[index]
+            if tokens[self.i] == "^":
+                key *= self.exponent(1, 1, 1)
+            return 1, key, None
+        if first in _DIGITS or tok == "-":
+            coeff = self.rational(tok)
+            if tokens[self.i] == "^":
+                coeff **= self.exponent(0, 1 if coeff else 0, coeff)
+            return coeff, 0, None
+        if tok == "(":
             inner = self.expr()
-            if self.peek() != ")":
-                raise ParseError("expected ')'", self.pos)
-            self.pos += 1
-            return inner
-        if ch == "-" or ch.isdigit():
-            negative = ch == "-"
-            if negative:
-                self.pos += 1
-                self.skip_ws()
-            num_start = self.pos
-            num = self._digits()
-            if num is None:
-                raise ParseError("expected digits after '-'", self.pos)
-            value = Fraction(_literal(num, num_start))
-            if self.peek() == "/":
-                self.pos += 1
-                self.skip_ws()
-                den_start = self.pos
-                den = self._digits()
-                den = 0 if den is None else _literal(den, den_start)
-                if den == 0:
-                    raise ParseError("expected positive denominator", den_start)
-                value = value / den
-            if negative:
-                value = -value
-            return Polynomial.const(self.chart, value)
-        if ch.isalpha() or ch == "_":
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name not in self.chart.names:
-                raise ParseError(f"unknown coordinate {name!r}", start)
-            return Polynomial.variable(self.chart, name)
-        raise ParseError("expected rational, coordinate or '('", self.pos)
+            if tokens[self.i] != ")":
+                raise self.error("expected ')'", self.i)
+            self.i += 1
+            if tokens[self.i] == "^":
+                terms = inner._terms
+                top = max((max(self.chart.unpack(e), default=0) for e in terms), default=0)
+                single = next(iter(terms.values())) if len(terms) == 1 else None
+                inner = inner ** self.exponent(top, len(terms), single)
+            return None, None, inner
+        raise self.error("expected rational, coordinate or '('", i)
+
+    def rational(self, tok: str):
+        """The rational `tok` starts, its sign and denominator read."""
+        negative = tok == "-"
+        if negative:
+            if self.tokens[self.i][:1] not in _DIGITS:
+                raise self.error("expected digits after '-'", self.i)
+            self.i += 1
+        value = self.literal(self.i - 1)
+        if self.tokens[self.i] == "/":
+            self.i += 1
+            i = self.i
+            den = 0
+            if self.tokens[i][:1] in _DIGITS:
+                den = self.literal(i)
+                self.i += 1
+            if den == 0:
+                raise self.error("expected positive denominator", i)
+            value = Fraction(value, den)
+        return -value if negative else value
+
+    def literal(self, i: int) -> int:
+        """The value of digit token i, of at most `LITERAL_DIGIT_LIMIT` digits."""
+        digits = self.tokens[i]
+        if len(digits) > LITERAL_DIGIT_LIMIT:
+            raise self.error(
+                f"integer literal of {len(digits)} digits, above the limit of "
+                f"{LITERAL_DIGIT_LIMIT}", i)
+        return int(digits)
+
+    def exponent(self, top: int, t: int, single) -> int:
+        """The exponent N of `base^N`, read from the token after the '^',
+        once the power is known to fit: N times the base's largest exponent
+        `top` (at least 1) is at most `EXPONENT_LIMIT`, the expansion of a
+        base of t terms has at most `POWER_TERM_BUDGET` terms, and for
+        N >= 2 the coefficient `single` of a one-term base, raised to N, has
+        at most `LITERAL_DIGIT_LIMIT` digits in its numerator and
+        denominator."""
+        self.i += 1
+        i = self.i
+        digits = self.tokens[i]
+        if digits[:1] not in _DIGITS:
+            raise self.error("expected unsigned integer exponent", i)
+        self.i += 1
+        digits = digits.lstrip("0")
+        # a longer digit string is above the limit, and int() refuses very long ones
+        n = int(digits or "0") if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT + 1
+        if n * max(top, 1) > EXPONENT_LIMIT:
+            raise self.error(f"power exceeds the exponent limit {EXPONENT_LIMIT}", i)
+        if t > 1 and comb(n + t - 1, t - 1) > POWER_TERM_BUDGET:
+            raise self.error(
+                f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
+                f"above the budget of {POWER_TERM_BUDGET}", i)
+        if t == 1 and n > 1 and not _power_fits(single, n):
+            raise self.error(
+                f"power ^{n} gives a coefficient of more than {LITERAL_DIGIT_LIMIT} digits", i)
+        return n
 
 
-def _literal(digits: str, offset: int) -> int:
-    """The value of an integer literal of at most `LITERAL_DIGIT_LIMIT` digits."""
-    if len(digits) > LITERAL_DIGIT_LIMIT:
-        raise ParseError(
-            f"integer literal of {len(digits)} digits, above the limit of "
-            f"{LITERAL_DIGIT_LIMIT}", offset)
-    return int(digits)
+def _monomial(chart: Chart, coeff, key: int) -> Polynomial:
+    """The Polynomial coeff * monomial `key`."""
+    coeff = _coeff(coeff)
+    return _make(chart, {key: coeff} if coeff else {})
 
 
-def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
-    """The exponent N of `base^N`, once the power is known to fit: N times
-    the base's largest exponent (at least 1) is at most `EXPONENT_LIMIT`,
-    and the expansion has at most `POWER_TERM_BUDGET` terms."""
-    top = max((max(base.chart.unpack(e), default=0) for e in base._terms), default=0)
-    digits = digits.lstrip("0")
-    # a longer digit string is above the limit, and int() refuses very long ones
-    n = int(digits or "0") if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT + 1
-    if n * max(top, 1) > EXPONENT_LIMIT:
-        raise ParseError(f"power exceeds the exponent limit {EXPONENT_LIMIT}", offset)
-    t = len(base._terms)
-    if t and comb(n + t - 1, t - 1) > POWER_TERM_BUDGET:
-        raise ParseError(
-            f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
-            f"above the budget of {POWER_TERM_BUDGET}", offset)
-    return n
+def _power_fits(value, n: int) -> bool:
+    """Whether value^n, value an int or a Fraction, has at most
+    `LITERAL_DIGIT_LIMIT` digits in its numerator and in its denominator.
+
+    A part a of b bits has 2^(n(b-1)) <= a^n < 2^(nb), and 2^(3L) < 10^L
+    for the limit L, so the bit lengths settle it except in a narrow band,
+    where a^n is computed: under 2^(n + bits of 10^L).
+    """
+    for a in (abs(value.numerator), value.denominator):
+        b = a.bit_length()
+        if n * b > 3 * LITERAL_DIGIT_LIMIT:
+            bound = 10 ** LITERAL_DIGIT_LIMIT
+            if n * (b - 1) >= bound.bit_length() or a ** n >= bound:
+                return False
+    return True
 
 
 def parse(text: str, chart: Chart) -> Polynomial:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 from typing import Mapping, Sequence
 
 import pytest
@@ -18,7 +19,10 @@ from imcalc.forms import DifferentialForm, Multivector, VectorField, sort_indice
 from imcalc.fixtures import koszul_algebroid, so3_algebroid
 from imcalc.linforms import BundleForms
 from imcalc.multivec import Derivation, LinearMultivector
-from imcalc.poly import Chart, Polynomial, base_chart
+from imcalc.poly import (
+    EXPONENT_LIMIT, LITERAL_DIGIT_LIMIT, POWER_TERM_BUDGET, PRODUCT_PAIR_BUDGET, Chart, ChartError,
+    ParseError, Polynomial, base_chart,
+)
 
 
 @pytest.fixture
@@ -300,3 +304,165 @@ def rnd_linear_multivector(rng, algebroid: LieAlgebroid, k: int) -> LinearMultiv
             if rng.random() < 0.5:
                 mixed[(b_tuple, j)] = rnd_poly(rng, algebroid.base_chart, 1)
     return LinearMultivector(algebroid, k, fiber, mixed)
+
+
+# -- the per-character parser, the reference for `poly.parse` ------------------
+#
+# It reads one character at a time, builds a Polynomial per atom and
+# multiplies the factors of a term pairwise; `poly.parse` must give the same
+# term map, or the same ParseError message and offset, on ASCII text.
+
+def reference_parse(text: str, chart: Chart) -> Polynomial:
+    return _Parser(text, chart).parse()
+
+
+class _Parser:
+    """Recursive-descent parser for the expression grammar:
+
+        expr     := term (('+'|'-') term)*
+        term     := factor ('*' factor)*
+        factor   := atom ('^' uint)?
+        atom     := rational | coordname | '(' expr ')'
+        rational := int ('/' uint)?
+
+    Whitespace is insignificant.  Coordinate names are [A-Za-z_][A-Za-z0-9_]*.
+    """
+
+    def __init__(self, text: str, chart: Chart):
+        self.text = text
+        self.chart = chart
+        self.pos = 0
+
+    def skip_ws(self) -> None:
+        while self.pos < len(self.text) and self.text[self.pos].isspace():
+            self.pos += 1
+
+    def peek(self) -> str:
+        self.skip_ws()
+        return self.text[self.pos] if self.pos < len(self.text) else ""
+
+    def parse(self) -> Polynomial:
+        result = self.expr()
+        self.skip_ws()
+        if self.pos != len(self.text):
+            raise ParseError(f"unexpected {self.text[self.pos]!r}", self.pos)
+        return result
+
+    def expr(self) -> Polynomial:
+        result = self.term()
+        while True:
+            ch = self.peek()
+            if ch == "+":
+                self.pos += 1
+                result = result + self.term()
+            elif ch == "-":
+                self.pos += 1
+                result = result - self.term()
+            else:
+                return result
+
+    def term(self) -> Polynomial:
+        result = self.factor()
+        while self.peek() == "*":
+            start = self.pos
+            self.pos += 1
+            right = self.factor()
+            pairs = len(result._terms) * len(right._terms)
+            if pairs > PRODUCT_PAIR_BUDGET:
+                raise ParseError(
+                    f"product of {len(result._terms)} and {len(right._terms)} terms has "
+                    f"{pairs} term pairs, above the budget of {PRODUCT_PAIR_BUDGET}", start)
+            try:
+                result = result * right
+            except ChartError as exc:
+                raise ParseError(str(exc), start) from None
+        return result
+
+    def factor(self) -> Polynomial:
+        result = self.atom()
+        if self.peek() == "^":
+            self.pos += 1
+            self.skip_ws()
+            start = self.pos
+            digits = self._digits()
+            if digits is None:
+                raise ParseError("expected unsigned integer exponent", start)
+            n = _power_budget(result, digits, start)
+            return result ** n
+        return result
+
+    def _digits(self) -> str | None:
+        start = self.pos
+        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+            self.pos += 1
+        return self.text[start:self.pos] if self.pos > start else None
+
+    def atom(self) -> Polynomial:
+        ch = self.peek()
+        start = self.pos
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            if self.peek() != ")":
+                raise ParseError("expected ')'", self.pos)
+            self.pos += 1
+            return inner
+        if ch == "-" or ch.isdigit():
+            negative = ch == "-"
+            if negative:
+                self.pos += 1
+                self.skip_ws()
+            num_start = self.pos
+            num = self._digits()
+            if num is None:
+                raise ParseError("expected digits after '-'", self.pos)
+            value = Fraction(_literal(num, num_start))
+            if self.peek() == "/":
+                self.pos += 1
+                self.skip_ws()
+                den_start = self.pos
+                den = self._digits()
+                den = 0 if den is None else _literal(den, den_start)
+                if den == 0:
+                    raise ParseError("expected positive denominator", den_start)
+                value = value / den
+            if negative:
+                value = -value
+            return Polynomial.const(self.chart, value)
+        if ch.isalpha() or ch == "_":
+            while self.pos < len(self.text) and (
+                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
+            ):
+                self.pos += 1
+            name = self.text[start:self.pos]
+            if name not in self.chart.names:
+                raise ParseError(f"unknown coordinate {name!r}", start)
+            return Polynomial.variable(self.chart, name)
+        raise ParseError("expected rational, coordinate or '('", self.pos)
+
+
+def _literal(digits: str, offset: int) -> int:
+    """The value of an integer literal of at most `LITERAL_DIGIT_LIMIT` digits."""
+    if len(digits) > LITERAL_DIGIT_LIMIT:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits, above the limit of "
+            f"{LITERAL_DIGIT_LIMIT}", offset)
+    return int(digits)
+
+
+def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
+    """The exponent N of `base^N`, once the power is known to fit: N times
+    the base's largest exponent (at least 1) is at most `EXPONENT_LIMIT`,
+    and the expansion has at most `POWER_TERM_BUDGET` terms."""
+    top = max((max(base.chart.unpack(e), default=0) for e in base._terms), default=0)
+    digits = digits.lstrip("0")
+    # a longer digit string is above the limit, and int() refuses very long ones
+    n = int(digits or "0") if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT + 1
+    if n * max(top, 1) > EXPONENT_LIMIT:
+        raise ParseError(f"power exceeds the exponent limit {EXPONENT_LIMIT}", offset)
+    t = len(base._terms)
+    if t and comb(n + t - 1, t - 1) > POWER_TERM_BUDGET:
+        raise ParseError(
+            f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
+            f"above the budget of {POWER_TERM_BUDGET}", offset)
+    return n

@@ -23,7 +23,7 @@ from imcalc.errors import OracleDisagreement
 from imcalc.fixtures import poisson_im_form
 from imcalc.imforms import oracle_equivalence
 from imcalc.multivec import oracle_equivalence_dual
-from imcalc.poly import Polynomial
+from imcalc.poly import LITERAL_DIGIT_LIMIT, Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "fixtures"
@@ -318,6 +318,14 @@ OVER_INPUT_LIMITS = {
     "power_terms": (["anchor", 0, 0], "(x1+x2+x3+1)^60", "(x1+x2+x3+1)^60"),
     "product_pairs": (["anchor", 0, 0], CUBED, "term pairs"),
     "long_literal": (["anchor", 0, 0], "1" * 5000, "5000 digits"),
+    "rational_power": (["anchor", 0, 0], "9" * 200 + "^32767*x1",
+                       "coefficient of more than 4300 digits (at byte 201)"),
+    # the grammar's digits are ASCII: a superscript or Arabic-Indic digit is
+    # an unexpected character at its own offset
+    "superscript_exponent": (["anchor", 0, 0], "x1^\u00b2",
+                             "expected unsigned integer exponent (at byte 3)"),
+    "arabic_indic_digit": (["anchor", 0, 0], "\u0663*x1",
+                           "expected rational, coordinate or '(' (at byte 0)"),
 }
 
 
@@ -328,6 +336,28 @@ def test_exponent_limit_is_an_input_error(tmp_path, case):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and named in err and "at byte" in err
+
+
+@pytest.mark.parametrize("report", ["json", "text"])
+def test_witness_coefficients_of_any_size_print_in_full(tmp_path, report):
+    """A product of two 4,300-digit literals in mu makes residual
+    coefficients of 8,600 digits, past CPython's int-to-str limit; the
+    document still fails with a complete report."""
+    big = "9" * LITERAL_DIGIT_LIMIT
+    code, out, err = _run_mutated(
+        tmp_path, "so3_poisson_broken_im2.json",
+        _set(["candidate", "mu", 0, "terms", 0, 1], f"{big}*{big}"), "--report", report)
+    assert code == 1
+    assert err == ""
+    # the residuals carry big^2 - 1 = 10^8600 - 2*10^4300, whose second
+    # chunk of digits starts with zeros
+    coeff = "9" * (LITERAL_DIGIT_LIMIT - 1) + "8" + "0" * LITERAL_DIGIT_LIMIT
+    if report == "json":
+        residuals = [w["residual"] for w in json.loads(out)["witnesses"]]
+        assert len(residuals) == 17
+        assert sum(coeff in r for r in residuals) == 12
+    else:
+        assert out.startswith("mode: im-form") and out.count(coeff) == 12
 
 
 def test_exponent_overflow_in_the_checks_is_an_input_error(tmp_path):

@@ -319,8 +319,8 @@ def test_form_cross_check_raises_on_each_wrong_value(rng, k):
         tc = total_chart_of(algebroid)
         form = linear_form(rnd_bundle_forms(rng, algebroid, k), tc)
         functional = form_frame_functional(form, algebroid, k)
-        chart = functional.algebroid.base_chart
+        prol = functional.algebroid
         for name, value in functional.values.items():
             wrong = {**functional.values, name: value + 1}
             with pytest.raises(CrossCheckError, match=f"on {re.escape(name)}$"):
-                _cross_check_form_values(form, algebroid, k, tc, chart, wrong)
+                _cross_check_form_values(form, algebroid, k, tc, prol, wrong)

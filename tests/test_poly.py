@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_parse
 from imcalc import poly
 from imcalc.poly import (
     EXPONENT_LIMIT,
@@ -176,6 +178,121 @@ def test_literal_digit_limit():
         with pytest.raises(ParseError) as err:
             parse(text, CH2)
         assert err.value.offset == offset
+
+
+def test_rational_power_digit_limit():
+    """A power of a rational, or of another one-term base, is refused at its
+    exponent when its numerator or denominator would pass the literal digit
+    limit; the bit lengths decide at once, and only a power near the limit
+    is computed."""
+    assert parse("2^14000", CH2) == Polynomial.const(CH2, 2 ** 14000)  # 4,215 digits
+    assert parse("10^4299", CH2) == Polynomial.const(CH2, 10 ** 4299)  # 4,300 digits
+    assert parse("(1/10*x1)^4299", CH2) == Polynomial(CH2, {(4299, 0): Fraction(1, 10 ** 4299)})
+    # a power of 1 does not grow its base
+    assert parse(f"({'9' * 4300}*10)^1", CH2) == Polynomial.const(CH2, (10 ** 4300 - 1) * 10)
+    assert parse("1^32767 + 0^32767 + (-1)^32767", CH2).is_zero()
+    for text, offset in [("10^4300", 3), ("1/10^4300", 5), ("-2/3^9100", 5), ("(10)^4300", 5),
+                         ("(10*x1)^ 4300", 9), ("9" * 200 + "^32767*x1", 201),
+                         ("x1 + (" + "9" * 4300 + ")^2", 4308)]:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="coefficient of more than 4300 digits") as err:
+            parse(text, CH2)
+        assert err.value.offset == offset
+        assert time.perf_counter() - start < 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+       st.integers(min_value=1, max_value=10 ** 12), st.integers(min_value=2, max_value=5000))
+def test_power_fits_matches_the_exact_power(num, den, n):
+    value = Fraction(num, den)
+    bound = 10 ** LITERAL_DIGIT_LIMIT
+    exact = abs(value.numerator) ** n < bound and value.denominator ** n < bound
+    assert poly._power_fits(value, n) == exact
+
+
+def test_parse_matches_reference_on_pinned_cases():
+    cases = {
+        "2/3^2": Fraction(4, 9),
+        "- 3": -3,
+        "x1^0": 1,
+        "0^0": 1,
+        # the exponent guard holds only while the product is nonzero
+        "0*x1^30000*x1^30000": 0,
+    }
+    for text, value in cases.items():
+        assert parse(text, CH2) == reference_parse(text, CH2) == Polynomial.const(CH2, value)
+    errors = {
+        "-x1": (1, "expected digits after '-'"),
+        "x1^^2": (3, "expected unsigned integer exponent"),
+        "x1^30000*x1^30000": (8, "exponent of x1 above 32767 in a product"),
+        "1" * (LITERAL_DIGIT_LIMIT + 1): (0, f"integer literal of {LITERAL_DIGIT_LIMIT + 1} digits"),
+    }
+    for text, (offset, message) in errors.items():
+        got = _outcome(parse, text, CH2)
+        assert got == _outcome(reference_parse, text, CH2)
+        assert got[1] is ParseError and message in got[2] and got[3] == offset
+
+
+def test_non_ascii_digits_are_refused_at_their_offset():
+    for text, offset in [("x1^\u00b2", 3), ("\u0663*x1", 0), ("x1 + 2\u0663", 6),
+                         ("1/\u0663", 2), ("x1^3\u00b2", 4)]:
+        with pytest.raises(ParseError) as err:
+            parse(text, CH2)
+        assert err.value.offset == offset
+
+
+def _outcome(parser, text: str, chart: Chart) -> tuple:
+    """("ok", typed term map) or ("error", exception type, message, offset)."""
+    try:
+        p = parser(text, chart)
+    except Exception as exc:  # any exception, so that the two parsers' are compared
+        return ("error", type(exc), str(exc), getattr(exc, "offset", None))
+    return ("ok", {e: (type(c), c) for e, c in p.terms.items()})
+
+
+_ATOMS = ["x1", "x2", "x3", *"0123456789"]
+_SYMBOLS = [*"+-*/^()", " "]
+
+
+def _valid_expressions():
+    """Expressions of the grammar, spaced at random."""
+    space = st.sampled_from(["", "", " ", "  "])
+    rational = st.builds(lambda sign, num, den: f"{sign}{num}{den}",
+                         st.sampled_from(["", "-", "- "]), st.integers(0, 99).map(str),
+                         st.sampled_from(["", "/1", "/3", "/12", "/0"]))
+    # large powers of atoms reach the exponent limit and the product guard
+    atom = st.builds(lambda a, pw: a + pw, st.one_of(rational, st.sampled_from(["x1", "x2", "x3"])),
+                     st.sampled_from([""] * 7 + ["^16384", "^32767", "^40000"]))
+
+    def extend(inner):
+        factor = st.one_of(atom, inner.map(lambda e: f"({e})"))
+        factor = st.builds(lambda f, pw: f + pw, factor, st.sampled_from(["", "", "^2", "^0", "^ 3"]))
+        term = st.lists(factor, min_size=1, max_size=3).flatmap(
+            lambda fs: space.map(lambda s: f"{s}*{s}".join(fs)))
+        return st.lists(term, min_size=1, max_size=3).flatmap(
+            lambda ts: st.sampled_from([" + ", "-", " - "]).map(lambda op: op.join(ts)))
+
+    return st.recursive(atom, extend, max_leaves=8)
+
+
+_EXPRESSIONS = st.one_of(
+    st.lists(st.sampled_from(_ATOMS + _SYMBOLS), max_size=16).map("".join),
+    _valid_expressions(),
+)
+
+
+@settings(max_examples=600, deadline=None)
+@given(_EXPRESSIONS)
+def test_parse_matches_the_per_character_reference(text):
+    """The tokenized parser gives the reference's term map, or its
+    exception with the same message and offset.  A power whose coefficient
+    would pass the literal digit limit is refused only by the tokenized
+    parser; `test_rational_power_digit_limit` covers that rule."""
+    got = _outcome(parse, text, CH3)
+    if got[0] == "error" and "coefficient of more than" in got[2]:
+        return
+    assert got == _outcome(reference_parse, text, CH3)
 
 
 def test_eval_examples():

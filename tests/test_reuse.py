@@ -17,7 +17,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_linear_multivector, rnd_poly, rnd_vector_field,
+    reference_parse, rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_linear_multivector, rnd_poly,
+    rnd_vector_field,
 )
 from imcalc import forms, imforms, linforms, multivec, weil
 from imcalc import cli
@@ -36,7 +37,7 @@ from imcalc.multivec import (
     derivation_from_linear,
     multivector_frame_functional,
 )
-from imcalc.poly import Polynomial, base_chart
+from imcalc.poly import Polynomial, base_chart, parse
 from imcalc.weil import cochain_from_bundle_forms, horizontal_differential
 
 
@@ -99,6 +100,18 @@ def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, name):
     counts = _count_kernel(monkeypatch)
     check_morphism_to_line(prol, functional)
     assert counts["sum_of_products"] == 38
+
+
+def test_parsing_a_sum_of_monomials_multiplies_no_polynomials(monkeypatch):
+    """Each monomial term of an expression is one (coefficient, key) pair
+    added into one term map: no product and no Polynomial sum."""
+    chart = base_chart("M", ["x1", "x2", "x3", "x4"])
+    text = "1802*x1*x3*x4 - 832*x1*x3 + 3/4*x2^2*x1 - x4 + 7 - 2/3*x1*x3"
+    counts = _count_kernel(monkeypatch)
+    p = parse(text, chart)
+    assert counts == Counter()
+    assert p == reference_parse(text, chart)
+    assert len(p.terms) == 5
 
 
 def _count_kernel(monkeypatch) -> Counter:
