@@ -218,7 +218,7 @@ class Section(Alternating):
     __hash__ = Alternating.__hash__
 
 
-def bracket_sections(algebroid: LieAlgebroid, u: Section, v: Section) -> Section:
+def bracket_sections(u: Section, v: Section) -> Section:
     """Bracket of two degree-1 sections by the explicit Leibniz formula.
 
     [u, v]^c = u^a v^b C_ab^c + u^a rho_a(v^c) - v^b rho_b(u^c).  The wedge
@@ -228,6 +228,7 @@ def bracket_sections(algebroid: LieAlgebroid, u: Section, v: Section) -> Section
     if u.degree != 1 or v.degree != 1:
         raise AlgebroidError("bracket_sections needs degree-1 sections")
     u._check_mate(v)
+    algebroid = u.algebroid
     groups: dict = {}
     for (a,), ua in u.coeffs.items():
         for (b,), vb in v.coeffs.items():
@@ -260,16 +261,16 @@ def section_bracket(u: Section, v: Section) -> Section:
     return u._like(table, max(u.degree + v.degree - 1, 0))
 
 
-def anchor_apply(algebroid: LieAlgebroid, u: Section) -> VectorField:
+def anchor_apply(u: Section) -> VectorField:
     """Image of a degree-1 section under the anchor, as a chart vector field."""
     if u.degree != 1:
         raise AlgebroidError("anchor_apply needs a degree-1 section")
     groups: dict = {}
     for (a,), ua in u.coeffs.items():
-        for j, p in enumerate(algebroid.anchor[a]):
+        for j, p in enumerate(u.algebroid.anchor[a]):
             if not p.is_zero():
                 groups.setdefault((j,), []).append((ua, p))
-    return VectorField(algebroid.base_chart, collect(groups))
+    return VectorField(u.algebroid.base_chart, collect(groups))
 
 
 def check_axioms(algebroid: LieAlgebroid) -> CheckReport:

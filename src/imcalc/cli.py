@@ -261,19 +261,19 @@ def _routes(mode: str, candidate, algebroid: LieAlgebroid, k) -> dict:
     if mode == "im-form":
         _require(isinstance(candidate, IMForm), "mode im-form needs an im-form candidate")
         _require(candidate.k == k, f"candidate k={candidate.k} but k={k} selected")
-        return im_routes(candidate, k)
+        return im_routes(candidate)
     if mode == "multivector":
         _require(isinstance(candidate, LinearMultivector),
                  "mode multivector needs a multivector candidate")
         _require(candidate.k == k, f"candidate k={candidate.k} but k={k} selected")
-        return derivation_routes(candidate, algebroid, k)
+        return derivation_routes(candidate)
     if mode == "weil":
         _require(isinstance(candidate, DifferentialForm), "mode weil needs a weil candidate")
         _require(candidate.degree == k, f"candidate k={candidate.degree} but k={k} selected")
-        bundle_forms = decompose(candidate, total_chart_of(algebroid))
+        im = IMForm(algebroid, decompose(candidate, total_chart_of(algebroid)))
         return {"dh_vanishing": lambda: horizontal_vanishing_report(
-                    cochain_from_bundle_forms(algebroid, bundle_forms)),
-                **im_routes(IMForm(algebroid, bundle_forms), k, form=candidate)}
+                    cochain_from_bundle_forms(algebroid, im.forms)),
+                **im_routes(im)}
     # mode "axioms" runs no candidate suite; a present candidate is ignored
     return {}
 

@@ -361,25 +361,11 @@ def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
     return p._like(_contract_table(comps, p.coeffs), p.degree - 1, Multivector)
 
 
-def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm,
-                      m: int | None = None, r: int = 1) -> DifferentialForm:
-    """The operator i_{U_m} ... i_{U_r} (U_r applied first); 1-based slice bounds."""
-    if m is None:
-        m = len(fields)
-    if r < 1 or m > len(fields):
-        raise ValueError("contraction slice out of range")
-    for l in range(r, m + 1):
-        a = contract(fields[l - 1], a)
+def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm) -> DifferentialForm:
+    """The operator i_{U_m} ... i_{U_1} for fields U_1..U_m (U_1 applied first)."""
+    for x in fields:
+        a = contract(x, a)
     return a
-
-
-def evaluate_multivector(p: Multivector, covectors: Sequence[DifferentialForm]) -> Polynomial:
-    """Full contraction p(a_1, ..., a_k) as a Polynomial (i_{a_k}...i_{a_1} p)."""
-    if len(covectors) != p.degree:
-        raise ValueError("need exactly degree-many covectors")
-    for alpha in covectors:
-        p = contract_covector(alpha, p)
-    return p.scalar()
 
 
 class Minors:

@@ -35,16 +35,8 @@ from .algebroid import (
     run_oracle,
 )
 from .errors import AlgebroidError, CrossCheckError
-from .forms import (
-    DifferentialForm,
-    VectorField,
-    as_vector_field,
-    contract,
-    exterior_derivative,
-    lie_derivative,
-    linear_combination,
-)
-from .linforms import BundleForms, form_frame_functional, linear_form, total_chart_of
+from .forms import DifferentialForm, contract, exterior_derivative, linear_combination
+from .linforms import BundleForms, form_frame_functional
 from .poly import Chart, Polynomial
 
 
@@ -277,36 +269,28 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
     return im
 
 
-def im_routes(im: IMForm, k: int, form: DifferentialForm | None = None) -> dict:
+def im_routes(im: IMForm) -> dict:
     """The two routes of the main equivalence, for `run_oracle`.
 
-    Route one is `check_im_form`; route two takes the linear form of the
-    candidate, evaluates its fiberwise functional on the tangent prolongation
-    frame and checks the morphism condition there.  `form` is that linear
-    form when the caller already holds it, as Weil mode does (its candidate
-    is the linear form and `im.forms` its decomposition); otherwise the
-    route builds it from `im.forms`.
+    Route one is `check_im_form`; route two evaluates the fiberwise
+    functional of the candidate's linear form on the tangent prolongation
+    frame and checks the morphism condition there.
     """
-    if k != im.k:
-        raise AlgebroidError(f"candidate has k={im.k}, oracle called with k={k}")
-    A = im.algebroid
-
     def morphism() -> CheckReport:
-        linear = form if form is not None else linear_form(im.forms, total_chart_of(A))
-        functional = form_frame_functional(linear, A, k, im.forms)
+        functional = form_frame_functional(im)
         return check_morphism_to_line(functional.algebroid, functional)
 
     return {"im_conditions": lambda: check_im_form(im), "morphism": morphism}
 
 
-def oracle_equivalence(im: IMForm, k: int) -> tuple:
+def oracle_equivalence(im: IMForm) -> tuple:
     """Both verdicts of the main equivalence: (IM conditions, morphism).
 
     The routes are those of `im_routes`, both gated on the algebroid axioms.
     The theorem makes the booleans equal; inequality raises
     OracleDisagreement (a defect in one of two independent paths).
     """
-    verdicts = run_oracle(im.algebroid, im_routes(im, k)).verdicts
+    verdicts = run_oracle(im.algebroid, im_routes(im)).verdicts
     return verdicts["im_conditions"], verdicts["morphism"]
 
 
@@ -342,12 +326,12 @@ def dirac_candidate(im: IMForm) -> DiracCandidate:
     )
 
 
-def default_sample_points(chart: Chart, extra: int = 10, seed: int = 2024):
-    """The integer grid {-1,0,1}^dim plus `extra` seeded random rational points."""
+def default_sample_points(chart: Chart):
+    """The integer grid {-1,0,1}^dim plus 10 seeded random rational points."""
     names = chart.names
     points = [dict(zip(names, combo)) for combo in product((-1, 0, 1), repeat=len(names))]
-    rng = random.Random(seed)
-    for _ in range(extra):
+    rng = random.Random(2024)
+    for _ in range(10):
         points.append({n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in names})
     return points
 
@@ -409,66 +393,3 @@ def check_lagrangian(candidate: DiracCandidate, sample_points=None) -> CheckRepo
                 Polynomial.const(chart, rank - n)))
     notes.append(f"rank checked at {len(points)} sample points")
     return CheckReport.collect(violations, notes)
-
-
-def twisted_bracket(candidate: DiracCandidate, u_coeffs: Sequence[Polynomial],
-                    v_coeffs: Sequence[Polynomial]) -> tuple:
-    """Bracket of two sections of the generator span, given by coefficients.
-
-    Returns the pair (vector part, covector part) of
-    ([X, Y], L_X beta - i_Y d alpha - i_Y twist(X, alpha)) where (X, alpha)
-    and (Y, beta) are the coefficient combinations of the generators and the
-    twist is extended by linearity over the coefficients.
-    """
-    A = candidate.algebroid
-    chart = A.base_chart
-
-    def combine(coeffs):
-        vec = VectorField(chart)
-        cov = DifferentialForm(chart, 1)
-        twist = DifferentialForm(chart, 2)
-        for g, x, al, tw in zip(coeffs, candidate.vectors, candidate.covectors,
-                                candidate.twists):
-            vec = vec + x.scale(g)
-            cov = cov + al.scale(g)
-            twist = twist + tw.scale(g)
-        return vec, cov, twist
-
-    x_vec, alpha, twist_u = combine(u_coeffs)
-    y_vec, beta, _ = combine(v_coeffs)
-    bracket_vec = lie_derivative(x_vec, y_vec)
-    bracket_cov = (lie_derivative(x_vec, beta)
-                   - contract(y_vec, exterior_derivative(alpha))
-                   - contract(y_vec, twist_u))
-    return bracket_vec, bracket_cov
-
-
-def graph_closure_residuals(candidate: DiracCandidate):
-    """Span-closure defects for graph-of-bivector candidates, symbolically.
-
-    Requires the covector generators to be exactly the coordinate 1-forms (so
-    membership coefficients are read off the covector part); yields, per frame
-    pair, the vector field by which the bracket pair leaves the span.  The
-    residuals vanish for all pairs iff the span is closed.
-    """
-    A = candidate.algebroid
-    chart = A.base_chart
-    n = chart.dim
-    if candidate.rank != n:
-        raise AlgebroidError("graph closure needs rank = dim")
-    one = Polynomial.const(chart, 1)
-    for a in range(n):
-        expected = DifferentialForm(chart, 1, {(a,): one})
-        if candidate.covectors[a] != expected:
-            raise AlgebroidError("graph closure needs coordinate-form covector generators")
-    zero = Polynomial.zero(chart)
-    for a in range(n):
-        for b in range(a + 1, n):
-            coeffs_a = [one if c == a else zero for c in range(n)]
-            coeffs_b = [one if c == b else zero for c in range(n)]
-            z_vec, gamma = twisted_bracket(candidate, coeffs_a, coeffs_b)
-            # membership forces the coefficients gamma_c; subtract their span
-            residual = z_vec
-            for c in range(n):
-                residual = residual - candidate.vectors[c].scale(gamma.coeff((c,)))
-            yield (a, b), as_vector_field(residual)

@@ -23,15 +23,13 @@ vectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from .algebroid import (
     FiberFunctional,
     LieAlgebroid,
     core_frame_name,
     linear_frame_name,
-    tangent_copy_name,
     tangent_prolongation,
 )
 from .errors import AlgebroidError, CrossCheckError
@@ -45,6 +43,9 @@ from .forms import (
     iterated_contract,
 )
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER
+
+if TYPE_CHECKING:  # imforms imports this module
+    from .imforms import IMForm
 
 
 class NotLinearError(ValueError):
@@ -80,11 +81,11 @@ class TotalChart:
                 yield d, self.at_zero(part)
 
 
-def total_chart(base: Chart, frame_names: Sequence[str], prefix: str = "u") -> TotalChart:
-    """Total-space chart with fiber coordinates prefix1..prefixR."""
+def total_chart(base: Chart, frame_names: Sequence[str]) -> TotalChart:
+    """Total-space chart with fiber coordinates u1..uR."""
     frame_names = tuple(frame_names)
-    fiber = tuple(f"{prefix}{d + 1}" for d in range(len(frame_names)))
-    chart = Chart(f"{base.name}|{prefix}",
+    fiber = tuple(f"u{d + 1}" for d in range(len(frame_names)))
+    chart = Chart(f"{base.name}|u",
                   base.coords + tuple(Coord(n, ROLE_FIBER) for n in fiber))
     return TotalChart(chart, base, frame_names, fiber)
 
@@ -251,88 +252,23 @@ def tangent_lift(alpha: DifferentialForm, base: Chart) -> DifferentialForm:
     return lifted if lifted is not None else DifferentialForm(tangent_total_chart(base).chart, 0)
 
 
-def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
-                                     sample: Mapping) -> Fraction:
-    """Difference of the two characterizations of the tangent lift at a point.
-
-    Side one contracts the lifted form with k tangent vectors of the tangent
-    space; side two differentiates the induced function of the base form on
-    the k-fold tangent sum and precomposes with the canonical involution
-    swap (x, xdot, dx, dxdot) -> (x, dx, xdot, dxdot).  `sample` assigns
-    rationals to x[name], xdot[name], dx[l][name], dxdot[l][name].
-
-    Both sides are polynomials of total degree at most deg(alpha
-    coefficients) + k + 1 in the sampled values, so by the Schwartz-Zippel
-    bound a random rational sample from an N-point set per coordinate catches
-    a nonzero difference with probability at least 1 - degree/N; the suite
-    draws 20 independent samples with N about 2e6, making the miss
-    probability below (degree/N)^20 per case.
-    """
-    k = alpha.degree
-    names = base.names
-    x = {n: Fraction(sample["x"][n]) for n in names}
-    xdot = {n: Fraction(sample["xdot"][n]) for n in names}
-    dx = [dict(sample["dx"][l]) for l in range(k)]
-    dxdot = [dict(sample["dxdot"][l]) for l in range(k)]
-
-    tc = tangent_total_chart(base)
-    lifted = tangent_lift(alpha, base)
-    point = dict(x)
-    point.update({f"{n}_dot": xdot[n] for n in names})
-    # the l-th tangent vector of the tangent space has components dx[l]
-    # along the base and dxdot[l] along the dotted coordinates
-    rows = [{i: Polynomial.const(tc.chart, dxdot[l][name[:-4]] if name.endswith("_dot")
-                                 else dx[l][name])
-             for i, name in enumerate(tc.chart.names)} for l in range(k)]
-    lhs = Minors(rows, tc.chart).contract(lifted.coeffs, tuple(range(k))).eval(point)
-
-    sum_chart = Chart(f"{base.name}|sum{k}", tuple(
-        list(base.coords)
-        + [Coord(tangent_copy_name(n, l + 1), ROLE_FIBER) for l in range(k) for n in names]))
-    taut = [VectorField(sum_chart, {
-        (sum_chart.index(n),): Polynomial.variable(sum_chart, tangent_copy_name(n, l + 1))
-        for n in names})
-        for l in range(k)]
-    induced = iterated_contract(taut, alpha.promote(sum_chart)).scalar()
-    base_point = dict(x)
-    for l in range(k):
-        for n in names:
-            base_point[tangent_copy_name(n, l + 1)] = Fraction(dx[l][n])
-    rhs = Fraction(0)
-    for n in names:
-        rhs += induced.diff(n).eval(base_point) * xdot[n]
-    for l in range(k):
-        for n in names:
-            rhs += induced.diff(tangent_copy_name(n, l + 1)).eval(base_point) \
-                * Fraction(dxdot[l][n])
-    return lhs - rhs
-
-
 # ---------------------------------------------------------------------------
 # frame values on the tangent prolongation
 # ---------------------------------------------------------------------------
 
-def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: int,
-                          bundle_forms: BundleForms | None = None) -> FiberFunctional:
-    """Values of the induced fiberwise-linear functional on the distinguished
-    frame of the k-fold tangent prolongation, which it builds and attaches.
+def form_frame_functional(im: IMForm) -> FiberFunctional:
+    """Values of the induced fiberwise-linear functional of the candidate
+    `im` on the distinguished frame of the k-fold tangent prolongation,
+    which it builds and attaches.
 
     Core value (a, n): (-1)^(n-1) times mu(e_a) contracted with every
     tautological dotted field except the n-th; linear value a: d mu(e_a) +
-    nu(e_a) contracted with all of them.  (mu, nu) is `bundle_forms` when
-    the caller already holds the decomposition of `form`, else
-    `decompose(form)`.  The same values are recomputed by contracting the
-    form directly against the explicit coordinate tangent vectors of the
-    frame sections; disagreement raises CrossCheckError, also when
-    `bundle_forms` is not the decomposition of `form`.
+    nu(e_a) contracted with all of them, (mu, nu) being `im.forms`.  The
+    same values are recomputed by contracting the linear form of `im.forms`
+    directly against the explicit coordinate tangent vectors of the frame
+    sections; disagreement raises CrossCheckError.
     """
-    tc = total_chart_of(algebroid)
-    if form.chart != tc.chart:
-        raise ChartError("form must live on the algebroid's total chart")
-    if form.degree != k:
-        raise AlgebroidError(f"form degree {form.degree} does not match k={k}")
-    if bundle_forms is None:
-        bundle_forms = decompose(form, tc)
+    algebroid, bundle_forms, k = im.algebroid, im.forms, im.k
     prol = tangent_prolongation(algebroid, k)
     chart = prol.base_chart
 
@@ -345,29 +281,30 @@ def form_frame_functional(form: DifferentialForm, algebroid: LieAlgebroid, k: in
     for a, frame in enumerate(algebroid.frame_names):
         mu_a = bundle_forms.mu[a].promote(chart)
         for n in range(1, k + 1):
-            fields = taut[:n - 1] + taut[n:]
-            val = iterated_contract(fields, mu_a).scalar()
+            val = iterated_contract(taut[:n - 1] + taut[n:], mu_a).scalar()
             if (n - 1) % 2:
                 val = -val
             values[core_frame_name(frame, n)] = val
         full = exterior_derivative(bundle_forms.mu[a]) + bundle_forms.nu[a]
         values[linear_frame_name(frame)] = iterated_contract(taut, full.promote(chart)).scalar()
 
-    _cross_check_form_values(form, algebroid, k, tc, prol, values)
+    _cross_check_form_values(im, prol, values)
     return FiberFunctional(prol, values)
 
 
-def _cross_check_form_values(form, algebroid, k, tc, prol, values) -> None:
-    """Contract the form against the explicit frame tangent vectors: the
-    dotted rows, the n-th of them also moving one unit along the fiber of
-    e_a for the core value (a, n)."""
+def _cross_check_form_values(im, prol, values) -> None:
+    """Contract the linear form of `im` against the explicit frame tangent
+    vectors: the dotted rows, the n-th of them also moving one unit along
+    the fiber of e_a for the core value (a, n)."""
+    algebroid, k = im.algebroid, im.k
+    tc = total_chart_of(algebroid)
     fiber_pos = tc.fiber_positions()
     chart = prol.base_chart
     dotted = Minors([{tc.chart.index(n): y[i] for i, n in enumerate(algebroid.base_chart.names)}
                      for y in prol._copy_layout.variables(chart)], chart)
     cores = [(core_frame_name(frame, n), (n - 1, fiber_pos[a]))
              for a, frame in enumerate(algebroid.frame_names) for n in range(1, k + 1)]
-    cross_check_frame_values(form, tc, dotted, cores,
+    cross_check_frame_values(linear_form(im.forms, tc), tc, dotted, cores,
                              [linear_frame_name(f) for f in algebroid.frame_names], values)
 
 

@@ -29,7 +29,6 @@ from .algebroid import (
     dual_core_frame_name,
     dual_linear_frame_name,
     run_oracle,
-    section_bracket,
 )
 from .errors import AlgebroidError
 from .forms import Minors, Multivector, graded_bracket
@@ -99,9 +98,8 @@ class LinearMultivector:
         return Multivector(chart, self.k, table)
 
     @classmethod
-    def from_multivector(cls, p: Multivector, algebroid: LieAlgebroid,
-                         tc: TotalChart | None = None) -> "LinearMultivector":
-        tc = tc if tc is not None else total_chart_of(algebroid)
+    def from_multivector(cls, p: Multivector, algebroid: LieAlgebroid) -> "LinearMultivector":
+        tc = total_chart_of(algebroid)
         if not is_linear_multivector(p, tc):
             raise AlgebroidError("multivector does not have the linear shape")
         pos_to_frame = {pos: d for d, pos in enumerate(tc.fiber_positions())}
@@ -218,14 +216,7 @@ def linear_from_derivation(d: Derivation) -> LinearMultivector:
     return LinearMultivector(A, d.k, fiber, mixed)
 
 
-def gerstenhaber_bracket(algebroid: LieAlgebroid, u: Section, v: Section) -> Section:
-    """The bracket on wedge powers of sections (see `section_bracket`)."""
-    if u.algebroid != algebroid or v.algebroid != algebroid:
-        raise AlgebroidError("sections do not belong to the given algebroid")
-    return section_bracket(u, v)
-
-
-def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> CheckReport:
+def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     """The reduced generator conditions for being a bracket derivation.
 
     R1 over base-coordinate pairs i < j, R2 over all (coordinate, frame)
@@ -238,9 +229,7 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
     call; an entry holds its polynomial, which keeps the id in its key unique
     while the table lives.
     """
-    A = algebroid
-    if d.algebroid != A:
-        raise AlgebroidError("derivation attached to a different algebroid")
+    A = d.algebroid
     violations = list(axiom_gate(A))
     notes = []
     if violations:
@@ -304,8 +293,7 @@ def check_gerstenhaber_derivation(algebroid: LieAlgebroid, d: Derivation) -> Che
 # frame values on the cotangent prolongation
 # ---------------------------------------------------------------------------
 
-def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid,
-                                 k: int) -> FiberFunctional:
+def multivector_frame_functional(p: LinearMultivector) -> FiberFunctional:
     """Values of the induced fiberwise functional on the frame of the k-fold
     cotangent prolongation, which it builds and attaches.
 
@@ -315,11 +303,7 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid,
     against direct contraction of the multivector with the explicit frame
     covectors; disagreement raises CrossCheckError.
     """
-    if p.k != k:
-        raise AlgebroidError(f"candidate has k={p.k}, called with k={k}")
-    A = algebroid
-    if p.algebroid != A:
-        raise AlgebroidError("candidate attached to a different algebroid")
+    A, k = p.algebroid, p.k
     d = derivation_from_linear(p)
     prol = cotangent_prolongation(A, k)
     chart = prol.base_chart
@@ -342,15 +326,15 @@ def multivector_frame_functional(p: LinearMultivector, algebroid: LieAlgebroid,
     for a, name in enumerate(A.frame_names):
         values[dual_linear_frame_name(name)] = -pairing(d.frame_action(a), tuple(range(k)))
 
-    _cross_check_multivector_values(p, A, k, prol, values)
+    _cross_check_multivector_values(p, prol, values)
     return FiberFunctional(prol, values)
 
 
-def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
+def _cross_check_multivector_values(p, prol, values) -> None:
     """Contract the multivector against the explicit frame covectors: the
     dual rows, the m-th of them also with a unit dx_j component for the core
     value (j, m)."""
-    A = algebroid
+    A, k = p.algebroid, p.k
     tc = total_chart_of(A)
     chart = prol.base_chart
     fiber_pos = tc.fiber_positions()
@@ -362,7 +346,7 @@ def _cross_check_multivector_values(p, algebroid, k, prol, values) -> None:
                              [dual_linear_frame_name(n) for n in A.frame_names], values)
 
 
-def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int) -> dict:
+def derivation_routes(p: LinearMultivector) -> dict:
     """The two routes of the dual equivalence, for `run_oracle`.
 
     Route one checks the reduced generator conditions of the derivation;
@@ -370,18 +354,18 @@ def derivation_routes(p: LinearMultivector, algebroid: LieAlgebroid, k: int) -> 
     cotangent prolongation.
     """
     def morphism() -> CheckReport:
-        functional = multivector_frame_functional(p, algebroid, k)
+        functional = multivector_frame_functional(p)
         return check_morphism_to_line(functional.algebroid, functional)
 
-    return {"derivation": lambda: check_gerstenhaber_derivation(algebroid, derivation_from_linear(p)),
+    return {"derivation": lambda: check_gerstenhaber_derivation(derivation_from_linear(p)),
             "morphism": morphism}
 
 
-def oracle_equivalence_dual(p: LinearMultivector, algebroid: LieAlgebroid, k: int) -> tuple:
+def oracle_equivalence_dual(p: LinearMultivector) -> tuple:
     """Both verdicts of the dual equivalence: (bracket derivation, morphism).
 
     The routes are those of `derivation_routes`, both gated on the algebroid
     axioms; they must agree, and disagreement raises OracleDisagreement.
     """
-    verdicts = run_oracle(algebroid, derivation_routes(p, algebroid, k)).verdicts
+    verdicts = run_oracle(p.algebroid, derivation_routes(p)).verdicts
     return verdicts["derivation"], verdicts["morphism"]

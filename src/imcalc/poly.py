@@ -19,10 +19,12 @@ raises `ChartError` instead of storing a monomial of the wrong coordinate.
 The parser checks a power against that limit, and against a budget on the
 number of terms it can expand to (`POWER_TERM_BUDGET`), before expanding it.
 It refuses a product whose factors have more term pairs than
-`PRODUCT_PAIR_BUDGET` before multiplying them, an integer literal of more
-than `LITERAL_DIGIT_LIMIT` digits before converting it, and a power ^N, N >= 2,
-of a rational or other one-term base whose coefficient would get a numerator
-or denominator of more than `LITERAL_DIGIT_LIMIT` digits.  It reads each
+`PRODUCT_PAIR_BUDGET` before multiplying them; a power of a sum, which it
+expands by N - 1 products by the base, when those products would multiply
+more term pairs than that in all; and an integer literal of more than
+`LITERAL_DIGIT_LIMIT` digits before converting it.  A power ^N, N >= 2, is
+refused when its coefficients could get a numerator or denominator of more
+than `LITERAL_DIGIT_LIMIT` digits (`_power_fits`).  It reads each
 expression as one list of tokens, and a term that is a rational times powers
 of coordinates becomes one (coefficient, packed key) pair, added straight
 into the expression's term map.
@@ -725,12 +727,12 @@ class _Parser:
                 raise self.error(f"unknown coordinate {tok!r}", i)
             key = 1 << self.chart._shifts[index]
             if tokens[self.i] == "^":
-                key *= self.exponent(1, 1, 1)
+                key *= self.exponent(1, (1,))
             return 1, key, None
         if first in _DIGITS or tok == "-":
             coeff = self.rational(tok)
             if tokens[self.i] == "^":
-                coeff **= self.exponent(0, 1 if coeff else 0, coeff)
+                coeff **= self.exponent(0, (coeff,) if coeff else ())
             return coeff, 0, None
         if tok == "(":
             inner = self.expr()
@@ -740,8 +742,14 @@ class _Parser:
             if tokens[self.i] == "^":
                 terms = inner._terms
                 top = max((max(self.chart.unpack(e), default=0) for e in terms), default=0)
-                single = next(iter(terms.values())) if len(terms) == 1 else None
-                inner = inner ** self.exponent(top, len(terms), single)
+                n = self.exponent(top, tuple(terms.values()))
+                if len(terms) < 2 or n == 0:
+                    inner = inner ** n
+                else:
+                    # n - 1 products by the base, the term pairs `exponent` bounds
+                    base = inner
+                    for _ in range(n - 1):
+                        inner = inner * base
             return None, None, inner
         raise self.error("expected rational, coordinate or '('", i)
 
@@ -774,14 +782,16 @@ class _Parser:
                 f"{LITERAL_DIGIT_LIMIT}", i)
         return int(digits)
 
-    def exponent(self, top: int, t: int, single) -> int:
+    def exponent(self, top: int, coeffs: tuple) -> int:
         """The exponent N of `base^N`, read from the token after the '^',
-        once the power is known to fit: N times the base's largest exponent
-        `top` (at least 1) is at most `EXPONENT_LIMIT`, the expansion of a
-        base of t terms has at most `POWER_TERM_BUDGET` terms, and for
-        N >= 2 the coefficient `single` of a one-term base, raised to N, has
-        at most `LITERAL_DIGIT_LIMIT` digits in its numerator and
-        denominator."""
+        once the power is known to fit.  The base has the largest exponent
+        `top` and the t nonzero coefficients `coeffs`.  N times `top` (at
+        least 1) is at most `EXPONENT_LIMIT`.  For t >= 2 the expansion has
+        at most `POWER_TERM_BUDGET` terms, and its N - 1 products by the
+        base multiply at most `PRODUCT_PAIR_BUDGET` term pairs in all: the
+        j-th multiplies at most t * C(j + t - 1, t - 1), so they sum to
+        t * (C(N + t - 1, t) - 1).  For N >= 2 the coefficients of the power
+        fit `_power_fits`."""
         self.i += 1
         i = self.i
         digits = self.tokens[i]
@@ -793,11 +803,18 @@ class _Parser:
         n = int(digits or "0") if len(digits) <= len(str(EXPONENT_LIMIT)) else EXPONENT_LIMIT + 1
         if n * max(top, 1) > EXPONENT_LIMIT:
             raise self.error(f"power exceeds the exponent limit {EXPONENT_LIMIT}", i)
-        if t > 1 and comb(n + t - 1, t - 1) > POWER_TERM_BUDGET:
-            raise self.error(
-                f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
-                f"above the budget of {POWER_TERM_BUDGET}", i)
-        if t == 1 and n > 1 and not _power_fits(single, n):
+        t = len(coeffs)
+        if t > 1:
+            if comb(n + t - 1, t - 1) > POWER_TERM_BUDGET:
+                raise self.error(
+                    f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
+                    f"above the budget of {POWER_TERM_BUDGET}", i)
+            pairs = t * (comb(n + t - 1, t) - 1)
+            if pairs > PRODUCT_PAIR_BUDGET:
+                raise self.error(
+                    f"power ^{n} of {t} terms multiplies {pairs} term pairs, "
+                    f"above the budget of {PRODUCT_PAIR_BUDGET}", i)
+        if n > 1 and not _power_fits(coeffs, n):
             raise self.error(
                 f"power ^{n} gives a coefficient of more than {LITERAL_DIGIT_LIMIT} digits", i)
         return n
@@ -809,15 +826,24 @@ def _monomial(chart: Chart, coeff, key: int) -> Polynomial:
     return _make(chart, {key: coeff} if coeff else {})
 
 
-def _power_fits(value, n: int) -> bool:
-    """Whether value^n, value an int or a Fraction, has at most
-    `LITERAL_DIGIT_LIMIT` digits in its numerator and in its denominator.
+def _power_fits(coeffs, n: int) -> bool:
+    """Whether the n-th power of a base with the coefficients `coeffs`
+    (ints or Fractions) keeps every numerator and denominator within
+    `LITERAL_DIGIT_LIMIT` digits, by a bound that holds for every base.
+
+    Write the base as (1/D) * sum a_i m_i, with integers a_i and the common
+    denominator D.  Each coefficient of the power is an integer of absolute
+    value at most S^n, S = sum |a_i|, over D^n; so the power fits when S^n
+    and D^n have at most that many digits.  On a one-term base a/D in lowest
+    terms, these are the numerator and denominator of its power.
 
     A part a of b bits has 2^(n(b-1)) <= a^n < 2^(nb), and 2^(3L) < 10^L
     for the limit L, so the bit lengths settle it except in a narrow band,
     where a^n is computed: under 2^(n + bits of 10^L).
     """
-    for a in (abs(value.numerator), value.denominator):
+    den = lcm(*(c.denominator for c in coeffs))
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    for a in (total, den):
         b = a.bit_length()
         if n * b > 3 * LITERAL_DIGIT_LIMIT:
             bound = 10 ** LITERAL_DIGIT_LIMIT

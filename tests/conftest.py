@@ -9,7 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, gcd
 from typing import Mapping, Sequence
 
 import pytest
@@ -452,8 +452,12 @@ def _literal(digits: str, offset: int) -> int:
 
 def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
     """The exponent N of `base^N`, once the power is known to fit: N times
-    the base's largest exponent (at least 1) is at most `EXPONENT_LIMIT`,
-    and the expansion has at most `POWER_TERM_BUDGET` terms."""
+    the base's largest exponent (at least 1) is at most `EXPONENT_LIMIT`;
+    for a base of t >= 2 terms the expansion has at most
+    `POWER_TERM_BUDGET` terms, and its N - 1 products by the base at most
+    `PRODUCT_PAIR_BUDGET` term pairs; and for N >= 2, with the base written
+    as (1/D) * sum a_i m_i over integers a_i, neither (sum |a_i|)^N nor D^N
+    has more than `LITERAL_DIGIT_LIMIT` digits."""
     top = max((max(base.chart.unpack(e), default=0) for e in base._terms), default=0)
     digits = digits.lstrip("0")
     # a longer digit string is above the limit, and int() refuses very long ones
@@ -465,4 +469,23 @@ def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
         raise ParseError(
             f"power ^{n} of {t} terms may expand to {comb(n + t - 1, t - 1)} terms, "
             f"above the budget of {POWER_TERM_BUDGET}", offset)
+    if t > 1:
+        # the j-th product multiplies base^j, of at most C(j + t - 1, t - 1)
+        # terms, by the t terms of the base
+        pairs = sum(t * comb(j + t - 1, t - 1) for j in range(1, n))
+        if pairs > PRODUCT_PAIR_BUDGET:
+            raise ParseError(
+                f"power ^{n} of {t} terms multiplies {pairs} term pairs, "
+                f"above the budget of {PRODUCT_PAIR_BUDGET}", offset)
+    den = 1
+    for c in base._terms.values():
+        den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)
+    total = sum(abs(Fraction(c) * den) for c in base._terms.values())
+    bound = 10 ** LITERAL_DIGIT_LIMIT
+    for part in (int(total), den):
+        # part^N >= 2^(N * (bits - 1)), so a long part is refused uncomputed
+        if n > 1 and (n * (part.bit_length() - 1) >= bound.bit_length() or part ** n >= bound):
+            raise ParseError(
+                f"power ^{n} gives a coefficient of more than {LITERAL_DIGIT_LIMIT} digits",
+                offset)
     return n

@@ -46,7 +46,6 @@ from imcalc.linforms import (
     fiber_pairing_form,
     linear_form,
     tangent_lift,
-    tangent_lift_involution_residual,
     total_chart,
     total_chart_of,
 )
@@ -63,6 +62,7 @@ from imcalc.weil import (
     linear_form_to_cochain,
     vertical_differential,
 )
+from support import tangent_lift_involution_residual
 from test_forms import (
     check_cartan_identity,
     check_commutator_identity,
@@ -129,10 +129,10 @@ def test_criterion_04_main_theorem_oracle():
         tuple(DifferentialForm(chart, 1, {(a,): one}) for a in range(2)),
         (DifferentialForm(chart, 2, {(0, 1): parse("x1", chart)}),
          DifferentialForm(chart, 2))))
-    assert oracle_equivalence(f4_candidate, 2) == (True, True)
-    assert oracle_equivalence(poisson_im_form(), 2) == (True, True)
-    assert oracle_equivalence(exact_im_form(), 2) == (True, True)
-    assert oracle_equivalence(broken_poisson_im_form(), 2) == (False, False)
+    assert oracle_equivalence(f4_candidate) == (True, True)
+    assert oracle_equivalence(poisson_im_form()) == (True, True)
+    assert oracle_equivalence(exact_im_form()) == (True, True)
+    assert oracle_equivalence(broken_poisson_im_form()) == (False, False)
 
     rng = random.Random(104)
     fixtures = passing_fixtures()
@@ -150,7 +150,7 @@ def test_criterion_04_main_theorem_oracle():
                 tuple(rnd_form(rng, algebroid.base_chart, k, max_deg=1)
                       for _ in range(algebroid.rank)))
             im = IMForm(algebroid, bf)
-        verdicts = oracle_equivalence(im, k)  # raises on disagreement
+        verdicts = oracle_equivalence(im)  # raises on disagreement
         assert verdicts[0] == verdicts[1]
         outcomes[verdicts[0]] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
@@ -258,13 +258,13 @@ def test_criterion_08_dual_theorem_oracle():
     cob = Derivation(so3, 2, {}, {
         so3.frame_names[a]: section_bracket(Section.frame(so3, a), r)
         for a in range(3)})
-    assert oracle_equivalence_dual(linear_from_derivation(cob), so3, 2) == (True, True)
+    assert oracle_equivalence_dual(linear_from_derivation(cob)) == (True, True)
     bad = Derivation(so3, 2, {}, {
         so3.frame_names[0]: Section(so3, 2, {(0, 1): one}),
         so3.frame_names[1]: Section.zero(so3, 2),
         so3.frame_names[2]: Section.zero(so3, 2)})
-    assert oracle_equivalence_dual(linear_from_derivation(bad), so3, 2) == (False, False)
-    assert oracle_equivalence_dual(LinearMultivector(so3, 2, {}, {}), so3, 2) == \
+    assert oracle_equivalence_dual(linear_from_derivation(bad)) == (False, False)
+    assert oracle_equivalence_dual(LinearMultivector(so3, 2, {}, {})) == \
         (True, True)
 
     rng = random.Random(108)
@@ -279,7 +279,7 @@ def test_criterion_08_dual_theorem_oracle():
             p = linear_from_derivation(coboundary_derivation(rng, algebroid, k))
         else:
             p = rnd_linear_multivector(rng, algebroid, k)
-        verdicts = oracle_equivalence_dual(p, algebroid, k)
+        verdicts = oracle_equivalence_dual(p)
         assert verdicts[0] == verdicts[1]
         outcomes[verdicts[0]] += 1
     assert outcomes[True] >= 10 and outcomes[False] >= 10
@@ -296,7 +296,7 @@ def test_criterion_09_weil_triple_agreement():
         im_ok = check_im_form(im).passed
         dh_ok = horizontal_vanishing_report(
             cochain_from_bundle_forms(im.algebroid, bf)).passed
-        morph = oracle_equivalence(im, bf.k)
+        morph = oracle_equivalence(im)
         assert im_ok == dh_ok == morph[0] == morph[1]
 
     rng = random.Random(109)
@@ -319,7 +319,7 @@ def test_criterion_09_weil_triple_agreement():
         im_ok = check_im_form(im).passed
         dh_ok = horizontal_vanishing_report(
             cochain_from_bundle_forms(algebroid, bf)).passed
-        morph = oracle_equivalence(im, k)
+        morph = oracle_equivalence(im)
         assert im_ok == dh_ok == morph[0] == morph[1]
         agreements += 1
 

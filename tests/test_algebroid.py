@@ -44,8 +44,8 @@ from imcalc.fixtures import (
     trivial_cotangent_algebroid,
 )
 from imcalc.forms import VectorField
-from imcalc.imforms import im_form_from_base_form
-from imcalc.linforms import BundleForms, form_frame_functional, linear_form, total_chart_of
+from imcalc.imforms import IMForm, im_form_from_base_form
+from imcalc.linforms import BundleForms, form_frame_functional
 from imcalc.multivec import linear_from_derivation, multivector_frame_functional
 from imcalc.poly import Polynomial, base_chart, parse
 
@@ -84,28 +84,28 @@ def test_broken_koszul_fails_anchor_condition():
 def test_bracket_examples():
     so3 = so3_algebroid()
     e1, e2 = Section.frame(so3, 0), Section.frame(so3, 1)
-    assert bracket_sections(so3, e1, e2) == Section.frame(so3, 2)
+    assert bracket_sections(e1, e2) == Section.frame(so3, 2)
     tangent = tangent_algebroid()
     x1 = parse("x1", tangent.base_chart)
     u = Section.frame(tangent, 0)
     v = Section.from_components(tangent, [Polynomial.zero(tangent.base_chart), x1])
-    assert bracket_sections(tangent, u, v) == Section.frame(tangent, 1)
+    assert bracket_sections(u, v) == Section.frame(tangent, 1)
 
 
 def test_bracket_antisymmetry_random(rng):
     for _ in range(15):
         algebroid = rnd_algebroid(rng)
         u = rnd_section(rng, algebroid, 1)
-        assert bracket_sections(algebroid, u, u).is_zero()
+        assert bracket_sections(u, u).is_zero()
 
 
 def test_bracket_jacobi_random(rng):
     for _ in range(12):
         algebroid = rnd_algebroid(rng)
         u, v, w = (rnd_section(rng, algebroid, 1) for _ in range(3))
-        jac = (bracket_sections(algebroid, u, bracket_sections(algebroid, v, w))
-               + bracket_sections(algebroid, v, bracket_sections(algebroid, w, u))
-               + bracket_sections(algebroid, w, bracket_sections(algebroid, u, v)))
+        jac = (bracket_sections(u, bracket_sections(v, w))
+               + bracket_sections(v, bracket_sections(w, u))
+               + bracket_sections(w, bracket_sections(u, v)))
         assert jac.is_zero()
 
 
@@ -114,18 +114,18 @@ def test_engine_matches_explicit_bracket(rng):
         algebroid = rnd_algebroid(rng)
         u = rnd_section(rng, algebroid, 1)
         v = rnd_section(rng, algebroid, 1)
-        assert section_bracket(u, v) == bracket_sections(algebroid, u, v)
+        assert section_bracket(u, v) == bracket_sections(u, v)
 
 
 def test_anchor_examples():
     koszul = koszul_so3_algebroid()
-    field = anchor_apply(koszul, Section.frame(koszul, 0))
+    field = anchor_apply(Section.frame(koszul, 0))
     chart = koszul.base_chart
     assert field == VectorField(chart, {(1,): parse("x3", chart),
                                         (2,): parse("-1*x2", chart)})
-    assert anchor_apply(koszul, Section.zero(koszul, 1)).is_zero()
+    assert anchor_apply(Section.zero(koszul, 1)).is_zero()
     tangent = tangent_algebroid()
-    assert anchor_apply(tangent, Section.frame(tangent, 0)) == \
+    assert anchor_apply(Section.frame(tangent, 0)) == \
         VectorField.coordinate(tangent.base_chart, "x1")
 
 
@@ -323,7 +323,7 @@ def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
     chart = algebroid.base_chart
     u = Section.from_components(algebroid, u_coeffs)
     v = Section.from_components(algebroid, v_coeffs)
-    w = bracket_sections(algebroid, u, v)
+    w = bracket_sections(u, v)
     value_w = Polynomial.zero(chart)
     for (c,), coeff in w.coeffs.items():
         value_w = value_w + coeff * functional.value(c)
@@ -333,8 +333,8 @@ def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
     value_v = Polynomial.zero(chart)
     for (c,), coeff in v.coeffs.items():
         value_v = value_v + coeff * functional.value(c)
-    rho_u = anchor_apply(algebroid, u)
-    rho_v = anchor_apply(algebroid, v)
+    rho_u = anchor_apply(u)
+    rho_v = anchor_apply(v)
     return value_w - rho_u.apply(value_v) + rho_v.apply(value_u)
 
 
@@ -401,8 +401,7 @@ def form_functional(rng, algebroid, k, kind):
             mu = bundle_forms.mu
             bundle_forms = BundleForms(k, (mu[0] + rnd_form(rng, chart, k - 1),) + mu[1:],
                                        bundle_forms.nu)
-    form = linear_form(bundle_forms, total_chart_of(algebroid))
-    return form_frame_functional(form, algebroid, k, bundle_forms)
+    return form_frame_functional(IMForm(algebroid, bundle_forms))
 
 
 def multivector_functional(rng, algebroid, k, kind):
@@ -411,7 +410,7 @@ def multivector_functional(rng, algebroid, k, kind):
         p = linear_from_derivation(coboundary_derivation(rng, algebroid, k))
     else:
         p = rnd_linear_multivector(rng, algebroid, k)
-    return multivector_frame_functional(p, algebroid, k)
+    return multivector_frame_functional(p)
 
 
 FUNCTIONALS = [(form_functional, kind) for kind in ("exact", "broken", "random")]

@@ -320,6 +320,14 @@ OVER_INPUT_LIMITS = {
     "long_literal": (["anchor", 0, 0], "1" * 5000, "5000 digits"),
     "rational_power": (["anchor", 0, 0], "9" * 200 + "^32767*x1",
                        "coefficient of more than 4300 digits (at byte 201)"),
+    # a power of a sum is refused at its exponent by the term pairs of its
+    # N - 1 products, or by the digits its coefficients could reach
+    "power_of_sum_pairs": (["anchor", 0, 0], "(x1+x2+1)^190",
+                           "term pairs, above the budget of 250000 (at byte 10)"),
+    "binomial_power_pairs": (["anchor", 0, 0], "(x1+1)^2000",
+                             "term pairs, above the budget of 250000 (at byte 7)"),
+    "power_of_sum_digits": (["anchor", 0, 0], f"({'9' * LITERAL_DIGIT_LIMIT}*x1+1)^2",
+                            "coefficient of more than 4300 digits (at byte 4308)"),
     # the grammar's digits are ASCII: a superscript or Arabic-Indic digit is
     # an unexpected character at its own offset
     "superscript_exponent": (["anchor", 0, 0], "x1^\u00b2",
@@ -546,11 +554,11 @@ def test_oracle_disagreement_exits_3_with_report(failing_morphism, name):
 
 def test_library_oracles_raise_on_disagreement(failing_morphism):
     with pytest.raises(OracleDisagreement):
-        oracle_equivalence(poisson_im_form(), 2)
+        oracle_equivalence(poisson_im_form())
     doc = json.loads((CORPUS / "so3_coboundary_mv2.json").read_text())
     algebroid = load_algebroid(doc)
     with pytest.raises(OracleDisagreement):
-        oracle_equivalence_dual(load_candidate(doc, algebroid), algebroid, 2)
+        oracle_equivalence_dual(load_candidate(doc, algebroid))
 
 
 # What the wrapper that an installer writes for a console script does: load

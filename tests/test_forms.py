@@ -253,14 +253,14 @@ def _acc(total: DifferentialForm, term: DifferentialForm) -> DifferentialForm:
 def check_cartan_identity(rng, chart, m, deg) -> None:
     fields = [rnd_vector_field(rng, chart, max_deg=2) for _ in range(m)]
     alpha = rnd_form(rng, chart, deg, max_deg=2)
-    lhs = iterated_contract(fields, exterior_derivative(alpha), m, 1)
+    lhs = iterated_contract(fields, exterior_derivative(alpha))
     rhs = DifferentialForm(chart, lhs.degree)
     for l in range(1, m + 1):
-        inner = iterated_contract(fields, alpha, l - 1, 1)
+        inner = iterated_contract(fields[:l - 1], alpha)
         inner = lie_derivative(fields[l - 1], inner)
-        inner = iterated_contract(fields, inner, m, l + 1)
+        inner = iterated_contract(fields[l:], inner)
         rhs = _acc(rhs, inner if (l + 1) % 2 == 0 else -inner)
-    tail = exterior_derivative(iterated_contract(fields, alpha, m, 1))
+    tail = exterior_derivative(iterated_contract(fields, alpha))
     rhs = _acc(rhs, tail if m % 2 == 0 else -tail)
     assert lhs == rhs
 
@@ -269,13 +269,13 @@ def check_commutator_identity(rng, chart, m, deg) -> None:
     fields = [rnd_vector_field(rng, chart, max_deg=2) for _ in range(m)]
     x = rnd_vector_field(rng, chart, max_deg=2)
     alpha = rnd_form(rng, chart, deg, max_deg=2)
-    lhs = lie_derivative(x, iterated_contract(fields, alpha, m, 1))
-    rhs = iterated_contract(fields, lie_derivative(x, alpha), m, 1)
+    lhs = lie_derivative(x, iterated_contract(fields, alpha))
+    rhs = iterated_contract(fields, lie_derivative(x, alpha))
     for l in range(1, m + 1):
         bracket = as_vector_field(schouten(x, fields[l - 1]))
-        inner = iterated_contract(fields, alpha, l - 1, 1)
+        inner = iterated_contract(fields[:l - 1], alpha)
         inner = contract(bracket, inner)
-        rhs = _acc(rhs, iterated_contract(fields, inner, m, l + 1))
+        rhs = _acc(rhs, iterated_contract(fields[l:], inner))
     assert lhs == rhs
 
 
@@ -284,14 +284,14 @@ def check_function_factor_identity(rng, chart, m, deg) -> None:
     f = rnd_poly(rng, chart, max_deg=2)
     df = exterior_derivative(DifferentialForm.function(f))
     alpha = rnd_form(rng, chart, deg, max_deg=2)
-    lhs = iterated_contract(fields, wedge(df, alpha), m, 1)
+    lhs = iterated_contract(fields, wedge(df, alpha))
     rhs = DifferentialForm(chart, lhs.degree)
     for l in range(1, m + 1):
         factor = fields[l - 1].apply(f)
-        inner = iterated_contract(fields, alpha, l - 1, 1)
-        inner = iterated_contract(fields, inner, m, l + 1).scale(factor)
+        inner = iterated_contract(fields[:l - 1], alpha)
+        inner = iterated_contract(fields[l:], inner).scale(factor)
         rhs = _acc(rhs, inner if (l + 1) % 2 == 0 else -inner)
-    tail = wedge(df, iterated_contract(fields, alpha, m, 1))
+    tail = wedge(df, iterated_contract(fields, alpha))
     rhs = _acc(rhs, tail if m % 2 == 0 else -tail)
     assert lhs == rhs
 
@@ -305,11 +305,6 @@ def test_operator_identities_sample(rng, checker):
         m = rng.randint(1, 3)
         deg = rng.randint(0, 3)
         checker(rng, ch4, m, deg)
-
-
-def test_iterated_contract_bounds():
-    with pytest.raises(ValueError):
-        iterated_contract([VectorField.coordinate(CH2, "x1")], dx(CH2, 0), m=2, r=1)
 
 
 def test_chart_mismatch_rejected():

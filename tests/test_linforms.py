@@ -19,6 +19,7 @@ from imcalc.forms import (
     exterior_derivative,
     wedge,
 )
+from imcalc.imforms import IMForm
 from imcalc.linforms import (
     BundleForms,
     NotLinearError,
@@ -30,12 +31,12 @@ from imcalc.linforms import (
     is_linear,
     linear_form,
     tangent_lift,
-    tangent_lift_involution_residual,
     tangent_total_chart,
     total_chart,
     total_chart_of,
 )
 from imcalc.poly import Polynomial, base_chart, parse
+from support import tangent_lift_involution_residual
 
 CH2 = base_chart("M", ["x1", "x2"])
 
@@ -273,7 +274,7 @@ def test_frame_values_pure_pairing_k1():
     chart = algebroid.base_chart
     nu = tuple(rnd_form(random.Random(3), chart, 1) for _ in range(2))
     form = fiber_pairing_form(nu, tc, 1)
-    functional = form_frame_functional(form, algebroid, 1)
+    functional = form_frame_functional(IMForm(algebroid, decompose(form, tc)))
     prol = functional.algebroid
     big = prol.base_chart
     for a, name in enumerate(algebroid.frame_names):
@@ -288,7 +289,7 @@ def test_frame_values_zero():
     algebroid = tangent_algebroid()
     tc = total_chart_of(algebroid)
     form = DifferentialForm(tc.chart, 2)
-    functional = form_frame_functional(form, algebroid, 2)
+    functional = form_frame_functional(IMForm(algebroid, decompose(form, tc)))
     assert all(p.is_zero() for p in functional.values.values())
 
 
@@ -296,31 +297,28 @@ def test_frame_values_dual_route_on_fixture():
     # the cross-check inside form_frame_functional recomputes every value by
     # direct contraction; surviving the call is the assertion
     im = exact_im_form()
-    form = linear_form(im.forms, total_chart_of(im.algebroid))
-    functional = form_frame_functional(form, im.algebroid, 2)
+    functional = form_frame_functional(im)
     assert set(functional.values) == set(functional.algebroid.frame_names)
 
 
 def test_frame_values_dual_route_random(rng):
     algebroid = koszul_so3_algebroid()
-    tc = total_chart_of(algebroid)
     chart = algebroid.base_chart
     for _ in range(12):
         k = rng.choice([1, 2, 3])
         bf = BundleForms(k,
                          tuple(rnd_form(rng, chart, k - 1) for _ in range(3)),
                          tuple(rnd_form(rng, chart, k) for _ in range(3)))
-        form_frame_functional(linear_form(bf, tc), algebroid, k)
+        form_frame_functional(IMForm(algebroid, bf))
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_form_cross_check_raises_on_each_wrong_value(rng, k):
     for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng)):
-        tc = total_chart_of(algebroid)
-        form = linear_form(rnd_bundle_forms(rng, algebroid, k), tc)
-        functional = form_frame_functional(form, algebroid, k)
+        im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
+        functional = form_frame_functional(im)
         prol = functional.algebroid
         for name, value in functional.values.items():
             wrong = {**functional.values, name: value + 1}
             with pytest.raises(CrossCheckError, match=f"on {re.escape(name)}$"):
-                _cross_check_form_values(form, algebroid, k, tc, prol, wrong)
+                _cross_check_form_values(im, prol, wrong)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -181,9 +182,10 @@ def test_literal_digit_limit():
 
 
 def test_rational_power_digit_limit():
-    """A power of a rational, or of another one-term base, is refused at its
-    exponent when its numerator or denominator would pass the literal digit
-    limit; the bit lengths decide at once, and only a power near the limit
+    """A power is refused at its exponent when its coefficients could pass
+    the literal digit limit: on a rational or another one-term base, its
+    numerator or denominator; on a sum (1/D) * sum a_i m_i, (sum |a_i|)^N or
+    D^N.  The bit lengths decide at once, and only a power near the limit
     is computed."""
     assert parse("2^14000", CH2) == Polynomial.const(CH2, 2 ** 14000)  # 4,215 digits
     assert parse("10^4299", CH2) == Polynomial.const(CH2, 10 ** 4299)  # 4,300 digits
@@ -193,12 +195,15 @@ def test_rational_power_digit_limit():
     assert parse("1^32767 + 0^32767 + (-1)^32767", CH2).is_zero()
     for text, offset in [("10^4300", 3), ("1/10^4300", 5), ("-2/3^9100", 5), ("(10)^4300", 5),
                          ("(10*x1)^ 4300", 9), ("9" * 200 + "^32767*x1", 201),
-                         ("x1 + (" + "9" * 4300 + ")^2", 4308)]:
+                         ("x1 + (" + "9" * 4300 + ")^2", 4308),
+                         ("(" + "9" * 4300 + "*x1+1)^2", 4308), ("(x1 + 2^14000)^2", 15),
+                         ("(1/" + "9" * 4300 + "*x1+1)^2", 4310)]:
         start = time.perf_counter()
         with pytest.raises(ParseError, match="coefficient of more than 4300 digits") as err:
             parse(text, CH2)
         assert err.value.offset == offset
         assert time.perf_counter() - start < 1
+        assert _outcome(reference_parse, text, CH2) == _outcome(parse, text, CH2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -208,7 +213,43 @@ def test_power_fits_matches_the_exact_power(num, den, n):
     value = Fraction(num, den)
     bound = 10 ** LITERAL_DIGIT_LIMIT
     exact = abs(value.numerator) ** n < bound and value.denominator ** n < bound
-    assert poly._power_fits(value, n) == exact
+    assert poly._power_fits((value,), n) == exact
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 4)
+                .filter(bool), min_size=2, max_size=6),
+       st.integers(min_value=2, max_value=3000))
+def test_power_fits_bounds_the_sum_of_numerators(coeffs, n):
+    """A base (1/D) * sum a_i m_i fits when (sum |a_i|)^n and D^n have at
+    most `LITERAL_DIGIT_LIMIT` digits, D the least common denominator."""
+    den = 1
+    for c in coeffs:
+        den = den * c.denominator // math.gcd(den, c.denominator)
+    total = sum(abs(c.numerator) * (den // c.denominator) for c in coeffs)
+    bound = 10 ** LITERAL_DIGIT_LIMIT
+    assert poly._power_fits(tuple(coeffs), n) == (total ** n < bound and den ** n < bound)
+
+
+def test_power_of_a_sum_is_bounded_before_it_expands():
+    """A power of a base of t >= 2 terms is expanded by N - 1 products by
+    the base, so it is refused at its exponent when those products would
+    multiply more than `PRODUCT_PAIR_BUDGET` term pairs, t * (C(N + t - 1,
+    t) - 1)."""
+    ch4 = base_chart("M", ["x1", "x2", "x3", "x4"])
+    # 2 * (C(500, 2) - 1) = 249,498 pairs; (x1+x2+x3+x4+1)^20 has 212,515
+    assert parse("(x1+1)^499", ch4) == reference_parse("(x1+1)^499", ch4)
+    assert parse("(x1+1)^499", ch4).terms[(17, 0, 0, 0)] == math.comb(499, 17)
+    cases = [("(x1+1)^500", 7, "250498 term pairs"), ("(x1+x2+1)^190", 10, "3483837 term pairs"),
+             ("(x1+1)^2000", 7, "4001998 term pairs"), ("(x1+1)^19999", 7, "term pairs"),
+             ("(1/2*x1+1/3*x2)^4000", 16, "term pairs")]
+    for text, offset, message in cases:
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match=message) as err:
+            parse(text, ch4)
+        assert err.value.offset == offset
+        assert time.perf_counter() - start < 1
+        assert _outcome(reference_parse, text, ch4) == _outcome(parse, text, ch4)
 
 
 def test_parse_matches_reference_on_pinned_cases():
@@ -286,13 +327,8 @@ _EXPRESSIONS = st.one_of(
 @given(_EXPRESSIONS)
 def test_parse_matches_the_per_character_reference(text):
     """The tokenized parser gives the reference's term map, or its
-    exception with the same message and offset.  A power whose coefficient
-    would pass the literal digit limit is refused only by the tokenized
-    parser; `test_rational_power_digit_limit` covers that rule."""
-    got = _outcome(parse, text, CH3)
-    if got[0] == "error" and "coefficient of more than" in got[2]:
-        return
-    assert got == _outcome(reference_parse, text, CH3)
+    exception with the same message and offset."""
+    assert _outcome(parse, text, CH3) == _outcome(reference_parse, text, CH3)
 
 
 def test_eval_examples():

@@ -89,12 +89,10 @@ def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, name):
     doc = json.loads((LADDER / name).read_text())
     algebroid = cli.load_algebroid(doc)
     candidate = cli.load_candidate(doc, algebroid)
-    k = candidate.k
     if isinstance(candidate, IMForm):
-        form = linear_form(candidate.forms, total_chart_of(algebroid))
-        functional = form_frame_functional(form, algebroid, k, candidate.forms)
+        functional = form_frame_functional(candidate)
     else:
-        functional = multivector_frame_functional(candidate, algebroid, k)
+        functional = multivector_frame_functional(candidate)
     prol = functional.algebroid
     assert prol.rank * (prol.rank - 1) // 2 == 120
     counts = _count_kernel(monkeypatch)
@@ -204,7 +202,7 @@ def test_derivation_check_differentiates_each_polynomial_once(rng, monkeypatch, 
     seen = 0
     for algebroid, d in cases:
         counter.counts.clear()
-        check_gerstenhaber_derivation(algebroid, d)
+        check_gerstenhaber_derivation(d)
         assert max(counter.counts.values(), default=1) == 1
         seen += len(counter.counts)
     assert seen, "the checks took no partial derivative"
@@ -251,10 +249,10 @@ def test_frame_functionals_expand_each_minor_once(rng, monkeypatch, k):
         monkeypatch.setattr(module, name, in_check)
 
     algebroid = koszul_so3_algebroid()
-    form = linear_form(rnd_bundle_forms(rng, algebroid, k), total_chart_of(algebroid))
+    im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
     p = rnd_linear_multivector(rng, algebroid, k)
-    for call in (lambda: form_frame_functional(form, algebroid, k),
-                 lambda: multivector_frame_functional(p, algebroid, k)):
+    for call in (lambda: form_frame_functional(im),
+                 lambda: multivector_frame_functional(p)):
         runs = []
         for _ in range(2):
             expanded.counts.clear()
@@ -296,8 +294,7 @@ def _points(counter) -> set:
 def test_form_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
     counter = _counting_cross_check(monkeypatch, linforms, "_cross_check_form_values")
     algebroid = koszul_so3_algebroid()
-    form = linear_form(rnd_bundle_forms(rng, algebroid, k), total_chart_of(algebroid))
-    form_frame_functional(form, algebroid, k)
+    form_frame_functional(IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k)))
     assert max(counter.counts.values()) == 1
     # the zero point and one unit point per frame section
     assert len(_points(counter)) == algebroid.rank + 1
@@ -307,7 +304,7 @@ def test_form_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
 def test_multivector_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
     counter = _counting_cross_check(monkeypatch, multivec, "_cross_check_multivector_values")
     algebroid = koszul_so3_algebroid()
-    multivector_frame_functional(rnd_linear_multivector(rng, algebroid, k), algebroid, k)
+    multivector_frame_functional(rnd_linear_multivector(rng, algebroid, k))
     assert max(counter.counts.values()) == 1
     assert len(_points(counter)) == algebroid.rank + 1
 
@@ -332,7 +329,9 @@ CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.mark.parametrize("name, expected", [
-    ("so3_poisson_weil2.json", {"check_axioms": 1, "decompose": 1, "linear_form": 1}),
+    # decompose checks its result with one linear form, and the morphism
+    # route builds the linear form of that result once more
+    ("so3_poisson_weil2.json", {"check_axioms": 1, "decompose": 1, "linear_form": 2}),
     ("so3_poisson_im2.json", {"check_axioms": 1, "linear_form": 1}),
     ("so3_coboundary_mv2.json", {"check_axioms": 1}),
 ])
@@ -353,4 +352,31 @@ def test_one_prolongation_per_document(monkeypatch, capsys, name, expected):
     exit_code = json.loads((LADDER / "exit_codes.json").read_text())[name]["json"]
     counts = _count_everywhere(monkeypatch, tangent_prolongation, cotangent_prolongation)
     assert cli.main(["--input", str(LADDER / f"{name}.json")]) == exit_code
+    assert dict(counts) == expected
+
+
+def _weil_document(doc: dict) -> dict:
+    """An im-form document with its candidate written as its linear form,
+    for Weil mode."""
+    algebroid = cli.load_algebroid(doc)
+    im = cli.load_candidate(doc, algebroid)
+    form = linear_form(im.forms, total_chart_of(algebroid))
+    terms = [[[i + 1 for i in idx], str(poly)] for idx, poly in sorted(form.coeffs.items())]
+    return {**doc, "candidate": {"type": "weil", "k": im.k, "form": terms},
+            "options": {**doc["options"], "mode": "weil"}}
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("im-form", {"linear_form": 1}),
+    ("weil", {"decompose": 1, "linear_form": 2}),
+])
+def test_one_linear_form_path_per_ladder_document(monkeypatch, capsys, tmp_path, mode, expected):
+    """The morphism route reads an IM form only: on an im-form document it
+    builds the candidate's linear form once and decomposes nothing, and
+    Weil mode decomposes its candidate once to get that IM form."""
+    doc = json.loads((LADDER / "n4_k3_im_broken.json").read_text())
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc if mode == "im-form" else _weil_document(doc)))
+    counts = _count_everywhere(monkeypatch, decompose, linear_form)
+    assert cli.main(["--input", str(path)]) == 1
     assert dict(counts) == expected

@@ -1,0 +1,71 @@
+"""Checks on the repository's own text: no unused import in the library
+modules, and README's quick tour runs as written."""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(p for p in (ROOT / "src" / "imcalc").glob("*.py") if p.name != "__init__.py")
+
+
+def _annotation_names(node) -> set:
+    """Names in a string annotation, such as the "LinearMultivector" a
+    classmethod returns."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return {n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                if isinstance(n, ast.Name)}
+    return set()
+
+
+def unused_imports(source: str) -> list:
+    """The names an import binds that nothing else in `source` reads."""
+    tree = ast.parse(source)
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg):
+            used |= _annotation_names(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            used |= _annotation_names(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            used |= _annotation_names(node.annotation)
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_library_module_has_no_unused_import(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_unused_import_check_sees_what_it_should():
+    source = ("from typing import TYPE_CHECKING, Mapping, Sequence\n"
+              "import random\n"
+              "if TYPE_CHECKING:\n"
+              "    from .imforms import IMForm\n"
+              "def f(x: IMForm, y) -> 'Sequence':\n"
+              "    return random.random()\n")
+    assert unused_imports(source) == [(1, "Mapping")]
+
+
+def test_readme_quick_tour_runs_verbatim():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    tour = readme.split("## Library quick tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", tour, re.S).group(1)
+    namespace: dict = {}
+    exec(compile(block, "README.md quick tour", "exec"), namespace)
+    # the values its comments state
+    assert namespace["check_im_form"](namespace["im"]).passed
+    assert namespace["oracle_equivalence"](namespace["im"]) == (True, True)

@@ -178,7 +178,7 @@ def test_triple_agreement_random(rng):
         im_ok = check_im_form(im).passed
         dh_ok = horizontal_vanishing_report(
             cochain_from_bundle_forms(algebroid, bf)).passed
-        morphism = oracle_equivalence(im, k)
+        morphism = oracle_equivalence(im)
         assert im_ok == dh_ok == morphism[0] == morphism[1]
         seen[im_ok] += 1
     assert seen[True] >= 3 and seen[False] >= 3
