@@ -361,20 +361,23 @@ def render_text(report: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: the `verify` command line; built once, and never changed after
+_PARSER = argparse.ArgumentParser(
+    prog="verify",
+    description="Verify algebroid axioms, IM-form / multivector / Weil-cochain "
+                "conditions, and the theorem oracles on a JSON problem document.")
+_PARSER.add_argument("--input", required=True, help="problem document (JSON)")
+_PARSER.add_argument("--k", type=int, default=None, help="degree override")
+_PARSER.add_argument("--mode", choices=MODES, default=None, help="suite selection")
+_PARSER.add_argument("--oracle", choices=("on", "off"), default=None,
+                    help="also run the independent morphism oracle (default on)")
+_PARSER.add_argument("--samples", default=None,
+                    help="JSON file of rational sample points for the k=2 rank checks")
+_PARSER.add_argument("--report", choices=("json", "text"), default="json")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="verify",
-        description="Verify algebroid axioms, IM-form / multivector / Weil-cochain "
-                    "conditions, and the theorem oracles on a JSON problem document.")
-    parser.add_argument("--input", required=True, help="problem document (JSON)")
-    parser.add_argument("--k", type=int, default=None, help="degree override")
-    parser.add_argument("--mode", choices=MODES, default=None, help="suite selection")
-    parser.add_argument("--oracle", choices=("on", "off"), default=None,
-                        help="also run the independent morphism oracle (default on)")
-    parser.add_argument("--samples", default=None,
-                        help="JSON file of rational sample points for the k=2 rank checks")
-    parser.add_argument("--report", choices=("json", "text"), default="json")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         with open(args.input, "r", encoding="utf-8") as fh:

@@ -21,7 +21,9 @@ number of terms it can expand to (`POWER_TERM_BUDGET`), before expanding it.
 It refuses a product whose factors have more term pairs than
 `PRODUCT_PAIR_BUDGET` before multiplying them; a power of a sum, which it
 expands by N - 1 products by the base, when those products would multiply
-more term pairs than that in all; and an integer literal of more than
+more term pairs than that in all; an expression whose products and power
+expansions together would multiply more term pairs than that, at the
+operator where the total passes it; and an integer literal of more than
 `LITERAL_DIGIT_LIMIT` digits before converting it.  A power ^N, N >= 2, is
 refused when its coefficients could get a numerator or denominator of more
 than `LITERAL_DIGIT_LIMIT` digits (`_power_fits`).  It reads each
@@ -49,9 +51,29 @@ Products are collected in one flat loop (`Polynomial.sum_of_products`, which
 map, and the map is made canonical once per call, not once per pair, so a
 sum of n products copies no intermediate term map.  A pair's second member
 may be an int weight, as in `(p, -1)`: it adds c * w per term of p into the
-same map, so signed sums need no negated copy and no constant factor.  `partial_eval` collects
-the same way; `+` cleans only the keys of its right operand in place, since
-`total = total + term` adds a short map into a long one.  `eval` brings every
+same map, so signed sums need no negated copy and no constant factor.
+
+The pairs whose factors both have at least `KRONECKER_TERMS` terms are
+multiplied as big ints instead (Kronecker substitution: D. Harvey, "Faster
+polynomial multiplication via multipoint Kronecker substitution", J.
+Symbolic Comput. 44, 2009), so that CPython's C multiply does the work of
+their term pairs.  `_kronecker` maps the exponents of the leading base
+coordinates to one mixed-radix index, injective because each radix is one
+above the largest degree sum in its coordinate; splits each factor into
+groups by its other (copy and fiber) exponents; and writes each group as
+one int of W-byte slots, W chosen so that the exact bound sum ||p||_1 *
+||q||_inf * den^2 on every coefficient of the sum (den the lcm of the
+denominators) stays below half a slot.  The group products add up per
+summed higher key, and a nonzero total is decoded slot by slot with a
+balanced bias into the same term map, which is then made canonical and
+guard-checked as above.  The loop multiplies the pairs instead on a chart
+with no base coordinate, when a degree sum passes `EXPONENT_LIMIT`, when
+the slot count times the group pairs exceeds the term pairs, and when W
+exceeds `KRONECKER_SLOT_BYTES`.
+
+`partial_eval` collects into one term map the same way; `+` cleans only
+the keys of its right operand in place, since `total = total + term` adds a
+short map into a long one.  `eval` brings every
 term over one integer denominator, the product of q_i^D_i over the
 coordinates (p_i/q_i the value of coordinate i, D_i the top degree in it), so
 it sums ints and builds one `Fraction`; its power tables hold one entry per
@@ -69,7 +91,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import comb, lcm
+from math import comb, lcm, prod
 from operator import or_
 from typing import Iterable
 
@@ -87,6 +109,13 @@ PRODUCT_PAIR_BUDGET = 250_000
 #: the most digits of an integer literal; CPython's default limit on
 #: converting a decimal string to an int, held on every interpreter
 LITERAL_DIGIT_LIMIT = 4300
+#: the fewest terms both factors of a pair need for `sum_of_products` to
+#: multiply the pair as one big int (`_kronecker`)
+KRONECKER_TERMS = 16
+#: the widest coefficient slot, in bytes, of a big-int product; wider slots
+#: make the big-int product slower than the loop (a dense product of
+#: degrees 7 and 11 in two coordinates breaks even near 27 bytes)
+KRONECKER_SLOT_BYTES = 24
 
 #: roles a chart coordinate can play
 ROLE_BASE = "base"
@@ -137,6 +166,7 @@ class Chart:
                 seen_nonbase = True
         shifts = tuple(SLOT_BITS * i for i in range(len(names)))
         object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "_base", sum(c.role == ROLE_BASE for c in self.coords))
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_shifts", shifts)
         object.__setattr__(self, "_guard", sum(1 << (s + SLOT_BITS - 1) for s in shifts))
@@ -295,25 +325,13 @@ class Polynomial:
     @classmethod
     def sum_of_products(cls, chart: Chart, pairs: Iterable) -> "Polynomial":
         """The sum of p * q over the (p, q) pairs: p a polynomial on `chart`,
-        q one too or an int weight, whose pair adds c * q per term of p."""
+        q one too or an int weight, whose pair adds c * q per term of p.
+        A pair whose factors both have `KRONECKER_TERMS` terms or more is
+        multiplied as one big int (`_kronecker`) where that is cheaper."""
         terms: dict = {}
-        get = terms.get
-        for p, q in pairs:
-            if type(q) is int:
-                if not _same(p.chart, chart):
-                    raise ChartError(f"chart mismatch: {chart.name!r} vs {p.chart.name!r}")
-                for e, c in p._terms.items():
-                    terms[e] = get(e, 0) + c * q
-                continue
-            if not (_same(p.chart, chart) and _same(q.chart, chart)):
-                raise ChartError(
-                    f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
-                )
-            right = tuple(q._terms.items())
-            for e1, c1 in p._terms.items():
-                for e2, c2 in right:
-                    e = e1 + e2
-                    terms[e] = get(e, 0) + c1 * c2
+        large = _collect(chart, pairs, terms, KRONECKER_TERMS)
+        if large and not _kronecker(chart, large, terms):
+            _collect(chart, large, terms, 0)
         terms = _canonical(terms)
         _check_guard(chart, terms)
         return _make(chart, terms)
@@ -543,6 +561,134 @@ def _make(chart: Chart, terms: dict) -> Polynomial:
     return out
 
 
+def _collect(chart: Chart, pairs: Iterable, terms: dict, large: int) -> list:
+    """Add p * q (or c * q per term of p, for an int q) over the pairs into
+    the term map one term pair at a time, after checking their charts.  A
+    polynomial pair whose factors both have at least `large` terms (never,
+    for 0) is not multiplied but returned."""
+    get = terms.get
+    deferred = []
+    for p, q in pairs:
+        if type(q) is int:
+            if not _same(p.chart, chart):
+                raise ChartError(f"chart mismatch: {chart.name!r} vs {p.chart.name!r}")
+            for e, c in p._terms.items():
+                terms[e] = get(e, 0) + c * q
+            continue
+        if not (_same(p.chart, chart) and _same(q.chart, chart)):
+            raise ChartError(
+                f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
+            )
+        if large and len(p._terms) >= large and len(q._terms) >= large:
+            deferred.append((p, q))
+            continue
+        right = tuple(q._terms.items())
+        for e1, c1 in p._terms.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+    return deferred
+
+
+def _kronecker(chart: Chart, pairs: list, terms: dict) -> bool:
+    """Add the sum of p * q over the polynomial pairs into the term map by
+    big-int products, as the module docstring describes; False, adding
+    nothing, when the loop of `_collect` is to multiply them instead.
+
+    Base exponents (a_1..a_B) have the index I = a_1 + R_1*(a_2 + R_2*(...)),
+    R_i one above the largest degree sum in coordinate i over the pairs, so
+    every index of a product is below L = R_1*...*R_B.  Each slot of a
+    total holds den^2 times one coefficient of the sum, at most the sum over
+    the pairs of ||p||_1 * ||q||_inf * den^2 < 2^(8W-1) in absolute value.
+    """
+    nbase = chart._base
+    if not nbase:
+        return False
+    shifts = chart._shifts[:nbase]
+    high = -1 << (SLOT_BITS * nbase)
+    # per distinct factor: its coefficients, the column of exponents of each
+    # base coordinate, the higher key of each term and its number of groups
+    layout = {}
+    for pair in pairs:
+        for f in pair:
+            if id(f) not in layout:
+                keys = list(f._terms)
+                highs = [e & high for e in keys]
+                layout[id(f)] = (f._terms.values(),
+                                 [[(e >> s) & SLOT_MASK for e in keys] for s in shifts],
+                                 highs, len(set(highs)))
+    radix = [1] * nbase
+    group_pairs = term_pairs = 0
+    for p, q in pairs:
+        _, left, _, gp = layout[id(p)]
+        _, right, _, gq = layout[id(q)]
+        for b, (cp, cq) in enumerate(zip(left, right)):
+            top = max(cp) + max(cq)
+            if top > EXPONENT_LIMIT:
+                return False
+            radix[b] = max(radix[b], top + 1)
+        group_pairs += gp * gq
+        term_pairs += len(p._terms) * len(q._terms)
+    slots = prod(radix)
+    if slots * group_pairs > term_pairs:
+        return False
+
+    den = lcm(*(c.denominator for coeffs, _, _, _ in layout.values() for c in coeffs))
+    scaled = {i: [c * den if type(c) is int else c.numerator * (den // c.denominator)
+                  for c in coeffs] for i, (coeffs, _, _, _) in layout.items()}
+    bound = sum(sum(map(abs, scaled[id(p)])) * max(map(abs, scaled[id(q)])) for p, q in pairs)
+    width = (bound.bit_length() + 8) // 8
+    if width > KRONECKER_SLOT_BYTES:
+        return False
+
+    # every slot is written as coefficient + half, so the slot of a
+    # coefficient 0 is `zero`, and `offset` takes the halves away again
+    half = 1 << (8 * width - 1)
+    zero = half.to_bytes(width, "little")
+    strides = [prod(radix[:b]) * width for b in range(nbase)]
+    packed = {}
+    for i, (_, cols, highs, _) in layout.items():
+        at = [0] * len(highs)
+        for col, t in zip(cols, strides):
+            at = [o + k * t for o, k in zip(at, col)]
+        blank = zero * (max(at) // width + 1)
+        buffers: dict = {}
+        for g, o, a in zip(highs, at, scaled[i]):
+            buf = buffers.get(g)
+            if buf is None:
+                buf = buffers[g] = bytearray(blank)
+            buf[o:o + width] = (a + half).to_bytes(width, "little")
+        offset = int.from_bytes(blank, "little")
+        packed[i] = [(g, int.from_bytes(buf, "little") - offset) for g, buf in buffers.items()]
+    totals: dict = {}
+    for p, q in pairs:
+        right = packed[id(q)]
+        for g1, a in packed[id(p)]:
+            for g2, b in right:
+                g = g1 + g2
+                totals[g] = totals.get(g, 0) + a * b
+
+    nonzero = [(g, t) for g, t in totals.items() if t]
+    if not nonzero:
+        return True
+    size = slots * width
+    offset = int.from_bytes(zero * slots, "little")
+    keys = [0]
+    for r, s in zip(radix, shifts):
+        keys = [k + (a << s) for a in range(r) for k in keys]
+    scale = den * den
+    get = terms.get
+    for g, total in nonzero:
+        raw = (total + offset).to_bytes(size, "little")
+        for key, o in zip(keys, range(0, size, width)):
+            slot = raw[o:o + width]
+            if slot != zero:
+                c = int.from_bytes(slot, "little") - half
+                e = g + key
+                terms[e] = get(e, 0) + (c if scale == 1 else Fraction(c, scale))
+    return True
+
+
 def _format_monomial(chart: Chart, exps: tuple) -> str:
     parts = []
     for name, k in zip(chart.names, exps):
@@ -645,11 +791,22 @@ class _Parser:
         self.tokens = _TOKEN.findall(text)
         self.tokens.append("")  # the end of the text
         self.i = 0
+        self.pairs = 0  # term pairs multiplied so far
 
     def error(self, message: str, i: int) -> ParseError:
         """A ParseError at the start of token i, or at the end of the text."""
         starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
         return ParseError(message, starts[i] if i < len(starts) else len(self.text))
+
+    def spend(self, pairs: int, i: int) -> None:
+        """Count `pairs` more term pairs multiplied for this expression;
+        a ParseError at token i once the total passes
+        `PRODUCT_PAIR_BUDGET`."""
+        self.pairs += pairs
+        if self.pairs > PRODUCT_PAIR_BUDGET:
+            raise self.error(
+                f"expression multiplies {self.pairs} term pairs in all, above the budget of "
+                f"{PRODUCT_PAIR_BUDGET}", i)
 
     def parse(self) -> Polynomial:
         result = self.expr()
@@ -682,7 +839,9 @@ class _Parser:
         """(coefficient, packed key, None) for a product of rationals,
         coordinates and their powers; (_, _, product) once a factor is
         parenthesized.  A product of monomials raises at the '*' where its
-        key first passes the exponent limit, as long as it is nonzero."""
+        key first passes the exponent limit, as long as it is nonzero.  Each
+        '*' counts the term pairs of its two factors toward the expression's
+        total (`spend`), one for two nonzero monomials."""
         tokens = self.tokens
         chart = self.chart
         coeff, key, product = self.factor()
@@ -693,6 +852,7 @@ class _Parser:
             try:
                 if product is None and right is None:
                     if coeff and c:
+                        self.spend(1, star)
                         key += k
                         if key & chart._guard:
                             _check_guard(chart, (key,))
@@ -707,6 +867,7 @@ class _Parser:
                     raise self.error(
                         f"product of {len(product._terms)} and {len(right._terms)} terms has "
                         f"{pairs} term pairs, above the budget of {PRODUCT_PAIR_BUDGET}", star)
+                self.spend(pairs, star)
                 product = product * right
             except ChartError as exc:
                 raise self.error(str(exc), star) from None
@@ -790,8 +951,9 @@ class _Parser:
         at most `POWER_TERM_BUDGET` terms, and its N - 1 products by the
         base multiply at most `PRODUCT_PAIR_BUDGET` term pairs in all: the
         j-th multiplies at most t * C(j + t - 1, t - 1), so they sum to
-        t * (C(N + t - 1, t) - 1).  For N >= 2 the coefficients of the power
-        fit `_power_fits`."""
+        t * (C(N + t - 1, t) - 1), which count toward the expression's
+        total (`spend`).  For N >= 2 the coefficients of the power fit
+        `_power_fits`."""
         self.i += 1
         i = self.i
         digits = self.tokens[i]
@@ -814,6 +976,8 @@ class _Parser:
                 raise self.error(
                     f"power ^{n} of {t} terms multiplies {pairs} term pairs, "
                     f"above the budget of {PRODUCT_PAIR_BUDGET}", i)
+            if n > 1:
+                self.spend(pairs, i)
         if n > 1 and not _power_fits(coeffs, n):
             raise self.error(
                 f"power ^{n} gives a coefficient of more than {LITERAL_DIGIT_LIMIT} digits", i)

@@ -21,7 +21,7 @@ from imcalc.linforms import BundleForms
 from imcalc.multivec import Derivation, LinearMultivector
 from imcalc.poly import (
     EXPONENT_LIMIT, LITERAL_DIGIT_LIMIT, POWER_TERM_BUDGET, PRODUCT_PAIR_BUDGET, Chart, ChartError,
-    ParseError, Polynomial, base_chart,
+    ParseError, Polynomial, _canonical, _check_guard, _make, _same, base_chart,
 )
 
 
@@ -306,6 +306,35 @@ def rnd_linear_multivector(rng, algebroid: LieAlgebroid, k: int) -> LinearMultiv
     return LinearMultivector(algebroid, k, fiber, mixed)
 
 
+# -- the flat product loop, the reference for `Polynomial.sum_of_products` ------
+#
+# Every term pair adds its coefficient product into one term map, with no
+# big-int product for large pairs.
+
+def reference_sum_of_products(chart: Chart, pairs) -> Polynomial:
+    terms: dict = {}
+    get = terms.get
+    for p, q in pairs:
+        if type(q) is int:
+            if not _same(p.chart, chart):
+                raise ChartError(f"chart mismatch: {chart.name!r} vs {p.chart.name!r}")
+            for e, c in p._terms.items():
+                terms[e] = get(e, 0) + c * q
+            continue
+        if not (_same(p.chart, chart) and _same(q.chart, chart)):
+            raise ChartError(
+                f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
+            )
+        right = tuple(q._terms.items())
+        for e1, c1 in p._terms.items():
+            for e2, c2 in right:
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+    terms = _canonical(terms)
+    _check_guard(chart, terms)
+    return _make(chart, terms)
+
+
 # -- the per-character parser, the reference for `poly.parse` ------------------
 #
 # It reads one character at a time, builds a Polynomial per atom and
@@ -332,6 +361,15 @@ class _Parser:
         self.text = text
         self.chart = chart
         self.pos = 0
+        self.pairs = 0
+
+    def spend(self, pairs: int, offset: int) -> None:
+        """Count term pairs toward the expression's `PRODUCT_PAIR_BUDGET`."""
+        self.pairs += pairs
+        if self.pairs > PRODUCT_PAIR_BUDGET:
+            raise ParseError(
+                f"expression multiplies {self.pairs} term pairs in all, above the budget of "
+                f"{PRODUCT_PAIR_BUDGET}", offset)
 
     def skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -372,6 +410,7 @@ class _Parser:
                 raise ParseError(
                     f"product of {len(result._terms)} and {len(right._terms)} terms has "
                     f"{pairs} term pairs, above the budget of {PRODUCT_PAIR_BUDGET}", start)
+            self.spend(pairs, start)
             try:
                 result = result * right
             except ChartError as exc:
@@ -387,7 +426,7 @@ class _Parser:
             digits = self._digits()
             if digits is None:
                 raise ParseError("expected unsigned integer exponent", start)
-            n = _power_budget(result, digits, start)
+            n = _power_budget(result, digits, start, self.spend)
             return result ** n
         return result
 
@@ -450,12 +489,13 @@ def _literal(digits: str, offset: int) -> int:
     return int(digits)
 
 
-def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
+def _power_budget(base: Polynomial, digits: str, offset: int, spend) -> int:
     """The exponent N of `base^N`, once the power is known to fit: N times
     the base's largest exponent (at least 1) is at most `EXPONENT_LIMIT`;
     for a base of t >= 2 terms the expansion has at most
     `POWER_TERM_BUDGET` terms, and its N - 1 products by the base at most
-    `PRODUCT_PAIR_BUDGET` term pairs; and for N >= 2, with the base written
+    `PRODUCT_PAIR_BUDGET` term pairs, which `spend` counts toward the
+    expression's budget; and for N >= 2, with the base written
     as (1/D) * sum a_i m_i over integers a_i, neither (sum |a_i|)^N nor D^N
     has more than `LITERAL_DIGIT_LIMIT` digits."""
     top = max((max(base.chart.unpack(e), default=0) for e in base._terms), default=0)
@@ -477,6 +517,7 @@ def _power_budget(base: Polynomial, digits: str, offset: int) -> int:
             raise ParseError(
                 f"power ^{n} of {t} terms multiplies {pairs} term pairs, "
                 f"above the budget of {PRODUCT_PAIR_BUDGET}", offset)
+        spend(pairs, offset)
     den = 1
     for c in base._terms.values():
         den = den * Fraction(c).denominator // gcd(den, Fraction(c).denominator)

@@ -49,6 +49,34 @@ def run_cli(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+USAGE = """\
+usage: verify [-h] --input INPUT [--k K]
+              [--mode {im-form,multivector,weil,axioms}] [--oracle {on,off}]
+              [--samples SAMPLES] [--report {json,text}]
+"""
+
+
+def test_bad_flags_exit_2_with_usage_before_and_after_a_good_call(monkeypatch):
+    """The command line is parsed by one parser built at import; a call
+    with bad flags changes nothing for the calls after it."""
+    monkeypatch.setenv("COLUMNS", "80")
+    bad = {
+        ("--bogus",): "verify: error: the following arguments are required: --input\n",
+        ("--input", "x.json", "--mode", "nope"):
+            "verify: error: argument --mode: invalid choice: 'nope' (choose from "
+            "'im-form', 'multivector', 'weil', 'axioms')\n",
+        ("--input", "x.json", "--bogus"): "verify: error: unrecognized arguments: --bogus\n",
+    }
+    for _ in range(2):
+        for argv, message in bad.items():
+            err = io.StringIO()
+            with redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+                main(list(argv))
+            assert exit_.value.code == 2
+            assert err.getvalue() == USAGE + message
+        assert run_cli(["--input", str(CORPUS / "so3_axioms.json")])[0] == 0
+
+
 def test_corpus_exit_codes():
     for name, expected in EXPECTED_EXIT.items():
         code, _, _ = run_cli(["--input", str(CORPUS / name)])
@@ -326,6 +354,9 @@ OVER_INPUT_LIMITS = {
                            "term pairs, above the budget of 250000 (at byte 10)"),
     "binomial_power_pairs": (["anchor", 0, 0], "(x1+1)^2000",
                              "term pairs, above the budget of 250000 (at byte 7)"),
+    # each power fits, but the expression's products share one budget
+    "expression_pairs": (["anchor", 0, 0], "(x1+1)^499+(x1+1)^499",
+                         "498996 term pairs in all, above the budget of 250000 (at byte 18)"),
     "power_of_sum_digits": (["anchor", 0, 0], f"({'9' * LITERAL_DIGIT_LIMIT}*x1+1)^2",
                             "coefficient of more than 4300 digits (at byte 4308)"),
     # the grammar's digits are ASCII: a superscript or Arabic-Indic digit is

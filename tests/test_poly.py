@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import conftest
 from conftest import reference_parse
 from imcalc import poly
 from imcalc.poly import (
@@ -250,6 +251,43 @@ def test_power_of_a_sum_is_bounded_before_it_expands():
         assert err.value.offset == offset
         assert time.perf_counter() - start < 1
         assert _outcome(reference_parse, text, ch4) == _outcome(parse, text, ch4)
+
+
+def test_one_pair_budget_per_expression(monkeypatch):
+    """Every product and power-of-sum expansion of one expression counts
+    its term pairs toward one `PRODUCT_PAIR_BUDGET`, refused at the
+    operator where the total passes it, before that product is formed."""
+    ch4 = base_chart("M", ["x1", "x2", "x3", "x4"])
+    # 60 powers that each fit: refused at the second one's exponent
+    for count in (2, 20, 60):
+        text = "+".join(["(x1+1)^499"] * count)
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="498996 term pairs in all") as err:
+            parse(text, ch4)
+        assert err.value.offset == 18
+        assert time.perf_counter() - start < 1
+    text = "+".join(["(x1+x2+x3+x4+1)^20"] * 5)
+    with pytest.raises(ParseError, match="425030 term pairs in all") as err:
+        parse(text, ch4)
+    assert err.value.offset == 35
+    for module in (poly, conftest):
+        monkeypatch.setattr(module, "PRODUCT_PAIR_BUDGET", 6)
+    cases = [
+        ("(x1+x2) * (x1+x2+x3)", None),                # 6 pairs
+        ("(x1+x2)*(x1+x2+x3) + x1*x2", 23),            # 6 + 1
+        ("x1*x2*x3*x4*x1*x2*x3", None),                # 6 monomial products
+        ("x1*x2*x3*x4*x1*x2*x3*x4", 20),
+        ("0*x1*x2*x3*x4*x1*x2*x3*x4", None),           # a zero factor pairs with nothing
+        ("(x1+x2)^2 + (x1+x2)^2", 20),                 # 2 * (C(3, 2) - 1) = 4 each
+        ("(x1+x2)^2 * x3", 10),                        # 4, then 3 terms times 1
+    ]
+    for text, offset in cases:
+        got = _outcome(parse, text, ch4)
+        assert got == _outcome(reference_parse, text, ch4)
+        if offset is None:
+            assert got[0] == "ok", text
+        else:
+            assert got[1] is ParseError and "in all" in got[2] and got[3] == offset, text
 
 
 def test_parse_matches_reference_on_pinned_cases():

@@ -8,17 +8,29 @@ sums of products mixed with int-weighted terms, rational sums whose
 denominators cancel to 1, exponents near the per-coordinate limit of the
 packed monomial keys, and evaluation at zero, negative and
 large-denominator points.
+
+The big-int route of `Polynomial.sum_of_products` (`poly._kronecker`) is
+compared with the flat product loop it replaces (`reference_sum_of_products`)
+on pairs of factors at and above `KRONECKER_TERMS` terms: on base-only
+charts and on prolongation-like charts whose copy coordinates split each
+factor into groups, with mixed signs, Fraction coefficients of different
+denominators, sums that cancel in some or all keys, exponents that pass the
+limit, and coefficients too wide for it.
 """
 
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import reference_sum_of_products
+from imcalc import poly as kernel
 from imcalc.poly import (
-    EXPONENT_LIMIT, ChartError, Polynomial, base_chart, format_polynomial, parse,
+    EXPONENT_LIMIT, KRONECKER_SLOT_BYTES, KRONECKER_TERMS, LITERAL_DIGIT_LIMIT, ROLE_TANGENT,
+    Chart, ChartError, Coord, Polynomial, base_chart, format_polynomial, parse,
 )
 
 sympy = pytest.importorskip("sympy")
@@ -305,3 +317,174 @@ def test_product_and_diff_near_the_exponent_limit(pq, data):
     partial = p.diff(p.chart.names[i])
     assert partial.terms == ring_terms(sympy.diff(to_sympy(p), symbols[i]), symbols)
     assert all(type(c) is int or c.denominator != 1 for c in partial.terms.values())
+
+
+# -- the big-int route against the flat loop ------------------------------------
+
+def _copy_chart(nbase: int, copies: int) -> Chart:
+    """nbase base coordinates, then `copies` tangent copies of two
+    coordinates each, as on a prolongation chart."""
+    coords = [Coord(f"x{i}") for i in range(1, nbase + 1)]
+    coords += [Coord(f"y{m}_{l}", ROLE_TANGENT, m) for m in range(1, copies + 1) for l in (1, 2)]
+    return Chart(f"B{nbase}C{copies}", tuple(coords))
+
+
+COPY_CHARTS = {(b, c): _copy_chart(b, c) for b in (1, 2, 3) for c in (0, 1, 2)}
+# the largest base exponent per base dimension, so that one group has room
+# for KRONECKER_TERMS terms and more
+BASE_TOP = {1: 24, 2: 5, 3: 3}
+
+large_coefficients = st.one_of(
+    st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+    st.builds(Fraction, st.integers(min_value=-50, max_value=50),
+              st.integers(min_value=1, max_value=12)),
+    st.integers(min_value=-10 ** 12, max_value=10 ** 12),
+).filter(bool)
+
+
+@st.composite
+def _large_factor(draw, nbase: int, groups: list, chart: Chart, top: int | None = None):
+    """A polynomial of `KRONECKER_TERMS` to 32 terms whose higher exponents
+    are one of `groups`."""
+    side = (BASE_TOP[nbase] if top is None else top) + 1
+    cells = draw(st.sets(st.integers(min_value=0, max_value=side ** nbase * len(groups) - 1),
+                         min_size=KRONECKER_TERMS, max_size=32))
+    coeffs = draw(st.lists(large_coefficients, min_size=len(cells), max_size=len(cells)))
+    terms = {}
+    for cell, c in zip(sorted(cells), coeffs):
+        cell, g = divmod(cell, len(groups))
+        terms[tuple(cell // side ** b % side for b in range(nbase)) + groups[g]] = c
+    return Polynomial(chart, terms)
+
+
+@st.composite
+def large_pairs(draw):
+    """(chart, pairs): one to three pairs of large factors, and at times
+    pairs that cancel all of them or some of their terms, a pair with a
+    small factor, or an int weight."""
+    nbase = draw(st.integers(min_value=1, max_value=3))
+    copies = draw(st.integers(min_value=0, max_value=2))
+    chart = COPY_CHARTS[nbase, copies]
+    group = st.tuples(*[st.integers(min_value=0, max_value=2)] * (2 * copies))
+    groups = draw(st.lists(group, min_size=1, max_size=3, unique=True))
+    factor = _large_factor(nbase, groups, chart)
+    pairs = [(draw(factor), draw(factor)) for _ in range(draw(st.integers(1, 3)))]
+    p, q = pairs[0]
+    extra = draw(st.sampled_from(["none", "cancel all", "cancel some", "small", "weight"]))
+    if extra == "cancel all":
+        pairs += [(-a, b) for a, b in pairs]
+    elif extra == "cancel some":
+        kept = draw(st.lists(st.sampled_from(sorted(p._terms)), unique=True, min_size=1))
+        pairs.append((Polynomial(chart, {chart.unpack(e): -p._terms[e] for e in kept}), q))
+    elif extra == "small":
+        pairs.append((draw(factor), Polynomial(chart, draw(st.dictionaries(
+            st.sampled_from([chart.unpack(e) for e in q._terms]), large_coefficients,
+            max_size=3)))))
+    elif extra == "weight":
+        pairs.append((q, draw(st.integers(min_value=-5, max_value=5))))
+    return chart, draw(st.permutations(pairs))
+
+
+def _route_outcome(route, chart: Chart, pairs) -> tuple:
+    """("ok", typed term map) or ("error", message)."""
+    try:
+        p = route(chart, pairs)
+    except ChartError as exc:
+        return ("error", str(exc))
+    return ("ok", {e: (type(c), c) for e, c in p._terms.items()})
+
+
+@settings(max_examples=50, deadline=None)
+@given(large_pairs())
+def test_big_int_products_match_the_flat_loop(case):
+    chart, pairs = case
+    assert (_route_outcome(Polynomial.sum_of_products, chart, pairs)
+            == _route_outcome(reference_sum_of_products, chart, pairs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_big_int_products_pass_the_exponent_limit_like_the_loop(data):
+    """A factor with one exponent near the limit, in a base coordinate
+    (the route declines) or a copy coordinate (its group key carries the
+    guard bit): the same ChartError, or the same zero when the products
+    cancel."""
+    chart = COPY_CHARTS[2, 1]
+    near = st.integers(min_value=EXPONENT_LIMIT - 3, max_value=EXPONENT_LIMIT)
+    where = data.draw(st.integers(min_value=0, max_value=chart.dim - 1))
+    pairs = []
+    for _ in range(2):
+        factor = data.draw(_large_factor(2, [(0, 0)], chart, top=3))
+        terms = {chart.unpack(e): c for e, c in factor._terms.items()}
+        exps = [0] * chart.dim
+        exps[where] = data.draw(near)
+        terms[tuple(exps)] = data.draw(large_coefficients)
+        pairs.append(Polynomial(chart, terms))
+    pairs = [tuple(pairs)]
+    if data.draw(st.booleans()):
+        pairs.append((-pairs[0][0], pairs[0][1]))
+    assert (_route_outcome(Polynomial.sum_of_products, chart, pairs)
+            == _route_outcome(reference_sum_of_products, chart, pairs))
+
+
+def _counted_route(monkeypatch) -> list:
+    """Record what each `_kronecker` call returned: True when it multiplied."""
+    runs = []
+    inner = kernel._kronecker
+
+    def counted(chart, pairs, terms):
+        runs.append(inner(chart, pairs, terms))
+        return runs[-1]
+
+    monkeypatch.setattr(kernel, "_kronecker", counted)
+    return runs
+
+
+def _dense(chart: Chart, degree: int, coefficient) -> Polynomial:
+    """Every monomial of total degree <= `degree` in the first two
+    coordinates, the one of exponents (i, j) with coefficient(i, j)."""
+    return Polynomial(chart, {(i, j) + (0,) * (chart.dim - 2): coefficient(i, j)
+                              for i in range(degree + 1) for j in range(degree + 1 - i)})
+
+
+def test_big_int_route_declines_where_documented(monkeypatch):
+    """The route multiplies a dense pair, and leaves to the loop a chart
+    with no base coordinate, a degree sum above the limit, more slots times
+    group pairs than term pairs, and slots wider than
+    `KRONECKER_SLOT_BYTES`; every answer is the loop's."""
+    runs = _counted_route(monkeypatch)
+    plane = base_chart("M", ["x1", "x2"])
+    fibers = Chart("F", (Coord("u1", ROLE_TANGENT, 1), Coord("u2", ROLE_TANGENT, 1)))
+    wide = 1 << (8 * KRONECKER_SLOT_BYTES)
+    corner = Polynomial(plane, {(EXPONENT_LIMIT - 10, 0): 1})
+    cases = [
+        (True, plane, _dense(plane, 7, lambda i, j: (-1) ** i * (i + 2 * j + 1)),
+         _dense(plane, 11, lambda i, j: Fraction(j - 3, i + 1) or 1)),
+        (False, fibers, _dense(fibers, 7, lambda i, j: i - j or 5),
+         _dense(fibers, 7, lambda i, j: 1)),
+        # degree sums up to the limit + 4: the loop raises
+        (False, plane, _dense(plane, 7, lambda i, j: 1) * corner, _dense(plane, 7, lambda i, j: 2)),
+        # 16 terms on a 4 x 4 grid of spacing 4 and 5: 28 * 28 slots for 256 term pairs
+        (False, plane, Polynomial(plane, {(4 * i, 4 * j): 1 for i in range(4) for j in range(4)}),
+         Polynomial(plane, {(5 * i, 5 * j): 1 for i in range(4) for j in range(4)})),
+        (False, plane, _dense(plane, 7, lambda i, j: wide + i),
+         _dense(plane, 7, lambda i, j: wide - j)),
+    ]
+    for took, chart, p, q in cases:
+        runs.clear()
+        assert (_route_outcome(Polynomial.sum_of_products, chart, [(p, q)])
+                == _route_outcome(reference_sum_of_products, chart, [(p, q)]))
+        assert runs == [took]
+
+
+def test_big_int_route_leaves_huge_coefficients_to_the_loop():
+    """A dense pair of 4,300-digit coefficients, each too wide for the
+    route's slots, still answers fast and exactly."""
+    plane = base_chart("M", ["x1", "x2"])
+    big = 10 ** (LITERAL_DIGIT_LIMIT - 1)
+    p = _dense(plane, 5, lambda i, j: big + i - j)
+    q = _dense(plane, 5, lambda i, j: -big * (j + 1) + i)
+    start = time.perf_counter()
+    out = Polynomial.sum_of_products(plane, [(p, q), (q, 3)])
+    assert time.perf_counter() - start < 1
+    assert out == reference_sum_of_products(plane, [(p, q), (q, 3)])

@@ -1,7 +1,8 @@
 """Each checker computes a derivative, a fiber restriction or a minor once
 per call, each form operation builds an output coefficient with one
-`sum_of_products`, and `verify` checks the axioms and decomposes a candidate
-once per document.
+`sum_of_products`, `verify` checks the axioms and decomposes a candidate
+once per document, and the big-int product route runs where its factors are
+large.
 
 The kernel calls are counted by wrapping them with monkeypatch; a counter
 keeps every argument it saw alive, so `id` stays unique for the count.
@@ -20,7 +21,7 @@ from conftest import (
     reference_parse, rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_linear_multivector, rnd_poly,
     rnd_vector_field,
 )
-from imcalc import forms, imforms, linforms, multivec, weil
+from imcalc import forms, imforms, linforms, multivec, poly, weil
 from imcalc import cli
 from imcalc.algebroid import (
     FiberFunctional,
@@ -380,3 +381,37 @@ def test_one_linear_form_path_per_ladder_document(monkeypatch, capsys, tmp_path,
     counts = _count_everywhere(monkeypatch, decompose, linear_form)
     assert cli.main(["--input", str(path)]) == 1
     assert dict(counts) == expected
+
+
+def test_big_int_route_runs_on_dense_documents_only(monkeypatch, capsys, tmp_path):
+    """The benchmark's dense plane documents, (1 + x1 + 2*x2)^d written out,
+    multiply factors of 20 to 132 terms by the big-int route; the corpus
+    and the ladder documents never take it."""
+    root = Path(__file__).resolve().parents[1]
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import workloads
+
+    documents = []
+    for doc in workloads.dense_poly_documents(root, 11):
+        path = tmp_path / doc.name
+        path.write_text(doc.text)
+        documents.append((path, doc.exit))
+    corpus = json.loads((LADDER.parent / "exit_codes.json").read_text())
+    ladder = json.loads((LADDER / "exit_codes.json").read_text())
+    documents += [(CORPUS / f"{name}.json", codes["json"]) for name, codes in corpus.items()]
+    documents += [(LADDER / f"{name}.json", codes["json"]) for name, codes in ladder.items()]
+
+    runs = Counter()
+    inner = poly._kronecker
+
+    def counted(chart, pairs, terms):
+        took = inner(chart, pairs, terms)
+        runs[path.name] += took
+        return took
+
+    monkeypatch.setattr(poly, "_kronecker", counted)
+    for path, exit_code in documents:
+        assert cli.main(["--input", str(path)]) == exit_code
+    assert +runs == {"plane_d4_e3.json": 3, "plane_d4_e3_perturbed.json": 3,
+                     "plane_d7_e4.json": 20, "plane_d7_e4_perturbed.json": 20}
+    assert len(documents) == 4 + 11

@@ -1,10 +1,12 @@
 """Checks on the repository's own text: no unused import in the library
-modules, and README's quick tour runs as written."""
+modules, every library import relative or from the standard library, and
+README's quick tour runs as written."""
 
 from __future__ import annotations
 
 import ast
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,41 @@ def test_unused_import_check_sees_what_it_should():
               "def f(x: IMForm, y) -> 'Sequence':\n"
               "    return random.random()\n")
     assert unused_imports(source) == [(1, "Mapping")]
+
+
+def non_stdlib_imports(source: str) -> list:
+    """The (line, module) of each absolute import in `source` whose top
+    module is not in the standard library."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        out += [(node.lineno, n) for n in names
+                if n.split(".")[0] not in sys.stdlib_module_names]
+    return out
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "imcalc").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_stdlib_import_check_sees_what_it_should():
+    source = ("from __future__ import annotations\n"
+              "import os.path, json\n"
+              "from fractions import Fraction\n"
+              "from .poly import parse\n"
+              "from . import forms\n"
+              "import numpy as np\n"
+              "def f():\n"
+              "    from numpy.linalg import det\n"
+              "    import sympy\n")
+    assert non_stdlib_imports(source) == [(6, "numpy"), (8, "numpy.linalg"), (9, "sympy")]
 
 
 def test_readme_quick_tour_runs_verbatim():
