@@ -318,25 +318,22 @@ def cross_check_frame_values(table: Alternating, tc: TotalChart, rows: Minors,
     added, which `Minors.contract` takes by linearity, against the
     coefficients at the zero fiber point; the a-th name of `linears` reads
     the plain rows against the coefficients at u_a = 1.  Each coefficient is
-    restricted to each of these points once.
+    split into its values at all of these points in one walk over its terms
+    (`Polynomial.unit_restrictions`).
     """
     ids = tuple(range(len(rows.rows)))
-    zero = dict.fromkeys(tc.fiber_names, 0)
-
-    def restrict(point: dict) -> dict:
-        out = {}
-        for idx, poly in table.coeffs.items():
-            coeff = poly.partial_eval(point, tc.base_chart).promote(rows.chart)
+    points = [{} for _ in range(len(tc.fiber_names) + 1)]
+    for idx, poly in table.coeffs.items():
+        for coeffs, coeff in zip(points, poly.unit_restrictions(tc.fiber_names, rows.chart)):
             if not coeff.is_zero():
-                out[idx] = coeff
-        return out
+                coeffs[idx] = coeff
+    at_zero, *at_units = points
 
     def check(name: str, coeffs: dict, unit=None) -> None:
         if rows.contract(coeffs, ids, unit) != values[name]:
             raise CrossCheckError(f"frame value mismatch on {name}")
 
-    at_zero = restrict(zero)
     for name, unit in cores:
         check(name, at_zero, unit)
-    for name, u in zip(linears, tc.fiber_names):
-        check(name, restrict({**zero, u: 1}))
+    for name, coeffs in zip(linears, at_units):
+        check(name, coeffs)

@@ -51,7 +51,11 @@ Products are collected in one flat loop (`Polynomial.sum_of_products`, which
 map, and the map is made canonical once per call, not once per pair, so a
 sum of n products copies no intermediate term map.  A pair's second member
 may be an int weight, as in `(p, -1)`: it adds c * w per term of p into the
-same map, so signed sums need no negated copy and no constant factor.
+same map, so signed sums need no negated copy and no constant factor.  Most
+calls multiply a few short factors, so the loop keeps its fixed costs low: a
+pair with an empty factor is skipped once its charts are checked, the
+shorter factor is the outer loop, and the guard bits are scanned only when
+a polynomial pair was multiplied (int-weight pairs add stored keys only).
 
 The pairs whose factors both have at least `KRONECKER_TERMS` terms are
 multiplied as big ints instead (Kronecker substitution: D. Harvey, "Faster
@@ -66,18 +70,20 @@ one int of W-byte slots, W chosen so that the exact bound sum ||p||_1 *
 denominators) stays below half a slot.  The group products add up per
 summed higher key, and a nonzero total is decoded slot by slot with a
 balanced bias into the same term map, which is then made canonical and
-guard-checked as above.  The loop multiplies the pairs instead on a chart
-with no base coordinate, when a degree sum passes `EXPONENT_LIMIT`, when
-the slot count times the group pairs exceeds the term pairs, and when W
-exceeds `KRONECKER_SLOT_BYTES`.
+guard-checked like the loop's.  The loop multiplies the pairs instead on a
+chart with no base coordinate, when a degree sum passes `EXPONENT_LIMIT`,
+when the slot count times the group pairs exceeds the term pairs, and when
+W exceeds `KRONECKER_SLOT_BYTES`.
 
 `partial_eval` collects into one term map the same way; `+` cleans only
 the keys of its right operand in place, since `total = total + term` adds a
-short map into a long one.  `eval` brings every
-term over one integer denominator, the product of q_i^D_i over the
-coordinates (p_i/q_i the value of coordinate i, D_i the top degree in it), so
-it sums ints and builds one `Fraction`; its power tables hold one entry per
-exponent that occurs.
+short map into a long one.  `unit_restrictions` gives a polynomial at the
+zero point and at each unit point of some coordinates in one walk over its
+terms, where one `partial_eval` per point would walk them once per point.
+`eval` brings every term over one integer denominator, the product of
+q_i^D_i over the coordinates (p_i/q_i the value of coordinate i, D_i the top
+degree in it), so it sums ints and builds one `Fraction`; its power tables
+hold one entry per exponent that occurs.
 
 Charts carry a role per coordinate (base / fiber / tangent copy / dual copy)
 so that total spaces of bundles and direct-sum prolongation charts can do
@@ -93,7 +99,7 @@ from fractions import Fraction
 from functools import reduce
 from math import comb, lcm, prod
 from operator import or_
-from typing import Iterable
+from typing import Iterable, Sequence
 
 #: bits per coordinate in a packed monomial; the top one is the guard bit
 SLOT_BITS = 16
@@ -329,12 +335,23 @@ class Polynomial:
         A pair whose factors both have `KRONECKER_TERMS` terms or more is
         multiplied as one big int (`_kronecker`) where that is cheaper."""
         terms: dict = {}
-        large = _collect(chart, pairs, terms, KRONECKER_TERMS)
-        if large and not _kronecker(chart, large, terms):
-            _collect(chart, large, terms, 0)
-        terms = _canonical(terms)
-        _check_guard(chart, terms)
-        return _make(chart, terms)
+        large, multiplied = _collect(chart, pairs, terms, KRONECKER_TERMS)
+        if large:
+            multiplied = True
+            if not _kronecker(chart, large, terms):
+                _collect(chart, large, terms, 0)
+        # made canonical and wrapped as `_canonical` and `_make` do, inline:
+        # most calls collect a handful of terms, so call overhead would show
+        terms = {e: c if type(c) is int or c.denominator != 1 else c.numerator
+                 for e, c in terms.items() if c}
+        if multiplied:
+            # an int-weight pair adds stored keys only, which have their
+            # guard bits clear
+            _check_guard(chart, terms)
+        out = object.__new__(Polynomial)
+        _set_chart(out, chart)
+        _set_terms(out, terms)
+        return out
 
     # -- ring structure ----------------------------------------------------
 
@@ -481,6 +498,41 @@ class Polynomial:
                 terms[e] = get(e, 0) + coeff
         return _make(new_chart, _canonical(terms))
 
+    def unit_restrictions(self, names: Sequence, chart: Chart) -> list:
+        """This polynomial at the zero point and at each unit point of the
+        coordinates `names`, as len(names) + 1 polynomials on `chart`.
+
+        Entry 0 sets every coordinate in `names` to 0; entry d + 1 sets
+        names[d] to 1 and the others to 0.  One walk over the terms splits
+        them: a term in none of `names` goes to every point, a term in
+        names[d] alone, at any power, to point d + 1 only, and a term in two
+        or more of them to none.  Every other coordinate must sit in the
+        same slot on `chart`, so a kept key is the term's key with the slots
+        of `names` masked off.
+        """
+        src = self.chart
+        point = {src.index(n): d for d, n in enumerate(names)}
+        for i, n in enumerate(src.names):
+            if i not in point and chart.index(n) != i:
+                raise ChartError(f"coordinate {n!r} of chart {src.name!r} "
+                                 f"is not in the same slot on chart {chart.name!r}")
+        masked = sum(SLOT_MASK << src._shifts[i] for i in point)
+        common: dict = {}
+        alone = [{} for _ in names]
+        for e, c in self._terms.items():
+            f = e & masked
+            if not f:
+                common[e] = c
+                continue
+            # the slots of the highest and the lowest set bit of f
+            top = (f.bit_length() - 1) // SLOT_BITS
+            if ((f & -f).bit_length() - 1) // SLOT_BITS == top:
+                terms = alone[point[top]]
+                e -= f
+                terms[e] = terms.get(e, 0) + c
+        zero = _make(chart, common)
+        return [zero] + [zero + _make(chart, _canonical(t)) if t else zero for t in alone]
+
     def promote(self, new_chart: Chart) -> "Polynomial":
         """Reinterpret on a larger chart containing all of this chart's names."""
         if _same(new_chart, self.chart):
@@ -561,33 +613,48 @@ def _make(chart: Chart, terms: dict) -> Polynomial:
     return out
 
 
-def _collect(chart: Chart, pairs: Iterable, terms: dict, large: int) -> list:
+def _collect(chart: Chart, pairs: Iterable, terms: dict, large: int) -> tuple:
     """Add p * q (or c * q per term of p, for an int q) over the pairs into
     the term map one term pair at a time, after checking their charts.  A
-    polynomial pair whose factors both have at least `large` terms (never,
-    for 0) is not multiplied but returned."""
+    pair with an empty factor adds nothing, and the smaller factor is the
+    outer loop.  Returns the polynomial pairs whose factors both have at
+    least `large` terms (never, for 0), which it leaves unmultiplied, and
+    whether it multiplied a polynomial pair."""
     get = terms.get
     deferred = []
+    multiplied = False
     for p, q in pairs:
+        pc = p.chart
         if type(q) is int:
-            if not _same(p.chart, chart):
-                raise ChartError(f"chart mismatch: {chart.name!r} vs {p.chart.name!r}")
+            if not (pc is chart or pc == chart):
+                raise ChartError(f"chart mismatch: {chart.name!r} vs {pc.name!r}")
             for e, c in p._terms.items():
                 terms[e] = get(e, 0) + c * q
             continue
-        if not (_same(p.chart, chart) and _same(q.chart, chart)):
-            raise ChartError(
-                f"chart mismatch: {chart.name!r} vs {p.chart.name!r}, {q.chart.name!r}"
-            )
-        if large and len(p._terms) >= large and len(q._terms) >= large:
+        qc = q.chart
+        if not ((pc is chart or pc == chart) and (qc is chart or qc == chart)):
+            raise ChartError(f"chart mismatch: {chart.name!r} vs {pc.name!r}, {qc.name!r}")
+        left, right = p._terms, q._terms
+        if not (left and right):
+            continue
+        if len(left) > len(right):
+            left, right = right, left
+        if large and len(left) >= large:
             deferred.append((p, q))
             continue
-        right = tuple(q._terms.items())
-        for e1, c1 in p._terms.items():
+        multiplied = True
+        if len(left) == 1:
+            (e1, c1), = left.items()
+            for e2, c2 in right.items():
+                e = e1 + e2
+                terms[e] = get(e, 0) + c1 * c2
+            continue
+        right = tuple(right.items())
+        for e1, c1 in left.items():
             for e2, c2 in right:
                 e = e1 + e2
                 terms[e] = get(e, 0) + c1 * c2
-    return deferred
+    return deferred, multiplied
 
 
 def _kronecker(chart: Chart, pairs: list, terms: dict) -> bool:

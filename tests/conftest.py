@@ -335,6 +335,18 @@ def reference_sum_of_products(chart: Chart, pairs) -> Polynomial:
     return _make(chart, terms)
 
 
+# -- the per-point restriction, the reference for `Polynomial.unit_restrictions`
+#
+# Each point is evaluated with its own `partial_eval` onto the chart of the
+# other coordinates, and the result promoted to the target chart.
+
+def reference_unit_restrictions(p: Polynomial, names: Sequence, chart: Chart) -> list:
+    kept = Chart(f"{p.chart.name}|kept", tuple(c for c in p.chart.coords if c.name not in names))
+    zero = dict.fromkeys(names, 0)
+    points = [zero] + [{**zero, n: 1} for n in names]
+    return [p.partial_eval(point, kept).promote(chart) for point in points]
+
+
 # -- the per-character parser, the reference for `poly.parse` ------------------
 #
 # It reads one character at a time, builds a Polynomial per atom and

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import conftest
-from conftest import reference_parse
+from conftest import reference_parse, reference_sum_of_products, reference_unit_restrictions
 from imcalc import poly
 from imcalc.poly import (
     EXPONENT_LIMIT,
+    KRONECKER_TERMS,
     LITERAL_DIGIT_LIMIT,
     Chart,
     ChartError,
     Coord,
     ParseError,
     Polynomial,
+    ROLE_FIBER,
+    ROLE_TANGENT,
     base_chart,
     format_polynomial,
     parse,
@@ -86,6 +89,73 @@ def test_sum_of_products_checks_charts():
         Polynomial.sum_of_products(CH2, [(p, p), (q, q)])
     with pytest.raises(ChartError):
         Polynomial.sum_of_products(CH3, [(p, p)])
+
+
+def test_empty_factor_on_a_foreign_chart_still_raises():
+    x1 = parse("x1", CH2)
+    for pair in [(Polynomial.zero(CH3), x1), (x1, Polynomial.zero(CH3)),
+                 (Polynomial.zero(CH3), Polynomial.zero(CH3)), (Polynomial.zero(CH3), 2)]:
+        with pytest.raises(ChartError, match="chart mismatch"):
+            Polynomial.sum_of_products(CH2, [(x1, x1), pair])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_empty_factor_pairs_add_nothing(data):
+    poly_ = _strat_poly(CH2)
+    pairs = data.draw(st.lists(st.tuples(poly_, st.one_of(poly_, st.integers(-3, 3))),
+                               max_size=4))
+    zero = Polynomial.zero(CH2)
+    empties = data.draw(st.lists(st.sampled_from([(zero, zero), (zero, 2)]), max_size=3))
+    empties += [(zero, q) for _, q in pairs] + [(p, zero) for p, _ in pairs]
+    mixed = data.draw(st.permutations(pairs + empties))
+    total = Polynomial.sum_of_products(CH2, pairs)
+    assert Polynomial.sum_of_products(CH2, mixed)._terms == total._terms
+    assert total == reference_sum_of_products(CH2, pairs)
+
+
+def test_guard_scan_runs_only_after_a_product(monkeypatch):
+    scans = []
+    inner = poly._check_guard
+
+    def counted(chart, terms):
+        scans.append(chart)
+        inner(chart, terms)
+
+    monkeypatch.setattr(poly, "_check_guard", counted)
+    top = parse(f"x1^{EXPONENT_LIMIT} + x2^{EXPONENT_LIMIT}", CH2)
+    # an int-weight sum only adds stored keys: nothing to scan, nothing raised
+    assert Polynomial.sum_of_products(CH2, [(top, 3), (top, -1)]) == top * 2
+    assert Polynomial.sum_of_products(CH2, [(top, 1), (Polynomial.zero(CH2), top)]) == top
+    assert scans == []
+    Polynomial.sum_of_products(CH2, [(top, 1), (parse("x1", CH2), parse("x2", CH2))])
+    assert scans == [CH2]
+
+
+def _recorded_big_int_route(monkeypatch) -> list:
+    runs = []
+    inner = poly._kronecker
+
+    def counted(chart, pairs, terms):
+        runs.append(inner(chart, pairs, terms))
+        return runs[-1]
+
+    monkeypatch.setattr(poly, "_kronecker", counted)
+    return runs
+
+
+def test_product_past_the_limit_raises_on_both_routes(monkeypatch):
+    """Every term of `half` has u1^16384, so its square sets the guard bit
+    of u1, a copy coordinate: at `KRONECKER_TERMS` terms the big-int route
+    multiplies it, at one term fewer the loop does, and both name u1."""
+    chart = Chart("M|u", (Coord("x1"), Coord("u1", ROLE_TANGENT, 1)))
+    runs = _recorded_big_int_route(monkeypatch)
+    for size, route in [(KRONECKER_TERMS, [True]), (KRONECKER_TERMS - 1, [])]:
+        runs.clear()
+        half = Polynomial(chart, {(i, 16384): i + 1 for i in range(size)})
+        with pytest.raises(ChartError, match="exponent of u1 above"):
+            Polynomial.sum_of_products(chart, [(half, half)])
+        assert runs == route
 
 
 def test_exponent_limit():
@@ -414,6 +484,88 @@ def test_ring_axioms(p, q, r):
 def test_partials_commute(p):
     assert p.diff("x1").diff("x2") == p.diff("x2").diff("x1")
     assert p.diff("x3").diff("x1") == p.diff("x1").diff("x3")
+
+
+FIBER_CHARTS = [Chart(f"M|u{r}", CH2.coords + tuple(Coord(f"u{d}", ROLE_FIBER)
+                                                     for d in range(1, r + 1)))
+                for r in range(4)]
+# base coordinates in the same slots, then copy coordinates, as on a
+# prolongation chart
+COPY_TARGET = Chart("M|T", CH2.coords + (Coord("y1", ROLE_TANGENT, 1),
+                                         Coord("y2", ROLE_TANGENT, 1)))
+
+
+@st.composite
+def _fiber_polys(draw):
+    """A polynomial on a total chart of rank 0 to 3 whose terms are free of
+    the fiber, in one fiber coordinate u_d^m, or in two or more; a term may
+    come with a partner one power of u_d up and of opposite sign, which
+    cancels it at u_d = 1 only."""
+    chart = draw(st.sampled_from(FIBER_CHARTS))
+    rank = chart.dim - 2
+    coeff = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    terms: dict = {}
+
+    def add(exps, c):
+        terms[exps] = terms.get(exps, 0) + c
+
+    for _ in range(draw(st.integers(0, 6))):
+        base = draw(st.tuples(st.integers(0, 2), st.integers(0, 2)))
+        fiber = [0] * rank
+        kind = draw(st.sampled_from(["free", "power", "mixed"][:min(rank, 2) + 1]))
+        if kind == "power":
+            fiber[draw(st.integers(0, rank - 1))] = draw(st.integers(1, 4))
+        elif kind == "mixed":
+            for d in draw(st.lists(st.integers(0, rank - 1), min_size=2, max_size=rank,
+                                   unique=True)):
+                fiber[d] = draw(st.integers(1, 2))
+        c = draw(coeff)
+        add(base + tuple(fiber), c)
+        if kind != "mixed" and rank and draw(st.booleans()):
+            d = fiber.index(max(fiber)) if kind == "power" else draw(st.integers(0, rank - 1))
+            partner = list(fiber)
+            partner[d] += 1
+            add(base + tuple(partner), -c)
+    return Polynomial(chart, terms), chart.names[2:]
+
+
+def _canonical_terms(p: Polynomial) -> bool:
+    return all(c and (type(c) is int or c.denominator != 1) for c in p._terms.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fiber_polys(), st.sampled_from([CH2, COPY_TARGET]))
+def test_unit_restrictions_match_the_per_point_reference(case, target):
+    p, names = case
+    split = p.unit_restrictions(names, target)
+    assert len(split) == len(names) + 1
+    assert split == reference_unit_restrictions(p, names, target)
+    assert all(q.chart == target and _canonical_terms(q) for q in split)
+
+
+def test_unit_restrictions_pinned_cases():
+    chart = FIBER_CHARTS[2]
+
+    def split(text):
+        return [str(q) for q in parse(text, chart).unit_restrictions(("u1", "u2"), COPY_TARGET)]
+
+    assert split("0") == ["0"] * 3
+    assert split("x1*u1^3 + 1/2*u1*u2 - x2*u2^2 + 3") == ["3", "x1 + 3", "-1*x2 + 3"]
+    # cancels at u1 = 1 only, and leaves an integral sum as an int
+    assert split("x1*u1 - x1*u1^2 + 1/2*u2 + 1/2*u2^5") == ["0", "0", "1"]
+    # rank 0: the polynomial itself, on the target chart
+    p = parse("x1^2 - 2/3*x2", CH2)
+    assert p.unit_restrictions((), COPY_TARGET) == [p.promote(COPY_TARGET)]
+
+
+def test_unit_restrictions_need_the_kept_slots_on_the_target():
+    p = parse("x1 + u1", FIBER_CHARTS[1])
+    for target in [base_chart("N", ["x2", "x1"]), base_chart("N", ["x1"]),
+                   base_chart("N", ["x1", "y", "x2"])]:
+        with pytest.raises(ChartError):
+            p.unit_restrictions(("u1",), target)
+    with pytest.raises(ChartError):
+        p.unit_restrictions(("u2",), CH2)
 
 
 def test_derivative_matches_difference_quotient():

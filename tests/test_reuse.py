@@ -267,47 +267,55 @@ def test_frame_functionals_expand_each_minor_once(rng, monkeypatch, k):
 
 
 def _counting_cross_check(monkeypatch, module, name):
-    """Count `partial_eval` calls, by polynomial and point, inside one
-    cross-check function only."""
-    counter = CallCounter()
-    counter.on = False
-    monkeypatch.setattr(Polynomial, "partial_eval", counter.wrap(
-        Polynomial.partial_eval,
-        lambda p, assign, chart: (p, tuple(sorted(assign.items())), chart)))
+    """Count `unit_restrictions` calls, by polynomial, fiber names and
+    target chart, and `partial_eval` calls, inside one cross-check function
+    only."""
+    splits, evals = CallCounter(), CallCounter()
+    splits.on = evals.on = False
+    monkeypatch.setattr(Polynomial, "unit_restrictions", splits.wrap(
+        Polynomial.unit_restrictions, lambda p, names, chart: (p, tuple(names), chart)))
+    monkeypatch.setattr(Polynomial, "partial_eval", evals.wrap(
+        Polynomial.partial_eval, lambda p, assign, chart: (p,)))
     inner = getattr(module, name)
 
     def counted(*args):
-        counter.on = True
+        splits.on = evals.on = True
         try:
             return inner(*args)
         finally:
-            counter.on = False
+            splits.on = evals.on = False
 
     monkeypatch.setattr(module, name, counted)
-    return counter
+    return splits, evals
 
 
-def _points(counter) -> set:
-    return {key[1] for key in counter.counts}
+def _assert_one_split_per_coefficient(splits, evals, table, tc) -> None:
+    assert not evals.counts, "the cross-check evaluated a polynomial at a point"
+    assert max(splits.counts.values()) == 1
+    assert len(splits.counts) == len(table.coeffs)
+    # every split is over all the fiber coordinates: the zero point and one
+    # unit point per frame section
+    assert {key[1] for key in splits.counts} == {tc.fiber_names}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_form_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
-    counter = _counting_cross_check(monkeypatch, linforms, "_cross_check_form_values")
+    splits, evals = _counting_cross_check(monkeypatch, linforms, "_cross_check_form_values")
     algebroid = koszul_so3_algebroid()
-    form_frame_functional(IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k)))
-    assert max(counter.counts.values()) == 1
-    # the zero point and one unit point per frame section
-    assert len(_points(counter)) == algebroid.rank + 1
+    bundle_forms = rnd_bundle_forms(rng, algebroid, k)
+    form_frame_functional(IMForm(algebroid, bundle_forms))
+    tc = total_chart_of(algebroid)
+    _assert_one_split_per_coefficient(splits, evals, linear_form(bundle_forms, tc), tc)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_multivector_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
-    counter = _counting_cross_check(monkeypatch, multivec, "_cross_check_multivector_values")
+    splits, evals = _counting_cross_check(monkeypatch, multivec, "_cross_check_multivector_values")
     algebroid = koszul_so3_algebroid()
-    multivector_frame_functional(rnd_linear_multivector(rng, algebroid, k))
-    assert max(counter.counts.values()) == 1
-    assert len(_points(counter)) == algebroid.rank + 1
+    p = rnd_linear_multivector(rng, algebroid, k)
+    multivector_frame_functional(p)
+    tc = total_chart_of(algebroid)
+    _assert_one_split_per_coefficient(splits, evals, p.to_multivector(tc), tc)
 
 
 def _count_everywhere(monkeypatch, *functions) -> Counter:

@@ -1,6 +1,7 @@
 """Checks on the repository's own text: no unused import in the library
-modules, every library import relative or from the standard library, and
-README's quick tour runs as written."""
+modules, every library import relative or from the standard library, the
+polynomial kernel's term maps handled only in `poly.py`, and README's quick
+tour runs as written."""
 
 from __future__ import annotations
 
@@ -95,6 +96,44 @@ def test_stdlib_import_check_sees_what_it_should():
               "    from numpy.linalg import det\n"
               "    import sympy\n")
     assert non_stdlib_imports(source) == [(6, "numpy"), (8, "numpy.linalg"), (9, "sympy")]
+
+
+#: the kernel's packed term map and its private constructors
+KERNEL_MAP = "_terms"
+KERNEL_BUILDERS = {"_make", "_canonical"}
+
+
+def kernel_internals(source: str) -> list:
+    """The (line, name) of each `._terms` read and each use of `_make` or
+    `_canonical` (by name, as an attribute or imported) in `source`."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in KERNEL_BUILDERS | {KERNEL_MAP}:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Name) and node.id in KERNEL_BUILDERS:
+            out.append((node.lineno, node.id))
+        elif isinstance(node, ast.ImportFrom):
+            out += [(node.lineno, a.name) for a in node.names if a.name in KERNEL_BUILDERS]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "poly.py"],
+                         ids=lambda p: p.name)
+def test_only_the_kernel_touches_term_maps(path):
+    """Splitting, collecting and canonicalizing term maps stay in `poly.py`;
+    other modules go through `Polynomial`'s methods."""
+    assert kernel_internals(path.read_text(encoding="utf-8")) == []
+
+
+def test_kernel_internals_check_sees_what_it_should():
+    source = ("from .poly import Polynomial, _make\n"
+              "from . import poly\n"
+              "def f(p, terms):\n"
+              "    out = dict(p._terms)\n"
+              "    q = poly._canonical(out)\n"
+              "    return _make(p.chart, q), p.terms, from_terms(terms)\n")
+    assert kernel_internals(source) == [(1, "_make"), (4, "_terms"), (5, "_canonical"),
+                                        (6, "_make")]
 
 
 def test_readme_quick_tour_runs_verbatim():
