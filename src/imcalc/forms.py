@@ -489,7 +489,8 @@ def graded_bracket(p_table: dict, p: int, q_table: dict, q: int,
 
     Base cases are the frame bracket `fb` on single indices and the derivation
     `act` of coefficients; the result table has degree p + q - 1 (empty when
-    that is negative, i.e. for two degree-0 inputs).
+    that is negative, i.e. for two degree-0 inputs).  `schouten` and
+    `algebroid.section_bracket` run on it.
     """
     groups: dict = {}
     sign = -1 if ((p - 1) * (q - 1)) % 2 else 1

@@ -10,6 +10,11 @@ coordinates and on the frame.  The dual main result matches the derivation
 property for the Gerstenhaber bracket against the morphism condition of the
 induced fiberwise functional on the cotangent prolongation; both routes are
 computed independently and compared by `oracle_equivalence_dual`.
+
+The derivation property is checked on the generators x_i and e_a only, so
+`check_gerstenhaber_derivation` takes each bracket by its closed form (given
+in its docstring) rather than through `forms.graded_bracket`, which serves
+`section_bracket`, `schouten` and the test suite's reference for the check.
 """
 
 from __future__ import annotations
@@ -31,7 +36,7 @@ from .algebroid import (
     run_oracle,
 )
 from .errors import AlgebroidError
-from .forms import Minors, Multivector, graded_bracket
+from .forms import Minors, Multivector, collect, sort_indices
 from .linforms import TotalChart, cross_check_frame_values, linear_shape, total_chart_of
 from .poly import ChartError, Polynomial
 
@@ -224,10 +229,33 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     Leibniz rules these imply the derivation property on all wedge sections.
     Includes the axiom gate for unchecked algebroids.
 
-    The brackets act on coefficients through one partials table, filled as
-    they need it, so each coefficient is differentiated at most once per
-    call; an entry holds its polynomial, which keeps the id in its key unique
-    while the table lives.
+    One side of every bracket is a generator, so each takes its closed form
+    (the conventions of `graded_bracket`; P = sum f_T e_T of degree p,
+    Q = sum g_S e_S, positions s and m 1-based, sigma = (-1)^(k-1)):
+
+        [P, x_j] = sum_T sum_s (-1)^(p-s) f_T rho^j_{t_s} e_{T minus t_s}
+                 = (-1)^p [x_j, P]
+        [x_i, Q] = sum_S sum_m (-1)^m g_S rho^i_{S_m} e_{S minus S_m}
+        [P, e_b] = sum_T (f_T sum_s e_t1 ^ .. [e_ts, e_b] .. ^ e_tp - rho_b(f_T) e_T)
+        [e_a, Q] = sum_S (rho_a(g_S) e_S + g_S sum_m e_S1 ^ .. [e_a, e_Sm] .. ^ e_Sq)
+                 = -[Q, e_a]
+
+    and with delta(f) = sum_j (df/dx_j) delta x_j the residuals are
+
+        R1(i, j) = [delta x_i, x_j] + sigma [x_i, delta x_j]
+        R2(i, b) = -delta(rho_b^i) - [delta x_i, e_b] - sigma [x_i, delta e_b]
+        R3(a, b) = sum_c (delta(C_ab^c) ^ e_c + C_ab^c delta e_c)
+                   - [delta e_a, e_b] - [e_a, delta e_b].
+
+    Only [x_i, Q] and [P, e_b] are built; the other two follow by graded
+    antisymmetry.  Every term is a product of two base polynomials, so each
+    residual is one `collect` over (polynomial, weight) pairs grouped by
+    output index.  The brackets act on coefficients through one partials
+    table, filled as they need it, so each polynomial is differentiated at
+    most once per call; an entry holds its polynomial, which keeps the id in
+    its key unique while the table lives.  The negation table does the same
+    for the signed small factors (anchor entries, structure functions and
+    their partials).
     """
     A = d.algebroid
     violations = list(axiom_gate(A))
@@ -238,54 +266,99 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     names = chart.names
     k = d.k
     sign = -1 if (k - 1) % 2 else 1
+    coord = [d.coord_action(j).coeffs for j in range(chart.dim)]
+    frame = [d.frame_action(a).coeffs for a in range(A.rank)]
     partials: dict = {}   # (id(f), coordinate) -> (f, df/dx)
+    negated: dict = {}    # id(p) -> (p, -p)
+    rows: dict = {}       # (a, b) -> [e_a, e_b] as (c, C_ab^c) pairs
 
-    def act(a: int, f: Polynomial) -> Polynomial:
-        pairs = []
-        for name, comp in A._anchor_sparse[a]:
-            entry = partials.get((id(f), name))
-            if entry is None:
-                entry = partials[id(f), name] = (f, f.diff(name))
-            pairs.append((comp, entry[1]))
-        return Polynomial.sum_of_products(chart, pairs)
+    def diff(f: Polynomial, name: str) -> Polynomial:
+        entry = partials.get((id(f), name))
+        if entry is None:
+            entry = partials[id(f), name] = (f, f.diff(name))
+        return entry[1]
 
-    def bracket(u: Section, v: Section) -> Section:
-        """`section_bracket`, acting on coefficients through `partials`."""
-        table = graded_bracket(u.coeffs, u.degree, v.coeffs, v.degree,
-                               A.bracket_frame_row, act)
-        return u._like(table, max(u.degree + v.degree - 1, 0))
+    def signed(p: Polynomial, s: int) -> Polynomial:
+        if s > 0:
+            return p
+        entry = negated.get(id(p))
+        if entry is None:
+            entry = negated[id(p)] = (p, -p)
+        return entry[1]
 
-    xs = [Section.function(A, Polynomial.variable(chart, name)) for name in names]
-    es = [Section.frame(A, b) for b in range(A.rank)]
+    def row(a: int, b: int) -> tuple:
+        entry = rows.get((a, b))
+        if entry is None:
+            entry = rows[a, b] = A.bracket_frame_row(a, b)
+        return entry
 
+    def scalar(groups: dict, f: Polynomial, s: int, tail: tuple = ()) -> None:
+        """Add s * delta(f) ^ e_tail."""
+        for j, name in enumerate(names):
+            df = diff(f, name)
+            if df.is_zero():
+                continue
+            for key, g in coord[j].items():
+                merged = sort_indices(key + tail)
+                if merged is not None:
+                    groups.setdefault(merged[0], []).append((signed(df, s * merged[1]), g))
+
+    def with_coord(groups: dict, table: Mapping, i: int, s: int) -> None:
+        """Add s * [x_i, Q] for the table of Q."""
+        for key, g in table.items():
+            for m, c in enumerate(key, start=1):
+                rho = A.anchor[c][i]
+                if not rho.is_zero():
+                    groups.setdefault(key[:m - 1] + key[m:], []).append(
+                        (g, signed(rho, s if m % 2 == 0 else -s)))
+
+    def with_frame(groups: dict, table: Mapping, b: int, s: int) -> None:
+        """Add s * [P, e_b] for the table of P."""
+        for key, f in table.items():
+            for name, comp in A._anchor_sparse[b]:
+                df = diff(f, name)
+                if not df.is_zero():
+                    groups.setdefault(key, []).append((signed(comp, -s), df))
+            for pos, t in enumerate(key):
+                for c, w in row(t, b):
+                    merged = sort_indices(key[:pos] + (c,) + key[pos + 1:])
+                    if merged is not None:
+                        groups.setdefault(merged[0], []).append((f, signed(w, s * merged[1])))
+
+    def report(tag: str, witness: tuple, degree: int, groups: dict) -> None:
+        table = collect(groups)
+        if table:
+            res = Section.zero(A, degree)._like(table)
+            violations.extend(component_violations(tag, witness, res))
+
+    # [delta x_i, x_j] = sigma [x_j, delta x_i], degree k-1 into k-2
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
-            res = (bracket(d.coord_action(i), xs[j])
-                   + bracket(xs[i], d.coord_action(j)).scale(sign))
-            if not res.is_zero():
-                violations.extend(component_violations("R1", (names[i], names[j]), res))
+            groups: dict = {}
+            with_coord(groups, coord[i], j, sign)
+            with_coord(groups, coord[j], i, sign)
+            report("R1", (names[i], names[j]), max(k - 2, 0), groups)
 
     for i in range(chart.dim):
         for b in range(A.rank):
             # delta[x_i, e_b] = -delta(rho_b^i), by the scalar action rule
-            lhs = -(d.scalar_action(A.anchor[b][i]))
-            res = (lhs - bracket(d.coord_action(i), es[b])
-                   - bracket(xs[i], d.frame_action(b)).scale(sign))
-            if not res.is_zero():
-                violations.extend(component_violations(
-                    "R2", (names[i], A.frame_names[b]), res))
+            groups = {}
+            scalar(groups, A.anchor[b][i], -1)
+            with_frame(groups, coord[i], b, -1)
+            with_coord(groups, frame[b], i, -sign)
+            report("R2", (names[i], A.frame_names[b]), k - 1, groups)
 
+    # [e_a, delta e_b] = -[delta e_b, e_a]
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
-            lhs = Section.zero(A, k)
-            for c, w in A.bracket_frame_row(a, b):
-                lhs = lhs + d.scalar_action(w).wedge(es[c])
-                lhs = lhs + d.frame_action(c).scale(w)
-            res = (lhs - bracket(d.frame_action(a), es[b])
-                   - bracket(es[a], d.frame_action(b)))
-            if not res.is_zero():
-                violations.extend(component_violations(
-                    "R3", (A.frame_names[a], A.frame_names[b]), res))
+            groups = {}
+            for c, w in row(a, b):
+                scalar(groups, w, 1, (c,))
+                for key, g in frame[c].items():
+                    groups.setdefault(key, []).append((w, g))
+            with_frame(groups, frame[a], b, -1)
+            with_frame(groups, frame[b], a, 1)
+            report("R3", (A.frame_names[a], A.frame_names[b]), k, groups)
     return CheckReport.collect(violations, notes)
 
 

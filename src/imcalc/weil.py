@@ -149,20 +149,32 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     rule; comp1(a)(b): L_{rho_a} comp1(e_b) - comp1([e_a, e_b]) + i_{rho_b}
     comp0(e_a); comp2(a): -i_{rho_a} comp1(e_a).
 
-    d of each frame value is taken once, and each L_{rho_a} enters its sum
-    as the terms of Cartan's formula L = i d + d i (the d i term is absent
-    on functions); each component is one `linear_combination`.
+    d of each frame value and i_{rho_a} of each (a, frame value) is taken
+    once, and each L_{rho_a} enters its sum as the terms of Cartan's formula
+    L = i d + d i (the d i term is absent on functions); each component is
+    one `linear_combination`.
     """
+    return _horizontal_differential(w)[0]
+
+
+def _horizontal_differential(w: WeilCochain1) -> tuple:
+    """`horizontal_differential` and its table {(a, b): i_{rho_a} comp1(e_b)}
+    over ordered frame pairs, which the DH2 polarization reads too."""
     A = w.algebroid
     r = A.rank
     rho = [A.anchor_field(a) for a in range(r)]
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    i0 = {(a, b): contract(rho[a], w.value0(b)) for a, b in pairs}
+    i1 = {(a, b): contract(rho[a], w.value1(b)) for a, b in pairs}
     d0 = [exterior_derivative(w.value0(b)) for b in range(r)]
     d1 = [exterior_derivative(w.value1(b)) for b in range(r)]
 
-    def lie(a: int, form: DifferentialForm, d_form: DifferentialForm, weight: int) -> list:
+    def lie(a: int, d_form: DifferentialForm, i_form: DifferentialForm, weight: int) -> list:
+        # L_{rho_a} of the form whose d is d_form and whose i_{rho_a} is
+        # i_form; a d_form of degree 1 is that of a function
         terms = [(contract(rho[a], d_form), weight)]
-        if form.degree > 0:
-            terms.append((exterior_derivative(contract(rho[a], form)), weight))
+        if d_form.degree > 1:
+            terms.append((exterior_derivative(i_form), weight))
         return terms
 
     # minus the image of [e_a, e_b] is the image of [e_b, e_a]
@@ -170,18 +182,18 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     for a in range(r):
         for b in range(a + 1, r):
             terms = [(w.value0_scaled(coeff, c), 1) for c, coeff in A.bracket_frame_row(b, a)]
-            comp0[(a, b)] = linear_combination(terms + lie(a, w.value0(b), d0[b], 1)
-                                               + lie(b, w.value0(a), d0[a], -1))
+            comp0[(a, b)] = linear_combination(terms + lie(a, d0[b], i0[a, b], 1)
+                                               + lie(b, d0[a], i0[b, a], -1))
     comp1 = {}
     for a in range(r):
         for b in range(r):
             terms = [(w.value1(c), coeff) for c, coeff in A.bracket_frame_row(b, a)]
-            comp1[(a, b)] = linear_combination(terms + lie(a, w.value1(b), d1[b], 1)
-                                               + [(contract(rho[b], w.value0(a)), 1)])
+            comp1[(a, b)] = linear_combination(terms + lie(a, d1[b], i1[a, b], 1)
+                                               + [(i0[b, a], 1)])
     comp2 = {}
     for a in range(r):
-        comp2[a] = -contract(rho[a], w.value1(a))
-    return WeilCochain2Parts(A, w.k, comp0, comp1, comp2)
+        comp2[a] = -i1[a, a]
+    return WeilCochain2Parts(A, w.k, comp0, comp1, comp2), i1
 
 
 def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
@@ -190,12 +202,12 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
     DH0 over frame pairs, DH1 over ordered frame pairs, DH2 over unordered
     pairs via polarization of the symmetric-square component (the diagonal
     alone does not determine the tensor); the pair residual is stored without
-    the polarization half, which does not affect vanishing.  Includes the
-    axiom gate for unchecked algebroids.
+    the polarization half, which does not affect vanishing.  The polarization
+    reads the anchor contractions the differential was built from.  Includes
+    the axiom gate for unchecked algebroids.
     """
     A = w.algebroid
-    dh = horizontal_differential(w)
-    rho = [A.anchor_field(a) for a in range(A.rank)]
+    dh, i1 = _horizontal_differential(w)
     violations = list(axiom_gate(A))
     notes = []
     if violations:
@@ -212,7 +224,7 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
             if a == b:
                 res = dh.comp2[a]
             else:
-                res = -(contract(rho[a], w.value1(b)) + contract(rho[b], w.value1(a)))
+                res = -(i1[a, b] + i1[b, a])
             if not res.is_zero():
                 violations.extend(component_violations("DH2", (names[a], names[b]), res))
     return CheckReport.collect(violations, notes)

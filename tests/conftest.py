@@ -14,7 +14,9 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from imcalc.algebroid import LieAlgebroid, Section, Violation, section_bracket
+from imcalc.algebroid import (
+    LieAlgebroid, Section, Violation, axiom_gate, component_violations, section_bracket,
+)
 from imcalc.forms import DifferentialForm, Multivector, VectorField, sort_indices
 from imcalc.fixtures import koszul_algebroid, so3_algebroid
 from imcalc.linforms import BundleForms
@@ -226,6 +228,40 @@ def reference_morphism_violations(algebroid: LieAlgebroid, functional) -> list:
     return out
 
 
+def reference_derivation_violations(d: Derivation) -> list:
+    """The violations of `check_gerstenhaber_derivation`, axiom gate first,
+    each generator pair's residual assembled from `section_bracket`,
+    `Derivation.scalar_action` and `Section` arithmetic, nothing shared
+    between pairs."""
+    A = d.algebroid
+    chart = A.base_chart
+    names = chart.names
+    sign = -1 if (d.k - 1) % 2 else 1
+    xs = [Section.function(A, Polynomial.variable(chart, name)) for name in names]
+    es = [Section.frame(A, b) for b in range(A.rank)]
+    out = list(axiom_gate(A))
+    for i in range(chart.dim):
+        for j in range(i + 1, chart.dim):
+            res = (section_bracket(d.coord_action(i), xs[j])
+                   + section_bracket(xs[i], d.coord_action(j)).scale(sign))
+            out.extend(component_violations("R1", (names[i], names[j]), res))
+    for i in range(chart.dim):
+        for b in range(A.rank):
+            res = (-d.scalar_action(A.anchor[b][i])
+                   - section_bracket(d.coord_action(i), es[b])
+                   - section_bracket(xs[i], d.frame_action(b)).scale(sign))
+            out.extend(component_violations("R2", (names[i], A.frame_names[b]), res))
+    for a in range(A.rank):
+        for b in range(a + 1, A.rank):
+            res = Section.zero(A, d.k)
+            for c, w in A.bracket_frame_row(a, b):
+                res = res + d.scalar_action(w).wedge(es[c]) + d.frame_action(c).scale(w)
+            res = (res - section_bracket(d.frame_action(a), es[b])
+                   - section_bracket(es[a], d.frame_action(b)))
+            out.extend(component_violations("R3", (A.frame_names[a], A.frame_names[b]), res))
+    return out
+
+
 def rnd_point(rng, chart: Chart, span=6):
     return {n: Fraction(rng.randint(-span, span), rng.randint(1, 4))
             for n in chart.names}
@@ -271,6 +307,20 @@ def rnd_algebroid(rng) -> LieAlgebroid:
     maker = rng.choice([_lie_algebra_bundle, _tangent, _plane_koszul,
                         _affine_action, lambda _: so3_algebroid()])
     return maker(rng)
+
+
+def rnd_unchecked_algebroid(rng) -> LieAlgebroid:
+    """Random anchor and structure functions on a base of dimension 1-3,
+    rank 1-4, built unchecked: the data rarely satisfies the axioms."""
+    n = rng.randint(1, 3)
+    rank = rng.randint(1, 4)
+    chart = base_chart("M", [f"x{i + 1}" for i in range(n)])
+    anchor = [[rnd_poly(rng, chart, 1) if rng.random() < 0.5 else Polynomial.zero(chart)
+               for _ in range(n)] for _ in range(rank)]
+    structure = {(a, b): {c: rnd_poly(rng, chart, 1) for c in range(rank) if rng.random() < 0.4}
+                 for a, b in combinations(range(rank), 2)}
+    return LieAlgebroid(chart, rank, tuple(f"e{a + 1}" for a in range(rank)), anchor,
+                        structure, unchecked=True)
 
 
 def rnd_bundle_forms(rng, algebroid: LieAlgebroid, k: int) -> BundleForms:

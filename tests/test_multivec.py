@@ -10,14 +10,20 @@ import pytest
 from conftest import (
     coboundary_derivation,
     det_of_components,
+    reference_derivation_violations,
     rnd_algebroid,
     rnd_linear_multivector,
     rnd_poly,
     rnd_section,
+    rnd_unchecked_algebroid,
 )
-from imcalc.algebroid import LieAlgebroid, Section, cotangent_prolongation, section_bracket
+from imcalc.algebroid import (
+    LieAlgebroid, Section, check_axioms, cotangent_prolongation, section_bracket,
+)
 from imcalc.errors import AlgebroidError, CrossCheckError
 from imcalc.fixtures import (
+    broken_jacobi_algebroid,
+    broken_koszul_algebroid,
     koszul_so3_algebroid,
     so3_algebroid,
     tangent_algebroid,
@@ -140,6 +146,37 @@ def test_derivation_checker_fixtures(rng):
     assert not report.passed
     assert report.violations[0].condition == "R3"
     assert report.violations[0].witness[:2] == ("e1", "e2")
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_derivation_check_matches_the_bracket_reference(rng, k):
+    """The closed-form generator brackets give the violations, in order, and
+    the notes of the residuals assembled from `section_bracket`: on random
+    Lie algebroids and on unchecked data that breaks Jacobi, for derivations
+    of random linear multivectors and for coboundaries."""
+    algebroids = [broken_jacobi_algebroid(), broken_koszul_algebroid(), koszul_so3_algebroid()]
+    algebroids += [rnd_algebroid(rng) for _ in range(6)]
+    algebroids += [rnd_unchecked_algebroid(rng) for _ in range(6)]
+    seen = {"R1": 0, "R2": 0, "R3": 0, "passed": 0, "gated": 0}
+    for algebroid in algebroids:
+        cases = [derivation_from_linear(rnd_linear_multivector(rng, algebroid, k)),
+                 coboundary_derivation(rng, algebroid, k)]
+        gated = not check_axioms(algebroid).passed
+        for d in cases:
+            report = check_gerstenhaber_derivation(d)
+            expected = reference_derivation_violations(d)
+            assert report.violations == tuple(expected)
+            assert report.passed == (not expected)
+            assert report.notes == (
+                ("algebroid axioms fail; derivation verdicts reported on non-Lie data",)
+                if gated else ())
+            for v in report.violations:
+                seen[v.condition] = seen.get(v.condition, 0) + 1
+            seen["passed"] += report.passed
+            seen["gated"] += gated
+    # every condition and both verdicts occur, so no formula goes untested
+    assert all(seen[tag] for tag in ("R2", "R3", "passed", "gated")), seen
+    assert seen["R1"] or k == 1, seen
 
 
 def test_coboundaries_pass_everywhere(rng):

@@ -1,8 +1,8 @@
-"""Each checker computes a derivative, a fiber restriction or a minor once
-per call, each form operation builds an output coefficient with one
-`sum_of_products`, `verify` checks the axioms and decomposes a candidate
-once per document, and the big-int product route runs where its factors are
-large.
+"""Each checker computes a derivative, a fiber restriction, a contraction or
+a minor once per call, each form operation builds an output coefficient with
+one `sum_of_products`, each derivation residual is one `collect`, `verify`
+checks the axioms and decomposes a candidate once per document, and the
+big-int product route runs where its factors are large.
 
 The kernel calls are counted by wrapping them with monkeypatch; a counter
 keeps every argument it saw alive, so `id` stays unique for the count.
@@ -18,9 +18,10 @@ from pathlib import Path
 import pytest
 
 from conftest import (
-    reference_parse, rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_linear_multivector, rnd_poly,
-    rnd_vector_field,
+    coboundary_derivation, reference_parse, rnd_algebroid, rnd_bundle_forms, rnd_form,
+    rnd_linear_multivector, rnd_poly, rnd_vector_field,
 )
+from imcalc import algebroid as algebroid_module
 from imcalc import forms, imforms, linforms, multivec, poly, weil
 from imcalc import cli
 from imcalc.algebroid import (
@@ -39,7 +40,9 @@ from imcalc.multivec import (
     multivector_frame_functional,
 )
 from imcalc.poly import Polynomial, base_chart, parse
-from imcalc.weil import cochain_from_bundle_forms, horizontal_differential
+from imcalc.weil import (
+    cochain_from_bundle_forms, horizontal_differential, horizontal_vanishing_report,
+)
 
 
 class CallCounter:
@@ -210,6 +213,29 @@ def test_derivation_check_differentiates_each_polynomial_once(rng, monkeypatch, 
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
+def test_derivation_check_collects_each_residual_once(rng, monkeypatch, k):
+    """Each generator pair's residual is one `collect`, whatever its degree,
+    and no bracket goes through the recursive `graded_bracket` engine."""
+    cases = []
+    for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng), rnd_algebroid(rng)):
+        cases.append(derivation_from_linear(rnd_linear_multivector(rng, algebroid, k)))
+        cases.append(coboundary_derivation(rng, algebroid, k))
+    counts = Counter()
+    for name, counted in (("collect", forms.collect), ("graded_bracket", forms.graded_bracket)):
+        def wrapper(*args, _fn=counted, _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        for module in (forms, algebroid_module, linforms, multivec, weil, imforms):
+            if getattr(module, name, None) is counted:
+                monkeypatch.setattr(module, name, wrapper)
+    for d in cases:
+        n, r = d.algebroid.base_chart.dim, d.algebroid.rank
+        counts.clear()
+        check_gerstenhaber_derivation(d)
+        assert dict(counts) == {"collect": n * (n - 1) // 2 + n * r + r * (r - 1) // 2}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_horizontal_differential_takes_d_of_each_form_once(rng, monkeypatch, k):
     algebroid = koszul_so3_algebroid()
     w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, k))
@@ -221,6 +247,25 @@ def test_horizontal_differential_takes_d_of_each_form_once(rng, monkeypatch, k):
     assert max(counter.counts.values()) == 1
     for a in range(algebroid.rank):
         assert counter.counts[(id(w.value0(a)),)] == counter.counts[(id(w.value1(a)),)] == 1
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vanishing_report_contracts_each_frame_value_once(rng, monkeypatch, k):
+    """i_{rho_a} of each frame value is taken once per report, though the
+    differential and the DH2 polarization both read it."""
+    algebroid = koszul_so3_algebroid()
+    w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, k))
+    rho = [algebroid.anchor_field(a) for a in range(algebroid.rank)]
+    assert len(set(rho)) == algebroid.rank
+    counter = CallCounter()
+    counted = counter.wrap(forms.contract, lambda x, a: (a, x))
+    for module in (forms, weil):
+        monkeypatch.setattr(module, "contract", counted)
+    horizontal_vanishing_report(w)
+    for a in range(algebroid.rank):
+        for b in range(algebroid.rank):
+            assert counter.counts[(id(w.value0(b)), rho[a])] == 1
+            assert counter.counts[(id(w.value1(b)), rho[a])] == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
