@@ -204,7 +204,8 @@ def load_candidate(doc: dict, algebroid: LieAlgebroid):
 def _merge_report(bag: dict, report: CheckReport) -> None:
     for v in report.violations:
         key = (v.condition, tuple(str(w) for w in v.witness))
-        bag.setdefault(key, str(v.residual))
+        if key not in bag:
+            bag[key] = str(v.residual)
 
 
 def _load_samples(doc: dict, args, chart: Chart):

@@ -9,6 +9,10 @@ an independent computation, the morphism condition of the induced fiberwise
 functional on the tangent prolongation.  The two verdicts provably agree, so
 any disagreement is raised as a library defect rather than returned.
 
+`check_im_form` takes the Lie derivative by its coordinate formula (its
+docstring gives the residuals), while `weil` keeps Cartan's L = i d + d i, so
+the two routes that check a Weil document compute L by different formulas.
+
 Checkers enforce the documented axiom precondition by reporting: handed an
 algebroid built with `unchecked=True`, they fold the axiom violations into
 the returned report (for construction-validated algebroids this is free).
@@ -35,7 +39,7 @@ from .algebroid import (
     run_oracle,
 )
 from .errors import AlgebroidError, CrossCheckError
-from .forms import DifferentialForm, contract, exterior_derivative, linear_combination
+from .forms import DifferentialForm, collect, contract, exterior_derivative, sort_indices
 from .linforms import BundleForms, form_frame_functional
 from .poly import Chart, Polynomial
 
@@ -59,74 +63,168 @@ class IMForm:
         return self.forms.k
 
 
-class _Operators:
-    """The Cartan operators on the frame images of one IM candidate, each
-    computed at most once while one check runs.
+class _Residuals:
+    """The IM residuals and the nu identities of one candidate, each one
+    `collect` over (polynomial, weight) pairs grouped by output index.
 
-    For kind "mu" or "nu" and frame indices a, b the table holds d of the
-    image of e_b, its contraction i_{rho(a)}, the contraction i_{rho(a)} of
-    its d, and the d of its contraction.  The Lie derivative L_{rho(a)}
-    enters a sum as the two terms of Cartan's formula L = i d + d i (the
-    d i term is absent on functions), and each residual is one
-    `linear_combination` of table entries.  A table belongs to one call and
-    is dropped with it.
+    The pairs are read from tables of this call, each entry computed at most
+    once: the partials of every polynomial the formulas differentiate (mu and
+    nu coefficients, anchor components, double contractions); d of each
+    frame image (for mu, d mu(b) + nu(b), the form IM2 contracts); the
+    anchor components and their partials, each with its negation; and, for
+    the cyclic identity, L_{rho(v)} nu(u) - L_{rho(u)} nu(v).  An entry keyed
+    by id holds its polynomial, which keeps that id unique while the table
+    lives; the tables are dropped with the call.
     """
 
     def __init__(self, im: IMForm):
         A = im.algebroid
-        self.im = im
-        self.rho = [A.anchor_field(a) for a in range(A.rank)]
-        self.maps = {"mu": im.forms.mu, "nu": im.forms.nu}
-        self.memo: dict = {}
+        self.algebroid = A
+        self.k = im.k
+        self.names = A.base_chart.names
+        self.maps = {"mu": [f.coeffs for f in im.forms.mu],
+                     "nu": [f.coeffs for f in im.forms.nu]}
+        # rho_a^j as (rho_a^j, -rho_a^j), index 1 the negation
+        self.anchor = [{j: (p, -p) for j, p in enumerate(row) if not p.is_zero()}
+                       for row in A.anchor]
+        self.grads: dict = {}           # id(f) -> (f, nonzero (j, df/dx_j))
+        self.anchor_grads: dict = {}    # a -> {i: nonzero (l, (d rho_a^i/dx_l, negation))}
+        self.d_tables: dict = {}        # (kind, b) -> d of the image of e_b, + nu(b) for mu
+        self.lie_tables: dict = {}      # (u, v) -> L_{rho(v)} nu(u) - L_{rho(u)} nu(v)
 
-    def _entry(self, key: tuple, compute) -> DifferentialForm:
-        value = self.memo.get(key)
-        if value is None:
-            value = self.memo[key] = compute()
-        return value
+    def grad(self, f: Polynomial) -> tuple:
+        entry = self.grads.get(id(f))
+        if entry is None:
+            entry = self.grads[id(f)] = (f, tuple(
+                (j, df) for j, name in enumerate(self.names)
+                if not (df := f.diff(name)).is_zero()))
+        return entry[1]
 
-    def d(self, kind: str, b: int) -> DifferentialForm:
-        return self._entry(("d", kind, b), lambda: exterior_derivative(self.maps[kind][b]))
+    def rho_grads(self, a: int) -> dict:
+        entry = self.anchor_grads.get(a)
+        if entry is None:
+            entry = self.anchor_grads[a] = {
+                i: tuple((l, (dp, -dp)) for l, dp in self.grad(comp[0]))
+                for i, comp in self.anchor[a].items()}
+        return entry
 
-    def i(self, kind: str, a: int, b: int) -> DifferentialForm:
-        return self._entry(("i", kind, a, b), lambda: contract(self.rho[a], self.maps[kind][b]))
+    def d(self, kind: str, b: int) -> dict:
+        """d of the image of e_b, plus nu(b) for mu: the form i_{rho(a)}
+        takes in IM2 (mu) or IM3 (nu)."""
+        table = self.d_tables.get((kind, b))
+        if table is None:
+            groups: dict = {}
+            self.add_d(groups, self.maps[kind][b], 1)
+            if kind == "mu":
+                for idx, f in self.maps["nu"][b].items():
+                    groups.setdefault(idx, []).append((f, 1))
+            table = self.d_tables[kind, b] = collect(groups)
+        return table
 
-    def i_d(self, kind: str, a: int, b: int) -> DifferentialForm:
-        return self._entry(("i_d", kind, a, b), lambda: contract(self.rho[a], self.d(kind, b)))
+    def lie(self, u: int, v: int) -> dict:
+        """L_{rho(v)} nu(u) - L_{rho(u)} nu(v), for u < v."""
+        table = self.lie_tables.get((u, v))
+        if table is None:
+            nu = self.maps["nu"]
+            groups: dict = {}
+            self.add_lie(groups, v, nu[u], 1)
+            self.add_lie(groups, u, nu[v], -1)
+            table = self.lie_tables[u, v] = collect(groups)
+        return table
 
-    def d_i(self, kind: str, a: int, b: int) -> DifferentialForm:
-        return self._entry(("d_i", kind, a, b), lambda: exterior_derivative(self.i(kind, a, b)))
+    def add_d(self, groups: dict, table: dict, s: int) -> None:
+        """Add s * d of a form table."""
+        for idx, f in table.items():
+            for j, df in self.grad(f):
+                if j not in idx:
+                    key, sign = sort_indices((j,) + idx)
+                    groups.setdefault(key, []).append((df, s * sign))
 
-    def lie(self, kind: str, a: int, b: int, weight: int) -> list:
-        """weight * L_{rho(a)} of the image of e_b, as (form, weight) terms."""
-        terms = [(self.i_d(kind, a, b), weight)]
-        if self.maps[kind][b].degree > 0:
-            terms.append((self.d_i(kind, a, b), weight))
-        return terms
+    def add_contract(self, groups: dict, a: int, table: dict, s: int) -> None:
+        """Add s * i_{rho(a)} of a form table, s = 1 or -1."""
+        rho = self.anchor[a]
+        odd = s < 0
+        for idx, f in table.items():
+            for pos, i in enumerate(idx):
+                comp = rho.get(i)
+                if comp is not None:
+                    groups.setdefault(idx[:pos] + idx[pos + 1:], []).append(
+                        (comp[(pos + odd) & 1], f))
 
-    def drop(self, kind: str) -> None:
-        """Forget the entries of one kind once no later condition uses them."""
-        self.memo = {key: v for key, v in self.memo.items() if key[1] != kind}
+    def add_lie(self, groups: dict, a: int, table: dict, s: int) -> None:
+        """Add s * L_{rho(a)} of a form table, s = 1 or -1, by the
+        coordinate formula."""
+        rho = self.anchor[a]
+        rho_grads = self.rho_grads(a)
+        odd = s < 0
+        for idx, f in table.items():
+            pairs = groups.setdefault(idx, [])
+            for j, df in self.grad(f):
+                comp = rho.get(j)
+                if comp is not None:
+                    pairs.append((df, comp[odd]))
+            for pos, t in enumerate(idx):
+                for l, dx in rho_grads.get(t, ()):
+                    if l == t:
+                        pairs.append((f, dx[odd]))
+                        continue
+                    merged = sort_indices(idx[:pos] + (l,) + idx[pos + 1:])
+                    if merged is not None:
+                        groups.setdefault(merged[0], []).append(
+                            (f, dx[odd if merged[1] > 0 else not odd]))
+            if not pairs:
+                del groups[idx]
 
-    def bracket_image(self, kind: str, a: int, b: int) -> list:
-        """The image of [e_a, e_b] under the bundle map `kind`, as (form,
-        weight) terms."""
+    def add_image(self, groups: dict, kind: str, a: int, b: int) -> None:
+        """Add the image of [e_a, e_b] under the bundle map `kind`."""
         maps = self.maps[kind]
-        return [(maps[c], w) for c, w in self.im.algebroid.bracket_frame_row(a, b)]
+        for c, w in self.algebroid.bracket_frame_row(a, b):
+            for idx, f in maps[c].items():
+                groups.setdefault(idx, []).append((f, w))
 
+    def form(self, groups: dict, degree: int) -> DifferentialForm:
+        return DifferentialForm(self.algebroid.base_chart, max(degree, 0))._like(collect(groups))
 
-def im_residual_1(ops: _Operators, a: int, b: int) -> DifferentialForm:
-    return linear_combination([(ops.i("mu", a, b), 1), (ops.i("mu", b, a), 1)])
+    def im1(self, a: int, b: int) -> DifferentialForm:
+        mu = self.maps["mu"]
+        groups: dict = {}
+        self.add_contract(groups, a, mu[b], 1)
+        self.add_contract(groups, b, mu[a], 1)
+        return self.form(groups, self.k - 2)
 
+    def im2(self, a: int, b: int) -> DifferentialForm:
+        groups: dict = {}
+        self.add_image(groups, "mu", a, b)
+        self.add_lie(groups, a, self.maps["mu"][b], -1)
+        self.add_contract(groups, b, self.d("mu", a), 1)
+        return self.form(groups, self.k - 1)
 
-def im_residual_2(ops: _Operators, a: int, b: int) -> DifferentialForm:
-    return linear_combination(ops.bracket_image("mu", a, b) + ops.lie("mu", a, b, -1)
-                              + [(ops.i_d("mu", b, a), 1), (ops.i("nu", b, a), 1)])
+    def im3(self, a: int, b: int) -> DifferentialForm:
+        groups: dict = {}
+        self.add_image(groups, "nu", a, b)
+        self.add_lie(groups, a, self.maps["nu"][b], -1)
+        self.add_contract(groups, b, self.d("nu", a), 1)
+        return self.form(groups, self.k)
 
+    def antisymmetry(self, a: int, b: int) -> DifferentialForm:
+        nu = self.maps["nu"]
+        groups: dict = {}
+        self.add_contract(groups, a, nu[b], 1)
+        self.add_contract(groups, b, nu[a], 1)
+        return self.form(groups, self.k - 1)
 
-def im_residual_3(ops: _Operators, a: int, b: int) -> DifferentialForm:
-    return linear_combination(ops.bracket_image("nu", a, b) + ops.lie("nu", a, b, -1)
-                              + [(ops.i_d("nu", b, a), 1)])
+    def cyclic(self, a: int, b: int, c: int) -> DifferentialForm:
+        groups: dict = {}
+        self.add_contract(groups, c, self.lie(a, b), 1)
+        self.add_contract(groups, a, self.lie(b, c), 1)
+        self.add_contract(groups, b, self.lie(a, c), -1)
+        inner: dict = {}
+        self.add_contract(inner, b, self.maps["nu"][a], 1)
+        triple: dict = {}
+        self.add_contract(triple, c, collect(inner), 1)
+        # empty for k = 1: the double contraction of a 1-form
+        self.add_d(groups, collect(triple), 2)
+        return self.form(groups, self.k - 1)
 
 
 def check_im_form(im: IMForm) -> CheckReport:
@@ -139,8 +237,26 @@ def check_im_form(im: IMForm) -> CheckReport:
     general sections is only valid once IM1 holds, so IM2/IM3 violations are
     flagged when IM1 failed.  When all three pass, the two derived identities
     for nu (antisymmetry under the anchor and the cyclic Lie-derivative
-    identity) are asserted as consistency checks.  All conditions share one
-    operator table; its mu entries are dropped after IM2, their last use.
+    identity) are asserted as consistency checks.
+
+    With C_ab^c the structure functions, the residuals are
+
+        IM1(a, b) = i_{rho a} mu(b) + i_{rho b} mu(a)
+        IM2(a, b) = sum_c C_ab^c mu(c) - L_{rho a} mu(b)
+                    + i_{rho b} d mu(a) + i_{rho b} nu(a)
+        IM3(a, b) = sum_c C_ab^c nu(c) - L_{rho a} nu(b) + i_{rho b} d nu(a)
+
+    in the conventions of `forms`: (i_X w)_{I minus I_p} gets
+    (-1)^p X^{I_p} w_I (p 0-based), and the Lie derivative takes the
+    coordinate formula, not Cartan's i d + d i:
+
+        (L_X w)_I = sum_j X^j dw_I/dx_j
+                    + sum_J sum_p sum_l (dX^{J_p}/dx_l) w_J,
+
+    over the J whose index J_p replaced by l sorts to I, with the sign of
+    that sort (l = J_p gives J itself).  Every term is then a product of two
+    base polynomials read from the per-call tables of `_Residuals`, so each
+    residual is one `collect`; IM2 contracts d mu(a) + nu(a) as one table.
     """
     A = im.algebroid
     r = A.rank
@@ -148,12 +264,12 @@ def check_im_form(im: IMForm) -> CheckReport:
     notes = []
     if violations:
         notes.append("algebroid axioms fail; IM verdicts reported on non-Lie data")
-    ops = _Operators(im)
+    residuals = _Residuals(im)
 
     im1 = []
     for a in range(r):
         for b in range(a, r):
-            res = im_residual_1(ops, a, b)
+            res = residuals.im1(a, b)
             if not res.is_zero():
                 im1.extend(component_violations(
                     "IM1", (A.frame_names[a], A.frame_names[b]), res))
@@ -163,33 +279,30 @@ def check_im_form(im: IMForm) -> CheckReport:
         notes.append("IM1 fails: IM2/IM3 frame checks are not certified for general sections")
     violations.extend(im1)
 
-    im23_clean = True
     for a in range(r):
         for b in range(r):
-            res = im_residual_2(ops, a, b)
+            res = residuals.im2(a, b)
             if not res.is_zero():
-                im23_clean = False
                 violations.extend(component_violations(
                     "IM2", (A.frame_names[a], A.frame_names[b]), res, caveat))
-    ops.drop("mu")
     for a in range(r):
         for b in range(a + 1, r):
-            res = im_residual_3(ops, a, b)
+            res = residuals.im3(a, b)
             if not res.is_zero():
-                im23_clean = False
                 violations.extend(component_violations(
                     "IM3", (A.frame_names[a], A.frame_names[b]), res, caveat))
 
-    if not violations and im23_clean:
-        _assert_nu_identities(ops)
+    if not violations:
+        _assert_nu_identities(residuals)
     return CheckReport.collect(violations, notes)
 
 
-def _assert_nu_identities(ops: _Operators) -> None:
+def _assert_nu_identities(residuals: _Residuals) -> None:
     """The nu identities implied by IM1-IM3; failure is a library defect.
 
-    Antisymmetry of nu under the anchor holds on pairs.  The cyclic
-    Lie-derivative identity needs an exact correction term in degrees k >= 2:
+    Antisymmetry of nu under the anchor, i_{rho a} nu(b) + i_{rho b} nu(a)
+    = 0, holds on pairs.  The cyclic Lie-derivative identity needs an exact
+    correction term in degrees k >= 2:
 
         sum_cyc i_{rho(w)}(L_{rho(v)} nu(u) - L_{rho(u)} nu(v))
             = -2 d( i_{rho(w)} i_{rho(v)} nu(u) ),
@@ -199,28 +312,15 @@ def _assert_nu_identities(ops: _Operators) -> None:
     algebroid of 3-space with nu(u) = -(contraction of u in d eta),
     eta = x1^2 dx2^dx3, the uncorrected cyclic sum equals 4 dx1.
     """
-    im = ops.im
-    A = im.algebroid
-    r = A.rank
-    rho = ops.rho
+    r = residuals.algebroid.rank
     for a in range(r):
         for b in range(a, r):
-            if not linear_combination([(ops.i("nu", a, b), 1), (ops.i("nu", b, a), 1)]).is_zero():
+            if not residuals.antisymmetry(a, b).is_zero():
                 raise CrossCheckError(f"derived nu antisymmetry fails on pair {(a, b)}")
     for a in range(r):
         for b in range(a + 1, r):
             for c in range(b + 1, r):
-                terms = []
-                for u, v, w in ((a, b, c), (b, c, a), (c, a, b)):
-                    inner = linear_combination(ops.lie("nu", v, u, 1) + ops.lie("nu", u, v, -1))
-                    terms.append((contract(rho[w], inner), 1))
-                triple = contract(rho[c], ops.i("nu", b, a))
-                if im.k >= 2:
-                    terms.append((exterior_derivative(triple), 2))
-                elif not triple.is_zero():
-                    raise CrossCheckError("degree bookkeeping broke in the nu identity")
-                total = linear_combination(terms)
-                if not total.is_zero():
+                if not residuals.cyclic(a, b, c).is_zero():
                     raise CrossCheckError(f"derived cyclic nu identity fails on {(a, b, c)}")
 
 
@@ -261,10 +361,10 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
                 f"for frame section {algebroid.frame_names[a]}")
         nu.append(-contract(rho, phi))
     im = IMForm(algebroid, BundleForms(k, tuple(mu), tuple(nu)))
-    ops = _Operators(im)
+    residuals = _Residuals(im)
     for a in range(algebroid.rank):
         for b in range(a + 1, algebroid.rank):
-            if not im_residual_3(ops, a, b).is_zero():
+            if not residuals.im3(a, b).is_zero():
                 raise CrossCheckError("relative construction failed its own IM3 guarantee")
     return im
 

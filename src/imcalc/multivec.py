@@ -156,41 +156,6 @@ class Derivation:
     def frame_action(self, a: int) -> Section:
         return self.on_frame[self.algebroid.frame_names[a]]
 
-    def scalar_action(self, f: Polynomial) -> Section:
-        """delta f = sum_j (df/dx_j) (delta x_j), the derivation on scalars."""
-        A = self.algebroid
-        out = Section.zero(A, self.k - 1)
-        for j, name in enumerate(A.base_chart.names):
-            df = f.diff(name)
-            if not df.is_zero():
-                out = out + self.coord_action(j).scale(df)
-        return out
-
-    def apply(self, w: Section) -> Section:
-        """Extension to arbitrary wedge sections by the graded Leibniz rule."""
-        A = self.algebroid
-        out = Section.zero(A, w.degree + self.k - 1)
-        for idx, poly in w.coeffs.items():
-            pure = Section(A, len(idx), {idx: Polynomial.const(A.base_chart, 1)})
-            out = out + self._apply_pure(idx).scale(poly)
-            out = out + self.scalar_action(poly).wedge(pure)
-        return out
-
-    def _apply_pure(self, idx) -> Section:
-        A = self.algebroid
-        if len(idx) == 0:
-            return Section.zero(A, self.k - 1)
-        head = self.frame_action(idx[0])
-        if len(idx) == 1:
-            return head
-        rest = Section(A, len(idx) - 1,
-                       {idx[1:]: Polynomial.const(A.base_chart, 1)})
-        tail = self._apply_pure(idx[1:])
-        e_head = Section.frame(A, idx[0])
-        sign = -1 if (self.k - 1) % 2 else 1
-        out = head.wedge(rest) + e_head.wedge(tail).scale(sign)
-        return out
-
 
 def derivation_from_linear(p: LinearMultivector) -> Derivation:
     """The derivation of a linear multivector: coordinate actions read the

@@ -2,8 +2,9 @@
 
 Each one is a second route to a fact the library computes, or a consequence
 of one: the tangent lift against the canonical involution, the twisted
-bracket and the span closure of graph-of-bivector Dirac candidates, and the
-full evaluation of a multivector on covectors.  The library does not call
+bracket and the span closure of graph-of-bivector Dirac candidates, the
+full evaluation of a multivector on covectors, and the extension of a
+derivation to all wedge sections.  The library does not call
 them, so they live with the tests.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from imcalc.algebroid import tangent_copy_name
+from imcalc.algebroid import Section, tangent_copy_name
 from imcalc.errors import AlgebroidError
 from imcalc.forms import (
     DifferentialForm,
@@ -27,6 +28,7 @@ from imcalc.forms import (
     lie_derivative,
 )
 from imcalc.imforms import DiracCandidate
+from imcalc.multivec import Derivation
 from imcalc.linforms import tangent_lift, tangent_total_chart
 from imcalc.poly import Chart, Coord, Polynomial, ROLE_FIBER
 
@@ -164,3 +166,43 @@ def evaluate_multivector(p: Multivector, covectors: Sequence[DifferentialForm]) 
     for alpha in covectors:
         p = contract_covector(alpha, p)
     return p.scalar()
+
+
+# -- derivations ------------------------------------------------------------------
+
+def scalar_action(d: Derivation, f: Polynomial) -> Section:
+    """delta f = sum_j (df/dx_j) (delta x_j), the derivation on scalars."""
+    A = d.algebroid
+    out = Section.zero(A, d.k - 1)
+    for j, name in enumerate(A.base_chart.names):
+        df = f.diff(name)
+        if not df.is_zero():
+            out = out + d.coord_action(j).scale(df)
+    return out
+
+
+def apply_derivation(d: Derivation, w: Section) -> Section:
+    """Extension to arbitrary wedge sections by the graded Leibniz rule."""
+    A = d.algebroid
+    out = Section.zero(A, w.degree + d.k - 1)
+    for idx, poly in w.coeffs.items():
+        pure = Section(A, len(idx), {idx: Polynomial.const(A.base_chart, 1)})
+        out = out + _apply_pure(d, idx).scale(poly)
+        out = out + scalar_action(d, poly).wedge(pure)
+    return out
+
+
+def _apply_pure(d: Derivation, idx) -> Section:
+    A = d.algebroid
+    if len(idx) == 0:
+        return Section.zero(A, d.k - 1)
+    head = d.frame_action(idx[0])
+    if len(idx) == 1:
+        return head
+    rest = Section(A, len(idx) - 1,
+                   {idx[1:]: Polynomial.const(A.base_chart, 1)})
+    tail = _apply_pure(d, idx[1:])
+    e_head = Section.frame(A, idx[0])
+    sign = -1 if (d.k - 1) % 2 else 1
+    out = head.wedge(rest) + e_head.wedge(tail).scale(sign)
+    return out

@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import imcalc
+from imcalc import poly
 from imcalc.algebroid import CheckReport, Violation, check_morphism_to_line
 from imcalc.cli import (
     DIMENSION_LIMIT, InputError, _sample_value, load_algebroid, load_candidate, main,
@@ -109,6 +110,22 @@ def test_report_structure_and_witnesses():
     assert report["witnesses"] == [
         {"condition": "AXIOM_JACOBI", "witness": ["1", "2", "3", "1"], "residual": "1"}
     ]
+
+
+def test_each_witness_residual_is_formatted_once(monkeypatch):
+    """Axiom violations reach the report from the axiom check and again from
+    each gated route; each witness's residual is formatted once."""
+    formatted = []
+    inner = poly.format_polynomial
+
+    def counted(p):
+        formatted.append(p)
+        return inner(p)
+
+    monkeypatch.setattr(poly, "format_polynomial", counted)
+    code, out, _ = run_cli(["--input", str(CORPUS / "so3_poisson_broken_im2.json")])
+    assert code == 1
+    assert len(formatted) == len(json.loads(out)["witnesses"]) == 5
 
 
 def test_im_report_oracle_block():

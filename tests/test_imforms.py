@@ -7,7 +7,9 @@ from itertools import combinations, product
 
 import pytest
 
-from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
+from conftest import (
+    reference_im_violations, rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_unchecked_algebroid,
+)
 from imcalc.algebroid import Violation
 from imcalc.errors import AlgebroidError
 from imcalc.fixtures import (
@@ -15,6 +17,7 @@ from imcalc.fixtures import (
     broken_so3_dual_bivector,
     exact_im_form,
     koszul_algebroid,
+    koszul_so3_algebroid,
     poisson_im_form,
     so3_algebroid,
     so3_dual_bivector,
@@ -166,7 +169,7 @@ def test_oracle_random_candidates(rng):
     assert seen[True] >= 3 and seen[False] >= 3
 
 
-def reference_im_violations(im: IMForm) -> list:
+def per_pair_im_violations(im: IMForm) -> list:
     """The IM violations of `check_im_form`, in its order, with every residual
     assembled per frame pair from `contract`, `lie_derivative` and
     `exterior_derivative` (no operator is shared between pairs)."""
@@ -219,11 +222,57 @@ def test_im_checker_matches_per_pair_reference(rng, k):
         else:
             im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
         report = check_im_form(im)
-        expected = reference_im_violations(im)
+        expected = per_pair_im_violations(im)
         assert report.violations == tuple(expected)
         assert report.passed == (not expected)
         failing += not report.passed
     assert failing >= 4
+
+
+def log_canonical_algebroid(rng, n: int):
+    """Koszul algebroid of {x_i, x_j} = c_ij x_i x_j, Poisson for every c."""
+    chart = base_chart("M", [f"x{i + 1}" for i in range(n)])
+    x = [Polynomial.variable(chart, name) for name in chart.names]
+    return koszul_algebroid(Multivector(chart, 2, {
+        (i, j): x[i] * x[j] * rng.choice([-3, -2, -1, 1, 2, 3])
+        for i, j in combinations(range(n), 2)}))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_im_check_matches_the_cartan_reference(rng, k):
+    """The coordinate-formula residuals give the violations (condition,
+    witness, residual, caveat), in order, and the notes of the checker built
+    from whole Cartan forms, L = i d + d i; on passing candidates both assert
+    the nu identities.  Exact, broken (exact with nu perturbed) and random
+    candidates on Koszul so3, a log-canonical Koszul algebroid of 4-space (so
+    that nu(a) is nonzero at k = 3), random Lie algebroids and unchecked
+    data."""
+    algebroids = [koszul_so3_algebroid(), log_canonical_algebroid(rng, 4)]
+    algebroids += [rnd_algebroid(rng) for _ in range(5)]
+    algebroids += [rnd_unchecked_algebroid(rng) for _ in range(4)]
+    seen = {"IM1": 0, "IM2": 0, "IM3": 0, "caveat": 0, "nu identities": 0, "gated": 0}
+    for algebroid in algebroids:
+        chart = algebroid.base_chart
+        exact = im_form_from_base_form(algebroid, rnd_form(rng, chart, k, density=0.9))
+        broken = BundleForms(k, exact.forms.mu, tuple(
+            nu + rnd_form(rng, chart, k, density=0.3) for nu in exact.forms.nu))
+        for im in (exact, IMForm(algebroid, broken),
+                   IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))):
+            report = check_im_form(im)
+            violations, notes = reference_im_violations(im)
+            assert report.violations == tuple(violations)
+            assert report.notes == tuple(notes)
+            assert report.passed == (not violations)
+            for v in report.violations:
+                seen[v.condition] = seen.get(v.condition, 0) + 1
+                seen["caveat"] += v.caveat is not None
+            # the cyclic identity needs three frame sections
+            seen["nu identities"] += report.passed and algebroid.rank >= 3 and any(
+                not nu.is_zero() for nu in im.forms.nu)
+            seen["gated"] += bool(report.notes) and report.notes[0].startswith("algebroid axioms")
+    # a 0-form mu (k = 1) contracts to zero, so IM1 cannot fail there
+    assert all(seen[tag] for tag in ("IM2", "IM3", "nu identities", "gated")), seen
+    assert (seen["IM1"] and seen["caveat"]) or k == 1, seen
 
 
 def test_nu_identities_hold_on_passing_candidates(rng):

@@ -32,7 +32,7 @@ from imcalc.algebroid import (
     tangent_prolongation,
 )
 from imcalc.fixtures import koszul_so3_algebroid
-from imcalc.imforms import IMForm, _Operators, check_im_form, im_form_from_base_form, im_residual_2
+from imcalc.imforms import IMForm, check_im_form, im_form_from_base_form
 from imcalc.linforms import decompose, form_frame_functional, linear_form, total_chart_of
 from imcalc.multivec import (
     check_gerstenhaber_derivation,
@@ -156,21 +156,44 @@ def test_contract_and_d_collect_each_output_key_once(rng, monkeypatch, degree):
         assert dict(counts) == ({"sum_of_products": len(keys)} if keys else {})
 
 
+def _im2_keys(im: IMForm, a: int, b: int) -> set:
+    """Every output key a pair of IM2(a, b) reaches, whether or not its sum
+    cancels: the bracket image, both terms of the coordinate formula of
+    L_{rho(a)} mu(b), and i_{rho(b)} of d mu(a) + nu(a)."""
+    A = im.algebroid
+    names = A.base_chart.names
+    mu, nu = im.forms.mu, im.forms.nu
+    keys = set()
+    for c, _ in A.bracket_frame_row(a, b):
+        keys |= set(mu[c].coeffs)
+    rho_a, rho_b = A.anchor[a], A.anchor[b]
+    for idx, f in mu[b].coeffs.items():
+        if any(not rho_a[j].is_zero() and not f.diff(name).is_zero()
+               for j, name in enumerate(names)):
+            keys.add(idx)
+        for pos, t in enumerate(idx):
+            for l, name in enumerate(names):
+                if (l == t or l not in idx) and not rho_a[t].diff(name).is_zero():
+                    keys.add(tuple(sorted(idx[:pos] + (l,) + idx[pos + 1:])))
+    for idx in (forms.exterior_derivative(mu[a]) + nu[a]).coeffs:
+        keys |= {idx[:pos] + idx[pos + 1:] for pos, i in enumerate(idx) if not rho_b[i].is_zero()}
+    return keys
+
+
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_im_residual_collects_each_output_key_once(rng, monkeypatch, k):
     algebroid = koszul_so3_algebroid()
-    ops = _Operators(IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k)))
+    im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
+    residuals = imforms._Residuals(im)
     pairs = [(a, b) for a in range(algebroid.rank) for b in range(algebroid.rank)]
     for a, b in pairs:
-        im_residual_2(ops, a, b)   # fills the operator table
+        residuals.im2(a, b)   # fills the tables of the call
     counts = _count_kernel(monkeypatch)
     seen = 0
     for a, b in pairs:
-        terms = (ops.bracket_image("mu", a, b) + ops.lie("mu", a, b, -1)
-                 + [(ops.i_d("mu", b, a), 1), (ops.i("nu", b, a), 1)])
-        keys = {key for form, _ in terms for key in form.coeffs}
+        keys = _im2_keys(im, a, b)
         counts.clear()
-        im_residual_2(ops, a, b)
+        residuals.im2(a, b)
         assert dict(counts) == ({"sum_of_products": len(keys)} if keys else {})
         seen += len(keys)
     assert seen, "no residual had a term"
@@ -178,20 +201,40 @@ def test_im_residual_collects_each_output_key_once(rng, monkeypatch, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_im_check_takes_d_of_each_frame_image_once(rng, monkeypatch, k):
+    """d of each frame image comes from the partials of its coefficients,
+    each coefficient differentiated at most once per coordinate, and no
+    Cartan form operation runs: no `contract`, `exterior_derivative` or
+    `linear_combination`, on a failing candidate and on a passing one,
+    whose nu identities run too."""
     algebroid = koszul_so3_algebroid()
     eta = forms.DifferentialForm(algebroid.base_chart, k,
                                  {tuple(range(k)): rnd_poly(rng, algebroid.base_chart, 2)})
-    candidates = [im_form_from_base_form(algebroid, eta),   # passes: the nu identities run
+    candidates = [im_form_from_base_form(algebroid, eta),
                   IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))]
     counter = CallCounter()
-    counted = counter.wrap(forms.exterior_derivative, lambda a: (a,))
-    for module in (forms, imforms):
-        monkeypatch.setattr(module, "exterior_derivative", counted)
+    monkeypatch.setattr(Polynomial, "diff",
+                        counter.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
+    cartan = _count_everywhere(monkeypatch, forms.contract, forms.exterior_derivative,
+                               forms.linear_combination)
     for im, passes in zip(candidates, (True, False)):
         counter.counts.clear()
         assert check_im_form(im).passed == passes
-        for image in im.forms.mu + im.forms.nu:
-            assert counter.counts[(id(image),)] == 1
+        coefficients = {id(p) for image in im.forms.mu + im.forms.nu
+                        for p in image.coeffs.values()}
+        taken = [n for key, n in counter.counts.items() if key[0] in coefficients]
+        assert taken and max(taken) == 1
+    assert not cartan
+
+
+def test_vanishing_report_keeps_cartans_formula(rng, monkeypatch):
+    """The Weil route still takes L = i d + d i through the form operations,
+    so it and `check_im_form` compute L by different formulas."""
+    algebroid = koszul_so3_algebroid()
+    w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, 2))
+    cartan = _count_everywhere(monkeypatch, forms.contract, forms.exterior_derivative,
+                               forms.linear_combination)
+    horizontal_vanishing_report(w)
+    assert set(cartan) == {"contract", "exterior_derivative", "linear_combination"}
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -465,6 +508,9 @@ def test_big_int_route_runs_on_dense_documents_only(monkeypatch, capsys, tmp_pat
     monkeypatch.setattr(poly, "_kronecker", counted)
     for path, exit_code in documents:
         assert cli.main(["--input", str(path)]) == exit_code
+    # a run is one `sum_of_products` call; each IM residual collects all its
+    # large products in one call per output key, so the 52 large pairs of
+    # a d = 7 document take 17 runs
     assert +runs == {"plane_d4_e3.json": 3, "plane_d4_e3_perturbed.json": 3,
-                     "plane_d7_e4.json": 20, "plane_d7_e4_perturbed.json": 20}
+                     "plane_d7_e4.json": 17, "plane_d7_e4_perturbed.json": 17}
     assert len(documents) == 4 + 11
