@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebroidError, AxiomError, OracleDisagreement
-from .forms import Alternating, VectorField, collect, graded_bracket
+from .forms import Alternating, Calculus, VectorField, add_scaled, collect, graded_bracket
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_DUAL, ROLE_TANGENT
 
 
@@ -146,6 +146,20 @@ class LieAlgebroid:
         if a < b:
             return tuple(self.structure.get((a, b), {}).items())
         return tuple((c, -p) for c, p in self.structure.get((b, a), {}).items())
+
+    def bracket_row(self, a: int, b: int, ops: Calculus) -> tuple:
+        """[e_a, e_b] as (c, (C_ab^c, -C_ab^c)) pairs, any argument order,
+        read from the stored a < b structure with the negations of `ops`."""
+        if a < b:
+            return tuple((c, ops.pm(w)) for c, w in self.structure.get((a, b), {}).items())
+        return tuple((c, ops.pm(w)[::-1]) for c, w in self.structure.get((b, a), {}).items())
+
+    def frame_derivation(self, b: int, ops: Calculus) -> tuple:
+        """(field, rows) of the derivation P -> [P, e_b] of wedge sections,
+        for `Calculus.add_derivation`: the coefficient action -rho_b and
+        rows[t] = [e_t, e_b]."""
+        rows = {t: row for t in range(self.rank) if (row := self.bracket_row(t, b, ops))}
+        return ops.field(enumerate(self.anchor[b]), -1), rows
 
     def anchor_field(self, a: int) -> VectorField:
         return VectorField.from_components(self.base_chart, list(self.anchor[a]))
@@ -281,40 +295,42 @@ def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
     vanishes identically.  Jacobi: the cyclic sum of [e_a, [e_b, e_c]]
     vanishes in every frame component for a < b < c.  Jacobi on frame triples
     suffices: general sections follow via the Leibniz identity.
+
+    Both are sums of `forms.Calculus` operators on one table of this call:
+    rho_a(rho_b^j) is the coefficient action of a field, and [e_x, [e_y, e_z]]
+    minus the derivation P -> [P, e_x] of the stored row of (y, z), signed
+    by the sort of the pair.
     """
     violations = []
     chart = algebroid.base_chart
     r = algebroid.rank
-    anchor = algebroid.anchor
-    sparse = algebroid._anchor_sparse
-    minus_sparse = [tuple((name, -comp) for name, comp in row) for row in sparse]
+    ops = Calculus(chart)
+    fields = [ops.field(enumerate(row)) for row in algebroid.anchor]
+    vectors = [{(j,): p for j, p in enumerate(row) if not p.is_zero()} for row in algebroid.anchor]
     for a in range(r):
         for b in range(a + 1, r):
-            # minus the bracket: [e_b, e_a] = -[e_a, e_b]
-            row = algebroid.bracket_frame_row(b, a)
-            for j, name in enumerate(chart.names):
-                pairs = [(comp, anchor[b][j].diff(x)) for x, comp in sparse[a]]
-                pairs += [(comp, anchor[a][j].diff(x)) for x, comp in minus_sparse[b]]
-                pairs += [(w, anchor[c][j]) for c, w in row]
-                res = Polynomial.sum_of_products(chart, pairs)
-                if not res.is_zero():
-                    violations.append(Violation("AXIOM_ANCHOR", (a + 1, b + 1, name), res))
+            groups: dict = {}
+            ops.add_derivation(groups, vectors[b], fields[a], {}, 1)
+            ops.add_derivation(groups, vectors[a], fields[b], {}, -1)
+            for c, w in algebroid.bracket_row(a, b, ops):
+                add_scaled(groups, vectors[c], w[1])
+            table = collect(groups)
+            for (j,) in sorted(table):
+                violations.append(
+                    Violation("AXIOM_ANCHOR", (a + 1, b + 1, chart.names[j]), table[j,]))
+    derivations = [algebroid.frame_derivation(x, ops) for x in range(r)]
     for a in range(r):
         for b in range(a + 1, r):
             for c in range(b + 1, r):
-                groups: dict = {}
+                groups = {}
                 for x, y, z in ((a, b, c), (b, c, a), (c, a, b)):
-                    # [e_x, [e_y, e_z]] with [e_y, e_z] = sum_d w_d e_d
-                    for d, w in algebroid.bracket_frame_row(y, z):
-                        if sparse[x]:
-                            groups.setdefault(d, []).extend(
-                                (comp, w.diff(name)) for name, comp in sparse[x])
-                        for e, w2 in algebroid.bracket_frame_row(x, d):
-                            groups.setdefault(e, []).append((w, w2))
+                    row = algebroid.structure.get((min(y, z), max(y, z)), {})
+                    ops.add_derivation(groups, {(d,): w for d, w in row.items()},
+                                       *derivations[x], -1 if y < z else 1)
                 table = collect(groups)
-                for e in sorted(table):
+                for (e,) in sorted(table):
                     violations.append(
-                        Violation("AXIOM_JACOBI", (a + 1, b + 1, c + 1, e + 1), table[e]))
+                        Violation("AXIOM_JACOBI", (a + 1, b + 1, c + 1, e + 1), table[e,]))
     return CheckReport.collect(violations)
 
 

@@ -22,7 +22,9 @@ One accumulation rule builds every output coefficient: an operation groups
 `Polynomial.sum_of_products`, not one product and one add per term.  A
 weight is a Polynomial factor or an int such as a sign, which scales the
 terms of the pair's polynomial in the same term map, so a signed sum makes
-no negated copy.  `linear_combination` applies the rule to whole values.
+no negated copy.  `linear_combination` applies the rule to whole values, and
+the operators of `Calculus` hold the sign and sort rules of d, contraction
+and derivations for the checkers that build residuals from pairs.
 """
 
 from __future__ import annotations
@@ -175,10 +177,7 @@ class Alternating:
         a._check_mate(b)
         groups: dict = {}
         for i1, p1 in a.coeffs.items():
-            for i2, p2 in b.coeffs.items():
-                merged = sort_indices(i1 + i2)
-                if merged is not None:
-                    groups.setdefault(merged[0], []).append((p1 if merged[1] > 0 else -p1, p2))
+            add_wedge(groups, b.coeffs, (p1, -p1), head=i1)
         return a._like(collect(groups), a.degree + b.degree)
 
     def coeff(self, idx) -> Polynomial:
@@ -302,40 +301,144 @@ def linear_combination(terms: Sequence):
         like._check_mate(x)
         if x.degree != like.degree:
             raise ValueError("degree mismatch in sum")
-        for key, p in x.coeffs.items():
-            groups.setdefault(key, []).append((p, w))
+        add_scaled(groups, x.coeffs, w)
     return like._like(collect(groups))
+
+
+# ---------------------------------------------------------------------------
+# the operators on tables: each adds (polynomial, weight) pairs into a
+# caller's groups, for the caller to `collect`
+# ---------------------------------------------------------------------------
+
+def add_scaled(groups: dict, table: Mapping, weight) -> None:
+    """Add weight * table, the weight a Polynomial or an int."""
+    for key, p in table.items():
+        groups.setdefault(key, []).append((p, weight))
+
+
+def add_wedge(groups: dict, table: Mapping, weight: tuple, s: int = 1,
+              head: tuple = (), tail: tuple = ()) -> None:
+    """Add s * w * (g_head ^ table ^ g_tail) for a weight pair (w, -w) of
+    Polynomials or ints, g the generators the indices count."""
+    odd = s < 0
+    for key, p in table.items():
+        merged = sort_indices(head + key + tail)
+        if merged is not None:
+            groups.setdefault(merged[0], []).append((p, weight[odd ^ (merged[1] < 0)]))
+
+
+class Calculus:
+    """One call's partials and negations, and the operators that read them.
+
+    `partial(f, j)` is df/dx_j, kept under (id(f), j), and `pm(p)` is
+    (p, -p), kept under id(p); an entry holds its polynomial, which keeps
+    the id in its key unique while the table lives, and the table is dropped
+    with the call that built it.  Each operator adds s * its value to a
+    caller's groups as (polynomial, weight) pairs keyed by output index.  A
+    sign scales an int weight or picks a member of a (w, -w) pair (the
+    fields and rows of derivations, built once per call by `field` and
+    `lie`); a contraction takes plain components and negates one through
+    `pm` only where a position needs it.  On a table w over generators g_t
+    (dx_t, or e_t for sections), p 0-based:
+
+        d:            (dw)_{sort(j, I)} += (sign of the sort) dw_I/dx_j
+        contraction:  (i_X w)_{I minus I_p} += (-1)^p X^{I_p} w_I
+        derivation:   D(f g_I) = X(f) g_I + f sum_p g_I1 ^ .. D(g_Ip) .. ^ g_Iq
+
+    X a field acting on coefficients and D(g_t) = sum_l w_tl g_l, the term
+    l = t kept in place.  `lie` gives L_X of forms, D(dx_t) = d X^t, and
+    `LieAlgebroid.frame_derivation` the bracket P -> [P, e_b].
+    """
+
+    def __init__(self, chart: Chart):
+        self.names = chart.names
+        self.partials: dict = {}    # (id(f), j) -> (f, df/dx_j)
+        self.negations: dict = {}   # id(p) -> (p, -p)
+
+    def partial(self, f: Polynomial, j: int) -> Polynomial:
+        entry = self.partials.get((id(f), j))
+        if entry is None:
+            entry = self.partials[id(f), j] = (f, f.diff(self.names[j]))
+        return entry[1]
+
+    def pm(self, p: Polynomial) -> tuple:
+        entry = self.negations.get(id(p))
+        if entry is None:
+            entry = self.negations[id(p)] = (p, -p)
+        return entry
+
+    def field(self, components: Iterable, s: int = 1) -> dict:
+        """{j: (Y^j, -Y^j)} over the nonzero components of Y = s * X, X
+        given by (j, X^j) pairs."""
+        out = {}
+        for j, p in components:
+            if not p.is_zero():
+                out[j] = self.pm(p) if s > 0 else self.pm(p)[::-1]
+        return out
+
+    def lie(self, components: Iterable) -> tuple:
+        """(field, rows) of the Lie derivative L_X of forms, X given by
+        (j, X^j) pairs: rows[t] holds (l, (dX^t/dx_l, negation))."""
+        field = self.field(components)
+        rows = {t: tuple((l, self.pm(dp)) for l in range(len(self.names))
+                         if not (dp := self.partial(comp[0], l)).is_zero())
+                for t, comp in field.items()}
+        return field, rows
+
+    def add_d(self, groups: dict, table: Mapping, s: int) -> None:
+        """Add s * d of a form table, s an int."""
+        for idx, f in table.items():
+            for j in range(len(self.names)):
+                if j not in idx:
+                    df = self.partial(f, j)
+                    if not df.is_zero():
+                        key, sign = sort_indices((j,) + idx)
+                        groups.setdefault(key, []).append((df, s * sign))
+
+    def add_contract(self, groups: dict, components: Mapping, table: Mapping, s: int) -> None:
+        """Add s * the contraction of a table by the field with `components`
+        {i: X^i}, s = 1 or -1, each negated only where a position needs it."""
+        odd = s < 0
+        for idx, f in table.items():
+            for pos, i in enumerate(idx):
+                comp = components.get(i)
+                if comp is not None:
+                    if (pos + odd) & 1:
+                        comp = self.pm(comp)[1]
+                    groups.setdefault(idx[:pos] + idx[pos + 1:], []).append((comp, f))
+
+    def add_derivation(self, groups: dict, table: Mapping, field: Mapping, rows: Mapping,
+                       s: int) -> None:
+        """Add s * D of a table, s = 1 or -1, for the derivation D acting as
+        the `field` on coefficients and by `rows` on generators, rows[t]
+        holding (l, (w_tl, -w_tl)) pairs."""
+        odd = s < 0
+        for idx, f in table.items():
+            for j, comp in field.items():
+                df = self.partial(f, j)
+                if not df.is_zero():
+                    groups.setdefault(idx, []).append((df, comp[odd]))
+            for pos, t in enumerate(idx):
+                for l, w in rows.get(t, ()):
+                    if l == t:
+                        groups.setdefault(idx, []).append((f, w[odd]))
+                        continue
+                    merged = sort_indices(idx[:pos] + (l,) + idx[pos + 1:])
+                    if merged is not None:
+                        groups.setdefault(merged[0], []).append((f, w[odd ^ (merged[1] < 0)]))
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """de Rham differential; satisfies d(d(a)) = 0."""
     groups: dict = {}
-    for idx, p in a.coeffs.items():
-        for j, name in enumerate(a.chart.names):
-            if j in idx:
-                continue
-            dp = p.diff(name)
-            if not dp.is_zero():
-                key, sign = sort_indices((j,) + idx)
-                groups.setdefault(key, []).append((dp, sign))
+    Calculus(a.chart).add_d(groups, a.coeffs, 1)
     return a._like(collect(groups), a.degree + 1)
 
 
-def _contract_table(components: dict, table: dict) -> dict:
-    """Contract {index: Polynomial} components into an alternating table,
-    negating each component at most once."""
-    negated: dict = {}
+def _contracted(components: Mapping, a: Alternating) -> dict:
+    """The table of the contraction of a by {(i,): Polynomial} components."""
     groups: dict = {}
-    for idx, p in table.items():
-        for pos, i in enumerate(idx):
-            comp = components.get(i)
-            if comp is None:
-                continue
-            if pos % 2:
-                comp = negated.get(i)
-                if comp is None:
-                    comp = negated[i] = -components[i]
-            groups.setdefault(idx[:pos] + idx[pos + 1:], []).append((comp, p))
+    Calculus(a.chart).add_contract(groups, {i: p for (i,), p in components.items()}, a.coeffs, 1)
     return collect(groups)
 
 
@@ -345,8 +448,7 @@ def contract(x: VectorField, a: DifferentialForm) -> DifferentialForm:
         raise ChartError("chart mismatch")
     if a.degree == 0:
         return DifferentialForm(a.chart, 0)
-    comps = {i: p for (i,), p in x.coeffs.items()}
-    return a._like(_contract_table(comps, a.coeffs), a.degree - 1)
+    return a._like(_contracted(x.coeffs, a), a.degree - 1)
 
 
 def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
@@ -357,8 +459,7 @@ def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
         raise ValueError("contract_covector needs a 1-form")
     if p.degree == 0:
         return Multivector(p.chart, 0)
-    comps = {i: q for (i,), q in alpha.coeffs.items()}
-    return p._like(_contract_table(comps, p.coeffs), p.degree - 1, Multivector)
+    return p._like(_contracted(alpha.coeffs, p), p.degree - 1, Multivector)
 
 
 def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm) -> DifferentialForm:
@@ -448,14 +549,7 @@ def lie_derivative(x: VectorField, a):
 
 FrameBracket = Callable[[int, int], Iterable]  # (a, b) -> iterable of (c, Polynomial)
 CoeffAction = Callable[[int, Polynomial], Polynomial]  # (a, f) -> derivative of f
-
-
-def _wedge_frame(head: tuple, table: dict, tail: tuple, weight: int, groups: dict) -> None:
-    """Add weight * (e_head ^ table ^ e_tail) to the pairs of `groups`."""
-    for key, p in table.items():
-        merged = sort_indices(head + key + tail)
-        if merged is not None:
-            groups.setdefault(merged[0], []).append((p, weight * merged[1]))
+_UNIT = (1, -1)
 
 
 def _bracket_pure(t_tuple, v_table: dict, q: int, fb: FrameBracket, act: CoeffAction) -> dict:
@@ -478,8 +572,8 @@ def _bracket_pure(t_tuple, v_table: dict, q: int, fb: FrameBracket, act: CoeffAc
         return collect(groups)
     head, rest = t_tuple[0], t_tuple[1:]
     sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
-    _wedge_frame((head,), _bracket_pure(rest, v_table, q, fb, act), (), 1, groups)
-    _wedge_frame((), _bracket_pure((head,), v_table, q, fb, act), rest, sign, groups)
+    add_wedge(groups, _bracket_pure(rest, v_table, q, fb, act), _UNIT, head=(head,))
+    add_wedge(groups, _bracket_pure((head,), v_table, q, fb, act), _UNIT, sign, tail=rest)
     return collect(groups)
 
 

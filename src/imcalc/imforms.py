@@ -9,9 +9,11 @@ an independent computation, the morphism condition of the induced fiberwise
 functional on the tangent prolongation.  The two verdicts provably agree, so
 any disagreement is raised as a library defect rather than returned.
 
-`check_im_form` takes the Lie derivative by its coordinate formula (its
-docstring gives the residuals), while `weil` keeps Cartan's L = i d + d i, so
-the two routes that check a Weil document compute L by different formulas.
+`check_im_form` builds its residuals from the operators of `forms.Calculus`,
+which holds the conventions for d, contraction and the Lie derivative.  It
+takes L as a derivation (the coordinate formula), while `weil` keeps
+Cartan's L = i d + d i, so the two routes that check a Weil document compute
+L by different formulas.
 
 Checkers enforce the documented axiom precondition by reporting: handed an
 algebroid built with `unchecked=True`, they fold the axiom violations into
@@ -39,7 +41,9 @@ from .algebroid import (
     run_oracle,
 )
 from .errors import AlgebroidError, CrossCheckError
-from .forms import DifferentialForm, collect, contract, exterior_derivative, sort_indices
+from .forms import (
+    Calculus, DifferentialForm, add_scaled, collect, contract, exterior_derivative,
+)
 from .linforms import BundleForms, form_frame_functional
 from .poly import Chart, Polynomial
 
@@ -67,46 +71,27 @@ class _Residuals:
     """The IM residuals and the nu identities of one candidate, each one
     `collect` over (polynomial, weight) pairs grouped by output index.
 
-    The pairs are read from tables of this call, each entry computed at most
-    once: the partials of every polynomial the formulas differentiate (mu and
-    nu coefficients, anchor components, double contractions); d of each
-    frame image (for mu, d mu(b) + nu(b), the form IM2 contracts); the
-    anchor components and their partials, each with its negation; and, for
-    the cyclic identity, L_{rho(v)} nu(u) - L_{rho(u)} nu(v).  An entry keyed
-    by id holds its polynomial, which keeps that id unique while the table
-    lives; the tables are dropped with the call.
+    The pairs come from the operators of one `forms.Calculus` of this call,
+    which differentiates and negates each polynomial at most once: d, the
+    contraction i_{rho(a)} and the Lie derivative L_{rho(a)}, the derivation
+    with rows d rho_a^t.  Two more tables of this call hold d of each frame
+    image (for mu, d mu(b) + nu(b), the form IM2 contracts) and, for the
+    cyclic identity, L_{rho(v)} nu(u) - L_{rho(u)} nu(v); they are dropped
+    with the call.
     """
 
     def __init__(self, im: IMForm):
         A = im.algebroid
         self.algebroid = A
         self.k = im.k
-        self.names = A.base_chart.names
         self.maps = {"mu": [f.coeffs for f in im.forms.mu],
                      "nu": [f.coeffs for f in im.forms.nu]}
-        # rho_a^j as (rho_a^j, -rho_a^j), index 1 the negation
-        self.anchor = [{j: (p, -p) for j, p in enumerate(row) if not p.is_zero()}
-                       for row in A.anchor]
-        self.grads: dict = {}           # id(f) -> (f, nonzero (j, df/dx_j))
-        self.anchor_grads: dict = {}    # a -> {i: nonzero (l, (d rho_a^i/dx_l, negation))}
+        self.ops = Calculus(A.base_chart)
+        # rho_a, the components i_{rho(a)} contracts by, and L_{rho(a)} as (field, rows)
+        self.rho = [{j: p for j, p in enumerate(row) if not p.is_zero()} for row in A.anchor]
+        self.lies = [self.ops.lie(rho.items()) for rho in self.rho]
         self.d_tables: dict = {}        # (kind, b) -> d of the image of e_b, + nu(b) for mu
         self.lie_tables: dict = {}      # (u, v) -> L_{rho(v)} nu(u) - L_{rho(u)} nu(v)
-
-    def grad(self, f: Polynomial) -> tuple:
-        entry = self.grads.get(id(f))
-        if entry is None:
-            entry = self.grads[id(f)] = (f, tuple(
-                (j, df) for j, name in enumerate(self.names)
-                if not (df := f.diff(name)).is_zero()))
-        return entry[1]
-
-    def rho_grads(self, a: int) -> dict:
-        entry = self.anchor_grads.get(a)
-        if entry is None:
-            entry = self.anchor_grads[a] = {
-                i: tuple((l, (dp, -dp)) for l, dp in self.grad(comp[0]))
-                for i, comp in self.anchor[a].items()}
-        return entry
 
     def d(self, kind: str, b: int) -> dict:
         """d of the image of e_b, plus nu(b) for mu: the form i_{rho(a)}
@@ -114,10 +99,9 @@ class _Residuals:
         table = self.d_tables.get((kind, b))
         if table is None:
             groups: dict = {}
-            self.add_d(groups, self.maps[kind][b], 1)
+            self.ops.add_d(groups, self.maps[kind][b], 1)
             if kind == "mu":
-                for idx, f in self.maps["nu"][b].items():
-                    groups.setdefault(idx, []).append((f, 1))
+                add_scaled(groups, self.maps["nu"][b], 1)
             table = self.d_tables[kind, b] = collect(groups)
         return table
 
@@ -127,60 +111,16 @@ class _Residuals:
         if table is None:
             nu = self.maps["nu"]
             groups: dict = {}
-            self.add_lie(groups, v, nu[u], 1)
-            self.add_lie(groups, u, nu[v], -1)
+            self.ops.add_derivation(groups, nu[u], *self.lies[v], 1)
+            self.ops.add_derivation(groups, nu[v], *self.lies[u], -1)
             table = self.lie_tables[u, v] = collect(groups)
         return table
-
-    def add_d(self, groups: dict, table: dict, s: int) -> None:
-        """Add s * d of a form table."""
-        for idx, f in table.items():
-            for j, df in self.grad(f):
-                if j not in idx:
-                    key, sign = sort_indices((j,) + idx)
-                    groups.setdefault(key, []).append((df, s * sign))
-
-    def add_contract(self, groups: dict, a: int, table: dict, s: int) -> None:
-        """Add s * i_{rho(a)} of a form table, s = 1 or -1."""
-        rho = self.anchor[a]
-        odd = s < 0
-        for idx, f in table.items():
-            for pos, i in enumerate(idx):
-                comp = rho.get(i)
-                if comp is not None:
-                    groups.setdefault(idx[:pos] + idx[pos + 1:], []).append(
-                        (comp[(pos + odd) & 1], f))
-
-    def add_lie(self, groups: dict, a: int, table: dict, s: int) -> None:
-        """Add s * L_{rho(a)} of a form table, s = 1 or -1, by the
-        coordinate formula."""
-        rho = self.anchor[a]
-        rho_grads = self.rho_grads(a)
-        odd = s < 0
-        for idx, f in table.items():
-            pairs = groups.setdefault(idx, [])
-            for j, df in self.grad(f):
-                comp = rho.get(j)
-                if comp is not None:
-                    pairs.append((df, comp[odd]))
-            for pos, t in enumerate(idx):
-                for l, dx in rho_grads.get(t, ()):
-                    if l == t:
-                        pairs.append((f, dx[odd]))
-                        continue
-                    merged = sort_indices(idx[:pos] + (l,) + idx[pos + 1:])
-                    if merged is not None:
-                        groups.setdefault(merged[0], []).append(
-                            (f, dx[odd if merged[1] > 0 else not odd]))
-            if not pairs:
-                del groups[idx]
 
     def add_image(self, groups: dict, kind: str, a: int, b: int) -> None:
         """Add the image of [e_a, e_b] under the bundle map `kind`."""
         maps = self.maps[kind]
-        for c, w in self.algebroid.bracket_frame_row(a, b):
-            for idx, f in maps[c].items():
-                groups.setdefault(idx, []).append((f, w))
+        for c, w in self.algebroid.bracket_row(a, b, self.ops):
+            add_scaled(groups, maps[c], w[0])
 
     def form(self, groups: dict, degree: int) -> DifferentialForm:
         return DifferentialForm(self.algebroid.base_chart, max(degree, 0))._like(collect(groups))
@@ -188,42 +128,42 @@ class _Residuals:
     def im1(self, a: int, b: int) -> DifferentialForm:
         mu = self.maps["mu"]
         groups: dict = {}
-        self.add_contract(groups, a, mu[b], 1)
-        self.add_contract(groups, b, mu[a], 1)
+        self.ops.add_contract(groups, self.rho[a], mu[b], 1)
+        self.ops.add_contract(groups, self.rho[b], mu[a], 1)
         return self.form(groups, self.k - 2)
 
     def im2(self, a: int, b: int) -> DifferentialForm:
         groups: dict = {}
         self.add_image(groups, "mu", a, b)
-        self.add_lie(groups, a, self.maps["mu"][b], -1)
-        self.add_contract(groups, b, self.d("mu", a), 1)
+        self.ops.add_derivation(groups, self.maps["mu"][b], *self.lies[a], -1)
+        self.ops.add_contract(groups, self.rho[b], self.d("mu", a), 1)
         return self.form(groups, self.k - 1)
 
     def im3(self, a: int, b: int) -> DifferentialForm:
         groups: dict = {}
         self.add_image(groups, "nu", a, b)
-        self.add_lie(groups, a, self.maps["nu"][b], -1)
-        self.add_contract(groups, b, self.d("nu", a), 1)
+        self.ops.add_derivation(groups, self.maps["nu"][b], *self.lies[a], -1)
+        self.ops.add_contract(groups, self.rho[b], self.d("nu", a), 1)
         return self.form(groups, self.k)
 
     def antisymmetry(self, a: int, b: int) -> DifferentialForm:
         nu = self.maps["nu"]
         groups: dict = {}
-        self.add_contract(groups, a, nu[b], 1)
-        self.add_contract(groups, b, nu[a], 1)
+        self.ops.add_contract(groups, self.rho[a], nu[b], 1)
+        self.ops.add_contract(groups, self.rho[b], nu[a], 1)
         return self.form(groups, self.k - 1)
 
     def cyclic(self, a: int, b: int, c: int) -> DifferentialForm:
         groups: dict = {}
-        self.add_contract(groups, c, self.lie(a, b), 1)
-        self.add_contract(groups, a, self.lie(b, c), 1)
-        self.add_contract(groups, b, self.lie(a, c), -1)
+        self.ops.add_contract(groups, self.rho[c], self.lie(a, b), 1)
+        self.ops.add_contract(groups, self.rho[a], self.lie(b, c), 1)
+        self.ops.add_contract(groups, self.rho[b], self.lie(a, c), -1)
         inner: dict = {}
-        self.add_contract(inner, b, self.maps["nu"][a], 1)
+        self.ops.add_contract(inner, self.rho[b], self.maps["nu"][a], 1)
         triple: dict = {}
-        self.add_contract(triple, c, collect(inner), 1)
+        self.ops.add_contract(triple, self.rho[c], collect(inner), 1)
         # empty for k = 1: the double contraction of a 1-form
-        self.add_d(groups, collect(triple), 2)
+        self.ops.add_d(groups, collect(triple), 2)
         return self.form(groups, self.k - 1)
 
 
@@ -246,17 +186,11 @@ def check_im_form(im: IMForm) -> CheckReport:
                     + i_{rho b} d mu(a) + i_{rho b} nu(a)
         IM3(a, b) = sum_c C_ab^c nu(c) - L_{rho a} nu(b) + i_{rho b} d nu(a)
 
-    in the conventions of `forms`: (i_X w)_{I minus I_p} gets
-    (-1)^p X^{I_p} w_I (p 0-based), and the Lie derivative takes the
-    coordinate formula, not Cartan's i d + d i:
-
-        (L_X w)_I = sum_j X^j dw_I/dx_j
-                    + sum_J sum_p sum_l (dX^{J_p}/dx_l) w_J,
-
-    over the J whose index J_p replaced by l sorts to I, with the sign of
-    that sort (l = J_p gives J itself).  Every term is then a product of two
-    base polynomials read from the per-call tables of `_Residuals`, so each
-    residual is one `collect`; IM2 contracts d mu(a) + nu(a) as one table.
+    in the conventions of `forms.Calculus`, L_X being the derivation that
+    acts as X on coefficients and sends dx_t to d X^t (the coordinate
+    formula, not Cartan's i d + d i).  Every term is a product of two base
+    polynomials, so each residual is one `collect`; IM2 contracts
+    d mu(a) + nu(a) as one table.
     """
     A = im.algebroid
     r = A.rank

@@ -12,8 +12,9 @@ induced fiberwise functional on the cotangent prolongation; both routes are
 computed independently and compared by `oracle_equivalence_dual`.
 
 The derivation property is checked on the generators x_i and e_a only, so
-`check_gerstenhaber_derivation` takes each bracket by its closed form (given
-in its docstring) rather than through `forms.graded_bracket`, which serves
+`check_gerstenhaber_derivation` takes each bracket by its closed form, built
+from the operators of `forms.Calculus` (which holds the sign and sort
+conventions), rather than through `forms.graded_bracket`, which serves
 `section_bracket`, `schouten` and the test suite's reference for the check.
 """
 
@@ -36,7 +37,7 @@ from .algebroid import (
     run_oracle,
 )
 from .errors import AlgebroidError
-from .forms import Minors, Multivector, collect, sort_indices
+from .forms import Calculus, Minors, Multivector, add_scaled, add_wedge, collect
 from .linforms import TotalChart, cross_check_frame_values, linear_shape, total_chart_of
 from .poly import ChartError, Polynomial
 
@@ -212,15 +213,14 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
         R3(a, b) = sum_c (delta(C_ab^c) ^ e_c + C_ab^c delta e_c)
                    - [delta e_a, e_b] - [e_a, delta e_b].
 
-    Only [x_i, Q] and [P, e_b] are built; the other two follow by graded
-    antisymmetry.  Every term is a product of two base polynomials, so each
-    residual is one `collect` over (polynomial, weight) pairs grouped by
-    output index.  The brackets act on coefficients through one partials
-    table, filled as they need it, so each polynomial is differentiated at
-    most once per call; an entry holds its polynomial, which keeps the id in
-    its key unique while the table lives.  The negation table does the same
-    for the signed small factors (anchor entries, structure functions and
-    their partials).
+    Only [x_i, Q] and [P, e_b] are built, by the operators of one
+    `forms.Calculus` of this call: [x_i, Q] is minus the contraction of Q by
+    the anchor column i, and [P, e_b] the derivation of P with coefficient
+    action -rho_b and rows [e_t, e_b] (`LieAlgebroid.frame_derivation`).
+    The other two follow by graded antisymmetry.  Every term is a product
+    of two base polynomials, so each residual is one `collect` over
+    (polynomial, weight) pairs grouped by output index, and each polynomial
+    is differentiated and negated at most once per call.
     """
     A = d.algebroid
     violations = list(axiom_gate(A))
@@ -233,62 +233,17 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     sign = -1 if (k - 1) % 2 else 1
     coord = [d.coord_action(j).coeffs for j in range(chart.dim)]
     frame = [d.frame_action(a).coeffs for a in range(A.rank)]
-    partials: dict = {}   # (id(f), coordinate) -> (f, df/dx)
-    negated: dict = {}    # id(p) -> (p, -p)
-    rows: dict = {}       # (a, b) -> [e_a, e_b] as (c, C_ab^c) pairs
-
-    def diff(f: Polynomial, name: str) -> Polynomial:
-        entry = partials.get((id(f), name))
-        if entry is None:
-            entry = partials[id(f), name] = (f, f.diff(name))
-        return entry[1]
-
-    def signed(p: Polynomial, s: int) -> Polynomial:
-        if s > 0:
-            return p
-        entry = negated.get(id(p))
-        if entry is None:
-            entry = negated[id(p)] = (p, -p)
-        return entry[1]
-
-    def row(a: int, b: int) -> tuple:
-        entry = rows.get((a, b))
-        if entry is None:
-            entry = rows[a, b] = A.bracket_frame_row(a, b)
-        return entry
+    ops = Calculus(chart)
+    columns = [{c: row[i] for c, row in enumerate(A.anchor) if not row[i].is_zero()}
+               for i in range(chart.dim)]
+    right = [A.frame_derivation(b, ops) for b in range(A.rank)]
 
     def scalar(groups: dict, f: Polynomial, s: int, tail: tuple = ()) -> None:
         """Add s * delta(f) ^ e_tail."""
-        for j, name in enumerate(names):
-            df = diff(f, name)
-            if df.is_zero():
-                continue
-            for key, g in coord[j].items():
-                merged = sort_indices(key + tail)
-                if merged is not None:
-                    groups.setdefault(merged[0], []).append((signed(df, s * merged[1]), g))
-
-    def with_coord(groups: dict, table: Mapping, i: int, s: int) -> None:
-        """Add s * [x_i, Q] for the table of Q."""
-        for key, g in table.items():
-            for m, c in enumerate(key, start=1):
-                rho = A.anchor[c][i]
-                if not rho.is_zero():
-                    groups.setdefault(key[:m - 1] + key[m:], []).append(
-                        (g, signed(rho, s if m % 2 == 0 else -s)))
-
-    def with_frame(groups: dict, table: Mapping, b: int, s: int) -> None:
-        """Add s * [P, e_b] for the table of P."""
-        for key, f in table.items():
-            for name, comp in A._anchor_sparse[b]:
-                df = diff(f, name)
-                if not df.is_zero():
-                    groups.setdefault(key, []).append((signed(comp, -s), df))
-            for pos, t in enumerate(key):
-                for c, w in row(t, b):
-                    merged = sort_indices(key[:pos] + (c,) + key[pos + 1:])
-                    if merged is not None:
-                        groups.setdefault(merged[0], []).append((f, signed(w, s * merged[1])))
+        for j in range(chart.dim):
+            df = ops.partial(f, j)
+            if not df.is_zero():
+                add_wedge(groups, coord[j], ops.pm(df), s, tail=tail)
 
     def report(tag: str, witness: tuple, degree: int, groups: dict) -> None:
         table = collect(groups)
@@ -300,8 +255,8 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
             groups: dict = {}
-            with_coord(groups, coord[i], j, sign)
-            with_coord(groups, coord[j], i, sign)
+            ops.add_contract(groups, columns[j], coord[i], -sign)
+            ops.add_contract(groups, columns[i], coord[j], -sign)
             report("R1", (names[i], names[j]), max(k - 2, 0), groups)
 
     for i in range(chart.dim):
@@ -309,20 +264,19 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
             # delta[x_i, e_b] = -delta(rho_b^i), by the scalar action rule
             groups = {}
             scalar(groups, A.anchor[b][i], -1)
-            with_frame(groups, coord[i], b, -1)
-            with_coord(groups, frame[b], i, -sign)
+            ops.add_derivation(groups, coord[i], *right[b], -1)
+            ops.add_contract(groups, columns[i], frame[b], sign)
             report("R2", (names[i], A.frame_names[b]), k - 1, groups)
 
     # [e_a, delta e_b] = -[delta e_b, e_a]
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
             groups = {}
-            for c, w in row(a, b):
+            for c, w in A.bracket_frame_row(a, b):
                 scalar(groups, w, 1, (c,))
-                for key, g in frame[c].items():
-                    groups.setdefault(key, []).append((w, g))
-            with_frame(groups, frame[a], b, -1)
-            with_frame(groups, frame[b], a, 1)
+                add_scaled(groups, frame[c], w)
+            ops.add_derivation(groups, frame[a], *right[b], -1)
+            ops.add_derivation(groups, frame[b], *right[a], 1)
             report("R3", (A.frame_names[a], A.frame_names[b]), k, groups)
     return CheckReport.collect(violations, notes)
 

@@ -111,8 +111,8 @@ def det_of_components(vectors: Sequence[Mapping], idx, target: Chart) -> Polynom
 # Each operation below adds its terms one at a time, one product and one
 # Polynomial add per term, as the form layer did before it collected every
 # output coefficient with one `sum_of_products`: the references for
-# `forms.contract`, `forms.exterior_derivative`, `forms.wedge` and
-# `forms.graded_bracket`.
+# `forms.contract`, `forms.exterior_derivative`, `forms.wedge`,
+# `forms.graded_bracket` and the operators of `forms.Calculus`.
 
 def acc_term(table: dict, key, poly: Polynomial) -> None:
     """Add one term into an alternating table, dropping a zero sum."""
@@ -149,6 +149,22 @@ def exterior_derivative_reference(table: Mapping, chart: Chart) -> dict:
     return out
 
 
+def derivation_reference(table: Mapping, field: Mapping, rows: Mapping, chart: Chart) -> dict:
+    """D of an alternating table for the derivation acting on coefficients
+    as the vector field {j: X^j} and on generators by rows[t] = [(l, w)],
+    D(g_t) = sum_l w g_l."""
+    out: dict = {}
+    for idx, f in table.items():
+        for j, comp in field.items():
+            acc_term(out, idx, comp * f.diff(chart.names[j]))
+        for pos, t in enumerate(idx):
+            for l, w in rows.get(t, ()):
+                merged = sort_indices(idx[:pos] + (l,) + idx[pos + 1:])
+                if merged is not None:
+                    acc_term(out, merged[0], w * f if merged[1] == 1 else -(w * f))
+    return out
+
+
 def wedge_reference(a: Mapping, b: Mapping) -> dict:
     out: dict = {}
     for i1, p1 in a.items():
@@ -159,7 +175,7 @@ def wedge_reference(a: Mapping, b: Mapping) -> dict:
     return out
 
 
-def _wedge_frame_reference(head: tuple, table: Mapping, tail: tuple) -> dict:
+def wedge_frame_reference(head: tuple, table: Mapping, tail: tuple) -> dict:
     out: dict = {}
     for key, p in table.items():
         merged = sort_indices(head + key + tail)
@@ -183,8 +199,8 @@ def _bracket_pure_reference(t_tuple, v_table: Mapping, q: int, fb, act) -> dict:
                         acc_term(out, merged[0], g * w if merged[1] == 1 else -(g * w))
     elif p > 1:
         head, rest = (t_tuple[0],), t_tuple[1:]
-        out = _wedge_frame_reference(head, _bracket_pure_reference(rest, v_table, q, fb, act), ())
-        part2 = _wedge_frame_reference((), _bracket_pure_reference(head, v_table, q, fb, act), rest)
+        out = wedge_frame_reference(head, _bracket_pure_reference(rest, v_table, q, fb, act), ())
+        part2 = wedge_frame_reference((), _bracket_pure_reference(head, v_table, q, fb, act), rest)
         sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
         for key, poly in part2.items():
             acc_term(out, key, poly if sign == 1 else -poly)
@@ -205,7 +221,7 @@ def graded_bracket_reference(p_table: Mapping, p: int, q_table: Mapping, q: int,
                 df = act(s, f)
                 rest = s_tuple[:j - 1] + s_tuple[j:]
                 acc_term(q_on_f, rest, g * df if (q - j) % 2 == 0 else -(g * df))
-        for key, poly in _wedge_frame_reference((), q_on_f, t_tuple).items():
+        for key, poly in wedge_frame_reference((), q_on_f, t_tuple).items():
             acc_term(out, key, -poly if sign == 1 else poly)
     return out
 

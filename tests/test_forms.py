@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import (
     contract_reference,
+    derivation_reference,
     det_of_components,
     exterior_derivative_reference,
     graded_bracket_reference,
@@ -20,15 +21,21 @@ from conftest import (
     rnd_multivector,
     rnd_poly,
     rnd_section,
+    rnd_unchecked_algebroid,
     rnd_vector_field,
+    wedge_frame_reference,
     wedge_reference,
 )
+from imcalc.algebroid import Section, section_bracket
 from imcalc.forms import (
+    Calculus,
     DifferentialForm,
     Minors,
     Multivector,
     VectorField,
+    add_wedge,
     as_vector_field,
+    collect,
     contract,
     contract_covector,
     exterior_derivative,
@@ -477,3 +484,84 @@ def test_gerstenhaber_bracket_matches_per_term_reference(seed, p, q):
     # graded antisymmetry makes [u, u] vanish for a section of odd degree
     if p % 2:
         assert graded_bracket(u.coeffs, p, u.coeffs, p, fb, act) == {}
+
+
+# -- the operators of `forms.Calculus` against the per-term references ---------
+
+def _collected(add) -> dict:
+    groups: dict = {}
+    add(groups)
+    return collect(groups)
+
+
+def _signed(table: dict, s: int) -> dict:
+    return table if s > 0 else {key: -p for key, p in table.items()}
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("kind", ["form", "section"])
+def test_operators_match_per_term_references(kind, degree, s):
+    """Contraction, derivation, wedge and (on forms) d, each adding s times
+    its value, on a form over 3 coordinates or a section table over 4 frame
+    indices on 2 coordinates.  Every generator row reaches every index, so
+    the derivation meets the in-place term l = t and replacements that
+    repeat an index."""
+    rng = random.Random(f"{kind}-{degree}-{s}")
+    chart, bound = (CH3, 3) if kind == "form" else (CH2, 4)
+    table = {idx: p for idx in combinations(range(bound), degree)
+             if not (p := rnd_poly(rng, chart, 2, terms=3)).is_zero()}
+    assert table
+    ops = Calculus(chart)
+    comps = {i: rnd_poly(rng, chart, 1) for i in range(bound)}
+    field = {j: rnd_poly(rng, chart, 1) for j in range(chart.dim)}
+    rows = {t: [(l, rnd_poly(rng, chart, 1)) for l in range(bound)] for t in range(bound)}
+    pm_rows = {t: tuple((l, ops.pm(w)) for l, w in row) for t, row in rows.items()}
+    w = rnd_poly(rng, chart, 1)
+    head, tail = (1,), (bound - 1,)
+
+    assert _collected(lambda g: ops.add_contract(g, comps, table, s)) \
+        == _signed(contract_reference(comps, table), s)
+    pm_field = ops.field(field.items())
+    assert _collected(lambda g: ops.add_derivation(g, table, pm_field, pm_rows, s)) \
+        == _signed(derivation_reference(table, field, rows, chart), s)
+    assert _collected(lambda g: add_wedge(g, table, (w, -w), s, head, tail)) == _signed(
+        {k: q for k, p in wedge_frame_reference(head, table, tail).items()
+         if not (q := w * p).is_zero()}, s)
+    if kind == "form":
+        assert _collected(lambda g: ops.add_d(g, table, s)) \
+            == _signed(exterior_derivative_reference(table, chart), s)
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_lie_operator_is_cartans_lie_derivative(rng, degree, s):
+    """The derivation with rows d X^t is L_X = i_X d + d i_X on forms."""
+    for _ in range(3):
+        x = rnd_vector_field(rng, CH3)
+        a = rnd_form(rng, CH3, degree)
+        ops = Calculus(CH3)
+        lie = ops.lie((i, p) for (i,), p in x.coeffs.items())
+        assert _collected(lambda g: ops.add_derivation(g, a.coeffs, *lie, s)) \
+            == lie_derivative(x, a).scale(s).coeffs
+
+
+@pytest.mark.parametrize("s", [1, -1])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_section_operators_are_the_generator_brackets(rng, degree, s):
+    """The derivation of `frame_derivation(b)` is [P, e_b], and minus the
+    contraction by anchor column i is [x_i, P], both against
+    `section_bracket`, on checked and unchecked algebroids."""
+    for algebroid in (rnd_algebroid(rng), *(rnd_unchecked_algebroid(rng) for _ in range(2))):
+        chart = algebroid.base_chart
+        p = rnd_section(rng, algebroid, min(degree, algebroid.rank))
+        ops = Calculus(chart)
+        for b in range(algebroid.rank):
+            bracket = section_bracket(p, Section.frame(algebroid, b)).scale(s)
+            assert _collected(lambda g: ops.add_derivation(
+                g, p.coeffs, *algebroid.frame_derivation(b, ops), s)) == bracket.coeffs
+        for i, name in enumerate(chart.names):
+            column = {c: row[i] for c, row in enumerate(algebroid.anchor)}
+            x = Section.function(algebroid, Polynomial.variable(chart, name))
+            assert _collected(lambda g: ops.add_contract(g, column, p.coeffs, -s)) \
+                == section_bracket(x, p).scale(s).coeffs

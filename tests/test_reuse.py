@@ -19,7 +19,7 @@ import pytest
 
 from conftest import (
     coboundary_derivation, reference_parse, rnd_algebroid, rnd_bundle_forms, rnd_form,
-    rnd_linear_multivector, rnd_poly, rnd_vector_field,
+    rnd_linear_multivector, rnd_poly, rnd_unchecked_algebroid, rnd_vector_field,
 )
 from imcalc import algebroid as algebroid_module
 from imcalc import forms, imforms, linforms, multivec, poly, weil
@@ -253,6 +253,29 @@ def test_derivation_check_differentiates_each_polynomial_once(rng, monkeypatch, 
         assert max(counter.counts.values(), default=1) == 1
         seen += len(counter.counts)
     assert seen, "the checks took no partial derivative"
+
+
+def test_axiom_check_differentiates_and_negates_each_polynomial_once(rng, monkeypatch):
+    """The anchor and Jacobi residuals share one table of partials and
+    negations, and read brackets in either order from the stored a < b
+    structure, so no polynomial is differentiated twice per coordinate or
+    negated twice."""
+    doc = json.loads((LADDER / "n4_k3_mv.json").read_text())
+    algebroids = [koszul_so3_algebroid(), cli.load_algebroid(doc)]
+    algebroids += [rnd_unchecked_algebroid(rng) for _ in range(4)]
+    diffs, negations = CallCounter(), CallCounter()
+    monkeypatch.setattr(Polynomial, "diff",
+                        diffs.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
+    monkeypatch.setattr(Polynomial, "__neg__", negations.wrap(Polynomial.__neg__, lambda p: (p,)))
+    seen = [0, 0]
+    for algebroid in algebroids:
+        diffs.counts.clear()
+        negations.counts.clear()
+        check_axioms(algebroid)
+        assert max(diffs.counts.values(), default=1) == 1
+        assert max(negations.counts.values(), default=1) == 1
+        seen = [seen[0] + len(diffs.counts), seen[1] + len(negations.counts)]
+    assert all(seen), "the checks took no partial or no negation"
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,7 +1,8 @@
 """Checks on the repository's own text: no unused import in the library
 modules, every library import relative or from the standard library, the
-polynomial kernel's term maps handled only in `poly.py`, and README's quick
-tour runs as written."""
+polynomial kernel's term maps handled only in `poly.py`, index sorting only
+in `forms.py` and no partials of their own in the IM and derivation
+checkers, and README's quick tour runs as written."""
 
 from __future__ import annotations
 
@@ -134,6 +135,74 @@ def test_kernel_internals_check_sees_what_it_should():
               "    return _make(p.chart, q), p.terms, from_terms(terms)\n")
     assert kernel_internals(source) == [(1, "_make"), (4, "_terms"), (5, "_canonical"),
                                         (6, "_make")]
+
+
+def index_sorting(source: str) -> list:
+    """The line of each reference to `sort_indices` in `source`: by name,
+    as an attribute or imported."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "sort_indices" \
+                or isinstance(node, ast.Attribute) and node.attr == "sort_indices":
+            out.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            out += [node.lineno for a in node.names if a.name == "sort_indices"]
+    return sorted(out)
+
+
+def own_calculus(source: str) -> list:
+    """The (line, name) of each `.diff(` call in `source`, and of each name
+    it binds (a variable, attribute, function or argument) for a table of
+    partials or negations: one that holds "partial", "negat" or "grad"."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr == "diff":
+            out.append((node.lineno, "diff"))
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            name = node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            name = node.attr
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = node.name
+        elif isinstance(node, ast.arg):
+            name = node.arg
+        else:
+            continue
+        if any(part in name.lower() for part in ("partial", "negat", "grad")):
+            out.append((node.lineno, name))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "forms.py"],
+                         ids=lambda p: p.name)
+def test_only_forms_sorts_indices(path):
+    """The sign and sort rules of d, contraction, derivations and wedges
+    live in `forms.py`; other modules call its operators."""
+    assert index_sorting(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", ["imforms.py", "multivec.py"])
+def test_checkers_differentiate_only_through_forms(name):
+    """The IM and derivation checkers take partials and negations from
+    `forms.Calculus` and keep no table of their own."""
+    assert own_calculus((ROOT / "src" / "imcalc" / name).read_text(encoding="utf-8")) == []
+
+
+def test_calculus_checks_see_what_they_should():
+    source = ("from .forms import collect, sort_indices\n"
+              "from . import forms\n"
+              "class R:\n"
+              "    def __init__(self, f):\n"
+              "        self.grads = {}\n"
+              "        negated = {}\n"
+              "        key, sign = forms.sort_indices((1, 0))\n"
+              "        return f.diff('x1'), sort_indices\n"
+              "    def partial(self, f, name):\n"
+              "        return self.ops.partial(f, 0), f.degree\n")
+    assert index_sorting(source) == [1, 7, 8]
+    assert own_calculus(source) == [(5, "grads"), (6, "negated"), (8, "diff"), (9, "partial")]
 
 
 def test_readme_quick_tour_runs_verbatim():
