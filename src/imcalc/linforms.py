@@ -40,7 +40,6 @@ from .forms import (
     VectorField,
     contract,
     exterior_derivative,
-    iterated_contract,
 )
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER
 
@@ -261,32 +260,45 @@ def form_frame_functional(im: IMForm) -> FiberFunctional:
     `im` on the distinguished frame of the k-fold tangent prolongation,
     which it builds and attaches.
 
-    Core value (a, n): (-1)^(n-1) times mu(e_a) contracted with every
-    tautological dotted field except the n-th; linear value a: d mu(e_a) +
-    nu(e_a) contracted with all of them, (mu, nu) being `im.forms`.  The
-    same values are recomputed by contracting the linear form of `im.forms`
-    directly against the explicit coordinate tangent vectors of the frame
-    sections; disagreement raises CrossCheckError.
+    With (mu, nu) = `im.forms` and U_1..U_k the tautological dotted fields
+    U_m = sum_i y_m^i d/dx_i, every value is read from the minors of the
+    dotted rows {i: y_m^i}, in one table of this call:
+
+        core (a, n):  F(a, n) = (-1)^(n-1) mu_a(U_1, .., U_n omitted, .., U_k)
+        linear a:     sum_{n, i} y_n^i dF(a, n)/dx_i + nu_a(U_1, .., U_k)
+
+    The linear value is (d mu_a + nu_a)(U_1, .., U_k) by the invariant
+    formula for d, whose bracket terms vanish because the U_m commute, so
+    this route takes no d.  The same values are recomputed by contracting
+    the linear form of `im.forms` directly against the explicit coordinate
+    tangent vectors of the frame sections; disagreement raises
+    CrossCheckError.
     """
     algebroid, bundle_forms, k = im.algebroid, im.forms, im.k
     prol = tangent_prolongation(algebroid, k)
     chart = prol.base_chart
-
-    # the dotted coordinates of each copy, along the base coordinates, which
-    # come first on the chart
-    taut = [VectorField(chart, {(i,): x for i, x in enumerate(dotted)})
-            for dotted in prol._copy_layout.variables(chart)]
+    # the base coordinates come first on the chart, so a base form's indices
+    # count chart coordinates too
+    dotted = prol._copy_layout.variables(chart)
+    rows = Minors([dict(enumerate(y)) for y in dotted], chart)
+    copies = tuple(range(k))
 
     values: dict = {}
     for a, frame in enumerate(algebroid.frame_names):
-        mu_a = bundle_forms.mu[a].promote(chart)
+        mu_a = bundle_forms.mu[a].promote(chart).coeffs
+        pairs = []
         for n in range(1, k + 1):
-            val = iterated_contract(taut[:n - 1] + taut[n:], mu_a).scalar()
+            core = rows.contract(mu_a, copies[:n - 1] + copies[n:])
             if (n - 1) % 2:
-                val = -val
-            values[core_frame_name(frame, n)] = val
-        full = exterior_derivative(bundle_forms.mu[a]) + bundle_forms.nu[a]
-        values[linear_frame_name(frame)] = iterated_contract(taut, full.promote(chart)).scalar()
+                core = -core
+            values[core_frame_name(frame, n)] = core
+            for y, name in zip(dotted[n - 1], algebroid.base_chart.names):
+                part = core.diff(name)
+                if not part.is_zero():
+                    pairs.append((y, part))
+        pairs += [(coeff, rows.minors(copies, idx))
+                  for idx, coeff in bundle_forms.nu[a].promote(chart).coeffs.items()]
+        values[linear_frame_name(frame)] = Polynomial.sum_of_products(chart, pairs)
 
     _cross_check_form_values(im, prol, values)
     return FiberFunctional(prol, values)

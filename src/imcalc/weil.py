@@ -23,7 +23,9 @@ from typing import Mapping, Sequence
 
 from .algebroid import CheckReport, LieAlgebroid, axiom_gate, component_violations, run_oracle
 from .errors import AlgebroidError
-from .forms import DifferentialForm, contract, exterior_derivative, linear_combination, wedge
+from .forms import (
+    Calculus, DifferentialForm, add_scaled, add_wedge, collect, exterior_derivative, wedge,
+)
 from .imforms import IMForm, check_im_form
 from .linforms import BundleForms, decompose, total_chart_of
 from .poly import ChartError, Polynomial
@@ -149,10 +151,12 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
     rule; comp1(a)(b): L_{rho_a} comp1(e_b) - comp1([e_a, e_b]) + i_{rho_b}
     comp0(e_a); comp2(a): -i_{rho_a} comp1(e_a).
 
-    d of each frame value and i_{rho_a} of each (a, frame value) is taken
+    One `forms.Calculus` serves the whole differential.  d of each frame
+    value and i_{rho_a} of each (a, frame value) is one table, collected
     once, and each L_{rho_a} enters its sum as the terms of Cartan's formula
-    L = i d + d i (the d i term is absent on functions); each component is
-    one `linear_combination`.
+    L = i d + d i: the contraction of a d table plus d of a contraction
+    table (empty on functions).  Each component is one `collect` over these
+    pairs, the bracket image's and those of its -d(coeff) ^ comp1 terms.
     """
     return _horizontal_differential(w)[0]
 
@@ -160,36 +164,62 @@ def horizontal_differential(w: WeilCochain1) -> WeilCochain2Parts:
 def _horizontal_differential(w: WeilCochain1) -> tuple:
     """`horizontal_differential` and its table {(a, b): i_{rho_a} comp1(e_b)}
     over ordered frame pairs, which the DH2 polarization reads too."""
-    A = w.algebroid
-    r = A.rank
-    rho = [A.anchor_field(a) for a in range(r)]
-    pairs = [(a, b) for a in range(r) for b in range(r)]
-    i0 = {(a, b): contract(rho[a], w.value0(b)) for a, b in pairs}
-    i1 = {(a, b): contract(rho[a], w.value1(b)) for a, b in pairs}
-    d0 = [exterior_derivative(w.value0(b)) for b in range(r)]
-    d1 = [exterior_derivative(w.value1(b)) for b in range(r)]
+    A, k = w.algebroid, w.k
+    chart, r = A.base_chart, A.rank
+    ops = Calculus(chart)
+    rho = [{i: p for i, p in enumerate(A.anchor[a]) if not p.is_zero()} for a in range(r)]
 
-    def lie(a: int, d_form: DifferentialForm, i_form: DifferentialForm, weight: int) -> list:
-        # L_{rho_a} of the form whose d is d_form and whose i_{rho_a} is
-        # i_form; a d_form of degree 1 is that of a function
-        terms = [(contract(rho[a], d_form), weight)]
-        if d_form.degree > 1:
-            terms.append((exterior_derivative(i_form), weight))
-        return terms
+    def form(groups: dict, degree: int) -> DifferentialForm:
+        # a contraction of a function is the zero function
+        return DifferentialForm(chart, max(degree, 0))._like(collect(groups))
+
+    def contracted(a: int, x: DifferentialForm) -> DifferentialForm:
+        groups: dict = {}
+        ops.add_contract(groups, rho[a], x.coeffs, 1)
+        return form(groups, x.degree - 1)
+
+    def derived(x: DifferentialForm) -> DifferentialForm:
+        groups: dict = {}
+        ops.add_d(groups, x.coeffs, 1)
+        return form(groups, x.degree + 1)
+
+    def add_lie(groups: dict, a: int, d_form: DifferentialForm, i_form: DifferentialForm,
+                s: int) -> None:
+        # s * L_{rho_a} of the form whose d is d_form and whose i_{rho_a}
+        # is i_form
+        ops.add_contract(groups, rho[a], d_form.coeffs, s)
+        ops.add_d(groups, i_form.coeffs, s)
+
+    pairs = [(a, b) for a in range(r) for b in range(r)]
+    i0 = {(a, b): contracted(a, w.value0(b)) for a, b in pairs}
+    i1 = {(a, b): contracted(a, w.value1(b)) for a, b in pairs}
+    d0 = [derived(w.value0(b)) for b in range(r)]
+    d1 = [derived(w.value1(b)) for b in range(r)]
 
     # minus the image of [e_a, e_b] is the image of [e_b, e_a]
     comp0 = {}
     for a in range(r):
         for b in range(a + 1, r):
-            terms = [(w.value0_scaled(coeff, c), 1) for c, coeff in A.bracket_frame_row(b, a)]
-            comp0[(a, b)] = linear_combination(terms + lie(a, d0[b], i0[a, b], 1)
-                                               + lie(b, d0[a], i0[b, a], -1))
+            groups: dict = {}
+            for c, (coeff, _) in A.bracket_row(b, a, ops):
+                # comp0(coeff e_c) = coeff comp0(e_c) - d(coeff) ^ comp1(e_c)
+                add_scaled(groups, w.value0(c).coeffs, coeff)
+                for j in range(chart.dim):
+                    dc = ops.partial(coeff, j)
+                    if not dc.is_zero():
+                        add_wedge(groups, w.value1(c).coeffs, ops.pm(dc), -1, head=(j,))
+            add_lie(groups, a, d0[b], i0[a, b], 1)
+            add_lie(groups, b, d0[a], i0[b, a], -1)
+            comp0[(a, b)] = form(groups, k)
     comp1 = {}
     for a in range(r):
         for b in range(r):
-            terms = [(w.value1(c), coeff) for c, coeff in A.bracket_frame_row(b, a)]
-            comp1[(a, b)] = linear_combination(terms + lie(a, d1[b], i1[a, b], 1)
-                                               + [(i0[b, a], 1)])
+            groups = {}
+            for c, (coeff, _) in A.bracket_row(b, a, ops):
+                add_scaled(groups, w.value1(c).coeffs, coeff)
+            add_lie(groups, a, d1[b], i1[a, b], 1)
+            add_scaled(groups, i0[b, a].coeffs, 1)
+            comp1[(a, b)] = form(groups, k - 1)
     comp2 = {}
     for a in range(r):
         comp2[a] = -i1[a, a]

@@ -3,7 +3,7 @@
 Each one is a second route to a fact the library computes, or a consequence
 of one: the tangent lift against the canonical involution, the twisted
 bracket and the span closure of graph-of-bivector Dirac candidates, the
-full evaluation of a multivector on covectors, and the extension of a
+frame values of an IM form by iterated contraction, the full evaluation of a multivector on covectors, and the extension of a
 derivation to all wedge sections.  The library does not call
 them, so they live with the tests.
 """
@@ -13,7 +13,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from imcalc.algebroid import Section, tangent_copy_name
+from imcalc.algebroid import (
+    Section, core_frame_name, linear_frame_name, tangent_copy_name, tangent_prolongation,
+)
 from imcalc.errors import AlgebroidError
 from imcalc.forms import (
     DifferentialForm,
@@ -155,6 +157,29 @@ def graph_closure_residuals(candidate: DiracCandidate):
             for c in range(n):
                 residual = residual - candidate.vectors[c].scale(gamma.coeff((c,)))
             yield (a, b), as_vector_field(residual)
+
+
+# -- frame values on the tangent prolongation ---------------------------------
+
+def reference_form_frame_values(im) -> dict:
+    """The frame values of `linforms.form_frame_functional`, by contracting
+    forms with the tautological dotted fields U_1..U_k one field at a time:
+    core (a, n) is (-1)^(n-1) i_{U_k} .. i_{U_1} mu_a with U_n left out, and
+    linear a is i_{U_k} .. i_{U_1} (d mu_a + nu_a)."""
+    algebroid, bundle_forms, k = im.algebroid, im.forms, im.k
+    prol = tangent_prolongation(algebroid, k)
+    chart = prol.base_chart
+    taut = [VectorField(chart, {(i,): x for i, x in enumerate(dotted)})
+            for dotted in prol._copy_layout.variables(chart)]
+    values = {}
+    for a, frame in enumerate(algebroid.frame_names):
+        mu_a = bundle_forms.mu[a].promote(chart)
+        for n in range(1, k + 1):
+            val = iterated_contract(taut[:n - 1] + taut[n:], mu_a).scalar()
+            values[core_frame_name(frame, n)] = -val if (n - 1) % 2 else val
+        full = exterior_derivative(bundle_forms.mu[a]) + bundle_forms.nu[a]
+        values[linear_frame_name(frame)] = iterated_contract(taut, full.promote(chart)).scalar()
+    return values
 
 
 # -- multivectors ---------------------------------------------------------------

@@ -3,13 +3,16 @@ frame values on the tangent prolongation."""
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
+from imcalc import cli
 from imcalc.errors import CrossCheckError
 from imcalc.fixtures import exact_im_form, koszul_so3_algebroid, tangent_algebroid
 from imcalc.forms import (
@@ -36,7 +39,7 @@ from imcalc.linforms import (
     total_chart_of,
 )
 from imcalc.poly import Polynomial, base_chart, parse
-from support import tangent_lift_involution_residual
+from support import reference_form_frame_values, tangent_lift_involution_residual
 
 CH2 = base_chart("M", ["x1", "x2"])
 
@@ -310,6 +313,37 @@ def test_frame_values_dual_route_random(rng):
                          tuple(rnd_form(rng, chart, k - 1) for _ in range(3)),
                          tuple(rnd_form(rng, chart, k) for _ in range(3)))
         form_frame_functional(IMForm(algebroid, bf))
+
+
+TESTS = Path(__file__).resolve().parent
+IM_DOCUMENTS = [path for path in sorted((TESTS.parent / "fixtures").glob("*.json"))
+                + sorted((TESTS / "golden" / "ladder").glob("*.json"))
+                if json.loads(path.read_text()).get("options", {}).get("mode") in ("im-form", "weil")]
+
+
+def test_corpus_has_im_documents():
+    assert {p.name for p in IM_DOCUMENTS} >= {"so3_poisson_im2.json", "so3_poisson_weil2.json",
+                                             "n4_k3_im_broken.json"}
+
+
+@pytest.mark.parametrize("path", IM_DOCUMENTS, ids=lambda p: p.name)
+def test_frame_values_match_iterated_contraction_on_corpus(path):
+    doc = json.loads(path.read_text())
+    algebroid = cli.load_algebroid(doc)
+    candidate = cli.load_candidate(doc, algebroid)
+    if isinstance(candidate, DifferentialForm):
+        candidate = IMForm(algebroid, decompose(candidate, total_chart_of(algebroid)))
+    assert form_frame_functional(candidate).values == reference_form_frame_values(candidate)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_frame_values_match_iterated_contraction_on_random_candidates(rng, k):
+    for algebroid in (koszul_so3_algebroid(), tangent_algebroid(), rnd_algebroid(rng)):
+        for _ in range(2):
+            im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
+            values = form_frame_functional(im).values
+            assert values == reference_form_frame_values(im)
+            assert any(not p.is_zero() for p in values.values())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -227,14 +227,26 @@ def test_im_check_takes_d_of_each_frame_image_once(rng, monkeypatch, k):
 
 
 def test_vanishing_report_keeps_cartans_formula(rng, monkeypatch):
-    """The Weil route still takes L = i d + d i through the form operations,
-    so it and `check_im_form` compute L by different formulas."""
+    """The Weil route takes L = i d + d i through `Calculus.add_contract` and
+    `Calculus.add_d`, never through the derivation operator or the rows of
+    the coordinate formula that `check_im_form` takes L_{rho(a)} by, so the
+    two routes compute L by different formulas."""
     algebroid = koszul_so3_algebroid()
     w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, 2))
-    cartan = _count_everywhere(monkeypatch, forms.contract, forms.exterior_derivative,
-                               forms.linear_combination)
+    calls = _count_calculus(monkeypatch, "add_contract", "add_d", "add_derivation", "lie")
     horizontal_vanishing_report(w)
-    assert set(cartan) == {"contract", "exterior_derivative", "linear_combination"}
+    assert set(calls) == {"add_contract", "add_d"}
+
+
+def _count_calculus(monkeypatch, *names) -> Counter:
+    """Count calls of the named `forms.Calculus` operators by name."""
+    counts = Counter()
+    for name in names:
+        def counted(*args, _fn=getattr(forms.Calculus, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(forms.Calculus, name, counted)
+    return counts
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -303,35 +315,46 @@ def test_derivation_check_collects_each_residual_once(rng, monkeypatch, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_horizontal_differential_takes_d_of_each_form_once(rng, monkeypatch, k):
+    """d of each frame value is one `Calculus.add_d` of its table, and no
+    polynomial is differentiated twice by a coordinate in one call."""
     algebroid = koszul_so3_algebroid()
     w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, k))
-    counter = CallCounter()
-    counted = counter.wrap(forms.exterior_derivative, lambda a: (a,))
-    for module in (forms, weil):
-        monkeypatch.setattr(module, "exterior_derivative", counted)
+    derived = CallCounter()
+    monkeypatch.setattr(forms.Calculus, "add_d", derived.wrap(
+        forms.Calculus.add_d, lambda ops, groups, table, s: (table,)))
+    diffs = CallCounter()
+    monkeypatch.setattr(Polynomial, "diff",
+                        diffs.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
     horizontal_differential(w)
-    assert max(counter.counts.values()) == 1
-    for a in range(algebroid.rank):
-        assert counter.counts[(id(w.value0(a)),)] == counter.counts[(id(w.value1(a)),)] == 1
+    assert max(diffs.counts.values()) == 1
+    names = algebroid.base_chart.names
+    for value in [w.value0(a) for a in range(algebroid.rank)] + \
+            [w.value1(a) for a in range(algebroid.rank)]:
+        assert derived.counts[(id(value.coeffs),)] == 1
+        for idx, f in value.coeffs.items():
+            for j, name in enumerate(names):
+                assert diffs.counts[(id(f), name)] == (j not in idx)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_vanishing_report_contracts_each_frame_value_once(rng, monkeypatch, k):
-    """i_{rho_a} of each frame value is taken once per report, though the
-    differential and the DH2 polarization both read it."""
+    """i_{rho_a} of each frame value is one `Calculus.add_contract` per
+    report, though the differential and the DH2 polarization both read it."""
     algebroid = koszul_so3_algebroid()
+    chart = algebroid.base_chart
     w = cochain_from_bundle_forms(algebroid, rnd_bundle_forms(rng, algebroid, k))
     rho = [algebroid.anchor_field(a) for a in range(algebroid.rank)]
     assert len(set(rho)) == algebroid.rank
     counter = CallCounter()
-    counted = counter.wrap(forms.contract, lambda x, a: (a, x))
-    for module in (forms, weil):
-        monkeypatch.setattr(module, "contract", counted)
+    monkeypatch.setattr(forms.Calculus, "add_contract", counter.wrap(
+        forms.Calculus.add_contract,
+        lambda ops, groups, components, table, s:
+            (table, forms.VectorField(chart, {(i,): p for i, p in components.items()}))))
     horizontal_vanishing_report(w)
     for a in range(algebroid.rank):
         for b in range(algebroid.rank):
-            assert counter.counts[(id(w.value0(b)), rho[a])] == 1
-            assert counter.counts[(id(w.value1(b)), rho[a])] == 1
+            assert counter.counts[(id(w.value0(b).coeffs), rho[a])] == 1
+            assert counter.counts[(id(w.value1(b).coeffs), rho[a])] == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -1,8 +1,9 @@
 """Checks on the repository's own text: no unused import in the library
 modules, every library import relative or from the standard library, the
 polynomial kernel's term maps handled only in `poly.py`, index sorting only
-in `forms.py` and no partials of their own in the IM and derivation
-checkers, and README's quick tour runs as written."""
+in `forms.py`, no partials of their own in the IM, derivation and Weil
+checkers, no d in the morphism route's frame values for forms, and README's
+quick tour runs as written."""
 
 from __future__ import annotations
 
@@ -183,9 +184,9 @@ def test_only_forms_sorts_indices(path):
     assert index_sorting(path.read_text(encoding="utf-8")) == []
 
 
-@pytest.mark.parametrize("name", ["imforms.py", "multivec.py"])
+@pytest.mark.parametrize("name", ["imforms.py", "multivec.py", "weil.py"])
 def test_checkers_differentiate_only_through_forms(name):
-    """The IM and derivation checkers take partials and negations from
+    """The IM, derivation and Weil checkers take partials and negations from
     `forms.Calculus` and keep no table of their own."""
     assert own_calculus((ROOT / "src" / "imcalc" / name).read_text(encoding="utf-8")) == []
 
@@ -203,6 +204,50 @@ def test_calculus_checks_see_what_they_should():
               "        return self.ops.partial(f, 0), f.degree\n")
     assert index_sorting(source) == [1, 7, 8]
     assert own_calculus(source) == [(5, "grads"), (6, "negated"), (8, "diff"), (9, "partial")]
+
+
+def references_in(source: str, function: str, names: set) -> list:
+    """The (line, name) of each reference to one of `names`, by name or as
+    an attribute, in the body of the top-level function `function`."""
+    out = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and sub.id in names:
+                    out.append((sub.lineno, sub.id))
+                elif isinstance(sub, ast.Attribute) and sub.attr in names:
+                    out.append((sub.lineno, sub.attr))
+    return sorted(out)
+
+
+#: the operators whose d or contraction chain the form frame values avoid
+CHAIN = {"exterior_derivative", "iterated_contract"}
+
+
+def test_form_frame_values_take_no_d():
+    """The morphism route computes the frame values of an IM form from
+    minors, with no d, so that a slip in d moves only its cross-check; the
+    cross-check, `_cross_check_form_values`, keeps `linear_form` and its d."""
+    source = (ROOT / "src" / "imcalc" / "linforms.py").read_text(encoding="utf-8")
+    assert references_in(source, "form_frame_functional", CHAIN) == []
+    assert references_in(source, "linear_form", CHAIN) != []
+
+
+def test_reference_check_sees_what_it_should():
+    source = ("from .forms import exterior_derivative, iterated_contract\n"
+              "from . import forms\n"
+              "def form_frame_functional(im):\n"
+              "    full = forms.exterior_derivative(im.mu)\n"
+              "    def inner(t):\n"
+              "        return iterated_contract(t, full)\n"
+              "    return _cross_check_form_values(im, inner)\n"
+              "def _cross_check_form_values(im, f):\n"
+              "    return exterior_derivative(im.mu)\n")
+    assert references_in(source, "form_frame_functional", CHAIN) == [
+        (4, "exterior_derivative"), (6, "iterated_contract")]
+    assert references_in(source, "_cross_check_form_values", CHAIN) == [
+        (9, "exterior_derivative")]
+    assert references_in(source, "missing", CHAIN) == []
 
 
 def test_readme_quick_tour_runs_verbatim():
