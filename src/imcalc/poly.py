@@ -63,17 +63,22 @@ polynomial multiplication via multipoint Kronecker substitution", J.
 Symbolic Comput. 44, 2009), so that CPython's C multiply does the work of
 their term pairs.  `_kronecker` maps the exponents of the leading base
 coordinates to one mixed-radix index, injective because each radix is one
-above the largest degree sum in its coordinate; splits each factor into
-groups by its other (copy and fiber) exponents; and writes each group as
-one int of W-byte slots, W chosen so that the exact bound sum ||p||_1 *
-||q||_inf * den^2 on every coefficient of the sum (den the lcm of the
-denominators) stays below half a slot.  The group products add up per
-summed higher key, and a nonzero total is decoded slot by slot with a
-balanced bias into the same term map, which is then made canonical and
-guard-checked like the loop's.  The loop multiplies the pairs instead on a
-chart with no base coordinate, when a degree sum passes `EXPONENT_LIMIT`,
-when the slot count times the group pairs exceeds the term pairs, and when
-W exceeds `KRONECKER_SLOT_BYTES`.
+above the largest degree sum in its coordinate, and splits each factor into
+groups by its other (copy and fiber) exponents.  Each distinct factor of
+the call is laid out once (its base-exponent columns and their maxima, its
+higher keys and groups), scaled once by den, the lcm of the denominators
+(a call whose coefficients are all ints skips the lcm and the rescale), and
+measured once: W is chosen so that the exact bound sum ||p||_1 * ||q||_inf
+* den^2 on every coefficient of the sum stays below half a slot.  Every
+scaled coefficient becomes one W-byte cell with a balanced bias, the cells
+are placed in a list of zero cells per group, and each group becomes one
+int by `int.from_bytes` of the joined cells.  The group products add up per
+summed higher key; the slots of a nonzero total are cut in one pass, and
+those that differ from the zero cell are decoded into the same term map,
+which is then made canonical and guard-checked like the loop's.  The loop
+multiplies the pairs instead on a chart with no base coordinate, when a
+degree sum passes `EXPONENT_LIMIT`, when the slot count times the group
+pairs exceeds the term pairs, and when W exceeds `KRONECKER_SLOT_BYTES`.
 
 `partial_eval` collects into one term map the same way; `+` cleans only
 the keys of its right operand in place, since `total = total + term` adds a
@@ -673,60 +678,74 @@ def _kronecker(chart: Chart, pairs: list, terms: dict) -> bool:
         return False
     shifts = chart._shifts[:nbase]
     high = -1 << (SLOT_BITS * nbase)
-    # per distinct factor: its coefficients, the column of exponents of each
-    # base coordinate, the higher key of each term and its number of groups
+    # once per distinct factor: its coefficients, the column of exponents of
+    # each base coordinate, the column maxima, the higher key of each term
+    # (all 0 on a chart of base coordinates only) and its distinct values
     layout = {}
     for pair in pairs:
         for f in pair:
             if id(f) not in layout:
                 keys = list(f._terms)
-                highs = [e & high for e in keys]
-                layout[id(f)] = (f._terms.values(),
-                                 [[(e >> s) & SLOT_MASK for e in keys] for s in shifts],
-                                 highs, len(set(highs)))
+                cols = [[(e >> s) & SLOT_MASK for e in keys] for s in shifts]
+                highs = [e & high for e in keys] if nbase < chart.dim else [0] * len(keys)
+                layout[id(f)] = (f._terms.values(), cols, list(map(max, cols)),
+                                 highs, list(dict.fromkeys(highs)))
     radix = [1] * nbase
     group_pairs = term_pairs = 0
     for p, q in pairs:
-        _, left, _, gp = layout[id(p)]
-        _, right, _, gq = layout[id(q)]
-        for b, (cp, cq) in enumerate(zip(left, right)):
-            top = max(cp) + max(cq)
+        left, _, tops_p, _, gp = layout[id(p)]
+        right, _, tops_q, _, gq = layout[id(q)]
+        for b, (tp, tq) in enumerate(zip(tops_p, tops_q)):
+            top = tp + tq
             if top > EXPONENT_LIMIT:
                 return False
-            radix[b] = max(radix[b], top + 1)
-        group_pairs += gp * gq
-        term_pairs += len(p._terms) * len(q._terms)
+            if top >= radix[b]:
+                radix[b] = top + 1
+        group_pairs += len(gp) * len(gq)
+        term_pairs += len(left) * len(right)
     slots = prod(radix)
     if slots * group_pairs > term_pairs:
         return False
 
-    den = lcm(*(c.denominator for coeffs, _, _, _ in layout.values() for c in coeffs))
-    scaled = {i: [c * den if type(c) is int else c.numerator * (den // c.denominator)
-                  for c in coeffs] for i, (coeffs, _, _, _) in layout.items()}
-    bound = sum(sum(map(abs, scaled[id(p)])) * max(map(abs, scaled[id(q)])) for p, q in pairs)
+    # scaled once per factor by den, the lcm of the call's denominators; the
+    # lcm skips factors of int coefficients, and a call of them keeps its own
+    den = lcm(*(c.denominator for coeffs, *_ in layout.values()
+                if Fraction in set(map(type, coeffs)) for c in coeffs))
+    scaled = {i: coeffs if den == 1 else
+              [c * den if type(c) is int else c.numerator * (den // c.denominator)
+               for c in coeffs]
+              for i, (coeffs, *_) in layout.items()}
+    norms = {}
+    for i, a in scaled.items():
+        mags = list(map(abs, a))
+        norms[i] = (sum(mags), max(mags))
+    bound = sum(norms[id(p)][0] * norms[id(q)][1] for p, q in pairs)
     width = (bound.bit_length() + 8) // 8
     if width > KRONECKER_SLOT_BYTES:
         return False
 
-    # every slot is written as coefficient + half, so the slot of a
-    # coefficient 0 is `zero`, and `offset` takes the halves away again
+    # every cell holds coefficient + half, so the cell of a coefficient 0 is
+    # `zero`, and `offset` takes the halves away again
     half = 1 << (8 * width - 1)
     zero = half.to_bytes(width, "little")
-    strides = [prod(radix[:b]) * width for b in range(nbase)]
+    from_bytes = int.from_bytes  # the lookup on `int` builds a bound method
     packed = {}
-    for i, (_, cols, highs, _) in layout.items():
-        at = [0] * len(highs)
-        for col, t in zip(cols, strides):
-            at = [o + k * t for o, k in zip(at, col)]
-        blank = zero * (max(at) // width + 1)
-        buffers: dict = {}
-        for g, o, a in zip(highs, at, scaled[i]):
-            buf = buffers.get(g)
-            if buf is None:
-                buf = buffers[g] = bytearray(blank)
-            buf[o:o + width] = (a + half).to_bytes(width, "little")
-        offset = int.from_bytes(blank, "little")
-        packed[i] = [(g, int.from_bytes(buf, "little") - offset) for g, buf in buffers.items()]
+    for i, (_, cols, _, highs, groups) in layout.items():
+        # the slot of each term in its group's row, by Horner's rule over
+        # the columns, then in the factor's rows laid end to end
+        at = cols[-1]
+        for col, r in zip(cols[-2::-1], radix[-2::-1]):
+            at = [k + r * o for k, o in zip(col, at)]
+        length = max(at) + 1
+        if len(groups) > 1:
+            start = {g: n * length for n, g in enumerate(groups)}
+            at = [o + start[g] for o, g in zip(at, highs)]
+        row = [zero] * (length * len(groups))
+        for o, cell in zip(at, [(a + half).to_bytes(width, "little") for a in scaled[i]]):
+            row[o] = cell
+        offset = from_bytes(zero * length, "little")
+        packed[i] = [(g, from_bytes(b"".join(row[o:o + length]), "little") - offset)
+                     for g, o in zip(groups, range(0, len(row), length))]
     totals: dict = {}
     for p, q in pairs:
         right = packed[id(q)]
@@ -739,7 +758,7 @@ def _kronecker(chart: Chart, pairs: list, terms: dict) -> bool:
     if not nonzero:
         return True
     size = slots * width
-    offset = int.from_bytes(zero * slots, "little")
+    offset = from_bytes(zero * slots, "little")
     keys = [0]
     for r, s in zip(radix, shifts):
         keys = [k + (a << s) for a in range(r) for k in keys]
@@ -747,10 +766,9 @@ def _kronecker(chart: Chart, pairs: list, terms: dict) -> bool:
     get = terms.get
     for g, total in nonzero:
         raw = (total + offset).to_bytes(size, "little")
-        for key, o in zip(keys, range(0, size, width)):
-            slot = raw[o:o + width]
-            if slot != zero:
-                c = int.from_bytes(slot, "little") - half
+        for key, cell in zip(keys, [raw[o:o + width] for o in range(0, size, width)]):
+            if cell != zero:
+                c = from_bytes(cell, "little") - half
                 e = g + key
                 terms[e] = get(e, 0) + (c if scale == 1 else Fraction(c, scale))
     return True

@@ -3,9 +3,11 @@ slip in one shared operator of `forms.Calculus` makes `verify` report a
 disagreement (exit 3), never a wrong verdict that the routes agree on.
 
 The IM route takes d from `Calculus.add_d`; the morphism route's frame
-values take no d, while its cross-check contracts `linear_form`, whose d is
-`add_d`.  So a d that drops the sign of its index sort moves the IM verdict
-and the cross-check, but not the frame values, and the cross-check raises.
+values take no d, and its cross-check contracts `linear_form`, whose d is
+`forms.exterior_derivative`, which takes its partials from `diff` and
+shares no operator of `Calculus`.  So a d that drops the sign of its index
+sort, or a negated d, moves the IM verdict alone: the morphism route still
+passes, and the routes disagree.
 """
 
 from __future__ import annotations

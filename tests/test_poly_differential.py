@@ -15,7 +15,10 @@ on pairs of factors at and above `KRONECKER_TERMS` terms: on base-only
 charts and on prolongation-like charts whose copy coordinates split each
 factor into groups, with mixed signs, Fraction coefficients of different
 denominators, sums that cancel in some or all keys, exponents that pass the
-limit, and coefficients too wide for it.
+limit, and coefficients too wide for it.  `packing_cases` draws calls that
+the route multiplies, each with one- and many-group factors, a factor
+shared by several pairs, totals that cancel in some groups only, rows whose
+last cell is occupied, and int-only or mixed int and Fraction factors.
 """
 
 from __future__ import annotations
@@ -425,6 +428,78 @@ def test_big_int_products_pass_the_exponent_limit_like_the_loop(data):
         pairs.append((-pairs[0][0], pairs[0][1]))
     assert (_route_outcome(Polynomial.sum_of_products, chart, pairs)
             == _route_outcome(reference_sum_of_products, chart, pairs))
+
+
+# the copy exponents of the groups of `packing_cases`: three groups in the
+# first copy, and in the second copy three for the factor `d` and one for `e`,
+# whose sums with d's never meet a sum of first-copy groups
+FIRST_COPY = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0)]
+SECOND_COPY = [(0, 0, 1, 0), (0, 0, 0, 1), (0, 0, 1, 1)]
+E_GROUP = (0, 0, 2, 2)
+
+
+@st.composite
+def packing_cases(draw):
+    """(chart, pairs, cancelled, kept): one call that the big-int route
+    multiplies, with every case its packing must get right at once.
+
+    - `a` has one group, `b` and `c` several, and `b` is shared by three
+      pairs, once on both sides.
+    - (d, e) and (-d restricted to some groups, e) cancel to 0 in the
+      totals of those groups (`cancelled`, higher keys of the sum) and in
+      no other (`kept`).
+    - Every group holds a box of base cells with a few holes; the last
+      group of each factor holds the box's far corner, so the last cell of
+      its joined row, and the last slot of the product, are occupied.
+    - The coefficients are all ints (no lcm, no rescale), or b and e hold
+      non-integral Fractions while the others hold ints, which are then
+      scaled.
+    """
+    nbase = draw(st.integers(min_value=1, max_value=2))
+    chart = COPY_CHARTS[nbase, 2]
+    side = {1: 20, 2: 5}[nbase]
+    cells = [tuple(n // side ** i % side for i in range(nbase)) for n in range(side ** nbase)]
+    corner = cells[-1]
+    mixed = draw(st.booleans())
+    # an odd numerator over an even denominator: never integral
+    odd = st.integers(min_value=-50, max_value=49).map(lambda n: 2 * n + 1)
+    fractions = st.builds(Fraction, odd, st.sampled_from([2, 4, 6, 8, 10, 12]))
+    integers = st.integers(min_value=-10 ** 6, max_value=10 ** 6).filter(bool)
+
+    def factor(groups, fractional=False):
+        terms = {}
+        for n, g in enumerate(groups):
+            # every group keeps `KRONECKER_TERMS` terms, so each pair takes the route
+            holes = draw(st.sets(st.sampled_from(cells), max_size=len(cells) - KRONECKER_TERMS))
+            if n == len(groups) - 1:
+                holes.discard(corner)
+            terms.update({cell + g: draw(fractions if fractional else integers)
+                          for cell in cells if cell not in holes})
+        return Polynomial(chart, terms)
+
+    a = factor(FIRST_COPY[:1])
+    b = factor(FIRST_COPY, mixed)
+    c = factor(FIRST_COPY[1:])
+    d = factor(SECOND_COPY)
+    e = factor([E_GROUP], mixed)
+    gone = draw(st.sets(st.sampled_from(SECOND_COPY), min_size=1, max_size=2))
+    part = Polynomial(chart, {exps: -coeff for exps, coeff in d.terms.items()
+                              if exps[nbase:] in gone})
+    pairs = draw(st.permutations([(a, b), (b, c), (b, b), (d, e), (part, e)]))
+    total = {g: tuple(x + y for x, y in zip(g, E_GROUP)) for g in SECOND_COPY}
+    return (chart, pairs, {total[g] for g in gone},
+            {total[g] for g in SECOND_COPY if g not in gone})
+
+
+@settings(max_examples=40, deadline=None)
+@given(packing_cases())
+def test_big_int_packing_matches_the_flat_loop(case):
+    chart, pairs, cancelled, kept = case
+    assert kernel._kronecker(chart, pairs, {})
+    out = _route_outcome(Polynomial.sum_of_products, chart, pairs)
+    assert out == _route_outcome(reference_sum_of_products, chart, pairs)
+    highs = {chart.unpack(e)[chart._base:] for e in out[1]}
+    assert not highs & cancelled and kept <= highs
 
 
 def _counted_route(monkeypatch) -> list:

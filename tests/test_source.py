@@ -1,9 +1,10 @@
 """Checks on the repository's own text: no unused import in the library
-modules, every library import relative or from the standard library, the
-polynomial kernel's term maps handled only in `poly.py`, index sorting only
-in `forms.py`, no partials of their own in the IM, derivation and Weil
-checkers, no d in the morphism route's frame values for forms, and README's
-quick tour runs as written."""
+modules, every library import relative or from the standard library, no
+module-level or class-level state but constants, the polynomial kernel's
+term maps handled only in `poly.py`, index sorting only in `forms.py`, no
+partials of their own in the IM, derivation and Weil checkers, no d in the
+morphism route's frame values for forms, and README's quick tour runs as
+written."""
 
 from __future__ import annotations
 
@@ -98,6 +99,102 @@ def test_stdlib_import_check_sees_what_it_should():
               "    from numpy.linalg import det\n"
               "    import sympy\n")
     assert non_stdlib_imports(source) == [(6, "numpy"), (8, "numpy.linalg"), (9, "sympy")]
+
+
+#: the module-level names bound to something other than a constant, each
+#: built once at import and only read after
+STATE_ALLOWED = {("cli.py", "ROUTE_TAGS"), ("cli.py", "_PARSER")}
+#: the calls whose result is a constant when their arguments are
+CONSTANT_CALLS = {"frozenset", "re.compile"}
+#: decorators that keep results for the life of the process
+CACHING = {"cache", "lru_cache", "functools.cache", "functools.lru_cache"}
+
+
+def _constant(node) -> bool:
+    """Whether an expression is a constant: a number or string, a tuple,
+    operators on constants, a `frozenset` or compiled regex of constants,
+    or a name for something defined elsewhere (a name, an attribute of one,
+    or a subscripted type such as `Callable[[int], int]`)."""
+    if isinstance(node, (ast.Constant, ast.Name)):
+        return True
+    if isinstance(node, (ast.Attribute, ast.Subscript)):
+        return isinstance(node.value, (ast.Name, ast.Attribute)) and _constant(node.value)
+    if isinstance(node, ast.Tuple):
+        return all(map(_constant, node.elts))
+    if isinstance(node, ast.UnaryOp):
+        return _constant(node.operand)
+    if isinstance(node, ast.BinOp):
+        return _constant(node.left) and _constant(node.right)
+    if isinstance(node, ast.Call):
+        return (ast.unparse(node.func) in CONSTANT_CALLS and not node.keywords
+                and all(map(_constant, node.args)))
+    return False
+
+
+def held_state(source: str, module: str = "") -> list:
+    """The (line, name) of each module-level or class-level binding in
+    `source` whose value is not a constant, outside `STATE_ALLOWED`, and of
+    each function or method that a caching decorator wraps."""
+    out = []
+    scopes = [ast.parse(source).body]
+    scopes += [node.body for node in scopes[0] if isinstance(node, ast.ClassDef)]
+    for body in scopes:
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for d in node.decorator_list:
+                    name = ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                    if name in CACHING:
+                        out.append((node.lineno, node.name))
+                continue
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if value is None or _constant(value):
+                continue
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and (module, name.id) not in STATE_ALLOWED:
+                        out.append((node.lineno, name.id))
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "imcalc").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_library_holds_no_state_across_calls(path):
+    """No module-level or class-level cache: a table that outlives the call
+    that filled it is shared by every caller in the process."""
+    assert held_state(path.read_text(encoding="utf-8"), path.name) == []
+
+
+def test_state_check_sees_what_it_should():
+    source = ("import re\n"
+              "from functools import lru_cache\n"
+              "from typing import Callable\n"
+              "LIMIT = (1 << 16) - 1\n"
+              "NAMES = ('a', 'b')\n"
+              "DIGITS = frozenset('0123')\n"
+              "TOKEN = re.compile(r'\\s+')\n"
+              "Action = Callable[[int], int]\n"
+              "_PACKS = {}\n"
+              "ROUTE_TAGS = {'a': ('A',)}\n"
+              "class P:\n"
+              "    __slots__ = ('x',)\n"
+              "    _seen: dict = {}\n"
+              "    __radd__ = LIMIT\n"
+              "    @lru_cache(maxsize=None)\n"
+              "    def f(self):\n"
+              "        table = {}\n"
+              "        return table\n"
+              "width = P.f.__wrapped__\n"
+              "_memo = dict()\n"
+              "_rows = [0] * LIMIT\n")
+    assert held_state(source, "other.py") == [
+        (9, "_PACKS"), (10, "ROUTE_TAGS"), (13, "_seen"), (16, "f"), (20, "_memo"),
+        (21, "_rows")]
+    assert (10, "ROUTE_TAGS") not in held_state(source, "cli.py")
 
 
 #: the kernel's packed term map and its private constructors
