@@ -60,7 +60,9 @@ class LieAlgebroid:
     """Anchored bracket data on a chart.
 
     `anchor[a][j]` is the coefficient of the j-th chart coordinate direction
-    in the image of frame section a; `structure[(a, b)][c]` (a < b) is the
+    in the image of frame section a, and `anchor_rows[a]` = {j: rho_a^j} and
+    `anchor_columns[j]` = {a: rho_a^j} hold its nonzero entries, built once
+    at construction for the checkers; `structure[(a, b)][c]` (a < b) is the
     coefficient of frame section c in the bracket of frame sections a and b.
     Unless `unchecked=True`, construction runs `check_axioms` and refuses data
     that is not a Lie algebroid; unchecked values still work with every
@@ -69,7 +71,7 @@ class LieAlgebroid:
     """
 
     __slots__ = ("base_chart", "rank", "frame_names", "anchor", "structure",
-                 "checked", "_anchor_sparse", "_axiom_report", "_copy_layout")
+                 "checked", "anchor_rows", "anchor_columns", "_axiom_report", "_copy_layout")
 
     def __init__(self, base_chart: Chart, rank: int, frame_names: Sequence[str],
                  anchor: Sequence[Sequence[Polynomial]],
@@ -109,10 +111,11 @@ class LieAlgebroid:
         object.__setattr__(self, "frame_names", frame_names)
         object.__setattr__(self, "anchor", tuple(rows))
         object.__setattr__(self, "structure", table)
-        object.__setattr__(self, "_anchor_sparse", tuple(
-            tuple((base_chart.names[j], p) for j, p in enumerate(row) if not p.is_zero())
-            for row in rows
-        ))
+        object.__setattr__(self, "anchor_rows", tuple(
+            {j: p for j, p in enumerate(row) if not p.is_zero()} for row in rows))
+        object.__setattr__(self, "anchor_columns", tuple(
+            {a: row[j] for a, row in enumerate(self.anchor_rows) if j in row}
+            for j in range(base_chart.dim)))
         # filled by the first `axiom_gate` on an unchecked algebroid; the
         # data above never changes, so neither does the report
         object.__setattr__(self, "_axiom_report", None)
@@ -159,15 +162,16 @@ class LieAlgebroid:
         for `Calculus.add_derivation`: the coefficient action -rho_b and
         rows[t] = [e_t, e_b]."""
         rows = {t: row for t in range(self.rank) if (row := self.bracket_row(t, b, ops))}
-        return ops.field(enumerate(self.anchor[b]), -1), rows
+        return ops.field(self.anchor_rows[b].items(), -1), rows
 
     def anchor_field(self, a: int) -> VectorField:
         return VectorField.from_components(self.base_chart, list(self.anchor[a]))
 
     def anchor_derivation(self, a: int, f: Polynomial) -> Polynomial:
         """Directional derivative of a scalar along the anchor of frame a."""
+        names = self.base_chart.names
         return Polynomial.sum_of_products(
-            self.base_chart, ((comp, f.diff(name)) for name, comp in self._anchor_sparse[a]))
+            self.base_chart, ((comp, f.diff(names[j])) for j, comp in self.anchor_rows[a].items()))
 
     def __repr__(self):
         return (f"LieAlgebroid(rank {self.rank} over {self.base_chart.name!r}, "
@@ -266,12 +270,16 @@ def section_bracket(u: Section, v: Section) -> Section:
     Extends the frame bracket and the anchor action on scalars by graded
     antisymmetry and the graded Leibniz rule; on two degree-1 sections it
     reduces to `bracket_sections`, on (section, scalar) to the anchor
-    derivative.
+    derivative.  It is `forms.graded_bracket` with the frame derivations
+    of the generators of u and the anchor columns.
     """
     u._check_mate(v)
     algebroid = u.algebroid
-    table = graded_bracket(u.coeffs, u.degree, v.coeffs, v.degree,
-                           algebroid.bracket_frame_row, algebroid.anchor_derivation)
+    ops = Calculus(algebroid.base_chart)
+    generators = {t for idx in u.coeffs for t in idx}
+    derivations = {t: algebroid.frame_derivation(t, ops) for t in generators}
+    table = graded_bracket(ops, u.coeffs, u.degree, v.coeffs, v.degree, derivations,
+                           algebroid.anchor_columns)
     return u._like(table, max(u.degree + v.degree - 1, 0))
 
 
@@ -281,9 +289,8 @@ def anchor_apply(u: Section) -> VectorField:
         raise AlgebroidError("anchor_apply needs a degree-1 section")
     groups: dict = {}
     for (a,), ua in u.coeffs.items():
-        for j, p in enumerate(u.algebroid.anchor[a]):
-            if not p.is_zero():
-                groups.setdefault((j,), []).append((ua, p))
+        for j, p in u.algebroid.anchor_rows[a].items():
+            groups.setdefault((j,), []).append((ua, p))
     return VectorField(u.algebroid.base_chart, collect(groups))
 
 
@@ -305,8 +312,8 @@ def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
     chart = algebroid.base_chart
     r = algebroid.rank
     ops = Calculus(chart)
-    fields = [ops.field(enumerate(row)) for row in algebroid.anchor]
-    vectors = [{(j,): p for j, p in enumerate(row) if not p.is_zero()} for row in algebroid.anchor]
+    fields = [ops.field(row.items()) for row in algebroid.anchor_rows]
+    vectors = [{(j,): p for j, p in row.items()} for row in algebroid.anchor_rows]
     for a in range(r):
         for b in range(a + 1, r):
             groups: dict = {}
@@ -398,7 +405,7 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     order either way.
 
     Each partial derivative of a frame value is taken at most once per call:
-    `partials[j]` maps a coordinate to dF(e_j)/dx, filled as pairs need it
+    `partials[j]` maps a coordinate l to dF(e_j)/dx_l, filled as pairs need it
     and dropped after row j of the pair loop, its last use.
     """
     if functional.algebroid != algebroid:
@@ -410,16 +417,16 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     values = [functional.value(a) for a in range(r)]
     partials = [{} for _ in range(r)]
 
-    def partial(j: int, name: str) -> Polynomial:
+    def partial(j: int, l: int) -> Polynomial:
         table = partials[j]
-        dp = table.get(name)
+        dp = table.get(l)
         if dp is None:
-            dp = table[name] = values[j].diff(name)
+            dp = table[l] = values[j].diff(chart.names[l])
         return dp
 
     layout = algebroid._copy_layout
     reduced = layout is not None and layout.k >= 2 and layout.anti_invariant(values)
-    anchor = algebroid._anchor_sparse
+    anchor = algebroid.anchor_rows
     found = {}  # the nonzero residuals of the pairs computed
     for i in range(r):
         minus_anchor = None
@@ -427,10 +434,10 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
             source = layout.orbit_source(i, j) if reduced else None
             if source is None:
                 if minus_anchor is None:
-                    minus_anchor = [(name, -comp) for name, comp in anchor[i]]
+                    minus_anchor = [(l, -comp) for l, comp in anchor[i].items()]
                 pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
-                pairs += [(comp, partial(j, name)) for name, comp in minus_anchor]
-                pairs += [(comp, partial(i, name)) for name, comp in anchor[j]]
+                pairs += [(comp, partial(j, l)) for l, comp in minus_anchor]
+                pairs += [(comp, partial(i, l)) for l, comp in anchor[j].items()]
                 res = Polynomial.sum_of_products(chart, pairs)
                 if res.is_zero():
                     continue

@@ -7,15 +7,11 @@ simply have an empty table (identically zero); intermediate expressions in the
 operator identities legitimately produce them.
 
 The module provides wedge, exterior derivative, (iterated) contraction, Lie
-derivative, and the Schouten bracket.  The Schouten bracket is one instance of
-a generic graded bracket engine (`graded_bracket`) that extends a frame-level
-bracket and a derivation action on coefficients by
-
-    [u, v ^ w] = [u, v] ^ w + (-1)^((p-1) q) v ^ [u, w]
-    [u, v]     = -(-1)^((p-1)(q-1)) [v, u]
-
-to arbitrary wedge degrees; the algebroid layer reuses the engine for the
-Gerstenhaber bracket on wedge powers of sections.
+derivative, and the Schouten bracket.  The Schouten bracket and the
+algebroid layer's Gerstenhaber bracket on wedge powers of sections are one
+closed form, `graded_bracket`, built from the operators of `Calculus`: the
+derivations [g_t, .] of the generators, the contractions by the anchor
+columns, and `add_wedge`.
 
 One accumulation rule builds every output coefficient: an operation groups
 (Polynomial, weight) pairs by output key and `collect`s each key with one
@@ -24,12 +20,13 @@ weight is a Polynomial factor or an int such as a sign, which scales the
 terms of the pair's polynomial in the same term map, so a signed sum makes
 no negated copy.  `linear_combination` applies the rule to whole values, and
 the operators of `Calculus` hold the sign and sort rules of d, contraction
-and derivations for the checkers that build residuals from pairs.
+and derivations for the bracket and the checkers that build residuals from
+pairs.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .poly import Chart, ChartError, Polynomial
 
@@ -347,7 +344,8 @@ class Calculus:
 
     X a field acting on coefficients and D(g_t) = sum_l w_tl g_l, the term
     l = t kept in place.  `lie` gives L_X of forms, D(dx_t) = d X^t, and
-    `LieAlgebroid.frame_derivation` the bracket P -> [P, e_b].
+    `LieAlgebroid.frame_derivation` the bracket P -> [P, e_b]; with the
+    contraction and `add_wedge`, these are all `graded_bracket` is made of.
     """
 
     def __init__(self, chart: Chart):
@@ -551,64 +549,49 @@ def lie_derivative(x: VectorField, a):
 
 
 # ---------------------------------------------------------------------------
-# generic graded bracket engine
+# the Gerstenhaber bracket
 # ---------------------------------------------------------------------------
 
-FrameBracket = Callable[[int, int], Iterable]  # (a, b) -> iterable of (c, Polynomial)
-CoeffAction = Callable[[int, Polynomial], Polynomial]  # (a, f) -> derivative of f
-_UNIT = (1, -1)
+def graded_bracket(ops: Calculus, p_table: Mapping, p: int, q_table: Mapping, q: int,
+                   derivations: Mapping, columns: Sequence[Mapping]) -> dict:
+    """The bracket [P, Q] of a degree-p table P = sum f_T g_T and a degree-q
+    table Q over generators g_t, a table of degree p + q - 1 (empty for two
+    degree-0 inputs), in closed form (s 1-based):
 
+        [P, Q] = sum_T sum_s (-1)^((p-s)(q-1)) f_T g_T1 ^ .. [g_Ts, Q] .. ^ g_Tp
+                 - (-1)^(p(q-1)) sum_T sum_i (df_T/dx_i) (i_{X_i} Q) ^ g_T
 
-def _bracket_pure(t_tuple, v_table: dict, q: int, fb: FrameBracket, act: CoeffAction) -> dict:
-    """[e_T, V] where V is a degree-q table with Polynomial coefficients."""
-    p = len(t_tuple)
-    if p == 0:
-        return {}
-    groups: dict = {}
-    if p == 1:
-        a = t_tuple[0]
-        for s_tuple, g in v_table.items():
-            dg = act(a, g)
-            if not dg.is_zero():
-                groups.setdefault(s_tuple, []).append((dg, 1))
-            for pos, s in enumerate(s_tuple):
-                for c, w in fb(a, s):
-                    srt = sort_indices(s_tuple[:pos] + (c,) + s_tuple[pos + 1:])
-                    if srt is not None:
-                        groups.setdefault(srt[0], []).append((g if srt[1] > 0 else -g, w))
-        return collect(groups)
-    head, rest = t_tuple[0], t_tuple[1:]
-    sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
-    add_wedge(groups, _bracket_pure(rest, v_table, q, fb, act), _UNIT, head=(head,))
-    add_wedge(groups, _bracket_pure((head,), v_table, q, fb, act), _UNIT, sign, tail=rest)
-    return collect(groups)
-
-
-def graded_bracket(p_table: dict, p: int, q_table: dict, q: int,
-                   fb: FrameBracket, act: CoeffAction) -> dict:
-    """Bracket of two alternating tables under the graded Leibniz extension.
-
-    Base cases are the frame bracket `fb` on single indices and the derivation
-    `act` of coefficients; the result table has degree p + q - 1 (empty when
-    that is negative, i.e. for two degree-0 inputs).  `schouten` and
-    `algebroid.section_bracket` run on it.
+    the graded Leibniz extension of the brackets of generators and their
+    action on coefficients, with graded antisymmetry
+    [u, v] = -(-1)^((p-1)(q-1)) [v, u].  `derivations[t]`, for each
+    generator t of P, is the (field, rows) of the derivation P -> [P, g_t]
+    (`LieAlgebroid.frame_derivation`), so [g_t, Q] is minus it on Q, and
+    X_i = `columns[i]` = {t: the i-th anchor component of g_t}.  Each
+    [g_t, Q] and each i_{X_i} Q is one table of this call, built by the
+    operators of `ops`.
     """
-    groups: dict = {}
-    sign = -1 if ((p - 1) * (q - 1)) % 2 else 1
-    for t_tuple, f in p_table.items():
-        # [f e_T, Q] = f [e_T, Q] - (-1)^((p-1)(q-1)) [Q, f] ^ e_T, where
-        # [g e_S, f] = sum_j (-1)^(q-j) g act(s_j, f) e_{S minus s_j}  (1-based j)
-        for key, poly in _bracket_pure(t_tuple, q_table, q, fb, act).items():
-            groups.setdefault(key, []).append((f, poly))
-        for s_tuple, g in q_table.items():
-            for j, s in enumerate(s_tuple, start=1):
-                merged = sort_indices(s_tuple[:j - 1] + s_tuple[j:] + t_tuple)
-                if merged is None:
-                    continue
-                df = act(s, f)
-                if not df.is_zero():
-                    positive = -sign * merged[1] * (-1) ** (q - j) > 0
-                    groups.setdefault(merged[0], []).append((df, g if positive else -g))
+    brackets = {}
+    for t, derivation in derivations.items():
+        groups: dict = {}
+        ops.add_derivation(groups, q_table, *derivation, -1)
+        brackets[t] = collect(groups)
+    contractions = []
+    for i, column in enumerate(columns):
+        groups = {}
+        ops.add_contract(groups, column, q_table, 1)
+        if groups:
+            contractions.append((i, collect(groups)))
+    sign = 1 if p * (q - 1) % 2 else -1  # -(-1)^(p(q-1))
+    groups = {}
+    for idx, f in p_table.items():
+        w = ops.pm(f)
+        for pos, t in enumerate(idx):
+            add_wedge(groups, brackets[t], w, -1 if (p - 1 - pos) * (q - 1) % 2 else 1,
+                      idx[:pos], idx[pos + 1:])
+        for i, table in contractions:
+            df = ops.partial(f, i)
+            if not df.is_zero():
+                add_wedge(groups, table, ops.pm(df), sign, tail=idx)
     return collect(groups)
 
 
@@ -618,18 +601,16 @@ def schouten(p: Multivector, q: Multivector) -> Multivector:
     Extends the Jacobi-Lie bracket of vector fields and the directional
     derivative on functions; the sign convention is graded antisymmetry
     [u,v] = -(-1)^((p-1)(q-1))[v,u] with the graded Leibniz rule
-    [u, v^w] = [u,v]^w + (-1)^((p-1)q) v^[u,w].
+    [u, v^w] = [u,v]^w + (-1)^((p-1)q) v^[u,w].  It is `graded_bracket`
+    on the frame d/dx_t: the anchor is the identity and no two generators
+    have a bracket.
     """
     if p.chart != q.chart:
         raise ChartError("chart mismatch")
-    chart = p.chart
-    names = chart.names
-
-    def fb(a: int, b: int):
-        return ()
-
-    def act(a: int, f: Polynomial) -> Polynomial:
-        return f.diff(names[a])
-
-    table = graded_bracket(p.coeffs, p.degree, q.coeffs, q.degree, fb, act)
+    ops = Calculus(p.chart)
+    one = Polynomial.const(p.chart, 1)
+    generators = {t for idx in p.coeffs for t in idx}
+    derivations = {t: (ops.field([(t, one)], -1), {}) for t in generators}
+    columns = [{i: one} for i in range(p.chart.dim)]
+    table = graded_bracket(ops, p.coeffs, p.degree, q.coeffs, q.degree, derivations, columns)
     return p._like(table, max(p.degree + q.degree - 1, 0), Multivector)

@@ -88,7 +88,7 @@ class _Residuals:
                      "nu": [f.coeffs for f in im.forms.nu]}
         self.ops = Calculus(A.base_chart)
         # rho_a, the components i_{rho(a)} contracts by, and L_{rho(a)} as (field, rows)
-        self.rho = [{j: p for j, p in enumerate(row) if not p.is_zero()} for row in A.anchor]
+        self.rho = A.anchor_rows
         self.lies = [self.ops.lie(rho.items()) for rho in self.rho]
         self.d_tables: dict = {}        # (kind, b) -> d of the image of e_b, + nu(b) for mu
         self.lie_tables: dict = {}      # (u, v) -> L_{rho(v)} nu(u) - L_{rho(u)} nu(v)

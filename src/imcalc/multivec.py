@@ -12,10 +12,9 @@ induced fiberwise functional on the cotangent prolongation; both routes are
 computed independently and compared by `oracle_equivalence_dual`.
 
 The derivation property is checked on the generators x_i and e_a only, so
-`check_gerstenhaber_derivation` takes each bracket by its closed form, built
-from the operators of `forms.Calculus` (which holds the sign and sort
-conventions), rather than through `forms.graded_bracket`, which serves
-`section_bracket`, `schouten` and the test suite's reference for the check.
+`check_gerstenhaber_derivation` takes each bracket as the case of
+`forms.graded_bracket` with one generator side, from the same operators of
+`forms.Calculus` (which holds the sign and sort conventions).
 """
 
 from __future__ import annotations
@@ -195,9 +194,9 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     Leibniz rules these imply the derivation property on all wedge sections.
     Includes the axiom gate for unchecked algebroids.
 
-    One side of every bracket is a generator, so each takes its closed form
-    (the conventions of `graded_bracket`; P = sum f_T e_T of degree p,
-    Q = sum g_S e_S, positions s and m 1-based, sigma = (-1)^(k-1)):
+    One side of every bracket is a generator, so each is a case of
+    `forms.graded_bracket` (P = sum f_T e_T of degree p, Q = sum g_S e_S,
+    positions s and m 1-based, sigma = (-1)^(k-1)):
 
         [P, x_j] = sum_T sum_s (-1)^(p-s) f_T rho^j_{t_s} e_{T minus t_s}
                  = (-1)^p [x_j, P]
@@ -234,8 +233,7 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
     coord = [d.coord_action(j).coeffs for j in range(chart.dim)]
     frame = [d.frame_action(a).coeffs for a in range(A.rank)]
     ops = Calculus(chart)
-    columns = [{c: row[i] for c, row in enumerate(A.anchor) if not row[i].is_zero()}
-               for i in range(chart.dim)]
+    columns = A.anchor_columns
     right = [A.frame_derivation(b, ops) for b in range(A.rank)]
 
     def scalar(groups: dict, f: Polynomial, s: int, tail: tuple = ()) -> None:

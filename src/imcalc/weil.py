@@ -167,7 +167,7 @@ def _horizontal_differential(w: WeilCochain1) -> tuple:
     A, k = w.algebroid, w.k
     chart, r = A.base_chart, A.rank
     ops = Calculus(chart)
-    rho = [{i: p for i, p in enumerate(A.anchor[a]) if not p.is_zero()} for a in range(r)]
+    rho = A.anchor_rows
 
     def form(groups: dict, degree: int) -> DifferentialForm:
         # a contraction of a function is the zero function

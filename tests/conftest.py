@@ -226,6 +226,24 @@ def graded_bracket_reference(p_table: Mapping, p: int, q_table: Mapping, q: int,
     return out
 
 
+def section_bracket_reference(u: Section, v: Section) -> Section:
+    """`algebroid.section_bracket` by `graded_bracket_reference`, on the
+    stored structure rows and the full anchor rows, with none of the
+    operators `section_bracket` runs on."""
+    A = u.algebroid
+    names = A.base_chart.names
+
+    def act(a: int, f: Polynomial) -> Polynomial:
+        out = Polynomial.zero(A.base_chart)
+        for j, comp in enumerate(A.anchor[a]):
+            out = out + comp * f.diff(names[j])
+        return out
+
+    table = graded_bracket_reference(u.coeffs, u.degree, v.coeffs, v.degree,
+                                     A.bracket_frame_row, act)
+    return Section(A, max(u.degree + v.degree - 1, 0), table)
+
+
 def frame_index(algebroid: LieAlgebroid, name: str) -> int:
     """The position of a frame section, by name."""
     return algebroid.frame_names.index(name)
@@ -251,7 +269,7 @@ def reference_morphism_violations(algebroid: LieAlgebroid, functional) -> list:
 
 def reference_derivation_violations(d: Derivation) -> list:
     """The violations of `check_gerstenhaber_derivation`, axiom gate first,
-    each generator pair's residual assembled from `section_bracket`,
+    each generator pair's residual assembled from `section_bracket_reference`,
     `support.scalar_action` and `Section` arithmetic, nothing shared
     between pairs."""
     A = d.algebroid
@@ -263,22 +281,22 @@ def reference_derivation_violations(d: Derivation) -> list:
     out = list(axiom_gate(A))
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
-            res = (section_bracket(d.coord_action(i), xs[j])
-                   + section_bracket(xs[i], d.coord_action(j)).scale(sign))
+            res = (section_bracket_reference(d.coord_action(i), xs[j])
+                   + section_bracket_reference(xs[i], d.coord_action(j)).scale(sign))
             out.extend(component_violations("R1", (names[i], names[j]), res))
     for i in range(chart.dim):
         for b in range(A.rank):
             res = (-scalar_action(d, A.anchor[b][i])
-                   - section_bracket(d.coord_action(i), es[b])
-                   - section_bracket(xs[i], d.frame_action(b)).scale(sign))
+                   - section_bracket_reference(d.coord_action(i), es[b])
+                   - section_bracket_reference(xs[i], d.frame_action(b)).scale(sign))
             out.extend(component_violations("R2", (names[i], A.frame_names[b]), res))
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
             res = Section.zero(A, d.k)
             for c, w in A.bracket_frame_row(a, b):
                 res = res + scalar_action(d, w).wedge(es[c]) + d.frame_action(c).scale(w)
-            res = (res - section_bracket(d.frame_action(a), es[b])
-                   - section_bracket(es[a], d.frame_action(b)))
+            res = (res - section_bracket_reference(d.frame_action(a), es[b])
+                   - section_bracket_reference(es[a], d.frame_action(b)))
             out.extend(component_violations("R3", (A.frame_names[a], A.frame_names[b]), res))
     return out
 

@@ -129,6 +129,20 @@ def test_anchor_examples():
         VectorField.coordinate(tangent.base_chart, "x1")
 
 
+def test_sparse_anchor_holds_the_nonzero_entries(rng):
+    """`anchor_rows` and `anchor_columns` hold the nonzero entries of the
+    anchor matrix, by frame section and by coordinate."""
+    for algebroid in (koszul_so3_algebroid(), tangent_algebroid(), rnd_algebroid(rng),
+                      cotangent_prolongation(rnd_algebroid(rng), 2)):
+        entries = {(a, j): p for a, row in enumerate(algebroid.anchor)
+                   for j, p in enumerate(row) if not p.is_zero()}
+        assert {(a, j): p for a, row in enumerate(algebroid.anchor_rows)
+                for j, p in row.items()} == entries
+        assert {(a, j): p for j, column in enumerate(algebroid.anchor_columns)
+                for a, p in column.items()} == entries
+        assert len(algebroid.anchor_columns) == algebroid.base_chart.dim
+
+
 # -- prolongations -----------------------------------------------------------
 
 def test_tangent_prolongation_scaling_example():

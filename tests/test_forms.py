@@ -23,6 +23,7 @@ from conftest import (
     rnd_section,
     rnd_unchecked_algebroid,
     rnd_vector_field,
+    section_bracket_reference,
     wedge_frame_reference,
     wedge_reference,
 )
@@ -39,7 +40,6 @@ from imcalc.forms import (
     contract,
     contract_covector,
     exterior_derivative,
-    graded_bracket,
     iterated_contract,
     lie_derivative,
     schouten,
@@ -464,9 +464,10 @@ def test_schouten_matches_per_term_reference(case):
     def act(a, f):
         return f.diff(chart.names[a])
 
-    assert graded_bracket(t1, p, t2, q, fb, act) == graded_bracket_reference(t1, p, t2, q, fb, act)
+    assert (schouten(Multivector(chart, p, t1), Multivector(chart, q, t2)).coeffs
+            == graded_bracket_reference(t1, p, t2, q, fb, act))
     # [X, X] = 0 for a vector field X
-    assert graded_bracket(t3, 1, t3, 1, fb, act) == {}
+    assert graded_bracket_reference(t3, 1, t3, 1, fb, act) == {}
     assert schouten(Multivector(chart, 1, t3), Multivector(chart, 1, t3)).is_zero()
 
 
@@ -478,12 +479,11 @@ def test_gerstenhaber_bracket_matches_per_term_reference(seed, p, q):
     p, q = min(p, algebroid.rank), min(q, algebroid.rank)
     u = rnd_section(rng, algebroid, p)
     v = rnd_section(rng, algebroid, q)
-    fb, act = algebroid.bracket_frame_row, algebroid.anchor_derivation
-    assert (graded_bracket(u.coeffs, p, v.coeffs, q, fb, act)
-            == graded_bracket_reference(u.coeffs, p, v.coeffs, q, fb, act))
+    assert section_bracket(u, v) == section_bracket_reference(u, v)
     # graded antisymmetry makes [u, u] vanish for a section of odd degree
     if p % 2:
-        assert graded_bracket(u.coeffs, p, u.coeffs, p, fb, act) == {}
+        assert section_bracket(u, u).is_zero()
+        assert section_bracket_reference(u, u).is_zero()
 
 
 # -- the operators of `forms.Calculus` against the per-term references ---------
@@ -550,18 +550,19 @@ def test_lie_operator_is_cartans_lie_derivative(rng, degree, s):
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 def test_section_operators_are_the_generator_brackets(rng, degree, s):
     """The derivation of `frame_derivation(b)` is [P, e_b], and minus the
-    contraction by anchor column i is [x_i, P], both against
-    `section_bracket`, on checked and unchecked algebroids."""
+    contraction by anchor column i is [x_i, P], both against the per-term
+    `section_bracket_reference` (`section_bracket` itself runs on these
+    operators), on checked and unchecked algebroids."""
     for algebroid in (rnd_algebroid(rng), *(rnd_unchecked_algebroid(rng) for _ in range(2))):
         chart = algebroid.base_chart
         p = rnd_section(rng, algebroid, min(degree, algebroid.rank))
         ops = Calculus(chart)
         for b in range(algebroid.rank):
-            bracket = section_bracket(p, Section.frame(algebroid, b)).scale(s)
+            bracket = section_bracket_reference(p, Section.frame(algebroid, b)).scale(s)
             assert _collected(lambda g: ops.add_derivation(
                 g, p.coeffs, *algebroid.frame_derivation(b, ops), s)) == bracket.coeffs
         for i, name in enumerate(chart.names):
             column = {c: row[i] for c, row in enumerate(algebroid.anchor)}
             x = Section.function(algebroid, Polynomial.variable(chart, name))
             assert _collected(lambda g: ops.add_contract(g, column, p.coeffs, -s)) \
-                == section_bracket(x, p).scale(s).coeffs
+                == section_bracket_reference(x, p).scale(s).coeffs

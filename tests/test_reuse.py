@@ -293,7 +293,7 @@ def test_axiom_check_differentiates_and_negates_each_polynomial_once(rng, monkey
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_derivation_check_collects_each_residual_once(rng, monkeypatch, k):
     """Each generator pair's residual is one `collect`, whatever its degree,
-    and no bracket goes through the recursive `graded_bracket` engine."""
+    and no bracket goes through the general `graded_bracket`."""
     cases = []
     for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng), rnd_algebroid(rng)):
         cases.append(derivation_from_linear(rnd_linear_multivector(rng, algebroid, k)))
