@@ -474,16 +474,15 @@ def run_oracle(algebroid: LieAlgebroid, routes: Mapping) -> OracleOutcome:
 
     `routes` maps a route name to a callable returning that route's
     CheckReport; they run in order.  A route's verdict is whether its report
-    passed.  The route named "morphism" certifies a morphism of Lie
-    algebroids, so its verdict also needs the axioms, which `axiom_gate`
-    checks on unchecked algebroids.  The routes decide one theorem, so
-    differing verdicts raise OracleDisagreement, a defect in one of the code
-    paths; the exception carries the outcome.
+    passed and the algebroid axioms hold, which `axiom_gate` checks on
+    unchecked algebroids; every route decides a theorem about Lie
+    algebroids.  The routes decide one theorem, so differing verdicts raise
+    OracleDisagreement, a defect in one of the code paths; the exception
+    carries the outcome.
     """
     axioms = CheckReport.collect(axiom_gate(algebroid))
     reports = {name: route() for name, route in routes.items()}
-    verdicts = {name: report.passed and (name != "morphism" or axioms.passed)
-                for name, report in reports.items()}
+    verdicts = {name: report.passed and axioms.passed for name, report in reports.items()}
     outcome = OracleOutcome(axioms, reports, verdicts)
     if not outcome.agree:
         shown = ", ".join(f"{name} {verdict}" for name, verdict in verdicts.items())

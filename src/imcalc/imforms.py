@@ -71,6 +71,10 @@ class _Residuals:
     """The IM residuals and the nu identities of one candidate, each one
     `collect` over (polynomial, weight) pairs grouped by output index.
 
+    Each IM formula is written once, for a bundle map kappa named by its
+    kind: `anchor_sum` is IM1 for mu and the derived antisymmetry for nu,
+    `bracket` is IM2 for mu and IM3 for nu.
+
     The pairs come from the operators of one `forms.Calculus` of this call,
     which differentiates and negates each polynomial at most once: d, the
     contraction i_{rho(a)} and the Lie derivative L_{rho(a)}, the derivation
@@ -83,9 +87,9 @@ class _Residuals:
     def __init__(self, im: IMForm):
         A = im.algebroid
         self.algebroid = A
-        self.k = im.k
         self.maps = {"mu": [f.coeffs for f in im.forms.mu],
                      "nu": [f.coeffs for f in im.forms.nu]}
+        self.degree = {"mu": im.k - 1, "nu": im.k}
         self.ops = Calculus(A.base_chart)
         # rho_a, the components i_{rho(a)} contracts by, and L_{rho(a)} as (field, rows)
         self.rho = A.anchor_rows
@@ -116,42 +120,29 @@ class _Residuals:
             table = self.lie_tables[u, v] = collect(groups)
         return table
 
-    def add_image(self, groups: dict, kind: str, a: int, b: int) -> None:
-        """Add the image of [e_a, e_b] under the bundle map `kind`."""
-        maps = self.maps[kind]
-        for c, w in self.algebroid.bracket_row(a, b, self.ops):
-            add_scaled(groups, maps[c], w[0])
-
     def form(self, groups: dict, degree: int) -> DifferentialForm:
         return DifferentialForm(self.algebroid.base_chart, max(degree, 0))._like(collect(groups))
 
-    def im1(self, a: int, b: int) -> DifferentialForm:
-        mu = self.maps["mu"]
+    def anchor_sum(self, kind: str, a: int, b: int) -> DifferentialForm:
+        """i_{rho a} kappa(b) + i_{rho b} kappa(a), kappa the bundle map
+        `kind`: IM1 for mu, the derived antisymmetry for nu."""
+        kappa = self.maps[kind]
         groups: dict = {}
-        self.ops.add_contract(groups, self.rho[a], mu[b], 1)
-        self.ops.add_contract(groups, self.rho[b], mu[a], 1)
-        return self.form(groups, self.k - 2)
+        self.ops.add_contract(groups, self.rho[a], kappa[b], 1)
+        self.ops.add_contract(groups, self.rho[b], kappa[a], 1)
+        return self.form(groups, self.degree[kind] - 1)
 
-    def im2(self, a: int, b: int) -> DifferentialForm:
+    def bracket(self, kind: str, a: int, b: int) -> DifferentialForm:
+        """sum_c C_ab^c kappa(c) - L_{rho a} kappa(b) + i_{rho b} (d kappa(a),
+        plus nu(a) when kappa is mu), kappa the bundle map `kind`: IM2 for
+        mu, IM3 for nu."""
+        kappa = self.maps[kind]
         groups: dict = {}
-        self.add_image(groups, "mu", a, b)
-        self.ops.add_derivation(groups, self.maps["mu"][b], *self.lies[a], -1)
-        self.ops.add_contract(groups, self.rho[b], self.d("mu", a), 1)
-        return self.form(groups, self.k - 1)
-
-    def im3(self, a: int, b: int) -> DifferentialForm:
-        groups: dict = {}
-        self.add_image(groups, "nu", a, b)
-        self.ops.add_derivation(groups, self.maps["nu"][b], *self.lies[a], -1)
-        self.ops.add_contract(groups, self.rho[b], self.d("nu", a), 1)
-        return self.form(groups, self.k)
-
-    def antisymmetry(self, a: int, b: int) -> DifferentialForm:
-        nu = self.maps["nu"]
-        groups: dict = {}
-        self.ops.add_contract(groups, self.rho[a], nu[b], 1)
-        self.ops.add_contract(groups, self.rho[b], nu[a], 1)
-        return self.form(groups, self.k - 1)
+        for c, w in self.algebroid.bracket_row(a, b, self.ops):
+            add_scaled(groups, kappa[c], w[0])
+        self.ops.add_derivation(groups, kappa[b], *self.lies[a], -1)
+        self.ops.add_contract(groups, self.rho[b], self.d(kind, a), 1)
+        return self.form(groups, self.degree[kind])
 
     def cyclic(self, a: int, b: int, c: int) -> DifferentialForm:
         groups: dict = {}
@@ -164,7 +155,7 @@ class _Residuals:
         self.ops.add_contract(triple, self.rho[c], collect(inner), 1)
         # empty for k = 1: the double contraction of a 1-form
         self.ops.add_d(groups, collect(triple), 2)
-        return self.form(groups, self.k - 1)
+        return self.form(groups, self.degree["nu"] - 1)
 
 
 def check_im_form(im: IMForm) -> CheckReport:
@@ -203,7 +194,7 @@ def check_im_form(im: IMForm) -> CheckReport:
     im1 = []
     for a in range(r):
         for b in range(a, r):
-            res = residuals.im1(a, b)
+            res = residuals.anchor_sum("mu", a, b)
             if not res.is_zero():
                 im1.extend(component_violations(
                     "IM1", (A.frame_names[a], A.frame_names[b]), res))
@@ -215,13 +206,13 @@ def check_im_form(im: IMForm) -> CheckReport:
 
     for a in range(r):
         for b in range(r):
-            res = residuals.im2(a, b)
+            res = residuals.bracket("mu", a, b)
             if not res.is_zero():
                 violations.extend(component_violations(
                     "IM2", (A.frame_names[a], A.frame_names[b]), res, caveat))
     for a in range(r):
         for b in range(a + 1, r):
-            res = residuals.im3(a, b)
+            res = residuals.bracket("nu", a, b)
             if not res.is_zero():
                 violations.extend(component_violations(
                     "IM3", (A.frame_names[a], A.frame_names[b]), res, caveat))
@@ -249,7 +240,7 @@ def _assert_nu_identities(residuals: _Residuals) -> None:
     r = residuals.algebroid.rank
     for a in range(r):
         for b in range(a, r):
-            if not residuals.antisymmetry(a, b).is_zero():
+            if not residuals.anchor_sum("nu", a, b).is_zero():
                 raise CrossCheckError(f"derived nu antisymmetry fails on pair {(a, b)}")
     for a in range(r):
         for b in range(a + 1, r):
@@ -298,7 +289,7 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
     residuals = _Residuals(im)
     for a in range(algebroid.rank):
         for b in range(a + 1, algebroid.rank):
-            if not residuals.im3(a, b).is_zero():
+            if not residuals.bracket("nu", a, b).is_zero():
                 raise CrossCheckError("relative construction failed its own IM3 guarantee")
     return im
 

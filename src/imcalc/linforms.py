@@ -17,7 +17,9 @@ for bundle maps mu (into (k-1)-forms) and nu (into k-forms) on the base;
 lift of base forms and the frame values of the induced fiberwise-linear
 functional on the tangent prolongation, computed by closed formulas and
 cross-checked against direct contraction with the explicit frame tangent
-vectors.
+vectors.  That cross-check, `cross_check_frame_values`, is the one for both
+prolongations: the multivector functional on the cotangent prolongation
+calls it with the base and fiber positions transposed.
 """
 
 from __future__ import annotations
@@ -269,10 +271,10 @@ def form_frame_functional(im: IMForm) -> FiberFunctional:
 
     The linear value is (d mu_a + nu_a)(U_1, .., U_k) by the invariant
     formula for d, whose bracket terms vanish because the U_m commute, so
-    this route takes no d.  The same values are recomputed by contracting
-    the linear form of `im.forms` directly against the explicit coordinate
-    tangent vectors of the frame sections; disagreement raises
-    CrossCheckError.
+    this route takes no d.  `cross_check_frame_values` recomputes the same
+    values by contracting the linear form of `im.forms` directly against the
+    explicit coordinate tangent vectors of the frame sections; disagreement
+    raises CrossCheckError.
     """
     algebroid, bundle_forms, k = im.algebroid, im.forms, im.k
     prol = tangent_prolongation(algebroid, k)
@@ -300,52 +302,42 @@ def form_frame_functional(im: IMForm) -> FiberFunctional:
                   for idx, coeff in bundle_forms.nu[a].promote(chart).coeffs.items()]
         values[linear_frame_name(frame)] = Polynomial.sum_of_products(chart, pairs)
 
-    _cross_check_form_values(im, prol, values)
+    tc = total_chart_of(algebroid)
+    cross_check_frame_values(linear_form(bundle_forms, tc), tc, prol,
+                             range(tc.base_chart.dim), tc.fiber_positions(), values)
     return FiberFunctional(prol, values)
 
 
-def _cross_check_form_values(im, prol, values) -> None:
-    """Contract the linear form of `im` against the explicit frame tangent
-    vectors: the dotted rows, the n-th of them also moving one unit along
-    the fiber of e_a for the core value (a, n)."""
-    algebroid, k = im.algebroid, im.k
-    tc = total_chart_of(algebroid)
-    fiber_pos = tc.fiber_positions()
-    chart = prol.base_chart
-    dotted = Minors([{tc.chart.index(n): y[i] for i, n in enumerate(algebroid.base_chart.names)}
-                     for y in prol._copy_layout.variables(chart)], chart)
-    cores = [(core_frame_name(frame, n), (n - 1, fiber_pos[a]))
-             for a, frame in enumerate(algebroid.frame_names) for n in range(1, k + 1)]
-    cross_check_frame_values(linear_form(im.forms, tc), tc, dotted, cores,
-                             [linear_frame_name(f) for f in algebroid.frame_names], values)
-
-
-def cross_check_frame_values(table: Alternating, tc: TotalChart, rows: Minors,
-                             cores, linears, values: Mapping) -> None:
+def cross_check_frame_values(table: Alternating, tc: TotalChart, prol: LieAlgebroid,
+                             rows_at: Sequence[int], units_at: Sequence[int],
+                             values: Mapping) -> None:
     """Contract a linear form or multivector on `tc` directly against the
-    frame vectors `rows`, and raise CrossCheckError on the first frame value
-    that differs from `values`.
+    explicit frame vectors of its prolongation `prol`, and raise
+    CrossCheckError on the first frame value that differs from `values`.
 
-    A core value (name, unit) reads the rows with `unit` = (row, column)
-    added, which `Minors.contract` takes by linearity, against the
-    coefficients at the zero fiber point; the a-th name of `linears` reads
-    the plain rows against the coefficients at u_a = 1.  Each coefficient is
-    split into its values at all of these points in one walk over its terms
+    Copy m's row holds its coordinate y_m^l at position rows_at[l] of `tc`.
+    The frame names of `prol` are walked in the order `_prolongation` placed
+    them: first the cores copy by copy, core c of copy m reading the rows
+    with a unit added at (m, units_at[c]), which `Minors.contract` takes by
+    linearity, against the coefficients at the zero fiber point; then the
+    linear sections, the a-th reading the plain rows against the
+    coefficients at u_a = 1.  A form passes (base positions, fiber
+    positions), a multivector the transpose.  Each coefficient is split into
+    its values at all of these points in one walk over its terms
     (`Polynomial.unit_restrictions`).
     """
-    ids = tuple(range(len(rows.rows)))
-    points = [{} for _ in range(len(tc.fiber_names) + 1)]
+    chart = prol.base_chart
+    layout = prol._copy_layout
+    rows = Minors([dict(zip(rows_at, y)) for y in layout.variables(chart)], chart)
+    ids = tuple(range(layout.k))
+    points = [{} for _ in range(tc.rank + 1)]
     for idx, poly in table.coeffs.items():
-        for coeffs, coeff in zip(points, poly.unit_restrictions(tc.fiber_names, rows.chart)):
+        for coeffs, coeff in zip(points, poly.unit_restrictions(tc.fiber_names, chart)):
             if not coeff.is_zero():
                 coeffs[idx] = coeff
     at_zero, *at_units = points
-
-    def check(name: str, coeffs: dict, unit=None) -> None:
+    reads = [(at_zero, (m, i)) for m in ids for i in units_at]
+    reads += [(coeffs, None) for coeffs in at_units]
+    for name, (coeffs, unit) in zip(prol.frame_names, reads):
         if rows.contract(coeffs, ids, unit) != values[name]:
             raise CrossCheckError(f"frame value mismatch on {name}")
-
-    for name, unit in cores:
-        check(name, at_zero, unit)
-    for name, coeffs in zip(linears, at_units):
-        check(name, coeffs)

@@ -9,7 +9,10 @@ of the exterior algebra of sections, stored here by their action on base
 coordinates and on the frame.  The dual main result matches the derivation
 property for the Gerstenhaber bracket against the morphism condition of the
 induced fiberwise functional on the cotangent prolongation; both routes are
-computed independently and compared by `oracle_equivalence_dual`.
+computed independently and compared by `oracle_equivalence_dual`.  Only the
+derivation route reads the candidate through `derivation_from_linear`; the
+morphism route reads the fiber and mixed tables itself, so a slip in that
+conversion moves one verdict, not both.
 
 The derivation property is checked on the generators x_i and e_a only, so
 `check_gerstenhaber_derivation` takes each bracket as the case of
@@ -288,52 +291,41 @@ def multivector_frame_functional(p: LinearMultivector) -> FiberFunctional:
     cotangent prolongation, which it builds and attaches.
 
     Core value (coordinate j, copy m): (-1)^(k-m) times the pairing of the
-    coordinate action with the dual copies omitting the m-th; linear value a:
-    minus the pairing of the frame action with all dual copies.  Cross-checked
-    against direct contraction of the multivector with the explicit frame
-    covectors; disagreement raises CrossCheckError.
+    mixed coefficients along the j-th base direction (the coordinate action
+    of the derivation) with the dual copies omitting the m-th; linear value
+    a: the pairing of the fiber coefficients of fiber coordinate a (minus
+    the frame action) with all dual copies.  Cross-checked by
+    `cross_check_frame_values`, which contracts the multivector with the
+    explicit frame covectors; disagreement raises CrossCheckError.
     """
     A, k = p.algebroid, p.k
-    d = derivation_from_linear(p)
     prol = cotangent_prolongation(A, k)
     chart = prol.base_chart
     base = A.base_chart
 
     # the dual copies as rows over frame indices, in a table of this call
     xi = Minors([dict(enumerate(y)) for y in prol._copy_layout.variables(chart)], chart)
-
-    def pairing(section: Section, ids: tuple) -> Polynomial:
-        # the determinant convention, against the dual copies `ids`
-        return xi.contract({b_tuple: poly.promote(chart)
-                            for b_tuple, poly in section.coeffs.items()}, ids)
+    # each coefficient promoted once, by the index its values are read by
+    mixed = [{} for _ in range(base.dim)]
+    for (b_tuple, j), poly in p.mixed.items():
+        mixed[j][b_tuple] = poly.promote(chart)
+    fiber = [{} for _ in range(A.rank)]
+    for (b_tuple, a), poly in p.fiber.items():
+        fiber[a][b_tuple] = poly.promote(chart)
 
     values: dict = {}
     for m in range(1, k + 1):
         ids = tuple(l for l in range(k) if l != m - 1)
         for j, name in enumerate(base.names):
-            val = pairing(d.coord_action(j), ids)
+            val = xi.contract(mixed[j], ids)
             values[dual_core_frame_name(name, m)] = val if (k - m) % 2 == 0 else -val
     for a, name in enumerate(A.frame_names):
-        values[dual_linear_frame_name(name)] = -pairing(d.frame_action(a), tuple(range(k)))
+        values[dual_linear_frame_name(name)] = xi.contract(fiber[a], tuple(range(k)))
 
-    _cross_check_multivector_values(p, prol, values)
-    return FiberFunctional(prol, values)
-
-
-def _cross_check_multivector_values(p, prol, values) -> None:
-    """Contract the multivector against the explicit frame covectors: the
-    dual rows, the m-th of them also with a unit dx_j component for the core
-    value (j, m)."""
-    A, k = p.algebroid, p.k
     tc = total_chart_of(A)
-    chart = prol.base_chart
-    fiber_pos = tc.fiber_positions()
-    dual = Minors([{fiber_pos[d]: xi_d for d, xi_d in enumerate(y)}
-                   for y in prol._copy_layout.variables(chart)], chart)
-    cores = [(dual_core_frame_name(name, m), (m - 1, tc.chart.index(name)))
-             for m in range(1, k + 1) for name in A.base_chart.names]
-    cross_check_frame_values(p.to_multivector(tc), tc, dual, cores,
-                             [dual_linear_frame_name(n) for n in A.frame_names], values)
+    cross_check_frame_values(p.to_multivector(tc), tc, prol,
+                             tc.fiber_positions(), range(base.dim), values)
+    return FiberFunctional(prol, values)
 
 
 def derivation_routes(p: LinearMultivector) -> dict:

@@ -8,20 +8,28 @@ values take no d, and its cross-check contracts `linear_form`, whose d is
 shares no operator of `Calculus`.  So a d that drops the sign of its index
 sort, or a negated d, moves the IM verdict alone: the morphism route still
 passes, and the routes disagree.
+
+The dual routes share no conversion either: only the derivation route reads
+a linear multivector through `multivec.derivation_from_linear`, and the
+morphism route reads the fiber and mixed tables itself.
 """
 
 from __future__ import annotations
 
 import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
-from imcalc import cli, forms
+from imcalc import cli, forms, multivec
 from imcalc.fixtures import koszul_algebroid
 from imcalc.forms import DifferentialForm, Multivector
 from imcalc.imforms import im_form_from_base_form
+from imcalc.multivec import Derivation
 from imcalc.poly import Polynomial, base_chart
+
+LADDER = Path(__file__).resolve().parent / "golden" / "ladder"
 
 
 def _form_body(form: DifferentialForm) -> dict:
@@ -110,3 +118,18 @@ def test_a_calculus_slip_makes_the_routes_disagree(documents, monkeypatch, capsy
         # an agreed FAIL on an exact form would be a wrong verdict
         assert not (code == 1 and json.loads(out)["oracle"]["agree"])
         assert code == 3, path.name
+
+
+def test_a_derivation_conversion_slip_makes_the_dual_routes_disagree(monkeypatch, capsys):
+    convert = multivec.derivation_from_linear
+
+    def negated_frame_actions(p):
+        d = convert(p)
+        return Derivation(d.algebroid, d.k, d.on_coord,
+                          {name: -s for name, s in d.on_frame.items()})
+
+    monkeypatch.setattr(multivec, "derivation_from_linear", negated_frame_actions)
+    code = cli.main(["--input", str(LADDER / "n4_k3_mv.json")])
+    assert code == 3
+    assert json.loads(capsys.readouterr().out)["oracle"] == {
+        "agree": False, "derivation": False, "morphism": True}

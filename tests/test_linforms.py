@@ -26,7 +26,7 @@ from imcalc.imforms import IMForm
 from imcalc.linforms import (
     BundleForms,
     NotLinearError,
-    _cross_check_form_values,
+    cross_check_frame_values,
     decompose,
     fiber_contraction,
     fiber_pairing_form,
@@ -352,7 +352,10 @@ def test_form_cross_check_raises_on_each_wrong_value(rng, k):
         im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
         functional = form_frame_functional(im)
         prol = functional.algebroid
+        tc = total_chart_of(algebroid)
+        form = linear_form(im.forms, tc)
         for name, value in functional.values.items():
             wrong = {**functional.values, name: value + 1}
             with pytest.raises(CrossCheckError, match=f"on {re.escape(name)}$"):
-                _cross_check_form_values(im, prol, wrong)
+                cross_check_frame_values(form, tc, prol, range(tc.base_chart.dim),
+                                         tc.fiber_positions(), wrong)

@@ -29,11 +29,10 @@ from imcalc.fixtures import (
     tangent_algebroid,
 )
 from imcalc.forms import DifferentialForm, Multivector, exterior_derivative
-from imcalc.linforms import total_chart_of
+from imcalc.linforms import cross_check_frame_values, total_chart_of
 from imcalc.multivec import (
     Derivation,
     LinearMultivector,
-    _cross_check_multivector_values,
     check_gerstenhaber_derivation,
     derivation_from_linear,
     is_linear_multivector,
@@ -300,10 +299,13 @@ def test_multivector_cross_check_raises_on_each_wrong_value(rng, k):
         p = rnd_linear_multivector(rng, algebroid, k)
         functional = multivector_frame_functional(p)
         prol = functional.algebroid
+        tc = total_chart_of(algebroid)
+        table = p.to_multivector(tc)
         for name, value in functional.values.items():
             wrong = {**functional.values, name: value + 1}
             with pytest.raises(CrossCheckError, match=f"on {re.escape(name)}$"):
-                _cross_check_multivector_values(p, prol, wrong)
+                cross_check_frame_values(table, tc, prol, tc.fiber_positions(),
+                                         range(tc.base_chart.dim), wrong)
 
 
 def test_dual_oracle_fixtures(rng):

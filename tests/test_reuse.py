@@ -187,13 +187,13 @@ def test_im_residual_collects_each_output_key_once(rng, monkeypatch, k):
     residuals = imforms._Residuals(im)
     pairs = [(a, b) for a in range(algebroid.rank) for b in range(algebroid.rank)]
     for a, b in pairs:
-        residuals.im2(a, b)   # fills the tables of the call
+        residuals.bracket("mu", a, b)   # fills the tables of the call
     counts = _count_kernel(monkeypatch)
     seen = 0
     for a, b in pairs:
         keys = _im2_keys(im, a, b)
         counts.clear()
-        residuals.im2(a, b)
+        residuals.bracket("mu", a, b)
         assert dict(counts) == ({"sum_of_products": len(keys)} if keys else {})
         seen += len(keys)
     assert seen, "no residual had a term"
@@ -373,15 +373,14 @@ def test_frame_functionals_expand_each_minor_once(rng, monkeypatch, k):
         return contract(table, *args, **kwargs)
 
     monkeypatch.setattr(forms.Minors, "contract", counted_contract)
-    for module, name in ((linforms, "_cross_check_form_values"),
-                         (multivec, "_cross_check_multivector_values")):
-        def in_check(*args, _inner=getattr(module, name)):
+    for module in (linforms, multivec):
+        def in_check(*args, _inner=module.cross_check_frame_values):
             phase[0] = "check"
             try:
                 return _inner(*args)
             finally:
                 phase[0] = "route"
-        monkeypatch.setattr(module, name, in_check)
+        monkeypatch.setattr(module, "cross_check_frame_values", in_check)
 
     algebroid = koszul_so3_algebroid()
     im = IMForm(algebroid, rnd_bundle_forms(rng, algebroid, k))
@@ -400,17 +399,17 @@ def test_frame_functionals_expand_each_minor_once(rng, monkeypatch, k):
     assert read["check"] and not read["route"] & read["check"]
 
 
-def _counting_cross_check(monkeypatch, module, name):
+def _counting_cross_check(monkeypatch, module):
     """Count `unit_restrictions` calls, by polynomial, fiber names and
-    target chart, and `partial_eval` calls, inside one cross-check function
-    only."""
+    target chart, and `partial_eval` calls, inside the cross-check that
+    `module` calls only."""
     splits, evals = CallCounter(), CallCounter()
     splits.on = evals.on = False
     monkeypatch.setattr(Polynomial, "unit_restrictions", splits.wrap(
         Polynomial.unit_restrictions, lambda p, names, chart: (p, tuple(names), chart)))
     monkeypatch.setattr(Polynomial, "partial_eval", evals.wrap(
         Polynomial.partial_eval, lambda p, assign, chart: (p,)))
-    inner = getattr(module, name)
+    inner = module.cross_check_frame_values
 
     def counted(*args):
         splits.on = evals.on = True
@@ -419,7 +418,7 @@ def _counting_cross_check(monkeypatch, module, name):
         finally:
             splits.on = evals.on = False
 
-    monkeypatch.setattr(module, name, counted)
+    monkeypatch.setattr(module, "cross_check_frame_values", counted)
     return splits, evals
 
 
@@ -434,7 +433,7 @@ def _assert_one_split_per_coefficient(splits, evals, table, tc) -> None:
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_form_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
-    splits, evals = _counting_cross_check(monkeypatch, linforms, "_cross_check_form_values")
+    splits, evals = _counting_cross_check(monkeypatch, linforms)
     algebroid = koszul_so3_algebroid()
     bundle_forms = rnd_bundle_forms(rng, algebroid, k)
     form_frame_functional(IMForm(algebroid, bundle_forms))
@@ -444,12 +443,28 @@ def test_form_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_multivector_cross_check_restricts_each_coefficient_once(rng, monkeypatch, k):
-    splits, evals = _counting_cross_check(monkeypatch, multivec, "_cross_check_multivector_values")
+    splits, evals = _counting_cross_check(monkeypatch, multivec)
     algebroid = koszul_so3_algebroid()
     p = rnd_linear_multivector(rng, algebroid, k)
     multivector_frame_functional(p)
     tc = total_chart_of(algebroid)
     _assert_one_split_per_coefficient(splits, evals, p.to_multivector(tc), tc)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_multivector_frame_values_promote_each_coefficient_once(rng, monkeypatch, k):
+    """The dual frame values read each fiber and mixed coefficient on the
+    prolongation chart through one promotion, not one per dual copy."""
+    algebroid = koszul_so3_algebroid()
+    p = rnd_linear_multivector(rng, algebroid, k)
+    chart = cotangent_prolongation(algebroid, k).base_chart
+    promoted = CallCounter()
+    monkeypatch.setattr(Polynomial, "promote", promoted.wrap(
+        Polynomial.promote, lambda poly, new_chart: (poly, new_chart)))
+    multivector_frame_functional(p)
+    coefficients = [*p.fiber.values(), *p.mixed.values()]
+    assert p.fiber and p.mixed
+    assert [promoted.counts[(id(poly), chart)] for poly in coefficients] == [1] * len(coefficients)
 
 
 def _count_everywhere(monkeypatch, *functions) -> Counter:

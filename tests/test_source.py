@@ -3,8 +3,8 @@ modules, every library import relative or from the standard library, no
 module-level or class-level state but constants, the polynomial kernel's
 term maps handled only in `poly.py`, index sorting only in `forms.py`, no
 partials of their own in the IM, derivation and Weil checkers, no d in the
-morphism route's frame values for forms, and README's quick tour runs as
-written."""
+morphism route's frame values for forms, no derivation conversion in those
+for multivectors, and README's quick tour runs as written."""
 
 from __future__ import annotations
 
@@ -323,11 +323,20 @@ CHAIN = {"exterior_derivative", "iterated_contract"}
 
 def test_form_frame_values_take_no_d():
     """The morphism route computes the frame values of an IM form from
-    minors, with no d, so that a slip in d moves only its cross-check; the
-    cross-check, `_cross_check_form_values`, keeps `linear_form` and its d."""
+    minors, with no d, so that a slip in d moves only its cross-check, which
+    `cross_check_frame_values` runs on `linear_form` and its d."""
     source = (ROOT / "src" / "imcalc" / "linforms.py").read_text(encoding="utf-8")
     assert references_in(source, "form_frame_functional", CHAIN) == []
     assert references_in(source, "linear_form", CHAIN) != []
+
+
+def test_multivector_frame_values_skip_the_derivation():
+    """The dual morphism route reads the fiber and mixed tables itself, so
+    that a slip in `derivation_from_linear` moves only the derivation route."""
+    source = (ROOT / "src" / "imcalc" / "multivec.py").read_text(encoding="utf-8")
+    conversion = {"derivation_from_linear", "coord_action", "frame_action"}
+    assert references_in(source, "multivector_frame_functional", conversion) == []
+    assert references_in(source, "derivation_routes", conversion) != []
 
 
 def test_reference_check_sees_what_it_should():
