@@ -653,16 +653,21 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: i
     y = layout.variables(chart)
 
     def per_copy(pairs) -> list:
-        """sum p y_m^l over the (l, p) pairs, for each copy m."""
-        pairs = [(p.promote(chart), l) for l, p in pairs]
+        """sum p y_m^l over the (l, p) pairs, for each copy m; the zero p
+        are dropped before they are promoted."""
+        pairs = [(p.promote(chart), l) for l, p in pairs if not p.is_zero()]
+        if not pairs:
+            return [zero] * k
         return [Polynomial.sum_of_products(chart, [(p, ym[l]) for p, l in pairs]) for ym in y]
 
+    # each anchor entry is promoted once and shared by its k copies
+    P = [[p.promote(chart) for p in c_row] for c_row in P]
     rows = []
     for m in copies:
         for c_row in P:
             row = [zero] * chart.dim
             for l, p in enumerate(c_row):
-                row[col(m, l)] = p.promote(chart)
+                row[col(m, l)] = p
             rows.append(row)
     for a, base_row in enumerate(algebroid.anchor):
         row = [p.promote(chart) for p in base_row] + [zero] * (k * block)

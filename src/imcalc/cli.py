@@ -272,9 +272,10 @@ def _routes(mode: str, candidate, algebroid: LieAlgebroid, k) -> dict:
         _require(isinstance(candidate, DifferentialForm), "mode weil needs a weil candidate")
         _require(candidate.degree == k, f"candidate k={candidate.degree} but k={k} selected")
         im = IMForm(algebroid, decompose(candidate, total_chart_of(algebroid)))
+        # decompose proved the candidate equal to the linear form of im.forms
         return {"dh_vanishing": lambda: horizontal_vanishing_report(
                     cochain_from_bundle_forms(algebroid, im.forms)),
-                **im_routes(im)}
+                **im_routes(im, candidate)}
     # mode "axioms" runs no candidate suite; a present candidate is ignored
     return {}
 

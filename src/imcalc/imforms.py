@@ -294,15 +294,18 @@ def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
     return im
 
 
-def im_routes(im: IMForm) -> dict:
+def im_routes(im: IMForm, linear: DifferentialForm | None = None) -> dict:
     """The two routes of the main equivalence, for `run_oracle`.
 
     Route one is `check_im_form`; route two evaluates the fiberwise
     functional of the candidate's linear form on the tangent prolongation
-    frame and checks the morphism condition there.
+    frame and checks the morphism condition there.  `linear` is that linear
+    form when the caller already holds it (Weil mode passes the candidate
+    that `decompose` proved equal to it), so `form_frame_functional`
+    cross-checks against it instead of building it again.
     """
     def morphism() -> CheckReport:
-        functional = form_frame_functional(im)
+        functional = form_frame_functional(im, linear)
         return check_morphism_to_line(functional.algebroid, functional)
 
     return {"im_conditions": lambda: check_im_form(im), "morphism": morphism}

@@ -40,6 +40,8 @@ from .forms import (
     DifferentialForm,
     Minors,
     VectorField,
+    add_scaled,
+    collect,
     contract,
     exterior_derivative,
 )
@@ -134,16 +136,18 @@ def fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChart,
                        degree: int) -> DifferentialForm:
     """The degree-`degree` form sum_d u^d * maps[d], pairing a bundle map into
     forms with the tautological fiber point; no fiber differentials.  `maps`
-    is empty at rank 0, so the caller, who knows k, gives the degree."""
+    is empty at rank 0, so the caller, who knows k, gives the degree.
+
+    Every coefficient is one `collect`ed sum over the frame sections, so no
+    partial total is copied once per section."""
     if len(maps) != tc.rank:
         raise AlgebroidError("need one form per frame section")
-    total = DifferentialForm(tc.chart, degree)
+    groups: dict = {}
     for name, form in zip(tc.fiber_names, maps):
         if form.degree != degree:
             raise AlgebroidError("all maps must have one common degree")
-        u = Polynomial.variable(tc.chart, name)
-        total = total + form.promote(tc.chart).scale(u)
-    return total
+        add_scaled(groups, form.promote(tc.chart).coeffs, Polynomial.variable(tc.chart, name))
+    return DifferentialForm(tc.chart, degree)._like(collect(groups))
 
 
 def linear_form(bundle_forms: BundleForms, tc: TotalChart) -> DifferentialForm:
@@ -187,7 +191,11 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
 
     mu carries the sign (-1)^(k-1) relative to the raw fiber-differential
     coefficients, so that the roundtrip with `linear_form` is the identity;
-    the sign never escapes this module.
+    the sign never escapes this module.  d(pairing mu) is built once: nu is
+    read from `form` minus it, and the roundtrip adds pairing nu back to it
+    and compares with `form` as polynomials.  So a returned (mu, nu) has
+    `linear_form` equal to `form` exactly, and a caller holding `form` need
+    not build that linear form again.
     """
     if not is_linear(form, tc):
         raise NotLinearError("decompose needs a linear form")
@@ -206,7 +214,8 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
         mu_tables[pos_to_frame[du[0]]][base_idx] = tc.at_zero(poly) * sign
     mu = tuple(DifferentialForm(base, k - 1, t) for t in mu_tables)
 
-    remainder = form - exterior_derivative(fiber_pairing_form(mu, tc, k - 1))
+    d_pairing = exterior_derivative(fiber_pairing_form(mu, tc, k - 1))
+    remainder = form - d_pairing
     nu_tables: list = [dict() for _ in range(tc.rank)]
     for idx, poly in remainder.coeffs.items():
         if any(i in pos_to_frame for i in idx):
@@ -215,10 +224,9 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
             nu_tables[d][idx] = part
     nu = tuple(DifferentialForm(base, k, t) for t in nu_tables)
 
-    result = BundleForms(k, mu, nu)
-    if linear_form(result, tc) != form:
+    if d_pairing + fiber_pairing_form(nu, tc, k) != form:
         raise CrossCheckError("decompose roundtrip failed")
-    return result
+    return BundleForms(k, mu, nu)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +265,7 @@ def tangent_lift(alpha: DifferentialForm, base: Chart) -> DifferentialForm:
 # frame values on the tangent prolongation
 # ---------------------------------------------------------------------------
 
-def form_frame_functional(im: IMForm) -> FiberFunctional:
+def form_frame_functional(im: IMForm, linear: DifferentialForm | None = None) -> FiberFunctional:
     """Values of the induced fiberwise-linear functional of the candidate
     `im` on the distinguished frame of the k-fold tangent prolongation,
     which it builds and attaches.
@@ -274,7 +282,10 @@ def form_frame_functional(im: IMForm) -> FiberFunctional:
     this route takes no d.  `cross_check_frame_values` recomputes the same
     values by contracting the linear form of `im.forms` directly against the
     explicit coordinate tangent vectors of the frame sections; disagreement
-    raises CrossCheckError.
+    raises CrossCheckError.  That linear form is `linear` when the caller
+    holds it, as Weil mode does: `decompose` returned `im.forms` only after
+    checking that their linear form equals the candidate as polynomials, so
+    contracting the candidate is exact.  Otherwise this call builds it once.
     """
     algebroid, bundle_forms, k = im.algebroid, im.forms, im.k
     prol = tangent_prolongation(algebroid, k)
@@ -303,7 +314,9 @@ def form_frame_functional(im: IMForm) -> FiberFunctional:
         values[linear_frame_name(frame)] = Polynomial.sum_of_products(chart, pairs)
 
     tc = total_chart_of(algebroid)
-    cross_check_frame_values(linear_form(bundle_forms, tc), tc, prol,
+    if linear is None:
+        linear = linear_form(bundle_forms, tc)
+    cross_check_frame_values(linear, tc, prol,
                              range(tc.base_chart.dim), tc.fiber_positions(), values)
     return FiberFunctional(prol, values)
 

@@ -3,9 +3,10 @@
 Each one is a second route to a fact the library computes, or a consequence
 of one: the tangent lift against the canonical involution, the twisted
 bracket and the span closure of graph-of-bivector Dirac candidates, the
-frame values of an IM form by iterated contraction, the full evaluation of a multivector on covectors, and the extension of a
-derivation to all wedge sections.  The library does not call
-them, so they live with the tests.
+pairing form of a bundle map by one sum per frame section, the frame values
+of an IM form by iterated contraction, the full evaluation of a multivector
+on covectors, and the extension of a derivation to all wedge sections.
+The library does not call them, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from imcalc.forms import (
 )
 from imcalc.imforms import DiracCandidate
 from imcalc.multivec import Derivation
-from imcalc.linforms import tangent_lift, tangent_total_chart
+from imcalc.linforms import TotalChart, tangent_lift, tangent_total_chart
 from imcalc.poly import Chart, Coord, Polynomial, ROLE_FIBER
 
 
@@ -157,6 +158,23 @@ def graph_closure_residuals(candidate: DiracCandidate):
             for c in range(n):
                 residual = residual - candidate.vectors[c].scale(gamma.coeff((c,)))
             yield (a, b), as_vector_field(residual)
+
+
+# -- pairing forms ---------------------------------------------------------------
+
+def reference_fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChart,
+                                 degree: int) -> DifferentialForm:
+    """`linforms.fiber_pairing_form` by adding u^d * maps[d] to a running
+    total, one `DifferentialForm` sum per frame section."""
+    if len(maps) != tc.rank:
+        raise AlgebroidError("need one form per frame section")
+    total = DifferentialForm(tc.chart, degree)
+    for name, form in zip(tc.fiber_names, maps):
+        if form.degree != degree:
+            raise AlgebroidError("all maps must have one common degree")
+        u = Polynomial.variable(tc.chart, name)
+        total = total + form.promote(tc.chart).scale(u)
+    return total
 
 
 # -- frame values on the tangent prolongation ---------------------------------

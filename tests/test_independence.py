@@ -3,9 +3,10 @@ slip in one shared operator of `forms.Calculus` makes `verify` report a
 disagreement (exit 3), never a wrong verdict that the routes agree on.
 
 The IM route takes d from `Calculus.add_d`; the morphism route's frame
-values take no d, and its cross-check contracts `linear_form`, whose d is
-`forms.exterior_derivative`, which takes its partials from `diff` and
-shares no operator of `Calculus`.  So a d that drops the sign of its index
+values take no d, and on an im-form document its cross-check contracts
+`linear_form`, whose d is `forms.exterior_derivative`, which takes its
+partials from `diff` and shares no operator of `Calculus`.  (On a Weil
+document it contracts the candidate itself, which takes no d at all.)  So a d that drops the sign of its index
 sort, or a negated d, moves the IM verdict alone: the morphism route still
 passes, and the routes disagree.
 

@@ -13,7 +13,7 @@ import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
 from imcalc import cli
-from imcalc.errors import CrossCheckError
+from imcalc.errors import AlgebroidError, CrossCheckError
 from imcalc.fixtures import exact_im_form, koszul_so3_algebroid, tangent_algebroid
 from imcalc.forms import (
     DifferentialForm,
@@ -26,6 +26,7 @@ from imcalc.imforms import IMForm
 from imcalc.linforms import (
     BundleForms,
     NotLinearError,
+    TotalChart,
     cross_check_frame_values,
     decompose,
     fiber_contraction,
@@ -39,7 +40,9 @@ from imcalc.linforms import (
     total_chart_of,
 )
 from imcalc.poly import Polynomial, base_chart, parse
-from support import reference_form_frame_values, tangent_lift_involution_residual
+from support import (
+    reference_fiber_pairing_form, reference_form_frame_values, tangent_lift_involution_residual,
+)
 
 CH2 = base_chart("M", ["x1", "x2"])
 
@@ -87,6 +90,43 @@ def test_rank_zero_forms_keep_their_degree(k):
     zero = linear_form(BundleForms(k, (), ()), tc)
     assert zero.degree == k and zero.is_zero()
     assert decompose(zero, tc) == BundleForms(k, (), ())
+
+
+def test_pairing_form_matches_the_running_sum(rng):
+    """`fiber_pairing_form` collects each coefficient once; it equals the
+    sum of u^d * maps[d] built one frame section at a time, on the corpus
+    and ladder bundle forms and on random ones of rank 0 to 3."""
+    cases = []
+    for path in IM_DOCUMENTS:
+        doc = json.loads(path.read_text())
+        algebroid = cli.load_algebroid(doc)
+        candidate = cli.load_candidate(doc, algebroid)
+        tc = total_chart_of(algebroid)
+        cases.append((tc, candidate.forms if isinstance(candidate, IMForm)
+                      else decompose(candidate, tc)))
+    for k in (1, 2, 3):
+        for rank in (0, 1, 2, 3):
+            tc = total_chart(CH2, tuple(f"e{d + 1}" for d in range(rank)))
+            mu = tuple(rnd_form(rng, CH2, k - 1) for _ in range(rank))
+            nu = tuple(rnd_form(rng, CH2, k) for _ in range(rank))
+            cases.append((tc, BundleForms(k, mu, nu)))
+        algebroid = rnd_algebroid(rng)
+        cases.append((total_chart_of(algebroid), rnd_bundle_forms(rng, algebroid, k)))
+    for tc, bundle_forms in cases:
+        k = bundle_forms.k
+        for maps, degree in ((bundle_forms.mu, k - 1), (bundle_forms.nu, k)):
+            got = fiber_pairing_form(maps, tc, degree)
+            assert got == reference_fiber_pairing_form(maps, tc, degree)
+            assert got.degree == degree
+
+
+def test_pairing_form_rejects_a_degree_mismatch():
+    tc = total_chart(CH2, ("e1", "e2"))
+    maps = (DifferentialForm(CH2, 1), DifferentialForm(CH2, 2))
+    with pytest.raises(AlgebroidError):
+        fiber_pairing_form(maps, tc, 1)
+    with pytest.raises(AlgebroidError):
+        fiber_pairing_form(maps[:1], tc, 1)
 
 
 def test_tautological_property_k1(rng):
@@ -158,6 +198,20 @@ def test_decompose_roundtrip_random(rng):
         assert got.mu == bf.mu and got.nu == bf.nu
         # closure under d: the derivative of a linear form is linear
         assert is_linear(exterior_derivative(form), tc)
+
+
+def test_decompose_roundtrip_catches_a_wrong_nu(rng, monkeypatch):
+    """The roundtrip compares d(pairing mu) + pairing nu with the form
+    itself, which is what lets Weil mode's cross-check contract the form: a
+    nu read wrong from the remainder raises."""
+    algebroid = koszul_so3_algebroid()
+    tc = total_chart_of(algebroid)
+    form = linear_form(rnd_bundle_forms(rng, algebroid, 2), tc)
+    read = TotalChart.fiber_partials
+    monkeypatch.setattr(TotalChart, "fiber_partials",
+                        lambda self, poly: [(d, -part) for d, part in read(self, poly)])
+    with pytest.raises(CrossCheckError, match="roundtrip"):
+        decompose(form, tc)
 
 
 def test_decompose_rejects_nonlinear():

@@ -487,9 +487,10 @@ CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.mark.parametrize("name, expected", [
-    # decompose checks its result with one linear form, and the morphism
-    # route builds the linear form of that result once more
-    ("so3_poisson_weil2.json", {"check_axioms": 1, "decompose": 1, "linear_form": 2}),
+    # decompose checks its result against the candidate with the d it has
+    # built, and the morphism route contracts the candidate itself, so Weil
+    # mode builds no linear form
+    ("so3_poisson_weil2.json", {"check_axioms": 1, "decompose": 1}),
     ("so3_poisson_im2.json", {"check_axioms": 1, "linear_form": 1}),
     ("so3_coboundary_mv2.json", {"check_axioms": 1}),
 ])
@@ -526,18 +527,47 @@ def _weil_document(doc: dict) -> dict:
 
 @pytest.mark.parametrize("mode, expected", [
     ("im-form", {"linear_form": 1}),
-    ("weil", {"decompose": 1, "linear_form": 2}),
+    ("weil", {"decompose": 1}),
 ])
 def test_one_linear_form_path_per_ladder_document(monkeypatch, capsys, tmp_path, mode, expected):
-    """The morphism route reads an IM form only: on an im-form document it
-    builds the candidate's linear form once and decomposes nothing, and
-    Weil mode decomposes its candidate once to get that IM form."""
+    """On an im-form document the morphism route builds the candidate's
+    linear form once and decomposes nothing.  Weil mode decomposes its
+    candidate once to get the IM form and builds no linear form: the
+    cross-check contracts the candidate, which `decompose` proved equal to
+    the linear form of that IM form."""
     doc = json.loads((LADDER / "n4_k3_im_broken.json").read_text())
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc if mode == "im-form" else _weil_document(doc)))
     counts = _count_everywhere(monkeypatch, decompose, linear_form)
     assert cli.main(["--input", str(path)]) == 1
     assert dict(counts) == expected
+
+
+@pytest.mark.parametrize("source", ["so3_poisson_weil2", "n4_k3_im_broken"])
+def test_weil_cross_check_contracts_the_candidate_and_catches_a_wrong_value(
+        monkeypatch, capsys, tmp_path, source):
+    """In Weil mode the frame-value cross-check contracts the candidate
+    itself, and one negated frame value of `form_frame_functional` still
+    makes `verify` exit 3 as an internal defect."""
+    if source == "n4_k3_im_broken":
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(_weil_document(
+            json.loads((LADDER / f"{source}.json").read_text()))))
+    else:
+        path = CORPUS / f"{source}.json"
+    check = linforms.cross_check_frame_values
+    tables = []
+
+    def planted(table, tc, prol, rows_at, units_at, values):
+        tables.append(table)
+        name = next(name for name, value in values.items() if not value.is_zero())
+        return check(table, tc, prol, rows_at, units_at, {**values, name: -values[name]})
+
+    monkeypatch.setattr(linforms, "cross_check_frame_values", planted)
+    assert cli.main(["--input", str(path)]) == 3
+    assert "internal defect" in capsys.readouterr().err
+    doc = json.loads(path.read_text())
+    assert tables == [cli.load_candidate(doc, cli.load_algebroid(doc))]
 
 
 def test_big_int_route_runs_on_dense_documents_only(monkeypatch, capsys, tmp_path):
