@@ -23,7 +23,8 @@ from .imforms import IMForm, check_lagrangian, dirac_candidate, im_routes
 from .linforms import BundleForms, NotLinearError, decompose, total_chart_of
 from .multivec import LinearMultivector, derivation_routes
 from .poly import (
-    LITERAL_DIGIT_LIMIT, Chart, ChartError, ParseError, Polynomial, base_chart, parse,
+    LITERAL_DIGIT_LIMIT, Chart, ChartError, ParseError, Polynomial, base_chart,
+    format_polynomial, parse,
 )
 from .weil import cochain_from_bundle_forms, horizontal_vanishing_report
 
@@ -205,7 +206,7 @@ def _merge_report(bag: dict, report: CheckReport) -> None:
     for v in report.violations:
         key = (v.condition, tuple(str(w) for w in v.witness))
         if key not in bag:
-            bag[key] = str(v.residual)
+            bag[key] = v.residual
 
 
 def _load_samples(doc: dict, args, chart: Chart):
@@ -324,8 +325,11 @@ def run_document(doc: dict, args) -> tuple:
         verdict_tags += ["ISOTROPY", "LAGRANGIAN"]
         _merge_report(bag, check_lagrangian(dirac_candidate(candidate), samples))
 
+    # the residuals are printed once all reports are merged, sharing one
+    # monomial table, so each distinct monomial of the report is rendered once
+    table: dict = {}
     witnesses = [
-        {"condition": cond, "witness": list(w), "residual": res}
+        {"condition": cond, "witness": list(w), "residual": format_polynomial(res, table)}
         for (cond, w), res in sorted(bag.items())
     ]
     failed_tags = {w["condition"] for w in witnesses}

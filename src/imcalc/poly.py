@@ -90,6 +90,17 @@ q_i^D_i over the coordinates (p_i/q_i the value of coordinate i, D_i the top
 degree in it), so it sums ints and builds one `Fraction`; its power tables
 hold one entry per exponent that occurs.
 
+`format_polynomial` prints terms by descending total degree, then
+descending exponent tuple.  It renders each monomial's text and sort key
+once per packed key into a table, a dict per chart from packed key to
+((total degree, exponent list), monomial text); it then sorts the terms by
+their keys' entries and renders each coefficient.  A caller that prints
+several polynomials passes one table to all of them: `verify` keeps a
+report's residuals as polynomials and prints them after merging its
+reports, with one table per report, so each distinct monomial of the report
+is rendered once.  The table lives for that one report; `str(p)` passes
+none, and its entries last for the one call.
+
 Charts carry a role per coordinate (base / fiber / tangent copy / dual copy)
 so that total spaces of bundles and direct-sum prolongation charts can do
 their double-vector-bundle bookkeeping by name.
@@ -774,17 +785,7 @@ def _kronecker(chart: Chart, pairs: list, terms: dict) -> bool:
     return True
 
 
-def _format_monomial(chart: Chart, exps: tuple) -> str:
-    parts = []
-    for name, k in zip(chart.names, exps):
-        if k == 1:
-            parts.append(name)
-        elif k > 1:
-            parts.append(f"{name}^{k}")
-    return "*".join(parts)
-
-
-def format_polynomial(p: Polynomial) -> str:
+def format_polynomial(p: Polynomial, table: dict | None = None) -> str:
     """Canonical expanded string; `parse(format_polynomial(p), chart) == p`
     when every coefficient's numerator and denominator have at most
     `LITERAL_DIGIT_LIMIT` digits, the most the parser reads.
@@ -792,15 +793,30 @@ def format_polynomial(p: Polynomial) -> str:
     Terms are ordered by descending total degree, then descending exponent
     tuple, so identical polynomials always print identically.  Coefficients
     of any size print in full (`_decimal`).
+
+    `table` maps a chart to a dict from packed key to ((total degree,
+    exponent list), monomial text), the sort key and text of the monomial.
+    An entry is made the first time its key is printed, so the calls that
+    share one table render each distinct monomial once; without a table the
+    entries last for this call only.
     """
-    if not p._terms:
+    terms = p._terms
+    if not terms:
         return "0"
-    unpack = p.chart.unpack
-    order = sorted(((unpack(e), c) for e, c in p._terms.items()),
-                   key=lambda t: (-sum(t[0]), tuple(-x for x in t[0])))
+    chart = p.chart
+    if table is None:
+        monomials = {}
+    elif (monomials := table.get(chart)) is None:
+        monomials = table[chart] = {}
+    names, shifts = chart.names, chart._shifts
+    for e in terms.keys() - monomials.keys():
+        exps = [(e >> s) & SLOT_MASK for s in shifts]
+        monomials[e] = ((sum(exps), exps), "*".join([
+            name if k == 1 else f"{name}^{k}" for name, k in zip(names, exps) if k]))
     pieces = []
-    for pos, (e, c) in enumerate(order):
-        mono = _format_monomial(p.chart, e)
+    for e in sorted(terms, key=lambda e: monomials[e][0], reverse=True):
+        c = terms[e]
+        mono = monomials[e][1]
         mag = _decimal(abs(c))
         if mono and mag == "1":
             body = mono
@@ -808,14 +824,14 @@ def format_polynomial(p: Polynomial) -> str:
             body = f"{mag}*{mono}"
         else:
             body = mag
-        if pos == 0:
+        if pieces:
+            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+        elif c < 0:
             # a leading negative folds the sign into an explicit rational
             # factor so the printed form stays inside the expression grammar
-            if c < 0:
-                body = f"-{mag}*{mono}" if mono else f"-{mag}"
-            pieces.append(body)
+            pieces.append(f"-{mag}*{mono}" if mono else f"-{mag}")
         else:
-            pieces.append(f"{'-' if c < 0 else '+'} {body}")
+            pieces.append(body)
     return " ".join(pieces)
 
 

@@ -3,6 +3,7 @@ the declared console script."""
 
 from __future__ import annotations
 
+import importlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import imcalc
-from imcalc import poly
+from imcalc import cli
 from imcalc.algebroid import CheckReport, Violation, check_morphism_to_line
 from imcalc.cli import (
     DIMENSION_LIMIT, InputError, _sample_value, load_algebroid, load_candidate, main,
@@ -114,18 +115,22 @@ def test_report_structure_and_witnesses():
 
 def test_each_witness_residual_is_formatted_once(monkeypatch):
     """Axiom violations reach the report from the axiom check and again from
-    each gated route; each witness's residual is formatted once."""
+    each gated route; each witness's residual is formatted once, and every
+    residual of the report is printed with the same monomial table."""
     formatted = []
-    inner = poly.format_polynomial
+    inner = cli.format_polynomial
 
-    def counted(p):
-        formatted.append(p)
-        return inner(p)
+    def counted(p, table=None):
+        formatted.append((p, table))
+        return inner(p, table)
 
-    monkeypatch.setattr(poly, "format_polynomial", counted)
+    monkeypatch.setattr(cli, "format_polynomial", counted)
     code, out, _ = run_cli(["--input", str(CORPUS / "so3_poisson_broken_im2.json")])
     assert code == 1
     assert len(formatted) == len(json.loads(out)["witnesses"]) == 5
+    table = formatted[0][1]
+    assert isinstance(table, dict)
+    assert all(t is table for _, t in formatted)
 
 
 def test_im_report_oracle_block():
@@ -644,6 +649,24 @@ def test_console_script_installed(tmp_path):
     assert json.loads(proc.stdout)["passed"] is True, err
     _, expected, _ = run_cli(["--input", str(source)])
     assert proc.stdout == expected.encode(), err
+
+
+def test_console_script_target_runs_without_an_install(monkeypatch):
+    """The `module:function` that `[project.scripts] verify` names resolves
+    in the source tree and, run as the `verify` command, prints the golden
+    report of a fixture; this holds where no `verify` is on PATH."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"]["verify"]
+    module_name, _, attr = target.partition(":")
+    script = getattr(importlib.import_module(module_name), attr)
+    monkeypatch.setattr(sys, "argv", ["verify", "--input", str(CORPUS / "so3_axioms.json")])
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = script()
+    assert code == 0
+    assert out.getvalue().encode() == (ROOT / "tests" / "golden"
+                                       / "so3_axioms.report.json").read_bytes()
 
 
 @pytest.mark.skipif(shutil.which("verify") is None,

@@ -11,6 +11,13 @@ and the multivector document of the n = 4, k = 3 rung of the benchmark's
 oracle ladder (`perfbench.workloads.oracle_ladder_documents`, seed 57),
 committed with their reports, so that witness residuals on data beyond the
 hand-written fixtures are guarded too.
+
+`tests/golden/dense/` pins one document of the benchmark's `dense_poly`
+workload the same way: `plane_d4_e3_perturbed.json`
+(`perfbench.workloads.dense_poly_documents`, seed 57), whose witnesses hold
+hundreds of terms with coefficients of up to seven digits on the base chart
+and on the prolongation chart, so that the printing of large residuals is
+pinned byte for byte.
 """
 
 from __future__ import annotations
@@ -30,6 +37,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 EXIT_CODES = json.loads((GOLDEN / "exit_codes.json").read_text())
 LADDER = GOLDEN / "ladder"
 LADDER_EXIT_CODES = json.loads((LADDER / "exit_codes.json").read_text())
+DENSE = GOLDEN / "dense"
+DENSE_EXIT_CODES = json.loads((DENSE / "exit_codes.json").read_text())
 SUFFIX = {"json": "json", "text": "txt"}
 
 
@@ -55,16 +64,33 @@ def test_corpus_report_matches_golden(stem, report):
     assert err == (stderr.read_bytes() if stderr.exists() else b"")
 
 
+def _documents(directory: Path) -> list:
+    return sorted(p.stem for p in directory.glob("*.json")
+                  if "." not in p.stem and p.stem != "exit_codes")
+
+
+def _check_generated(directory: Path, exit_codes: dict, stem: str, report: str) -> None:
+    code, out, err = _verify(directory / f"{stem}.json", report)
+    assert code == exit_codes[stem][report]
+    assert out == (directory / f"{stem}.report.{SUFFIX[report]}").read_bytes()
+    assert err == b""
+
+
 def test_ladder_golden_covers_its_documents():
-    documents = sorted(p.stem for p in LADDER.glob("*.json")
-                       if "." not in p.stem and p.stem != "exit_codes")
-    assert documents == sorted(LADDER_EXIT_CODES) == ["n4_k3_im_broken", "n4_k3_mv"]
+    assert _documents(LADDER) == sorted(LADDER_EXIT_CODES) == ["n4_k3_im_broken", "n4_k3_mv"]
 
 
 @pytest.mark.parametrize("report", sorted(SUFFIX))
 @pytest.mark.parametrize("stem", sorted(LADDER_EXIT_CODES))
 def test_ladder_report_matches_golden(stem, report):
-    code, out, err = _verify(LADDER / f"{stem}.json", report)
-    assert code == LADDER_EXIT_CODES[stem][report]
-    assert out == (LADDER / f"{stem}.report.{SUFFIX[report]}").read_bytes()
-    assert err == b""
+    _check_generated(LADDER, LADDER_EXIT_CODES, stem, report)
+
+
+def test_dense_golden_covers_its_documents():
+    assert _documents(DENSE) == sorted(DENSE_EXIT_CODES) == ["plane_d4_e3_perturbed"]
+
+
+@pytest.mark.parametrize("report", sorted(SUFFIX))
+@pytest.mark.parametrize("stem", sorted(DENSE_EXIT_CODES))
+def test_dense_report_matches_golden(stem, report):
+    _check_generated(DENSE, DENSE_EXIT_CODES, stem, report)

@@ -19,11 +19,19 @@ limit, and coefficients too wide for it.  `packing_cases` draws calls that
 the route multiplies, each with one- and many-group factors, a factor
 shared by several pairs, totals that cancel in some groups only, rows whose
 last cell is occupied, and int-only or mixed int and Fraction factors.
+
+The printer (`format_polynomial`) is compared with `reference_format`, built
+from the exponent tuples of `p.terms` and the order its docstring states, on
+lists of polynomials drawn on a chart of 17 coordinates and on two charts
+whose coordinate names differ while their packed keys coincide: printing the
+list with one shared monomial table, as a report does, gives the same text as
+printing each polynomial alone, and the text parses back to the polynomial.
 """
 
 from __future__ import annotations
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -217,6 +225,117 @@ def test_format_parse_roundtrip(p):
     text = format_polynomial(p)
     assert parse(text, p.chart) == p
     assert_matches(parse(text, p.chart), sympy.sympify(text.replace("^", "**")))
+
+
+#: a chart wider than 16 coordinates, and two charts of three coordinates
+#: each whose names differ, so that equal exponent tuples pack to equal keys
+PRINT_CHARTS = (
+    base_chart("W", [f"w{i}" for i in range(1, 18)]),
+    base_chart("M", ["x1", "x2", "x3"]),
+    Chart("E", (Coord("y"), Coord("u1", "fiber"), Coord("u2", "fiber"))),
+)
+
+
+def _magnitude(value) -> str:
+    """The decimal text of a non-negative rational, by `Decimal`, which
+    converts an int of any size exactly."""
+    value = Fraction(value)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
+def reference_format(p: Polynomial) -> str:
+    """The printed form of `p` by the rule of `format_polynomial`'s
+    docstring, read off `p.terms`: descending total degree, then descending
+    exponent tuple; a unit coefficient is left out before a monomial, and a
+    leading negative term is written -c*monomial."""
+    order = sorted(p.terms.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
+    pieces = []
+    for exps, c in order:
+        mono = "*".join(name if k == 1 else f"{name}^{k}"
+                        for name, k in zip(p.chart.names, exps) if k)
+        mag = _magnitude(abs(c))
+        product = "*".join(filter(None, [mag, mono]))
+        if not pieces and c < 0:
+            pieces.append(f"-{product}")  # -1*x1, never -x1
+            continue
+        body = mono if mono and mag == "1" else product
+        pieces.append(f"{'-' if c < 0 else '+'} {body}" if pieces else body)
+    return " ".join(pieces) or "0"
+
+
+#: ints of more than `LITERAL_DIGIT_LIMIT` digits, drawn as a few small
+#: parts so that they cost little entropy
+huge = st.tuples(st.integers(1, 99), st.integers(0, 10 ** 6)).map(
+    lambda t: t[0] * 10 ** LITERAL_DIGIT_LIMIT + t[1])
+print_coefficients = st.one_of(integral, non_integral, st.sampled_from([1, -1]),
+                               huge, huge.map(lambda n: -n))
+
+
+@st.composite
+def print_terms(draw, dim: int) -> dict:
+    """A term map on `dim` coordinates whose monomials each involve at most
+    three of them, so that wide charts get sparse monomials."""
+    monomial = st.dictionaries(st.integers(0, dim - 1), st.integers(0, 3), max_size=3).map(
+        lambda sparse: tuple(sparse.get(i, 0) for i in range(dim)))
+    return draw(st.dictionaries(monomial, print_coefficients, max_size=6))
+
+
+@st.composite
+def print_lists(draw) -> list:
+    """Polynomials on all three `PRINT_CHARTS`, in a drawn order; each term
+    map drawn for one three-coordinate chart is also used on the other."""
+    wide, left, right = PRINT_CHARTS
+    out = [Polynomial(wide, draw(print_terms(wide.dim))) for _ in range(draw(st.integers(1, 3)))]
+    for _ in range(draw(st.integers(1, 3))):
+        terms = draw(print_terms(left.dim))
+        out += [Polynomial(left, terms), Polynomial(right, terms)]
+    return draw(st.permutations(out))
+
+
+def _fits_parser(p: Polynomial) -> bool:
+    return all(len(str(Decimal(part))) <= LITERAL_DIGIT_LIMIT
+               for c in p.terms.values()
+               for part in (Fraction(c).numerator, Fraction(c).denominator))
+
+
+def _check_printing(ps: list) -> None:
+    table: dict = {}
+    shared = [format_polynomial(p, table) for p in ps]
+    assert shared == [format_polynomial(p) for p in ps] == [reference_format(p) for p in ps]
+    # one entry per chart printed and per distinct monomial on it
+    charts = {p.chart for p in ps if p.terms}
+    assert {c: len(monomials) for c, monomials in table.items()} == {
+        c: len({e for p in ps if p.chart == c for e in p.terms}) for c in charts}
+    for p, text in zip(ps, shared):
+        if _fits_parser(p):
+            assert parse(text, p.chart) == p
+
+
+@SETTINGS
+@given(print_lists())
+def test_printing_with_a_shared_table_matches_the_reference(ps):
+    _check_printing(ps)
+
+
+def test_printing_covers_signs_fractions_constants_and_long_coefficients():
+    wide, left, right = PRINT_CHARTS
+    long = 10 ** LITERAL_DIGIT_LIMIT + 7
+    e = (2, 0, 1)
+    cases = [
+        Polynomial(left, {e: -3, (0, 0, 0): 5}),                      # leading negative
+        Polynomial(right, {e: -1, (0, 1, 0): 1}),                     # leading -1
+        Polynomial(left, {e: Fraction(-2, 7), (1, 0, 0): Fraction(5, 3)}),
+        Polynomial(right, {(0, 0, 0): Fraction(-9, 4)}),              # a constant
+        Polynomial(left, {(0, 0, 0): 0}),                             # zero
+        Polynomial(wide, {tuple(range(17)): long, (0,) * 17: -long}),  # printed only
+        Polynomial(right, {e: -long}),                                # printed only
+    ]
+    _check_printing(cases + cases[::-1])
+    assert format_polynomial(cases[0]) == "-3*x1^2*x3 + 5"
+    assert format_polynomial(cases[1]) == "-1*y^2*u2 + u1"
+    assert format_polynomial(cases[3]) == "-9/4"
+    assert len(format_polynomial(cases[5])) > 2 * LITERAL_DIGIT_LIMIT
 
 
 @SETTINGS
