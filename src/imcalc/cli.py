@@ -135,7 +135,9 @@ def load_algebroid(doc: dict) -> LieAlgebroid:
 def load_form(doc, chart: Chart, degree: int) -> DifferentialForm:
     _require(isinstance(doc, dict) and isinstance(doc.get("terms"), list),
              "forms are {'degree': d, 'terms': [[[i, ...], 'expr'], ...]}")
-    _require(doc.get("degree") == degree, f"expected a degree-{degree} form")
+    # type(...) is int: `true` and `1.0` compare equal to 1
+    _require(type(doc.get("degree")) is int and doc["degree"] == degree,
+             f"expected a degree-{degree} form, got degree {doc.get('degree')!r}")
     items = []
     for entry in doc["terms"]:
         _require(isinstance(entry, list) and len(entry) == 2, "form terms are [indices, expr]")

@@ -1,68 +1,17 @@
-"""Named example algebroids and candidate structures used by the test suite,
-the CLI corpus, and the README.
+"""The Koszul (cotangent) algebroid of a bivector field, from which the
+benchmark builds its ladder of problems.
 
-The rotation-algebra family over the origin, the tangent and trivial
-cotangent algebroids of the plane, the Koszul (cotangent) algebroid of a
-bivector field, plus two deliberately broken variants: a structure-constant
-table violating the Jacobi identity and a bivector whose Koszul data fails
-the anchor/Jacobi axioms.
+The named example algebroids and candidates of the test suite are built on
+top of it in `tests/support.py`.
 """
 
 from __future__ import annotations
 
 from .algebroid import LieAlgebroid
-from .forms import DifferentialForm, Multivector
-from .imforms import IMForm, im_form_from_base_form
-from .linforms import BundleForms
-from .poly import Chart, Polynomial, base_chart, parse
+from .forms import Multivector
 
 
-def point_chart(name: str = "pt") -> Chart:
-    return base_chart(name, [])
-
-
-def so3_algebroid() -> LieAlgebroid:
-    """Rotation Lie algebra as an algebroid over a point (F1)."""
-    chart = point_chart()
-    one = Polynomial.const(chart, 1)
-    structure = {(0, 1): {2: one}, (1, 2): {0: one}, (0, 2): {1: -one}}
-    return LieAlgebroid(chart, 3, ("e1", "e2", "e3"), [(), (), ()], structure)
-
-
-def tangent_algebroid(coord_names=("x1", "x2"), chart_name="R") -> LieAlgebroid:
-    """Tangent algebroid with the coordinate frame (F2 for the plane)."""
-    chart = base_chart(chart_name, coord_names)
-    n = chart.dim
-    zero = Polynomial.zero(chart)
-    one = Polynomial.const(chart, 1)
-    anchor = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    return LieAlgebroid(chart, n, tuple(f"e{i + 1}" for i in range(n)), anchor, {})
-
-
-def trivial_cotangent_algebroid() -> LieAlgebroid:
-    """Cotangent bundle of the plane with zero anchor and bracket (F4)."""
-    chart = base_chart("R", ("x1", "x2"))
-    zero = Polynomial.zero(chart)
-    return LieAlgebroid(chart, 2, ("e1", "e2"), [[zero, zero], [zero, zero]], {})
-
-
-def broken_jacobi_algebroid() -> LieAlgebroid:
-    """Structure constants over a point failing Jacobi at (1,2,3) (F5)."""
-    chart = point_chart()
-    one = Polynomial.const(chart, 1)
-    structure = {(0, 1): {0: one}, (1, 2): {1: one}}
-    return LieAlgebroid(chart, 3, ("e1", "e2", "e3"), [(), (), ()], structure,
-                        unchecked=True)
-
-
-def bivector(chart: Chart, entries) -> Multivector:
-    """Bivector from {(i, j): expression} with i < j zero-based."""
-    table = {key: parse(expr, chart) for key, expr in entries.items()}
-    return Multivector(chart, 2, table)
-
-
-def koszul_algebroid(pi: Multivector, frame_prefix: str = "e",
-                     unchecked: bool = False) -> LieAlgebroid:
+def koszul_algebroid(pi: Multivector, unchecked: bool = False) -> LieAlgebroid:
     """Cotangent algebroid data of a bivector field.
 
     Frame section a stands for the a-th coordinate differential; the anchor
@@ -84,61 +33,5 @@ def koszul_algebroid(pi: Multivector, frame_prefix: str = "e",
                     row[c] = d
             if row:
                 structure[(a, b)] = row
-    names = tuple(f"{frame_prefix}{i + 1}" for i in range(n))
+    names = tuple(f"e{i + 1}" for i in range(n))
     return LieAlgebroid(chart, n, names, anchor, structure, unchecked=unchecked)
-
-
-def so3_dual_bivector(chart: Chart | None = None) -> Multivector:
-    """The rotation-coalgebra bivector x3 d1^d2 + x1 d2^d3 + x2 d3^d1."""
-    chart = chart or base_chart("R", ("x1", "x2", "x3"))
-    return bivector(chart, {(0, 1): "x3", (0, 2): "-1*x2", (1, 2): "x1"})
-
-
-def broken_so3_dual_bivector(chart: Chart | None = None) -> Multivector:
-    """A perturbation of the rotation-coalgebra bivector that fails Jacobi.
-
-    The middle coefficient is squared: x3 d1^d2 + x3^2 d2^d3 + x2 d3^d1.
-    (Squaring the first coefficient instead would stay Poisson: the Jacobi
-    defect of f(x3) d1^d2 + x1 d2^d3 + x2 d3^d1 vanishes for every f.)
-    """
-    chart = chart or base_chart("R", ("x1", "x2", "x3"))
-    return bivector(chart, {(0, 1): "x3", (0, 2): "-1*x2", (1, 2): "x3^2"})
-
-
-def koszul_so3_algebroid() -> LieAlgebroid:
-    """Koszul algebroid of the rotation-coalgebra bivector (F3)."""
-    return koszul_algebroid(so3_dual_bivector())
-
-
-def broken_koszul_algebroid() -> LieAlgebroid:
-    """Koszul data of the broken bivector; fails check_axioms (part of F8)."""
-    return koszul_algebroid(broken_so3_dual_bivector(), unchecked=True)
-
-
-def identity_im2_data(algebroid: LieAlgebroid) -> IMForm:
-    """The (identity, zero) IM 2-form candidate on a rank-n Koszul algebroid:
-    mu sends the a-th frame section to the a-th coordinate differential."""
-    chart = algebroid.base_chart
-    one = Polynomial.const(chart, 1)
-    mu = tuple(DifferentialForm(chart, 1, {(a,): one}) for a in range(algebroid.rank))
-    nu = tuple(DifferentialForm(chart, 2) for _ in range(algebroid.rank))
-    return IMForm(algebroid, BundleForms(2, mu, nu))
-
-
-def poisson_im_form() -> IMForm:
-    """(identity, 0) on the rotation-coalgebra Koszul algebroid (F6)."""
-    return identity_im2_data(koszul_so3_algebroid())
-
-
-def broken_poisson_im_form() -> IMForm:
-    """(identity, 0) on the broken Koszul data (F8)."""
-    return identity_im2_data(broken_koszul_algebroid())
-
-
-def exact_im_form() -> IMForm:
-    """The exact IM 2-form of x1 dx1^dx2 on the tangent algebroid of the
-    plane (F7)."""
-    algebroid = tangent_algebroid()
-    chart = algebroid.base_chart
-    eta = DifferentialForm(chart, 2, {(0, 1): parse("x1", chart)})
-    return im_form_from_base_form(algebroid, eta)

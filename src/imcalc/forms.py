@@ -277,16 +277,6 @@ class VectorField(Multivector):
             self.chart, ((comp, f.diff(names[i])) for (i,), comp in self.coeffs.items()))
 
 
-def as_vector_field(mv: Multivector) -> VectorField:
-    """View a degree-1 multivector as a VectorField."""
-    if mv.degree != 1:
-        raise ValueError("only degree-1 multivectors are vector fields")
-    return mv._like(dict(mv.coeffs), kind=VectorField)
-
-
-wedge = Alternating.wedge
-
-
 def linear_combination(terms: Sequence):
     """The sum of w * x over a nonempty list of (x, w) pairs: x values of
     one type, chart and degree, w Polynomial or int weights.  Every output
@@ -440,31 +430,15 @@ def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     return a._like(collect(groups), a.degree + 1)
 
 
-def _contracted(components: Mapping, a: Alternating) -> dict:
-    """The table of the contraction of a by {(i,): Polynomial} components."""
-    groups: dict = {}
-    Calculus(a.chart).add_contract(groups, {i: p for (i,), p in components.items()}, a.coeffs, 1)
-    return collect(groups)
-
-
 def contract(x: VectorField, a: DifferentialForm) -> DifferentialForm:
     """Interior product i_x a."""
     if x.chart != a.chart:
         raise ChartError("chart mismatch")
     if a.degree == 0:
         return DifferentialForm(a.chart, 0)
-    return a._like(_contracted(x.coeffs, a), a.degree - 1)
-
-
-def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
-    """Interior product of a 1-form into a multivector, i_alpha p."""
-    if alpha.chart != p.chart:
-        raise ChartError("chart mismatch")
-    if alpha.degree != 1:
-        raise ValueError("contract_covector needs a 1-form")
-    if p.degree == 0:
-        return Multivector(p.chart, 0)
-    return p._like(_contracted(alpha.coeffs, p), p.degree - 1, Multivector)
+    groups: dict = {}
+    Calculus(a.chart).add_contract(groups, {i: p for (i,), p in x.coeffs.items()}, a.coeffs, 1)
+    return a._like(collect(groups), a.degree - 1)
 
 
 def iterated_contract(fields: Sequence[VectorField], a: DifferentialForm) -> DifferentialForm:

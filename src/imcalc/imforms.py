@@ -1,5 +1,5 @@
-"""IM k-form verification, constructors, the main equivalence oracle, and the
-k=2 Dirac/Poisson specializations.
+"""IM k-form verification, the exact constructor, the main equivalence oracle,
+and the k=2 Dirac/Poisson specializations.
 
 An IM ("infinitesimally multiplicative") k-form on a Lie algebroid is a pair
 of bundle maps (mu into (k-1)-forms, nu into k-forms) satisfying three
@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 import random
-from typing import Sequence
 
 from .algebroid import (
     CheckReport,
@@ -263,35 +262,6 @@ def im_form_from_base_form(algebroid: LieAlgebroid, eta: DifferentialForm) -> IM
         mu.append(-contract(rho, eta))
         nu.append(-contract(rho, d_eta))
     return IMForm(algebroid, BundleForms(k, tuple(mu), tuple(nu)))
-
-
-def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
-                     phi: DifferentialForm) -> IMForm:
-    """The relative family: nu = -(anchor contraction of phi).
-
-    Requires the anchor contractions of d phi to vanish; under that hypothesis
-    the third IM condition holds by construction (re-verified here), while the
-    first two are genuinely candidate conditions left to `check_im_form`.
-    """
-    if phi.chart != algebroid.base_chart:
-        raise AlgebroidError("phi must live on the algebroid base chart")
-    k = phi.degree - 1
-    d_phi = exterior_derivative(phi)
-    nu = []
-    for a in range(algebroid.rank):
-        rho = algebroid.anchor_field(a)
-        if not contract(rho, d_phi).is_zero():
-            raise AlgebroidError(
-                f"hypothesis violated: anchor contraction of d phi is nonzero "
-                f"for frame section {algebroid.frame_names[a]}")
-        nu.append(-contract(rho, phi))
-    im = IMForm(algebroid, BundleForms(k, tuple(mu), tuple(nu)))
-    residuals = _Residuals(im)
-    for a in range(algebroid.rank):
-        for b in range(a + 1, algebroid.rank):
-            if not residuals.bracket("nu", a, b).is_zero():
-                raise CrossCheckError("relative construction failed its own IM3 guarantee")
-    return im
 
 
 def im_routes(im: IMForm, linear: DifferentialForm | None = None) -> dict:

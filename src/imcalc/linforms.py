@@ -13,13 +13,13 @@ Every linear k-form splits uniquely as
     L  =  d(fiber_pairing_form(mu))  +  fiber_pairing_form(nu)
 
 for bundle maps mu (into (k-1)-forms) and nu (into k-forms) on the base;
-`decompose` inverts this exactly.  The same machinery provides the tangent
-lift of base forms and the frame values of the induced fiberwise-linear
-functional on the tangent prolongation, computed by closed formulas and
-cross-checked against direct contraction with the explicit frame tangent
-vectors.  That cross-check, `cross_check_frame_values`, is the one for both
-prolongations: the multivector functional on the cotangent prolongation
-calls it with the base and fiber positions transposed.
+`decompose` inverts this exactly.  The same machinery provides the frame
+values of the induced fiberwise-linear functional on the tangent
+prolongation, computed by closed formulas and cross-checked against direct
+contraction with the explicit frame tangent vectors.  That cross-check,
+`cross_check_frame_values`, is the one for both prolongations: the
+multivector functional on the cotangent prolongation calls it with the base
+and fiber positions transposed.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from .forms import (
     Alternating,
     DifferentialForm,
     Minors,
-    VectorField,
     add_scaled,
     collect,
-    contract,
     exterior_derivative,
 )
 from .poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER
@@ -95,14 +93,6 @@ def total_chart(base: Chart, frame_names: Sequence[str]) -> TotalChart:
 
 def total_chart_of(algebroid: LieAlgebroid) -> TotalChart:
     return total_chart(algebroid.base_chart, algebroid.frame_names)
-
-
-def tangent_total_chart(base: Chart) -> TotalChart:
-    """Total space of the tangent bundle; the frame is the coordinate frame."""
-    fiber = tuple(f"{n}_dot" for n in base.names)
-    chart = Chart(f"{base.name}|tan",
-                  base.coords + tuple(Coord(n, ROLE_FIBER) for n in fiber))
-    return TotalChart(chart, base, tuple(f"@{n}" for n in base.names), fiber)
 
 
 @dataclass(frozen=True)
@@ -227,38 +217,6 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
     if d_pairing + fiber_pairing_form(nu, tc, k) != form:
         raise CrossCheckError("decompose roundtrip failed")
     return BundleForms(k, mu, nu)
-
-
-# ---------------------------------------------------------------------------
-# tangent lifts
-# ---------------------------------------------------------------------------
-
-def fiber_contraction(beta: DifferentialForm, base: Chart) -> DifferentialForm:
-    """The (l-1)-form on the tangent total space pairing a point with a base
-    l-form: at the tangent vector X it is the pullback of i_X beta.
-
-    Concretely the pairing form of the bundle map X -> i_X beta.
-    """
-    if beta.degree < 1:
-        raise ValueError("fiber_contraction needs a form of degree >= 1")
-    if beta.chart != base:
-        raise ChartError("form does not live on the given base chart")
-    tc = tangent_total_chart(base)
-    maps = [contract(VectorField.coordinate(base, n), beta) for n in base.names]
-    return fiber_pairing_form(maps, tc, beta.degree - 1)
-
-
-def tangent_lift(alpha: DifferentialForm, base: Chart) -> DifferentialForm:
-    """Tangent lift to the tangent total space via the Cartan-like formula
-    d(fiber_contraction(alpha)) + fiber_contraction(d alpha)."""
-    if alpha.chart != base:
-        raise ChartError("form does not live on the given base chart")
-    d_alpha = exterior_derivative(alpha)
-    lifted = fiber_contraction(d_alpha, base) if d_alpha.degree >= 1 else None
-    if alpha.degree >= 1:
-        part = exterior_derivative(fiber_contraction(alpha, base))
-        return part + lifted if lifted is not None else part
-    return lifted if lifted is not None else DifferentialForm(tangent_total_chart(base).chart, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,14 @@ from imcalc.forms import (
     DifferentialForm, Multivector, VectorField, contract, exterior_derivative, linear_combination,
     sort_indices,
 )
-from imcalc.fixtures import koszul_algebroid, so3_algebroid
+from imcalc.fixtures import koszul_algebroid
 from imcalc.linforms import BundleForms
 from imcalc.multivec import Derivation, LinearMultivector
 from imcalc.poly import (
     EXPONENT_LIMIT, LITERAL_DIGIT_LIMIT, POWER_TERM_BUDGET, PRODUCT_PAIR_BUDGET, Chart, ChartError,
     ParseError, Polynomial, _canonical, _check_guard, _make, _same, base_chart,
 )
-from support import scalar_action
+from support import scalar_action, so3_algebroid
 
 
 @pytest.fixture

@@ -1,7 +1,13 @@
-"""Test batteries that check the library from the outside.
+"""Named examples and test batteries that check the library from the outside.
 
-Each one is a second route to a fact the library computes, or a consequence
-of one: the tangent lift against the canonical involution, the twisted
+The named examples are the algebroids and candidates the suite builds on:
+the rotation algebra over a point, the tangent and trivial cotangent
+algebroids of the plane, Koszul algebroids of bivectors (built by
+`imcalc.fixtures.koszul_algebroid`), two deliberately broken variants and
+the IM forms on them.  Each battery is a second route to a fact the library
+computes, or a consequence of one: the tangent lift against the canonical
+involution, the relative family of IM forms, the Weil-cochain
+correspondence of linear forms and its vertical differential, the twisted
 bracket and the span closure of graph-of-bivector Dirac candidates, the
 pairing form of a bundle map by one sum per frame section, the frame values
 of an IM form by iterated contraction, the full evaluation of a multivector
@@ -15,28 +21,200 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from imcalc.algebroid import (
-    Section, core_frame_name, linear_frame_name, tangent_copy_name, tangent_prolongation,
+    CheckReport, LieAlgebroid, Section, component_violations, core_frame_name,
+    linear_frame_name, run_oracle, tangent_copy_name, tangent_prolongation,
 )
-from imcalc.errors import AlgebroidError
+from imcalc.errors import AlgebroidError, CrossCheckError
+from imcalc.fixtures import koszul_algebroid
 from imcalc.forms import (
+    Alternating,
+    Calculus,
     DifferentialForm,
     Minors,
     Multivector,
     VectorField,
-    as_vector_field,
+    collect,
     contract,
-    contract_covector,
     exterior_derivative,
     iterated_contract,
     lie_derivative,
 )
-from imcalc.imforms import DiracCandidate
+from imcalc.imforms import (
+    DiracCandidate, IMForm, _Residuals, check_im_form, im_form_from_base_form,
+)
 from imcalc.multivec import Derivation
-from imcalc.linforms import TotalChart, tangent_lift, tangent_total_chart
-from imcalc.poly import Chart, Coord, Polynomial, ROLE_FIBER
+from imcalc.linforms import (
+    BundleForms, TotalChart, decompose, fiber_pairing_form, total_chart_of,
+)
+from imcalc.poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER, base_chart, parse
+from imcalc.weil import WeilCochain1, cochain_from_bundle_forms, horizontal_vanishing_report
+
+
+# -- named examples -------------------------------------------------------------
+
+def point_chart(name: str = "pt") -> Chart:
+    return base_chart(name, [])
+
+
+def so3_algebroid() -> LieAlgebroid:
+    """Rotation Lie algebra as an algebroid over a point (F1)."""
+    chart = point_chart()
+    one = Polynomial.const(chart, 1)
+    structure = {(0, 1): {2: one}, (1, 2): {0: one}, (0, 2): {1: -one}}
+    return LieAlgebroid(chart, 3, ("e1", "e2", "e3"), [(), (), ()], structure)
+
+
+def tangent_algebroid(coord_names=("x1", "x2"), chart_name="R") -> LieAlgebroid:
+    """Tangent algebroid with the coordinate frame (F2 for the plane)."""
+    chart = base_chart(chart_name, coord_names)
+    n = chart.dim
+    zero = Polynomial.zero(chart)
+    one = Polynomial.const(chart, 1)
+    anchor = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    return LieAlgebroid(chart, n, tuple(f"e{i + 1}" for i in range(n)), anchor, {})
+
+
+def trivial_cotangent_algebroid() -> LieAlgebroid:
+    """Cotangent bundle of the plane with zero anchor and bracket (F4)."""
+    chart = base_chart("R", ("x1", "x2"))
+    zero = Polynomial.zero(chart)
+    return LieAlgebroid(chart, 2, ("e1", "e2"), [[zero, zero], [zero, zero]], {})
+
+
+def broken_jacobi_algebroid() -> LieAlgebroid:
+    """Structure constants over a point failing Jacobi at (1,2,3) (F5)."""
+    chart = point_chart()
+    one = Polynomial.const(chart, 1)
+    structure = {(0, 1): {0: one}, (1, 2): {1: one}}
+    return LieAlgebroid(chart, 3, ("e1", "e2", "e3"), [(), (), ()], structure,
+                        unchecked=True)
+
+
+def bivector(chart: Chart, entries) -> Multivector:
+    """Bivector from {(i, j): expression} with i < j zero-based."""
+    table = {key: parse(expr, chart) for key, expr in entries.items()}
+    return Multivector(chart, 2, table)
+
+
+def so3_dual_bivector(chart: Chart | None = None) -> Multivector:
+    """The rotation-coalgebra bivector x3 d1^d2 + x1 d2^d3 + x2 d3^d1."""
+    chart = chart or base_chart("R", ("x1", "x2", "x3"))
+    return bivector(chart, {(0, 1): "x3", (0, 2): "-1*x2", (1, 2): "x1"})
+
+
+def broken_so3_dual_bivector(chart: Chart | None = None) -> Multivector:
+    """A perturbation of the rotation-coalgebra bivector that fails Jacobi.
+
+    The middle coefficient is squared: x3 d1^d2 + x3^2 d2^d3 + x2 d3^d1.
+    (Squaring the first coefficient instead would stay Poisson: the Jacobi
+    defect of f(x3) d1^d2 + x1 d2^d3 + x2 d3^d1 vanishes for every f.)
+    """
+    chart = chart or base_chart("R", ("x1", "x2", "x3"))
+    return bivector(chart, {(0, 1): "x3", (0, 2): "-1*x2", (1, 2): "x3^2"})
+
+
+def koszul_so3_algebroid() -> LieAlgebroid:
+    """Koszul algebroid of the rotation-coalgebra bivector (F3)."""
+    return koszul_algebroid(so3_dual_bivector())
+
+
+def broken_koszul_algebroid() -> LieAlgebroid:
+    """Koszul data of the broken bivector; fails check_axioms (part of F8)."""
+    return koszul_algebroid(broken_so3_dual_bivector(), unchecked=True)
+
+
+def identity_im2_data(algebroid: LieAlgebroid) -> IMForm:
+    """The (identity, zero) IM 2-form candidate on a rank-n Koszul algebroid:
+    mu sends the a-th frame section to the a-th coordinate differential."""
+    chart = algebroid.base_chart
+    one = Polynomial.const(chart, 1)
+    mu = tuple(DifferentialForm(chart, 1, {(a,): one}) for a in range(algebroid.rank))
+    nu = tuple(DifferentialForm(chart, 2) for _ in range(algebroid.rank))
+    return IMForm(algebroid, BundleForms(2, mu, nu))
+
+
+def poisson_im_form() -> IMForm:
+    """(identity, 0) on the rotation-coalgebra Koszul algebroid (F6)."""
+    return identity_im2_data(koszul_so3_algebroid())
+
+
+def broken_poisson_im_form() -> IMForm:
+    """(identity, 0) on the broken Koszul data (F8)."""
+    return identity_im2_data(broken_koszul_algebroid())
+
+
+def exact_im_form() -> IMForm:
+    """The exact IM 2-form of x1 dx1^dx2 on the tangent algebroid of the
+    plane (F7)."""
+    algebroid = tangent_algebroid()
+    chart = algebroid.base_chart
+    eta = DifferentialForm(chart, 2, {(0, 1): parse("x1", chart)})
+    return im_form_from_base_form(algebroid, eta)
+
+
+# -- wedges, degree-1 multivectors and covector contraction ---------------------
+
+wedge = Alternating.wedge
+
+
+def as_vector_field(mv: Multivector) -> VectorField:
+    """View a degree-1 multivector as a VectorField."""
+    if mv.degree != 1:
+        raise ValueError("only degree-1 multivectors are vector fields")
+    return mv._like(dict(mv.coeffs), kind=VectorField)
+
+
+def contract_covector(alpha: DifferentialForm, p: Multivector) -> Multivector:
+    """Interior product of a 1-form into a multivector, i_alpha p."""
+    if alpha.chart != p.chart:
+        raise ChartError("chart mismatch")
+    if alpha.degree != 1:
+        raise ValueError("contract_covector needs a 1-form")
+    if p.degree == 0:
+        return Multivector(p.chart, 0)
+    groups: dict = {}
+    Calculus(p.chart).add_contract(groups, {i: c for (i,), c in alpha.coeffs.items()},
+                                   p.coeffs, 1)
+    return p._like(collect(groups), p.degree - 1, Multivector)
 
 
 # -- the tangent lift ----------------------------------------------------------
+
+def tangent_total_chart(base: Chart) -> TotalChart:
+    """Total space of the tangent bundle; the frame is the coordinate frame."""
+    fiber = tuple(f"{n}_dot" for n in base.names)
+    chart = Chart(f"{base.name}|tan",
+                  base.coords + tuple(Coord(n, ROLE_FIBER) for n in fiber))
+    return TotalChart(chart, base, tuple(f"@{n}" for n in base.names), fiber)
+
+
+def fiber_contraction(beta: DifferentialForm, base: Chart) -> DifferentialForm:
+    """The (l-1)-form on the tangent total space pairing a point with a base
+    l-form: at the tangent vector X it is the pullback of i_X beta.
+
+    Concretely the pairing form of the bundle map X -> i_X beta.
+    """
+    if beta.degree < 1:
+        raise ValueError("fiber_contraction needs a form of degree >= 1")
+    if beta.chart != base:
+        raise ChartError("form does not live on the given base chart")
+    tc = tangent_total_chart(base)
+    maps = [contract(VectorField.coordinate(base, n), beta) for n in base.names]
+    return fiber_pairing_form(maps, tc, beta.degree - 1)
+
+
+def tangent_lift(alpha: DifferentialForm, base: Chart) -> DifferentialForm:
+    """Tangent lift to the tangent total space via the Cartan-like formula
+    d(fiber_contraction(alpha)) + fiber_contraction(d alpha)."""
+    if alpha.chart != base:
+        raise ChartError("form does not live on the given base chart")
+    d_alpha = exterior_derivative(alpha)
+    lifted = fiber_contraction(d_alpha, base) if d_alpha.degree >= 1 else None
+    if alpha.degree >= 1:
+        part = exterior_derivative(fiber_contraction(alpha, base))
+        return part + lifted if lifted is not None else part
+    return lifted if lifted is not None else DifferentialForm(tangent_total_chart(base).chart, 0)
+
 
 def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
                                      sample: Mapping) -> Fraction:
@@ -93,6 +271,131 @@ def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
             rhs += induced.diff(tangent_copy_name(n, l + 1)).eval(base_point) \
                 * Fraction(dxdot[l][n])
     return lhs - rhs
+
+
+# -- IM forms: the relative family ----------------------------------------------
+
+def im_form_relative(algebroid: LieAlgebroid, mu: Sequence[DifferentialForm],
+                     phi: DifferentialForm) -> IMForm:
+    """The relative family: nu = -(anchor contraction of phi).
+
+    Requires the anchor contractions of d phi to vanish; under that hypothesis
+    the third IM condition holds by construction (re-verified here), while the
+    first two are genuinely candidate conditions left to `check_im_form`.
+    """
+    if phi.chart != algebroid.base_chart:
+        raise AlgebroidError("phi must live on the algebroid base chart")
+    k = phi.degree - 1
+    d_phi = exterior_derivative(phi)
+    nu = []
+    for a in range(algebroid.rank):
+        rho = algebroid.anchor_field(a)
+        if not contract(rho, d_phi).is_zero():
+            raise AlgebroidError(
+                f"hypothesis violated: anchor contraction of d phi is nonzero "
+                f"for frame section {algebroid.frame_names[a]}")
+        nu.append(-contract(rho, phi))
+    im = IMForm(algebroid, BundleForms(k, tuple(mu), tuple(nu)))
+    residuals = _Residuals(im)
+    for a in range(algebroid.rank):
+        for b in range(a + 1, algebroid.rank):
+            if not residuals.bracket("nu", a, b).is_zero():
+                raise CrossCheckError("relative construction failed its own IM3 guarantee")
+    return im
+
+
+# -- Weil cochains: the correspondence and the vertical differential --------------
+
+def linear_form_to_cochain(form: DifferentialForm, algebroid: LieAlgebroid) -> WeilCochain1:
+    """The isomorphism from linear k-forms onto degree-(1,k) cochains.
+
+    With (mu, nu) the decomposition of the form, comp0 is d mu + nu and comp1
+    is -mu.  Injective: the inverse reads mu = -comp1 and nu = comp0 - d mu.
+    """
+    tc = total_chart_of(algebroid)
+    bundle_forms = decompose(form, tc)
+    return cochain_from_bundle_forms(algebroid, bundle_forms)
+
+
+def cochain_to_bundle_forms(w: WeilCochain1) -> BundleForms:
+    """Invert `cochain_from_bundle_forms`: mu = -comp1, nu = comp0 - d mu."""
+    mu = []
+    nu = []
+    for a in range(w.algebroid.rank):
+        m = -w.value1(a)
+        mu.append(m)
+        nu.append(w.value0(a) - exterior_derivative(m))
+    return BundleForms(w.k, tuple(mu), tuple(nu))
+
+
+def vertical_differential(mu: Sequence[DifferentialForm],
+                          algebroid: LieAlgebroid) -> WeilCochain1:
+    """Vertical differential of a bundle map into k-forms, as a (1, k+1)
+    cochain: comp0 = -d mu, comp1 = mu.
+
+    Only bundle maps (plain form lists) are accepted; feeding a cochain back
+    in is a degree-bookkeeping error by construction.
+    """
+    mu = tuple(mu)
+    if len(mu) != algebroid.rank:
+        raise AlgebroidError("need one form per frame section")
+    degrees = {f.degree for f in mu}
+    if len(degrees) != 1:
+        raise AlgebroidError("all forms must share one degree")
+    comp0 = {}
+    comp1 = {}
+    for a, name in enumerate(algebroid.frame_names):
+        comp0[name] = -exterior_derivative(mu[a])
+        comp1[name] = mu[a]
+    return WeilCochain1(algebroid, degrees.pop() + 1, comp0, comp1)
+
+
+def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -> CheckReport:
+    """The two structural properties of the cochain correspondence.
+
+    (a) Mapping the exterior derivative of a linear form equals minus the
+    vertical differential of the form's pure-pairing part, unconditionally;
+    (b) the IM verdict of the decomposition agrees with vanishing of the
+    horizontal differential of the image.  Since (b) compares two
+    independently computed booleans whose equality is a theorem, `run_oracle`
+    raises OracleDisagreement on a mismatch (always a library defect); the
+    report carries the violations of (a).
+    """
+    A = algebroid
+    tc = total_chart_of(A)
+    bf = decompose(form, tc)
+    violations = []
+
+    lhs = linear_form_to_cochain(exterior_derivative(form), A)
+    rhs = negated_cochain(vertical_differential(bf.nu, A))
+    for a, name in enumerate(A.frame_names):
+        diff0 = lhs.value0(a) - rhs.value0(a)
+        diff1 = lhs.value1(a) - rhs.value1(a)
+        violations.extend(component_violations("PSI_D0", (name,), diff0))
+        violations.extend(component_violations("PSI_D1", (name,), diff1))
+
+    run_oracle(A, {
+        "im_conditions": lambda: check_im_form(IMForm(A, bf)),
+        "dh_vanishing": lambda: horizontal_vanishing_report(cochain_from_bundle_forms(A, bf)),
+    })
+    return CheckReport.collect(violations)
+
+
+def value0_scaled(w: WeilCochain1, f: Polynomial, a: int) -> DifferentialForm:
+    """comp0 of `w` on the section f e_a via the compatibility rule."""
+    df = exterior_derivative(DifferentialForm.function(f))
+    return w.value0(a).scale(f) - wedge(df, w.value1(a))
+
+
+def negated_cochain(w: WeilCochain1) -> WeilCochain1:
+    return WeilCochain1(w.algebroid, w.k,
+                        {n: -f for n, f in w.comp0.items()},
+                        {n: -f for n, f in w.comp1.items()})
+
+
+def cochain_is_zero(w: WeilCochain1) -> bool:
+    return (all(f.is_zero() for f in w.comp0.values())
+            and all(f.is_zero() for f in w.comp1.values()))
 
 
 # -- k = 2: Dirac candidates ---------------------------------------------------

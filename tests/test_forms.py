@@ -35,17 +35,15 @@ from imcalc.forms import (
     Multivector,
     VectorField,
     add_wedge,
-    as_vector_field,
     collect,
     contract,
-    contract_covector,
     exterior_derivative,
     iterated_contract,
     lie_derivative,
     schouten,
-    wedge,
 )
 from imcalc.poly import ChartError, Polynomial, base_chart, parse
+from support import as_vector_field, contract_covector, wedge
 
 CH2 = base_chart("M", ["x1", "x2"])
 CH3 = base_chart("M", ["x1", "x2", "x3"])

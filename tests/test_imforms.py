@@ -12,18 +12,7 @@ from conftest import (
 )
 from imcalc.algebroid import Violation
 from imcalc.errors import AlgebroidError
-from imcalc.fixtures import (
-    broken_poisson_im_form,
-    broken_so3_dual_bivector,
-    exact_im_form,
-    koszul_algebroid,
-    koszul_so3_algebroid,
-    poisson_im_form,
-    so3_algebroid,
-    so3_dual_bivector,
-    tangent_algebroid,
-    trivial_cotangent_algebroid,
-)
+from imcalc.fixtures import koszul_algebroid
 from imcalc.forms import (
     DifferentialForm,
     Multivector,
@@ -41,12 +30,24 @@ from imcalc.imforms import (
     default_sample_points,
     dirac_candidate,
     im_form_from_base_form,
-    im_form_relative,
     oracle_equivalence,
 )
 from imcalc.linforms import BundleForms
 from imcalc.poly import Polynomial, base_chart, parse
-from support import graph_closure_residuals, twisted_bracket
+from support import (
+    broken_poisson_im_form,
+    broken_so3_dual_bivector,
+    exact_im_form,
+    graph_closure_residuals,
+    im_form_relative,
+    koszul_so3_algebroid,
+    poisson_im_form,
+    so3_algebroid,
+    so3_dual_bivector,
+    tangent_algebroid,
+    trivial_cotangent_algebroid,
+    twisted_bracket,
+)
 
 
 def test_trivial_cotangent_with_arbitrary_nu_passes(rng):

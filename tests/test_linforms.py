@@ -14,13 +14,11 @@ import pytest
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form
 from imcalc import cli
 from imcalc.errors import AlgebroidError, CrossCheckError
-from imcalc.fixtures import exact_im_form, koszul_so3_algebroid, tangent_algebroid
 from imcalc.forms import (
     DifferentialForm,
     VectorField,
     contract,
     exterior_derivative,
-    wedge,
 )
 from imcalc.imforms import IMForm
 from imcalc.linforms import (
@@ -29,19 +27,25 @@ from imcalc.linforms import (
     TotalChart,
     cross_check_frame_values,
     decompose,
-    fiber_contraction,
     fiber_pairing_form,
     form_frame_functional,
     is_linear,
     linear_form,
-    tangent_lift,
-    tangent_total_chart,
     total_chart,
     total_chart_of,
 )
 from imcalc.poly import Polynomial, base_chart, parse
 from support import (
-    reference_fiber_pairing_form, reference_form_frame_values, tangent_lift_involution_residual,
+    exact_im_form,
+    fiber_contraction,
+    koszul_so3_algebroid,
+    reference_fiber_pairing_form,
+    reference_form_frame_values,
+    tangent_algebroid,
+    tangent_lift,
+    tangent_lift_involution_residual,
+    tangent_total_chart,
+    wedge,
 )
 
 CH2 = base_chart("M", ["x1", "x2"])

@@ -21,13 +21,6 @@ from imcalc.algebroid import (
     LieAlgebroid, Section, check_axioms, cotangent_prolongation, section_bracket,
 )
 from imcalc.errors import AlgebroidError, CrossCheckError
-from imcalc.fixtures import (
-    broken_jacobi_algebroid,
-    broken_koszul_algebroid,
-    koszul_so3_algebroid,
-    so3_algebroid,
-    tangent_algebroid,
-)
 from imcalc.forms import DifferentialForm, Multivector, exterior_derivative
 from imcalc.linforms import cross_check_frame_values, total_chart_of
 from imcalc.multivec import (
@@ -41,7 +34,16 @@ from imcalc.multivec import (
     oracle_equivalence_dual,
 )
 from imcalc.poly import ChartError, Polynomial, base_chart, parse
-from support import apply_derivation, evaluate_multivector, scalar_action
+from support import (
+    apply_derivation,
+    broken_jacobi_algebroid,
+    broken_koszul_algebroid,
+    evaluate_multivector,
+    koszul_so3_algebroid,
+    scalar_action,
+    so3_algebroid,
+    tangent_algebroid,
+)
 
 
 def test_shape_examples():

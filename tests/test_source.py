@@ -365,3 +365,183 @@ def test_readme_quick_tour_runs_verbatim():
     # the values its comments state
     assert namespace["check_im_form"](namespace["im"]).passed
     assert namespace["oracle_equivalence"](namespace["im"]) == (True, True)
+
+
+# -- what reaches each top-level name -----------------------------------------
+
+PACKAGE = "imcalc"
+
+
+def _library_module(node: ast.ImportFrom) -> str | None:
+    """The library module an import reads from: "" for the package root,
+    None for an import from outside the library."""
+    if node.level == 1:
+        return node.module or ""
+    if node.level == 0 and node.module and node.module.split(".")[0] == PACKAGE:
+        return node.module[len(PACKAGE) + 1:]
+    return None
+
+
+def _imported(tree) -> dict:
+    """{local name: (module, name)} for every library import in `tree`,
+    at any depth."""
+    out = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = _library_module(node)
+            if module is not None:
+                for alias in node.names:
+                    out[alias.asname or alias.name] = (module, alias.name)
+    return out
+
+
+def _named(node, imported: dict, module: str) -> set:
+    """The (module, name) pairs `node` refers to: each name, read through
+    the imports or else as a top-level name of `module`, and `m.name` for a
+    library module m imported from the package root."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(imported.get(sub.id, (module, sub.id)))
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name):
+            home = imported.get(sub.value.id)
+            if home is not None and home[0] == "":
+                out.add((home[1], sub.attr))
+    return out
+
+
+def reference_graph(library: dict) -> dict:
+    """{(module, name): pairs its definition refers to} over the top-level
+    functions, classes and assigned names of the library modules `library`
+    ({module: source}, the package root under ""); a re-export of the root
+    refers to what it imports, and (module, None) holds what the module's
+    other top-level statements refer to, as they run on import."""
+    graph = {}
+    for module, source in library.items():
+        tree = ast.parse(source)
+        imported = _imported(tree)
+        graph[(module, None)] = set()
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if module == "":
+                    for name, home in _imported(node).items():
+                        graph[("", name)] = {home}
+                continue
+            else:
+                graph[(module, None)] |= _named(node, imported, module)
+                continue
+            for name in names:
+                graph.setdefault((module, name), set()).update(_named(node, imported, module))
+    return graph
+
+
+def quick_tour(readme: str) -> tuple:
+    """README's quick tour as (the source of its Python block, the prose
+    of the section with every fenced block taken out)."""
+    section = readme.split("## Library quick tour", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    prose = re.sub(r"```.*?```", "", section, flags=re.S)
+    return block, re.split(r"^#", prose, maxsplit=1, flags=re.M)[0]
+
+
+def outside_roots(readme: str, scripts, sources, graph: dict) -> set:
+    """The (module, name) pairs reached from outside the library: the
+    console scripts ("imcalc.cli:main"), the quick tour's imports and the
+    names in the backticks of its prose, and the library imports, module
+    attributes and `TARGETS` rows of `sources` (the benchmark and tools)."""
+    roots = set()
+    for target in scripts:
+        module, _, name = target.partition(":")
+        roots.add((module[len(PACKAGE) + 1:], name))
+    block, prose = quick_tour(readme)
+    roots |= set(_imported(ast.parse(block)).values())
+    named = {word for span in re.findall(r"`([^`]*)`", prose)
+             for word in re.findall(r"[A-Za-z_]\w*", span)}
+    roots |= {key for key in graph if key[1] in named}
+    for source in sources:
+        tree = ast.parse(source)
+        imported = _imported(tree)
+        roots |= set(imported.values())
+        roots |= {key for key in _named(tree, imported, "") if key[0] != ""}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+                for module, attr, *_ in ast.literal_eval(node.value):
+                    roots.add((module[len(PACKAGE) + 1:], attr.split(".")[0]))
+    return roots
+
+
+def unreached(graph: dict, roots: set) -> list:
+    """The (module, name) of each top-level library name, outside the
+    package root and dunder names, that no root reaches through `graph`."""
+    seen = set()
+    todo = list(roots | {key for key in graph if key[1] is None})
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in graph:
+            continue
+        seen.add(key)
+        todo.extend(graph[key])
+    return sorted(key for key in graph
+                  if key[0] and key[1] and not key[1].startswith("__") and key not in seen)
+
+
+def test_every_library_name_is_reached():
+    """A top-level name stays in `src/` only if `verify`, the quick tour,
+    the benchmark or the tools reach it, or another name that stays;
+    batteries only the tests use live in `tests/support.py`."""
+    library = {"" if p.name == "__init__.py" else p.stem: p.read_text(encoding="utf-8")
+               for p in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
+    graph = reference_graph(library)
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        scripts = tomllib.load(f)["project"]["scripts"].values()
+    outside = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+               if not p.name.startswith("test_")] + sorted((ROOT / "tools").glob("*.py"))
+    roots = outside_roots((ROOT / "README.md").read_text(encoding="utf-8"), scripts,
+                          [p.read_text(encoding="utf-8") for p in outside], graph)
+    missing = unreached(graph, roots)
+    assert not missing, "reached by nothing: " + ", ".join(f"{m}.{n}" for m, n in missing)
+
+
+def test_reach_check_sees_what_it_should():
+    """A def that nothing calls, and one named in the tour's prose or its
+    code comment but never in backticks, are unreached; a name in
+    backticks past the tour's section reaches nothing either."""
+    library = {
+        "": "from .alg import check\n",
+        "alg": ("from .kernel import Poly as P\n"
+                "LIMIT = 3\n"
+                "def check(x):\n"
+                "    return P(x) + LIMIT\n"
+                "def orphan():\n"
+                "    return check(1)\n"
+                "def in_prose():\n"
+                "    pass\n"
+                "def traced():\n"
+                "    pass\n"),
+        "kernel": "class Poly:\n    pass\ndef _helper():\n    pass\n",
+        "cli": ("from .alg import check\n"
+                "def main():\n"
+                "    return check(0)\n"
+                "if __name__ == '__main__':\n"
+                "    _helper()\n"),
+    }
+    readme = ("## Library quick tour\n\n"
+              "```python\nfrom imcalc import check\n# in_prose, `orphan`\n```\n\n"
+              "Call `check(x)`; in_prose is named here but not in backticks.\n\n"
+              "### Next\n\n`orphan`\n")
+    bench = ("from imcalc import cli\n"
+             "TARGETS = (('imcalc.alg', 'traced', 'alg'),)\n"
+             "def run():\n"
+             "    return cli.main()\n")
+    graph = reference_graph(library)
+    roots = outside_roots(readme, [], [bench], graph)
+    assert ("cli", "main") in roots and ("alg", "traced") in roots
+    assert unreached(graph, roots) == [("alg", "in_prose"), ("alg", "orphan"),
+                                       ("kernel", "_helper")]

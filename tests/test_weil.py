@@ -5,28 +5,27 @@ from __future__ import annotations
 import pytest
 
 from conftest import rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_poly
-import imcalc.weil
 from imcalc.algebroid import CheckReport, Violation
 from imcalc.errors import AlgebroidError, OracleDisagreement
-from imcalc.fixtures import (
-    broken_poisson_im_form,
-    poisson_im_form,
-    tangent_algebroid,
-    trivial_cotangent_algebroid,
-)
 from imcalc.forms import DifferentialForm, exterior_derivative
 from imcalc.imforms import IMForm, check_im_form, oracle_equivalence
 from imcalc.linforms import BundleForms, linear_form, total_chart_of
-from imcalc.weil import (
+from imcalc.weil import cochain_from_bundle_forms, horizontal_vanishing_report
+from imcalc.poly import Polynomial
+import support
+from support import (
+    broken_poisson_im_form,
     check_weil_correspondence,
-    cochain_from_bundle_forms,
+    cochain_is_zero,
     cochain_to_bundle_forms,
-    horizontal_differential,
-    horizontal_vanishing_report,
     linear_form_to_cochain,
+    negated_cochain,
+    poisson_im_form,
+    tangent_algebroid,
+    trivial_cotangent_algebroid,
+    value0_scaled,
     vertical_differential,
 )
-from imcalc.poly import Polynomial
 
 
 def test_cochain_of_pure_pairing_form(rng):
@@ -62,7 +61,7 @@ def test_cochain_injectivity_roundtrip(rng):
         w = cochain_from_bundle_forms(algebroid, bf)
         back = cochain_to_bundle_forms(w)
         assert back.mu == bf.mu and back.nu == bf.nu
-        if w.is_zero():
+        if cochain_is_zero(w):
             assert linear_form(bf, tc).is_zero()
 
 
@@ -70,7 +69,7 @@ def test_vertical_differential_examples(rng):
     algebroid = tangent_algebroid()
     chart = algebroid.base_chart
     zero = vertical_differential([DifferentialForm(chart, 1)] * 2, algebroid)
-    assert zero.is_zero()
+    assert cochain_is_zero(zero)
     mu = tuple(rnd_form(rng, chart, 1) for _ in range(2))
     w = vertical_differential(mu, algebroid)
     assert w.k == 2
@@ -99,19 +98,18 @@ def test_psi_d_is_minus_dv_psi(rng):
         bf = rnd_bundle_forms(rng, algebroid, k)
         form = linear_form(bf, tc)
         lhs = linear_form_to_cochain(exterior_derivative(form), algebroid)
-        rhs = -vertical_differential(bf.nu, algebroid)
+        rhs = negated_cochain(vertical_differential(bf.nu, algebroid))
         assert lhs == rhs
 
 
 def test_horizontal_differential_abelian_zero_anchor(rng):
+    """With zero anchor and bracket, every component DH0, DH1 and DH2
+    vanishes, so the report has no witness."""
     algebroid = trivial_cotangent_algebroid()
-    chart = algebroid.base_chart
     for _ in range(5):
         bf = rnd_bundle_forms(rng, algebroid, 2)
-        dh = horizontal_differential(cochain_from_bundle_forms(algebroid, bf))
-        assert all(f.is_zero() for f in dh.comp0.values())
-        assert all(f.is_zero() for f in dh.comp1.values())
-        assert all(f.is_zero() for f in dh.comp2.values())
+        report = horizontal_vanishing_report(cochain_from_bundle_forms(algebroid, bf))
+        assert report.passed and report.violations == () and report.notes == ()
 
 
 def test_horizontal_vanishing_on_fixtures():
@@ -133,7 +131,7 @@ def test_compatibility_rule_consistency(rng):
         w = cochain_from_bundle_forms(algebroid, bf)
         f = rnd_poly(rng, chart, 2)
         for a in range(2):
-            via_rule = w.value0_scaled(f, a)
+            via_rule = value0_scaled(w, f, a)
             # the section f e_a carries mu value f mu(e_a) and nu value
             # f nu(e_a); rebuild comp0 from that scaled data directly
             direct = exterior_derivative(bf.mu[a].scale(f)) + bf.nu[a].scale(f)
@@ -158,9 +156,17 @@ def test_correspondence_raises_when_routes_disagree(monkeypatch):
     A = good.algebroid
     failing = CheckReport.collect([Violation(
         "DH2", A.frame_names[:2], Polynomial.const(A.base_chart, 1))])
-    monkeypatch.setattr(imcalc.weil, "horizontal_vanishing_report", lambda w: failing)
+    calls = []
+
+    def fake(w):
+        calls.append(w)
+        return failing
+
+    # the binding `check_weil_correspondence` reads
+    monkeypatch.setattr(support, "horizontal_vanishing_report", fake)
     with pytest.raises(OracleDisagreement):
         check_weil_correspondence(linear_form(good.forms, total_chart_of(A)), A)
+    assert len(calls) == 1
 
 
 def test_triple_agreement_random(rng):
@@ -197,9 +203,9 @@ def test_dh2_polarization_catches_off_diagonal_failures():
     nu = (DifferentialForm(chart, 2),) * 2
     bf = BundleForms(2, mu, nu)
     w = cochain_from_bundle_forms(algebroid, bf)
-    dh = horizontal_differential(w)
-    assert all(f.is_zero() for f in dh.comp2.values())  # diagonal blind spot
     report = horizontal_vanishing_report(w)
-    assert any(v.condition == "DH2" for v in report.violations)
+    dh2 = {v.witness[:2] for v in report.violations if v.condition == "DH2"}
+    assert not any(a == b for a, b in dh2)  # diagonal blind spot
+    assert ("e1", "e2") in dh2
     # and the other two routes agree that this candidate fails
     assert not check_im_form(IMForm(algebroid, bf)).passed
