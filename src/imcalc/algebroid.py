@@ -17,6 +17,7 @@ frame sections in either order are served with the sign folded in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebroidError, AxiomError, OracleDisagreement
@@ -404,9 +405,30 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     algebroid, every pair is its own orbit.  Violations come in frame-pair
     order either way.
 
-    Each partial derivative of a frame value is taken at most once per call:
-    `partials[j]` maps a coordinate l to dF(e_j)/dx_l, filled as pairs need it
-    and dropped after row j of the pair loop, its last use.
+    A representative with three or more free copies, those that hold no
+    core of the pair, is decided from its sorted dotted coefficients
+    (`_SortedResiduals`): (l_a, l_b) at k >= 3, (c1_a, l_b) and (c1_a, c1_b)
+    at k >= 4, (c1_a, c2_b) at k >= 5.  Each value it reads must have the
+    copy shape, checked on every dotted monomial of the value: exactly one
+    coordinate, with exponent 1, of each copy but that of the value's own
+    core, and none of that copy.  A pair that reads a value outside the
+    copy shape takes the full product.  The argument: the prolongation's
+    anchor and brackets are linear in each copy's coordinates, so with the
+    copy shape the residual has degree one in each free copy and none in
+    the busy ones; the permutations s of the free copies fix the pair, so
+    by the sign rule, which anti-invariance proves, R = sgn(s) s*R, and R
+    is alternating in the free copies.  Such an R vanishes iff its
+    coefficients at the sorted dotted monomials y_f1^i1 ... y_fs^is,
+    i1 < ... < is, vanish, and a nonzero R is the sum of sgn(s) s* of that
+    sorted part.  So each such verdict also rests on an exact zero test, of
+    1/s! of R's terms for s free copies.
+
+    Each partial derivative of a frame value is taken at most once per call.
+    On the full product, `partials[j]` maps a coordinate l to dF(e_j)/dx_l,
+    filled as pairs need it and dropped after row j of the pair loop, its
+    last use.  On the sorted path, a dotted partial dF/dy is a lookup in the
+    value's split by dotted monomial, and a base partial is the `diff` of
+    one group of it, kept for the call.
     """
     if functional.algebroid != algebroid:
         raise AlgebroidError("functional is attached to a different algebroid")
@@ -426,6 +448,7 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
 
     layout = algebroid._copy_layout
     reduced = layout is not None and layout.k >= 2 and layout.anti_invariant(values)
+    by_sorted = _SortedResiduals(algebroid, values) if reduced and layout.k >= 3 else None
     anchor = algebroid.anchor_rows
     found = {}  # the nonzero residuals of the pairs computed
     for i in range(r):
@@ -433,12 +456,14 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
         for j in range(i + 1, r):
             source = layout.orbit_source(i, j) if reduced else None
             if source is None:
-                if minus_anchor is None:
-                    minus_anchor = [(l, -comp) for l, comp in anchor[i].items()]
-                pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
-                pairs += [(comp, partial(j, l)) for l, comp in minus_anchor]
-                pairs += [(comp, partial(i, l)) for l, comp in anchor[j].items()]
-                res = Polynomial.sum_of_products(chart, pairs)
+                res = by_sorted.residual(i, j) if by_sorted else None
+                if res is None:
+                    if minus_anchor is None:
+                        minus_anchor = [(l, -comp) for l, comp in anchor[i].items()]
+                    pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
+                    pairs += [(comp, partial(j, l)) for l, comp in minus_anchor]
+                    pairs += [(comp, partial(i, l)) for l, comp in anchor[j].items()]
+                    res = Polynomial.sum_of_products(chart, pairs)
                 if res.is_zero():
                     continue
                 found[i, j] = res
@@ -450,6 +475,134 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
             violations.append(Violation("MORPHISM", (names[i], names[j]), res))
         partials[i] = None
     return CheckReport.collect(violations)
+
+
+class _SortedResiduals:
+    """The residuals of one `check_morphism_to_line` call's representatives
+    with three or more free copies, from their sorted dotted coefficients.
+
+    The coefficient of R at a sorted dotted monomial T is one
+    `sum_of_products` of base polynomials: each factor of R's products is
+    split by dotted monomial (`Polynomial.split`), and a product p * q adds
+    p_J * q_(T - J) for each group J of p that divides T.  A dotted partial
+    dF/dy at K is F's group at K * y, whose exponent of y is 1 by the copy
+    shape; a base partial is the `diff` of one group.
+
+    Its tables live for the call: each frame value split once, or None
+    outside the copy shape; each anchor row split once per sign; each base
+    partial of a group, taken once; and the sorted monomials of each set of
+    free copies.
+    """
+
+    def __init__(self, algebroid: LieAlgebroid, values: list):
+        layout = algebroid._copy_layout
+        self.algebroid = algebroid
+        self.layout = layout
+        self.values = values
+        self.start = layout.base_dim
+        self.units = layout.unit_keys(algebroid.base_chart)
+        self.copy_bits = [sum(row) for row in self.units]
+        self.shift = {self.start + m * layout.chart_block + l: key
+                      for m, row in enumerate(self.units) for l, key in enumerate(row)}
+        self.groups = {}
+        self.rows = {}
+        self.partials = {}
+        self.monomials = {}
+
+    def value_groups(self, u: int):
+        """F(e_u) split by dotted monomial, or None outside the copy shape."""
+        if u in self.groups:
+            return self.groups[u]
+        busy = self.layout.copy_of(u)
+        bits = [b for m, b in enumerate(self.copy_bits) if m != busy]
+        allowed = sum(bits)
+        groups = self.values[u].split(self.start)
+        for key in groups:
+            # only exponents 1 of the other copies, as many as copies, one in each
+            if key & ~allowed or key.bit_count() != len(bits) or not all(key & b for b in bits):
+                groups = None
+                break
+        self.groups[u] = groups
+        return groups
+
+    def anchor_row(self, u: int, sign: int) -> list:
+        """(J, sign * group J, column) over the anchor entries of e_u."""
+        row = self.rows.get((u, sign))
+        if row is None:
+            row = self.rows[u, sign] = [
+                (J, c if sign == 1 else -c, col)
+                for col, comp in self.algebroid.anchor_rows[u].items()
+                for J, c in comp.split(self.start).items()]
+        return row
+
+    def base_partial(self, v: int, name: str, key: int):
+        """d/d name of F(e_v)'s group at `key`, None where it has none."""
+        entry = (v, name, key)
+        if entry in self.partials:
+            return self.partials[entry]
+        group = self.groups[v].get(key)
+        dp = self.partials[entry] = None if group is None else group.diff(name)
+        return dp
+
+    def sorted_monomials(self, free: tuple) -> list:
+        """The keys of y_f1^i1 ... y_fs^is, i1 < ... < is, over the free
+        copies f1 < ... < fs."""
+        keys = self.monomials.get(free)
+        if keys is None:
+            keys = self.monomials[free] = [
+                sum(self.units[m][i] for m, i in zip(free, idx))
+                for idx in combinations(range(self.layout.chart_block), len(free))]
+        return keys
+
+    def residual(self, i: int, j: int):
+        """R(e_i, e_j), or None when the pair has fewer than three free
+        copies or reads a value outside the copy shape."""
+        layout = self.layout
+        busy = (layout.copy_of(i), layout.copy_of(j))
+        free = tuple(m for m in range(layout.k) if m not in busy)
+        if len(free) < 3:
+            return None
+        bracket = self.algebroid.bracket_frame_row(i, j)
+        groups = {u: self.value_groups(u) for u in {i, j}.union(c for c, _ in bracket)}
+        if None in groups.values():
+            return None
+        chart = self.algebroid.base_chart
+        start = self.start
+        # J -> (lookups (p_J, groups of F, key shift), base partials (p_J, v, name))
+        readers: dict = {}
+        for c, w in bracket:
+            for J, wJ in w.split(start).items():
+                readers.setdefault(J, ([], []))[0].append((wJ, groups[c], 0))
+        for u, v, sign in ((i, j, -1), (j, i, 1)):
+            for J, coeff, col in self.anchor_row(u, sign):
+                lookups, diffs = readers.setdefault(J, ([], []))
+                if col < start:
+                    diffs.append((coeff, v, chart.names[col]))
+                else:
+                    lookups.append((coeff, groups[v], self.shift[col]))
+        part = []
+        for T in self.sorted_monomials(free):
+            pairs = []
+            for J, (lookups, diffs) in readers.items():
+                if J | T != T:
+                    continue  # J does not divide T, whose exponents are 0 or 1
+                K = T ^ J
+                for coeff, table, shift in lookups:
+                    group = table.get(K + shift)
+                    if group is not None:
+                        pairs.append((coeff, group))
+                for coeff, v, name in diffs:
+                    group = self.base_partial(v, name, K)
+                    if group is not None:
+                        pairs.append((coeff, group))
+            coefficient = Polynomial.sum_of_products(chart, pairs)
+            if not coefficient.is_zero():
+                part.append((coefficient, Polynomial(chart, {chart.unpack(T): 1})))
+        if not part:
+            return Polynomial.zero(chart)
+        part = Polynomial.sum_of_products(chart, part)
+        return Polynomial.sum_of_products(
+            chart, [(layout.relabel(part, perm), sign) for perm, sign in layout.permutations(free)])
 
 
 # ---------------------------------------------------------------------------
@@ -523,9 +676,32 @@ class CopyLayout:
         return [[Polynomial.variable(chart, chart.names[self.base_dim + m * self.chart_block + l])
                  for l in range(self.chart_block)] for m in range(self.k)]
 
+    def unit_keys(self, chart: Chart) -> list:
+        """The packed keys of the copy coordinates on the prolongation
+        chart: entry [m][l] is that of y_(m+1)^l."""
+        def unit(position: int) -> int:
+            return chart.pack([int(t == position) for t in range(chart.dim)])
+        return [[unit(self.base_dim + m * self.chart_block + l) for l in range(self.chart_block)]
+                for m in range(self.k)]
+
+    def copy_of(self, index: int):
+        """The copy that holds frame index `index` (m for copy m + 1), or
+        None for a linear section."""
+        return index // self.frame_block if index < self.k * self.frame_block else None
+
     def relabel(self, poly: Polynomial, perm: tuple, sign: int = 1) -> Polynomial:
         """sign * perm*(poly): each copy's block of packed slots moved."""
         return poly.permute_blocks(self.base_dim, self.chart_block, perm, sign)
+
+    def permutations(self, free: tuple):
+        """(perm, sgn(perm)) for each permutation of the copies in `free`
+        that fixes the other copies."""
+        for images in permutations(free):
+            perm = list(range(self.k))
+            for m, t in zip(free, images):
+                perm[m] = t
+            inversions = sum(a > b for a, b in combinations(images, 2))
+            yield tuple(perm), -1 if inversions % 2 else 1
 
     def _sending(self, targets: tuple) -> tuple:
         """(perm, sgn(perm)) for a copy permutation that takes copy m to

@@ -582,6 +582,28 @@ class Polynomial:
             terms[out] = c if sign == 1 else -c
         return _make(self.chart, terms)
 
+    def split(self, start: int) -> dict:
+        """This polynomial grouped by its monomial in the coordinates from
+        position `start` on: {key: polynomial}, with self the sum of
+        key * polynomial.
+
+        A key is the packed key of one such monomial, on this chart, with
+        every slot below `start` clear; its polynomial, on this chart too,
+        holds the terms of self with that monomial, the monomial taken out,
+        so it is a polynomial in the coordinates below `start`.  Every term
+        goes to exactly one group with its coefficient: distinct terms of a
+        group differ below `start`, so nothing collects or cancels.
+        """
+        low = (1 << (SLOT_BITS * start)) - 1
+        groups: dict = {}
+        for e, c in self._terms.items():
+            high = e & ~low
+            terms = groups.get(high)
+            if terms is None:
+                terms = groups[high] = {}
+            terms[e & low] = c
+        return {high: _make(self.chart, terms) for high, terms in groups.items()}
+
     def substitute(self, mapping: Mapping, new_chart: Chart) -> "Polynomial":
         """Composite with a polynomial chart map.
 

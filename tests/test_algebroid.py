@@ -18,6 +18,7 @@ from conftest import (
     rnd_linear_multivector,
     rnd_poly,
     rnd_section,
+    rnd_unchecked_algebroid,
 )
 from imcalc.algebroid import (
     FiberFunctional,
@@ -31,6 +32,7 @@ from imcalc.algebroid import (
     cotangent_prolongation,
     section_bracket,
     tangent_prolongation,
+    _SortedResiduals,
 )
 from imcalc.errors import AlgebroidError, AxiomError
 from imcalc.fixtures import koszul_algebroid
@@ -498,3 +500,115 @@ def test_functional_that_is_not_anti_invariant_takes_the_full_loop(rng, monkeypa
     report = check_morphism_to_line(prol, altered)
     assert len(calls) == prol.rank * (prol.rank - 1) // 2
     assert report.violations == expected and expected
+
+
+# -- sorted dotted coefficients against the full product ----------------------
+
+def full_residual(prol: LieAlgebroid, values: list, i: int, j: int) -> Polynomial:
+    """R(e_i, e_j) as one `sum_of_products` over every term, as the check
+    builds a representative with fewer than three free copies."""
+    names = prol.base_chart.names
+    pairs = [(w, values[c]) for c, w in prol.bracket_frame_row(i, j)]
+    pairs += [(-comp, values[j].diff(names[l])) for l, comp in prol.anchor_rows[i].items()]
+    pairs += [(comp, values[i].diff(names[l])) for l, comp in prol.anchor_rows[j].items()]
+    return Polynomial.sum_of_products(prol.base_chart, pairs)
+
+
+def free_copies(prol: LieAlgebroid, i: int, j: int) -> int:
+    """The number of copies that hold no core of the pair, from the frame
+    names: cores end in _hat<copy>."""
+    names = prol.frame_names
+    busy = {names[u].rsplit("_hat", 1)[1] for u in (i, j) if "_hat" in names[u]}
+    return prol._copy_layout.k - len(busy)
+
+
+def assert_sorted_path_matches_full_product(functional) -> None:
+    """Every orbit representative with three or more free copies takes the
+    sorted path, the functional's values having the copy shape, and its
+    residual equals the full product's, zero or not."""
+    prol = functional.algebroid
+    layout = prol._copy_layout
+    values = [functional.value(a) for a in range(prol.rank)]
+    assert layout.anti_invariant(values)
+    by_sorted = _SortedResiduals(prol, values)
+    for i, j in combinations(range(prol.rank), 2):
+        if layout.orbit_source(i, j) is not None:
+            continue
+        res = by_sorted.residual(i, j)
+        if free_copies(prol, i, j) < 3:
+            assert res is None
+        else:
+            assert res == full_residual(prol, values, i, j), (i, j)
+
+
+SORTED_BASES = [
+    lambda _: so3_algebroid(),            # a point base: no cores, rank 3
+    lambda _: koszul_so3_algebroid(),
+    lambda _: broken_koszul_algebroid(),  # fails the axioms
+    lambda _: _log_canonical(3),
+    lambda _: _log_canonical(4),
+    rnd_algebroid,
+    rnd_unchecked_algebroid,              # rank 1-4 on 1-3 coordinates
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([3, 4]),
+       base=st.sampled_from(range(len(SORTED_BASES))),
+       case=st.sampled_from(range(len(FUNCTIONALS))))
+def test_sorted_coefficients_match_the_full_product(seed, k, base, case):
+    """On tangent and cotangent prolongations at k = 3 and 4, of Lie and
+    non-Lie algebroids, a point base among them, with exact, perturbed and
+    random candidates: each residual decided from its sorted dotted
+    coefficients, and expanded where nonzero, is the full product's."""
+    rng = random.Random(seed)
+    build, kind = FUNCTIONALS[case]
+    assert_sorted_path_matches_full_product(build(rng, SORTED_BASES[base](rng), k, kind))
+
+
+@pytest.mark.parametrize("build, kind, base", [
+    (form_functional, "random", lambda: _log_canonical(4)),
+    (multivector_functional, "random", lambda: tangent_algebroid(("x1", "x2", "x3", "x4", "x5"))),
+], ids=["random_form_n4", "random_multivector_n5"])
+def test_sorted_coefficients_match_the_full_product_at_k5(rng, build, kind, base):
+    """At k = 5 the (c1_a, c2_b) representatives have three free copies
+    too, and some of their residuals are nonzero."""
+    functional = build(rng, base(), 5, kind)
+    prol = functional.algebroid
+    assert_sorted_path_matches_full_product(functional)
+    report = check_morphism_to_line(prol, functional)
+    cores = [(v.witness, free_copies(prol, *map(prol.frame_names.index, v.witness)))
+             for v in report.violations]
+    assert any(free == 3 for _, free in cores)
+
+
+def test_value_outside_the_copy_shape_takes_the_full_product(rng):
+    """x1 (y1_1 y1_2 y2_3), alternated over the three copies, is
+    anti-invariant but of degree two in one copy and none in another.  Added
+    to the first linear value, it sends the pairs that read that value to
+    the full product, which reports their residuals."""
+    functional = form_functional(rng, koszul_so3_algebroid(), 3, "exact")
+    prol = functional.algebroid
+    layout = prol._copy_layout
+    chart = prol.base_chart
+    y = layout.variables(chart)
+    x1 = Polynomial.variable(chart, "x1")
+    planted = Polynomial.zero(chart)
+    for s in permutations(range(3)):
+        sign = (-1) ** sum(a > b for a, b in combinations(s, 2))
+        planted = planted + sign * x1 * y[s[0]][0] * y[s[0]][1] * y[s[1]][2]
+    first = layout.k * layout.frame_block
+    values = dict(functional.values)
+    values[prol.frame_names[first]] += planted
+    altered = FiberFunctional(prol, values)
+    altered_values = [altered.value(a) for a in range(prol.rank)]
+    assert layout.anti_invariant(altered_values)
+    by_sorted = _SortedResiduals(prol, altered_values)
+    assert by_sorted.residual(first, first + 1) is None
+    assert by_sorted.value_groups(first) is None
+    assert by_sorted.value_groups(first + 1) is not None
+    report = check_morphism_to_line(prol, altered)
+    expected = tuple(reference_morphism_violations(prol, altered))
+    assert report.violations == expected
+    witnesses = [v.witness for v in expected]
+    assert (prol.frame_names[first], prol.frame_names[first + 1]) in witnesses

@@ -29,6 +29,7 @@ from pathlib import Path
 
 import pytest
 
+from imcalc.algebroid import _SortedResiduals
 from imcalc.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -84,6 +85,21 @@ def test_ladder_golden_covers_its_documents():
 @pytest.mark.parametrize("stem", sorted(LADDER_EXIT_CODES))
 def test_ladder_report_matches_golden(stem, report):
     _check_generated(LADDER, LADDER_EXIT_CODES, stem, report)
+
+
+def test_ladder_golden_reads_the_sorted_coefficients(monkeypatch):
+    """At k = 3 the morphism check decides each (l_a, l_b) pair from its
+    sorted dotted coefficients (`_SortedResiduals`).  The broken IM form's
+    report prints the witness at (Te1, Te4), whose one nonzero sorted
+    coefficient is at the last target, x2_dot1*x3_dot2*x4_dot3: dropping
+    that target changes the report."""
+    sorted_monomials = _SortedResiduals.sorted_monomials
+    monkeypatch.setattr(_SortedResiduals, "sorted_monomials",
+                        lambda self, free: sorted_monomials(self, free)[:-1])
+    stem = "n4_k3_im_broken"
+    code, out, _ = _verify(LADDER / f"{stem}.json", "json")
+    assert (code, out) != (LADDER_EXIT_CODES[stem]["json"],
+                           (LADDER / f"{stem}.report.json").read_bytes())
 
 
 def test_dense_golden_covers_its_documents():

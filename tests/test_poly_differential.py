@@ -26,6 +26,10 @@ lists of polynomials drawn on a chart of 17 coordinates and on two charts
 whose coordinate names differ while their packed keys coincide: printing the
 list with one shared monomial table, as a report does, gives the same text as
 printing each polynomial alone, and the text parses back to the polynomial.
+
+`Polynomial.split` is compared with `reference_split`, built from the
+exponent tuples of `p.terms`, at every split position of charts of 1-4
+coordinates, with exponents near 0 and near the limit.
 """
 
 from __future__ import annotations
@@ -439,6 +443,49 @@ def test_product_and_diff_near_the_exponent_limit(pq, data):
     partial = p.diff(p.chart.names[i])
     assert partial.terms == ring_terms(sympy.diff(to_sympy(p), symbols[i]), symbols)
     assert all(type(c) is int or c.denominator != 1 for c in partial.terms.values())
+
+
+# -- grouping by the monomial in the trailing coordinates ----------------------
+
+def reference_split(p: Polynomial, start: int) -> dict:
+    """{exponents from `start` on: {exponents below `start`: coefficient}}
+    over the terms of p."""
+    out: dict = {}
+    for exps, c in p.terms.items():
+        out.setdefault(exps[start:], {})[exps[:start]] = c
+    return out
+
+
+@st.composite
+def split_cases(draw):
+    """A polynomial of up to 12 terms on a chart of 1-4 coordinates, with
+    small exponents or exponents near the limit, and a split position."""
+    dim = draw(st.integers(min_value=1, max_value=4))
+    exponent = draw(st.sampled_from([st.integers(min_value=0, max_value=2), NEAR_LIMIT]))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * dim), coefficients, max_size=12))
+    return Polynomial(CHARTS[dim], terms), draw(st.integers(min_value=0, max_value=dim))
+
+
+@SETTINGS
+@given(split_cases())
+def test_split_matches_the_reference(case):
+    """Each group keeps its terms' coefficients, every term lands in exactly
+    one group, and the groups times their keys sum back to the polynomial."""
+    p, start = case
+    chart = p.chart
+    groups = p.split(start)
+    found = {}
+    for key, group in groups.items():
+        exps = chart.unpack(key)
+        assert exps[:start] == (0,) * start
+        assert group.chart == chart and not group.is_zero()
+        assert all(e[start:] == (0,) * (chart.dim - start) for e in group.terms)
+        found[exps[start:]] = {e[:start]: c for e, c in group.terms.items()}
+    assert found == reference_split(p, start)
+    assert sum(len(group.terms) for group in groups.values()) == len(p.terms)
+    whole = Polynomial.sum_of_products(
+        chart, [(Polynomial(chart, {chart.unpack(key): 1}), group) for key, group in groups.items()])
+    assert whole == p
 
 
 # -- the big-int route against the flat loop ------------------------------------

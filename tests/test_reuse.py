@@ -81,14 +81,23 @@ def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, p
 
 
 LADDER = Path(__file__).resolve().parent / "golden" / "ladder"
+CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
 
 
-@pytest.mark.parametrize("name", ["n4_k3_im_broken.json", "n4_k3_mv.json"])
-def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, name):
+@pytest.mark.parametrize("document, calls", [
+    (LADDER / "n4_k3_im_broken.json", 58),
+    (LADDER / "n4_k3_mv.json", 56),
+    (CORPUS / "so3_poisson_im2.json", 21),
+], ids=lambda case: case.name if isinstance(case, Path) else str(case))
+def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, document, calls):
     """At n = 4, k = 3 the prolongation has rank 16, so 120 frame pairs fall
-    into 38 copy-permutation orbits, and one `sum_of_products` per orbit
-    builds its representative's residual."""
-    doc = json.loads((LADDER / name).read_text())
+    into 38 copy-permutation orbits.  One `sum_of_products` builds each of
+    the 32 representatives with fewer than three free copies; each of the
+    6 (l_a, l_b) representatives takes one per sorted dotted monomial, 4 of
+    them, and 2 more to expand a nonzero sorted part to its residual, which
+    the broken IM form has at one of them.  At k = 2 (rank 9, 36 pairs)
+    every one of the 21 representatives is one full product."""
+    doc = json.loads(document.read_text())
     algebroid = cli.load_algebroid(doc)
     candidate = cli.load_candidate(doc, algebroid)
     if isinstance(candidate, IMForm):
@@ -96,10 +105,13 @@ def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, name):
     else:
         functional = multivector_frame_functional(candidate)
     prol = functional.algebroid
-    assert prol.rank * (prol.rank - 1) // 2 == 120
+    layout = prol._copy_layout
+    orbits = sum(layout.orbit_source(i, j) is None
+                 for i in range(prol.rank) for j in range(i + 1, prol.rank))
+    assert (prol.rank, orbits) == ((16, 38) if layout.k == 3 else (9, 21))
     counts = _count_kernel(monkeypatch)
     check_morphism_to_line(prol, functional)
-    assert counts["sum_of_products"] == 38
+    assert counts["sum_of_products"] == calls
 
 
 def test_parsing_a_sum_of_monomials_multiplies_no_polynomials(monkeypatch):
