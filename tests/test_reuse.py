@@ -85,10 +85,10 @@ CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 @pytest.mark.parametrize("document, calls", [
-    (LADDER / "n4_k3_im_broken.json", 58),
-    (LADDER / "n4_k3_mv.json", 56),
-    (CORPUS / "so3_poisson_im2.json", 21),
-], ids=lambda case: case.name if isinstance(case, Path) else str(case))
+    pytest.param(LADDER / "n4_k3_im_broken.json", 58, id="n4_k3_im_broken.json"),
+    pytest.param(LADDER / "n4_k3_mv.json", 56, id="n4_k3_mv.json"),
+    pytest.param(CORPUS / "so3_poisson_im2.json", 21, id="so3_poisson_im2.json"),
+])
 def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, document, calls):
     """At n = 4, k = 3 the prolongation has rank 16, so 120 frame pairs fall
     into 38 copy-permutation orbits.  One `sum_of_products` builds each of
