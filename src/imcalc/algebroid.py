@@ -216,12 +216,6 @@ class Section(Alternating):
         one = Polynomial.const(algebroid.base_chart, 1)
         return cls(algebroid, 1, {(a,): one})
 
-    @classmethod
-    def from_components(cls, algebroid: LieAlgebroid, comps: Sequence[Polynomial]) -> "Section":
-        if len(comps) != algebroid.rank:
-            raise AlgebroidError("need one component per frame section")
-        return cls(algebroid, 1, {(a,): p for a, p in enumerate(comps) if not p.is_zero()})
-
     def _check_mate(self, other) -> None:
         if not isinstance(other, Section):
             raise TypeError(f"cannot combine Section with {type(other).__name__}")
@@ -423,12 +417,8 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     sorted part.  So each such verdict also rests on an exact zero test, of
     1/s! of R's terms for s free copies.
 
-    Each partial derivative of a frame value is taken at most once per call.
-    On the full product, `partials[j]` maps a coordinate l to dF(e_j)/dx_l,
-    filled as pairs need it and dropped after row j of the pair loop, its
-    last use.  On the sorted path, a dotted partial dF/dy is a lookup in the
-    value's split by dotted monomial, and a base partial is the `diff` of
-    one group of it, kept for the call.
+    Partials and negated anchor entries come from one `forms.Calculus` of
+    the call, so each is computed at most once.
     """
     if functional.algebroid != algebroid:
         raise AlgebroidError("functional is attached to a different algebroid")
@@ -437,32 +427,22 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     chart = algebroid.base_chart
     names = algebroid.frame_names
     values = [functional.value(a) for a in range(r)]
-    partials = [{} for _ in range(r)]
-
-    def partial(j: int, l: int) -> Polynomial:
-        table = partials[j]
-        dp = table.get(l)
-        if dp is None:
-            dp = table[l] = values[j].diff(chart.names[l])
-        return dp
-
+    ops = Calculus(chart)
     layout = algebroid._copy_layout
     reduced = layout is not None and layout.k >= 2 and layout.anti_invariant(values)
-    by_sorted = _SortedResiduals(algebroid, values) if reduced and layout.k >= 3 else None
+    by_sorted = _SortedResiduals(algebroid, values, ops) if reduced and layout.k >= 3 else None
     anchor = algebroid.anchor_rows
     found = {}  # the nonzero residuals of the pairs computed
     for i in range(r):
-        minus_anchor = None
         for j in range(i + 1, r):
             source = layout.orbit_source(i, j) if reduced else None
             if source is None:
                 res = by_sorted.residual(i, j) if by_sorted else None
                 if res is None:
-                    if minus_anchor is None:
-                        minus_anchor = [(l, -comp) for l, comp in anchor[i].items()]
                     pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
-                    pairs += [(comp, partial(j, l)) for l, comp in minus_anchor]
-                    pairs += [(comp, partial(i, l)) for l, comp in anchor[j].items()]
+                    pairs += [(ops.pm(comp)[1], ops.partial(values[j], l))
+                              for l, comp in anchor[i].items()]
+                    pairs += [(comp, ops.partial(values[i], l)) for l, comp in anchor[j].items()]
                     res = Polynomial.sum_of_products(chart, pairs)
                 if res.is_zero():
                     continue
@@ -473,7 +453,6 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
                     continue
                 res = layout.relabel(found[rep], perm, sign)
             violations.append(Violation("MORPHISM", (names[i], names[j]), res))
-        partials[i] = None
     return CheckReport.collect(violations)
 
 
@@ -486,19 +465,19 @@ class _SortedResiduals:
     split by dotted monomial (`Polynomial.split`), and a product p * q adds
     p_J * q_(T - J) for each group J of p that divides T.  A dotted partial
     dF/dy at K is F's group at K * y, whose exponent of y is 1 by the copy
-    shape; a base partial is the `diff` of one group.
+    shape; a base partial is that of one group, from the call's `Calculus`.
 
     Its tables live for the call: each frame value split once, or None
-    outside the copy shape; each anchor row split once per sign; each base
-    partial of a group, taken once; and the sorted monomials of each set of
-    free copies.
+    outside the copy shape; each anchor row split once; and the sorted
+    monomials of each set of free copies.
     """
 
-    def __init__(self, algebroid: LieAlgebroid, values: list):
+    def __init__(self, algebroid: LieAlgebroid, values: list, ops: Calculus):
         layout = algebroid._copy_layout
         self.algebroid = algebroid
         self.layout = layout
         self.values = values
+        self.ops = ops
         self.start = layout.base_dim
         self.units = layout.unit_keys(algebroid.base_chart)
         self.copy_bits = [sum(row) for row in self.units]
@@ -506,7 +485,6 @@ class _SortedResiduals:
                       for m, row in enumerate(self.units) for l, key in enumerate(row)}
         self.groups = {}
         self.rows = {}
-        self.partials = {}
         self.monomials = {}
 
     def value_groups(self, u: int):
@@ -525,24 +503,14 @@ class _SortedResiduals:
         self.groups[u] = groups
         return groups
 
-    def anchor_row(self, u: int, sign: int) -> list:
-        """(J, sign * group J, column) over the anchor entries of e_u."""
-        row = self.rows.get((u, sign))
+    def anchor_row(self, u: int) -> list:
+        """(J, group J, column) over the anchor entries of e_u."""
+        row = self.rows.get(u)
         if row is None:
-            row = self.rows[u, sign] = [
-                (J, c if sign == 1 else -c, col)
-                for col, comp in self.algebroid.anchor_rows[u].items()
-                for J, c in comp.split(self.start).items()]
+            row = self.rows[u] = [(J, c, col)
+                                  for col, comp in self.algebroid.anchor_rows[u].items()
+                                  for J, c in comp.split(self.start).items()]
         return row
-
-    def base_partial(self, v: int, name: str, key: int):
-        """d/d name of F(e_v)'s group at `key`, None where it has none."""
-        entry = (v, name, key)
-        if entry in self.partials:
-            return self.partials[entry]
-        group = self.groups[v].get(key)
-        dp = self.partials[entry] = None if group is None else group.diff(name)
-        return dp
 
     def sorted_monomials(self, free: tuple) -> list:
         """The keys of y_f1^i1 ... y_fs^is, i1 < ... < is, over the free
@@ -568,16 +536,19 @@ class _SortedResiduals:
             return None
         chart = self.algebroid.base_chart
         start = self.start
-        # J -> (lookups (p_J, groups of F, key shift), base partials (p_J, v, name))
+        ops = self.ops
+        # J -> (lookups (p_J, groups of F, key shift), base partials (p_J, groups of F, column))
         readers: dict = {}
         for c, w in bracket:
             for J, wJ in w.split(start).items():
                 readers.setdefault(J, ([], []))[0].append((wJ, groups[c], 0))
-        for u, v, sign in ((i, j, -1), (j, i, 1)):
-            for J, coeff, col in self.anchor_row(u, sign):
+        for u, v in ((i, j), (j, i)):
+            for J, coeff, col in self.anchor_row(u):
+                if u == i:
+                    coeff = ops.pm(coeff)[1]
                 lookups, diffs = readers.setdefault(J, ([], []))
                 if col < start:
-                    diffs.append((coeff, v, chart.names[col]))
+                    diffs.append((coeff, groups[v], col))
                 else:
                     lookups.append((coeff, groups[v], self.shift[col]))
         part = []
@@ -591,10 +562,10 @@ class _SortedResiduals:
                     group = table.get(K + shift)
                     if group is not None:
                         pairs.append((coeff, group))
-                for coeff, v, name in diffs:
-                    group = self.base_partial(v, name, K)
+                for coeff, table, col in diffs:
+                    group = table.get(K)
                     if group is not None:
-                        pairs.append((coeff, group))
+                        pairs.append((coeff, ops.partial(group, col)))
             coefficient = Polynomial.sum_of_products(chart, pairs)
             if not coefficient.is_zero():
                 part.append((coefficient, Polynomial(chart, {chart.unpack(T): 1})))
@@ -813,7 +784,7 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: i
     lin = k * B
     copies = range(k)
     chart = Chart(f"{base.name}|{tag}{k}", base.coords + tuple(
-        Coord(copy_coord(m + 1, l), role, m + 1) for m in copies for l in range(block)))
+        Coord(copy_coord(m + 1, l), role) for m in copies for l in range(block)))
     frame = [core_name(m + 1, c) for m in copies for c in range(B)]
     frame += [linear_name(name) for name in algebroid.frame_names]
 

@@ -6,8 +6,8 @@ Polynomial coefficients.  Degrees exceeding the chart dimension are legal and
 simply have an empty table (identically zero); intermediate expressions in the
 operator identities legitimately produce them.
 
-The module provides wedge, exterior derivative, (iterated) contraction, Lie
-derivative, and the Schouten bracket.  The Schouten bracket and the
+The module provides wedge (`add_wedge`), exterior derivative, (iterated)
+contraction, Lie derivative, and the Schouten bracket.  The Schouten bracket and the
 algebroid layer's Gerstenhaber bracket on wedge powers of sections are one
 closed form, `graded_bracket`, built from the operators of `Calculus`: the
 derivations [g_t, .] of the generators, the contractions by the anchor
@@ -156,27 +156,6 @@ class Alternating:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, factor):
-        """Multiply every coefficient by a Polynomial or rational."""
-        if isinstance(factor, Polynomial) and factor.chart != self.chart:
-            raise ChartError("scale factor lives on the wrong chart")
-        # distinct keys stay distinct, so each coefficient is one product
-        return self._like({k: q for k, p in self.coeffs.items()
-                           if not (q := p * factor).is_zero()})
-
-    def wedge(self, other):
-        """Wedge product of two forms, two multivectors or two sections."""
-        a, b = self, other
-        if type(a) is VectorField:
-            a = Multivector(a.chart, 1, a.coeffs)
-        if type(b) is VectorField:
-            b = Multivector(b.chart, 1, b.coeffs)
-        a._check_mate(b)
-        groups: dict = {}
-        for i1, p1 in a.coeffs.items():
-            add_wedge(groups, b.coeffs, (p1, -p1), head=i1)
-        return a._like(collect(groups), a.degree + b.degree)
-
     def coeff(self, idx) -> Polynomial:
         srt = sort_indices(tuple(idx))
         if srt is None:
@@ -261,20 +240,8 @@ class VectorField(Multivector):
             raise ChartError("need one component per chart coordinate")
         return cls(chart, {(i,): p for i, p in enumerate(comps) if not p.is_zero()})
 
-    @classmethod
-    def coordinate(cls, chart: Chart, name: str) -> "VectorField":
-        return cls(chart, {(chart.index(name),): Polynomial.const(chart, 1)})
-
     def component(self, i: int) -> Polynomial:
         return self.coeffs.get((i,), Polynomial.zero(self.chart))
-
-    def apply(self, f: Polynomial) -> Polynomial:
-        """Directional derivative of a scalar."""
-        if f.chart != self.chart:
-            raise ChartError("chart mismatch")
-        names = self.chart.names
-        return Polynomial.sum_of_products(
-            self.chart, ((comp, f.diff(names[i])) for (i,), comp in self.coeffs.items()))
 
 
 def linear_combination(terms: Sequence):

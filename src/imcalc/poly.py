@@ -101,9 +101,11 @@ reports, with one table per report, so each distinct monomial of the report
 is rendered once.  The table lives for that one report; `str(p)` passes
 none, and its entries last for the one call.
 
-Charts carry a role per coordinate (base / fiber / tangent copy / dual copy)
-so that total spaces of bundles and direct-sum prolongation charts can do
-their double-vector-bundle bookkeeping by name.
+Charts carry a role per coordinate (base / fiber / tangent copy / dual
+copy).  Base coordinates come first, and `_kronecker` counts them: their
+exponents make the mixed-radix index, the others the groups.  Where the
+copies of a prolongation sit is recorded by `algebroid.CopyLayout`, not by
+the chart.
 """
 
 from __future__ import annotations
@@ -156,13 +158,10 @@ class Coord:
 
     name: str
     role: str = ROLE_BASE
-    copy: int = 0  # copy index for tangent/dual roles, 0 otherwise
 
     def __post_init__(self) -> None:
         if self.role not in (ROLE_BASE, ROLE_FIBER, ROLE_TANGENT, ROLE_DUAL):
             raise ChartError(f"unknown coordinate role {self.role!r}")
-        if self.role in (ROLE_TANGENT, ROLE_DUAL) and self.copy < 1:
-            raise ChartError(f"{self.role} coordinate needs a copy index >= 1")
 
 
 @dataclass(frozen=True)
@@ -302,10 +301,10 @@ class Polynomial:
     """Immutable exact polynomial on a fixed chart.
 
     Supports +, -, *, ** with other polynomials on the same chart and with
-    plain ints / Fractions.  `diff`, `eval`, `partial_eval`, `promote` and
-    `substitute` cover the calculus and chart-morphism needs of the form and
-    algebroid layers; `sum_of_products` collects a sum of products in one
-    term map.  `terms` maps exponent tuples to coefficients.
+    plain ints / Fractions.  `diff`, `eval`, `partial_eval` and `promote`
+    cover the calculus and chart-morphism needs of the form and algebroid
+    layers; `sum_of_products` collects a sum of products in one term map.
+    `terms` maps exponent tuples to coefficients.
     """
 
     __slots__ = ("chart", "_terms")
@@ -603,31 +602,6 @@ class Polynomial:
                 terms = groups[high] = {}
             terms[e & low] = c
         return {high: _make(self.chart, terms) for high, terms in groups.items()}
-
-    def substitute(self, mapping: Mapping, new_chart: Chart) -> "Polynomial":
-        """Composite with a polynomial chart map.
-
-        `mapping` sends a coordinate name of self's chart to a Polynomial on
-        `new_chart`; unmapped names must exist on `new_chart` and map to
-        themselves.
-        """
-        images = []
-        for c in self.chart.coords:
-            if c.name in mapping:
-                img = mapping[c.name]
-                if img.chart != new_chart:
-                    raise ChartError("substitute images must live on the target chart")
-                images.append(img)
-            else:
-                images.append(Polynomial.variable(new_chart, c.name))
-        total = Polynomial.zero(new_chart)
-        for e, coeff in self._terms.items():
-            term = Polynomial.const(new_chart, coeff)
-            for img, k in zip(images, self.chart.unpack(e)):
-                if k:
-                    term = term * img ** k
-            total = total + term
-        return total
 
     # -- printing ----------------------------------------------------------
 

@@ -29,7 +29,7 @@ from imcalc.poly import (
     EXPONENT_LIMIT, LITERAL_DIGIT_LIMIT, POWER_TERM_BUDGET, PRODUCT_PAIR_BUDGET, Chart, ChartError,
     ParseError, Polynomial, _canonical, _check_guard, _make, _same, base_chart,
 )
-from support import scalar_action, so3_algebroid
+from support import scalar_action, scale, so3_algebroid, wedge
 
 
 @pytest.fixture
@@ -282,19 +282,19 @@ def reference_derivation_violations(d: Derivation) -> list:
     for i in range(chart.dim):
         for j in range(i + 1, chart.dim):
             res = (section_bracket_reference(d.coord_action(i), xs[j])
-                   + section_bracket_reference(xs[i], d.coord_action(j)).scale(sign))
+                   + scale(section_bracket_reference(xs[i], d.coord_action(j)), sign))
             out.extend(component_violations("R1", (names[i], names[j]), res))
     for i in range(chart.dim):
         for b in range(A.rank):
             res = (-scalar_action(d, A.anchor[b][i])
                    - section_bracket_reference(d.coord_action(i), es[b])
-                   - section_bracket_reference(xs[i], d.frame_action(b)).scale(sign))
+                   - scale(section_bracket_reference(xs[i], d.frame_action(b)), sign))
             out.extend(component_violations("R2", (names[i], A.frame_names[b]), res))
     for a in range(A.rank):
         for b in range(a + 1, A.rank):
             res = Section.zero(A, d.k)
             for c, w in A.bracket_frame_row(a, b):
-                res = res + scalar_action(d, w).wedge(es[c]) + d.frame_action(c).scale(w)
+                res = res + wedge(scalar_action(d, w), es[c]) + scale(d.frame_action(c), w)
             res = (res - section_bracket_reference(d.frame_action(a), es[b])
                    - section_bracket_reference(es[a], d.frame_action(b)))
             out.extend(component_violations("R3", (A.frame_names[a], A.frame_names[b]), res))

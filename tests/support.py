@@ -12,7 +12,9 @@ bracket and the span closure of graph-of-bivector Dirac candidates, the
 pairing form of a bundle map by one sum per frame section, the frame values
 of an IM form by iterated contraction, the full evaluation of a multivector
 on covectors, and the extension of a derivation to all wedge sections.
-The library does not call them, so they live with the tests.
+The operations `substitute`, `scale`, `wedge`, `coordinate_field`,
+`apply_field` and `section_from_components` serve the tests alone.  The
+library does not call any of these, so they live with the tests.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from imcalc.forms import (
     Minors,
     Multivector,
     VectorField,
+    add_wedge,
     collect,
     contract,
     exterior_derivative,
@@ -152,9 +155,69 @@ def exact_im_form() -> IMForm:
     return im_form_from_base_form(algebroid, eta)
 
 
-# -- wedges, degree-1 multivectors and covector contraction ---------------------
+# -- substitution, scaling, wedges and fields -----------------------------------
 
-wedge = Alternating.wedge
+def substitute(p: Polynomial, mapping: Mapping, new_chart: Chart) -> Polynomial:
+    """Composite of `p` with a polynomial chart map: `mapping` sends a
+    coordinate name of p's chart to a Polynomial on `new_chart`; unmapped
+    names must exist on `new_chart` and map to themselves."""
+    images = []
+    for name in p.chart.names:
+        img = mapping[name] if name in mapping else Polynomial.variable(new_chart, name)
+        if img.chart != new_chart:
+            raise ChartError("substitute images must live on the target chart")
+        images.append(img)
+    total = Polynomial.zero(new_chart)
+    for exps, coeff in p.terms.items():
+        term = Polynomial.const(new_chart, coeff)
+        for img, k in zip(images, exps):
+            if k:
+                term = term * img ** k
+        total = total + term
+    return total
+
+
+def scale(x: Alternating, factor) -> Alternating:
+    """`x` with every coefficient multiplied by a Polynomial or rational."""
+    if isinstance(factor, Polynomial) and factor.chart != x.chart:
+        raise ChartError("scale factor lives on the wrong chart")
+    return x._like({k: q for k, p in x.coeffs.items() if not (q := p * factor).is_zero()})
+
+
+def wedge(a: Alternating, b: Alternating) -> Alternating:
+    """Wedge product of two forms, two multivectors or two sections."""
+    if type(a) is VectorField:
+        a = Multivector(a.chart, 1, a.coeffs)
+    if type(b) is VectorField:
+        b = Multivector(b.chart, 1, b.coeffs)
+    a._check_mate(b)
+    groups: dict = {}
+    for i1, p1 in a.coeffs.items():
+        add_wedge(groups, b.coeffs, (p1, -p1), head=i1)
+    return a._like(collect(groups), a.degree + b.degree)
+
+
+def coordinate_field(chart: Chart, name: str) -> VectorField:
+    """The coordinate vector field d/d name."""
+    return VectorField(chart, {(chart.index(name),): Polynomial.const(chart, 1)})
+
+
+def apply_field(x: VectorField, f: Polynomial) -> Polynomial:
+    """Directional derivative of a scalar along `x`."""
+    if f.chart != x.chart:
+        raise ChartError("chart mismatch")
+    return Polynomial.sum_of_products(
+        x.chart, ((comp, f.diff(x.chart.names[i])) for (i,), comp in x.coeffs.items()))
+
+
+def section_from_components(algebroid: LieAlgebroid, comps: Sequence[Polynomial]) -> Section:
+    """The degree-1 section sum comps[a] e_a."""
+    if len(comps) != algebroid.rank:
+        raise AlgebroidError("need one component per frame section")
+    return Section(algebroid, 1, {(a,): p for a, p in enumerate(comps) if not p.is_zero()})
+
+
+# -- degree-1 multivectors and covector contraction ------------------------------
 
 
 def as_vector_field(mv: Multivector) -> VectorField:
@@ -199,7 +262,7 @@ def fiber_contraction(beta: DifferentialForm, base: Chart) -> DifferentialForm:
     if beta.chart != base:
         raise ChartError("form does not live on the given base chart")
     tc = tangent_total_chart(base)
-    maps = [contract(VectorField.coordinate(base, n), beta) for n in base.names]
+    maps = [contract(coordinate_field(base, n), beta) for n in base.names]
     return fiber_pairing_form(maps, tc, beta.degree - 1)
 
 
@@ -384,7 +447,7 @@ def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -
 def value0_scaled(w: WeilCochain1, f: Polynomial, a: int) -> DifferentialForm:
     """comp0 of `w` on the section f e_a via the compatibility rule."""
     df = exterior_derivative(DifferentialForm.function(f))
-    return w.value0(a).scale(f) - wedge(df, w.value1(a))
+    return scale(w.value0(a), f) - wedge(df, w.value1(a))
 
 
 def negated_cochain(w: WeilCochain1) -> WeilCochain1:
@@ -418,9 +481,9 @@ def twisted_bracket(candidate: DiracCandidate, u_coeffs: Sequence[Polynomial],
         twist = DifferentialForm(chart, 2)
         for g, x, al, tw in zip(coeffs, candidate.vectors, candidate.covectors,
                                 candidate.twists):
-            vec = vec + x.scale(g)
-            cov = cov + al.scale(g)
-            twist = twist + tw.scale(g)
+            vec = vec + scale(x, g)
+            cov = cov + scale(al, g)
+            twist = twist + scale(tw, g)
         return vec, cov, twist
 
     x_vec, alpha, twist_u = combine(u_coeffs)
@@ -459,7 +522,7 @@ def graph_closure_residuals(candidate: DiracCandidate):
             # membership forces the coefficients gamma_c; subtract their span
             residual = z_vec
             for c in range(n):
-                residual = residual - candidate.vectors[c].scale(gamma.coeff((c,)))
+                residual = residual - scale(candidate.vectors[c], gamma.coeff((c,)))
             yield (a, b), as_vector_field(residual)
 
 
@@ -476,7 +539,7 @@ def reference_fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChar
         if form.degree != degree:
             raise AlgebroidError("all maps must have one common degree")
         u = Polynomial.variable(tc.chart, name)
-        total = total + form.promote(tc.chart).scale(u)
+        total = total + scale(form.promote(tc.chart), u)
     return total
 
 
@@ -523,7 +586,7 @@ def scalar_action(d: Derivation, f: Polynomial) -> Section:
     for j, name in enumerate(A.base_chart.names):
         df = f.diff(name)
         if not df.is_zero():
-            out = out + d.coord_action(j).scale(df)
+            out = out + scale(d.coord_action(j), df)
     return out
 
 
@@ -533,8 +596,8 @@ def apply_derivation(d: Derivation, w: Section) -> Section:
     out = Section.zero(A, w.degree + d.k - 1)
     for idx, poly in w.coeffs.items():
         pure = Section(A, len(idx), {idx: Polynomial.const(A.base_chart, 1)})
-        out = out + _apply_pure(d, idx).scale(poly)
-        out = out + scalar_action(d, poly).wedge(pure)
+        out = out + scale(_apply_pure(d, idx), poly)
+        out = out + wedge(scalar_action(d, poly), pure)
     return out
 
 
@@ -550,5 +613,5 @@ def _apply_pure(d: Derivation, idx) -> Section:
     tail = _apply_pure(d, idx[1:])
     e_head = Section.frame(A, idx[0])
     sign = -1 if (d.k - 1) % 2 else 1
-    out = head.wedge(rest) + e_head.wedge(tail).scale(sign)
+    out = wedge(head, rest) + scale(wedge(e_head, tail), sign)
     return out

@@ -58,6 +58,7 @@ from support import (
     poisson_im_form,
     so3_algebroid,
     so3_dual_bivector,
+    substitute,
     tangent_algebroid,
     tangent_lift,
     tangent_lift_involution_residual,
@@ -212,7 +213,7 @@ def test_criterion_06_decomposition_roundtrip():
             if image is None:
                 image = Polynomial.variable(tc1.chart, name)
             # pullback of p dx-style terms: coefficient image times d(image of x)
-            piece = DifferentialForm.function(coeff.substitute(mapping, tc1.chart))
+            piece = DifferentialForm.function(substitute(coeff, mapping, tc1.chart))
             base_image = DifferentialForm.function(
                 Polynomial.variable(tc1.chart, name) if name in tc1.chart.names
                 else mapping[name])

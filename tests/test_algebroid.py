@@ -30,22 +30,27 @@ from imcalc.algebroid import (
     check_axioms,
     check_morphism_to_line,
     cotangent_prolongation,
+    dual_copy_name,
     section_bracket,
+    tangent_copy_name,
     tangent_prolongation,
     _SortedResiduals,
 )
 from imcalc.errors import AlgebroidError, AxiomError
 from imcalc.fixtures import koszul_algebroid
-from imcalc.forms import VectorField
+from imcalc.forms import Calculus, VectorField
 from imcalc.imforms import IMForm, im_form_from_base_form
 from imcalc.linforms import BundleForms, form_frame_functional
 from imcalc.multivec import linear_from_derivation, multivector_frame_functional
 from imcalc.poly import Polynomial, base_chart, parse
 from support import (
+    apply_field,
     bivector,
     broken_jacobi_algebroid,
     broken_koszul_algebroid,
+    coordinate_field,
     koszul_so3_algebroid,
+    section_from_components,
     so3_algebroid,
     tangent_algebroid,
     trivial_cotangent_algebroid,
@@ -90,7 +95,7 @@ def test_bracket_examples():
     tangent = tangent_algebroid()
     x1 = parse("x1", tangent.base_chart)
     u = Section.frame(tangent, 0)
-    v = Section.from_components(tangent, [Polynomial.zero(tangent.base_chart), x1])
+    v = section_from_components(tangent, [Polynomial.zero(tangent.base_chart), x1])
     assert bracket_sections(u, v) == Section.frame(tangent, 1)
 
 
@@ -128,7 +133,7 @@ def test_anchor_examples():
     assert anchor_apply(Section.zero(koszul, 1)).is_zero()
     tangent = tangent_algebroid()
     assert anchor_apply(Section.frame(tangent, 0)) == \
-        VectorField.coordinate(tangent.base_chart, "x1")
+        coordinate_field(tangent.base_chart, "x1")
 
 
 def test_sparse_anchor_holds_the_nonzero_entries(rng):
@@ -275,17 +280,24 @@ def test_prolongation_is_copy_permutation_equivariant(base, prolong, k):
     """Relabelling copies maps the anchor rows and the structure table of a
     prolongation onto those of the permuted frame, exactly; the morphism
     check's orbit reduction rests on this."""
-    prol = prolong(EQUIVARIANCE_BASES[base](), k)
+    algebroid = EQUIVARIANCE_BASES[base]()
+    prol = prolong(algebroid, k)
     layout = prol._copy_layout
     chart = prol.base_chart
     zero = Polynomial.zero(chart)
-    copy_columns = {m: [j for j, c in enumerate(chart.coords) if c.copy == m]
-                    for m in range(1, k + 1)}
+    if prolong is tangent_prolongation:
+        copy_names = [[tangent_copy_name(x, m) for x in algebroid.base_chart.names]
+                      for m in range(1, k + 1)]
+    else:
+        copy_names = [[dual_copy_name(m, d + 1) for d in range(algebroid.rank)]
+                      for m in range(1, k + 1)]
+    copy_columns = {m: [chart.index(name) for name in names]
+                    for m, names in enumerate(copy_names, 1)}
     for perm in copy_permutations(k):
         image = [layout.frame_image(u, perm) for u in range(prol.rank)]
         assert sorted(image) == list(range(prol.rank))
         # coordinate t of copy m goes to coordinate t of copy perm[m - 1] + 1,
-        # read from the chart's own copy indices
+        # found by the names the builder gives the copy coordinates
         columns = list(range(chart.dim))
         for m in range(1, k + 1):
             for j, target in zip(copy_columns[m], copy_columns[perm[m - 1] + 1]):
@@ -337,8 +349,8 @@ def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
     frame-pair reduction used by check_morphism_to_line.
     """
     chart = algebroid.base_chart
-    u = Section.from_components(algebroid, u_coeffs)
-    v = Section.from_components(algebroid, v_coeffs)
+    u = section_from_components(algebroid, u_coeffs)
+    v = section_from_components(algebroid, v_coeffs)
     w = bracket_sections(u, v)
     value_w = Polynomial.zero(chart)
     for (c,), coeff in w.coeffs.items():
@@ -351,7 +363,7 @@ def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
         value_v = value_v + coeff * functional.value(c)
     rho_u = anchor_apply(u)
     rho_v = anchor_apply(v)
-    return value_w - rho_u.apply(value_v) + rho_v.apply(value_u)
+    return value_w - apply_field(rho_u, value_v) + apply_field(rho_v, value_u)
 
 
 def test_frame_pair_sufficiency(rng):
@@ -530,7 +542,7 @@ def assert_sorted_path_matches_full_product(functional) -> None:
     layout = prol._copy_layout
     values = [functional.value(a) for a in range(prol.rank)]
     assert layout.anti_invariant(values)
-    by_sorted = _SortedResiduals(prol, values)
+    by_sorted = _SortedResiduals(prol, values, Calculus(prol.base_chart))
     for i, j in combinations(range(prol.rank), 2):
         if layout.orbit_source(i, j) is not None:
             continue
@@ -603,7 +615,7 @@ def test_value_outside_the_copy_shape_takes_the_full_product(rng):
     altered = FiberFunctional(prol, values)
     altered_values = [altered.value(a) for a in range(prol.rank)]
     assert layout.anti_invariant(altered_values)
-    by_sorted = _SortedResiduals(prol, altered_values)
+    by_sorted = _SortedResiduals(prol, altered_values, Calculus(prol.base_chart))
     assert by_sorted.residual(first, first + 1) is None
     assert by_sorted.value_groups(first) is None
     assert by_sorted.value_groups(first + 1) is not None

@@ -37,11 +37,13 @@ from imcalc.poly import Polynomial, base_chart, parse
 from support import (
     broken_poisson_im_form,
     broken_so3_dual_bivector,
+    coordinate_field,
     exact_im_form,
     graph_closure_residuals,
     im_form_relative,
     koszul_so3_algebroid,
     poisson_im_form,
+    scale,
     so3_algebroid,
     so3_dual_bivector,
     tangent_algebroid,
@@ -185,7 +187,7 @@ def per_pair_im_violations(im: IMForm) -> list:
     def image(maps, a, b, degree):
         out = DifferentialForm(A.base_chart, degree)
         for c, w in A.bracket_frame_row(a, b):
-            out = out + maps[c].scale(w)
+            out = out + scale(maps[c], w)
         return out
 
     def rows(tag, pairs, residual, caveat):
@@ -364,7 +366,7 @@ def test_isotropy_violation_detected():
     one = Polynomial.const(chart, 1)
     candidate = DiracCandidate(
         algebroid,
-        (VectorField.coordinate(chart, "x1"), VectorField.coordinate(chart, "x2")),
+        (coordinate_field(chart, "x1"), coordinate_field(chart, "x2")),
         (DifferentialForm(chart, 1, {(0,): one}), DifferentialForm(chart, 1)),
         (DifferentialForm(chart, 2),) * 2)
     report = check_lagrangian(candidate, sample_points=[])
@@ -376,7 +378,7 @@ def test_twisted_bracket_coordinate_fields():
     chart = algebroid.base_chart
     candidate = DiracCandidate(
         algebroid,
-        (VectorField.coordinate(chart, "x1"), VectorField.coordinate(chart, "x2")),
+        (coordinate_field(chart, "x1"), coordinate_field(chart, "x2")),
         (DifferentialForm(chart, 1),) * 2,
         (DifferentialForm(chart, 2),) * 2)
     one = Polynomial.const(chart, 1)

@@ -41,6 +41,8 @@ from support import (
     koszul_so3_algebroid,
     reference_fiber_pairing_form,
     reference_form_frame_values,
+    scale,
+    substitute,
     tangent_algebroid,
     tangent_lift,
     tangent_lift_involution_residual,
@@ -64,7 +66,7 @@ def pullback(form: DifferentialForm, mapping, source):
 
     total = DifferentialForm(source, form.degree)
     for idx, coeff in form.coeffs.items():
-        piece = DifferentialForm.function(coeff.substitute(mapping, source))
+        piece = DifferentialForm.function(substitute(coeff, mapping, source))
         for i in idx:
             piece = wedge(piece, exterior_derivative(
                 DifferentialForm.function(image(form.chart.names[i]))))
@@ -162,9 +164,9 @@ def test_is_linear_shape_examples():
     du2 = DifferentialForm(chart, 1, {(3,): Polynomial.const(chart, 1)})
     dx1 = DifferentialForm(chart, 1, {(0,): Polynomial.const(chart, 1)})
     dx2 = DifferentialForm(chart, 1, {(1,): Polynomial.const(chart, 1)})
-    good = wedge(dx1, dx2).scale(u1) + wedge(dx1, du1)
+    good = scale(wedge(dx1, dx2), u1) + wedge(dx1, du1)
     assert is_linear(good, tc)
-    assert not is_linear(wedge(dx1, dx2).scale(u1 * u1), tc)
+    assert not is_linear(scale(wedge(dx1, dx2), u1 * u1), tc)
     assert not is_linear(wedge(du1, du2), tc)
     assert not is_linear(wedge(dx1, dx2), tc)  # fiber-independent pure part
 

@@ -41,8 +41,12 @@ from support import (
     evaluate_multivector,
     koszul_so3_algebroid,
     scalar_action,
+    scale,
+    section_from_components,
     so3_algebroid,
+    substitute,
     tangent_algebroid,
+    wedge,
 )
 
 
@@ -115,7 +119,7 @@ def test_wedge_bracket_graded_identities(rng):
         u = rnd_section(rng, algebroid, dp)
         v = rnd_section(rng, algebroid, dq)
         sign = Fraction(-1 if ((dp - 1) * (dq - 1)) % 2 == 0 else 1)
-        assert section_bracket(u, v) == section_bracket(v, u).scale(sign)
+        assert section_bracket(u, v) == scale(section_bracket(v, u), sign)
     for _ in range(10):
         algebroid = rnd_algebroid(rng)
         du, dv, dw = (rng.choice([1, 2]) for _ in range(3))
@@ -123,7 +127,7 @@ def test_wedge_bracket_graded_identities(rng):
         lhs = section_bracket(u, section_bracket(v, w))
         sign = Fraction(-1 if ((du - 1) * (dv - 1)) % 2 else 1)
         rhs = (section_bracket(section_bracket(u, v), w)
-               + section_bracket(v, section_bracket(u, w)).scale(sign))
+               + scale(section_bracket(v, section_bracket(u, w)), sign))
         assert lhs == rhs
 
 
@@ -199,9 +203,9 @@ def test_derivation_apply_leibniz(rng):
         d = coboundary_derivation(rng, algebroid, k)
         u = rnd_section(rng, algebroid, 1)
         v = rnd_section(rng, algebroid, 1)
-        lhs = apply_derivation(d, u.wedge(v))
+        lhs = apply_derivation(d, wedge(u, v))
         sign = Fraction(-1 if (k - 1) % 2 else 1)
-        rhs = apply_derivation(d, u).wedge(v) + u.wedge(apply_derivation(d, v)).scale(sign)
+        rhs = wedge(apply_derivation(d, u), v) + scale(wedge(u, apply_derivation(d, v)), sign)
         assert lhs == rhs
 
 
@@ -221,7 +225,7 @@ def test_full_derivation_property_on_wedges(rng):
         lhs = apply_derivation(d, section_bracket(u, v))
         sign = Fraction(-1 if ((dp - 1) * (k - 1)) % 2 else 1)
         rhs = (section_bracket(apply_derivation(d, u), v)
-               + section_bracket(u, apply_derivation(d, v)).scale(sign))
+               + scale(section_bracket(u, apply_derivation(d, v)), sign))
         assert lhs == rhs
 
 
@@ -398,9 +402,9 @@ def test_pairing_identities(rng):
         covs = [l_xi_differential(x) for x in xis]
         value = evaluate_multivector(field, covs)
         subs = {tc.fiber_names[dd]: u[dd].promote(chart) for dd in range(r)}
-        value_along = value.substitute({name: subs[name] for name in tc.fiber_names}, chart)
+        value_along = substitute(value, {name: subs[name] for name in tc.fiber_names}, chart)
 
-        u_section = Section.from_components(algebroid, u)
+        u_section = section_from_components(algebroid, u)
         delta_u = apply_derivation(d, u_section)
         rhs = -pair_with_wedge(delta_u, xis)
         for i in range(k):
@@ -410,7 +414,7 @@ def test_pairing_identities(rng):
             rest = [l_xi_differential(x) for j, x in enumerate(xis) if j != i] \
                 + [pullback_d(pairing)]
             term = evaluate_multivector(field, rest)
-            term_along = term.substitute({name: subs[name] for name in tc.fiber_names}, chart)
+            term_along = substitute(term, {name: subs[name] for name in tc.fiber_names}, chart)
             rhs = rhs + (term_along if (i + 1 + k) % 2 == 0 else -term_along)
         assert value_along == rhs
 

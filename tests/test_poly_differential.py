@@ -47,6 +47,7 @@ from imcalc.poly import (
     EXPONENT_LIMIT, KRONECKER_SLOT_BYTES, KRONECKER_TERMS, LITERAL_DIGIT_LIMIT, ROLE_TANGENT,
     Chart, ChartError, Coord, Polynomial, base_chart, format_polynomial, parse,
 )
+from support import substitute
 
 sympy = pytest.importorskip("sympy")
 
@@ -217,7 +218,7 @@ def test_partial_eval(p, data):
 def test_substitute(p, data):
     names = p.chart.names
     images = {n: Polynomial(TARGET, data.draw(_terms(2, max_size=3))) for n in names}
-    out = p.substitute(images, TARGET)
+    out = substitute(p, images, TARGET)
     subs = {s: to_sympy(images[n], TARGET_SYMBOLS)
             for s, n in zip(SYMBOLS[p.chart.dim], names)}
     assert_matches(out, to_sympy(p).subs(subs, simultaneous=True), TARGET_SYMBOLS)
@@ -494,7 +495,7 @@ def _copy_chart(nbase: int, copies: int) -> Chart:
     """nbase base coordinates, then `copies` tangent copies of two
     coordinates each, as on a prolongation chart."""
     coords = [Coord(f"x{i}") for i in range(1, nbase + 1)]
-    coords += [Coord(f"y{m}_{l}", ROLE_TANGENT, m) for m in range(1, copies + 1) for l in (1, 2)]
+    coords += [Coord(f"y{m}_{l}", ROLE_TANGENT) for m in range(1, copies + 1) for l in (1, 2)]
     return Chart(f"B{nbase}C{copies}", tuple(coords))
 
 
@@ -698,7 +699,7 @@ def test_big_int_route_declines_where_documented(monkeypatch):
     `KRONECKER_SLOT_BYTES`; every answer is the loop's."""
     runs = _counted_route(monkeypatch)
     plane = base_chart("M", ["x1", "x2"])
-    fibers = Chart("F", (Coord("u1", ROLE_TANGENT, 1), Coord("u2", ROLE_TANGENT, 1)))
+    fibers = Chart("F", (Coord("u1", ROLE_TANGENT), Coord("u2", ROLE_TANGENT)))
     wide = 1 << (8 * KRONECKER_SLOT_BYTES)
     corner = Polynomial(plane, {(EXPONENT_LIMIT - 10, 0): 1})
     cases = [

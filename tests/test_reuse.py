@@ -63,25 +63,53 @@ class CallCounter:
         return counted
 
 
-@pytest.mark.parametrize("prolong", [tangent_prolongation, cotangent_prolongation],
-                         ids=["tangent", "cotangent"])
-def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, prolong):
-    cases = []
+LADDER = Path(__file__).resolve().parent / "golden" / "ladder"
+CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
+
+
+def document_functional(path: Path) -> FiberFunctional:
+    """The morphism route's functional of a document's candidate."""
+    doc = json.loads(path.read_text())
+    algebroid = cli.load_algebroid(doc)
+    candidate = cli.load_candidate(doc, algebroid)
+    if isinstance(candidate, IMForm):
+        return form_frame_functional(candidate)
+    return multivector_frame_functional(candidate)
+
+
+@pytest.mark.parametrize("prolong, document", [
+    (tangent_prolongation, "n4_k3_im_broken.json"),
+    (cotangent_prolongation, "n4_k3_mv.json"),
+], ids=["tangent", "cotangent"])
+def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, prolong,
+                                                             document):
+    """One `forms.Calculus` per call serves every partial, of a frame value
+    or of one of its groups by dotted monomial, and every negated anchor
+    entry, so no polynomial is differentiated twice per coordinate or
+    negated twice in a call.  The random values at k = 2 take the full
+    product; the ladder document at k = 3 also takes the sorted path."""
+    functionals = []
     for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng), rnd_algebroid(rng)):
         prol = prolong(algebroid, 2)
         values = {n: rnd_poly(rng, prol.base_chart, 2) for n in prol.frame_names}
-        cases.append((prol, FiberFunctional(prol, values)))
-    counter = CallCounter()
+        functionals.append(FiberFunctional(prol, values))
+    functional = document_functional(LADDER / document)
+    assert functional.algebroid.base_chart.name.endswith(
+        "|T3" if prolong is tangent_prolongation else "|T*3")
+    functionals.append(functional)
+    diffs, negations = CallCounter(), CallCounter()
     monkeypatch.setattr(Polynomial, "diff",
-                        counter.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
-    for prol, functional in cases:
-        check_morphism_to_line(prol, functional)
-    assert counter.counts, "the check took no partial derivative"
-    assert max(counter.counts.values()) == 1
-
-
-LADDER = Path(__file__).resolve().parent / "golden" / "ladder"
-CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
+                        diffs.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
+    monkeypatch.setattr(Polynomial, "__neg__", negations.wrap(Polynomial.__neg__, lambda p: (p,)))
+    seen = [0, 0]
+    for functional in functionals:
+        diffs.counts.clear()
+        negations.counts.clear()
+        check_morphism_to_line(functional.algebroid, functional)
+        assert max(diffs.counts.values(), default=1) == 1
+        assert max(negations.counts.values(), default=1) == 1
+        seen = [seen[0] + len(diffs.counts), seen[1] + len(negations.counts)]
+    assert all(seen), "the checks took no partial or no negation"
 
 
 @pytest.mark.parametrize("document, calls", [
@@ -97,13 +125,7 @@ def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, document, calls
     them, and 2 more to expand a nonzero sorted part to its residual, which
     the broken IM form has at one of them.  At k = 2 (rank 9, 36 pairs)
     every one of the 21 representatives is one full product."""
-    doc = json.loads(document.read_text())
-    algebroid = cli.load_algebroid(doc)
-    candidate = cli.load_candidate(doc, algebroid)
-    if isinstance(candidate, IMForm):
-        functional = form_frame_functional(candidate)
-    else:
-        functional = multivector_frame_functional(candidate)
+    functional = document_functional(document)
     prol = functional.algebroid
     layout = prol._copy_layout
     orbits = sum(layout.orbit_source(i, j) is None

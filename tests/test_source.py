@@ -1,10 +1,11 @@
 """Checks on the repository's own text: no unused import in the library
 modules, every library import relative or from the standard library, no
-module-level or class-level state but constants, the polynomial kernel's
-term maps handled only in `poly.py`, index sorting only in `forms.py`, no
-partials of their own in the IM, derivation and Weil checkers, no d in the
-morphism route's frame values for forms, no derivation conversion in those
-for multivectors, and README's quick tour runs as written."""
+module-level or class-level state but constants, no library name or method
+that only the tests reach, the polynomial kernel's term maps handled only
+in `poly.py`, index sorting only in `forms.py`, no partials of their own in
+the IM, derivation, Weil and morphism checkers, no d in the morphism
+route's frame values for forms, no derivation conversion in those for
+multivectors, and README's quick tour runs as written."""
 
 from __future__ import annotations
 
@@ -288,6 +289,19 @@ def test_checkers_differentiate_only_through_forms(name):
     assert own_calculus((ROOT / "src" / "imcalc" / name).read_text(encoding="utf-8")) == []
 
 
+def test_morphism_check_differentiates_only_through_forms():
+    """`check_morphism_to_line` and its sorted path take partials and
+    negations from the call's `forms.Calculus`.  The prolongation builders
+    and `anchor_derivation` beside them in `algebroid.py` take one-shot
+    `diff`s, so the rule reads only these two definitions."""
+    source = (ROOT / "src" / "imcalc" / "algebroid.py").read_text(encoding="utf-8")
+    segments = {node.name: ast.get_source_segment(source, node)
+                for node in ast.parse(source).body
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    for name in ("check_morphism_to_line", "_SortedResiduals"):
+        assert own_calculus(segments[name]) == [], name
+
+
 def test_calculus_checks_see_what_they_should():
     source = ("from .forms import collect, sort_indices\n"
               "from . import forms\n"
@@ -460,25 +474,37 @@ def outside_roots(readme: str, scripts, sources, graph: dict) -> set:
         roots.add((module[len(PACKAGE) + 1:], name))
     block, prose = quick_tour(readme)
     roots |= set(_imported(ast.parse(block)).values())
-    named = {word for span in re.findall(r"`([^`]*)`", prose)
-             for word in re.findall(r"[A-Za-z_]\w*", span)}
-    roots |= {key for key in graph if key[1] in named}
+    roots |= {key for key in graph if key[1] in _backticked(prose)}
     for source in sources:
         tree = ast.parse(source)
         imported = _imported(tree)
         roots |= set(imported.values())
         roots |= {key for key in _named(tree, imported, "") if key[0] != ""}
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
-                for module, attr, *_ in ast.literal_eval(node.value):
-                    roots.add((module[len(PACKAGE) + 1:], attr.split(".")[0]))
+        roots |= {(module, attr.split(".")[0]) for module, attr in _targets(tree)}
     return roots
 
 
-def unreached(graph: dict, roots: set) -> list:
-    """The (module, name) of each top-level library name, outside the
-    package root and dunder names, that no root reaches through `graph`."""
+def _backticked(prose: str) -> set:
+    """The words inside the backticks of `prose`."""
+    return {word for span in re.findall(r"`([^`]*)`", prose)
+            for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def _targets(tree) -> list:
+    """(module, attribute) of each row of a top-level `TARGETS` tuple, the
+    module without the package prefix: "Polynomial.diff" for a method."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets):
+            out += [(module[len(PACKAGE) + 1:], attr)
+                    for module, attr, *_ in ast.literal_eval(node.value)]
+    return out
+
+
+def reached(graph: dict, roots: set) -> set:
+    """The keys of `graph` that `roots` or the modules' top-level
+    statements reach through it."""
     seen = set()
     todo = list(roots | {key for key in graph if key[1] is None})
     while todo:
@@ -487,14 +513,65 @@ def unreached(graph: dict, roots: set) -> list:
             continue
         seen.add(key)
         todo.extend(graph[key])
+    return seen
+
+
+def unreached(graph: dict, roots: set) -> list:
+    """The (module, name) of each top-level library name, outside the
+    package root and dunder names, that no root reaches through `graph`."""
+    seen = reached(graph, roots)
     return sorted(key for key in graph
                   if key[0] and key[1] and not key[1].startswith("__") and key not in seen)
 
 
+def _reads(nodes) -> set:
+    """The attribute names read in `nodes`."""
+    return {sub.attr for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+
+
+def unreached_members(library: dict, seen: set, readme: str, sources) -> list:
+    """The (module, class, name) of each method and property of a reached
+    top-level class, dunders aside, that nothing reaches.  A member is
+    reached when reached code outside its own def, the tour's Python block
+    or `sources` (the benchmark and tools) reads its name as an attribute,
+    when the tour's prose backticks its name, or when a `TARGETS` row of
+    `sources` names it as `Class.name`.  `seen` holds the reached top-level
+    names: their bodies are reached code, and so are each reached class's
+    dunders and other statements, and each member once it is reached.
+    Names are matched without types."""
+    members, code = {}, []
+    for module, source in library.items():
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.ClassDef) and (module, node.name) in seen:
+                for sub in node.body:
+                    if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+                            sub.name.startswith("__") and sub.name.endswith("__")):
+                        members[(module, node.name, sub.name)] = sub
+                    else:
+                        code.append(sub)
+            elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
+                    or (module, node.name) in seen:
+                code.append(node)
+    block, prose = quick_tour(readme)
+    trees = [ast.parse(source) for source in sources]
+    reads = _reads(code + [ast.parse(block)] + trees)
+    named = _backticked(prose)
+    rows = {(module, *attr.split(".")) for tree in trees for module, attr in _targets(tree)}
+    found = set()
+    todo = {key for key in members if key[2] in named | reads or key in rows}
+    while todo:
+        found |= todo
+        reads |= _reads(members[key] for key in todo)
+        todo = {key for key in members if key[2] in reads and key not in found}
+    return sorted(set(members) - found)
+
+
 def test_every_library_name_is_reached():
-    """A top-level name stays in `src/` only if `verify`, the quick tour,
-    the benchmark or the tools reach it, or another name that stays;
-    batteries only the tests use live in `tests/support.py`."""
+    """A top-level name, method or property stays in `src/` only if
+    `verify`, the quick tour, the benchmark or the tools reach it, or
+    something else that stays; batteries only the tests use live in
+    `tests/support.py`."""
     library = {"" if p.name == "__init__.py" else p.stem: p.read_text(encoding="utf-8")
                for p in sorted((ROOT / "src" / PACKAGE).glob("*.py"))}
     graph = reference_graph(library)
@@ -503,10 +580,14 @@ def test_every_library_name_is_reached():
         scripts = tomllib.load(f)["project"]["scripts"].values()
     outside = [p for p in sorted((ROOT / "perfbench").glob("*.py"))
                if not p.name.startswith("test_")] + sorted((ROOT / "tools").glob("*.py"))
-    roots = outside_roots((ROOT / "README.md").read_text(encoding="utf-8"), scripts,
-                          [p.read_text(encoding="utf-8") for p in outside], graph)
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sources = [p.read_text(encoding="utf-8") for p in outside]
+    roots = outside_roots(readme, scripts, sources, graph)
     missing = unreached(graph, roots)
     assert not missing, "reached by nothing: " + ", ".join(f"{m}.{n}" for m, n in missing)
+    missing = unreached_members(library, reached(graph, roots), readme, sources)
+    assert not missing, "reached by nothing: " + ", ".join(
+        f"{m}.{c}.{n}" for m, c, n in missing)
 
 
 def test_reach_check_sees_what_it_should():
@@ -545,3 +626,48 @@ def test_reach_check_sees_what_it_should():
     assert ("cli", "main") in roots and ("alg", "traced") in roots
     assert unreached(graph, roots) == [("alg", "in_prose"), ("alg", "orphan"),
                                        ("kernel", "_helper")]
+
+
+def test_member_reach_check_sees_what_it_should():
+    """A method that nothing reads, one read only inside its own def, one
+    read only by an unreached method and one named only in a comment of
+    the tour's code are unreached; one named by a `TARGETS` row, one in the
+    backticks of the tour's prose, a property the benchmark reads and a
+    method that a dunder calls, with what it calls, are reached."""
+    library = {
+        "": "from .alg import check\n",
+        "alg": ("class Poly:\n"
+                "    def __init__(self):\n"
+                "        self.norm()\n"
+                "    def norm(self):\n"
+                "        return self.helper()\n"
+                "    def helper(self):\n"
+                "        return 1\n"
+                "    @property\n"
+                "    def size(self):\n"
+                "        return 0\n"
+                "    def traced(self):\n"
+                "        pass\n"
+                "    def in_prose(self):\n"
+                "        pass\n"
+                "    def commented(self):\n"
+                "        pass\n"
+                "    def recursive(self):\n"
+                "        return self.recursive()\n"
+                "    def orphan(self):\n"
+                "        return self.from_orphan()\n"
+                "    def from_orphan(self):\n"
+                "        pass\n"
+                "def check(x):\n"
+                "    return Poly()\n"),
+    }
+    readme = ("## Library quick tour\n\n"
+              "```python\nfrom imcalc import check\n# check(1).commented()\n```\n\n"
+              "Then call `Poly.in_prose`.\n")
+    bench = ("TARGETS = (('imcalc.alg', 'Poly.traced', 'alg'),)\n"
+             "def run(p):\n"
+             "    return p.size\n")
+    graph = reference_graph(library)
+    seen = reached(graph, outside_roots(readme, [], [bench], graph))
+    assert unreached_members(library, seen, readme, [bench]) == [
+        ("alg", "Poly", name) for name in ("commented", "from_orphan", "orphan", "recursive")]

@@ -21,6 +21,7 @@ from support import (
     linear_form_to_cochain,
     negated_cochain,
     poisson_im_form,
+    scale,
     tangent_algebroid,
     trivial_cotangent_algebroid,
     value0_scaled,
@@ -134,7 +135,7 @@ def test_compatibility_rule_consistency(rng):
             via_rule = value0_scaled(w, f, a)
             # the section f e_a carries mu value f mu(e_a) and nu value
             # f nu(e_a); rebuild comp0 from that scaled data directly
-            direct = exterior_derivative(bf.mu[a].scale(f)) + bf.nu[a].scale(f)
+            direct = exterior_derivative(scale(bf.mu[a], f)) + scale(bf.nu[a], f)
             assert via_rule == direct
 
 

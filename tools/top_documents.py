@@ -12,10 +12,13 @@ verifies it N times in this process with `imcalc.cli.main` from the
 checkout's own `src/`.  Building the document is not timed.
 
 It prints one line per rung: n, k, the number of runs, the fastest and the
-median wall time in seconds, and the sha256 of the report (exit code and
-stdout).  Run it on two checkouts and compare the lines: equal digests mean
-byte-identical reports.  Every run of a rung must print the same report, or
-the tool stops with an error.
+median wall time in seconds, the sha256 of the document text and the
+sha256 of the report (exit code and stdout).  Run it on two checkouts and
+compare the lines: equal digests mean the same document and byte-identical
+reports.  A passing report prints no witness and nothing that depends on
+n, so rungs whose documents pass share a report digest; the document digest
+tells them apart.  Every run of a rung must print the same report, or the
+tool stops with an error.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ def rung(text: str) -> tuple:
 
 
 def time_rung(n: int, k: int, runs: int, path: Path) -> tuple:
-    """(fastest, median, report sha256) of `runs` verifications of the top
-    document at (n, k)."""
+    """(fastest, median, document sha256, report sha256) of `runs`
+    verifications of the top document at (n, k)."""
     doc, = workloads.rung_documents(random.Random(SEED), n, k, top=True)
     path.write_text(doc.text, encoding="utf-8")
     times, reports = [], set()
@@ -61,8 +64,9 @@ def time_rung(n: int, k: int, runs: int, path: Path) -> tuple:
         reports.add(f"{code}\0{out.getvalue()}")
     if len(reports) != 1:
         raise SystemExit(f"n={n}, k={k}: the runs printed different reports")
-    digest = hashlib.sha256(reports.pop().encode()).hexdigest()
-    return min(times), statistics.median(times), digest
+    document = hashlib.sha256(doc.text.encode()).hexdigest()
+    report = hashlib.sha256(reports.pop().encode()).hexdigest()
+    return min(times), statistics.median(times), document, report
 
 
 def main(argv=None) -> None:
@@ -72,12 +76,13 @@ def main(argv=None) -> None:
     args = parser.parse_args(argv)
     if args.runs < 1:
         parser.error("--runs must be at least 1")
-    print("n k runs min_s median_s report_sha256")
+    print("n k runs min_s median_s document_sha256 report_sha256")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "document.json"
         for n, k in args.rungs:
-            fastest, median, digest = time_rung(n, k, args.runs, path)
-            print(f"{n} {k} {args.runs} {fastest:.4f} {median:.4f} {digest}", flush=True)
+            fastest, median, document, report = time_rung(n, k, args.runs, path)
+            print(f"{n} {k} {args.runs} {fastest:.4f} {median:.4f} {document} {report}",
+                  flush=True)
 
 
 if __name__ == "__main__":
