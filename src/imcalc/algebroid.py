@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebroidError, AxiomError, OracleDisagreement
 from .forms import Alternating, Calculus, VectorField, add_scaled, collect, graded_bracket
-from .poly import Chart, ChartError, Coord, Polynomial, ROLE_DUAL, ROLE_TANGENT
+from .poly import Chart, ChartError, Coord, Polynomial
 
 
 @dataclass(frozen=True)
@@ -349,35 +349,14 @@ def axiom_gate(algebroid: LieAlgebroid):
     return algebroid._axiom_report.violations
 
 
-@dataclass(frozen=True)
-class FiberFunctional:
-    """Fiberwise-linear map to the line, stored by its frame values.
-
-    The values are polynomials on the base chart of the (typically
-    prolongation) algebroid; linearity over base functions determines the
-    functional on every section from these.
-    """
-
-    algebroid: LieAlgebroid
-    values: Mapping
-
-    def __post_init__(self):
-        missing = [n for n in self.algebroid.frame_names if n not in self.values]
-        extra = [n for n in self.values if n not in self.algebroid.frame_names]
-        if missing or extra:
-            raise AlgebroidError(
-                f"functional must cover the frame exactly (missing {missing}, extra {extra})")
-        for name, p in self.values.items():
-            if p.chart != self.algebroid.base_chart:
-                raise ChartError(f"value for {name!r} lives on the wrong chart")
-        object.__setattr__(self, "values", dict(self.values))
-
-    def value(self, a: int) -> Polynomial:
-        return self.values[self.algebroid.frame_names[a]]
-
-
-def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional) -> CheckReport:
+def check_morphism_to_line(algebroid: LieAlgebroid, values: Sequence[Polynomial]) -> CheckReport:
     """Check the Lie-algebroid-morphism condition of a fiberwise-linear map.
+
+    The map F is given by its frame values, F(e_a) = values[a], one
+    polynomial on the base chart per frame section in frame order; on a
+    prolongation, core c of copy m + 1 sits at m*frame_block + c and linear
+    a at k*frame_block + a (`CopyLayout`).  Linearity over base functions
+    determines F on every section from these.
 
     For each unordered frame pair (U, V) the residual is
     R(U, V) = F([U, V]) - rho(U) F(V) + rho(V) F(U), with F extended to the
@@ -420,13 +399,12 @@ def check_morphism_to_line(algebroid: LieAlgebroid, functional: FiberFunctional)
     Partials and negated anchor entries come from one `forms.Calculus` of
     the call, so each is computed at most once.
     """
-    if functional.algebroid != algebroid:
-        raise AlgebroidError("functional is attached to a different algebroid")
-    violations = []
     r = algebroid.rank
     chart = algebroid.base_chart
+    if len(values) != r or any(p.chart != chart for p in values):
+        raise AlgebroidError("need one value on the base chart per frame section")
+    violations = []
     names = algebroid.frame_names
-    values = [functional.value(a) for a in range(r)]
     ops = Calculus(chart)
     layout = algebroid._copy_layout
     reduced = layout is not None and layout.k >= 2 and layout.anti_invariant(values)
@@ -738,23 +716,7 @@ def dual_copy_name(n: int, d: int) -> str:
     return f"xi{n}_{d}"
 
 
-def core_frame_name(frame: str, n: int) -> str:
-    return f"{frame}_hat{n}"
-
-
-def linear_frame_name(frame: str) -> str:
-    return f"T{frame}"
-
-
-def dual_core_frame_name(coord: str, n: int) -> str:
-    return f"d{coord}_hat{n}"
-
-
-def dual_linear_frame_name(frame: str) -> str:
-    return f"{frame}_L"
-
-
-def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: int,
+def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, block: int,
                   copy_coord, core_name, linear_name, P, q, G, h) -> LieAlgebroid:
     """The prolongation with k copies of one side's base-level tables.
 
@@ -784,7 +746,7 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, role: str, block: i
     lin = k * B
     copies = range(k)
     chart = Chart(f"{base.name}|{tag}{k}", base.coords + tuple(
-        Coord(copy_coord(m + 1, l), role) for m in copies for l in range(block)))
+        Coord(copy_coord(m + 1, l), base=False) for m in copies for l in range(block)))
     frame = [core_name(m + 1, c) for m in copies for c in range(B)]
     frame += [linear_name(name) for name in algebroid.frame_names]
 
@@ -859,10 +821,10 @@ def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
         return [(l, f.diff(x)) for l, x in enumerate(names)]
 
     return _prolongation(
-        algebroid, k, "T", ROLE_TANGENT, len(names),
+        algebroid, k, "T", len(names),
         lambda m, l: tangent_copy_name(names[l], m),
-        lambda m, a: core_frame_name(frame[a], m),
-        linear_frame_name,
+        lambda m, a: f"{frame[a]}_hat{m}",
+        lambda name: f"T{name}",
         P=algebroid.anchor,
         q=[[partials(p) for p in row] for row in algebroid.anchor],
         G=[[algebroid.bracket_frame_row(b, a) for b in rows] for a in rows],
@@ -883,10 +845,10 @@ def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     anchor = algebroid.anchor
     rows = range(algebroid.rank)
     return _prolongation(
-        algebroid, k, "T*", ROLE_DUAL, algebroid.rank,
+        algebroid, k, "T*", algebroid.rank,
         lambda m, d: dual_copy_name(m, d + 1),
-        lambda m, i: dual_core_frame_name(names[i], m),
-        dual_linear_frame_name,
+        lambda m, i: f"d{names[i]}_hat{m}",
+        lambda name: f"{name}_L",
         P=[[row[i] for row in anchor] for i in range(len(names))],
         q=[[algebroid.bracket_frame_row(a, b) for b in rows] for a in rows],
         G=[[[(i, -p.diff(x)) for i, x in enumerate(names)] for p in row] for row in anchor],

@@ -219,10 +219,6 @@ class Alternating:
 class DifferentialForm(Alternating):
     _GLYPH = "d{}"
 
-    @classmethod
-    def function(cls, poly: Polynomial) -> "DifferentialForm":
-        return cls(poly.chart, 0, {(): poly})
-
 
 class Multivector(Alternating):
     _GLYPH = "@{}"

@@ -274,11 +274,8 @@ def im_routes(im: IMForm, linear: DifferentialForm | None = None) -> dict:
     that `decompose` proved equal to it), so `form_frame_functional`
     cross-checks against it instead of building it again.
     """
-    def morphism() -> CheckReport:
-        functional = form_frame_functional(im, linear)
-        return check_morphism_to_line(functional.algebroid, functional)
-
-    return {"im_conditions": lambda: check_im_form(im), "morphism": morphism}
+    return {"im_conditions": lambda: check_im_form(im),
+            "morphism": lambda: check_morphism_to_line(*form_frame_functional(im, linear))}
 
 
 def oracle_equivalence(im: IMForm) -> tuple:

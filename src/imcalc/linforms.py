@@ -25,15 +25,9 @@ and fiber positions transposed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .algebroid import (
-    FiberFunctional,
-    LieAlgebroid,
-    core_frame_name,
-    linear_frame_name,
-    tangent_prolongation,
-)
+from .algebroid import LieAlgebroid, tangent_prolongation
 from .errors import AlgebroidError, CrossCheckError
 from .forms import (
     Alternating,
@@ -43,7 +37,7 @@ from .forms import (
     collect,
     exterior_derivative,
 )
-from .poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER
+from .poly import Chart, ChartError, Coord, Polynomial
 
 if TYPE_CHECKING:  # imforms imports this module
     from .imforms import IMForm
@@ -87,7 +81,7 @@ def total_chart(base: Chart, frame_names: Sequence[str]) -> TotalChart:
     frame_names = tuple(frame_names)
     fiber = tuple(f"u{d + 1}" for d in range(len(frame_names)))
     chart = Chart(f"{base.name}|u",
-                  base.coords + tuple(Coord(n, ROLE_FIBER) for n in fiber))
+                  base.coords + tuple(Coord(n, base=False) for n in fiber))
     return TotalChart(chart, base, frame_names, fiber)
 
 
@@ -223,10 +217,10 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
 # frame values on the tangent prolongation
 # ---------------------------------------------------------------------------
 
-def form_frame_functional(im: IMForm, linear: DifferentialForm | None = None) -> FiberFunctional:
-    """Values of the induced fiberwise-linear functional of the candidate
-    `im` on the distinguished frame of the k-fold tangent prolongation,
-    which it builds and attaches.
+def form_frame_functional(im: IMForm, linear: DifferentialForm | None = None) -> tuple:
+    """(prolongation, values): the k-fold tangent prolongation, which this
+    builds, and the values of the induced fiberwise-linear functional of the
+    candidate `im` on its frame, in frame order.
 
     With (mu, nu) = `im.forms` and U_1..U_k the tautological dotted fields
     U_m = sum_i y_m^i d/dx_i, every value is read from the minors of the
@@ -254,41 +248,44 @@ def form_frame_functional(im: IMForm, linear: DifferentialForm | None = None) ->
     rows = Minors([dict(enumerate(y)) for y in dotted], chart)
     copies = tuple(range(k))
 
-    values: dict = {}
-    for a, frame in enumerate(algebroid.frame_names):
+    # core a of copy n at (n-1)*r + a, linear a at k*r + a (`CopyLayout`)
+    r = algebroid.rank
+    values = [None] * prol.rank
+    for a in range(r):
         mu_a = bundle_forms.mu[a].promote(chart).coeffs
         pairs = []
         for n in range(1, k + 1):
             core = rows.contract(mu_a, copies[:n - 1] + copies[n:])
             if (n - 1) % 2:
                 core = -core
-            values[core_frame_name(frame, n)] = core
+            values[(n - 1) * r + a] = core
             for y, name in zip(dotted[n - 1], algebroid.base_chart.names):
                 part = core.diff(name)
                 if not part.is_zero():
                     pairs.append((y, part))
         pairs += [(coeff, rows.minors(copies, idx))
                   for idx, coeff in bundle_forms.nu[a].promote(chart).coeffs.items()]
-        values[linear_frame_name(frame)] = Polynomial.sum_of_products(chart, pairs)
+        values[k * r + a] = Polynomial.sum_of_products(chart, pairs)
 
     tc = total_chart_of(algebroid)
     if linear is None:
         linear = linear_form(bundle_forms, tc)
     cross_check_frame_values(linear, tc, prol,
                              range(tc.base_chart.dim), tc.fiber_positions(), values)
-    return FiberFunctional(prol, values)
+    return prol, tuple(values)
 
 
 def cross_check_frame_values(table: Alternating, tc: TotalChart, prol: LieAlgebroid,
                              rows_at: Sequence[int], units_at: Sequence[int],
-                             values: Mapping) -> None:
+                             values: Sequence[Polynomial]) -> None:
     """Contract a linear form or multivector on `tc` directly against the
     explicit frame vectors of its prolongation `prol`, and raise
-    CrossCheckError on the first frame value that differs from `values`.
+    CrossCheckError, naming the frame section, on the first frame value
+    that differs from `values`, which are in frame order.
 
     Copy m's row holds its coordinate y_m^l at position rows_at[l] of `tc`.
-    The frame names of `prol` are walked in the order `_prolongation` placed
-    them: first the cores copy by copy, core c of copy m reading the rows
+    The frame of `prol` is walked in the order `_prolongation` placed it:
+    first the cores copy by copy, core c of copy m reading the rows
     with a unit added at (m, units_at[c]), which `Minors.contract` takes by
     linearity, against the coefficients at the zero fiber point; then the
     linear sections, the a-th reading the plain rows against the
@@ -309,6 +306,6 @@ def cross_check_frame_values(table: Alternating, tc: TotalChart, prol: LieAlgebr
     at_zero, *at_units = points
     reads = [(at_zero, (m, i)) for m in ids for i in units_at]
     reads += [(coeffs, None) for coeffs in at_units]
-    for name, (coeffs, unit) in zip(prol.frame_names, reads):
-        if rows.contract(coeffs, ids, unit) != values[name]:
+    for name, value, (coeffs, unit) in zip(prol.frame_names, values, reads):
+        if rows.contract(coeffs, ids, unit) != value:
             raise CrossCheckError(f"frame value mismatch on {name}")

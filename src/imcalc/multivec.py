@@ -27,15 +27,12 @@ from typing import Mapping
 
 from .algebroid import (
     CheckReport,
-    FiberFunctional,
     LieAlgebroid,
     Section,
     axiom_gate,
     check_morphism_to_line,
     component_violations,
     cotangent_prolongation,
-    dual_core_frame_name,
-    dual_linear_frame_name,
     run_oracle,
 )
 from .errors import AlgebroidError
@@ -286,9 +283,10 @@ def check_gerstenhaber_derivation(d: Derivation) -> CheckReport:
 # frame values on the cotangent prolongation
 # ---------------------------------------------------------------------------
 
-def multivector_frame_functional(p: LinearMultivector) -> FiberFunctional:
-    """Values of the induced fiberwise functional on the frame of the k-fold
-    cotangent prolongation, which it builds and attaches.
+def multivector_frame_functional(p: LinearMultivector) -> tuple:
+    """(prolongation, values): the k-fold cotangent prolongation, which
+    this builds, and the values of the induced fiberwise functional on its
+    frame, in frame order.
 
     Core value (coordinate j, copy m): (-1)^(k-m) times the pairing of the
     mixed coefficients along the j-th base direction (the coordinate action
@@ -313,19 +311,19 @@ def multivector_frame_functional(p: LinearMultivector) -> FiberFunctional:
     for (b_tuple, a), poly in p.fiber.items():
         fiber[a][b_tuple] = poly.promote(chart)
 
-    values: dict = {}
+    # copy by copy the cores, one per base coordinate, then the linear sections
+    values = []
     for m in range(1, k + 1):
         ids = tuple(l for l in range(k) if l != m - 1)
-        for j, name in enumerate(base.names):
+        for j in range(base.dim):
             val = xi.contract(mixed[j], ids)
-            values[dual_core_frame_name(name, m)] = val if (k - m) % 2 == 0 else -val
-    for a, name in enumerate(A.frame_names):
-        values[dual_linear_frame_name(name)] = xi.contract(fiber[a], tuple(range(k)))
+            values.append(val if (k - m) % 2 == 0 else -val)
+    values += [xi.contract(fiber[a], tuple(range(k))) for a in range(A.rank)]
 
     tc = total_chart_of(A)
     cross_check_frame_values(p.to_multivector(tc), tc, prol,
                              tc.fiber_positions(), range(base.dim), values)
-    return FiberFunctional(prol, values)
+    return prol, tuple(values)
 
 
 def derivation_routes(p: LinearMultivector) -> dict:
@@ -335,12 +333,8 @@ def derivation_routes(p: LinearMultivector) -> dict:
     route two checks the morphism condition of the induced functional on the
     cotangent prolongation.
     """
-    def morphism() -> CheckReport:
-        functional = multivector_frame_functional(p)
-        return check_morphism_to_line(functional.algebroid, functional)
-
     return {"derivation": lambda: check_gerstenhaber_derivation(derivation_from_linear(p)),
-            "morphism": morphism}
+            "morphism": lambda: check_morphism_to_line(*multivector_frame_functional(p))}
 
 
 def oracle_equivalence_dual(p: LinearMultivector) -> tuple:

@@ -101,8 +101,9 @@ reports, with one table per report, so each distinct monomial of the report
 is rendered once.  The table lives for that one report; `str(p)` passes
 none, and its entries last for the one call.
 
-Charts carry a role per coordinate (base / fiber / tangent copy / dual
-copy).  Base coordinates come first, and `_kronecker` counts them: their
+Each chart coordinate is a base coordinate or not (`Coord.base`): fiber
+coordinates of a total space and the copy coordinates of a prolongation are
+not.  Base coordinates come first, and `_kronecker` counts them: their
 exponents make the mixed-radix index, the others the groups.  Where the
 copies of a prolongation sit is recorded by `algebroid.CopyLayout`, not by
 the chart.
@@ -141,12 +142,6 @@ KRONECKER_TERMS = 16
 #: degrees 7 and 11 in two coordinates breaks even near 27 bytes)
 KRONECKER_SLOT_BYTES = 24
 
-#: roles a chart coordinate can play
-ROLE_BASE = "base"
-ROLE_FIBER = "fiber"
-ROLE_TANGENT = "tangent"  # n-th tangent copy of a base coordinate
-ROLE_DUAL = "dual"        # n-th dual copy of a fiber direction
-
 
 class ChartError(ValueError):
     """Chart construction or chart-compatibility failure."""
@@ -154,21 +149,18 @@ class ChartError(ValueError):
 
 @dataclass(frozen=True)
 class Coord:
-    """A named chart coordinate with its double-vector-bundle role."""
+    """A named chart coordinate; `base` is False for the fiber and copy
+    coordinates that follow the base ones."""
 
     name: str
-    role: str = ROLE_BASE
-
-    def __post_init__(self) -> None:
-        if self.role not in (ROLE_BASE, ROLE_FIBER, ROLE_TANGENT, ROLE_DUAL):
-            raise ChartError(f"unknown coordinate role {self.role!r}")
+    base: bool = True
 
 
 @dataclass(frozen=True)
 class Chart:
     """An ordered, uniquely named coordinate system.
 
-    Base coordinates must come first; fiber/tangent/dual coordinates follow in
+    Base coordinates must come first; fiber and copy coordinates follow in
     construction order.  Charts are immutable and compared by value.
     """
 
@@ -178,16 +170,15 @@ class Chart:
     def __post_init__(self) -> None:
         names = [c.name for c in self.coords]
         if len(set(names)) != len(names):
-            raise ChartError(f"duplicate coordinate names in chart {self.name!r}")
-        seen_nonbase = False
-        for c in self.coords:
-            if c.role == ROLE_BASE and seen_nonbase:
-                raise ChartError("base coordinates must be listed first")
-            if c.role != ROLE_BASE:
-                seen_nonbase = True
+            dups = sorted({n for n in names if names.count(n) > 1})
+            raise ChartError(f"duplicate coordinate names in chart {self.name!r}: "
+                             + ", ".join(map(repr, dups)))
+        nbase = sum(c.base for c in self.coords)
+        if not all(c.base for c in self.coords[:nbase]):
+            raise ChartError("base coordinates must be listed first")
         shifts = tuple(SLOT_BITS * i for i in range(len(names)))
         object.__setattr__(self, "_names", tuple(names))
-        object.__setattr__(self, "_base", sum(c.role == ROLE_BASE for c in self.coords))
+        object.__setattr__(self, "_base", nbase)
         object.__setattr__(self, "_index", {n: i for i, n in enumerate(names)})
         object.__setattr__(self, "_shifts", shifts)
         object.__setattr__(self, "_guard", sum(1 << (s + SLOT_BITS - 1) for s in shifts))

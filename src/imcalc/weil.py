@@ -1,7 +1,7 @@
 """Low-degree Weil cochains: the third independent route to the IM conditions.
 
-A degree-(1,k) cochain is a pair (comp0, comp1) of frame-value tables, a
-k-form and a (k-1)-form per frame section, with comp0 extended off the frame
+A degree-(1,k) cochain is a pair (comp0, comp1) of frame-value tuples, a
+k-form and a (k-1)-form per frame section in frame order, with comp0 extended off the frame
 by the compatibility rule comp0(f u) = f comp0(u) - df ^ comp1(u).  Linear
 k-forms map isomorphically onto these cochains; the horizontal differential
 of the image has three displayed components whose vanishing reproduces the
@@ -20,7 +20,6 @@ underlying symmetric tensor is what the kernel condition means.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from .algebroid import CheckReport, LieAlgebroid, axiom_gate, component_violations
 from .errors import AlgebroidError
@@ -35,39 +34,27 @@ class WeilCochain1:
 
     algebroid: LieAlgebroid
     k: int
-    comp0: Mapping  # frame name -> k-form on the base
-    comp1: Mapping  # frame name -> (k-1)-form on the base
+    comp0: tuple  # k-forms on the base, in frame order
+    comp1: tuple  # (k-1)-forms on the base, in frame order
 
     def __post_init__(self):
         A = self.algebroid
-        for table, degree, tag in ((self.comp0, self.k, "comp0"),
-                                   (self.comp1, self.k - 1, "comp1")):
-            if set(table) != set(A.frame_names):
-                raise AlgebroidError(f"{tag} must cover the frame exactly")
-            for f in table.values():
+        for values, degree, tag in ((self.comp0, self.k, "comp0"),
+                                    (self.comp1, self.k - 1, "comp1")):
+            if len(values) != A.rank:
+                raise AlgebroidError(f"{tag} needs one entry per frame section")
+            for f in values:
                 if f.degree != degree:
                     raise AlgebroidError(f"{tag} entries must have degree {degree}")
                 if f.chart != A.base_chart:
                     raise ChartError(f"{tag} entries must live on the base chart")
-        object.__setattr__(self, "comp0", dict(self.comp0))
-        object.__setattr__(self, "comp1", dict(self.comp1))
-
-    def value0(self, a: int) -> DifferentialForm:
-        return self.comp0[self.algebroid.frame_names[a]]
-
-    def value1(self, a: int) -> DifferentialForm:
-        return self.comp1[self.algebroid.frame_names[a]]
 
 
 def cochain_from_bundle_forms(algebroid: LieAlgebroid, bf: BundleForms) -> WeilCochain1:
     """The image of the linear form with data (mu, nu): comp0 is d mu + nu
     and comp1 is -mu."""
-    comp0 = {}
-    comp1 = {}
-    for a, name in enumerate(algebroid.frame_names):
-        comp0[name] = exterior_derivative(bf.mu[a]) + bf.nu[a]
-        comp1[name] = -bf.mu[a]
-    return WeilCochain1(algebroid, bf.k, comp0, comp1)
+    comp0 = tuple(exterior_derivative(mu) + nu for mu, nu in zip(bf.mu, bf.nu))
+    return WeilCochain1(algebroid, bf.k, comp0, tuple(-mu for mu in bf.mu))
 
 
 def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
@@ -120,10 +107,10 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
         ops.add_d(groups, i_form.coeffs, s)
 
     pairs = [(a, b) for a in range(r) for b in range(r)]
-    i0 = {(a, b): contracted(a, w.value0(b)) for a, b in pairs}
-    i1 = {(a, b): contracted(a, w.value1(b)) for a, b in pairs}
-    d0 = [derived(w.value0(b)) for b in range(r)]
-    d1 = [derived(w.value1(b)) for b in range(r)]
+    i0 = {(a, b): contracted(a, w.comp0[b]) for a, b in pairs}
+    i1 = {(a, b): contracted(a, w.comp1[b]) for a, b in pairs}
+    d0 = [derived(f) for f in w.comp0]
+    d1 = [derived(f) for f in w.comp1]
 
     violations = list(axiom_gate(A))
     notes = []
@@ -135,11 +122,11 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
             groups: dict = {}
             for c, (coeff, _) in A.bracket_row(b, a, ops):
                 # comp0(coeff e_c) = coeff comp0(e_c) - d(coeff) ^ comp1(e_c)
-                add_scaled(groups, w.value0(c).coeffs, coeff)
+                add_scaled(groups, w.comp0[c].coeffs, coeff)
                 for j in range(chart.dim):
                     dc = ops.partial(coeff, j)
                     if not dc.is_zero():
-                        add_wedge(groups, w.value1(c).coeffs, ops.pm(dc), -1, head=(j,))
+                        add_wedge(groups, w.comp1[c].coeffs, ops.pm(dc), -1, head=(j,))
             add_lie(groups, a, d0[b], i0[a, b], 1)
             add_lie(groups, b, d0[a], i0[b, a], -1)
             violations.extend(component_violations("DH0", (names[a], names[b]),
@@ -147,7 +134,7 @@ def horizontal_vanishing_report(w: WeilCochain1) -> CheckReport:
     for a, b in pairs:
         groups = {}
         for c, (coeff, _) in A.bracket_row(b, a, ops):
-            add_scaled(groups, w.value1(c).coeffs, coeff)
+            add_scaled(groups, w.comp1[c].coeffs, coeff)
         add_lie(groups, a, d1[b], i1[a, b], 1)
         add_scaled(groups, i0[b, a].coeffs, 1)
         violations.extend(component_violations("DH1", (names[a], names[b]),

@@ -249,12 +249,11 @@ def frame_index(algebroid: LieAlgebroid, name: str) -> int:
     return algebroid.frame_names.index(name)
 
 
-def reference_morphism_violations(algebroid: LieAlgebroid, functional) -> list:
-    """The violations of `check_morphism_to_line`, from every frame pair in
-    turn, each pair's residual built from `anchor_derivation` with nothing
-    shared between pairs."""
+def reference_morphism_violations(algebroid: LieAlgebroid, values) -> list:
+    """The violations of `check_morphism_to_line` for the frame values
+    `values`, from every frame pair in turn, each pair's residual built from
+    `anchor_derivation` with nothing shared between pairs."""
     out = []
-    values = [functional.value(a) for a in range(algebroid.rank)]
     for i in range(algebroid.rank):
         for j in range(i + 1, algebroid.rank):
             res = (-algebroid.anchor_derivation(i, values[j])

@@ -23,8 +23,8 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from imcalc.algebroid import (
-    CheckReport, LieAlgebroid, Section, component_violations, core_frame_name,
-    linear_frame_name, run_oracle, tangent_copy_name, tangent_prolongation,
+    CheckReport, LieAlgebroid, Section, component_violations, run_oracle, tangent_copy_name,
+    tangent_prolongation,
 )
 from imcalc.errors import AlgebroidError, CrossCheckError
 from imcalc.fixtures import koszul_algebroid
@@ -49,7 +49,7 @@ from imcalc.multivec import Derivation
 from imcalc.linforms import (
     BundleForms, TotalChart, decompose, fiber_pairing_form, total_chart_of,
 )
-from imcalc.poly import Chart, ChartError, Coord, Polynomial, ROLE_FIBER, base_chart, parse
+from imcalc.poly import Chart, ChartError, Coord, Polynomial, base_chart, parse
 from imcalc.weil import WeilCochain1, cochain_from_bundle_forms, horizontal_vanishing_report
 
 
@@ -197,6 +197,11 @@ def wedge(a: Alternating, b: Alternating) -> Alternating:
     return a._like(collect(groups), a.degree + b.degree)
 
 
+def form_function(poly: Polynomial) -> DifferentialForm:
+    """`poly` as a 0-form."""
+    return DifferentialForm(poly.chart, 0, {(): poly})
+
+
 def coordinate_field(chart: Chart, name: str) -> VectorField:
     """The coordinate vector field d/d name."""
     return VectorField(chart, {(chart.index(name),): Polynomial.const(chart, 1)})
@@ -247,7 +252,7 @@ def tangent_total_chart(base: Chart) -> TotalChart:
     """Total space of the tangent bundle; the frame is the coordinate frame."""
     fiber = tuple(f"{n}_dot" for n in base.names)
     chart = Chart(f"{base.name}|tan",
-                  base.coords + tuple(Coord(n, ROLE_FIBER) for n in fiber))
+                  base.coords + tuple(Coord(n, base=False) for n in fiber))
     return TotalChart(chart, base, tuple(f"@{n}" for n in base.names), fiber)
 
 
@@ -316,7 +321,7 @@ def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
 
     sum_chart = Chart(f"{base.name}|sum{k}", tuple(
         list(base.coords)
-        + [Coord(tangent_copy_name(n, l + 1), ROLE_FIBER) for l in range(k) for n in names]))
+        + [Coord(tangent_copy_name(n, l + 1), base=False) for l in range(k) for n in names]))
     taut = [VectorField(sum_chart, {
         (sum_chart.index(n),): Polynomial.variable(sum_chart, tangent_copy_name(n, l + 1))
         for n in names})
@@ -382,13 +387,9 @@ def linear_form_to_cochain(form: DifferentialForm, algebroid: LieAlgebroid) -> W
 
 def cochain_to_bundle_forms(w: WeilCochain1) -> BundleForms:
     """Invert `cochain_from_bundle_forms`: mu = -comp1, nu = comp0 - d mu."""
-    mu = []
-    nu = []
-    for a in range(w.algebroid.rank):
-        m = -w.value1(a)
-        mu.append(m)
-        nu.append(w.value0(a) - exterior_derivative(m))
-    return BundleForms(w.k, tuple(mu), tuple(nu))
+    mu = tuple(-f for f in w.comp1)
+    nu = tuple(f - exterior_derivative(m) for f, m in zip(w.comp0, mu))
+    return BundleForms(w.k, mu, nu)
 
 
 def vertical_differential(mu: Sequence[DifferentialForm],
@@ -405,12 +406,8 @@ def vertical_differential(mu: Sequence[DifferentialForm],
     degrees = {f.degree for f in mu}
     if len(degrees) != 1:
         raise AlgebroidError("all forms must share one degree")
-    comp0 = {}
-    comp1 = {}
-    for a, name in enumerate(algebroid.frame_names):
-        comp0[name] = -exterior_derivative(mu[a])
-        comp1[name] = mu[a]
-    return WeilCochain1(algebroid, degrees.pop() + 1, comp0, comp1)
+    comp0 = tuple(-exterior_derivative(f) for f in mu)
+    return WeilCochain1(algebroid, degrees.pop() + 1, comp0, mu)
 
 
 def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -> CheckReport:
@@ -432,8 +429,8 @@ def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -
     lhs = linear_form_to_cochain(exterior_derivative(form), A)
     rhs = negated_cochain(vertical_differential(bf.nu, A))
     for a, name in enumerate(A.frame_names):
-        diff0 = lhs.value0(a) - rhs.value0(a)
-        diff1 = lhs.value1(a) - rhs.value1(a)
+        diff0 = lhs.comp0[a] - rhs.comp0[a]
+        diff1 = lhs.comp1[a] - rhs.comp1[a]
         violations.extend(component_violations("PSI_D0", (name,), diff0))
         violations.extend(component_violations("PSI_D1", (name,), diff1))
 
@@ -446,19 +443,17 @@ def check_weil_correspondence(form: DifferentialForm, algebroid: LieAlgebroid) -
 
 def value0_scaled(w: WeilCochain1, f: Polynomial, a: int) -> DifferentialForm:
     """comp0 of `w` on the section f e_a via the compatibility rule."""
-    df = exterior_derivative(DifferentialForm.function(f))
-    return scale(w.value0(a), f) - wedge(df, w.value1(a))
+    df = exterior_derivative(form_function(f))
+    return scale(w.comp0[a], f) - wedge(df, w.comp1[a])
 
 
 def negated_cochain(w: WeilCochain1) -> WeilCochain1:
-    return WeilCochain1(w.algebroid, w.k,
-                        {n: -f for n, f in w.comp0.items()},
-                        {n: -f for n, f in w.comp1.items()})
+    return WeilCochain1(w.algebroid, w.k, tuple(-f for f in w.comp0),
+                        tuple(-f for f in w.comp1))
 
 
 def cochain_is_zero(w: WeilCochain1) -> bool:
-    return (all(f.is_zero() for f in w.comp0.values())
-            and all(f.is_zero() for f in w.comp1.values()))
+    return all(f.is_zero() for f in w.comp0 + w.comp1)
 
 
 # -- k = 2: Dirac candidates ---------------------------------------------------
@@ -545,11 +540,13 @@ def reference_fiber_pairing_form(maps: Sequence[DifferentialForm], tc: TotalChar
 
 # -- frame values on the tangent prolongation ---------------------------------
 
-def reference_form_frame_values(im) -> dict:
+def reference_form_frame_values(im) -> tuple:
     """The frame values of `linforms.form_frame_functional`, by contracting
     forms with the tautological dotted fields U_1..U_k one field at a time:
     core (a, n) is (-1)^(n-1) i_{U_k} .. i_{U_1} mu_a with U_n left out, and
-    linear a is i_{U_k} .. i_{U_1} (d mu_a + nu_a)."""
+    linear a is i_{U_k} .. i_{U_1} (d mu_a + nu_a).  Each value is keyed by
+    the frame name the prolongation gives it, and put in frame order by
+    those names."""
     algebroid, bundle_forms, k = im.algebroid, im.forms, im.k
     prol = tangent_prolongation(algebroid, k)
     chart = prol.base_chart
@@ -560,10 +557,10 @@ def reference_form_frame_values(im) -> dict:
         mu_a = bundle_forms.mu[a].promote(chart)
         for n in range(1, k + 1):
             val = iterated_contract(taut[:n - 1] + taut[n:], mu_a).scalar()
-            values[core_frame_name(frame, n)] = -val if (n - 1) % 2 else val
+            values[f"{frame}_hat{n}"] = -val if (n - 1) % 2 else val
         full = exterior_derivative(bundle_forms.mu[a]) + bundle_forms.nu[a]
-        values[linear_frame_name(frame)] = iterated_contract(taut, full.promote(chart)).scalar()
-    return values
+        values[f"T{frame}"] = iterated_contract(taut, full.promote(chart)).scalar()
+    return tuple(values[name] for name in prol.frame_names)
 
 
 # -- multivectors ---------------------------------------------------------------

@@ -52,6 +52,7 @@ from support import (
     broken_poisson_im_form,
     broken_so3_dual_bivector,
     exact_im_form,
+    form_function,
     koszul_so3_algebroid,
     linear_form_to_cochain,
     negated_cochain,
@@ -213,8 +214,8 @@ def test_criterion_06_decomposition_roundtrip():
             if image is None:
                 image = Polynomial.variable(tc1.chart, name)
             # pullback of p dx-style terms: coefficient image times d(image of x)
-            piece = DifferentialForm.function(substitute(coeff, mapping, tc1.chart))
-            base_image = DifferentialForm.function(
+            piece = form_function(substitute(coeff, mapping, tc1.chart))
+            base_image = form_function(
                 Polynomial.variable(tc1.chart, name) if name in tc1.chart.names
                 else mapping[name])
             direct = direct + wedge(piece, exterior_derivative(base_image))

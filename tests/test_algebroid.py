@@ -21,7 +21,6 @@ from conftest import (
     rnd_unchecked_algebroid,
 )
 from imcalc.algebroid import (
-    FiberFunctional,
     LieAlgebroid,
     Section,
     Violation,
@@ -331,17 +330,22 @@ def test_zero_functional_is_morphism():
     for algebroid in (so3_algebroid(), koszul_so3_algebroid()):
         prol = tangent_prolongation(algebroid, 2)
         zero = Polynomial.zero(prol.base_chart)
-        functional = FiberFunctional(prol, {n: zero for n in prol.frame_names})
-        assert check_morphism_to_line(prol, functional).passed
+        assert check_morphism_to_line(prol, [zero] * prol.rank).passed
 
 
 def test_functional_must_cover_frame():
+    """One value per frame section, each on the base chart."""
     so3 = so3_algebroid()
+    zero = Polynomial.zero(so3.base_chart)
     with pytest.raises(AlgebroidError):
-        FiberFunctional(so3, {"e1": Polynomial.zero(so3.base_chart)})
+        check_morphism_to_line(so3, [zero])
+    with pytest.raises(AlgebroidError):
+        check_morphism_to_line(so3, [zero] * 4)
+    with pytest.raises(AlgebroidError):
+        check_morphism_to_line(so3, [zero, zero, Polynomial.zero(base_chart("N", ["y"]))])
 
 
-def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
+def leibniz_residual(algebroid, values, u_coeffs, v_coeffs):
     """Morphism residual for two general sections expanded by hand.
 
     F([U, V]) - rho(U)F(V) + rho(V)F(U) with U = sum u^i F_i, V = sum v^j F_j
@@ -354,13 +358,13 @@ def leibniz_residual(algebroid, functional, u_coeffs, v_coeffs):
     w = bracket_sections(u, v)
     value_w = Polynomial.zero(chart)
     for (c,), coeff in w.coeffs.items():
-        value_w = value_w + coeff * functional.value(c)
+        value_w = value_w + coeff * values[c]
     value_u = Polynomial.zero(chart)
     for (c,), coeff in u.coeffs.items():
-        value_u = value_u + coeff * functional.value(c)
+        value_u = value_u + coeff * values[c]
     value_v = Polynomial.zero(chart)
     for (c,), coeff in v.coeffs.items():
-        value_v = value_v + coeff * functional.value(c)
+        value_v = value_v + coeff * values[c]
     rho_u = anchor_apply(u)
     rho_v = anchor_apply(v)
     return value_w - apply_field(rho_u, value_v) + apply_field(rho_v, value_u)
@@ -373,15 +377,13 @@ def test_frame_pair_sufficiency(rng):
     failing_seen = 0
     for _ in range(20):
         algebroid = rnd_algebroid(rng)
-        values = {n: rnd_poly(rng, algebroid.base_chart, 2)
-                  for n in algebroid.frame_names}
-        functional = FiberFunctional(algebroid, values)
-        report = check_morphism_to_line(algebroid, functional)
+        values = [rnd_poly(rng, algebroid.base_chart, 2) for _ in range(algebroid.rank)]
+        report = check_morphism_to_line(algebroid, values)
         residuals = []
         for _ in range(4):
             u = [rnd_poly(rng, algebroid.base_chart, 1) for _ in range(algebroid.rank)]
             v = [rnd_poly(rng, algebroid.base_chart, 1) for _ in range(algebroid.rank)]
-            residuals.append(leibniz_residual(algebroid, functional, u, v))
+            residuals.append(leibniz_residual(algebroid, values, u, v))
         if report.passed:
             assert all(r.is_zero() for r in residuals)
         else:
@@ -397,11 +399,10 @@ def test_morphism_checker_matches_anchor_derivation_reference(rng, prolong):
         prol = prolong(rnd_algebroid(rng), rng.choice([1, 2, 3]))
         chart = prol.base_chart
         # some frame values zero, so some pairs pass while others fail
-        values = {n: rnd_poly(rng, chart, 2) if rng.random() < 0.7 else Polynomial.zero(chart)
-                  for n in prol.frame_names}
-        functional = FiberFunctional(prol, values)
-        expected = reference_morphism_violations(prol, functional)
-        report = check_morphism_to_line(prol, functional)
+        values = [rnd_poly(rng, chart, 2) if rng.random() < 0.7 else Polynomial.zero(chart)
+                  for _ in range(prol.rank)]
+        expected = reference_morphism_violations(prol, values)
+        report = check_morphism_to_line(prol, values)
         assert report.violations == tuple(expected)
         assert report.passed == (not expected)
 
@@ -409,8 +410,7 @@ def test_morphism_checker_matches_anchor_derivation_reference(rng, prolong):
 def test_morphism_report_is_frame_ordered():
     so3 = so3_algebroid()
     one = Polynomial.const(so3.base_chart, 1)
-    functional = FiberFunctional(so3, {"e1": one, "e2": one, "e3": one})
-    report = check_morphism_to_line(so3, functional)
+    report = check_morphism_to_line(so3, [one] * 3)
     witnesses = [v.witness for v in report.violations]
     assert witnesses == sorted(witnesses, key=lambda w: (w[0], w[1]))
     assert not report.passed
@@ -419,7 +419,8 @@ def test_morphism_report_is_frame_ordered():
 # -- the orbit reduction against the full pair loop ----------------------------
 
 def form_functional(rng, algebroid, k, kind):
-    """The frame functional of an exact, broken or random IM candidate."""
+    """(prolongation, frame values) of an exact, broken or random IM
+    candidate."""
     chart = algebroid.base_chart
     if kind == "random":
         bundle_forms = rnd_bundle_forms(rng, algebroid, k)
@@ -433,7 +434,8 @@ def form_functional(rng, algebroid, k, kind):
 
 
 def multivector_functional(rng, algebroid, k, kind):
-    """The frame functional of a coboundary or random linear multivector."""
+    """(prolongation, frame values) of a coboundary or random linear
+    multivector."""
     if kind == "coboundary":
         p = linear_from_derivation(coboundary_derivation(rng, algebroid, k))
     else:
@@ -446,12 +448,10 @@ FUNCTIONALS += [(multivector_functional, kind) for kind in ("coboundary", "rando
 ORBIT_BASES = [rnd_algebroid, lambda _: koszul_so3_algebroid(), lambda _: _log_canonical(3)]
 
 
-def assert_reduced_matches_reference(functional):
-    prol = functional.algebroid
-    values = [functional.value(a) for a in range(prol.rank)]
+def assert_reduced_matches_reference(prol, values):
     assert prol._copy_layout.anti_invariant(values)
-    report = check_morphism_to_line(prol, functional)
-    assert report.violations == tuple(reference_morphism_violations(prol, functional))
+    report = check_morphism_to_line(prol, values)
+    assert report.violations == tuple(reference_morphism_violations(prol, values))
 
 
 @settings(max_examples=30, deadline=None)
@@ -465,7 +465,7 @@ def test_orbit_reduction_matches_full_pair_loop(seed, k, base, case):
     rng = random.Random(seed)
     algebroid = ORBIT_BASES[base](rng)
     build, kind = FUNCTIONALS[case]
-    assert_reduced_matches_reference(build(rng, algebroid, k, kind))
+    assert_reduced_matches_reference(*build(rng, algebroid, k, kind))
 
 
 @pytest.mark.parametrize("build, kind", [
@@ -474,8 +474,8 @@ def test_orbit_reduction_matches_full_pair_loop(seed, k, base, case):
 ], ids=["broken_form", "random_multivector"])
 def test_orbit_reduction_matches_full_pair_loop_n4_k4(rng, build, kind):
     functional = build(rng, _log_canonical(4), 4, kind)
-    assert_reduced_matches_reference(functional)
-    assert not check_morphism_to_line(functional.algebroid, functional).passed
+    assert_reduced_matches_reference(*functional)
+    assert not check_morphism_to_line(*functional).passed
 
 
 # which frame values of the k = 3 functional get 1 added
@@ -493,13 +493,11 @@ def test_functional_that_is_not_anti_invariant_takes_the_full_loop(rng, monkeypa
     linear values, each break anti-invariance under some adjacent swap, so
     every pair is computed."""
     algebroid = koszul_so3_algebroid()
-    functional = form_functional(rng, algebroid, 3, "broken")
-    prol = functional.algebroid
+    prol, values = form_functional(rng, algebroid, 3, "broken")
     altered_name = ALTERATIONS[alteration]
-    values = {name: value + 1 if altered_name(name) else value
-              for name, value in functional.values.items()}
-    altered = FiberFunctional(prol, values)
-    assert not prol._copy_layout.anti_invariant([altered.value(a) for a in range(prol.rank)])
+    altered = [value + 1 if altered_name(name) else value
+               for name, value in zip(prol.frame_names, values)]
+    assert not prol._copy_layout.anti_invariant(altered)
     expected = tuple(reference_morphism_violations(prol, altered))
     calls = []
     collect = Polynomial.sum_of_products.__func__
@@ -534,13 +532,11 @@ def free_copies(prol: LieAlgebroid, i: int, j: int) -> int:
     return prol._copy_layout.k - len(busy)
 
 
-def assert_sorted_path_matches_full_product(functional) -> None:
+def assert_sorted_path_matches_full_product(prol, values) -> None:
     """Every orbit representative with three or more free copies takes the
-    sorted path, the functional's values having the copy shape, and its
-    residual equals the full product's, zero or not."""
-    prol = functional.algebroid
+    sorted path, the frame values having the copy shape, and its residual
+    equals the full product's, zero or not."""
     layout = prol._copy_layout
-    values = [functional.value(a) for a in range(prol.rank)]
     assert layout.anti_invariant(values)
     by_sorted = _SortedResiduals(prol, values, Calculus(prol.base_chart))
     for i, j in combinations(range(prol.rank), 2):
@@ -575,7 +571,7 @@ def test_sorted_coefficients_match_the_full_product(seed, k, base, case):
     coefficients, and expanded where nonzero, is the full product's."""
     rng = random.Random(seed)
     build, kind = FUNCTIONALS[case]
-    assert_sorted_path_matches_full_product(build(rng, SORTED_BASES[base](rng), k, kind))
+    assert_sorted_path_matches_full_product(*build(rng, SORTED_BASES[base](rng), k, kind))
 
 
 @pytest.mark.parametrize("build, kind, base", [
@@ -585,10 +581,9 @@ def test_sorted_coefficients_match_the_full_product(seed, k, base, case):
 def test_sorted_coefficients_match_the_full_product_at_k5(rng, build, kind, base):
     """At k = 5 the (c1_a, c2_b) representatives have three free copies
     too, and some of their residuals are nonzero."""
-    functional = build(rng, base(), 5, kind)
-    prol = functional.algebroid
-    assert_sorted_path_matches_full_product(functional)
-    report = check_morphism_to_line(prol, functional)
+    prol, values = build(rng, base(), 5, kind)
+    assert_sorted_path_matches_full_product(prol, values)
+    report = check_morphism_to_line(prol, values)
     cores = [(v.witness, free_copies(prol, *map(prol.frame_names.index, v.witness)))
              for v in report.violations]
     assert any(free == 3 for _, free in cores)
@@ -599,8 +594,7 @@ def test_value_outside_the_copy_shape_takes_the_full_product(rng):
     anti-invariant but of degree two in one copy and none in another.  Added
     to the first linear value, it sends the pairs that read that value to
     the full product, which reports their residuals."""
-    functional = form_functional(rng, koszul_so3_algebroid(), 3, "exact")
-    prol = functional.algebroid
+    prol, values = form_functional(rng, koszul_so3_algebroid(), 3, "exact")
     layout = prol._copy_layout
     chart = prol.base_chart
     y = layout.variables(chart)
@@ -610,12 +604,10 @@ def test_value_outside_the_copy_shape_takes_the_full_product(rng):
         sign = (-1) ** sum(a > b for a, b in combinations(s, 2))
         planted = planted + sign * x1 * y[s[0]][0] * y[s[0]][1] * y[s[1]][2]
     first = layout.k * layout.frame_block
-    values = dict(functional.values)
-    values[prol.frame_names[first]] += planted
-    altered = FiberFunctional(prol, values)
-    altered_values = [altered.value(a) for a in range(prol.rank)]
-    assert layout.anti_invariant(altered_values)
-    by_sorted = _SortedResiduals(prol, altered_values, Calculus(prol.base_chart))
+    altered = list(values)
+    altered[first] += planted
+    assert layout.anti_invariant(altered)
+    by_sorted = _SortedResiduals(prol, altered, Calculus(prol.base_chart))
     assert by_sorted.residual(first, first + 1) is None
     assert by_sorted.value_groups(first) is None
     assert by_sorted.value_groups(first + 1) is not None

@@ -7,6 +7,7 @@ import importlib
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -190,6 +191,22 @@ def test_unknown_coordinate_rejected(tmp_path):
     code, _, err = run_cli(["--input", str(bad)])
     assert code == 2
     assert "zz" in err
+
+
+@pytest.mark.parametrize("source, old, new, chart", [
+    (CORPUS / "so3_poisson_im2.json", "x1", "u1", "M|u"),
+    (CORPUS / "so3_poisson_im2.json", "x2", "x1_dot1", "M|T2"),
+    (ROOT / "tests" / "golden" / "ladder" / "n4_k3_mv.json", "x1", "xi1_1", "M|T*3"),
+], ids=["fiber", "tangent_copy", "dual_copy"])
+def test_base_name_taken_by_a_generated_coordinate_is_named(tmp_path, source, old, new, chart):
+    """A base coordinate named like one the checker generates (the fiber
+    coordinates u1..uR, the tangent copies <x>_dot<m> and the dual copies
+    xi<m>_<d>) exits 2, naming the chart and the coordinate."""
+    doc = tmp_path / "clash.json"
+    doc.write_text(re.sub(rf"\b{old}\b", new, source.read_text()))
+    code, out, err = run_cli(["--input", str(doc)])
+    assert (code, out) == (2, "")
+    assert err == f"error: duplicate coordinate names in chart {chart!r}: {new!r}\n"
 
 
 def test_unreadable_and_malformed_json(tmp_path):

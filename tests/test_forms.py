@@ -43,7 +43,9 @@ from imcalc.forms import (
     schouten,
 )
 from imcalc.poly import ChartError, Polynomial, base_chart, parse
-from support import apply_field, as_vector_field, contract_covector, coordinate_field, scale, wedge
+from support import (
+    apply_field, as_vector_field, contract_covector, coordinate_field, form_function, scale, wedge,
+)
 
 CH2 = base_chart("M", ["x1", "x2"])
 CH3 = base_chart("M", ["x1", "x2", "x3"])
@@ -287,7 +289,7 @@ def check_commutator_identity(rng, chart, m, deg) -> None:
 def check_function_factor_identity(rng, chart, m, deg) -> None:
     fields = [rnd_vector_field(rng, chart, max_deg=2) for _ in range(m)]
     f = rnd_poly(rng, chart, max_deg=2)
-    df = exterior_derivative(DifferentialForm.function(f))
+    df = exterior_derivative(form_function(f))
     alpha = rnd_form(rng, chart, deg, max_deg=2)
     lhs = iterated_contract(fields, wedge(df, alpha))
     rhs = DifferentialForm(chart, lhs.degree)

@@ -44,7 +44,7 @@ from hypothesis import Phase, given, settings, strategies as st
 from conftest import reference_sum_of_products
 from imcalc import poly as kernel
 from imcalc.poly import (
-    EXPONENT_LIMIT, KRONECKER_SLOT_BYTES, KRONECKER_TERMS, LITERAL_DIGIT_LIMIT, ROLE_TANGENT,
+    EXPONENT_LIMIT, KRONECKER_SLOT_BYTES, KRONECKER_TERMS, LITERAL_DIGIT_LIMIT,
     Chart, ChartError, Coord, Polynomial, base_chart, format_polynomial, parse,
 )
 from support import substitute
@@ -237,7 +237,7 @@ def test_format_parse_roundtrip(p):
 PRINT_CHARTS = (
     base_chart("W", [f"w{i}" for i in range(1, 18)]),
     base_chart("M", ["x1", "x2", "x3"]),
-    Chart("E", (Coord("y"), Coord("u1", "fiber"), Coord("u2", "fiber"))),
+    Chart("E", (Coord("y"), Coord("u1", base=False), Coord("u2", base=False))),
 )
 
 
@@ -495,7 +495,7 @@ def _copy_chart(nbase: int, copies: int) -> Chart:
     """nbase base coordinates, then `copies` tangent copies of two
     coordinates each, as on a prolongation chart."""
     coords = [Coord(f"x{i}") for i in range(1, nbase + 1)]
-    coords += [Coord(f"y{m}_{l}", ROLE_TANGENT) for m in range(1, copies + 1) for l in (1, 2)]
+    coords += [Coord(f"y{m}_{l}", base=False) for m in range(1, copies + 1) for l in (1, 2)]
     return Chart(f"B{nbase}C{copies}", tuple(coords))
 
 
@@ -699,7 +699,7 @@ def test_big_int_route_declines_where_documented(monkeypatch):
     `KRONECKER_SLOT_BYTES`; every answer is the loop's."""
     runs = _counted_route(monkeypatch)
     plane = base_chart("M", ["x1", "x2"])
-    fibers = Chart("F", (Coord("u1", ROLE_TANGENT), Coord("u2", ROLE_TANGENT)))
+    fibers = Chart("F", (Coord("u1", base=False), Coord("u2", base=False)))
     wide = 1 << (8 * KRONECKER_SLOT_BYTES)
     corner = Polynomial(plane, {(EXPONENT_LIMIT - 10, 0): 1})
     cases = [

@@ -25,7 +25,6 @@ from imcalc import algebroid as algebroid_module
 from imcalc import forms, imforms, linforms, multivec, poly, weil
 from imcalc import cli
 from imcalc.algebroid import (
-    FiberFunctional,
     check_axioms,
     check_morphism_to_line,
     cotangent_prolongation,
@@ -67,8 +66,9 @@ LADDER = Path(__file__).resolve().parent / "golden" / "ladder"
 CORPUS = Path(__file__).resolve().parents[1] / "fixtures"
 
 
-def document_functional(path: Path) -> FiberFunctional:
-    """The morphism route's functional of a document's candidate."""
+def document_functional(path: Path) -> tuple:
+    """(prolongation, frame values) of the morphism route on a document's
+    candidate."""
     doc = json.loads(path.read_text())
     algebroid = cli.load_algebroid(doc)
     candidate = cli.load_candidate(doc, algebroid)
@@ -91,12 +91,11 @@ def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, p
     functionals = []
     for algebroid in (koszul_so3_algebroid(), rnd_algebroid(rng), rnd_algebroid(rng)):
         prol = prolong(algebroid, 2)
-        values = {n: rnd_poly(rng, prol.base_chart, 2) for n in prol.frame_names}
-        functionals.append(FiberFunctional(prol, values))
-    functional = document_functional(LADDER / document)
-    assert functional.algebroid.base_chart.name.endswith(
+        functionals.append((prol, [rnd_poly(rng, prol.base_chart, 2) for _ in range(prol.rank)]))
+    prol, values = document_functional(LADDER / document)
+    assert prol.base_chart.name.endswith(
         "|T3" if prolong is tangent_prolongation else "|T*3")
-    functionals.append(functional)
+    functionals.append((prol, values))
     diffs, negations = CallCounter(), CallCounter()
     monkeypatch.setattr(Polynomial, "diff",
                         diffs.wrap(Polynomial.diff, lambda p, coord: (p, coord)))
@@ -105,7 +104,7 @@ def test_morphism_check_differentiates_each_frame_value_once(rng, monkeypatch, p
     for functional in functionals:
         diffs.counts.clear()
         negations.counts.clear()
-        check_morphism_to_line(functional.algebroid, functional)
+        check_morphism_to_line(*functional)
         assert max(diffs.counts.values(), default=1) == 1
         assert max(negations.counts.values(), default=1) == 1
         seen = [seen[0] + len(diffs.counts), seen[1] + len(negations.counts)]
@@ -125,14 +124,13 @@ def test_morphism_check_computes_one_pair_per_orbit(monkeypatch, document, calls
     them, and 2 more to expand a nonzero sorted part to its residual, which
     the broken IM form has at one of them.  At k = 2 (rank 9, 36 pairs)
     every one of the 21 representatives is one full product."""
-    functional = document_functional(document)
-    prol = functional.algebroid
+    prol, values = document_functional(document)
     layout = prol._copy_layout
     orbits = sum(layout.orbit_source(i, j) is None
                  for i in range(prol.rank) for j in range(i + 1, prol.rank))
     assert (prol.rank, orbits) == ((16, 38) if layout.k == 3 else (9, 21))
     counts = _count_kernel(monkeypatch)
-    check_morphism_to_line(prol, functional)
+    check_morphism_to_line(prol, values)
     assert counts["sum_of_products"] == calls
 
 
@@ -360,8 +358,7 @@ def test_horizontal_differential_takes_d_of_each_form_once(rng, monkeypatch, k):
     horizontal_vanishing_report(w)
     assert max(diffs.counts.values()) == 1
     names = algebroid.base_chart.names
-    for value in [w.value0(a) for a in range(algebroid.rank)] + \
-            [w.value1(a) for a in range(algebroid.rank)]:
+    for value in w.comp0 + w.comp1:
         assert derived.counts[(id(value.coeffs),)] == 1
         for idx, f in value.coeffs.items():
             for j, name in enumerate(names):
@@ -385,8 +382,8 @@ def test_vanishing_report_contracts_each_frame_value_once(rng, monkeypatch, k):
     horizontal_vanishing_report(w)
     for a in range(algebroid.rank):
         for b in range(algebroid.rank):
-            assert counter.counts[(id(w.value0(b).coeffs), rho[a])] == 1
-            assert counter.counts[(id(w.value1(b).coeffs), rho[a])] == 1
+            assert counter.counts[(id(w.comp0[b].coeffs), rho[a])] == 1
+            assert counter.counts[(id(w.comp1[b].coeffs), rho[a])] == 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -592,8 +589,10 @@ def test_weil_cross_check_contracts_the_candidate_and_catches_a_wrong_value(
 
     def planted(table, tc, prol, rows_at, units_at, values):
         tables.append(table)
-        name = next(name for name, value in values.items() if not value.is_zero())
-        return check(table, tc, prol, rows_at, units_at, {**values, name: -values[name]})
+        wrong = list(values)
+        a = next(a for a, value in enumerate(wrong) if not value.is_zero())
+        wrong[a] = -wrong[a]
+        return check(table, tc, prol, rows_at, units_at, wrong)
 
     monkeypatch.setattr(linforms, "cross_check_frame_values", planted)
     assert cli.main(["--input", str(path)]) == 3

@@ -524,10 +524,12 @@ def unreached(graph: dict, roots: set) -> list:
                   if key[0] and key[1] and not key[1].startswith("__") and key not in seen)
 
 
-def _reads(nodes) -> set:
-    """The attribute names read in `nodes`."""
-    return {sub.attr for node in nodes for sub in ast.walk(node)
-            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load)}
+def _class_names(tree, module: str, classes: set) -> dict:
+    """{local name: (module, class)} for each library class in `classes`
+    that `tree` imports or, as a library module `module`, defines."""
+    out = {name: home for name, home in _imported(tree).items() if home in classes}
+    out.update({name: (module, name) for m, name in classes if m == module})
+    return out
 
 
 def unreached_members(library: dict, seen: set, readme: str, sources) -> list:
@@ -539,31 +541,69 @@ def unreached_members(library: dict, seen: set, readme: str, sources) -> list:
     `sources` names it as `Class.name`.  `seen` holds the reached top-level
     names: their bodies are reached code, and so are each reached class's
     dunders and other statements, and each member once it is reached.
-    Names are matched without types."""
+    A read `Cls.name` of a library class reaches only the member of `Cls`,
+    or of the first base class of it that defines `name`; every other read
+    matches members by name alone."""
+    trees = {module: ast.parse(source) for module, source in library.items()}
+    classes = {(module, node.name): node for module, tree in trees.items()
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    local = {module: _class_names(tree, module, set(classes)) for module, tree in trees.items()}
     members, code = {}, []
-    for module, source in library.items():
-        for node in ast.parse(source).body:
+    for module, tree in trees.items():
+        receivers = local[module]
+        for node in tree.body:
             if isinstance(node, ast.ClassDef) and (module, node.name) in seen:
                 for sub in node.body:
                     if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
                             sub.name.startswith("__") and sub.name.endswith("__")):
-                        members[(module, node.name, sub.name)] = sub
+                        members[(module, node.name, sub.name)] = (sub, receivers)
                     else:
-                        code.append(sub)
+                        code.append((sub, receivers))
             elif not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) \
                     or (module, node.name) in seen:
-                code.append(node)
+                code.append((node, receivers))
+
+    def defining(module: str, cls: str, name: str):
+        """The member `name` that `module.cls` defines or inherits."""
+        if (module, cls, name) in members:
+            return (module, cls, name)
+        for base in classes[module, cls].bases:
+            home = isinstance(base, ast.Name) and local[module].get(base.id)
+            if home and (key := defining(*home, name)):
+                return key
+        return None
+
+    reads, qualified = set(), set()
+
+    def read(node, receivers: dict) -> None:
+        """Add the attribute reads of `node` to `reads`, or to `qualified`
+        as (module, class, name) when `receivers` maps the receiver to a
+        library class."""
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                home = isinstance(sub.value, ast.Name) and receivers.get(sub.value.id)
+                if home:
+                    qualified.add((*home, sub.attr))
+                else:
+                    reads.add(sub.attr)
+
     block, prose = quick_tour(readme)
-    trees = [ast.parse(source) for source in sources]
-    reads = _reads(code + [ast.parse(block)] + trees)
+    outside = [ast.parse(block)] + [ast.parse(source) for source in sources]
+    for node, receivers in code + [(tree, _class_names(tree, None, set(classes)))
+                                   for tree in outside]:
+        read(node, receivers)
     named = _backticked(prose)
-    rows = {(module, *attr.split(".")) for tree in trees for module, attr in _targets(tree)}
+    rows = {(module, *attr.split(".")) for tree in outside[1:] for module, attr in _targets(tree)}
     found = set()
     todo = {key for key in members if key[2] in named | reads or key in rows}
+    todo |= {key for pair in qualified if (key := defining(*pair))}
     while todo:
         found |= todo
-        reads |= _reads(members[key] for key in todo)
-        todo = {key for key in members if key[2] in reads and key not in found}
+        for key in todo:
+            read(*members[key])
+        todo = {key for key in members if key[2] in reads}
+        todo |= {key for pair in qualified if (key := defining(*pair))}
+        todo -= found
     return sorted(set(members) - found)
 
 
@@ -633,10 +673,19 @@ def test_member_reach_check_sees_what_it_should():
     read only by an unreached method and one named only in a comment of
     the tour's code are unreached; one named by a `TARGETS` row, one in the
     backticks of the tour's prose, a property the benchmark reads and a
-    method that a dunder calls, with what it calls, are reached."""
+    method that a dunder calls, with what it calls, are reached.  A read
+    `Poly.shared` reaches the `shared` of `Poly` and not that of its base,
+    and a read `Poly.inherited` reaches the base's `inherited`."""
     library = {
         "": "from .alg import check\n",
-        "alg": ("class Poly:\n"
+        "alg": ("class Base:\n"
+                "    def shared(self):\n"
+                "        pass\n"
+                "    def inherited(self):\n"
+                "        pass\n"
+                "class Poly(Base):\n"
+                "    def shared(self):\n"
+                "        pass\n"
                 "    def __init__(self):\n"
                 "        self.norm()\n"
                 "    def norm(self):\n"
@@ -664,10 +713,11 @@ def test_member_reach_check_sees_what_it_should():
     readme = ("## Library quick tour\n\n"
               "```python\nfrom imcalc import check\n# check(1).commented()\n```\n\n"
               "Then call `Poly.in_prose`.\n")
-    bench = ("TARGETS = (('imcalc.alg', 'Poly.traced', 'alg'),)\n"
+    bench = ("from imcalc.alg import Poly\n"
+             "TARGETS = (('imcalc.alg', 'Poly.traced', 'alg'),)\n"
              "def run(p):\n"
-             "    return p.size\n")
+             "    return p.size, Poly.shared(p), Poly.inherited(p)\n")
     graph = reference_graph(library)
     seen = reached(graph, outside_roots(readme, [], [bench], graph))
-    assert unreached_members(library, seen, readme, [bench]) == [
+    assert unreached_members(library, seen, readme, [bench]) == [("alg", "Base", "shared")] + [
         ("alg", "Poly", name) for name in ("commented", "from_orphan", "orphan", "recursive")]

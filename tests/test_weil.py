@@ -37,8 +37,8 @@ def test_cochain_of_pure_pairing_form(rng):
     pure = BundleForms(2, (DifferentialForm(chart, 1),) * 2, nu)
     w = linear_form_to_cochain(linear_form(pure, tc), algebroid)
     for a in range(2):
-        assert w.value0(a) == nu[a]
-        assert w.value1(a).is_zero()
+        assert w.comp0[a] == nu[a]
+        assert w.comp1[a].is_zero()
 
 
 def test_cochain_of_exact_form(rng):
@@ -49,8 +49,8 @@ def test_cochain_of_exact_form(rng):
     exact = BundleForms(2, mu, (DifferentialForm(chart, 2),) * 2)
     w = linear_form_to_cochain(linear_form(exact, tc), algebroid)
     for a in range(2):
-        assert w.value0(a) == exterior_derivative(mu[a])
-        assert w.value1(a) == -mu[a]
+        assert w.comp0[a] == exterior_derivative(mu[a])
+        assert w.comp1[a] == -mu[a]
 
 
 def test_cochain_injectivity_roundtrip(rng):
@@ -75,8 +75,8 @@ def test_vertical_differential_examples(rng):
     w = vertical_differential(mu, algebroid)
     assert w.k == 2
     for a in range(2):
-        assert w.value0(a) == -exterior_derivative(mu[a])
-        assert w.value1(a) == mu[a]
+        assert w.comp0[a] == -exterior_derivative(mu[a])
+        assert w.comp1[a] == mu[a]
 
 
 def test_vertical_differential_degree_bookkeeping():
