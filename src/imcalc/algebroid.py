@@ -717,15 +717,17 @@ def dual_copy_name(n: int, d: int) -> str:
 
 
 def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, block: int,
-                  copy_coord, core_name, linear_name, P, q, G, h) -> LieAlgebroid:
+                  copy_coord, core_stems, linear_name, P, q, G, h) -> LieAlgebroid:
     """The prolongation with k copies of one side's base-level tables.
 
     The one placement rule: copy m = 1..k holds `block` chart coordinates
     y_m^l (named copy_coord(m, l)) at positions n + (m-1)*block + l, after
-    the n base ones, and len(P) cores (named core_name(m, c)) at frame
-    indices (m-1)*len(P) + c, ahead of the linear sections (named by
-    `linear_name`).  The result records it as its `CopyLayout`.  `block` is
-    passed, since the tables are empty at rank 0 and on a point base.
+    the n base ones, and len(P) cores (core c named <core_stems[c]>_hat<m>)
+    at frame indices (m-1)*len(P) + c, ahead of the linear sections (named
+    by `linear_name`).  The result records it as its `CopyLayout`.  `block`
+    is passed, since the tables are empty at rank 0 and on a point base.
+    A core name that is also a linear section's name is refused, naming
+    both sources.
 
     Each table entry is a base polynomial, the same in every copy m:
     - P[c][l]: the anchor of core c along y_m^l of its own copy;
@@ -747,8 +749,16 @@ def _prolongation(algebroid: LieAlgebroid, k: int, tag: str, block: int,
     copies = range(k)
     chart = Chart(f"{base.name}|{tag}{k}", base.coords + tuple(
         Coord(copy_coord(m + 1, l), base=False) for m in copies for l in range(block)))
-    frame = [core_name(m + 1, c) for m in copies for c in range(B)]
-    frame += [linear_name(name) for name in algebroid.frame_names]
+    linear = {linear_name(name): name for name in algebroid.frame_names}
+    frame = []
+    for m in copies:
+        for stem in core_stems:
+            name = f"{stem}_hat{m + 1}"
+            if name in linear:
+                raise AlgebroidError(f"{name!r} is both the core of {stem!r} in copy {m + 1} "
+                                     f"and the linear section of {linear[name]!r}")
+            frame.append(name)
+    frame += linear
 
     layout = CopyLayout(k, B, block, n)
 
@@ -814,7 +824,6 @@ def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     d_l C_ab^d.
     """
     names = algebroid.base_chart.names
-    frame = algebroid.frame_names
     rows = range(algebroid.rank)
 
     def partials(f: Polynomial) -> list:
@@ -823,7 +832,7 @@ def tangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     return _prolongation(
         algebroid, k, "T", len(names),
         lambda m, l: tangent_copy_name(names[l], m),
-        lambda m, a: f"{frame[a]}_hat{m}",
+        algebroid.frame_names,
         lambda name: f"T{name}",
         P=algebroid.anchor,
         q=[[partials(p) for p in row] for row in algebroid.anchor],
@@ -847,7 +856,7 @@ def cotangent_prolongation(algebroid: LieAlgebroid, k: int) -> LieAlgebroid:
     return _prolongation(
         algebroid, k, "T*", algebroid.rank,
         lambda m, d: dual_copy_name(m, d + 1),
-        lambda m, i: f"d{names[i]}_hat{m}",
+        [f"d{x}" for x in names],
         lambda name: f"{name}_L",
         P=[[row[i] for row in anchor] for i in range(len(names))],
         q=[[algebroid.bracket_frame_row(a, b) for b in rows] for a in rows],

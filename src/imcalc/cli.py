@@ -19,7 +19,7 @@ from fractions import Fraction
 from .algebroid import CheckReport, LieAlgebroid, run_oracle
 from .errors import AlgebroidError, CrossCheckError, OracleDisagreement
 from .forms import DifferentialForm
-from .imforms import IMForm, check_lagrangian, dirac_candidate, im_routes
+from .imforms import IMForm, check_lagrangian, im_routes
 from .linforms import BundleForms, NotLinearError, decompose, total_chart_of
 from .multivec import LinearMultivector, derivation_routes
 from .poly import (
@@ -325,7 +325,7 @@ def run_document(doc: dict, args) -> tuple:
         _merge_report(bag, report)
     if samples is not None and k == 2:
         verdict_tags += ["ISOTROPY", "LAGRANGIAN"]
-        _merge_report(bag, check_lagrangian(dirac_candidate(candidate), samples))
+        _merge_report(bag, check_lagrangian(candidate, samples))
 
     # the residuals are printed once all reports are merged, sharing one
     # monomial table, so each distinct monomial of the report is rendered once

@@ -139,22 +139,13 @@ class Alternating:
         return DifferentialForm if isinstance(self, DifferentialForm) else Multivector
 
     def __add__(self, other):
-        self._check_mate(other)
-        if other.degree != self.degree:
-            raise ValueError("degree mismatch in sum")
-        table = dict(self.coeffs)
-        for k, p in other.coeffs.items():
-            cur = table.pop(k, None)
-            s = p if cur is None else cur + p
-            if not s.is_zero():
-                table[k] = s
-        return self._like(table)
+        return linear_combination([(self, 1), (other, 1)])
 
     def __neg__(self):
         return self._like({k: -p for k, p in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return linear_combination([(self, 1), (other, -1)])
 
     def coeff(self, idx) -> Polynomial:
         srt = sort_indices(tuple(idx))
@@ -165,12 +156,6 @@ class Alternating:
         if p is None:
             return Polynomial.zero(self.chart)
         return p if sign == 1 else -p
-
-    def scalar(self) -> Polynomial:
-        """The underlying Polynomial of a degree-0 value."""
-        if self.degree != 0:
-            raise ValueError("scalar() is only defined in degree 0")
-        return self.coeffs.get((), Polynomial.zero(self.chart))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -235,9 +220,6 @@ class VectorField(Multivector):
         if len(comps) != chart.dim:
             raise ChartError("need one component per chart coordinate")
         return cls(chart, {(i,): p for i, p in enumerate(comps) if not p.is_zero()})
-
-    def component(self, i: int) -> Polynomial:
-        return self.coeffs.get((i,), Polynomial.zero(self.chart))
 
 
 def linear_combination(terms: Sequence):

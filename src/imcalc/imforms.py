@@ -1,5 +1,5 @@
 """IM k-form verification, the exact constructor, the main equivalence oracle,
-and the k=2 Dirac/Poisson specializations.
+and the k = 2 lagrangian check.
 
 An IM ("infinitesimally multiplicative") k-form on a Lie algebroid is a pair
 of bundle maps (mu into (k-1)-forms, nu into k-forms) satisfying three
@@ -15,6 +15,11 @@ takes L as a derivation (the coordinate formula), while `weil` keeps
 Cartan's L = i d + d i, so the two routes that check a Weil document compute
 L by different formulas.
 
+At k = 2, `check_lagrangian` asks whether the generators (rho(e_a), mu(e_a))
+span a lagrangian subbundle of the sum of tangent and cotangent directions.
+It reads the IM form itself: isotropy is IM1's residual, collected the same
+way, and the rank is decided at the sample points the caller passes.
+
 Checkers enforce the documented axiom precondition by reporting: handed an
 algebroid built with `unchecked=True`, they fold the axiom violations into
 the returned report (for construction-validated algebroids this is free).
@@ -27,8 +32,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-import random
 
 from .algebroid import (
     CheckReport,
@@ -44,7 +47,7 @@ from .forms import (
     Calculus, DifferentialForm, add_scaled, collect, contract, exterior_derivative,
 )
 from .linforms import BundleForms, form_frame_functional
-from .poly import Chart, Polynomial
+from .poly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -290,46 +293,8 @@ def oracle_equivalence(im: IMForm) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# k = 2: Dirac candidates
+# k = 2: the lagrangian span of the generators (rho(e_a), mu(e_a))
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DiracCandidate:
-    """Generators (anchor image, mu value) of a candidate lagrangian subbundle
-    of the direct sum of tangent and cotangent directions, with the optional
-    twisting 2-forms on generators."""
-
-    algebroid: LieAlgebroid
-    vectors: tuple       # VectorField per frame section
-    covectors: tuple     # 1-form per frame section
-    twists: tuple        # 2-form per frame section (the nu data), may be zeros
-
-    @property
-    def rank(self) -> int:
-        return len(self.vectors)
-
-
-def dirac_candidate(im: IMForm) -> DiracCandidate:
-    if im.k != 2:
-        raise AlgebroidError("Dirac candidates require k = 2")
-    A = im.algebroid
-    return DiracCandidate(
-        A,
-        tuple(A.anchor_field(a) for a in range(A.rank)),
-        tuple(im.forms.mu),
-        tuple(im.forms.nu),
-    )
-
-
-def default_sample_points(chart: Chart):
-    """The integer grid {-1,0,1}^dim plus 10 seeded random rational points."""
-    names = chart.names
-    points = [dict(zip(names, combo)) for combo in product((-1, 0, 1), repeat=len(names))]
-    rng = random.Random(2024)
-    for _ in range(10):
-        points.append({n: Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for n in names})
-    return points
-
 
 def _rational_rank(rows) -> int:
     """Exact rank of a matrix of Fractions by Gaussian elimination."""
@@ -353,38 +318,43 @@ def _rational_rank(rows) -> int:
     return rank
 
 
-def check_lagrangian(candidate: DiracCandidate, sample_points=None) -> CheckReport:
+def check_lagrangian(im: IMForm, sample_points) -> CheckReport:
     """Isotropy symbolically; the lagrangian rank condition at sample points.
 
-    Isotropy of the generator span under the sum pairing is the polynomial
-    identity mu_b(rho_a) + mu_a(rho_b) = 0 (the first IM condition).  Being
-    lagrangian additionally needs rank dim(M) at a point, which is not a
-    polynomial identity, so it is decided per sample point by exact rank.
+    At k = 2 the generators (rho(e_a), mu(e_a)) span a subbundle of the sum
+    of tangent and cotangent directions.  Its isotropy under the sum pairing
+    is the polynomial identity i_{rho a} mu(b) + i_{rho b} mu(a) = 0, the
+    residual IM1 collects.  Being lagrangian additionally needs rank dim(M)
+    at a point, which is not a polynomial identity, so it is decided at each
+    of `sample_points` by exact rank of the rows (rho_a^j, mu(a)_j).
     """
-    A = candidate.algebroid
+    if im.k != 2:
+        raise AlgebroidError("the lagrangian check needs k = 2")
+    A = im.algebroid
     chart = A.base_chart
     n = chart.dim
+    ops = Calculus(chart)
+    rho = A.anchor_rows
+    mu = [f.coeffs for f in im.forms.mu]
     violations = []
-    for a in range(candidate.rank):
-        for b in range(a, candidate.rank):
-            val = (contract(candidate.vectors[a], candidate.covectors[b])
-                   + contract(candidate.vectors[b], candidate.covectors[a])).scalar()
-            if not val.is_zero():
+    for a in range(A.rank):
+        for b in range(a, A.rank):
+            groups: dict = {}
+            ops.add_contract(groups, rho[a], mu[b], 1)
+            ops.add_contract(groups, rho[b], mu[a], 1)
+            val = collect(groups).get(())
+            if val is not None:
                 violations.append(Violation(
                     "ISOTROPY", (A.frame_names[a], A.frame_names[b]), val))
-    points = sample_points if sample_points is not None else default_sample_points(chart)
-    notes = []
-    for pt_no, point in enumerate(points):
-        rows = []
-        for a in range(candidate.rank):
-            row = [candidate.vectors[a].component(j).eval(point) for j in range(n)]
-            row += [candidate.covectors[a].coeff((j,)).eval(point) for j in range(n)]
-            rows.append(row)
-        rank = _rational_rank(rows)
+    rows = [[rho[a].get(j) for j in range(n)] + [mu[a].get((j,)) for j in range(n)]
+            for a in range(A.rank)]
+    for pt_no, point in enumerate(sample_points):
+        rank = _rational_rank([[0 if p is None else p.eval(point) for p in row]
+                               for row in rows])
         if rank != n:
             label = ",".join(f"{k}={v}" for k, v in sorted(point.items()))
             violations.append(Violation(
                 "LAGRANGIAN", (f"point#{pt_no}", label),
                 Polynomial.const(chart, rank - n)))
-    notes.append(f"rank checked at {len(points)} sample points")
+    notes = [f"rank checked at {len(sample_points)} sample points"]
     return CheckReport.collect(violations, notes)

@@ -13,7 +13,13 @@ Every linear k-form splits uniquely as
     L  =  d(fiber_pairing_form(mu))  +  fiber_pairing_form(nu)
 
 for bundle maps mu (into (k-1)-forms) and nu (into k-forms) on the base;
-`decompose` inverts this exactly.  The same machinery provides the frame
+`decompose` inverts this exactly.  It splits each coefficient in one walk
+into its values at the zero fiber point and at each u_d = 1
+(`TotalChart.restrictions`): mu is read from the fiber-differential
+coefficients at the zero point, nu from the rest at the unit points, which
+the linear shape makes exact, and a roundtrip guards the result.
+`LinearMultivector.from_multivector` reads its mixed and fiber tables the
+same way.  The same machinery provides the frame
 values of the induced fiberwise-linear functional on the tangent
 prolongation, computed by closed formulas and cross-checked against direct
 contraction with the explicit frame tangent vectors.  That cross-check,
@@ -63,17 +69,12 @@ class TotalChart:
     def fiber_positions(self) -> tuple:
         return tuple(self.chart.index(n) for n in self.fiber_names)
 
-    def at_zero(self, poly: Polynomial) -> Polynomial:
-        """`poly` on the zero section, as a polynomial on the base chart."""
-        return poly.partial_eval(dict.fromkeys(self.fiber_names, 0), self.base_chart)
-
-    def fiber_partials(self, poly: Polynomial):
-        """(d, the u_d-partial of `poly` on the zero section) for each
-        fiber coordinate u_d with a nonzero partial."""
-        for d, name in enumerate(self.fiber_names):
-            part = poly.diff(name)
-            if not part.is_zero():
-                yield d, self.at_zero(part)
+    def restrictions(self, poly: Polynomial) -> list:
+        """`poly` on the base chart at the zero fiber point (entry 0) and at
+        u_d = 1, the other fiber coordinates 0 (entry d + 1).  On a
+        coefficient of the linear shape, entry 0 of a fiber-independent one
+        is itself and entry d + 1 of a fiber-linear one its u_d-partial."""
+        return poly.unit_restrictions(self.fiber_names, self.base_chart)
 
 
 def total_chart(base: Chart, frame_names: Sequence[str]) -> TotalChart:
@@ -195,7 +196,7 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
             continue
         base_idx = tuple(i for i in idx if i not in pos_to_frame)
         # fiber coordinates sort after base ones, so no reordering sign
-        mu_tables[pos_to_frame[du[0]]][base_idx] = tc.at_zero(poly) * sign
+        mu_tables[pos_to_frame[du[0]]][base_idx] = tc.restrictions(poly)[0] * sign
     mu = tuple(DifferentialForm(base, k - 1, t) for t in mu_tables)
 
     d_pairing = exterior_derivative(fiber_pairing_form(mu, tc, k - 1))
@@ -204,8 +205,8 @@ def decompose(form: DifferentialForm, tc: TotalChart) -> BundleForms:
     for idx, poly in remainder.coeffs.items():
         if any(i in pos_to_frame for i in idx):
             raise CrossCheckError("decompose remainder is not a pure pairing form")
-        for d, part in tc.fiber_partials(poly):
-            nu_tables[d][idx] = part
+        for table, part in zip(nu_tables, tc.restrictions(poly)[1:]):
+            table[idx] = part
     nu = tuple(DifferentialForm(base, k, t) for t in nu_tables)
 
     if d_pairing + fiber_pairing_form(nu, tc, k) != form:

@@ -88,19 +88,17 @@ class LinearMultivector:
         chart = tc.chart
         fiber_pos = tc.fiber_positions()
         sign = 1 if (self.k - 1) % 2 == 0 else -1
-        table: dict = {}
+        groups: dict = {}
         for (b_tuple, d), poly in self.fiber.items():
             key = tuple(fiber_pos[b] for b in b_tuple)
             u = Polynomial.variable(chart, tc.fiber_names[d])
-            cur = table.get(key, Polynomial.zero(chart))
-            table[key] = cur + poly.promote(chart) * u
+            groups.setdefault(key, []).append((poly.promote(chart), u))
         for (b_tuple, j), poly in self.mixed.items():
             # base directions sort before fiber ones; moving the base factor
             # to the front across k-1 fiber factors costs (-1)^(k-1)
             key = (j,) + tuple(fiber_pos[b] for b in b_tuple)
-            cur = table.get(key, Polynomial.zero(chart))
-            table[key] = cur + poly.promote(chart) * sign
-        return Multivector(chart, self.k, table)
+            groups.setdefault(key, []).append((poly.promote(chart), sign))
+        return Multivector(chart, self.k, collect(groups))
 
     @classmethod
     def from_multivector(cls, p: Multivector, algebroid: LieAlgebroid) -> "LinearMultivector":
@@ -115,11 +113,11 @@ class LinearMultivector:
             base_part = [i for i in idx if i not in pos_to_frame]
             if not base_part:
                 b_tuple = tuple(pos_to_frame[i] for i in idx)
-                for d, part in tc.fiber_partials(poly):
+                for d, part in enumerate(tc.restrictions(poly)[1:]):
                     fiber[(b_tuple, d)] = part
             else:
                 b_tuple = tuple(pos_to_frame[i] for i in idx if i in pos_to_frame)
-                mixed[(b_tuple, base_part[0])] = tc.at_zero(poly) * sign
+                mixed[(b_tuple, base_part[0])] = tc.restrictions(poly)[0] * sign
         return cls(algebroid, p.degree, fiber, mixed)
 
 

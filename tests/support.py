@@ -12,13 +12,15 @@ bracket and the span closure of graph-of-bivector Dirac candidates, the
 pairing form of a bundle map by one sum per frame section, the frame values
 of an IM form by iterated contraction, the full evaluation of a multivector
 on covectors, and the extension of a derivation to all wedge sections.
-The operations `substitute`, `scale`, `wedge`, `coordinate_field`,
-`apply_field` and `section_from_components` serve the tests alone.  The
-library does not call any of these, so they live with the tests.
+The operations `substitute`, `scale`, `wedge`, `scalar`, `component`,
+`coordinate_field`, `apply_field` and `section_from_components`, and the
+`DiracCandidate` that the twisted-bracket batteries read, serve the tests
+alone.  The library does not call any of these, so they live with the tests.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -42,9 +44,7 @@ from imcalc.forms import (
     iterated_contract,
     lie_derivative,
 )
-from imcalc.imforms import (
-    DiracCandidate, IMForm, _Residuals, check_im_form, im_form_from_base_form,
-)
+from imcalc.imforms import IMForm, _Residuals, check_im_form, im_form_from_base_form
 from imcalc.multivec import Derivation
 from imcalc.linforms import (
     BundleForms, TotalChart, decompose, fiber_pairing_form, total_chart_of,
@@ -197,6 +197,18 @@ def wedge(a: Alternating, b: Alternating) -> Alternating:
     return a._like(collect(groups), a.degree + b.degree)
 
 
+def scalar(x: Alternating) -> Polynomial:
+    """The underlying Polynomial of a degree-0 value."""
+    if x.degree != 0:
+        raise ValueError("scalar is only defined in degree 0")
+    return x.coeffs.get((), Polynomial.zero(x.chart))
+
+
+def component(x: VectorField, i: int) -> Polynomial:
+    """The coefficient of the i-th coordinate direction of `x`."""
+    return x.coeffs.get((i,), Polynomial.zero(x.chart))
+
+
 def form_function(poly: Polynomial) -> DifferentialForm:
     """`poly` as a 0-form."""
     return DifferentialForm(poly.chart, 0, {(): poly})
@@ -326,7 +338,7 @@ def tangent_lift_involution_residual(alpha: DifferentialForm, base: Chart,
         (sum_chart.index(n),): Polynomial.variable(sum_chart, tangent_copy_name(n, l + 1))
         for n in names})
         for l in range(k)]
-    induced = iterated_contract(taut, alpha.promote(sum_chart)).scalar()
+    induced = scalar(iterated_contract(taut, alpha.promote(sum_chart)))
     base_point = dict(x)
     for l in range(k):
         for n in names:
@@ -458,6 +470,22 @@ def cochain_is_zero(w: WeilCochain1) -> bool:
 
 # -- k = 2: Dirac candidates ---------------------------------------------------
 
+@dataclass(frozen=True)
+class DiracCandidate:
+    """Generators (vector, covector) of a candidate lagrangian subbundle of
+    the sum of tangent and cotangent directions, with a twisting 2-form per
+    generator (zeros when untwisted)."""
+
+    algebroid: LieAlgebroid
+    vectors: tuple       # VectorField per frame section
+    covectors: tuple     # 1-form per frame section
+    twists: tuple        # 2-form per frame section
+
+    @property
+    def rank(self) -> int:
+        return len(self.vectors)
+
+
 def twisted_bracket(candidate: DiracCandidate, u_coeffs: Sequence[Polynomial],
                     v_coeffs: Sequence[Polynomial]) -> tuple:
     """Bracket of two sections of the generator span, given by coefficients.
@@ -556,10 +584,10 @@ def reference_form_frame_values(im) -> tuple:
     for a, frame in enumerate(algebroid.frame_names):
         mu_a = bundle_forms.mu[a].promote(chart)
         for n in range(1, k + 1):
-            val = iterated_contract(taut[:n - 1] + taut[n:], mu_a).scalar()
+            val = scalar(iterated_contract(taut[:n - 1] + taut[n:], mu_a))
             values[f"{frame}_hat{n}"] = -val if (n - 1) % 2 else val
         full = exterior_derivative(bundle_forms.mu[a]) + bundle_forms.nu[a]
-        values[f"T{frame}"] = iterated_contract(taut, full.promote(chart)).scalar()
+        values[f"T{frame}"] = scalar(iterated_contract(taut, full.promote(chart)))
     return tuple(values[name] for name in prol.frame_names)
 
 
@@ -571,7 +599,7 @@ def evaluate_multivector(p: Multivector, covectors: Sequence[DifferentialForm]) 
         raise ValueError("need exactly degree-many covectors")
     for alpha in covectors:
         p = contract_covector(alpha, p)
-    return p.scalar()
+    return scalar(p)
 
 
 # -- derivations ------------------------------------------------------------------

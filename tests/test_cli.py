@@ -15,6 +15,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import imcalc
 from imcalc import cli
@@ -207,6 +208,23 @@ def test_base_name_taken_by_a_generated_coordinate_is_named(tmp_path, source, ol
     code, out, err = run_cli(["--input", str(doc)])
     assert (code, out) == (2, "")
     assert err == f"error: duplicate coordinate names in chart {chart!r}: {new!r}\n"
+
+
+def test_frame_names_whose_prolongation_names_clash_are_named(tmp_path):
+    """Frames `Tq` and `q_hat1` are distinct, but the tangent prolongation
+    would call both the core of `Tq` in copy 1 and the linear section of
+    `q_hat1` `Tq_hat1`: the oracle's run exits 2 naming all three, and
+    the run without the oracle, which builds no prolongation, passes."""
+    doc = json.loads((CORPUS / "so3_poisson_im2.json").read_text())
+    doc["frame"] = ["Tq", "q_hat1", "e3"]
+    path = tmp_path / "clash.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["--input", str(path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: 'Tq_hat1' is both the core of 'Tq' in copy 1 "
+                   "and the linear section of 'q_hat1'\n")
+    code, _, err = run_cli(["--input", str(path), "--oracle", "off"])
+    assert (code, err) == (0, "")
 
 
 def test_unreadable_and_malformed_json(tmp_path):
@@ -598,6 +616,57 @@ def test_samples_file_flag(tmp_path):
                             "--samples", str(samples)])
     assert code == 0
     assert json.loads(out)["verdicts"]["LAGRANGIAN"] == "pass"
+
+
+# names a document may use that the checker also generates for its charts
+# and prolongations, beside names the corpus already uses
+FUZZ_NAMES = ("Tq", "q_hat1", "x1_dot1", "u1", "xi1_1", "e1_L", "e1", "x1", "x3")
+FUZZ_EXPRESSIONS = ("0", "-1", "x1", "x2^2", "x1*x2 - 3/2", "zz", "", "x1^^2", "1/0")
+# one value of each JSON type: null, bool, number (int and float), string,
+# array, object
+FUZZ_VALUES = (None, True, 3, 1.5, "x1", [1], {"k": 2})
+
+
+FUZZ_SOURCES = sorted(CORPUS.glob("*.json")) + [
+    ROOT / "tests" / "golden" / "ladder" / name
+    for name in ("n4_k3_im_broken.json", "n4_k3_mv.json")]
+
+
+@st.composite
+def mutated_documents(draw):
+    """A corpus or k = 3 ladder document with one mutation: a frame or base
+    name renamed throughout, one anchor or structure expression replaced,
+    or one top-level value replaced by a value of another JSON type."""
+    text = draw(st.sampled_from(FUZZ_SOURCES)).read_text()
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(["rename", "expression", "type"]))
+    if kind == "rename":
+        old = draw(st.sampled_from(doc["frame"] + doc["base"]))
+        new = draw(st.sampled_from(FUZZ_NAMES))
+        return json.loads(re.sub(rf"\b{re.escape(old)}\b", new, text))
+    if kind == "expression":
+        slots = [(row, j) for row in doc["anchor"] for j in range(len(row))]
+        slots += [(entry, 3) for entry in doc["structure"]]
+        row, j = draw(st.sampled_from(slots))
+        row[j] = draw(st.sampled_from(FUZZ_EXPRESSIONS))
+        return doc
+    key = draw(st.sampled_from(sorted(doc)))
+    doc[key] = draw(st.sampled_from([v for v in FUZZ_VALUES if type(v) is not type(doc[key])]))
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=mutated_documents())
+def test_mutated_documents_exit_cleanly(tmp_path_factory, doc):
+    """`main` never raises on a mutated document and never reports a
+    defect: it verifies (0), refutes (1) or refuses the input (2) with an
+    `error:` line."""
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(["--input", str(path)])
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert any(line.startswith("error: ") for line in err.splitlines()), err
 
 
 # oracle keys of the three corpus documents whose oracle compares routes

@@ -44,7 +44,8 @@ from imcalc.forms import (
 )
 from imcalc.poly import ChartError, Polynomial, base_chart, parse
 from support import (
-    apply_field, as_vector_field, contract_covector, coordinate_field, form_function, scale, wedge,
+    apply_field, as_vector_field, contract_covector, coordinate_field, form_function, scalar,
+    scale, wedge,
 )
 
 CH2 = base_chart("M", ["x1", "x2"])
@@ -107,7 +108,7 @@ def test_contraction_examples():
     assert contract(coordinate_field(CH2, "x2"), w) == -dx(CH2, 0)
     fields = [coordinate_field(CH2, "x1"), coordinate_field(CH2, "x2")]
     full = iterated_contract(fields, w)
-    assert full.scalar() == Polynomial.const(CH2, 1)
+    assert scalar(full) == Polynomial.const(CH2, 1)
 
 
 def test_degree_above_dimension_is_zero_not_error():
@@ -178,7 +179,7 @@ def test_schouten_lie_bracket():
     q = Multivector(CH2, 1, {(1,): parse("x1", CH2)})
     assert schouten(p, q) == Multivector(CH2, 1, {(1,): Polynomial.const(CH2, 1)})
     f = Multivector(CH2, 0, {(): parse("x1^2", CH2)})
-    assert schouten(p, f).scalar() == parse("2*x1", CH2)
+    assert scalar(schouten(p, f)) == parse("2*x1", CH2)
 
 
 def rotation_bivector(chart, middle="x1"):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from itertools import combinations, product
+from pathlib import Path
 
 import pytest
 
@@ -11,38 +13,38 @@ from conftest import (
     reference_im_violations, rnd_algebroid, rnd_bundle_forms, rnd_form, rnd_unchecked_algebroid,
 )
 from imcalc.algebroid import Violation
+from imcalc.cli import load_algebroid, load_candidate
 from imcalc.errors import AlgebroidError
 from imcalc.fixtures import koszul_algebroid
 from imcalc.forms import (
     DifferentialForm,
     Multivector,
-    VectorField,
     contract,
     exterior_derivative,
     lie_derivative,
     schouten,
 )
 from imcalc.imforms import (
-    DiracCandidate,
     IMForm,
     check_im_form,
     check_lagrangian,
-    default_sample_points,
-    dirac_candidate,
     im_form_from_base_form,
     oracle_equivalence,
 )
 from imcalc.linforms import BundleForms
 from imcalc.poly import Polynomial, base_chart, parse
 from support import (
+    DiracCandidate,
     broken_poisson_im_form,
     broken_so3_dual_bivector,
+    component,
     coordinate_field,
     exact_im_form,
     graph_closure_residuals,
     im_form_relative,
     koszul_so3_algebroid,
     poisson_im_form,
+    scalar,
     scale,
     so3_algebroid,
     so3_dual_bivector,
@@ -50,6 +52,8 @@ from support import (
     trivial_cotangent_algebroid,
     twisted_bracket,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_trivial_cotangent_with_arbitrary_nu_passes(rng):
@@ -326,35 +330,39 @@ def test_poisson_equivalence_chain():
 
 def test_dirac_requires_k2():
     with pytest.raises(AlgebroidError):
-        dirac_candidate(im_form_from_base_form(
-            tangent_algebroid(), DifferentialForm(tangent_algebroid().base_chart, 1)))
+        check_lagrangian(im_form_from_base_form(
+            tangent_algebroid(), DifferentialForm(tangent_algebroid().base_chart, 1)), [])
+
+
+def grid(chart) -> list:
+    """The integer points {-1, 0, 1}^dim of `chart`."""
+    return [dict(zip(chart.names, combo)) for combo in product((-1, 0, 1), repeat=chart.dim)]
 
 
 def test_lagrangian_fixture_poisson():
-    candidate = dirac_candidate(poisson_im_form())
-    report = check_lagrangian(candidate)
+    im = poisson_im_form()
+    report = check_lagrangian(im, grid(im.algebroid.base_chart))
     assert report.passed  # isotropic and rank 3 everywhere: graph of a bivector
+    assert report.notes == ("rank checked at 27 sample points",)
 
 
 def test_lagrangian_trivial_cotangent():
-    im = IMForm(trivial_cotangent_algebroid(), BundleForms(
+    algebroid = trivial_cotangent_algebroid()
+    chart = algebroid.base_chart
+    im = IMForm(algebroid, BundleForms(
         2,
-        tuple(DifferentialForm(trivial_cotangent_algebroid().base_chart, 1,
-                               {(a,): Polynomial.const(trivial_cotangent_algebroid().base_chart, 1)})
-              for a in range(2)),
-        (DifferentialForm(trivial_cotangent_algebroid().base_chart, 2),) * 2))
-    report = check_lagrangian(dirac_candidate(im))
+        tuple(DifferentialForm(chart, 1, {(a,): Polynomial.const(chart, 1)}) for a in range(2)),
+        (DifferentialForm(chart, 2),) * 2))
+    report = check_lagrangian(im, grid(chart))
     assert report.passed  # generators (0, dx^a): rank 2 = dim at every point
 
 
 def test_lagrangian_zero_candidate_fails_rank():
     algebroid = trivial_cotangent_algebroid()
     chart = algebroid.base_chart
-    zero = DiracCandidate(algebroid,
-                          tuple(VectorField(chart) for _ in range(2)),
-                          tuple(DifferentialForm(chart, 1) for _ in range(2)),
-                          tuple(DifferentialForm(chart, 2) for _ in range(2)))
-    report = check_lagrangian(zero, sample_points=[{"x1": 0, "x2": 0}])
+    zero = IMForm(algebroid, BundleForms(2, (DifferentialForm(chart, 1),) * 2,
+                                         (DifferentialForm(chart, 2),) * 2))
+    report = check_lagrangian(zero, [{"x1": 0, "x2": 0}])
     assert not report.passed
     assert report.violations[0].condition == "LAGRANGIAN"
     assert report.violations[0].residual == Polynomial.const(chart, -2)
@@ -364,13 +372,13 @@ def test_isotropy_violation_detected():
     algebroid = tangent_algebroid()
     chart = algebroid.base_chart
     one = Polynomial.const(chart, 1)
-    candidate = DiracCandidate(
-        algebroid,
-        (coordinate_field(chart, "x1"), coordinate_field(chart, "x2")),
-        (DifferentialForm(chart, 1, {(0,): one}), DifferentialForm(chart, 1)),
-        (DifferentialForm(chart, 2),) * 2)
-    report = check_lagrangian(candidate, sample_points=[])
-    assert any(v.condition == "ISOTROPY" for v in report.violations)
+    # generators (d/dx1, dx1) and (d/dx2, 0)
+    im = IMForm(algebroid, BundleForms(
+        2, (DifferentialForm(chart, 1, {(0,): one}), DifferentialForm(chart, 1)),
+        (DifferentialForm(chart, 2),) * 2))
+    report = check_lagrangian(im, [])
+    assert [(v.condition, v.witness, v.residual) for v in report.violations] == [
+        ("ISOTROPY", ("e1", "e1"), Polynomial.const(chart, 2))]
 
 
 def test_twisted_bracket_coordinate_fields():
@@ -420,7 +428,7 @@ def test_graph_closure_residual_is_half_schouten_defect(rng):
         for (a, b), residual in graph_closure_residuals(candidate):
             for c in range(3):
                 expected = bracket.coeff((a, b, c))  # signed; zero on repeats
-                got = residual.component(c) * 2
+                got = component(residual, c) * 2
                 assert got == expected
 
 
@@ -442,13 +450,36 @@ def test_twisted_graph_closure_matches_defect_identity(rng):
         for (a, b), residual in graph_closure_residuals(candidate):
             for c in range(3):
                 half_defect = bracket.coeff((a, b, c)) * Fraction(1, 2)
-                twist_term = contract(
+                twist_term = scalar(contract(
                     candidate.vectors[c],
-                    contract(candidate.vectors[b], twists[a])).scalar()
-                assert residual.component(c) == half_defect - twist_term
+                    contract(candidate.vectors[b], twists[a])))
+                assert component(residual, c) == half_defect - twist_term
 
 
-def test_default_sample_points_deterministic():
-    chart = base_chart("M", ["x1", "x2"])
-    assert default_sample_points(chart) == default_sample_points(chart)
-    assert len(default_sample_points(chart)) == 9 + 10
+def test_isotropy_is_im1_at_k2(rng):
+    """At k = 2 the ISOTROPY residual of a frame pair is its IM1 residual
+    i_{rho a} mu(b) + i_{rho b} mu(a): the same pairs, with the same
+    residuals, on the k = 2 im-form documents (the corpus and the dense
+    golden one) and on drawn candidates over random and unchecked
+    algebroids."""
+    ims = []
+    paths = sorted(ROOT.glob("fixtures/*.json")) + sorted(ROOT.glob("tests/golden/dense/*.json"))
+    for path in paths:
+        doc = json.loads(path.read_text())
+        if doc.get("options", {}).get("mode") == "im-form":
+            ims.append(load_candidate(doc, load_algebroid(doc)))
+    assert len(ims) == 4
+    algebroids = [rnd_algebroid(rng) for _ in range(6)] + [rnd_unchecked_algebroid(rng)
+                                                           for _ in range(6)]
+    for algebroid in algebroids:
+        exact = im_form_from_base_form(algebroid, rnd_form(rng, algebroid.base_chart, 2))
+        ims += [exact, IMForm(algebroid, rnd_bundle_forms(rng, algebroid, 2))]
+    failing = 0
+    for im in ims:
+        assert im.k == 2
+        isotropy = [(v.witness, v.residual) for v in check_lagrangian(im, []).violations]
+        im1 = [(v.witness[:2], v.residual) for v in check_im_form(im).violations
+               if v.condition == "IM1" and v.witness[2] == "1"]
+        assert isotropy == im1
+        failing += bool(isotropy)
+    assert failing >= 5

@@ -42,6 +42,7 @@ from support import (
     koszul_so3_algebroid,
     reference_fiber_pairing_form,
     reference_form_frame_values,
+    scalar,
     scale,
     substitute,
     tangent_algebroid,
@@ -214,9 +215,15 @@ def test_decompose_roundtrip_catches_a_wrong_nu(rng, monkeypatch):
     algebroid = koszul_so3_algebroid()
     tc = total_chart_of(algebroid)
     form = linear_form(rnd_bundle_forms(rng, algebroid, 2), tc)
-    read = TotalChart.fiber_partials
-    monkeypatch.setattr(TotalChart, "fiber_partials",
-                        lambda self, poly: [(d, -part) for d, part in read(self, poly)])
+    read = TotalChart.restrictions
+
+    def wrong_nu(self, poly):
+        # negate the nu entries (d + 1) only: a wrong entry 0 would change
+        # mu and trip the earlier pure-pairing check instead
+        zero, *units = read(self, poly)
+        return [zero] + [-p for p in units]
+
+    monkeypatch.setattr(TotalChart, "restrictions", wrong_nu)
     with pytest.raises(CrossCheckError, match="roundtrip"):
         decompose(form, tc)
 
@@ -259,7 +266,7 @@ def test_fiber_contraction_examples():
     tc = tangent_total_chart(line)
     tau_dx = fiber_contraction(
         DifferentialForm(line, 1, {(0,): Polynomial.const(line, 1)}), line)
-    assert tau_dx.scalar() == parse("x_dot", tc.chart)
+    assert scalar(tau_dx) == parse("x_dot", tc.chart)
     assert fiber_contraction(DifferentialForm(CH2, 2), CH2).is_zero()
     with pytest.raises(ValueError):
         fiber_contraction(form_function(parse("x1", CH2)), CH2)
@@ -345,7 +352,7 @@ def test_frame_values_pure_pairing_k1():
         assert value[f"{name}_hat1"].is_zero()
         taut = VectorField(big, {
             (big.index(n),): Polynomial.variable(big, f"{n}_dot1") for n in chart.names})
-        expected = contract(taut, nu[a].promote(big)).scalar()
+        expected = scalar(contract(taut, nu[a].promote(big)))
         assert value[f"T{name}"] == expected
 
 

@@ -41,6 +41,7 @@ from support import (
     evaluate_multivector,
     form_function,
     koszul_so3_algebroid,
+    scalar,
     scalar_action,
     scale,
     section_from_components,
@@ -110,7 +111,7 @@ def test_wedge_bracket_examples():
     u = Section.frame(koszul, 0)
     f = Section.function(koszul, parse("x2", koszul.base_chart))
     # [u, f] is the anchor derivative of the scalar
-    assert section_bracket(u, f).scalar() == parse("x3", koszul.base_chart)
+    assert scalar(section_bracket(u, f)) == parse("x3", koszul.base_chart)
 
 
 def test_wedge_bracket_graded_identities(rng):

@@ -630,9 +630,10 @@ def test_big_int_route_runs_on_dense_documents_only(monkeypatch, capsys, tmp_pat
     monkeypatch.setattr(poly, "_kronecker", counted)
     for path, exit_code in documents:
         assert cli.main(["--input", str(path)]) == exit_code
-    # a run is one `sum_of_products` call; each IM residual collects all its
-    # large products in one call per output key, so the 52 large pairs of
-    # a d = 7 document take 17 runs
+    # a run is one `sum_of_products` call; each IM and ISOTROPY residual
+    # collects all its large products in one call per output key (ISOTROPY's
+    # two contractions at (e1, e2) share one), so the 52 large pairs of a
+    # d = 7 document take 16 runs
     assert +runs == {"plane_d4_e3.json": 3, "plane_d4_e3_perturbed.json": 3,
-                     "plane_d7_e4.json": 17, "plane_d7_e4_perturbed.json": 17}
+                     "plane_d7_e4.json": 16, "plane_d7_e4_perturbed.json": 16}
     assert len(documents) == 4 + 11
