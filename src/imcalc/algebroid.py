@@ -22,7 +22,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import AlgebroidError, AxiomError, OracleDisagreement
 from .forms import Alternating, Calculus, VectorField, add_scaled, collect, graded_bracket
-from .poly import Chart, ChartError, Coord, Polynomial
+from .poly import Chart, ChartError, Coord, Polynomial, has_big_int_pair
 
 
 @dataclass(frozen=True)
@@ -320,7 +320,8 @@ def check_axioms(algebroid: LieAlgebroid) -> CheckReport:
             for (j,) in sorted(table):
                 violations.append(
                     Violation("AXIOM_ANCHOR", (a + 1, b + 1, chart.names[j]), table[j,]))
-    derivations = [algebroid.frame_derivation(x, ops) for x in range(r)]
+    # the derivations are read only by a Jacobi triple, which needs rank 3
+    derivations = [algebroid.frame_derivation(x, ops) for x in range(r)] if r >= 3 else []
     for a in range(r):
         for b in range(a + 1, r):
             for c in range(b + 1, r):
@@ -381,20 +382,26 @@ def check_morphism_to_line(algebroid: LieAlgebroid, values: Sequence[Polynomial]
     A representative with three or more free copies, those that hold no
     core of the pair, is decided from its sorted dotted coefficients
     (`_SortedResiduals`): (l_a, l_b) at k >= 3, (c1_a, l_b) and (c1_a, c1_b)
-    at k >= 4, (c1_a, c2_b) at k >= 5.  Each value it reads must have the
-    copy shape, checked on every dotted monomial of the value: exactly one
-    coordinate, with exponent 1, of each copy but that of the value's own
-    core, and none of that copy.  A pair that reads a value outside the
-    copy shape takes the full product.  The argument: the prolongation's
-    anchor and brackets are linear in each copy's coordinates, so with the
-    copy shape the residual has degree one in each free copy and none in
-    the busy ones; the permutations s of the free copies fix the pair, so
-    by the sign rule, which anti-invariance proves, R = sgn(s) s*R, and R
-    is alternating in the free copies.  Such an R vanishes iff its
-    coefficients at the sorted dotted monomials y_f1^i1 ... y_fs^is,
-    i1 < ... < is, vanish, and a nonzero R is the sum of sgn(s) s* of that
-    sorted part.  So each such verdict also rests on an exact zero test, of
-    1/s! of R's terms for s free copies.
+    at k >= 4, (c1_a, c2_b) at k >= 5.  So is one with exactly two free
+    copies, (l_a, l_b) at k = 2, (c1_a, l_b) and (c1_a, c1_b) at k = 3 and
+    (c1_a, c2_b) at k = 4, when its full product holds a pair that
+    `sum_of_products` would multiply as big ints (`poly.has_big_int_pair`); on
+    smaller factors the bookkeeping of the sorted path costs more than the
+    half of the term pairs it saves.  The full pairs are built only for
+    that test and for the full product.  Each value the sorted path reads
+    must have the copy shape, checked on every dotted monomial of the
+    value: exactly one coordinate, with exponent 1, of each copy but that
+    of the value's own core, and none of that copy.  A pair that reads a
+    value outside the copy shape takes the full product.  The argument:
+    the prolongation's anchor and brackets are linear in each copy's
+    coordinates, so with the copy shape the residual has degree one in each
+    free copy and none in the busy ones; the permutations s of the free
+    copies fix the pair, so by the sign rule, which anti-invariance proves,
+    R = sgn(s) s*R, and R is alternating in the free copies.  Such an R
+    vanishes iff its coefficients at the sorted dotted monomials
+    y_f1^i1 ... y_fs^is, i1 < ... < is, vanish, and a nonzero R is the sum
+    of sgn(s) s* of that sorted part.  So each such verdict also rests on
+    an exact zero test, of 1/s! of R's terms for s free copies.
 
     Partials and negated anchor entries come from one `forms.Calculus` of
     the call, so each is computed at most once.
@@ -408,20 +415,34 @@ def check_morphism_to_line(algebroid: LieAlgebroid, values: Sequence[Polynomial]
     ops = Calculus(chart)
     layout = algebroid._copy_layout
     reduced = layout is not None and layout.k >= 2 and layout.anti_invariant(values)
-    by_sorted = _SortedResiduals(algebroid, values, ops) if reduced and layout.k >= 3 else None
+    by_sorted = None
     anchor = algebroid.anchor_rows
+
+    def full_pairs(i: int, j: int) -> list:
+        pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
+        pairs += [(ops.pm(comp)[1], ops.partial(values[j], l)) for l, comp in anchor[i].items()]
+        pairs += [(comp, ops.partial(values[i], l)) for l, comp in anchor[j].items()]
+        return pairs
+
     found = {}  # the nonzero residuals of the pairs computed
+    # the copy of each frame index, None for a linear section or off a
+    # reduced prolongation: {copy[i], copy[j], None} holds 1 + the busy copies
+    copy = [layout.copy_of(u) if reduced else None for u in range(r)]
+    k = layout.k if reduced else 0
     for i in range(r):
         for j in range(i + 1, r):
             source = layout.orbit_source(i, j) if reduced else None
             if source is None:
-                res = by_sorted.residual(i, j) if by_sorted else None
+                free = k + 1 - len({copy[i], copy[j], None})
+                pairs = full_pairs(i, j) if free < 3 else None
+                res = None
+                if free >= 3 or free == 2 and has_big_int_pair(pairs):
+                    if by_sorted is None:
+                        by_sorted = _SortedResiduals(algebroid, values, ops)
+                    res = by_sorted.residual(i, j)
                 if res is None:
-                    pairs = [(w, values[c]) for c, w in algebroid.bracket_frame_row(i, j)]
-                    pairs += [(ops.pm(comp)[1], ops.partial(values[j], l))
-                              for l, comp in anchor[i].items()]
-                    pairs += [(comp, ops.partial(values[i], l)) for l, comp in anchor[j].items()]
-                    res = Polynomial.sum_of_products(chart, pairs)
+                    res = Polynomial.sum_of_products(
+                        chart, full_pairs(i, j) if pairs is None else pairs)
                 if res.is_zero():
                     continue
                 found[i, j] = res
@@ -436,7 +457,10 @@ def check_morphism_to_line(algebroid: LieAlgebroid, values: Sequence[Polynomial]
 
 class _SortedResiduals:
     """The residuals of one `check_morphism_to_line` call's representatives
-    with three or more free copies, from their sorted dotted coefficients.
+    from their sorted dotted coefficients.  The rule is exact for any
+    number of free copies; the check sends it those with three or more, and
+    those with two whose full product holds a big-int pair, and builds the
+    table on the first of them.
 
     The coefficient of R at a sorted dotted monomial T is one
     `sum_of_products` of base polynomials: each factor of R's products is
@@ -501,13 +525,11 @@ class _SortedResiduals:
         return keys
 
     def residual(self, i: int, j: int):
-        """R(e_i, e_j), or None when the pair has fewer than three free
-        copies or reads a value outside the copy shape."""
+        """R(e_i, e_j), or None when the pair reads a value outside the copy
+        shape."""
         layout = self.layout
         busy = (layout.copy_of(i), layout.copy_of(j))
         free = tuple(m for m in range(layout.k) if m not in busy)
-        if len(free) < 3:
-            return None
         bracket = self.algebroid.bracket_frame_row(i, j)
         groups = {u: self.value_groups(u) for u in {i, j}.union(c for c, _ in bracket)}
         if None in groups.values():

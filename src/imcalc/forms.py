@@ -26,6 +26,7 @@ pairs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
 
 from .poly import Chart, ChartError, Polynomial
@@ -45,6 +46,18 @@ def sort_indices(indices: Sequence[int]):
             sign = -sign
             j -= 1
     return tuple(idx), sign
+
+
+def _placements(idx: tuple, n: int):
+    """(j, p) for each j in range(n) missing from the sorted tuple idx, p
+    the number of its indices below j: j goes in at position p, and moving
+    it there from the front takes p transpositions."""
+    p = 0
+    for j in range(n):
+        if p < len(idx) and idx[p] == j:
+            p += 1
+        else:
+            yield j, p
 
 
 def collect(groups: Mapping) -> dict:
@@ -321,12 +334,11 @@ class Calculus:
     def add_d(self, groups: dict, table: Mapping, s: int) -> None:
         """Add s * d of a form table, s an int."""
         for idx, f in table.items():
-            for j in range(len(self.names)):
-                if j not in idx:
-                    df = self.partial(f, j)
-                    if not df.is_zero():
-                        key, sign = sort_indices((j,) + idx)
-                        groups.setdefault(key, []).append((df, s * sign))
+            for j, p in _placements(idx, len(self.names)):
+                df = self.partial(f, j)
+                if not df.is_zero():
+                    groups.setdefault(idx[:p] + (j,) + idx[p:], []).append(
+                        (df, -s if p & 1 else s))
 
     def add_contract(self, groups: dict, components: Mapping, table: Mapping, s: int) -> None:
         """Add s * the contraction of a table by the field with `components`
@@ -352,26 +364,30 @@ class Calculus:
                 if not df.is_zero():
                     groups.setdefault(idx, []).append((df, comp[odd]))
             for pos, t in enumerate(idx):
-                for l, w in rows.get(t, ()):
+                row = rows.get(t)
+                if not row:
+                    continue
+                rest = idx[:pos] + idx[pos + 1:]
+                for l, w in row:
                     if l == t:
                         groups.setdefault(idx, []).append((f, w[odd]))
-                        continue
-                    merged = sort_indices(idx[:pos] + (l,) + idx[pos + 1:])
-                    if merged is not None:
-                        groups.setdefault(merged[0], []).append((f, w[odd ^ (merged[1] < 0)]))
+                    elif l not in rest:
+                        # l moves from position pos to q, past |pos - q| indices
+                        q = bisect_left(rest, l)
+                        groups.setdefault(rest[:q] + (l,) + rest[q:], []).append(
+                            (f, w[odd ^ ((pos - q) & 1)]))
 
 
 def exterior_derivative(a: DifferentialForm) -> DifferentialForm:
     """de Rham differential; satisfies d(d(a)) = 0.  Each partial is asked
     for once, so it comes straight from `diff`, with no `Calculus` table."""
     groups: dict = {}
+    names = a.chart.names
     for idx, f in a.coeffs.items():
-        for j, name in enumerate(a.chart.names):
-            if j not in idx:
-                df = f.diff(name)
-                if not df.is_zero():
-                    key, sign = sort_indices((j,) + idx)
-                    groups.setdefault(key, []).append((df, sign))
+        for j, p in _placements(idx, len(names)):
+            df = f.diff(names[j])
+            if not df.is_zero():
+                groups.setdefault(idx[:p] + (j,) + idx[p:], []).append((df, -1 if p & 1 else 1))
     return a._like(collect(groups), a.degree + 1)
 
 

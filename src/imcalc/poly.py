@@ -347,9 +347,12 @@ class Polynomial:
             if not _kronecker(chart, large, terms):
                 _collect(chart, large, terms, 0)
         # made canonical and wrapped as `_canonical` and `_make` do, inline:
-        # most calls collect a handful of terms, so call overhead would show
-        terms = {e: c if type(c) is int or c.denominator != 1 else c.numerator
-                 for e, c in terms.items() if c}
+        # most calls collect a handful of terms, so call overhead would show;
+        # a map of nonzero ints is canonical already and is kept as it is
+        values = terms.values()
+        if 0 in values or not {int}.issuperset(map(type, values)):
+            terms = {e: c if type(c) is int or c.denominator != 1 else c.numerator
+                     for e, c in terms.items() if c}
         if multiplied:
             # an int-weight pair adds stored keys only, which have their
             # guard bits clear
@@ -605,6 +608,14 @@ class Polynomial:
 
 _set_chart = Polynomial.chart.__set__
 _set_terms = Polynomial._terms.__set__
+
+
+def has_big_int_pair(pairs: Iterable) -> bool:
+    """Whether `sum_of_products` would hand one of the (p, q) pairs to
+    `_kronecker`: q a polynomial and both factors of `KRONECKER_TERMS`
+    terms or more."""
+    return any(type(q) is not int and len(p._terms) >= KRONECKER_TERMS
+               and len(q._terms) >= KRONECKER_TERMS for p, q in pairs)
 
 
 def _make(chart: Chart, terms: dict) -> Polynomial:

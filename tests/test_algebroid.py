@@ -37,11 +37,11 @@ from imcalc.algebroid import (
 )
 from imcalc.errors import AlgebroidError, AxiomError
 from imcalc.fixtures import koszul_algebroid
-from imcalc.forms import Calculus, VectorField
+from imcalc.forms import Calculus, DifferentialForm, VectorField
 from imcalc.imforms import IMForm, im_form_from_base_form
 from imcalc.linforms import BundleForms, form_frame_functional
 from imcalc.multivec import linear_from_derivation, multivector_frame_functional
-from imcalc.poly import Polynomial, base_chart, parse
+from imcalc.poly import KRONECKER_TERMS, Polynomial, base_chart, parse
 from support import (
     apply_field,
     bivector,
@@ -443,6 +443,21 @@ def multivector_functional(rng, algebroid, k, kind):
     return multivector_frame_functional(p)
 
 
+def dense_form_functional(rng, algebroid, k, kind):
+    """(prolongation, frame values) of a linear form whose mu and nu
+    coefficients have up to `KRONECKER_TERMS` terms of degree up to 5."""
+    chart = algebroid.base_chart
+
+    def form(degree):
+        return DifferentialForm(chart, degree, {
+            idx: rnd_poly(rng, chart, 5, KRONECKER_TERMS)
+            for idx in combinations(range(chart.dim), degree)})
+
+    rank = range(algebroid.rank)
+    forms = BundleForms(k, tuple(form(k - 1) for _ in rank), tuple(form(k) for _ in rank))
+    return form_frame_functional(IMForm(algebroid, forms))
+
+
 FUNCTIONALS = [(form_functional, kind) for kind in ("exact", "broken", "random")]
 FUNCTIONALS += [(multivector_functional, kind) for kind in ("coboundary", "random")]
 ORBIT_BASES = [rnd_algebroid, lambda _: koszul_so3_algebroid(), lambda _: _log_canonical(3)]
@@ -514,14 +529,19 @@ def test_functional_that_is_not_anti_invariant_takes_the_full_loop(rng, monkeypa
 
 # -- sorted dotted coefficients against the full product ----------------------
 
-def full_residual(prol: LieAlgebroid, values: list, i: int, j: int) -> Polynomial:
-    """R(e_i, e_j) as one `sum_of_products` over every term, as the check
-    builds a representative with fewer than three free copies."""
+def full_pairs(prol: LieAlgebroid, values: list, i: int, j: int) -> list:
+    """The (factor, factor) pairs of R(e_i, e_j), every term of it."""
     names = prol.base_chart.names
     pairs = [(w, values[c]) for c, w in prol.bracket_frame_row(i, j)]
     pairs += [(-comp, values[j].diff(names[l])) for l, comp in prol.anchor_rows[i].items()]
     pairs += [(comp, values[i].diff(names[l])) for l, comp in prol.anchor_rows[j].items()]
-    return Polynomial.sum_of_products(prol.base_chart, pairs)
+    return pairs
+
+
+def full_residual(prol: LieAlgebroid, values: list, i: int, j: int) -> Polynomial:
+    """R(e_i, e_j) as one `sum_of_products` over every term, as the check
+    builds a representative that does not take the sorted path."""
+    return Polynomial.sum_of_products(prol.base_chart, full_pairs(prol, values, i, j))
 
 
 def free_copies(prol: LieAlgebroid, i: int, j: int) -> int:
@@ -532,21 +552,38 @@ def free_copies(prol: LieAlgebroid, i: int, j: int) -> int:
     return prol._copy_layout.k - len(busy)
 
 
-def assert_sorted_path_matches_full_product(prol, values) -> None:
-    """Every orbit representative with three or more free copies takes the
-    sorted path, the frame values having the copy shape, and its residual
-    equals the full product's, zero or not."""
+def takes_the_sorted_path(prol: LieAlgebroid, values: list, i: int, j: int) -> bool:
+    """Three or more free copies, or two and a pair of the full product
+    whose factors both have `KRONECKER_TERMS` terms or more."""
+    free = free_copies(prol, i, j)
+    return free >= 3 or free == 2 and any(
+        min(len(p.terms), len(q.terms)) >= KRONECKER_TERMS
+        for p, q in full_pairs(prol, values, i, j))
+
+
+def representatives(prol: LieAlgebroid) -> list:
     layout = prol._copy_layout
-    assert layout.anti_invariant(values)
+    return [(i, j) for i, j in combinations(range(prol.rank), 2)
+            if layout.orbit_source(i, j) is None]
+
+
+def assert_sorted_path_matches_full_product(prol, values) -> None:
+    """Every orbit representative, whatever its number of free copies, has
+    a residual from its sorted dotted coefficients, the frame values having
+    the copy shape, and that residual equals the full product's, zero or
+    not."""
+    assert prol._copy_layout.anti_invariant(values)
     by_sorted = _SortedResiduals(prol, values, Calculus(prol.base_chart))
-    for i, j in combinations(range(prol.rank), 2):
-        if layout.orbit_source(i, j) is not None:
-            continue
-        res = by_sorted.residual(i, j)
-        if free_copies(prol, i, j) < 3:
-            assert res is None
-        else:
-            assert res == full_residual(prol, values, i, j), (i, j)
+    for i, j in representatives(prol):
+        assert by_sorted.residual(i, j) == full_residual(prol, values, i, j), (i, j)
+
+
+def _dense_plane(_) -> LieAlgebroid:
+    """Koszul algebroid of (1 + x1 + 2*x2)^6 d1^d2: anchor entries of 28
+    terms and structure functions of 21, so the full products of its
+    prolongations' residuals hold pairs that reach `KRONECKER_TERMS`."""
+    return koszul_algebroid(bivector(base_chart("M", ["x1", "x2"]),
+                                     {(0, 1): "(1 + x1 + 2*x2)^6"}))
 
 
 SORTED_BASES = [
@@ -557,21 +594,58 @@ SORTED_BASES = [
     lambda _: _log_canonical(4),
     rnd_algebroid,
     rnd_unchecked_algebroid,              # rank 1-4 on 1-3 coordinates
+    _dense_plane,
 ]
 
 
+SORTED_FUNCTIONALS = FUNCTIONALS + [(dense_form_functional, "dense")]
+
+
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([3, 4]),
+@given(seed=st.integers(0, 2 ** 32 - 1), k=st.sampled_from([2, 3, 4]),
        base=st.sampled_from(range(len(SORTED_BASES))),
-       case=st.sampled_from(range(len(FUNCTIONALS))))
+       case=st.sampled_from(range(len(SORTED_FUNCTIONALS))))
 def test_sorted_coefficients_match_the_full_product(seed, k, base, case):
-    """On tangent and cotangent prolongations at k = 3 and 4, of Lie and
-    non-Lie algebroids, a point base among them, with exact, perturbed and
-    random candidates: each residual decided from its sorted dotted
-    coefficients, and expanded where nonzero, is the full product's."""
+    """On tangent and cotangent prolongations at k = 2 to 4, of Lie and
+    non-Lie algebroids, a point base and a base of large factors among them,
+    with exact, perturbed, random and dense candidates: each residual
+    decided from its sorted dotted coefficients, and expanded where nonzero,
+    is the full product's, at two free copies as at three or more."""
     rng = random.Random(seed)
-    build, kind = FUNCTIONALS[case]
+    build, kind = SORTED_FUNCTIONALS[case]
     assert_sorted_path_matches_full_product(*build(rng, SORTED_BASES[base](rng), k, kind))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build, base, big", [
+    (dense_form_functional, _dense_plane, True),
+    (dense_form_functional, lambda _: koszul_so3_algebroid(), False),
+    (form_functional, lambda _: koszul_so3_algebroid(), False),
+], ids=["dense_form_dense_plane", "dense_form_so3", "broken_form_so3"])
+def test_two_free_copies_take_the_sorted_path_with_a_big_int_pair(
+        rng, monkeypatch, build, base, big, k):
+    """`check_morphism_to_line` decides a representative from its sorted
+    dotted coefficients when it has three or more free copies, or two and a
+    full product that would multiply a pair as big ints.  The dense plane's
+    anchor and structure functions and the dense form's values reach
+    `KRONECKER_TERMS` terms; so3's anchor and structure functions never do,
+    even against large values.  The report is the full pair loop's either
+    way."""
+    prol, values = build(rng, base(rng), k, "broken")
+    sorted_pairs = []
+    residual = _SortedResiduals.residual
+
+    def recorded(self, i, j):
+        sorted_pairs.append((i, j))
+        return residual(self, i, j)
+
+    monkeypatch.setattr(_SortedResiduals, "residual", recorded)
+    report = check_morphism_to_line(prol, values)
+    expected = [(i, j) for i, j in representatives(prol)
+                if takes_the_sorted_path(prol, values, i, j)]
+    assert sorted_pairs == expected
+    assert any(free_copies(prol, *pair) == 2 for pair in expected) == big
+    assert report.violations == tuple(reference_morphism_violations(prol, values))
 
 
 @pytest.mark.parametrize("build, kind, base", [

@@ -41,6 +41,7 @@ from imcalc.forms import (
     iterated_contract,
     lie_derivative,
     schouten,
+    sort_indices,
 )
 from imcalc.poly import ChartError, Polynomial, base_chart, parse
 from support import (
@@ -567,3 +568,56 @@ def test_section_operators_are_the_generator_brackets(rng, degree, s):
             x = Section.function(algebroid, Polynomial.variable(chart, name))
             assert _collected(lambda g: ops.add_contract(g, column, p.coeffs, -s)) \
                 == scale(section_bracket_reference(x, p), s).coeffs
+
+
+@st.composite
+def placement_case(draw):
+    """A chart of 1-6 coordinates, a table of distinct sorted index tuples
+    of one degree, each holding a polynomial with a nonzero partial in
+    every coordinate, and derivation rows {t: [(l, (w, -w))]} with l any
+    coordinate, t among them."""
+    n = draw(st.integers(1, 6))
+    chart = base_chart("P", [f"x{i + 1}" for i in range(n)])
+    degree = draw(st.integers(0, n))
+    keys = draw(st.sets(st.sets(st.integers(0, n - 1), min_size=degree, max_size=degree)
+                        .map(lambda s: tuple(sorted(s))), min_size=1, max_size=4))
+    total = sum(Polynomial.variable(chart, name) for name in chart.names)
+    table = {idx: (total + c) ** 2 for c, idx in enumerate(sorted(keys), 1)}
+    rows = {}
+    for t in range(n):
+        targets = draw(st.lists(st.integers(0, n - 1), max_size=3))
+        rows[t] = tuple((l, (Polynomial.const(chart, 10 * t + l + 1),
+                             Polynomial.const(chart, -10 * t - l - 1))) for l in targets)
+    return chart, table, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(placement_case(), st.sampled_from([1, -1]))
+def test_counted_placement_matches_sort_indices(case, s):
+    """`Calculus.add_d`, `add_derivation` and `exterior_derivative` place
+    an index by counting the indices below it; each key, sign and pair
+    order is that of `sort_indices` on the unsorted tuple."""
+    chart, table, rows = case
+    ops = Calculus(chart)
+    odd = s < 0
+    d_groups, d_expected = {}, {}
+    ops.add_d(d_groups, table, s)
+    der_groups, der_expected = {}, {}
+    ops.add_derivation(der_groups, table, {}, rows, s)
+    for idx, f in table.items():
+        for j in range(chart.dim):
+            merged = sort_indices((j,) + idx)
+            if merged is not None:
+                d_expected.setdefault(merged[0], []).append((ops.partial(f, j), s * merged[1]))
+        for pos, t in enumerate(idx):
+            for l, w in rows[t]:
+                merged = sort_indices(idx[:pos] + (l,) + idx[pos + 1:])
+                if l == t:
+                    der_expected.setdefault(idx, []).append((f, w[odd]))
+                elif merged is not None:
+                    der_expected.setdefault(merged[0], []).append((f, w[odd ^ (merged[1] < 0)]))
+    assert d_groups == d_expected
+    assert der_groups == der_expected
+    if s == 1:
+        form = DifferentialForm(chart, len(next(iter(table))), table)
+        assert exterior_derivative(form).coeffs == collect(d_expected)

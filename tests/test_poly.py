@@ -157,6 +157,24 @@ def test_product_past_the_limit_raises_on_both_routes(monkeypatch):
         assert runs == route
 
 
+@pytest.mark.parametrize("left, right", [
+    (KRONECKER_TERMS, KRONECKER_TERMS), (KRONECKER_TERMS, KRONECKER_TERMS - 1),
+    (KRONECKER_TERMS - 1, 3 * KRONECKER_TERMS), (3 * KRONECKER_TERMS, KRONECKER_TERMS),
+    (KRONECKER_TERMS, 0), (KRONECKER_TERMS, "weight")])
+def test_has_big_int_pair_names_the_pairs_the_kernel_defers(left, right):
+    """`has_big_int_pair` holds for a pair exactly when `sum_of_products`
+    sets it aside for the big-int route: both factors polynomials of
+    `KRONECKER_TERMS` terms or more, never an int weight."""
+    def sized(n):
+        return Polynomial(CH2, {(i, 1): i + 1 for i in range(n)})
+
+    pair = (sized(left), 5 if right == "weight" else sized(right))
+    deferred, _ = poly._collect(CH2, [pair], {}, KRONECKER_TERMS)
+    assert poly.has_big_int_pair([pair]) == bool(deferred)
+    assert poly.has_big_int_pair([(sized(1), 2), pair]) == bool(deferred)
+    assert bool(deferred) == (right != "weight" and min(left, right) >= KRONECKER_TERMS)
+
+
 def test_exponent_limit():
     assert EXPONENT_LIMIT == 2 ** 15 - 1
     p = Polynomial(CH2, {(EXPONENT_LIMIT, 0): 1})

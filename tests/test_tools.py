@@ -28,6 +28,22 @@ def test_top_documents_times_one_rung():
     assert document != report
 
 
+def test_top_documents_times_one_dense_document():
+    """One run of the perturbed plane document at d = 2, e = 1: a header
+    with d and e in place of n and k, then one line, and no ladder rung."""
+    run = subprocess.run([sys.executable, "tools/top_documents.py", "--runs", "1",
+                          "--dense", "2,1"],
+                         cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    header, line = run.stdout.splitlines()
+    assert header == "d e runs min_s median_s document_sha256 report_sha256"
+    d, e, runs, fastest, median, document, report = line.split()
+    assert (d, e, runs) == ("2", "1", "1")
+    assert float(fastest) == float(median) > 0
+    assert re.fullmatch(r"[0-9a-f]{64}", document)
+    assert re.fullmatch(r"[0-9a-f]{64}", report)
+
+
 def test_src_size_prints_one_row_per_module_and_their_sums():
     """One row of lines, code lines and path per `src/` module, then a
     total row that holds the sums of the rows above it."""
